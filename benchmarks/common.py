@@ -10,7 +10,6 @@ numbers.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import time
 from pathlib import Path
@@ -97,15 +96,11 @@ def attach_provenance(results: dict, bench: str) -> dict:
     """Stamp a result dict with bench name, commit and timestamp (in place).
 
     Every bench routes its JSON through this, so any artifact can be
-    traced back to the commit that produced it.  The active kernel
-    backend and pool mode are stamped too — perf numbers from different
-    execution configurations must never be compared as if equivalent.
+    traced back to the commit that produced it.
     """
     results["bench"] = bench
     results["git_sha"] = git_sha()
     results["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    results["backend"] = os.environ.get("REPRO_BACKEND", "numpy")
-    results["pool_mode"] = os.environ.get("REPRO_POOL_MODE", "auto")
     return results
 
 
@@ -117,8 +112,6 @@ def append_trajectory(record: dict) -> Path:
     cross-PR performance track record, one line per bench invocation.
     """
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
-    record.setdefault("backend", os.environ.get("REPRO_BACKEND", "numpy"))
-    record.setdefault("pool_mode", os.environ.get("REPRO_POOL_MODE", "auto"))
     with TRAJECTORY.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
     return TRAJECTORY

@@ -15,11 +15,10 @@ Module-level functions, ``functools.partial`` over them, and bound
 methods are fine: their state is explicit arguments, not captured frame.
 
 A third pattern is legal but wasteful: a worker that reads a **large
-module-level ndarray** by name.  Under spawn every worker re-creates the
-array at import (a private copy per process), and under fork the pages
-stay copy-on-write only until the first touch — either way the data
-bypasses the zero-copy shared-memory plane (:mod:`repro.core.shm`) that
-arrays passed *through the pool* ride automatically.  Such workers are
+module-level ndarray** by name.  Every spawn worker re-creates the
+array at import (a private copy per process), so the data bypasses the
+zero-copy shared-memory plane (:mod:`repro.core.shm`) that arrays
+passed *through the pool* ride automatically.  Such workers are
 flagged: pass the array per-item or through the task object instead.
 """
 

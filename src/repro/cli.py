@@ -267,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--debug", action="store_true",
                         help="print full tracebacks instead of one-line errors")
-    parser.add_argument("--backend", choices=("numpy", "numba"), default=None,
-                        help="compute-kernel tier for dense/sparse hot loops "
-                             "(default: REPRO_BACKEND env var, else numpy)")
     parser.add_argument("--shm-threshold", default=None, metavar="BYTES",
                         help="minimum ndarray size for the zero-copy "
                              "shared-memory pool transport; 0 or 'off' forces "
@@ -393,7 +390,7 @@ def _serve_split(argv: list[str]) -> int | None:
     Scans over the global flags only, so a deck that happens to be
     named ``serve`` in another subcommand's positionals never matches.
     """
-    value_flags = {"--backend", "--shm-threshold"}
+    value_flags = {"--shm-threshold"}
     i = 0
     while i < len(argv):
         token = argv[i]
@@ -421,15 +418,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     # Imported here so `repro --help` stays instant.
     from repro.analysis.racecheck import install_from_env as _install_racecheck
-    from repro.core.kernels import BackendUnavailableError, set_backend
     from repro.solvers.guard import SolverFailure
     from repro.spice.parser import SpiceParseError
     from repro.spice.validate import NetlistValidationError
 
     _install_racecheck()
     try:
-        if args.backend is not None:
-            set_backend(args.backend)
         if args.shm_threshold is not None:
             # Validate eagerly so a typo fails the run instead of being
             # silently swallowed by the lenient env-var parser.
@@ -440,11 +434,6 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError("--shm-threshold must be >= 0")
             os.environ[_shm.THRESHOLD_ENV] = args.shm_threshold
         return _dispatch(args)
-    except BackendUnavailableError as exc:
-        if args.debug:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except SolverFailure as exc:
         if args.debug:
             raise

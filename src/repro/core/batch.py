@@ -1,13 +1,10 @@
 """Parallel batch-analysis engine.
 
 Fans independent per-design work (end-to-end analysis, training-set
-feature extraction, gradient shards) across worker processes.  Since
-PR 6 the default substrate is the persistent spawn-safe pool in
-:mod:`repro.core.pool`:
+feature extraction, gradient shards) across the persistent spawn-safe
+worker pool in :mod:`repro.core.pool`:
 
-- **spawn-safe**: the pool parallelizes correctly from non-main threads
-  and under nesting — the cases the old fork-per-call engine had to
-  degrade to serial;
+- **spawn-safe**: the pool parallelizes correctly from non-main threads;
 - **supervised**: crashed workers are respawned and their items retried
   with backoff, hung items are killed at ``task_timeout``, repeat
   offenders are quarantined with a structured record, and a whole-batch
@@ -20,38 +17,24 @@ PR 6 the default substrate is the persistent spawn-safe pool in
   boundary intact;
 - **gracefully degrading**: per-item exceptions are captured as data,
   and when the pool cannot run a job at all (unpicklable closure, no
-  spawn support) the batch falls back to the legacy fork engine and,
-  past that, to serial execution in the parent — never an exception.
+  spawn support) the batch runs serially in the parent — never an
+  exception.
 
-Execution-mode selection (``mode=`` argument, overridden by the
-``REPRO_POOL_MODE`` environment variable):
-
-======== =============================================================
-mode     behavior
-======== =============================================================
-auto     spawn pool, falling back to fork, falling back to serial
-spawn    the supervised pool only (serial if it cannot run the job)
-fork     the legacy fork-per-call engine (kept for bitwise-comparison
-         tests and fork-specific regressions)
-serial   in-process loop, no multiprocessing at all
-======== =============================================================
-
-Every fallback to serial execution increments the
-``batch.serial_fallbacks`` counter and is surfaced as a note on
-:class:`BatchReport`, so lost parallelism is visible to operators
-instead of silent.  ``REPRO_CHAOS`` (a
-:meth:`repro.testing.faults.WorkerFaultPlan.from_spec` string such as
+There are exactly two engines: the in-process serial loop (``jobs == 1``,
+or a nested call inside a pool worker) and the supervised pool.  Every
+fallback to serial execution increments the ``batch.serial_fallbacks``
+counter and is surfaced as a note on :class:`BatchReport`, so lost
+parallelism is visible to operators instead of silent.  ``REPRO_CHAOS``
+(a :meth:`repro.testing.faults.WorkerFaultPlan.from_spec` string such as
 ``kill@1,flaky@3``) injects worker faults into every pool batch — the
 hook the CI chaos-smoke job uses.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -62,82 +45,17 @@ from repro.core.pool import (
     WORKER_ENV,
     get_pool,
 )
-from repro.obs import (
-    counter_add,
-    counters_delta,
-    current_tracer,
-    merge_metrics,
-    metrics_snapshot,
-    span,
-    trace,
-)
+from repro.obs import counter_add, current_tracer, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import AnalysisResult, IRFusionPipeline
     from repro.data.synthetic import Design
-
-#: Execution modes accepted by :func:`parallel_map_ex` / ``REPRO_POOL_MODE``.
-_MODES = ("auto", "spawn", "fork", "serial")
 
 
 def _serial_fallback(reason: str, count: int = 1) -> None:
     """Record that *count* batches lost parallelism (obs + nothing else)."""
     counter_add("batch.serial_fallbacks", count)
     counter_add(f"batch.serial_fallbacks.{reason}", count)
-
-
-# -- legacy fork engine --------------------------------------------------------
-
-#: (fn, items, traced) inherited by forked workers; never pickled.
-_WORKER_STATE: tuple[Callable, Sequence, bool] | None = None
-
-#: Serialises use of :data:`_WORKER_STATE`.  Without it, overlapping
-#: fork-path calls would clobber the shared state and fork workers
-#: running the *wrong* ``fn``.  Held for the whole parallel section; a
-#: contender that cannot take it degrades to serial execution instead
-#: of racing.  Forked workers inherit a *held* copy of the lock, so a
-#: nested fork-path call inside a worker lands on the serial path.
-_WORKER_LOCK = threading.Lock()
-
-
-def _worker_apply(index: int):
-    """Run one item in a forked worker; exceptions become data.
-
-    Returns ``(index, result, error, traceback, span_tree, metrics)``.
-    The last two are ``None`` unless the parent had an active trace at
-    fork time, in which case the item runs under its own tracer and
-    ships the serialized span tree plus the counter movement it caused,
-    so the parent can graft both into its run telemetry.
-    """
-    fn, items, traced = _WORKER_STATE
-    if not traced:
-        try:
-            return index, fn(items[index]), None, None, None, None
-        except Exception as exc:  # noqa: BLE001 - captured per item by design
-            return (
-                index,
-                None,
-                f"{type(exc).__name__}: {exc}",
-                _traceback.format_exc(),
-                None,
-                None,
-            )
-    before = metrics_snapshot()
-    result = error = error_tb = None
-    with trace("item", index=index) as tracer:
-        try:
-            result = fn(items[index])
-        except Exception as exc:  # noqa: BLE001 - captured per item by design
-            error = f"{type(exc).__name__}: {exc}"
-            error_tb = _traceback.format_exc()
-    return (
-        index,
-        result,
-        error,
-        error_tb,
-        tracer.root.to_dict(),
-        counters_delta(before),
-    )
 
 
 def _apply_serial(fn: Callable, item, index: int) -> TaskOutcome:
@@ -153,83 +71,6 @@ def _apply_serial(fn: Callable, item, index: int) -> TaskOutcome:
 
 def _serial_map(fn: Callable, items: Sequence) -> list[TaskOutcome]:
     return [_apply_serial(fn, item, k) for k, item in enumerate(items)]
-
-
-def _fork_map(
-    fn: Callable, items: Sequence, jobs: int
-) -> tuple[list[TaskOutcome], bool]:
-    """The pre-pool fork engine: fork-per-call, main-thread-only.
-
-    Kept behind ``mode="fork"`` for bitwise-comparison tests, and as the
-    ``auto`` fallback when the pool cannot pickle a job (forked workers
-    inherit closures and open state copy-on-write).  Returns
-    ``(outcomes, degraded)`` with *degraded* True when any part of the
-    batch had to run serially.
-    """
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        _serial_fallback("no_fork")
-        return _serial_map(fn, items), True
-
-    if threading.current_thread() is not threading.main_thread():
-        # Forking from a non-main thread while other threads run is
-        # unsafe in CPython: the child can inherit another thread's held
-        # interpreter lock and deadlock before its worker loop starts.
-        _serial_fallback("fork_off_main_thread")
-        return _serial_map(fn, items), True
-
-    if not _WORKER_LOCK.acquire(blocking=False):
-        # Another fork-path call holds the worker state — a concurrent
-        # thread, or this *is* a nested call inside a forked worker
-        # (which inherited the held lock).  Racing would run the wrong
-        # fn; degrade to serial instead.
-        _serial_fallback("fork_reentry")
-        return _serial_map(fn, items), True
-
-    global _WORKER_STATE
-    results: list[TaskOutcome | None] = [None] * len(items)
-    pending = set(range(len(items)))
-    degraded = False
-    _WORKER_STATE = (fn, items, current_tracer() is not None)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            futures = {
-                pool.submit(_worker_apply, index): index
-                for index in range(len(items))
-            }
-            for future in as_completed(futures):
-                try:
-                    index, value, error, tb, span_tree, metrics = (
-                        future.result()
-                    )
-                except Exception:  # noqa: BLE001 - worker death ⇒ redo serially
-                    degraded = True
-                    continue
-                tracer = current_tracer()
-                if span_tree is not None and tracer is not None:
-                    tracer.attach(span_tree)
-                if metrics is not None:
-                    merge_metrics(metrics)
-                results[index] = TaskOutcome(
-                    index=index, result=value, error=error, traceback=tb
-                )
-                pending.discard(index)
-    except Exception:  # noqa: BLE001 - pool-level failure ⇒ redo serially
-        degraded = True
-    finally:
-        _WORKER_STATE = None
-        _WORKER_LOCK.release()
-
-    if pending:
-        degraded = True
-        _serial_fallback("fork_worker_death")
-        for index in sorted(pending):
-            results[index] = _apply_serial(fn, items[index], index)
-    return results, degraded  # type: ignore[return-value]
-
-
-# -- pool engine + mode dispatch -----------------------------------------------
 
 
 def _chaos_plan():
@@ -282,7 +123,6 @@ def parallel_map_ex(
     retries: int | None = None,
     deadline: float | None = None,
     fault_plan=None,
-    mode: str | None = None,
     shm_threshold: int | None = None,
 ) -> tuple[list[TaskOutcome], bool]:
     """Order-preserving supervised map of *fn* over *items*.
@@ -294,12 +134,10 @@ def parallel_map_ex(
     when any part of the batch fell back to serial execution.
 
     *task_timeout*, *retries* and *deadline* are honoured on the pool
-    path (see :class:`~repro.core.pool.PoolOptions`); the fork and
-    serial paths run each item once with no timeout.  *mode* picks the
-    engine (``auto``/``spawn``/``fork``/``serial``, see the module
-    docstring); the ``REPRO_POOL_MODE`` environment variable overrides
-    it, and inside a pool worker the call always runs serially (workers
-    are daemonic and cannot have children).
+    path (see :class:`~repro.core.pool.PoolOptions`); the serial path
+    (``jobs == 1``, a call nested inside a pool worker — workers are
+    daemonic and cannot have children — or a job the pool cannot ship)
+    runs each item once with no timeout.
 
     On the pool path, large ndarrays in items and results cross via the
     shared-memory data plane (:mod:`repro.core.shm`) rather than the
@@ -316,9 +154,6 @@ def parallel_map_ex(
     """
     items = list(items)
     jobs = max(1, min(int(jobs), len(items))) if items else 1
-    mode = os.environ.get("REPRO_POOL_MODE") or mode or "auto"
-    if mode not in _MODES:
-        raise ValueError(f"unknown pool mode {mode!r}; expected one of {_MODES}")
 
     if jobs == 1:
         return _serial_map(fn, items), False
@@ -327,10 +162,6 @@ def parallel_map_ex(
         # have children, so run serially (correct, just not parallel).
         _serial_fallback("nested_in_worker")
         return _serial_map(fn, items), True
-    if mode == "serial":
-        return _serial_map(fn, items), False
-    if mode == "fork":
-        return _fork_map(fn, items, jobs)
 
     try:
         return (
@@ -341,8 +172,6 @@ def parallel_map_ex(
             False,
         )
     except PoolUnusableError:
-        if mode == "auto":
-            return _fork_map(fn, items, jobs)
         _serial_fallback("pool_unusable")
         return _serial_map(fn, items), True
 
@@ -409,8 +238,8 @@ class _PipelineTask:
     """Shippable per-deck analysis task with a worker-side model cache.
 
     In the parent this is a thin wrapper over a trained
-    :class:`~repro.core.pipeline.IRFusionPipeline`; fork/serial engines
-    call straight through.  Under the spawn pool it pickles as
+    :class:`~repro.core.pipeline.IRFusionPipeline`; the serial engine
+    calls straight through.  Under the spawn pool it pickles as
     ``(method, config, channels, state_dict, fingerprint)`` — the state
     dict's arrays ride the shm transport, so weights ship once per
     (job, worker) as descriptors — and the worker rebuilds the pipeline
@@ -513,8 +342,8 @@ class BatchReport:
     jobs:
         Worker count the batch was asked to use.
     degraded:
-        True when any work fell back to serial execution (dead workers,
-        missing fork/spawn support, nested callers).
+        True when any work fell back to serial execution (a job the
+        pool could not ship, missing spawn support, nested callers).
     total_seconds:
         Wall-clock time for the whole batch.
     notes:

@@ -76,12 +76,6 @@ class FusionConfig:
         training traps NaN/Inf at the originating op, analysis records
         numerics findings in the run diagnostics.  Off by default — the
         instrumented path re-checks every leaf-op output.
-    backend:
-        Compute-kernel tier (:mod:`repro.core.kernels`): ``None`` keeps
-        the ambient selection (the ``REPRO_BACKEND`` environment
-        variable, defaulting to ``"numpy"``); ``"numpy"`` / ``"numba"``
-        pin it for the run.  Requesting ``"numba"`` without the optional
-        dependency installed fails fast at pipeline start.
     shm_threshold:
         Minimum ndarray size in bytes for the zero-copy shared-memory
         payload transport (:mod:`repro.core.shm`) in pool batches.
@@ -111,7 +105,6 @@ class FusionConfig:
     oversample_real: int = 5
     jobs: int = 1
     sanitize: bool = False
-    backend: str | None = None
     shm_threshold: int | None = None
 
     def __post_init__(self) -> None:
@@ -128,14 +121,6 @@ class FusionConfig:
             raise ValueError("jobs must be >= 1")
         if self.shm_threshold is not None and self.shm_threshold < 0:
             raise ValueError("shm_threshold must be >= 0 (0 disables)")
-        if self.backend is not None:
-            from repro.core.kernels import BACKENDS
-
-            if self.backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; "
-                    f"choose from {BACKENDS}"
-                )
 
     def with_(self, **overrides) -> "FusionConfig":
         """A copy with the given fields replaced (ablation helper)."""

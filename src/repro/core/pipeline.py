@@ -90,11 +90,6 @@ class IRFusionPipeline:
 
     def __init__(self, config: FusionConfig | None = None) -> None:
         self.config = config or FusionConfig()
-        if self.config.backend is not None:
-            # Fail fast (numba requested but absent) before any work runs.
-            from repro.core.kernels import set_backend
-
-            set_backend(self.config.backend)
         self._designs: tuple[list[Design], list[Design]] | None = None
         self._datasets: tuple[IRDropDataset, IRDropDataset] | None = None
         self.model: Module | None = None
@@ -361,7 +356,7 @@ class IRFusionPipeline:
         sidecar (written by ``repro train``) supplies the architecture
         and solver config via :meth:`FusionConfig.from_model_meta`.
         *config_overrides* adjust execution knobs (``jobs``,
-        ``sanitize``, ``backend``, ...) without touching the recorded
+        ``sanitize``, ...) without touching the recorded
         architecture.  This is the single load path shared by the CLI
         ``analyze`` command and the serving daemon's model registry.
         """

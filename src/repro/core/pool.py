@@ -2,8 +2,7 @@
 
 This is the execution substrate under :func:`repro.core.batch.parallel_map`
 and :class:`~repro.core.batch.BatchAnalyzer`, built for long-lived
-processes (servers, schedulers) where the old fork-per-call engine had to
-degrade to serial:
+processes (servers, schedulers):
 
 - **spawn context** — workers are started with the ``spawn`` method, so
   the pool is safe off the main thread, under nested/threaded callers,
@@ -44,8 +43,7 @@ transiently fails chosen items inside the workers, so every supervision
 path above is testable on schedule.
 
 Span timestamps from workers are comparable with the parent's because
-Linux shares one ``CLOCK_MONOTONIC`` epoch across processes (same
-assumption the fork path made).
+Linux shares one ``CLOCK_MONOTONIC`` epoch across processes.
 
 Payload transport: large ndarrays inside job payloads, items and
 results travel through the shared-memory data plane
@@ -95,7 +93,7 @@ class PoolUnusableError(RuntimeError):
 
     Callers treat this as "use another execution path", never as a
     per-item failure: :func:`repro.core.batch.parallel_map` falls back to
-    the fork engine or serial execution.
+    serial execution in the parent, counted and flagged ``degraded``.
     """
 
 

@@ -182,7 +182,7 @@ class IRDropDataset:
         """Build samples for a list of designs.
 
         With ``jobs > 1`` the per-design feature extraction fans out over
-        forked worker processes (results are returned in design order, so
+        the spawn worker pool (results are returned in design order, so
         the dataset is identical to a serial build).  Any per-design
         failure aborts the build with the design's name in the error.
         """

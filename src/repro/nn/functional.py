@@ -22,22 +22,6 @@ from numpy.lib.stride_tricks import as_strided
 
 Pair = tuple[int, int]
 
-#: Backend-dispatched matmul, resolved on first use: importing
-#: :mod:`repro.core.kernels` at module scope would run the
-#: ``repro.core`` package init, which reaches back into ``repro.nn``.
-_KERNEL_MATMUL = None
-
-
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
-    """Dense matmul through the tiered kernel backend."""
-    global _KERNEL_MATMUL
-    if _KERNEL_MATMUL is None:
-        from repro.core.kernels import matmul as kernel_matmul
-
-        _KERNEL_MATMUL = kernel_matmul
-    return _KERNEL_MATMUL(a, b, out=out)
-
-
 class Workspace:
     """A per-layer arena of reusable scratch buffers, keyed by name.
 
@@ -52,6 +36,11 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        # Scratch is never shipped: the pool's shm transport would hand
+        # a worker read-only views of warm buffers it must write into.
+        return {"_buffers": {}}
 
     def request(
         self,
@@ -230,7 +219,7 @@ def conv2d_forward(
         )
     cols = im2col(x, (kh, kw), stride, padding, workspace=workspace)
     out_h, out_w = conv_output_shape(x.shape[2:], (kh, kw), stride, padding)
-    flat = matmul(weight.reshape(filters, -1), cols)  # (N, F, L)
+    flat = np.matmul(weight.reshape(filters, -1), cols)  # (N, F, L)
     out = flat.reshape(x.shape[0], filters, out_h, out_w)
     if bias is not None:
         out += bias.reshape(1, filters, 1, 1)
@@ -265,7 +254,7 @@ def conv2d_backward(
     else:
         # Batched BLAS matmul + sum is several times faster than einsum in
         # fp32; per-sample partials then reduce in index order.
-        grad_weight = matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+        grad_weight = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
     grad_weight = grad_weight.reshape(weight.shape)
     grad_bias = grad_output.sum(axis=(0, 2, 3)) if with_bias else None
     kernel = (weight.shape[2], weight.shape[3])
@@ -298,18 +287,18 @@ def conv2d_backward(
             grad_input = workspace.request(
                 "bwd_grad_input", (n, in_channels, cols_g.shape[2]), cols_g.dtype
             )
-            matmul(w_rot, cols_g, out=grad_input)
+            np.matmul(w_rot, cols_g, out=grad_input)
         else:
-            grad_input = matmul(w_rot, cols_g)
+            grad_input = np.matmul(w_rot, cols_g)
         return grad_input.reshape(x_shape), grad_weight, grad_bias
     w_mat_t = weight.reshape(filters, -1).T
     if workspace is not None:
         grad_cols = workspace.request(
             "grad_cols", (n, w_mat_t.shape[0], grad_flat.shape[2]), grad_flat.dtype
         )
-        matmul(w_mat_t, grad_flat, out=grad_cols)  # (N, K, L)
+        np.matmul(w_mat_t, grad_flat, out=grad_cols)  # (N, K, L)
     else:
-        grad_cols = matmul(w_mat_t, grad_flat)
+        grad_cols = np.matmul(w_mat_t, grad_flat)
     grad_input = col2im(
         grad_cols, x_shape, kernel, stride, padding, workspace=workspace
     )

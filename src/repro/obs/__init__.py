@@ -16,8 +16,8 @@ Three pieces:
   configuration).
 - :mod:`repro.obs.metrics` — process-wide named counters and gauges
   (cache hits, fallback attempts, PCG iterations, overflow steps).
-  Fork-aware: :mod:`repro.core.batch` workers snapshot the registry at
-  item start and ship the delta back with each result.
+  Process-aware: :mod:`repro.core.pool` workers snapshot the registry
+  at item start and ship the delta back with each result.
 - :mod:`repro.obs.export` — structured JSONL trace files plus the
   human-readable span summary tree; ``python -m repro.obs --validate``
   checks an emitted file against the schema.

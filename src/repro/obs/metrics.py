@@ -2,10 +2,10 @@
 
 One registry per process, guarded by a lock so the batch engine's
 threads and the solver cascade can bump counters concurrently.  The
-registry is *fork-aware* by construction: a forked worker inherits a
-copy-on-write snapshot, takes :func:`metrics_snapshot` when it starts an
-item, and ships :func:`counters_delta` back with the result so the
-parent can :func:`merge_metrics` the movement without double counting.
+registry crosses processes by delta: a pool worker takes
+:func:`metrics_snapshot` when it starts an item and ships
+:func:`counters_delta` back with the result so the parent can
+:func:`merge_metrics` the movement without double counting.
 
 Counter names are dotted, lowest-level owner first::
 

@@ -49,8 +49,6 @@ COUNTERS: frozenset[str] = frozenset(
         "incremental.solves",
         "incremental.structural_deltas",
         "incremental.warm_solves",
-        "kernels.numba_gemm",
-        "kernels.numba_spmv",
         "pad_placement.candidates",
         "pcg.iterations",
         "pool.workers_respawned",
@@ -84,7 +82,6 @@ COUNTERS: frozenset[str] = frozenset(
 COUNTER_FAMILIES: frozenset[str] = frozenset(
     {
         # per-reason breakdown emitted next to batch.serial_fallbacks:
-        # no_fork, fork_off_main_thread, fork_reentry, fork_worker_death,
         # nested_in_worker, pool_unusable
         "batch.serial_fallbacks.*",
     }

@@ -14,8 +14,8 @@ solver opens ``span("pcg")`` five frames down, and they nest.
 Only the monotonic clock is read here (``time.perf_counter``): span
 timestamps are intervals, never wall-clock data, so traces stay out of
 the reproducibility story and the PR-4 ``wall-clock`` lint stays clean.
-Forked batch workers inherit the same monotonic epoch on Linux, so their
-span timestamps remain directly comparable with the parent's.
+Pool workers share the parent's monotonic epoch on Linux, so their span
+timestamps remain directly comparable with the parent's.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ class Tracer:
     """Owns one span tree and the stack of currently open spans.
 
     A tracer is single-threaded by design: it belongs to the thread that
-    installed it via :func:`trace` (thread-local), and forked workers
+    installed it via :func:`trace` (thread-local), and pool workers
     build their own and ship the serialized tree back (see
-    :mod:`repro.core.batch`).
+    :mod:`repro.core.pool`).
     """
 
     def __init__(self, name: str = "run", attrs: dict | None = None) -> None:
@@ -140,8 +140,8 @@ class Tracer:
         """Graft a serialized span tree under the active span.
 
         Used by the batch engine to re-root a worker's trace inside the
-        parent's; timestamps are comparable because fork preserves the
-        monotonic epoch.
+        parent's; timestamps are comparable because Linux shares one
+        monotonic epoch across processes.
         """
         span = Span.from_dict(payload)
         self.active.children.append(span)
@@ -155,8 +155,7 @@ class Tracer:
         return self.root
 
 
-#: Per-thread active tracer.  Forked children inherit the forking
-#: thread's value; batch workers deliberately install their own.
+#: Per-thread active tracer; pool workers install their own per item.
 _ACTIVE = threading.local()
 
 

@@ -6,19 +6,12 @@ each candidate top-layer node with a pad added there and commits the pad
 that minimises the worst drop, repeating until the budget is met or the
 pad budget is exhausted.
 
-Two evaluation engines:
-
-- ``method="incremental"`` (default) drives the sweep over
-  :class:`~repro.solvers.incremental.IncrementalEngine`: each candidate
-  is a rank-2 Sherman–Morrison–Woodbury update previewed against the
-  cached AMG hierarchy with a warm-started polish, and the committed pad
-  is one more low-rank term.  One stamping + one hierarchy build serve
-  the entire sweep, and the per-node correction columns are cached
-  across rounds.
-- ``method="legacy"`` re-simulates each trial netlist from scratch with
-  a :class:`~repro.solvers.powerrush.PowerRushSimulator` (parse →
-  stamp → AMG setup → solve per candidate).  Kept as the reference
-  implementation and benchmark baseline.
+The sweep runs over :class:`~repro.solvers.incremental.IncrementalEngine`:
+each candidate is a rank-2 Sherman–Morrison–Woodbury update previewed
+against the cached AMG hierarchy with a warm-started polish, and the
+committed pad is one more low-rank term.  One stamping + one hierarchy
+build serve the entire sweep, and the per-node correction columns are
+cached across rounds.
 """
 
 from __future__ import annotations
@@ -29,8 +22,12 @@ from repro.grid.netlist import PGNode, PowerGrid
 from repro.obs import counter_add, span
 from repro.solvers.base import SolverOptions
 from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
-from repro.solvers.powerrush import PowerRushSimulator
 from repro.spice.ast import Netlist, VoltageSource
+
+#: Tolerance of the committed solves that produce the drop history.
+_TOL = 1e-10
+#: Relaxed tolerance of candidate previews, which only rank pad sites.
+_RANK_TOL = 1e-6
 
 
 @dataclass
@@ -95,8 +92,6 @@ def greedy_pad_placement(
     budget_volts: float,
     max_new_pads: int = 3,
     max_candidates: int = 24,
-    simulator: PowerRushSimulator | None = None,
-    method: str = "incremental",
 ) -> PadPlacementResult:
     """Add pads greedily until the worst drop meets *budget_volts*.
 
@@ -111,60 +106,31 @@ def greedy_pad_placement(
     max_candidates:
         Candidate pool size per round: the top-layer nodes with the
         largest current drop (the most starved regions).
-    simulator:
-        Solver for the legacy path (default: converged quality AMG-PCG);
-        the incremental path borrows only its tolerance.
-    method:
-        ``"incremental"`` (default) or ``"legacy"``; see module docs.
-    """
-    if budget_volts <= 0:
-        raise ValueError("budget_volts must be positive")
-    if max_new_pads < 1:
-        raise ValueError("max_new_pads must be >= 1")
-    if method not in ("incremental", "legacy"):
-        raise ValueError(
-            f"unknown method {method!r}; choose 'incremental' or 'legacy'"
-        )
-    if method == "incremental":
-        return _greedy_incremental(
-            netlist, budget_volts, max_new_pads, max_candidates, simulator
-        )
-    return _greedy_legacy(
-        netlist, budget_volts, max_new_pads, max_candidates, simulator
-    )
-
-
-def _greedy_incremental(
-    netlist: Netlist,
-    budget_volts: float,
-    max_new_pads: int,
-    max_candidates: int,
-    simulator: PowerRushSimulator | None,
-) -> PadPlacementResult:
-    """One stamping + one AMG setup; candidates are low-rank previews.
 
     On the engine's direct tier (modest systems) candidate previews are
     exact triangular solves.  On the iterative fallback tier previews
     only *rank* pad sites, so they run at a relaxed tolerance
-    (``rank_tol``) with equally relaxed cached correction columns —
+    (``_RANK_TOL``) with equally relaxed cached correction columns —
     fewer preconditioned iterations per candidate than a full solve.
     Committed solves polish on the patched matrix at the tight
     tolerance either way, so the reported drop history is
     solver-accurate.
     """
-    tol = simulator.options.tol if simulator is not None else 1e-10
-    rank_tol = max(tol, 1e-6)
+    if budget_volts <= 0:
+        raise ValueError("budget_volts must be positive")
+    if max_new_pads < 1:
+        raise ValueError("max_new_pads must be >= 1")
     grid = PowerGrid.from_netlist(netlist)
     supply_voltage = netlist.supply_voltage()
     engine = IncrementalEngine(
         grid,
         supply_voltage,
-        options=SolverOptions(tol=tol, record_history=False),
-        incremental=IncrementalOptions(column_tol=rank_tol),
+        options=SolverOptions(tol=_TOL, record_history=False),
+        incremental=IncrementalOptions(column_tol=_RANK_TOL),
     )
 
     added: list[str] = []
-    with span("pad_placement", method="incremental"):
+    with span("pad_placement"):
         step = engine.solve()
         history = [float(step.drops.max())]
         for _ in range(max_new_pads):
@@ -179,7 +145,7 @@ def _greedy_incremental(
             best_name: str | None = None
             best_worst = history[-1]
             for candidate in candidates:
-                trial = engine.preview(AddPad(candidate.name), tol=rank_tol)
+                trial = engine.preview(AddPad(candidate.name), tol=_RANK_TOL)
                 counter_add("pad_placement.candidates")
                 worst = float(trial.drops.max())
                 if worst < best_worst:
@@ -191,70 +157,6 @@ def _greedy_incremental(
             step = engine.solve()
             added.append(best_name)
             history.append(float(step.drops.max()))
-
-    final = _with_extra_pads(netlist, added, supply_voltage)
-    return PadPlacementResult(
-        added_pads=added,
-        worst_drop_history=history,
-        final_netlist=final,
-        met_budget=history[-1] <= budget_volts,
-    )
-
-
-def _greedy_legacy(
-    netlist: Netlist,
-    budget_volts: float,
-    max_new_pads: int,
-    max_candidates: int,
-    simulator: PowerRushSimulator | None,
-) -> PadPlacementResult:
-    """Reference implementation: full re-simulation per candidate."""
-    simulator = simulator or PowerRushSimulator(tol=1e-10)
-
-    added: list[str] = []
-    report = simulator.simulate_netlist(netlist)
-    history = [report.worst_drop()]
-    supply_voltage = report.supply_voltage
-    # One mutable working netlist for the whole sweep: trials append a
-    # candidate source and pop it after simulation instead of rebuilding
-    # the element lists per candidate.
-    working = _with_extra_pads(netlist, [], supply_voltage)
-
-    with span("pad_placement", method="legacy"):
-        for _ in range(max_new_pads):
-            if history[-1] <= budget_volts:
-                break
-            candidates = _top_layer_candidates(
-                report.grid, report.ir_drop, max_candidates, set(added)
-            )
-            if not candidates:
-                break
-
-            best_name: str | None = None
-            best_worst = history[-1]
-            best_report = None
-            for candidate in candidates:
-                working.voltage_sources.append(
-                    VoltageSource("Vtrial", candidate.name, "0", supply_voltage)
-                )
-                try:
-                    trial_report = simulator.simulate_netlist(working)
-                finally:
-                    working.voltage_sources.pop()
-                counter_add("pad_placement.candidates")
-                worst = trial_report.worst_drop()
-                if worst < best_worst:
-                    best_worst = worst
-                    best_name = candidate.name
-                    best_report = trial_report
-            if best_name is None:
-                break  # no candidate improves; stop early
-            added.append(best_name)
-            history.append(best_worst)
-            report = best_report
-            working.voltage_sources.append(
-                VoltageSource(f"Vopt{len(added)}", best_name, "0", supply_voltage)
-            )
 
     final = _with_extra_pads(netlist, added, supply_voltage)
     return PadPlacementResult(

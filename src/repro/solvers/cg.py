@@ -16,22 +16,6 @@ import scipy.sparse as sp
 from repro.solvers.base import SolveResult, SolverOptions, Timer, check_system
 from repro.solvers.guard import GuardrailOptions, IterationGuard
 
-#: Backend-dispatched sparse matvec, resolved on first use — importing
-#: :mod:`repro.core.kernels` at module scope would run the
-#: ``repro.core`` package init, which imports the solver stack.
-_KERNEL_SPMV = None
-
-
-def csr_matvec(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """CSR matvec through the tiered kernel backend."""
-    global _KERNEL_SPMV
-    if _KERNEL_SPMV is None:
-        from repro.core.kernels import csr_matvec as kernel_spmv
-
-        _KERNEL_SPMV = kernel_spmv
-    return _KERNEL_SPMV(matrix, x)
-
-
 class CGSolver:
     """Unpreconditioned conjugate gradients for SPD systems."""
 
@@ -119,7 +103,7 @@ def _pcg(
     timer = Timer()
     n = rhs.shape[0]
     x = np.zeros(n, dtype=float) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = rhs - csr_matvec(matrix, x)
+    r = rhs - matrix @ x
     rhs_norm = float(np.linalg.norm(rhs))
     target = options.tol * rhs_norm if rhs_norm > 0 else options.tol
     initial_norm = float(np.linalg.norm(r))
@@ -145,7 +129,7 @@ def _pcg(
         rz = float(r @ z)
 
         for _ in range(options.max_iterations):
-            ap = csr_matvec(matrix, p)
+            ap = matrix @ p
             pap = float(p @ ap)
             if not np.isfinite(pap):
                 aborted = "nan_residual"

@@ -56,12 +56,11 @@ _EPOCH_SCOPE_SEQ = itertools.count(1)
 
 
 class _ShardWorker:
-    """Per-shard forward+backward step, shippable to any worker kind.
+    """Per-shard forward+backward step, shippable to pool workers.
 
     A plain picklable object (module-level class, array/module state
-    only) instead of a closure, so the spawn pool can pickle it; forked
-    workers still receive it by reference copy-on-write.  One pickle
-    payload carries the whole object graph, so the aliasing between
+    only) instead of a closure, so the spawn pool can pickle it.  One
+    pickle payload carries the whole object graph, so the aliasing between
     ``model``'s parameters and ``parameters`` (the optimizer's view,
     same order) survives the round-trip and ``zero_grad``/``backward``
     keep mutating the same arrays inside the worker.
@@ -226,7 +225,7 @@ class TrainConfig:
         Parameter-publication cadence of the sharded engine, in
         optimizer steps.  Workers always evaluate gradients at the
         parameters published at the start of their window: 0 (default)
-        publishes once per epoch (one fork per epoch, maximum
+        publishes once per epoch (one pool job per epoch, maximum
         throughput, gradients up to one epoch stale), ``k`` republishes
         every ``k`` steps, and 1 is fully synchronous data parallelism.
         The optimizer itself always steps once per batch in the parent,
@@ -692,8 +691,8 @@ class Trainer:
         Staleness/sync contract: within one publication window
         (``sync_every`` steps, or the whole epoch when 0) every shard
         gradient is evaluated at the parameters current when the window
-        started — workers receive that snapshot once per window (fork
-        copy-on-write or one spawn-pool pickle) and never observe the
+        started — workers receive that snapshot once per window (one
+        spawn-pool pickle) and never observe the
         parent's optimizer steps.  The parent then consumes the window's
         results strictly in batch order: reduce shards (fixed pairwise
         tree), clip, step, fold BatchNorm statistics.  The summed
@@ -712,7 +711,7 @@ class Trainer:
         # ``jobs`` is an upper bound: shard results are jobs-invariant
         # by construction, so the engine never spawns more workers than
         # schedulable cores — on a saturated or single-core host that
-        # collapses to the in-process path, trading useless fork/IPC
+        # collapses to the in-process path, trading useless spawn/IPC
         # for speed without changing a single bit of the trajectory.
         workers = min(cfg.jobs, _available_cores())
         # Zero-copy plane: the epoch's x/y ship once as descriptors and

@@ -12,9 +12,10 @@ from repro.core.batch import (
     BatchItem,
     BatchReport,
     parallel_map,
+    parallel_map_ex,
     tree_reduce,
 )
-from repro.obs import monotonic
+from repro.obs import counters_delta, metrics_snapshot, monotonic
 from repro.train.schedule import shard_batch
 
 
@@ -27,19 +28,28 @@ def _reciprocal(x):
 
 
 def _slow_square(x):
-    # Busy-wait a few ms so concurrent parallel_map calls overlap and
-    # actually contend for the module worker lock.
+    # Busy-wait a few ms so concurrent parallel_map calls overlap inside
+    # the pool supervisor.
     deadline = monotonic() + 0.02
     while monotonic() < deadline:
         pass
     return x * x
 
 
+def _die_once(item):
+    # SIGKILLs its own worker the first time it sees x == 2; the marker
+    # file makes the retry (in a respawned worker) succeed.
+    x, marker = item
+    if x == 2 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * 10
+
+
 def _nested_map(x):
-    # Runs inside a worker: a pool worker is daemonic (sees the worker
-    # env marker), a forked worker inherits the held worker lock —
-    # either way the inner call must degrade to serial instead of
-    # spawning grandchildren or clobbering the parent's worker state.
+    # Runs inside a pool worker, which is daemonic and sees the worker
+    # env marker: the inner call must degrade to serial instead of
+    # spawning grandchildren.
     outcomes, degraded = parallel_map(_square, [x, x + 1], jobs=2)
     return ([value for value, _ in outcomes], degraded)
 
@@ -67,26 +77,23 @@ class TestParallelMap:
         assert value is None and error.startswith("ZeroDivisionError")
         assert outcomes[2] == (0.25, None)
 
-    def test_worker_death_degrades_to_serial(self, tmp_path):
-        marker = tmp_path / "died-once"
-
-        def fragile(x):
-            if x == 2 and not marker.exists():
-                marker.touch()
-                os.kill(os.getpid(), signal.SIGKILL)
-            return x * 10
-
-        outcomes, degraded = parallel_map(fragile, [1, 2, 3, 4], jobs=2)
-        assert degraded
-        assert [value for value, _ in outcomes] == [10, 20, 30, 40]
+    def test_worker_death_is_respawned_and_retried(self, tmp_path):
+        marker = str(tmp_path / "died-once")
+        before = metrics_snapshot()
+        outcomes, degraded = parallel_map_ex(
+            _die_once, [(x, marker) for x in (1, 2, 3, 4)], jobs=2
+        )
+        assert degraded is False  # the pool healed itself; nothing ran serially
+        assert [o.result for o in outcomes] == [10, 20, 30, 40]
+        assert outcomes[1].attempts == 2
+        delta = counters_delta(before)["counters"]
+        assert delta.get("pool.workers_respawned", 0) >= 1
+        assert delta.get("task.retries", 0) >= 1
 
     def test_concurrent_calls_never_mix_results(self):
-        # Regression: threads entering parallel_map used to race on the
-        # shared worker state, forking workers that ran the wrong
-        # function/items (and forking off a non-main thread can deadlock
-        # the child outright).  The spawn pool serialises job intake in
-        # one supervisor, so concurrent threaded callers parallelize
-        # safely — no degradation, and every call gets its own results.
+        # The spawn pool serialises job intake in one supervisor, so
+        # concurrent threaded callers parallelize safely — no
+        # degradation, and every call gets its own results.
         items_by_key = {key: list(range(key, key + 4)) for key in (1, 10, 100)}
         results: dict[int, tuple] = {}
 
@@ -113,8 +120,8 @@ class TestParallelMap:
             values, inner_degraded = value
             assert values == expected[item]
             if not outer_degraded:
-                # Forked workers inherit the held lock, so the nested
-                # call must have taken the serial path.
+                # The item ran in a pool worker, so the nested call
+                # must have taken the serial path.
                 assert inner_degraded
 
 

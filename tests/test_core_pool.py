@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch import parallel_map, parallel_map_ex
+from repro.core.batch import BatchAnalyzer, parallel_map, parallel_map_ex
 from repro.core.pool import (
     PoolOptions,
     PoolUnusableError,
@@ -73,35 +73,21 @@ class TestPoolBasics:
         assert [o.result for o in outcomes] == [4, 9, 16, 25]
         assert not degraded  # PR 5 forced this case to serial
 
-    def test_unpicklable_fn_falls_back_not_raises(self):
-        marker = object()
-
-        def closure(x):  # closures cannot cross a spawn boundary
-            assert marker is not None
-            return x + 1
-
-        outcomes, _ = parallel_map_ex(closure, [1, 2, 3], 2)
-        assert [o.result for o in outcomes] == [2, 3, 4]
-
-    def test_explicit_spawn_mode_with_unpicklable_degrades_serial(self):
+    def test_unpicklable_closure_runs_serially_and_is_counted(self):
         sink = []
 
-        def closure(x):
+        def closure(x):  # closures cannot cross a spawn boundary
             sink.append(x)
-            return x
+            return x + 1
 
         before = metrics_snapshot()
-        outcomes, degraded = parallel_map_ex(
-            closure, [1, 2, 3], 2, mode="spawn"
-        )
+        outcomes, degraded = parallel_map_ex(closure, [1, 2, 3], 2)
         assert degraded
-        assert [o.result for o in outcomes] == [1, 2, 3]
+        assert [o.result for o in outcomes] == [2, 3, 4]
+        assert sink == [1, 2, 3]  # ran in this process, in order
         delta = counters_delta(before)["counters"]
-        assert delta.get("batch.serial_fallbacks", 0) >= 1
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            parallel_map_ex(_square, [1, 2], 2, mode="threads")
+        assert delta.get("batch.serial_fallbacks", 0) == 1
+        assert delta.get("batch.serial_fallbacks.pool_unusable", 0) == 1
 
     def test_pool_raises_unusable_for_unpicklable(self):
         pool = get_pool(2)
@@ -413,11 +399,7 @@ class TestBatchAnalyzerChaos:
         designs = (test_designs * 8)[:16]
         assert len(designs) == 16
         monkeypatch.setenv("REPRO_CHAOS", "kill@3x1,hang@7,flaky@11x1")
-        analyzer = __import__(
-            "repro.core.batch", fromlist=["BatchAnalyzer"]
-        ).BatchAnalyzer(
-            pipeline, jobs=2, task_timeout=8.0, retries=1
-        )
+        analyzer = BatchAnalyzer(pipeline, jobs=2, task_timeout=8.0, retries=1)
         report = analyzer.analyze_designs(designs)
         assert len(report.items) == 16
         for position, item in enumerate(report.items):
@@ -435,29 +417,29 @@ class TestBatchAnalyzerChaos:
         lines = report.summary_lines()
         assert any("quarantined[" in line for line in lines)
 
-    def test_fork_and_pool_results_bitwise_identical(
+    def test_serial_and_pool_results_bitwise_identical(
         self, trained_tiny_pipeline
     ):
         # Fault-free batches must not depend on the execution substrate:
-        # the legacy fork engine and the spawn pool run the same
+        # the in-process loop and the spawn pool run the same
         # deterministic computation on the same machine.
         pipeline = trained_tiny_pipeline
         _, test_designs = pipeline.generate_designs()
-        forked, fork_degraded = parallel_map_ex(
-            pipeline.analyze_design, test_designs, 2, mode="fork"
+        serial, serial_degraded = parallel_map_ex(
+            pipeline.analyze_design, test_designs, 1
         )
         pooled, pool_degraded = parallel_map_ex(
-            pipeline.analyze_design, test_designs, 2, mode="spawn"
+            pipeline.analyze_design, test_designs, 2
         )
-        assert not fork_degraded and not pool_degraded
-        for fork_out, pool_out in zip(forked, pooled):
-            assert fork_out.ok and pool_out.ok
+        assert not serial_degraded and not pool_degraded
+        for serial_out, pool_out in zip(serial, pooled):
+            assert serial_out.ok and pool_out.ok
             np.testing.assert_array_equal(
-                fork_out.result.predicted_drop, pool_out.result.predicted_drop
+                serial_out.result.predicted_drop, pool_out.result.predicted_drop
             )
-            if fork_out.result.rough_drop is not None:
+            if serial_out.result.rough_drop is not None:
                 np.testing.assert_array_equal(
-                    fork_out.result.rough_drop, pool_out.result.rough_drop
+                    serial_out.result.rough_drop, pool_out.result.rough_drop
                 )
 
 
@@ -473,3 +455,31 @@ class TestSerialFallbackVisibility:
         delta = counters_delta(before)["counters"]
         assert delta.get("batch.serial_fallbacks", 0) >= 1
         assert delta.get("batch.serial_fallbacks.nested_in_worker", 0) >= 1
+
+    def test_batch_analyzer_notes_a_job_the_pool_cannot_ship(
+        self, trained_tiny_pipeline, monkeypatch
+    ):
+        pipeline = trained_tiny_pipeline
+        _, test_designs = pipeline.generate_designs()
+        analyzer = BatchAnalyzer(pipeline, jobs=2)
+
+        def closure(design):  # unpicklable: runs in the parent instead
+            return pipeline.analyze_design(design)
+
+        monkeypatch.setattr(analyzer, "_task", lambda method: closure)
+        before = metrics_snapshot()
+        report = analyzer.analyze_designs(test_designs)
+        assert report.degraded
+        assert any("parallelism degraded" in note for note in report.notes)
+        delta = counters_delta(before)["counters"]
+        assert delta.get("batch.serial_fallbacks.pool_unusable", 0) == 1
+        for design, item in zip(test_designs, report.items):
+            assert item.ok
+            assert any(
+                "parallelism degraded" in warning
+                for warning in item.result.diagnostics.warnings
+            )
+            np.testing.assert_array_equal(
+                item.result.predicted_drop,
+                pipeline.analyze_design(design).predicted_drop,
+            )

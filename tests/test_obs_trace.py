@@ -1,4 +1,4 @@
-"""Tests for the observability layer: spans, metrics, export, fork."""
+"""Tests for the observability layer: spans, metrics, export, worker round trip."""
 
 import json
 
@@ -149,7 +149,7 @@ class TestMetrics:
         assert snapshot["gauges"]["g"] == 7.0
 
 
-class TestForkRoundTrip:
+class TestWorkerRoundTrip:
     def test_worker_spans_and_counters_reach_parent(self):
         reset_metrics()
         before = metrics_snapshot()

@@ -2,8 +2,55 @@
 
 import pytest
 
-from repro.opt.pad_placement import greedy_pad_placement
+from repro.opt.pad_placement import (
+    _top_layer_candidates,
+    _with_extra_pads,
+    greedy_pad_placement,
+)
 from repro.solvers.powerrush import PowerRushSimulator
+from repro.spice.ast import VoltageSource
+
+
+def _brute_force_placement(netlist, budget_volts, max_new_pads, max_candidates):
+    """Oracle: the same greedy loop, every candidate re-simulated from
+    scratch (parse → stamp → AMG setup → converged solve) with
+    :class:`PowerRushSimulator`.  Returns ``(added_pads, history)``."""
+    simulator = PowerRushSimulator(tol=1e-10)
+    report = simulator.simulate_netlist(netlist)
+    supply_voltage = report.supply_voltage
+    history = [report.worst_drop()]
+    added: list[str] = []
+    # One mutable working netlist for the whole sweep: trials append a
+    # candidate source and pop it after simulation.
+    working = _with_extra_pads(netlist, [], supply_voltage)
+    for _ in range(max_new_pads):
+        if history[-1] <= budget_volts:
+            break
+        candidates = _top_layer_candidates(
+            report.grid, report.ir_drop, max_candidates, set(added)
+        )
+        best_name, best_worst, best_report = None, history[-1], None
+        for candidate in candidates:
+            working.voltage_sources.append(
+                VoltageSource("Vtrial", candidate.name, "0", supply_voltage)
+            )
+            try:
+                trial_report = simulator.simulate_netlist(working)
+            finally:
+                working.voltage_sources.pop()
+            if trial_report.worst_drop() < best_worst:
+                best_name = candidate.name
+                best_worst = trial_report.worst_drop()
+                best_report = trial_report
+        if best_name is None:
+            break
+        added.append(best_name)
+        history.append(best_worst)
+        report = best_report
+        working.voltage_sources.append(
+            VoltageSource(f"Vopt{len(added)}", best_name, "0", supply_voltage)
+        )
+    return added, history
 
 
 class TestGreedyPadPlacement:
@@ -76,21 +123,12 @@ class TestGreedyPadPlacement:
             greedy_pad_placement(
                 fake_design.netlist, budget_volts=0.1, max_new_pads=0
             )
-        with pytest.raises(ValueError):
-            greedy_pad_placement(
-                fake_design.netlist, budget_volts=0.1, method="quantum"
-            )
 
-    def test_incremental_matches_legacy(self, real_design):
-        """The engines must commit the same pads and report the same drops."""
+    def test_sweep_matches_brute_force(self, real_design):
+        """The low-rank sweep must commit the same pads and report the
+        same drops as from-scratch re-simulation of every candidate."""
         kwargs = dict(budget_volts=1e-6, max_new_pads=2, max_candidates=6)
-        fast = greedy_pad_placement(
-            real_design.netlist, method="incremental", **kwargs
-        )
-        slow = greedy_pad_placement(
-            real_design.netlist, method="legacy", **kwargs
-        )
-        assert fast.added_pads == slow.added_pads
-        assert fast.worst_drop_history == pytest.approx(
-            slow.worst_drop_history, rel=1e-6
-        )
+        fast = greedy_pad_placement(real_design.netlist, **kwargs)
+        added, history = _brute_force_placement(real_design.netlist, **kwargs)
+        assert fast.added_pads == added
+        assert fast.worst_drop_history == pytest.approx(history, rel=1e-6)
