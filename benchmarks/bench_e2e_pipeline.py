@@ -232,7 +232,6 @@ def _legacy_floating_nodes(grid):
 @contextlib.contextmanager
 def legacy_feature_paths():
     """Swap the legacy implementations in at every import site."""
-    import repro.features.current as current
     import repro.features.density as density
     import repro.features.fusion as fusion
     import repro.features.numerical as numerical
@@ -252,7 +251,6 @@ def legacy_feature_paths():
         (resistance, "shortest_path_resistance_map",
          _legacy_shortest_path_resistance_map),
         (density, "pdn_density_map", _legacy_pdn_density_map),
-        (current, "rasterize", _legacy_rasterize),
         (numerical, "layer_values_image", _legacy_layer_values_image),
         (powerrush, "layer_values_image", _legacy_layer_values_image),
     ]

@@ -216,8 +216,9 @@ class IRFusionPipeline:
 
     def analyze_netlist(self, netlist) -> AnalysisResult:
         """Analyse a parsed deck (geometry inferred from node names)."""
-        grid = PowerGrid.from_netlist(netlist)
-        geometry = infer_geometry(grid, align_pixels=2**self.config.depth)
+        with span("grid_build"):
+            grid = PowerGrid.from_netlist(netlist)
+            geometry = infer_geometry(grid, align_pixels=2**self.config.depth)
         return self.analyze_grid(
             grid, geometry, supply_voltage=netlist.supply_voltage()
         )

@@ -15,14 +15,17 @@ from scipy.ndimage import uniform_filter
 
 from repro.grid.geometry import GridGeometry
 from repro.grid.netlist import PowerGrid
-from repro.grid.raster import rasterize
+from repro.grid.raster import pixel_coords, scatter_to_image
 
 
 def load_current_map(geometry: GridGeometry, grid: PowerGrid) -> np.ndarray:
     """Per-pixel total drain current (A), summed over co-located loads."""
-    loads = grid.loads()
-    values = np.array([n.load_current for n in loads], dtype=float)
-    return rasterize(geometry, loads, values, reduce="sum")
+    x, y, _, structured = grid.node_arrays()
+    loaded = structured & (grid.load_current != 0.0)
+    rows, cols = pixel_coords(geometry, x[loaded], y[loaded])
+    return scatter_to_image(
+        geometry.shape, rows, cols, grid.load_current[loaded], reduce="sum"
+    )
 
 
 def _layer_conductance_shares(geometry: GridGeometry) -> dict[int, float]:

@@ -134,9 +134,9 @@ def _shortest_path_resistances_python(grid: PowerGrid) -> np.ndarray:
 
     distances = np.full(grid.num_nodes, np.inf, dtype=float)
     heap: list[tuple[float, int]] = []
-    for pad in grid.pads():
-        distances[pad.index] = 0.0
-        heapq.heappush(heap, (0.0, pad.index))
+    for pad in grid.pad_indices().tolist():
+        distances[pad] = 0.0
+        heapq.heappush(heap, (0.0, pad))
     while heap:
         dist, node = heapq.heappop(heap)
         if dist > distances[node]:
@@ -160,9 +160,7 @@ def shortest_path_resistances(grid: PowerGrid) -> np.ndarray:
     to the Python heap implementation, which tolerates them.
     """
     n = grid.num_nodes
-    pads = np.fromiter(
-        (node.index for node in grid.pads()), dtype=np.int64
-    )
+    pads = grid.pad_indices()
     if n == 0 or pads.size == 0:
         distances = np.full(n, np.inf, dtype=float)
         distances[pads] = 0.0

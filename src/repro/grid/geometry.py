@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.spice.nodes import NodeName
 
 
@@ -146,27 +148,22 @@ def infer_geometry(
     distinct perpendicular coordinates; direction is the axis with more
     distinct in-stripe positions.
     """
-    import numpy as _np
-
-    structured = [n.structured for n in grid.nodes if n.structured is not None]
-    if not structured:
+    x, y, layer, structured = grid.node_arrays()
+    if not structured.any():
         raise ValueError("grid has no structured nodes; cannot infer geometry")
-    max_x = max(node.x for node in structured)
-    max_y = max(node.y for node in structured)
     step = pixel_nm * align_pixels
-    width = ((max_x + pixel_nm) + step - 1) // step * step
-    height = ((max_y + pixel_nm) + step - 1) // step * step
+    width = ((x[structured].max() + pixel_nm) + step - 1) // step * step
+    height = ((y[structured].max() + pixel_nm) + step - 1) // step * step
 
     layers = []
-    for layer_index in sorted({node.layer for node in structured}):
-        nodes = [n for n in structured if n.layer == layer_index]
-        xs = sorted({n.x for n in nodes})
-        ys = sorted({n.y for n in nodes})
+    for layer_index in grid.layers_present():
+        on_layer = structured & (layer == layer_index)
+        xs = np.unique(x[on_layer])
+        ys = np.unique(y[on_layer])
         direction = "h" if len(xs) >= len(ys) else "v"
         stripe_coords = ys if direction == "h" else xs
         if len(stripe_coords) > 1:
-            gaps = _np.diff(stripe_coords)
-            pitch = int(_np.median(gaps))
+            pitch = int(np.median(np.diff(stripe_coords)))
         else:
             pitch = pixel_nm
         layers.append(

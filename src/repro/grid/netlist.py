@@ -5,32 +5,29 @@ table of circuit nodes representing circuit connections. ... the PG is
 stored as a nodes list and wires map, which are linked to present their
 topologies."
 
-:class:`PowerGrid` is that structure: a node table (name → :class:`PGNode`
-with a dense integer id) and a wires map (per-node adjacency of
-:class:`PGWire` records).  It is the single input to MNA stamping,
-feature extraction and the synthetic generators.
+:class:`PowerGrid` is that structure, stored as columns: a node table
+(names, the name → dense-id hash table, parsed coordinates, load current
+and pad voltage per node) and a wires map (names, two endpoint-id columns
+and resistances, plus a lazily built CSR adjacency).  It is the single
+input to MNA stamping, feature extraction and the synthetic generators,
+all of which read the columns; :class:`PGNode` / :class:`PGWire` records
+are made on demand for callers that want one node or wire at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.spice.ast import (
-    CurrentSource,
-    Netlist,
-    Resistor,
-    VoltageSource,
-    pack_strings,
-    unpack_strings,
-)
-from repro.spice.nodes import GROUND, NodeName, is_structured_name, parse_node_name
+from repro.spice.ast import Netlist
+from repro.spice.nodes import GROUND, NodeName, parse_node_names
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PGNode:
-    """One circuit node of the power grid.
+    """A read-only snapshot of one circuit node of the power grid.
 
     Attributes
     ----------
@@ -84,27 +81,100 @@ class PGWire:
         raise ValueError(f"node {node} is not an endpoint of wire {self.name!r}")
 
 
+class _Records(Sequence):
+    """A list-like view that makes one record per access."""
+
+    def __init__(self, size: int, make: Callable[[int], object]) -> None:
+        self._size = size
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(self._size))]
+        return self._make(range(self._size)[index])
+
+
+def _reject_first(netlist: Netlist) -> None:
+    """Raise for the first element, in file order, a PG cannot hold."""
+    res, src, pad = (
+        netlist.resistors, netlist.current_sources, netlist.voltage_sources
+    )
+    for name, a, b, ohms in zip(res.names, res.node_a, res.node_b, res.values.tolist()):
+        if ohms == 0.0:
+            raise ValueError(
+                f"resistor {name!r} is a 0-ohm short; merge its nodes first"
+            )
+        if a == GROUND or b == GROUND:
+            raise ValueError(
+                f"resistor {name!r} touches ground; PG resistor networks "
+                "connect to ground only through sources"
+            )
+        if a == b:
+            raise ValueError(f"resistor {name!r} is a self-loop on {a!r}")
+    for name, node, sink in zip(src.names, src.node_a, src.node_b):
+        if sink != GROUND:
+            raise ValueError(
+                f"current source {name!r} must sink to ground, got {sink!r}"
+            )
+        if node == GROUND:
+            raise ValueError("ground cannot be interned as a PG node")
+    pinned: dict[str, float] = {}
+    for name, node, ref, volts in zip(
+        pad.names, pad.node_a, pad.node_b, pad.values.tolist()
+    ):
+        if ref != GROUND:
+            raise ValueError(
+                f"voltage source {name!r} must reference ground, got {ref!r}"
+            )
+        if node == GROUND:
+            raise ValueError("ground cannot be interned as a PG node")
+        if volts != volts:
+            raise ValueError(f"voltage source {name!r} has a NaN voltage")
+        if pinned.setdefault(node, volts) != volts:
+            raise ValueError(
+                f"node {node!r} pinned to two voltages ({pinned[node]} and {volts})"
+            )
+
+
 class PowerGrid:
     """Node table + wires map for one PG design.
 
     Build one from a parsed SPICE deck with :meth:`from_netlist`.  Nodes are
     indexed densely; ground is *not* a node (elements to ground record only
-    their PG-side endpoint).
+    their PG-side endpoint).  The columns are the state and what pickles:
+    ``node_names`` / ``wire_names`` in id order, ``load_current`` (amps) and
+    ``pad_voltage`` (volts, NaN where the node is not a pad) per node.  Read
+    them freely; write only through :meth:`pin_pad`, :meth:`unpin_pad`,
+    :meth:`set_load` and :meth:`set_wire_resistance`.
     """
 
-    def __init__(self) -> None:
-        self._nodes: list[PGNode] = []
-        self._index_of: dict[str, int] = {}
-        self._wires: list[PGWire] = []
-        self._adjacency: list[list[int]] = []
-        # Columnar snapshots for the vectorised feature extractors;
-        # rebuilt lazily after any node/wire append.
-        self._node_arrays_cache: (
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
-        self._wire_arrays_cache: (
-            tuple[np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
+    def __init__(
+        self,
+        node_names: list[str],
+        index_of: dict[str, int],
+        load_current: np.ndarray,
+        pad_voltage: np.ndarray,
+        wire_names: list[str],
+        wire_a: np.ndarray,
+        wire_b: np.ndarray,
+        wire_r: np.ndarray,
+    ) -> None:
+        self.node_names = node_names
+        self._index_of = index_of
+        self.load_current = load_current
+        self.pad_voltage = pad_voltage
+        self.wire_names = wire_names
+        self._wire_a = wire_a
+        self._wire_b = wire_b
+        self._wire_r = wire_r
+        # (net, layer, x, y) rows parsed from the names, zero where the
+        # name is not in the contest grammar (layer -1 there).
+        self._coords, self._structured = parse_node_names(node_names)
+        self._coords[1, ~self._structured] = -1
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -116,239 +186,135 @@ class PowerGrid:
         from ground except through ideal sources); 0-ohm resistors are
         rejected as well — collapse shorts upstream.
         """
-        grid = cls()
-        for res in netlist.resistors:
-            grid._add_resistor(res)
-        for src in netlist.current_sources:
-            grid._add_current_source(src)
-        for pad in netlist.voltage_sources:
-            grid._add_voltage_source(pad)
-        return grid
-
-    def _intern(self, name: str) -> int:
-        if name == GROUND:
-            raise ValueError("ground cannot be interned as a PG node")
-        index = self._index_of.get(name)
-        if index is not None:
-            return index
-        index = len(self._nodes)
-        structured = parse_node_name(name) if is_structured_name(name) else None
-        self._nodes.append(PGNode(index=index, name=name, structured=structured))
-        self._index_of[name] = index
-        self._adjacency.append([])
-        self._node_arrays_cache = None
-        return index
-
-    def _add_resistor(self, res: Resistor) -> None:
-        if res.is_short:
-            raise ValueError(
-                f"resistor {res.name!r} is a 0-ohm short; merge its nodes first"
-            )
-        if res.node_a == GROUND or res.node_b == GROUND:
-            raise ValueError(
-                f"resistor {res.name!r} touches ground; PG resistor networks "
-                "connect to ground only through sources"
-            )
-        if res.node_a == res.node_b:
-            raise ValueError(f"resistor {res.name!r} is a self-loop on {res.node_a!r}")
-        a = self._intern(res.node_a)
-        b = self._intern(res.node_b)
-        wire_index = len(self._wires)
-        self._wires.append(PGWire(res.name, a, b, res.resistance))
-        self._adjacency[a].append(wire_index)
-        self._adjacency[b].append(wire_index)
-        self._wire_arrays_cache = None
-
-    def _add_current_source(self, src: CurrentSource) -> None:
-        if src.node_to != GROUND:
-            raise ValueError(
-                f"current source {src.name!r} must sink to ground, "
-                f"got {src.node_to!r}"
-            )
-        index = self._intern(src.node_from)
-        self._nodes[index].load_current += src.current
-
-    def _add_voltage_source(self, pad: VoltageSource) -> None:
-        if pad.node_neg != GROUND:
-            raise ValueError(
-                f"voltage source {pad.name!r} must reference ground, "
-                f"got {pad.node_neg!r}"
-            )
-        index = self._intern(pad.node_pos)
-        node = self._nodes[index]
-        if node.pad_voltage is not None and node.pad_voltage != pad.voltage:
-            raise ValueError(
-                f"node {node.name!r} pinned to two voltages "
-                f"({node.pad_voltage} and {pad.voltage})"
-            )
-        node.pad_voltage = pad.voltage
-
-    # -- transport ---------------------------------------------------------
-    #
-    # Like :class:`~repro.spice.ast.Netlist`, a grid pickled naively is
-    # dominated by tiny node/wire objects.  Serialise columnar — packed
-    # name arrays plus per-node/per-wire value vectors — and rebuild the
-    # object tables (including ``_index_of``, adjacency and the parsed
-    # structured names, all pure functions of the columns) on the
-    # receiving side.  ``pad_voltage=None`` is encoded as NaN, which no
-    # real supply level can be.
-
-    def __getstate__(self) -> dict:
-        n = len(self._nodes)
-        wire_a, wire_b, wire_r = self.wire_arrays()
-        state = {
-            "node_names": pack_strings([node.name for node in self._nodes]),
-            "load_current": np.fromiter(
-                (node.load_current for node in self._nodes), np.float64, n
-            ),
-            "pad_voltage": np.fromiter(
-                (
-                    np.nan if node.pad_voltage is None else node.pad_voltage
-                    for node in self._nodes
-                ),
-                np.float64,
-                n,
-            ),
-            "wire_names": pack_strings([wire.name for wire in self._wires]),
-            "wire_a": wire_a,
-            "wire_b": wire_b,
-            "wire_r": wire_r,
-        }
-        extra = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key
-            not in (
-                "_nodes", "_index_of", "_wires", "_adjacency",
-                "_node_arrays_cache", "_wire_arrays_cache",
-            )
-        }
-        if extra:
-            state["extra"] = extra
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        load = state["load_current"]
-        pad = state["pad_voltage"]
-        for i, name in enumerate(unpack_strings(state["node_names"])):
-            structured = (
-                parse_node_name(name) if is_structured_name(name) else None
-            )
-            self._nodes.append(
-                PGNode(
-                    index=i,
-                    name=name,
-                    structured=structured,
-                    load_current=float(load[i]),
-                    pad_voltage=(
-                        None if np.isnan(pad[i]) else float(pad[i])
-                    ),
-                )
-            )
-            self._index_of[name] = i
-            self._adjacency.append([])
-        wire_a = state["wire_a"]
-        wire_b = state["wire_b"]
-        wire_r = state["wire_r"]
-        for k, wire_name in enumerate(unpack_strings(state["wire_names"])):
-            a = int(wire_a[k])
-            b = int(wire_b[k])
-            self._wires.append(PGWire(wire_name, a, b, float(wire_r[k])))
-            self._adjacency[a].append(k)
-            self._adjacency[b].append(k)
-        # The shipped wire columns are exactly what wire_arrays() would
-        # rebuild — keep them (possibly zero-copy shm views).
-        self._wire_arrays_cache = (
-            np.asarray(wire_a), np.asarray(wire_b), np.asarray(wire_r)
+        res, src, pad = (
+            netlist.resistors, netlist.current_sources, netlist.voltage_sources
         )
-        self.__dict__.update(state.get("extra", {}))
+        # Intern every PG-side endpoint in the order a per-element walk
+        # would meet them: resistor (a, b) pairs, then sources, then pads.
+        ends: list[str] = [GROUND] * (2 * len(res))
+        ends[0::2], ends[1::2] = res.node_a, res.node_b
+        ends += src.node_a
+        ends += pad.node_a
+        index_of = dict.fromkeys(ends)
+        node_names = list(index_of)
+        index_of.update(zip(node_names, range(len(node_names))))
+        ids = np.fromiter(map(index_of.__getitem__, ends), np.int64, len(ends))
+        wire_a, wire_b = ids[0 : 2 * len(res) : 2].copy(), ids[1 : 2 * len(res) : 2].copy()
+        load_ids, pad_ids = np.split(ids[2 * len(res) :], [len(src)])
+
+        ohms, volts = res.values, pad.values
+        pad_voltage = np.full(len(node_names), np.nan)
+        pad_voltage[pad_ids] = volts
+        if (
+            GROUND in index_of
+            or (ohms == 0.0).any()
+            or (wire_a == wire_b).any()
+            or src.node_b.count(GROUND) != len(src)
+            or pad.node_b.count(GROUND) != len(pad)
+            or not np.array_equal(pad_voltage[pad_ids], volts)
+        ):
+            _reject_first(netlist)
+        # bincount adds in input order: a node's sources sum as listed.
+        load_current = np.bincount(
+            load_ids, weights=src.values, minlength=len(node_names)
+        )
+        return cls(
+            node_names, index_of, load_current, pad_voltage,
+            res.names[:], wire_a, wire_b, ohms,
+        )
 
     # -- ECO mutation ------------------------------------------------------
 
+    def _own(self, column: str) -> np.ndarray:
+        """A column to write into; shared-memory transport hands back read-only views."""
+        array = getattr(self, column)
+        if not array.flags.writeable:
+            array = array.copy()
+            setattr(self, column, array)
+        return array
+
+    def _index(self, node: int | str) -> int:
+        if isinstance(node, str):
+            return self._index_of[node]
+        return range(len(self.node_names))[node]
+
     def pin_pad(self, node: int | str, voltage: float) -> None:
         """Pin a node to a supply voltage (add a pad in place)."""
-        record = self.node(node)
-        if record.pad_voltage is not None and record.pad_voltage != voltage:
+        index = self._index(node)
+        current = self.pad_voltage[index]
+        if current == current and current != voltage:
             raise ValueError(
-                f"node {record.name!r} already pinned to {record.pad_voltage}"
+                f"node {self.node_names[index]!r} already pinned to {float(current)}"
             )
-        record.pad_voltage = voltage
+        if voltage != voltage:
+            raise ValueError("a pad voltage cannot be NaN")
+        self._own("pad_voltage")[index] = voltage
 
     def unpin_pad(self, node: int | str) -> None:
         """Remove a pad pin, returning the node to the unknown set."""
-        record = self.node(node)
-        if record.pad_voltage is None:
-            raise ValueError(f"node {record.name!r} is not a pad")
-        record.pad_voltage = None
+        index = self._index(node)
+        if np.isnan(self.pad_voltage[index]):
+            raise ValueError(f"node {self.node_names[index]!r} is not a pad")
+        self._own("pad_voltage")[index] = np.nan
 
     def set_load(self, node: int | str, amps: float) -> None:
         """Set a node's attached load current (absolute, not additive)."""
-        self.node(node).load_current = amps
+        self._own("load_current")[self._index(node)] = amps
 
     def set_wire_resistance(self, wire_index: int, resistance: float) -> None:
-        """Replace one wire's resistance (ECO resize).
-
-        Wires are immutable records, so the slot gets a fresh
-        :class:`PGWire`; adjacency is positional and survives unchanged.
-        """
+        """Replace one wire's resistance (ECO resize)."""
         if resistance <= 0 or not np.isfinite(resistance):
             raise ValueError(f"resistance must be positive, got {resistance}")
-        old = self._wires[wire_index]
-        self._wires[wire_index] = PGWire(
-            old.name, old.node_a, old.node_b, resistance
-        )
-        self._wire_arrays_cache = None
+        self._own("_wire_r")[wire_index] = resistance
 
     def clone(self) -> "PowerGrid":
-        """Independent copy: repairs may mutate nodes without aliasing.
-
-        Wires are immutable (frozen dataclass) and shared; node records and
-        adjacency lists are copied.
-        """
-        other = PowerGrid()
-        other._nodes = [
-            PGNode(
-                index=n.index,
-                name=n.name,
-                structured=n.structured,
-                load_current=n.load_current,
-                pad_voltage=n.pad_voltage,
-            )
-            for n in self._nodes
-        ]
-        other._index_of = dict(self._index_of)
-        other._wires = list(self._wires)
-        other._adjacency = [list(a) for a in self._adjacency]
-        # Positions/resistances are immutable, so the columnar snapshots
-        # remain valid for the clone.
-        other._node_arrays_cache = self._node_arrays_cache
-        other._wire_arrays_cache = self._wire_arrays_cache
+        """Independent copy: the three editable columns are copied, the rest shared."""
+        other = object.__new__(PowerGrid)
+        other.__dict__.update(self.__dict__)
+        other.load_current = self.load_current.copy()
+        other.pad_voltage = self.pad_voltage.copy()
+        other._wire_r = self._wire_r.copy()
         return other
 
     # -- queries -----------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self.node_names)
 
     @property
     def num_wires(self) -> int:
-        return len(self._wires)
-
-    @property
-    def nodes(self) -> list[PGNode]:
-        return self._nodes
-
-    @property
-    def wires(self) -> list[PGWire]:
-        return self._wires
+        return len(self.wire_names)
 
     def node(self, key: str | int) -> PGNode:
-        """Node by name or dense index."""
-        if isinstance(key, str):
-            return self._nodes[self._index_of[key]]
-        return self._nodes[key]
+        """Node record by name or dense index."""
+        index = self._index(key)
+        volts = self.pad_voltage[index]
+        return PGNode(
+            index,
+            self.node_names[index],
+            NodeName(*self._coords[:, index].tolist())
+            if self._structured[index]
+            else None,
+            float(self.load_current[index]),
+            None if volts != volts else float(volts),
+        )
+
+    def _wire(self, index: int) -> PGWire:
+        return PGWire(
+            self.wire_names[index],
+            int(self._wire_a[index]),
+            int(self._wire_b[index]),
+            float(self._wire_r[index]),
+        )
+
+    @property
+    def nodes(self) -> Sequence[PGNode]:
+        return _Records(self.num_nodes, self.node)
+
+    @property
+    def wires(self) -> Sequence[PGWire]:
+        return _Records(self.num_wires, self._wire)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index_of
@@ -356,86 +322,74 @@ class PowerGrid:
     def index_of(self, name: str) -> int:
         return self._index_of[name]
 
+    def _incident(self, node: int) -> np.ndarray:
+        """Indices of the wires at a node, ascending."""
+        if self._adjacency is None:
+            ends = np.stack([self._wire_a, self._wire_b], axis=1).ravel()
+            order = np.argsort(ends, kind="stable")
+            starts = np.searchsorted(ends[order], np.arange(self.num_nodes + 1))
+            self._adjacency = (starts, order >> 1)
+        starts, wire_of = self._adjacency
+        node = self._index(node)
+        return wire_of[starts[node] : starts[node + 1]]
+
     def wires_at(self, node: int) -> list[PGWire]:
         """All wires incident on a node index."""
-        return [self._wires[i] for i in self._adjacency[node]]
+        return [self._wire(k) for k in self._incident(node).tolist()]
 
     def neighbors(self, node: int) -> list[int]:
         """Indices of nodes directly connected to *node*."""
-        return [self._wires[i].other(node) for i in self._adjacency[node]]
+        return [wire.other(node) for wire in self.wires_at(node)]
+
+    def degree(self, node: int) -> int:
+        return self._incident(node).size
+
+    def pad_indices(self) -> np.ndarray:
+        """Indices of all voltage-pinned nodes, ascending."""
+        return np.flatnonzero(~np.isnan(self.pad_voltage))
 
     def pads(self) -> list[PGNode]:
         """All voltage-pinned nodes."""
-        return [n for n in self._nodes if n.is_pad]
+        return [self.node(i) for i in self.pad_indices().tolist()]
 
     def loads(self) -> list[PGNode]:
         """All nodes with a nonzero attached current drain."""
-        return [n for n in self._nodes if n.load_current != 0.0]
+        return [self.node(i) for i in np.flatnonzero(self.load_current).tolist()]
+
+    def supply_voltage(self) -> float:
+        """The one level every pad is pinned to (``ValueError`` if there is none)."""
+        levels = set(self.pad_voltage[self.pad_indices()].tolist())
+        if len(levels) != 1:
+            raise ValueError(
+                f"cannot infer a single supply voltage from pads: {levels}"
+            )
+        return levels.pop()
 
     def layers_present(self) -> list[int]:
         """Sorted metal-layer indices that have at least one structured node."""
-        return sorted(
-            {n.structured.layer for n in self._nodes if n.structured is not None}
-        )
+        return np.unique(self._coords[1, self._structured]).tolist()
 
     def nodes_on_layer(self, layer: int) -> list[PGNode]:
         """Structured nodes on a given metal layer."""
-        return [
-            n
-            for n in self._nodes
-            if n.structured is not None and n.structured.layer == layer
-        ]
-
-    def degree(self, node: int) -> int:
-        return len(self._adjacency[node])
+        on_layer = self._structured & (self._coords[1] == layer)
+        return [self.node(i) for i in np.flatnonzero(on_layer).tolist()]
 
     def total_load_current(self) -> float:
-        return sum(n.load_current for n in self._nodes)
+        return sum(self.load_current.tolist())
 
     # -- columnar views ----------------------------------------------------
 
     def node_arrays(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(x, y, layer, structured_mask)`` per-node arrays.
+        """``(x, y, layer, structured_mask)`` per-node arrays.
 
         Unstructured nodes carry ``x = y = 0`` and ``layer = -1`` with
-        ``structured_mask`` False.  The arrays are rebuilt lazily after a
-        node append; callers must treat them as read-only.
+        ``structured_mask`` False.  Callers must treat them as read-only.
         """
-        cache = self._node_arrays_cache
-        if cache is None:
-            n = len(self._nodes)
-            x = np.zeros(n, dtype=np.int64)
-            y = np.zeros(n, dtype=np.int64)
-            layer = np.full(n, -1, dtype=np.int64)
-            mask = np.zeros(n, dtype=bool)
-            for i, node in enumerate(self._nodes):
-                s = node.structured
-                if s is not None:
-                    x[i] = s.x
-                    y[i] = s.y
-                    layer[i] = s.layer
-                    mask[i] = True
-            cache = (x, y, layer, mask)
-            self._node_arrays_cache = cache
-        return cache
+        _, layer, x, y = self._coords
+        return x, y, layer, self._structured
 
     def wire_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(node_a, node_b, resistance)`` per-wire arrays."""
-        cache = self._wire_arrays_cache
-        if cache is None:
-            node_a = np.fromiter(
-                (w.node_a for w in self._wires), dtype=np.int64, count=len(self._wires)
-            )
-            node_b = np.fromiter(
-                (w.node_b for w in self._wires), dtype=np.int64, count=len(self._wires)
-            )
-            resistance = np.fromiter(
-                (w.resistance for w in self._wires),
-                dtype=np.float64,
-                count=len(self._wires),
-            )
-            cache = (node_a, node_b, resistance)
-            self._wire_arrays_cache = cache
-        return cache
+        """``(node_a, node_b, resistance)`` per-wire arrays (read-only)."""
+        return self._wire_a, self._wire_b, self._wire_r

@@ -76,13 +76,7 @@ def floating_nodes(grid: PowerGrid) -> set[int]:
     conductance block is exactly singular.
     """
     labels = component_labels(grid)
-    pad_indices = np.fromiter(
-        (n.index for n in grid.pads()), dtype=np.int64
-    )
-    pad_labels = np.unique(labels[pad_indices]) if pad_indices.size else (
-        np.empty(0, dtype=np.int64)
-    )
-    floating = ~np.isin(labels, pad_labels)
+    floating = ~np.isin(labels, labels[grid.pad_indices()])
     return set(np.flatnonzero(floating).tolist())
 
 
@@ -91,12 +85,11 @@ def validate_connectivity(grid: PowerGrid) -> None:
 
     Checks: at least one pad exists and every node reaches a pad.
     """
-    if not grid.pads():
+    if not grid.pad_indices().size:
         raise ValueError("power grid has no voltage pads; Gx=I is singular")
     floating = floating_nodes(grid)
     if floating:
-        sample = sorted(floating)[:5]
-        names = [grid.node(i).name for i in sample]
+        names = [grid.node_names[i] for i in sorted(floating)[:5]]
         raise ValueError(
             f"{len(floating)} node(s) have no resistive path to a pad "
             f"(e.g. {names}); the reduced system is singular"
@@ -111,7 +104,7 @@ def effective_pad_resistance(grid: PowerGrid, node: int) -> float:
     nodes.
     """
     graph = to_networkx(grid)
-    pad_indices = [n.index for n in grid.pads()]
+    pad_indices = grid.pad_indices().tolist()
     if not pad_indices:
         return float("inf")
     best = float("inf")

@@ -19,12 +19,18 @@ def branch_currents(grid: PowerGrid, voltages: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {grid.num_nodes} voltages, got shape {voltages.shape}"
         )
-    currents = np.empty(grid.num_wires, dtype=float)
-    for k, wire in enumerate(grid.wires):
-        currents[k] = (
-            voltages[wire.node_a] - voltages[wire.node_b]
-        ) * wire.conductance
-    return currents
+    node_a, node_b, resistance = grid.wire_arrays()
+    return (voltages[node_a] - voltages[node_b]) * (1.0 / resistance)
+
+
+def _net_inflow(grid: PowerGrid, currents: np.ndarray) -> np.ndarray:
+    """Per-node sum of wire currents flowing in (out counts negative)."""
+    node_a, node_b, _ = grid.wire_arrays()
+    return np.bincount(
+        np.stack([node_a, node_b], axis=1).ravel(),
+        weights=np.stack([-currents, currents], axis=1).ravel(),
+        minlength=grid.num_nodes,
+    )
 
 
 def kcl_residuals(grid: PowerGrid, voltages: np.ndarray) -> np.ndarray:
@@ -34,26 +40,14 @@ def kcl_residuals(grid: PowerGrid, voltages: np.ndarray) -> np.ndarray:
     minus the load drawn there; for pads it is the (arbitrary) source
     current and is reported as zero.
     """
-    currents = branch_currents(grid, voltages)
-    residual = np.zeros(grid.num_nodes, dtype=float)
-    for k, wire in enumerate(grid.wires):
-        residual[wire.node_a] -= currents[k]
-        residual[wire.node_b] += currents[k]
-    for node in grid.nodes:
-        if node.is_pad:
-            residual[node.index] = 0.0
-        else:
-            residual[node.index] -= node.load_current
+    residual = _net_inflow(grid, branch_currents(grid, voltages))
+    residual -= grid.load_current
+    residual[grid.pad_indices()] = 0.0
     return residual
 
 
 def pad_currents(grid: PowerGrid, voltages: np.ndarray) -> dict[int, float]:
     """Current supplied by each pad (amps), keyed by grid node index."""
-    currents = branch_currents(grid, voltages)
-    supplied: dict[int, float] = {n.index: 0.0 for n in grid.pads()}
-    for k, wire in enumerate(grid.wires):
-        if wire.node_a in supplied:
-            supplied[wire.node_a] += currents[k]
-        if wire.node_b in supplied:
-            supplied[wire.node_b] -= currents[k]
-    return supplied
+    pads = grid.pad_indices()
+    supplied = -_net_inflow(grid, branch_currents(grid, voltages))[pads]
+    return dict(zip(pads.tolist(), supplied.tolist()))

@@ -46,54 +46,56 @@ def build_reduced_system(
     if validate:
         validate_connectivity(grid)
 
-    pad_voltages = {n.index: n.pad_voltage for n in grid.pads()}
-    unknown_indices = np.array(
-        [n.index for n in grid.nodes if not n.is_pad], dtype=np.int64
+    n = grid.num_nodes
+    pads = grid.pad_indices()
+    pad_voltage = grid.pad_voltage
+    unknown_indices = np.flatnonzero(np.isnan(pad_voltage))
+    n_unknown = unknown_indices.size
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[unknown_indices] = np.arange(n_unknown)
+
+    node_a, node_b, resistance = grid.wire_arrays()
+    g = 1.0 / resistance
+    a_row, b_row = row_of[node_a], row_of[node_b]
+    a_free, b_free = a_row >= 0, b_row >= 0
+
+    # Every sum below adds in the order a per-wire loop would: bincount
+    # accumulates in input order, and a wire's two ends are interleaved.
+    end_rows = np.stack([a_row, b_row], axis=1).ravel()
+    end_free = end_rows >= 0
+    diag = np.bincount(
+        end_rows[end_free], weights=np.repeat(g, 2)[end_free], minlength=n_unknown
     )
-    row_of = {int(g): r for r, g in enumerate(unknown_indices)}
-    n_unknown = len(unknown_indices)
+    # A wire with one pad end moves its coupling ``g * v_pad`` to the free
+    # end's RHS; pad-to-pad wires contribute nothing to the reduced system.
+    coupled = a_free ^ b_free
+    pad_end = np.where(a_free, node_b, node_a)[coupled]
+    rhs = np.bincount(
+        np.where(a_free, a_row, b_row)[coupled],
+        weights=g[coupled] * pad_voltage[pad_end],
+        minlength=n_unknown,
+    )
+    rhs -= grid.load_current[unknown_indices]
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs = np.zeros(n_unknown, dtype=float)
-
-    diag = np.zeros(n_unknown, dtype=float)
-    for wire in grid.wires:
-        g = wire.conductance
-        a_row = row_of.get(wire.node_a)
-        b_row = row_of.get(wire.node_b)
-        if a_row is not None:
-            diag[a_row] += g
-        if b_row is not None:
-            diag[b_row] += g
-        if a_row is not None and b_row is not None:
-            rows.extend((a_row, b_row))
-            cols.extend((b_row, a_row))
-            vals.extend((-g, -g))
-        elif a_row is not None:
-            rhs[a_row] += g * pad_voltages[wire.node_b]
-        elif b_row is not None:
-            rhs[b_row] += g * pad_voltages[wire.node_a]
-        # pad-to-pad wires contribute nothing to the reduced system
-
-    for node in grid.nodes:
-        row = row_of.get(node.index)
-        if row is not None and node.load_current:
-            rhs[row] -= node.load_current
-
-    rows.extend(range(n_unknown))
-    cols.extend(range(n_unknown))
-    vals.extend(diag)
-
+    both = a_free & b_free
+    pair = np.stack([a_row[both], b_row[both]], axis=1)
+    diagonal = np.arange(n_unknown)
     matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n_unknown, n_unknown), dtype=float
+        (
+            np.concatenate([np.repeat(-g[both], 2), diag]),
+            (
+                np.concatenate([pair.ravel(), diagonal]),
+                np.concatenate([pair[:, ::-1].ravel(), diagonal]),
+            ),
+        ),
+        shape=(n_unknown, n_unknown),
+        dtype=float,
     )
     matrix.sum_duplicates()
     if check_diagonal:
         bad = np.flatnonzero(~(diag > 0) | ~np.isfinite(diag))
         if bad.size:
-            names = [grid.node(int(unknown_indices[r])).name for r in bad[:5]]
+            names = [grid.node_names[i] for i in unknown_indices[bad[:5]].tolist()]
             raise ValueError(
                 f"stamped G has {bad.size} non-positive/non-finite diagonal "
                 f"entries (e.g. nodes {names}); the system is singular or "
@@ -103,8 +105,8 @@ def build_reduced_system(
         matrix=matrix,
         rhs=rhs,
         unknown_indices=unknown_indices,
-        pad_voltages=pad_voltages,
-        num_grid_nodes=grid.num_nodes,
+        pad_voltages=dict(zip(pads.tolist(), pad_voltage[pads].tolist())),
+        num_grid_nodes=n,
     )
 
 
@@ -302,38 +304,29 @@ def build_full_mna(grid: PowerGrid) -> FullMNASystem:
     the branch current into the pad node's KCL equation.
     """
     n = grid.num_nodes
-    pads = grid.pads()
-    m = len(pads)
-    size = n + m
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    pads = grid.pad_indices()
+    size = n + pads.size
+    node_a, node_b, resistance = grid.wire_arrays()
+    g = 1.0 / resistance
+    pair = np.stack([node_a, node_b], axis=1)
+    diag = np.bincount(pair.ravel(), weights=np.repeat(g, 2), minlength=n)
     rhs = np.zeros(size, dtype=float)
+    rhs[:n] -= grid.load_current
+    rhs[n:] = grid.pad_voltage[pads]
 
-    diag = np.zeros(n, dtype=float)
-    for wire in grid.wires:
-        g = wire.conductance
-        diag[wire.node_a] += g
-        diag[wire.node_b] += g
-        rows.extend((wire.node_a, wire.node_b))
-        cols.extend((wire.node_b, wire.node_a))
-        vals.extend((-g, -g))
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-
-    for node in grid.nodes:
-        if node.load_current:
-            rhs[node.index] -= node.load_current
-
-    for k, pad in enumerate(pads):
-        branch = n + k
-        rows.extend((pad.index, branch))
-        cols.extend((branch, pad.index))
-        vals.extend((1.0, 1.0))
-        rhs[branch] = pad.pad_voltage
-
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(size, size), dtype=float)
+    # Pad k gets branch unknown n + k, coupled symmetrically to its node.
+    branch = np.stack([pads, n + np.arange(pads.size)], axis=1)
+    nodes = np.arange(n)
+    matrix = sp.csr_matrix(
+        (
+            np.concatenate([np.repeat(-g, 2), diag, np.ones(2 * pads.size)]),
+            (
+                np.concatenate([pair.ravel(), nodes, branch.ravel()]),
+                np.concatenate([pair[:, ::-1].ravel(), nodes, branch[:, ::-1].ravel()]),
+            ),
+        ),
+        shape=(size, size),
+        dtype=float,
+    )
     matrix.sum_duplicates()
     return FullMNASystem(matrix=matrix, rhs=rhs, num_nodes=n)

@@ -50,8 +50,7 @@ class ReducedSystem:
             raise ValueError(f"expected shape ({self.size},), got {x.shape}")
         full = np.empty(self.num_grid_nodes, dtype=float)
         full[self.unknown_indices] = x
-        for node_index, volts in self.pad_voltages.items():
-            full[node_index] = volts
+        full[list(self.pad_voltages)] = list(self.pad_voltages.values())
         return full
 
     def gather(self, full: np.ndarray) -> np.ndarray:
@@ -80,7 +79,7 @@ class ReducedSystem:
 
     def row_map(self) -> dict[int, int]:
         """``{grid_node_index: reduced_row}`` for the unknown nodes."""
-        return {int(g): r for r, g in enumerate(self.unknown_indices)}
+        return dict(zip(self.unknown_indices.tolist(), range(self.size)))
 
     def residual_norm(self, x: np.ndarray) -> float:
         """Two-norm of ``b - Gx`` for a candidate solution."""

@@ -109,6 +109,7 @@ SPANS: frozenset[str] = frozenset(
         "features",
         "fit",
         "generate",
+        "grid_build",
         "imports",
         "incremental.factorize",
         "incremental.rebuild",
@@ -127,6 +128,7 @@ SPANS: frozenset[str] = frozenset(
         "simulate",
         "solve",
         "solve_attempt",
+        "stamp",
         "task_attempt",
         "train",
         "validate",

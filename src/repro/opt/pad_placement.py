@@ -62,9 +62,9 @@ def _with_extra_pads(
 ) -> Netlist:
     out = Netlist(
         title=netlist.title,
-        resistors=list(netlist.resistors),
-        current_sources=list(netlist.current_sources),
-        voltage_sources=list(netlist.voltage_sources),
+        resistors=netlist.resistors.copy(),
+        current_sources=netlist.current_sources.copy(),
+        voltage_sources=netlist.voltage_sources.copy(),
     )
     for k, node in enumerate(pads, start=1):
         out.voltage_sources.append(

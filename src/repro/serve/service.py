@@ -434,6 +434,7 @@ class AnalysisService:
                     self._active -= 1
                     gauge_set("serve.active_jobs", self._active)
                     job.finished = monotonic()
+                    job.request = None  # history keeps the result, not the deck text
                     job.done.set()
                     self._cond.notify_all()
 

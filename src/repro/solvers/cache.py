@@ -15,11 +15,10 @@ This module keys hierarchies by a *content fingerprint* of the matrix
 hierarchy object built before, so the preconditioner — and therefore the
 PCG iterate stream — is **bitwise identical** to an uncached run.
 
-The cache is process-global (workers forked by the batch engine inherit a
-copy-on-write snapshot and then populate their own), LRU-bounded, and
-thread-safe.  Hit/miss counters are exposed so
-:class:`~repro.diagnostics.RunDiagnostics` can report per-run cache
-behaviour.
+The cache is process-global (each spawned pool worker starts with an
+empty one and populates its own), LRU-bounded, and thread-safe.  Hit/miss
+counters are exposed so :class:`~repro.diagnostics.RunDiagnostics` can
+report per-run cache behaviour.
 """
 
 from __future__ import annotations

@@ -298,12 +298,7 @@ class IncrementalEngine:
         validate: bool = True,
     ) -> None:
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
-            if len(levels) != 1:
-                raise ValueError(
-                    f"cannot infer a single supply voltage from pads: {levels}"
-                )
-            supply_voltage = levels.pop()
+            supply_voltage = grid.supply_voltage()
         self.supply_voltage = float(supply_voltage)
         self.options = options or SolverOptions()
         self.incremental = incremental or IncrementalOptions()

@@ -110,9 +110,6 @@ def layer_port_rows(system: ReducedSystem, grid, min_layer: int) -> np.ndarray:
     The classic hierarchical split: keep the upper-metal backbone as
     ports, eliminate the dense bottom-layer internals.
     """
-    rows = []
-    for row, node_index in enumerate(system.unknown_indices):
-        node = grid.node(int(node_index))
-        if node.layer is not None and node.layer >= min_layer:
-            rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    _, _, layer, structured = grid.node_arrays()
+    on_ports = structured & (layer >= min_layer)
+    return np.flatnonzero(on_ports[system.unknown_indices])

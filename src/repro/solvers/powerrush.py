@@ -182,21 +182,15 @@ class PowerRushSimulator:
         must then agree on a single level).
         """
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
-            if len(levels) != 1:
-                raise ValueError(
-                    f"cannot infer a single supply voltage from pads: {levels}"
-                )
-            supply_voltage = levels.pop()
+            supply_voltage = grid.supply_voltage()
 
         diagnostics = RunDiagnostics()
-        with span("validate", robust=self.robust):
-            if self.robust:
+        if self.robust:
+            with span("validate"):
                 diagnostics.validation = validate_grid(grid)
                 grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
-                system = build_reduced_system(grid, validate=False)
-            else:
-                system = build_reduced_system(grid)
+        with span("stamp"):
+            system = build_reduced_system(grid, validate=not self.robust)
 
         flat_guess = np.full(system.size, supply_voltage, dtype=float)
         cache_before = setup_cache_stats()

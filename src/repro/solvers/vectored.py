@@ -63,28 +63,19 @@ class VectoredAnalyzer:
         options: SolverOptions | None = None,
     ) -> None:
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
-            if len(levels) != 1:
-                raise ValueError(
-                    f"cannot infer a single supply voltage from pads: {levels}"
-                )
-            supply_voltage = levels.pop()
+            supply_voltage = grid.supply_voltage()
         self.grid = grid
         self.supply_voltage = supply_voltage
         self.system: ReducedSystem = build_reduced_system(grid)
         self.solver = AMGPCGSolver(options or SolverOptions(tol=1e-10))
         # loads-only RHS template: pad coupling terms are current-independent
-        self._base_rhs = self.system.rhs.copy()
-        for node in grid.loads():
-            row = np.where(self.system.unknown_indices == node.index)[0]
-            if row.size:
-                self._base_rhs[row[0]] += node.load_current
+        self._base_rhs = (
+            self.system.rhs + grid.load_current[self.system.unknown_indices]
+        )
 
     def _rhs_for(self, currents: dict[int, float]) -> np.ndarray:
         rhs = self._base_rhs.copy()
-        index_of_row = {
-            int(g): r for r, g in enumerate(self.system.unknown_indices)
-        }
+        index_of_row = self.system.row_map()
         for node_index, amps in currents.items():
             row = index_of_row.get(node_index)
             if row is None:

@@ -1,38 +1,21 @@
-"""Dataclasses describing the elements of a power-grid SPICE netlist.
+"""The elements of a power-grid SPICE netlist, stored as columns.
 
-Only the three element kinds that occur in static PG analysis are modelled:
-resistors, independent current sources (cell current drains) and independent
-voltage sources (power pads).  A :class:`Netlist` is an ordered container of
-those elements plus the title line.
+Four element kinds occur in PG decks: resistors, independent current
+sources (cell current drains), independent voltage sources (power pads)
+and capacitors (transient only).  A :class:`Netlist` holds one
+:class:`ElementList` per kind — names, two node-name columns and float64
+values in file order — which the parser fills from the token stream,
+:class:`~repro.grid.netlist.PowerGrid` reads whole, and pickle ships; the
+record dataclasses below are made when a caller indexes or iterates one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
-
-
-def pack_strings(strings: Sequence[str]) -> np.ndarray:
-    """Flatten newline-free strings into one uint8 array.
-
-    The transport-friendly dual of a list of python strings: a single
-    ndarray rides the pool's shared-memory plane (and pickles as one
-    contiguous buffer either way) instead of thousands of individual
-    string objects.  Names in SPICE decks cannot contain whitespace, so
-    newline is a safe separator.
-    """
-    if not strings:
-        return np.empty(0, dtype=np.uint8)
-    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
-
-
-def unpack_strings(packed: np.ndarray) -> list[str]:
-    """Invert :func:`pack_strings`."""
-    if packed.size == 0:
-        return []
-    return packed.tobytes().decode("utf-8").split("\n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +94,93 @@ class VoltageSource:
     voltage: float
 
 
+Element = Resistor | CurrentSource | VoltageSource | Capacitor
+
+
+class ElementList:
+    """One element kind as four parallel columns, list-like over its records.
+
+    ``names``, ``node_a`` and ``node_b`` are python lists of strings (what
+    ``str.split`` yields and ``dict`` interning consumes); the values are
+    one packed float64 column, read as an array through :attr:`values`.
+    """
+
+    __slots__ = ("record", "names", "node_a", "node_b", "_values")
+
+    def __init__(self, record: type, elements: Iterable[Element] = ()) -> None:
+        self.record = record
+        self.names: list[str] = []
+        self.node_a: list[str] = []
+        self.node_b: list[str] = []
+        self._values = array("d")
+        self.extend(elements)
+
+    @classmethod
+    def from_columns(
+        cls,
+        record: type,
+        names: list[str],
+        node_a: list[str],
+        node_b: list[str],
+        values: np.ndarray,
+    ) -> "ElementList":
+        """Adopt already-built columns (no per-element validation)."""
+        if not len(names) == len(node_a) == len(node_b) == len(values):
+            raise ValueError("element columns differ in length")
+        out = cls(record)
+        out.names, out.node_a, out.node_b = names, node_a, node_b
+        out._values.frombytes(np.asarray(values, dtype=np.float64).tobytes())
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """A float64 copy of the value column (ohms, amps, volts or farads)."""
+        return np.array(self._values, dtype=np.float64)
+
+    def _columns(self) -> tuple:
+        return self.names, self.node_a, self.node_b, self._values
+
+    def copy(self) -> "ElementList":
+        return ElementList(self.record, self)
+
+    def append(self, element: Element) -> None:
+        # A record's slots are (name, first node, second node, value); read
+        # all four first so a record of another kind leaves no ragged column.
+        row = [getattr(element, slot) for slot in self.record.__slots__]
+        for column, field_value in zip(self._columns(), row):
+            column.append(field_value)
+
+    def extend(self, elements: Iterable[Element]) -> None:
+        if isinstance(elements, ElementList) and elements.record is self.record:
+            for column, more in zip(self._columns(), elements._columns()):
+                column.extend(more)
+            return
+        for element in elements:
+            self.append(element)
+
+    def pop(self) -> Element:
+        """Remove and return the last element."""
+        return self.record(*(column.pop() for column in self._columns()))
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self.record, *(column[index] for column in self._columns())))
+        return self.record(*(column[index] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[Element]:
+        return map(self.record, *self._columns())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ElementList):
+            return self.record is other.record and self._columns() == other._columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclass(slots=True)
 class Netlist:
     """An ordered power-grid netlist.
@@ -119,104 +189,55 @@ class Netlist:
     ----------
     title:
         Free-form title (the first comment line of the deck, if any).
-    resistors, current_sources, voltage_sources:
-        Elements in file order.
+    resistors, current_sources, voltage_sources, capacitors:
+        Elements in file order, one :class:`ElementList` per kind; plain
+        lists of records passed to the constructor are converted.
     """
 
     title: str = ""
-    resistors: list[Resistor] = field(default_factory=list)
-    current_sources: list[CurrentSource] = field(default_factory=list)
-    voltage_sources: list[VoltageSource] = field(default_factory=list)
-    capacitors: list[Capacitor] = field(default_factory=list)
+    resistors: ElementList = ()
+    current_sources: ElementList = ()
+    voltage_sources: ElementList = ()
+    capacitors: ElementList = ()
 
-    def __len__(self) -> int:
+    def __post_init__(self) -> None:
+        for name, record in (
+            ("resistors", Resistor),
+            ("current_sources", CurrentSource),
+            ("voltage_sources", VoltageSource),
+            ("capacitors", Capacitor),
+        ):
+            given = getattr(self, name)
+            if not isinstance(given, ElementList):
+                setattr(self, name, ElementList(record, given))
+
+    def kinds(self) -> tuple[ElementList, ...]:
+        """The four element columns, resistors first."""
         return (
-            len(self.resistors)
-            + len(self.current_sources)
-            + len(self.voltage_sources)
-            + len(self.capacitors)
+            self.resistors, self.current_sources, self.voltage_sources,
+            self.capacitors,
         )
 
-    # -- transport ----------------------------------------------------------
-    #
-    # A parsed deck is tens of thousands of tiny element objects; pickled
-    # naively they dominate every pool payload.  Serialise columnar
-    # instead — packed name arrays plus one value vector per element
-    # kind — so the bulk rides as a handful of ndarrays (which the
-    # shared-memory transport then ships as ~100-byte descriptors) and
-    # the element objects are rebuilt on the receiving side.
+    def __len__(self) -> int:
+        return sum(len(kind) for kind in self.kinds())
 
-    def __getstate__(self) -> dict:
-        def columns(elements, *fields_):
-            return (
-                *(
-                    pack_strings([getattr(e, f) for e in elements])
-                    for f in fields_[:-1]
-                ),
-                np.array([getattr(e, fields_[-1]) for e in elements]),
-            )
-
-        return {
-            "title": self.title,
-            "resistors": columns(
-                self.resistors, "name", "node_a", "node_b", "resistance"
-            ),
-            "current_sources": columns(
-                self.current_sources, "name", "node_from", "node_to", "current"
-            ),
-            "voltage_sources": columns(
-                self.voltage_sources, "name", "node_pos", "node_neg", "voltage"
-            ),
-            "capacitors": columns(
-                self.capacitors, "name", "node_a", "node_b", "capacitance"
-            ),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        def rebuild(factory, packed):
-            *name_columns, values = packed
-            unpacked = [unpack_strings(column) for column in name_columns]
-            return [
-                factory(*strings, float(value))
-                for *strings, value in zip(*unpacked, values)
-            ]
-
-        self.title = state["title"]
-        self.resistors = rebuild(Resistor, state["resistors"])
-        self.current_sources = rebuild(CurrentSource, state["current_sources"])
-        self.voltage_sources = rebuild(VoltageSource, state["voltage_sources"])
-        self.capacitors = rebuild(Capacitor, state["capacitors"])
-
-    def elements(
-        self,
-    ) -> Iterator[Resistor | CurrentSource | VoltageSource | Capacitor]:
+    def elements(self) -> Iterator[Element]:
         """Iterate over all elements, resistors first (file-order within kind)."""
-        yield from self.resistors
-        yield from self.current_sources
-        yield from self.voltage_sources
-        yield from self.capacitors
+        for kind in self.kinds():
+            yield from kind
 
     def node_names(self) -> set[str]:
         """All node names referenced by any element, excluding ground."""
         names: set[str] = set()
-        for res in self.resistors:
-            names.add(res.node_a)
-            names.add(res.node_b)
-        for src in self.current_sources:
-            names.add(src.node_from)
-            names.add(src.node_to)
-        for pad in self.voltage_sources:
-            names.add(pad.node_pos)
-            names.add(pad.node_neg)
-        for cap in self.capacitors:
-            names.add(cap.node_a)
-            names.add(cap.node_b)
+        for kind in self.kinds():
+            names.update(kind.node_a)
+            names.update(kind.node_b)
         names.discard("0")
         return names
 
     def total_load_current(self) -> float:
         """Sum of all current-source magnitudes (the total chip load)."""
-        return sum(src.current for src in self.current_sources)
+        return sum(self.current_sources.values.tolist())
 
     def supply_voltage(self) -> float:
         """The pad voltage, assuming a single supply level.
@@ -227,7 +248,7 @@ class Netlist:
             If the deck has no voltage source or has pads at different
             voltages (multi-domain decks must be split first).
         """
-        voltages = {pad.voltage for pad in self.voltage_sources}
+        voltages = set(self.voltage_sources.values.tolist())
         if not voltages:
             raise ValueError("netlist has no voltage sources (power pads)")
         if len(voltages) > 1:

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 GROUND = "0"
 
+# ASCII digits, at most 18 of them: every field fits an int64 column.
 _NODE_RE = re.compile(
-    r"^n(?P<net>\d+)_m(?P<layer>\d+)_(?P<x>-?\d+)_(?P<y>-?\d+)$"
+    r"n(?P<net>\d{1,18})_m(?P<layer>\d{1,18})_(?P<x>-?\d{1,18})_(?P<y>-?\d{1,18})",
+    re.ASCII,
 )
 
 
@@ -60,7 +65,7 @@ def parse_node_name(name: str) -> NodeName:
     ValueError
         If the name is ground or does not follow the grammar.
     """
-    match = _NODE_RE.match(name)
+    match = _NODE_RE.fullmatch(name)
     if match is None:
         raise ValueError(f"node name {name!r} does not match n*_m*_x_y grammar")
     return NodeName(
@@ -73,4 +78,22 @@ def parse_node_name(name: str) -> NodeName:
 
 def is_structured_name(name: str) -> bool:
     """Whether *name* follows the contest grammar (ground does not)."""
-    return _NODE_RE.match(name) is not None
+    return _NODE_RE.fullmatch(name) is not None
+
+
+def parse_node_names(names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_node_name` over a whole name column.
+
+    Returns ``(fields, structured)``: a ``(4, len(names))`` int64 array whose
+    rows are net, layer, x and y, and the mask of names in the grammar
+    (the fields of the others are zero).
+    """
+    structured = np.fromiter(
+        map(_NODE_RE.fullmatch, names), dtype=bool, count=len(names)
+    )
+    # A matched name is digits, '-', and the separators 'n', '_m', '_'.
+    digits = " ".join(compress(names, structured.tolist()))
+    digits = digits.replace("_m", " ").replace("_", " ").replace("n", " ")
+    fields = np.zeros((len(names), 4), dtype=np.int64)
+    fields[structured] = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 4)
+    return np.ascontiguousarray(fields.T), structured

@@ -7,20 +7,31 @@ The parser accepts the subset of SPICE used by PG decks:
 - ``V<name> a b value`` independent voltage sources,
 - ``C<name> a b value`` capacitors (decap / wire cap; transient only),
 - ``*`` comment lines (the first one becomes the netlist title),
-- ``.end`` / ``.END`` terminator (optional),
+- ``.end`` terminator (optional; nothing after it is read), ``.ends`` and
+  ``.op`` (ignored); directives are case-insensitive,
 - engineering suffixes on values (``k``, ``m``, ``u``, ``n``, ``p``, ``f``,
   ``meg``, ``g``, ``t``) and plain scientific notation.
 
-Everything else (subcircuits, capacitors, ...) raises
-:class:`SpiceParseError` — static PG decks must be purely resistive.
+Everything else (subcircuits, inductors, other directives, ...) raises
+:class:`SpiceParseError` with the 1-based line number; lines end at
+``\\n`` (or ``\\r\\n``) and nowhere else.  The deck is tokenised as one
+buffer into the columns of :class:`~repro.spice.ast.Netlist` and checked
+column-wise; only a failed check makes :func:`_raise_first_error` walk the
+lines to name the first offender.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from itertools import chain, compress
+
+import numpy as np
+
 from repro.spice.ast import (
     Capacitor,
     CurrentSource,
+    ElementList,
     Netlist,
     Resistor,
     VoltageSource,
@@ -49,81 +60,140 @@ _SUFFIXES = {
     "f": 1e-15,
 }
 
+#: A numeric token: an ASCII decimal number and an optional suffix.
+#: ``float()`` alone would also take ``inf``, ``nan``, ``1_0`` and non-ASCII digits.
+_VALUE = re.compile(
+    r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)(meg|[tgkmunpf])?",
+    re.ASCII,
+)
+#: Deletes the characters of a suffix-free number: a token with anything left
+#: needs :func:`parse_value`, any other is in the grammar iff ``float`` takes it.
+_DROP_PLAIN = {ord(char): None for char in "0123456789eE+-."}
+
+_IGNORED_DIRECTIVES = (".ends", ".op")
+_KINDS = (
+    ("R", Resistor, "resistance"),
+    ("I", CurrentSource, None),
+    ("V", VoltageSource, None),
+    ("C", Capacitor, "capacitance"),
+)
+
 
 def parse_value(token: str, line_no: int | None = None) -> float:
     """Parse a SPICE numeric token with optional engineering suffix.
 
-    ``meg`` must be checked before ``m`` (milli); suffix matching is
-    case-insensitive as in SPICE.
+    Suffix matching is case-insensitive as in SPICE; the result must be
+    finite (``1e999`` is not a resistance).
     """
     text = token.strip().lower()
     if not text:
         raise SpiceParseError("empty numeric token", line_no)
-    for suffix in ("meg", "t", "g", "k", "m", "u", "n", "p", "f"):
-        if text.endswith(suffix):
-            stem = text[: -len(suffix)]
-            try:
-                return float(stem) * _SUFFIXES[suffix]
-            except ValueError as exc:
-                raise SpiceParseError(
-                    f"bad numeric token {token!r}", line_no
-                ) from exc
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise SpiceParseError(f"bad numeric token {token!r}", line_no) from exc
+    match = _VALUE.fullmatch(text)
+    value = float(match[1]) * _SUFFIXES.get(match[2], 1.0) if match else np.inf
+    if not np.isfinite(value):
+        raise SpiceParseError(f"bad numeric token {token!r}", line_no)
+    return value
+
+
+def _raise_first_error(lines: list[str]) -> None:
+    """Walk the deck line by line and raise for the first malformed one."""
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "*":
+            continue
+        if tokens[0][0] == ".":
+            directive = tokens[0].lower()
+            if directive == ".end":
+                break
+            if directive in _IGNORED_DIRECTIVES:
+                continue
+            raise SpiceParseError(f"unsupported directive {directive!r}", line_no)
+        if len(tokens) != 4:
+            raise SpiceParseError(
+                f"expected 'NAME node node value', got {len(tokens)} tokens", line_no
+            )
+        value = parse_value(tokens[3], line_no)
+        for letter, _, quantity in _KINDS:
+            if tokens[0][0] in (letter, letter.lower()):
+                if quantity and value < 0:
+                    raise SpiceParseError(f"negative {quantity} {value}", line_no)
+                break
+        else:
+            raise SpiceParseError(
+                f"unsupported element {tokens[0]!r} (PG decks hold only R/I/V/C)",
+                line_no,
+            )
+    raise AssertionError("column checks rejected a deck the line walk accepts")
+
+
+def _take(column: list[str], index: np.ndarray) -> list[str]:
+    """``column[index]`` for sorted *index*; decks group a kind, so mostly a slice."""
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return column[index[0] : index[-1] + 1]
+    return [column[i] for i in index.tolist()]
 
 
 def parse_spice(text: str) -> Netlist:
     """Parse a SPICE deck from a string into a :class:`Netlist`."""
-    netlist = Netlist()
-    saw_title = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("*"):
-            if not saw_title:
-                netlist.title = line.lstrip("*").strip()
-                saw_title = True
-            continue
-        if line.startswith("."):
-            directive = line.split()[0].lower()
-            if directive in (".end", ".ends", ".op"):
-                if directive == ".end":
-                    break
-                continue
-            raise SpiceParseError(f"unsupported directive {directive!r}", line_no)
-        _parse_element_line(line, line_no, netlist)
-    return netlist
+    lines = text.split("\n")
+    rows = list(map(str.split, lines))
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    four = counts == 4
+    flat = list(chain.from_iterable(compress(rows, four.tolist())))
+    line_of = np.flatnonzero(four)
+    # First character of every four-token line, as a code point.
+    head = np.array(flat[0::4], dtype="U1").view(np.uint32).reshape(-1)
+    special = (head == ord("*")) | (head == ord("."))
 
+    # Comments, directives and wrong token counts are few: visit them in
+    # file order for the title, the ``.end`` cut and a first verdict.
+    title = None
+    stop = len(lines)
+    odd = np.concatenate([np.flatnonzero(~four & (counts > 0)), line_of[special]])
+    for i in np.sort(odd).tolist():
+        first = rows[i][0]
+        if first[0] == "*":
+            if title is None:
+                title = lines[i].strip().lstrip("*").strip()
+        elif first.lower() == ".end":
+            stop = i
+            break
+        elif first[0] != "." or first.lower() not in _IGNORED_DIRECTIVES:
+            _raise_first_error(lines)
 
-def _parse_element_line(line: str, line_no: int, netlist: Netlist) -> None:
-    tokens = line.split()
-    if len(tokens) != 4:
-        raise SpiceParseError(
-            f"expected 'NAME node node value', got {len(tokens)} tokens", line_no
+    element = np.flatnonzero(~special & (line_of < stop))
+    letter = head[element] & ~np.uint32(0x20)  # ASCII upper case
+    tokens: list = _take(flat[3::4], element)
+    try:
+        residue = " ".join(tokens).translate(_DROP_PLAIN)
+        if residue.strip(" "):
+            for i, rest in enumerate(residue.split(" ")):
+                if rest:
+                    tokens[i] = parse_value(tokens[i])
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:  # SpiceParseError included
+        _raise_first_error(lines)
+
+    name_columns = flat[0::4], flat[1::4], flat[2::4]
+    columns = []
+    known = np.zeros(element.size, dtype=bool)
+    for kind, record, quantity in _KINDS:
+        mine = letter == ord(kind)
+        known |= mine
+        chosen = np.flatnonzero(mine)
+        if quantity and (values[chosen] < 0).any():
+            _raise_first_error(lines)
+        picked = element[chosen]
+        columns.append(
+            ElementList.from_columns(
+                record,
+                *(_take(column, picked) for column in name_columns),
+                values[chosen],
+            )
         )
-    name, node_a, node_b, value_token = tokens
-    kind = name[0].upper()
-    value = parse_value(value_token, line_no)
-    if kind == "R":
-        if value < 0:
-            raise SpiceParseError(f"negative resistance {value}", line_no)
-        netlist.resistors.append(Resistor(name, node_a, node_b, value))
-    elif kind == "I":
-        netlist.current_sources.append(CurrentSource(name, node_a, node_b, value))
-    elif kind == "V":
-        netlist.voltage_sources.append(VoltageSource(name, node_a, node_b, value))
-    elif kind == "C":
-        if value < 0:
-            raise SpiceParseError(f"negative capacitance {value}", line_no)
-        netlist.capacitors.append(Capacitor(name, node_a, node_b, value))
-    else:
-        raise SpiceParseError(
-            f"unsupported element {name!r} (PG decks hold only R/I/V/C)",
-            line_no,
-        )
+    if not (known.all() and np.isfinite(values).all()):
+        _raise_first_error(lines)
+    return Netlist(title or "", *columns)
 
 
 def parse_spice_file(path: str | os.PathLike[str]) -> Netlist:

@@ -30,7 +30,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.spice.ast import Netlist, Resistor
+from repro.spice.ast import ElementList, Netlist, Resistor
 from repro.spice.preprocess import collapse_shorts, count_shorts
 
 if TYPE_CHECKING:  # grid imports stay lazy: keep `import repro.spice` light
@@ -104,20 +104,18 @@ def validate_netlist(netlist: Netlist) -> list[ValidationIssue]:
                 fatal=True,
             )
         )
-    bad = [
-        r for r in netlist.resistors
-        if not r.is_short and (r.resistance < 0 or not np.isfinite(r.resistance))
-    ]
-    if bad:
-        sample = ", ".join(r.name for r in bad[:3])
+    values = netlist.resistors.values
+    bad = np.flatnonzero((values < 0) | ~np.isfinite(values))
+    if bad.size:
+        sample = ", ".join(netlist.resistors.names[i] for i in bad[:3].tolist())
         issues.append(
             ValidationIssue(
                 kind="nonpositive_resistance",
                 message=(
-                    f"{len(bad)} resistor(s) with negative or non-finite "
+                    f"{bad.size} resistor(s) with negative or non-finite "
                     f"value (e.g. {sample}); G would not be SPD"
                 ),
-                count=len(bad),
+                count=int(bad.size),
                 fatal=True,
             )
         )
@@ -153,22 +151,22 @@ def repair_netlist(
                 count=shorts,
             )
         )
-    clamped = 0
-    resistors = []
-    for res in netlist.resistors:
-        value = res.resistance
-        if value < 0 or not np.isfinite(value):
-            magnitude = abs(value) if np.isfinite(value) else MIN_RESISTANCE
-            value = max(magnitude, MIN_RESISTANCE)
-            clamped += 1
-            res = Resistor(res.name, res.node_a, res.node_b, value)
-        resistors.append(res)
+    resistors = netlist.resistors
+    values = resistors.values
+    sick = (values < 0) | ~np.isfinite(values)
+    clamped = int(np.count_nonzero(sick))
     if clamped:
-        out = Netlist(title=netlist.title)
-        out.resistors.extend(resistors)
-        out.current_sources.extend(netlist.current_sources)
-        out.voltage_sources.extend(netlist.voltage_sources)
-        netlist = out
+        magnitude = np.where(np.isfinite(values), np.abs(values), MIN_RESISTANCE)
+        values[sick] = np.maximum(magnitude[sick], MIN_RESISTANCE)
+        netlist = Netlist(
+            netlist.title,
+            ElementList.from_columns(
+                Resistor,
+                resistors.names[:], resistors.node_a[:], resistors.node_b[:], values,
+            ),
+            netlist.current_sources.copy(),
+            netlist.voltage_sources.copy(),
+        )
         repairs.append(
             RepairRecord(
                 action="clamp_resistance",
@@ -185,24 +183,25 @@ def repair_netlist(
 # -- grid level -------------------------------------------------------------
 
 
+def _components(grid: "PowerGrid") -> tuple[int, list[set[int]]]:
+    """``(component count, the floating ones)`` in one labelling pass."""
+    from repro.grid.topology import component_labels
+
+    labels = component_labels(grid)
+    count = int(labels.max()) + 1 if labels.size else 0
+    padless = np.setdiff1d(np.arange(count), labels[grid.pad_indices()])
+    return count, [set(np.flatnonzero(labels == k).tolist()) for k in padless]
+
+
 def floating_components(grid: "PowerGrid") -> list[set[int]]:
     """Connected components with no pad (each is exactly singular)."""
-    from repro.grid.topology import connected_components
-
-    pad_indices = {n.index for n in grid.pads()}
-    return [
-        component
-        for component in connected_components(grid)
-        if component.isdisjoint(pad_indices)
-    ]
+    return _components(grid)[1]
 
 
 def validate_grid(grid: "PowerGrid") -> list[ValidationIssue]:
     """Topology checks mirroring what MNA stamping requires."""
-    from repro.grid.topology import connected_components
-
     issues: list[ValidationIssue] = []
-    if not grid.pads():
+    if not grid.pad_indices().size:
         issues.append(
             ValidationIssue(
                 kind="no_pads",
@@ -211,13 +210,10 @@ def validate_grid(grid: "PowerGrid") -> list[ValidationIssue]:
             )
         )
         return issues
-    # One component pass serves both the island check and the count below.
-    all_components = connected_components(grid)
-    pad_indices = {n.index for n in grid.pads()}
-    islands = [c for c in all_components if c.isdisjoint(pad_indices)]
+    components, islands = _components(grid)
     if islands:
         total = sum(len(c) for c in islands)
-        sample = [grid.node(min(c)).name for c in islands[:3]]
+        sample = [grid.node_names[min(c)] for c in islands[:3]]
         issues.append(
             ValidationIssue(
                 kind="floating_nodes",
@@ -230,7 +226,6 @@ def validate_grid(grid: "PowerGrid") -> list[ValidationIssue]:
                 fatal=True,
             )
         )
-    components = len(all_components)
     if components > 1:
         issues.append(
             ValidationIssue(
@@ -269,7 +264,7 @@ def repair_grid(
     """
     if strategy not in ("ground_tie", "isolate"):
         raise ValueError(f"unknown repair strategy {strategy!r}")
-    if not grid.pads():
+    if not grid.pad_indices().size:
         raise NetlistValidationError(
             "power grid has no voltage pads; cannot repair (exit: bad input)"
         )
@@ -280,19 +275,16 @@ def repair_grid(
     repairs: list[RepairRecord] = []
     for component in sorted(islands, key=min):
         anchor = min(component)
-        repaired.node(anchor).pad_voltage = supply_voltage
+        repaired.pin_pad(anchor, supply_voltage)
         detail = (
-            f"tied node {grid.node(anchor).name!r} of a {len(component)}-node "
+            f"tied node {grid.node_names[anchor]!r} of a {len(component)}-node "
             f"floating component to {supply_voltage} V"
         )
         if strategy == "isolate":
-            zeroed = 0
-            for index in component:
-                node = repaired.node(index)
-                if node.load_current:
-                    node.load_current = 0.0
-                    zeroed += 1
-            detail += f"; zeroed {zeroed} load current(s)"
+            loaded = [i for i in component if repaired.load_current[i]]
+            for index in loaded:
+                repaired.set_load(index, 0.0)
+            detail += f"; zeroed {len(loaded)} load current(s)"
         repairs.append(
             RepairRecord(action=strategy, detail=detail, count=len(component))
         )

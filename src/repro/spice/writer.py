@@ -11,32 +11,21 @@ import os
 from repro.spice.ast import Netlist
 
 
-def _format_value(value: float) -> str:
-    """Shortest exact decimal representation of a float."""
-    return repr(float(value))
-
-
 def netlist_to_string(netlist: Netlist) -> str:
-    """Render *netlist* as SPICE text."""
+    """Render *netlist* as SPICE text.
+
+    Values are written with ``repr``: the shortest decimal that reads
+    back to the same float.
+    """
     lines: list[str] = []
     if netlist.title:
         lines.append(f"* {netlist.title}")
-    for res in netlist.resistors:
-        lines.append(
-            f"{res.name} {res.node_a} {res.node_b} {_format_value(res.resistance)}"
-        )
-    for src in netlist.current_sources:
-        lines.append(
-            f"{src.name} {src.node_from} {src.node_to} {_format_value(src.current)}"
-        )
-    for pad in netlist.voltage_sources:
-        lines.append(
-            f"{pad.name} {pad.node_pos} {pad.node_neg} {_format_value(pad.voltage)}"
-        )
-    for cap in netlist.capacitors:
-        lines.append(
-            f"{cap.name} {cap.node_a} {cap.node_b} "
-            f"{_format_value(cap.capacitance)}"
+    for kind in netlist.kinds():
+        lines.extend(
+            f"{name} {node_a} {node_b} {value!r}"
+            for name, node_a, node_b, value in zip(
+                kind.names, kind.node_a, kind.node_b, kind.values.tolist()
+            )
         )
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -78,26 +78,16 @@ class TransientSimulator:
         supply_voltage: float | None = None,
     ) -> None:
         if supply_voltage is None:
-            levels = {n.pad_voltage for n in grid.pads()}
-            if len(levels) != 1:
-                raise ValueError(
-                    f"cannot infer a single supply voltage from pads: {levels}"
-                )
-            supply_voltage = levels.pop()
+            supply_voltage = grid.supply_voltage()
         self.grid = grid
         self.supply_voltage = supply_voltage
         self.system: ReducedSystem = build_reduced_system(grid)
         self.capacitance = build_capacitance_matrix(grid, self.system, capacitors)
         # pad-coupling part of the RHS (loads stripped out)
-        self._pad_rhs = self.system.rhs.copy()
-        row_of = {
-            int(g): r for r, g in enumerate(self.system.unknown_indices)
-        }
-        for node in grid.loads():
-            row = row_of.get(node.index)
-            if row is not None:
-                self._pad_rhs[row] += node.load_current
-        self._row_of = row_of
+        self._pad_rhs = (
+            self.system.rhs + grid.load_current[self.system.unknown_indices]
+        )
+        self._row_of = self.system.row_map()
 
     def _load_rows(self, waveforms: dict[int, Waveform]) -> list[tuple[int, Waveform]]:
         rows = []

@@ -35,7 +35,7 @@ def build_capacitance_matrix(
     capacitors:
         Capacitor elements; terminals may reference ground or pads.
     """
-    row_of = {int(g): r for r, g in enumerate(system.unknown_indices)}
+    row_of = system.row_map()
 
     def row_for(name: str) -> int | None:
         """Reduced row for a node name; None for ground/pads."""

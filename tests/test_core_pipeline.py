@@ -137,6 +137,20 @@ class TestAnalyze:
         )
         assert covered >= 0.9 * root.duration
 
+    def test_spans_cover_analyze_text_wall_time(self, trained):
+        from repro.obs import trace
+        from repro.spice.writer import netlist_to_string
+
+        _, test_designs = trained.generate_designs()
+        text = netlist_to_string(test_designs[0].netlist)
+        with trace("run") as tracer:
+            trained.analyze_text(text)
+        root = tracer.root
+        assert [c.name for c in root.children] == ["parse", "grid_build", "analyze"]
+        assert sum(c.duration for c in root.children) >= 0.9 * root.duration
+        # validation and stamping are told apart inside the numerical stage
+        assert {"validate", "stamp"} <= {c.name for c in root.find("solve").children}
+
     def test_analyze_without_numerical_stage(self, tiny_config):
         config = tiny_config.with_(
             features=FeatureConfig(use_numerical=False)
