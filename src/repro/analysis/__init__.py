@@ -1,16 +1,13 @@
 """Project-wide correctness tooling.
 
-Five pillars, all import-light and kernel-free:
+Four pillars, all import-light and kernel-free:
 
 - :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine enforcing project invariants (no runtime
   asserts, no unseeded RNG, no wall-clock reads, guarded divisions,
-  frozen fp64 paths, fork-safe workers, import hygiene), runnable as
+  frozen fp64 paths, locked writes to module state, the metrics/span
+  name contract, import hygiene), runnable as
   ``python -m repro.analysis``;
-- :mod:`repro.analysis.callgraph` + :mod:`repro.analysis.passes` — a
-  project call graph computed once per run, feeding whole-program
-  passes: worker-context reachability, the metrics/span contract, and
-  shm scope lifecycle checking;
 - :mod:`repro.analysis.shapes` — a symbolic shape/dtype verifier that
   propagates ``(N, C, H, W)`` specs through module graphs without
   executing kernels, validating every registered architecture and the
@@ -27,7 +24,6 @@ Five pillars, all import-light and kernel-free:
 from repro.analysis.engine import (
     AnalysisEngine,
     AnalysisReport,
-    CallGraphPass,
     Finding,
     ModuleSource,
     Rule,
@@ -56,7 +52,6 @@ from repro.analysis.shapes import (
 __all__ = [
     "AnalysisEngine",
     "AnalysisReport",
-    "CallGraphPass",
     "Finding",
     "ModuleSource",
     "RaceError",

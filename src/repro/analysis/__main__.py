@@ -1,41 +1,31 @@
 """Command-line entry: ``python -m repro.analysis``.
 
-Runs the project static checks over ``src/`` and ``tests/``:
-
-- the fast local lint rules (``--rules local``);
-- the whole-program callgraph passes — worker-context reachability,
-  metrics/span contract, shm scope lifecycle (``--rules callgraph``);
-- both tiers by default (``--rules all``);
-- and — unless ``--no-models`` — the symbolic shape verification of
-  every registered model architecture and the feature-stack channel
-  contract (no kernels execute).
+Runs the project static checks over ``src/`` and ``tests/``: the lint
+rules of :mod:`repro.analysis.rules` and — unless ``--no-models`` — the
+symbolic shape verification of every registered model architecture and
+the feature-stack channel contract (no kernels execute).  A path that
+does not exist is bad input (exit 2), never an empty clean run.
 
 ``--strict`` makes new findings (anything not grandfathered by the
-baseline or pragma-suppressed) exit non-zero; the CI lint jobs run it.
+baseline or pragma-suppressed) exit non-zero; the CI lint job runs it.
 ``--write-baseline`` regenerates the committed baseline from the
 current findings and is mutually exclusive with ``--strict`` — a CI
 run must never be able to silently re-grandfather its own findings.
 
-The run is timed through a ``repro.obs`` span (``analysis``, or
-``analysis.callgraph`` when only the callgraph tier runs);
-``--budget-seconds`` turns that measurement into a hard failure so the
-CI job notices when the passes outgrow their time box.
+The run is timed through the ``analysis`` ``repro.obs`` span.
 
 ``--json`` emits a machine-readable report; schema (documented in
 ``docs/static_analysis.md``)::
 
     {
-      "version": 1,
-      "rules": "local" | "callgraph" | "all",
+      "version": 2,
       "findings": [
         {
-          "rule": str,          # rule/pass id, e.g. "worker-context"
+          "rule": str,          # rule id, e.g. "unlocked-global-write"
           "path": str,          # repo-relative posix path
           "line": int, "col": int,
           "message": str,
-          "fingerprint": str,   # baseline key (rule:path:hash)
-          "callpath": [str, ...]  # entry -> ... -> enclosing function;
-                                  # [] for local rules
+          "fingerprint": str    # baseline key (rule:path:hash)
         }, ...
       ],
       "model_errors": [str, ...],
@@ -81,23 +71,11 @@ def _verify_models(verbose: bool = True) -> list[str]:
     return errors
 
 
-def _select_rules(tier: str):
-    from repro.analysis.passes import default_passes
-    from repro.analysis.rules import default_rules, local_rules
-
-    if tier == "local":
-        return local_rules()
-    if tier == "callgraph":
-        return default_passes()
-    return default_rules()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Project static checker: lint rules, callgraph passes, "
-            "model graph verifier."
+            "Project static checker: lint rules, model graph verifier."
         ),
     )
     parser.add_argument(
@@ -132,25 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--rules",
-        choices=["local", "callgraph", "all"],
-        default="all",
-        help=(
-            "rule tier: fast single-file rules, whole-program callgraph "
-            "passes, or both (default: all)"
-        ),
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "fail when the analysis span exceeds this wall-time budget "
-            "(CI time-box for the callgraph tier)"
-        ),
-    )
-    parser.add_argument(
         "--no-models",
         action="store_true",
         help="skip the model-graph/feature-contract verification",
@@ -173,7 +132,10 @@ def main(argv: list[str] | None = None) -> int:
 
     root = args.root.resolve()
     baseline = args.baseline or root / ".analysis-baseline"
-    engine = AnalysisEngine(root, rules=_select_rules(args.rules))
+    engine = AnalysisEngine(root)
+    missing = [p for p in args.paths if not (root / p).exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
 
     if args.write_baseline:
         report = engine.run(args.paths, baseline_path=None)
@@ -186,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.obs import span
 
-    span_name = "analysis.callgraph" if args.rules == "callgraph" else "analysis"
-    with span(span_name, rules=args.rules) as timing:
+    with span("analysis") as timing:
         report = engine.run(args.paths, baseline_path=baseline)
     duration = timing.duration
 
@@ -195,16 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_models:
         model_errors = _verify_models(verbose=not args.as_json)
 
-    over_budget = (
-        args.budget_seconds is not None and duration > args.budget_seconds
-    )
-
     if args.as_json:
         print(
             json.dumps(
                 {
-                    "version": 1,
-                    "rules": args.rules,
+                    "version": 2,
                     "findings": [
                         {
                             "rule": f.rule,
@@ -213,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
                             "col": f.col,
                             "message": f.message,
                             "fingerprint": f.fingerprint,
-                            "callpath": list(f.callpath),
                         }
                         for f in report.findings
                     ],
@@ -230,21 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         for error in model_errors:
             print(f"analysis: {error}")
-        print(
-            f"analysis: {span_name} span {duration:.2f}s"
-            + (
-                f" (budget {args.budget_seconds:.2f}s)"
-                if args.budget_seconds is not None
-                else ""
-            )
-        )
-    if over_budget:
-        print(
-            f"analysis: FAILED time budget: {duration:.2f}s > "
-            f"{args.budget_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        return 1
+        print(f"analysis: analysis span {duration:.2f}s")
 
     failed = bool(model_errors) or not report.ok
     if args.strict and failed:

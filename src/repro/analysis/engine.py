@@ -5,8 +5,8 @@ once, and hands the parse to every registered :class:`Rule`.  Rules are
 project-specific invariants (see :mod:`repro.analysis.rules`): things the
 test suite cannot cheaply enforce but that PRs must not regress — assert
 misuse, unseeded RNG, wall-clock in deterministic paths, unguarded float
-division, precision-contract breaks, fork-unsafe worker closures, dead
-imports and import cycles.
+division, precision-contract breaks, unlocked writes to module state,
+undeclared metric names, dead imports and import cycles.
 
 Suppression mechanisms, in order of preference:
 
@@ -34,13 +34,7 @@ _PRAGMA = re.compile(r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_,\s*-]+?)\s*\)")
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``callpath`` is the call chain that makes a context-sensitive
-    finding reachable ("worker entry → A → B"); it is presentation
-    metadata and deliberately excluded from the fingerprint, so a
-    refactor that reroutes the path does not churn the baseline.
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str  # repo-relative, posix separators
@@ -48,7 +42,6 @@ class Finding:
     col: int
     message: str
     snippet: str  # stripped source line, used for the fingerprint
-    callpath: tuple[str, ...] = ()
 
     @property
     def fingerprint(self) -> str:
@@ -58,10 +51,7 @@ class Finding:
         return f"{self.rule}:{self.path}:{digest}"
 
     def format(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.callpath:
-            text += f" [reachable via {' -> '.join(self.callpath)}]"
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclass
@@ -83,13 +73,7 @@ class ModuleSource:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def finding(
-        self,
-        rule: str,
-        node: ast.AST,
-        message: str,
-        callpath: tuple[str, ...] = (),
-    ) -> Finding:
+    def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(
@@ -99,7 +83,6 @@ class ModuleSource:
             col=col,
             message=message,
             snippet=self.line_text(lineno),
-            callpath=callpath,
         )
 
     def allowed_rules(self, lineno: int) -> set[str]:
@@ -128,24 +111,6 @@ class Rule:
         return []
 
     def check_project(self, modules: list[ModuleSource]) -> list[Finding]:
-        return []
-
-
-class CallGraphPass(Rule):
-    """Base class for whole-program passes that need the call graph.
-
-    The engine builds one :class:`repro.analysis.callgraph.CallGraph`
-    per run (over every collected ``src/`` module) and hands the same
-    instance to each registered pass via :meth:`check_graph` — the graph
-    is never rebuilt per pass.  Passes are ordinary rules otherwise:
-    findings flow through the same pragma/baseline filters, and the
-    per-file ``check``/``check_project`` hooks stay available for any
-    local component of the pass.
-    """
-
-    def check_graph(
-        self, modules: list[ModuleSource], graph
-    ) -> list[Finding]:
         return []
 
 
@@ -188,13 +153,16 @@ class AnalysisEngine:
     # -- file collection ----------------------------------------------------
 
     def collect(self, paths: list[str]) -> list[ModuleSource]:
+        """Parse every ``*.py`` under *paths*; a missing path is an error."""
         modules: list[ModuleSource] = []
         for entry in paths:
             base = (self.root / entry).resolve()
             if base.is_file():
                 candidates = [base]
-            else:
+            elif base.is_dir():
                 candidates = sorted(base.rglob("*.py"))
+            else:
+                raise FileNotFoundError(f"no such file or directory: {entry}")
             for candidate in candidates:
                 rel = candidate.relative_to(self.root.resolve()).as_posix()
                 source = candidate.read_text()
@@ -240,20 +208,11 @@ class AnalysisEngine:
         modules = self.collect(paths)
         report = AnalysisReport(files_checked=len(modules))
         raw: list[Finding] = []
-        graph = None
-        if any(isinstance(rule, CallGraphPass) for rule in self.rules):
-            from repro.analysis.callgraph import CallGraph
-
-            graph = CallGraph.build(
-                [m for m in modules if m.path.startswith("src/")]
-            )
         for rule in self.rules:
             scoped = [m for m in modules if rule.applies_to(m.path)]
             for module in scoped:
                 raw.extend(rule.check(module))
             raw.extend(rule.check_project(scoped))
-            if isinstance(rule, CallGraphPass) and graph is not None:
-                raw.extend(rule.check_graph(scoped, graph))
 
         baseline = self.load_baseline(baseline_path)
         seen_fingerprints: set[str] = set()

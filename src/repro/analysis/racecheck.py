@@ -1,8 +1,8 @@
 """Opt-in lock-order/race sanitizer (``REPRO_RACE_CHECK``).
 
-Sibling of the numerics sanitizer: the static ``worker-context`` pass
-proves *where* locking is missing, this runtime mode proves the locking
-that exists is *used consistently*.  Two dynamic properties no static
+Sibling of the numerics sanitizer: the static ``unlocked-global-write``
+rule proves *where* locking is missing, this runtime mode proves the
+locking that exists is *used consistently*.  Two dynamic properties no static
 pass can check:
 
 - **lock-order inversions** — thread A acquires ``obs.metrics`` then
@@ -163,6 +163,7 @@ class _Recorder:
 
 
 _RECORDER: _Recorder | None = None
+_INSTALL_LOCK = threading.Lock()
 
 
 def recorder() -> _Recorder | None:
@@ -357,41 +358,42 @@ def install(strict: bool = True) -> _Recorder:
     - ``repro.core.batch``: the worker-side pipeline cache + its lock.
     """
     global _RECORDER
-    if _RECORDER is not None:
-        _RECORDER.strict = strict
+    with _INSTALL_LOCK:
+        if _RECORDER is not None:
+            _RECORDER.strict = strict
+            return _RECORDER
+        _RECORDER = _Recorder(strict=strict)
+
+        from repro.core import batch as _batch
+        from repro.core import shm as _shm
+        from repro.obs import metrics as _metrics
+        from repro.solvers import cache as _cache
+
+        registry = _metrics._REGISTRY
+        wrap_lock(registry, "_lock", "obs.metrics")
+        wrap_dict(registry, "_counters", "obs.metrics", "obs.metrics._counters")
+        wrap_dict(registry, "_gauges", "obs.metrics", "obs.metrics._gauges")
+
+        wrap_lock(_shm.ARENA, "_lock", "shm.arena")
+        wrap_dict(_shm.ARENA, "_segments", "shm.arena", "shm.arena._segments")
+        wrap_lock(_shm, "_ATTACH_LOCK", "shm.attach")
+        wrap_dict(_shm, "_ATTACHMENTS", "shm.attach", "shm._ATTACHMENTS")
+
+        cache = _cache._GLOBAL_CACHE
+        wrap_lock(cache, "_lock", "solvers.amg_cache")
+        wrap_dict(cache, "_entries", "solvers.amg_cache", "amg_cache._entries")
+
+        wrap_lock(_batch, "_PIPELINE_CACHE_LOCK", "batch.pipeline_cache")
+        wrap_dict(
+            _batch,
+            "_PIPELINE_CACHE",
+            "batch.pipeline_cache",
+            "batch._PIPELINE_CACHE",
+        )
+
+        if not strict:
+            atexit.register(_report_at_exit)
         return _RECORDER
-    _RECORDER = _Recorder(strict=strict)
-
-    from repro.core import batch as _batch
-    from repro.core import shm as _shm
-    from repro.obs import metrics as _metrics
-    from repro.solvers import cache as _cache
-
-    registry = _metrics._REGISTRY
-    wrap_lock(registry, "_lock", "obs.metrics")
-    wrap_dict(registry, "_counters", "obs.metrics", "obs.metrics._counters")
-    wrap_dict(registry, "_gauges", "obs.metrics", "obs.metrics._gauges")
-
-    wrap_lock(_shm.ARENA, "_lock", "shm.arena")
-    wrap_dict(_shm.ARENA, "_segments", "shm.arena", "shm.arena._segments")
-    wrap_lock(_shm, "_ATTACH_LOCK", "shm.attach")
-    wrap_dict(_shm, "_ATTACHMENTS", "shm.attach", "shm._ATTACHMENTS")
-
-    cache = _cache._GLOBAL_CACHE
-    wrap_lock(cache, "_lock", "solvers.amg_cache")
-    wrap_dict(cache, "_entries", "solvers.amg_cache", "amg_cache._entries")
-
-    wrap_lock(_batch, "_PIPELINE_CACHE_LOCK", "batch.pipeline_cache")
-    wrap_dict(
-        _batch,
-        "_PIPELINE_CACHE",
-        "batch.pipeline_cache",
-        "batch._PIPELINE_CACHE",
-    )
-
-    if not strict:
-        atexit.register(_report_at_exit)
-    return _RECORDER
 
 
 def install_from_env() -> _Recorder | None:

@@ -1,36 +1,34 @@
-"""Project-specific lint rules (the fast, local tier).
+"""Project-specific lint rules.
 
 Each rule encodes one invariant the runtime introduced in earlier PRs,
 checkable one file at a time:
 
-========================  =================================================
-rule id                   invariant
-========================  =================================================
-``runtime-assert``        no ``assert`` for runtime validation in library
-                          code (stripped under ``python -O``)
-``unseeded-rng``          no unseeded ``np.random`` use outside the shared
-                          construction RNG in ``nn/init.py``
-``wall-clock``            no ``time.time()``/``datetime.now()`` in
-                          deterministic paths, and no raw monotonic
-                          reads (``perf_counter``/``monotonic``) outside
-                          ``repro.obs`` — the observability layer owns
-                          the timing primitive
-``unguarded-division``    no float division without an epsilon or
-                          ``np.errstate`` guard in ``features/`` and
-                          ``solvers/smoothers.py``
-``fp64-narrowing``        no float32 casts inside the frozen fp64 kernel
-                          branches of ``nn/functional.py``/``nn/layers.py``
-``fork-unsafe-closure``   no fork-unsafe state captured by
-                          ``parallel_map`` worker closures
-``dead-import``           no module-level import that is never used
-``import-cycle``          no module-level import cycles inside ``repro``
-========================  =================================================
-
-The whole-program tier — ``worker-context``, ``metrics-contract`` and
-``shm-scope``, built on the shared project call graph — lives in
-:mod:`repro.analysis.passes`; :func:`default_rules` returns both tiers
-so ``python -m repro.analysis`` runs everything by default
-(``--rules local``/``--rules callgraph`` selects one tier).
+=========================  ================================================
+rule id                    invariant
+=========================  ================================================
+``runtime-assert``         no ``assert`` for runtime validation in library
+                           code (stripped under ``python -O``)
+``unseeded-rng``           no unseeded ``np.random`` use outside the shared
+                           construction RNG in ``nn/init.py``
+``wall-clock``             no ``time.time()``/``datetime.now()`` in
+                           deterministic paths, and no raw monotonic
+                           reads (``perf_counter``/``monotonic``) outside
+                           ``repro.obs`` — the observability layer owns
+                           the timing primitive
+``unguarded-division``     no float division without an epsilon or
+                           ``np.errstate`` guard in ``features/`` and
+                           ``solvers/smoothers.py``
+``fp64-narrowing``         no float32 casts inside the frozen fp64 kernel
+                           branches of ``nn/functional.py``/``nn/layers.py``
+``unlocked-global-write``  no function rebinds a module global or mutates
+                           a module-level container outside a
+                           ``with <lock>:`` block
+``metrics-contract``       every ``counter_add``/``gauge_set``/``span``
+                           name literal resolves against the declared
+                           registry in :mod:`repro.obs.registry`
+``dead-import``            no module-level import that is never used
+``import-cycle``           no module-level import cycles inside ``repro``
+=========================  ================================================
 """
 
 from __future__ import annotations
@@ -38,29 +36,24 @@ from __future__ import annotations
 from repro.analysis.engine import Rule
 from repro.analysis.rules.asserts import RuntimeAssertRule
 from repro.analysis.rules.divisions import UnguardedDivisionRule
-from repro.analysis.rules.forksafety import ForkUnsafeClosureRule
+from repro.analysis.rules.globalwrite import UnlockedGlobalWriteRule
 from repro.analysis.rules.imports import DeadImportRule, ImportCycleRule
+from repro.analysis.rules.metrics_contract import MetricsContractRule
 from repro.analysis.rules.precision import Fp64NarrowingRule
 from repro.analysis.rules.randomness import UnseededRngRule
 from repro.analysis.rules.wallclock import WallClockRule
 
 
-def local_rules() -> list[Rule]:
-    """The fast single-file rules, in reporting order."""
+def default_rules() -> list[Rule]:
+    """Every rule, in reporting order."""
     return [
         RuntimeAssertRule(),
         UnseededRngRule(),
         WallClockRule(),
         UnguardedDivisionRule(),
         Fp64NarrowingRule(),
-        ForkUnsafeClosureRule(),
+        UnlockedGlobalWriteRule(),
+        MetricsContractRule(),
         DeadImportRule(),
         ImportCycleRule(),
     ]
-
-
-def default_rules() -> list[Rule]:
-    """Both tiers — local rules plus the callgraph passes."""
-    from repro.analysis.passes import default_passes
-
-    return [*local_rules(), *default_passes()]

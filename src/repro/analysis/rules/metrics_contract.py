@@ -2,7 +2,7 @@
 
 ``counter_add("amg_setup_cache.hit")`` — note the missing ``s`` — is
 valid Python, runs fine, and feeds a dashboard series nobody reads
-while the real ``amg_setup_cache.hits`` flatlines.  This pass resolves
+while the real ``amg_setup_cache.hits`` flatlines.  This rule resolves
 every metric/span name *literal* in ``src/`` against the declared
 contract in :mod:`repro.obs.registry` at lint time, so the typo is a
 strict CI failure instead of a silent observability hole.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import CallGraphPass, Finding, ModuleSource
+from repro.analysis.engine import Finding, ModuleSource, Rule
 from repro.analysis.rules._util import call_name
 from repro.obs import registry
 
@@ -52,7 +52,7 @@ def _emitter_kind(callee: str) -> str | None:
     return None
 
 
-class MetricsContractPass(CallGraphPass):
+class MetricsContractRule(Rule):
     rule_id = "metrics-contract"
     title = "metric/span name not declared in repro.obs.registry"
 

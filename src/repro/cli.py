@@ -424,15 +424,13 @@ def main(argv: list[str] | None = None) -> int:
 
     _install_racecheck()
     try:
-        if args.shm_threshold is not None:
-            # Validate eagerly so a typo fails the run instead of being
-            # silently swallowed by the lenient env-var parser.
-            from repro.core import shm as _shm
+        from repro.core import shm as _shm
 
-            if args.shm_threshold.lower() not in ("off", "none", "disabled"):
-                if int(args.shm_threshold) < 0:
-                    raise ValueError("--shm-threshold must be >= 0")
+        if args.shm_threshold is not None:
             os.environ[_shm.THRESHOLD_ENV] = args.shm_threshold
+        # Parse eagerly so a malformed flag or variable is bad input
+        # here, not an error inside the first pool job.
+        _shm.shm_threshold()
         return _dispatch(args)
     except SolverFailure as exc:
         if args.debug:

@@ -48,12 +48,13 @@ Linux shares one ``CLOCK_MONOTONIC`` epoch across processes.
 Payload transport: large ndarrays inside job payloads, items and
 results travel through the shared-memory data plane
 (:mod:`repro.core.shm`) instead of the pipe — the pipe carries a
-~100-byte descriptor per array.  Parent-created segments are
-ref-counted per job in the process-wide arena and released when the job
-finishes (on every path: success, quarantine, deadline, supervisor
-crash, shutdown); worker-created result segments are *adopted* by the
-parent when the result is unpickled, and anything a SIGKILL'd worker
-left behind is reclaimed by a job-scoped orphan sweep.  Disable with
+~100-byte descriptor per array.  ``map`` holds one
+:class:`repro.core.shm.ShmScope` open for the duration of the job: it
+owns the parent-created segments, *adopts* worker-created result
+segments when the result is unpickled, and on the way out of ``map``
+(success, quarantine, deadline, unpicklable payload, supervisor crash,
+shutdown) unlinks them all and sweeps anything a SIGKILL'd worker left
+behind under the job's name.  Disable with
 ``REPRO_SHM_THRESHOLD=off`` to fall back to inline pickling
 byte-for-byte identically.
 """
@@ -67,6 +68,7 @@ import threading
 import traceback as _tb
 import zlib
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Sequence
@@ -455,6 +457,8 @@ class _Job:
         job_id: int,
         payload: bytes,
         items: list[bytes],
+        scope: "_shm.ShmScope | None",
+        threshold: int,
         timeout: float | None,
         retries: int,
         deadline: float | None,
@@ -464,11 +468,11 @@ class _Job:
         self.id = job_id
         self.payload = payload
         self.items = items
-        #: Shm transport (set by ``map``): job scope string (or None for
-        #: inline transport) and the externalization threshold workers
-        #: apply to results.
-        self.scope: str | None = None
-        self.threshold: int = 0
+        #: Shm transport: the scope ``map`` holds open for this job (None
+        #: for inline transport) and the externalization threshold
+        #: workers apply to results.
+        self.scope = scope
+        self.threshold = threshold
         self.timeout = timeout
         self.retries = retries
         self.deadline_at = None if deadline is None else monotonic() + deadline
@@ -646,17 +650,15 @@ class WorkerPool:
             self._job_counter += 1
             job_id = self._job_counter
         threshold = _shm.shm_threshold(shm_threshold)
-        use_shm = threshold > 0 and _shm.available()
-        scope = _shm.ARENA.scope(f"j{job_id:x}") if use_shm else None
-        writer = (
-            (lambda array: _shm.ARENA.share(array, scope)) if use_shm else None
-        )
-        # The scope is owned here until the job is handed to the
-        # supervisor (which releases it at job completion); every other
-        # exit — unpicklable payload, empty items, shutdown race, or an
-        # unexpected exception anywhere in between — must release it.
-        handed_off = False
-        try:
+        if not _shm.available():
+            threshold = 0
+        # The job's segments (payload, items, adopted results) live
+        # exactly as long as this call: whichever way it ends, leaving
+        # the block unlinks them and sweeps what a killed worker left.
+        with (
+            _shm.ARENA.scope("job") if threshold > 0 else nullcontext()
+        ) as scope:
+            writer = None if scope is None else scope.share
             try:
                 payload = _shm.dumps(
                     (fn, fault_plan, traced), threshold=threshold, writer=writer
@@ -683,34 +685,30 @@ class WorkerPool:
                     job_id,
                     payload,
                     item_blobs,
+                    scope,
+                    threshold,
                     timeout,
                     retries,
                     deadline,
                     opts.backoff_base,
                     opts.backoff_cap,
                 )
-                job.scope = scope
-                job.threshold = threshold if use_shm else 0
                 if jobs is not None:
                     self._target = max(
                         self._target, max(1, min(int(jobs), len(items)))
                     )
                 self._ensure_running_locked()
                 self._intake.append(job)
-                handed_off = True
-        finally:
-            if scope is not None and not handed_off:
-                _shm.ARENA.release_scope(scope)
-        self._wake()
-        while not job.done.wait(0.2):
-            supervisor = self._supervisor
-            if supervisor is None or not supervisor.is_alive():
-                raise PoolUnusableError("pool supervisor died")
-        if job.fatal is not None:
-            raise PoolUnusableError(job.fatal)
-        return PoolMapResult(
-            list(job.outcomes), job.span_payloads, job.attempt_spans
-        )
+            self._wake()
+            while not job.done.wait(0.2):
+                supervisor = self._supervisor
+                if supervisor is None or not supervisor.is_alive():
+                    raise PoolUnusableError("pool supervisor died")
+            if job.fatal is not None:
+                raise PoolUnusableError(job.fatal)
+            return PoolMapResult(
+                list(job.outcomes), job.span_payloads, job.attempt_spans
+            )
 
     def keep_alive(self) -> PoolKeepAlive:
         """Pin the pool's runtime: no idle retirement while held.
@@ -845,7 +843,6 @@ class WorkerPool:
                 if shutdown:
                     for job in jobs:
                         job.fatal = "pool shut down"
-                        self._release_transport(job)
                         job.done.set()
                     break
                 now = monotonic()
@@ -882,7 +879,6 @@ class WorkerPool:
                 retired = self._retire_locked()
             for job in jobs + pending:
                 job.fatal = f"pool supervisor crashed:\n{error}"
-                self._release_transport(job)
                 job.done.set()
         finally:
             if retired is None:
@@ -973,9 +969,9 @@ class WorkerPool:
         scope = job.scope
 
         def adopt(descriptor) -> None:
-            # Worker-created result segment: the parent takes ownership
-            # under the job scope so crash/quarantine cleanup is central.
-            _shm.ARENA.adopt(descriptor, scope)
+            # Worker-created result segment: the job's scope takes
+            # ownership so crash/quarantine cleanup is central.
+            scope.adopt(descriptor)
             counter_add("shm.bytes_adopted", descriptor.nbytes)
 
         try:
@@ -1183,8 +1179,13 @@ class WorkerPool:
                 try:
                     if job.id not in worker.jobs_sent:
                         worker.conn.send(
-                            ("job", job.id, job.payload, job.scope,
-                             job.threshold)
+                            (
+                                "job",
+                                job.id,
+                                job.payload,
+                                job.scope and job.scope.name,
+                                job.threshold,
+                            )
                         )
                         worker.jobs_sent.add(job.id)
                     worker.conn.send(
@@ -1215,26 +1216,7 @@ class WorkerPool:
                 except (OSError, ValueError, BrokenPipeError):
                     pass
                 worker.jobs_sent.discard(job.id)
-        self._release_transport(job)
         job.done.set()
-
-    def _release_transport(self, job: _Job) -> None:
-        """Reclaim every shm segment tied to *job* (idempotent).
-
-        Releases the parent's per-job refs (items, payload, adopted
-        results — unlink-early is safe, live result views pin their
-        pages), then sweeps segments a SIGKILL'd worker created under
-        the job scope but never handed over.  By the time a job
-        finishes every worker that ran its tasks is either idle or
-        joined, so nothing can recreate scope-named segments after the
-        sweep.
-        """
-        scope = job.scope
-        if scope is None:
-            return
-        job.scope = None
-        _shm.ARENA.release_scope(scope)
-        _shm.ARENA.sweep_orphans(scope)
 
 
 # -- module-level pool ---------------------------------------------------------

@@ -26,12 +26,15 @@ Design notes (hard-won lifetime rules):
   files created with ``O_EXCL``, so there is no
   ``multiprocessing.resource_tracker`` registration to leak or
   double-unregister across the spawn boundary.
-- **Parent-owned lifetime.**  The process-wide :class:`ShmArena`
-  refcounts every segment per *scope* (one scope per pool job /
-  trainer epoch); ``release_scope`` unlinks segments whose refs drop to
-  zero and ``sweep_orphans`` reclaims segments a SIGKILL'd worker
-  created but never handed over.  An ``atexit`` hook unlinks anything
-  left and reports it via the ``shm.segments_leaked`` counter.
+- **Parent-owned lifetime, by construction.**  Every segment belongs
+  to one :class:`ShmScope` (one per pool job / trainer epoch), opened
+  with ``with ARENA.scope(label) as scope:``; ``share``/``allocate``/
+  ``adopt`` are methods of the scope, so there is no way to create a
+  segment without an owner.  Leaving the block unlinks what the scope
+  owns and sweeps segments a SIGKILL'd worker created under its name
+  but never handed over.  A scope that is dropped unclosed is
+  reclaimed by its finalizer — at collection, or at interpreter exit —
+  and reported via the ``shm.segments_leaked`` counter.
 
 Transport: :func:`dumps` / :func:`loads` are drop-in pickle
 replacements that externalize eligible ndarrays (``type(obj) is
@@ -51,13 +54,13 @@ CLI flag (``0``/``off`` disables externalization entirely); see the
 
 from __future__ import annotations
 
-import atexit
 import io
 import mmap
 import os
 import pickle
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +89,7 @@ def available() -> bool:
         # The probe is idempotent, but the write must still be locked:
         # pool supervisor and caller threads race through here on first
         # use, and torn init under an unlocked check-then-set is exactly
-        # the bug class the worker-context pass exists to keep out.
+        # what the unlocked-global-write rule exists to keep out.
         with _AVAILABLE_LOCK:
             if _AVAILABLE is None:
                 try:
@@ -108,7 +111,9 @@ def shm_threshold(explicit: int | None = None) -> int:
 
     *explicit* (e.g. ``FusionConfig.shm_threshold``) wins over the
     ``REPRO_SHM_THRESHOLD`` environment variable, which wins over
-    :data:`DEFAULT_THRESHOLD`.
+    :data:`DEFAULT_THRESHOLD`.  This is the one parser of the variable
+    (the ``--shm-threshold`` flag sets it): anything but a byte count
+    ``>= 0`` or ``off``/``none``/``disabled`` raises ``ValueError``.
     """
     if explicit is not None:
         return max(0, int(explicit))
@@ -120,8 +125,12 @@ def shm_threshold(explicit: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_THRESHOLD
-    return max(0, value)
+        value = -1
+    if value < 0:
+        raise ValueError(
+            f"{THRESHOLD_ENV}={raw!r} is neither a byte count >= 0 nor 'off'"
+        )
+    return value
 
 
 # -- attachment cache ----------------------------------------------------------
@@ -319,92 +328,106 @@ def write_segment(name: str, array: np.ndarray) -> ShmArray:
 # -- the arena -----------------------------------------------------------------
 
 
-class ShmArena:
-    """Ref-counted owner of this process's shared segments.
+class ShmScope:
+    """Owner of the segments of one pool job or trainer epoch.
 
-    Segments are held per *scope* (a string, typically one per pool job
-    or trainer run); :meth:`release_scope` unlinks everything whose
-    refcount drops to zero.  The arena also *adopts* worker-created
-    result segments when their descriptors are unpickled in the parent,
-    so crash/quarantine paths can reclaim them centrally.
+    Opened with :meth:`ShmArena.scope` and closed by leaving its
+    ``with`` block (or :meth:`close`): every segment it created or
+    adopted is unlinked, then strays named under it — segments a
+    SIGKILL'd worker created but never handed over — are swept.  A
+    scope that is dropped unclosed is reclaimed the same way by its
+    finalizer (at collection, or at interpreter exit) and reported
+    through ``shm.segments_leaked``.  A closed scope owns nothing:
+    sharing into it or adopting into it unlinks the segment and raises.
     """
 
-    def __init__(self, token: str | None = None) -> None:
-        self.token = token or f"rs{os.getpid():x}"
-        self._lock = threading.Lock()
-        #: name -> {"nbytes": int, "refs": {scope: count}}
-        self._segments: dict[str, dict] = {}
-        self._seq = 0
+    def __init__(self, arena: "ShmArena", name: str) -> None:
+        #: Prefix of every segment name under this scope; workers get
+        #: this string to name the result segments they create.
+        self.name = name
+        self._arena = arena
+        self._finalizer = weakref.finalize(self, arena._reclaim, name, True)
 
-    # -- naming ----------------------------------------------------------------
+    def __enter__(self) -> "ShmScope":
+        return self
 
-    def scope(self, label: str) -> str:
-        """A collision-free scope string rooted at this arena's token."""
-        return f"{self.token}_{label}"
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-    def _next_name(self, scope: str) -> str:
-        with self._lock:
-            self._seq += 1
-            return f"{scope}_n{self._seq:x}"
+    def close(self) -> None:
+        """Unlink this scope's segments and sweep its orphans (idempotent)."""
+        if self._finalizer.detach() is not None:
+            self._arena._reclaim(self.name, False)
 
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _register(self, name: str, nbytes: int, scope: str) -> None:
-        with self._lock:
-            entry = self._segments.setdefault(
-                name, {"nbytes": int(nbytes), "refs": {}}
-            )
-            refs = entry["refs"]
-            refs[scope] = refs.get(scope, 0) + 1
-            active = len(self._segments)
+    def _own(self, name: str) -> None:
+        arena = self._arena
+        with arena._lock:
+            closed = not self._finalizer.alive
+            if not closed:
+                arena._segments[name] = self.name
+            active = len(arena._segments)
+        if closed:
+            arena._unlink(name)
+            raise RuntimeError(f"shm scope {self.name} is closed")
         gauge_set("shm.segments_active", active)
 
-    @property
-    def segments_active(self) -> int:
-        with self._lock:
-            return len(self._segments)
-
-    def retain(self, name: str, scope: str) -> None:
-        """Add a reference to an already-registered segment."""
-        with self._lock:
-            if name not in self._segments:
-                raise KeyError(f"segment {name!r} is not registered")
-            refs = self._segments[name]["refs"]
-            refs[scope] = refs.get(scope, 0) + 1
-
-    # -- creation / adoption ---------------------------------------------------
-
-    def share(self, array: np.ndarray, scope: str) -> ShmArray:
-        """Copy *array* into a new arena-owned segment under *scope*."""
+    def share(self, array: np.ndarray) -> ShmArray:
+        """Copy *array* into a new segment owned by this scope."""
         start = monotonic()
-        name = self._next_name(scope)
+        name = self._arena._next_name(self.name)
         desc = write_segment(name, array)
-        self._register(name, desc.nbytes, scope)
+        self._own(name)
         _record_span(
             "shm_externalize", start, bytes=desc.nbytes, segment=name
         )
         return desc
 
-    def allocate(
-        self, shape: tuple, dtype, scope: str
-    ) -> ShmArray:
-        """A zero-filled writable block under *scope* (trainer slots)."""
+    def allocate(self, shape: tuple, dtype) -> ShmArray:
+        """A zero-filled writable block (the trainer's gradient slots)."""
         dt = np.dtype(dtype)
-        count = 1
-        for dim in shape:
-            count *= int(dim)
-        name = self._next_name(scope)
-        mapped = _create(name, max(count * dt.itemsize, 1))
-        _close_mapping(mapped)
-        self._register(name, count * dt.itemsize, scope)
-        return ShmArray(name=name, dtype=dt.str, shape=tuple(shape))
+        desc = ShmArray(
+            name=self._arena._next_name(self.name),
+            dtype=dt.str,
+            shape=tuple(shape),
+        )
+        _close_mapping(_create(desc.name, max(desc.nbytes, 1)))
+        self._own(desc.name)
+        return desc
 
-    def adopt(self, desc: ShmArray, scope: str) -> None:
-        """Take ownership of a worker-created segment (idempotent-ish:
-        one ref per adoption; release_scope drops them all)."""
-        self._register(desc.name, desc.nbytes, scope)
+    def adopt(self, desc: ShmArray) -> None:
+        """Take ownership of a worker-created segment."""
+        self._own(desc.name)
 
-    # -- release ---------------------------------------------------------------
+
+class ShmArena:
+    """This process's segment table: which scope owns which segment.
+
+    A segment belongs to exactly one :class:`ShmScope`, from the moment
+    the scope creates or adopts it until the scope closes.
+    """
+
+    def __init__(self, token: str | None = None) -> None:
+        self.token = token or f"rs{os.getpid():x}"
+        # Reentrant: a dropped scope's finalizer may run (cyclic GC) on
+        # a thread that is inside one of the locked sections below.
+        self._lock = threading.RLock()
+        #: segment name -> name of the owning scope
+        self._segments: dict[str, str] = {}
+        self._seq = 0
+
+    def scope(self, label: str) -> ShmScope:
+        """Open a scope; its name is unique within this arena."""
+        return ShmScope(self, self._next_name(f"{self.token}_{label}"))
+
+    def _next_name(self, prefix: str) -> str:
+        with self._lock:
+            self._seq += 1
+            return f"{prefix}_n{self._seq:x}"
+
+    @property
+    def segments_active(self) -> int:
+        with self._lock:
+            return len(self._segments)
 
     def _unlink(self, name: str) -> None:
         detach(name)
@@ -415,71 +438,43 @@ class ShmArena:
         except OSError:  # pragma: no cover - permissions races
             pass
 
-    def release_scope(self, scope: str) -> int:
-        """Drop every ref *scope* holds; unlink newly-unreferenced
-        segments.  Returns how many segments were unlinked."""
-        to_unlink: list[str] = []
+    def _reclaim(self, scope: str, leaked: bool) -> None:
+        """Unlink everything *scope* owns, then anything named under it.
+
+        By the time a pool job's scope closes every worker that ran its
+        tasks is idle or joined, so nothing recreates scope-named
+        segments after the sweep.
+        """
         with self._lock:
-            for name, entry in list(self._segments.items()):
-                refs = entry["refs"]
-                if scope in refs:
-                    del refs[scope]
-                if not refs:
-                    del self._segments[name]
-                    to_unlink.append(name)
+            owned = [n for n, o in self._segments.items() if o == scope]
+            for name in owned:
+                del self._segments[name]
             active = len(self._segments)
-        for name in to_unlink:
+        for name in owned:
             self._unlink(name)
         gauge_set("shm.segments_active", active)
-        counter_add("shm.segments_released", len(to_unlink))
-        return len(to_unlink)
-
-    def sweep_orphans(self, scope: str) -> int:
-        """Unlink stray segments named under *scope* that were created
-        by a worker but never handed over (SIGKILL mid-result).  Call
-        after :meth:`release_scope` at job end."""
-        prefix = f"{scope}_"
+        counter_add("shm.segments_released", len(owned))
         try:
             entries = os.listdir(SHM_DIR)
         except OSError:  # pragma: no cover - shm vanished underneath us
-            return 0
-        swept = 0
-        with self._lock:
-            registered = set(self._segments)
-        for entry in entries:
-            if not entry.startswith(prefix) or entry in registered:
-                continue
-            self._unlink(entry)
-            swept += 1
-        if swept:
-            counter_add("shm.segments_swept", swept)
-        return swept
-
-    def shutdown(self) -> int:
-        """Unlink every remaining segment; returns the leak count.
-
-        Anything still registered here at interpreter exit is a scope
-        someone forgot to release — reclaimed, counted and reported.
-        """
-        with self._lock:
-            leaked = list(self._segments)
-            self._segments.clear()
-        for name in leaked:
+            entries = []
+        prefix = f"{scope}_"
+        strays = [e for e in entries if e.startswith(prefix)]
+        for name in strays:
             self._unlink(name)
-        if leaked:
-            counter_add("shm.segments_leaked", len(leaked))
+        if strays:
+            counter_add("shm.segments_swept", len(strays))
+        if leaked and (owned or strays):
+            counter_add("shm.segments_leaked", len(owned) + len(strays))
             print(
-                f"repro.core.shm: reclaimed {len(leaked)} leaked shared "
-                f"segment(s) at exit: {', '.join(sorted(leaked)[:5])}",
+                f"repro.core.shm: scope {scope} was dropped unclosed; "
+                f"reclaimed {len(owned) + len(strays)} shared segment(s)",
                 file=sys.stderr,
             )
-        gauge_set("shm.segments_active", 0)
-        return len(leaked)
 
 
 #: The process-wide arena (parent-side owner of pool/trainer segments).
 ARENA = ShmArena()
-atexit.register(ARENA.shutdown)
 
 
 # -- pickle transport ----------------------------------------------------------
@@ -540,9 +535,8 @@ def dumps(obj, *, threshold: int | None = None, writer=None) -> bytes:
     """Pickle *obj*, externalizing large ndarrays into shared memory.
 
     *writer* maps an eligible array to a :class:`ShmArray` (or ``None``
-    to keep it inline); the default writes arena-owned segments under a
-    transient scope — pool call sites always pass an explicit job-scoped
-    writer.  Falls back to plain pickle (counted in
+    to keep it inline) — the pool passes its job scope's ``share``.
+    Falls back to plain pickle (counted in
     ``shm.inline_fallbacks``) when shm is unavailable or disabled.
     """
     effective = shm_threshold() if threshold is None else threshold

@@ -62,4 +62,4 @@ def construction_rng(
 def seed_construction_rng(seed: int = 0) -> None:
     """Reset the shared stream (call before building a model unseeded)."""
     global _construction_rng
-    _construction_rng = np.random.default_rng(seed)
+    _construction_rng = np.random.default_rng(seed)  # repro: allow(unlocked-global-write) — one atomic rebind; callers reseed before building a model, never beside it

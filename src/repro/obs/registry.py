@@ -103,7 +103,6 @@ SPANS: frozenset[str] = frozenset(
     {
         "amg_setup",
         "analysis",  # python -m repro.analysis total wall time
-        "analysis.callgraph",  # callgraph passes only (CI budget assert)
         "analyze",
         "batch",
         "features",

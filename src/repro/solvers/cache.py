@@ -226,8 +226,8 @@ def setup_cache_disabled():
     """Context manager forcing every setup to rebuild (benchmark baseline)."""
     global _ENABLED
     previous = _ENABLED
-    _ENABLED = False
+    _ENABLED = False  # repro: allow(unlocked-global-write) — benchmark/test toggle held around single-threaded work
     try:
         yield
     finally:
-        _ENABLED = previous
+        _ENABLED = previous  # repro: allow(unlocked-global-write) — benchmark/test toggle held around single-threaded work

@@ -13,8 +13,8 @@ of silently corrupting the weights.
 
 from __future__ import annotations
 
-import itertools
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,11 +49,6 @@ def _available_cores() -> int:
 #: Loss-scale floor: repeated overflows halve the scale but never push it
 #: into a denormal spiral.
 MIN_LOSS_SCALE = 1.0 / 65536.0
-
-#: Monotonic label for per-epoch shared-memory scopes, so overlapping
-#: epochs (nested trainers, tests) never collide on segment names.
-_EPOCH_SCOPE_SEQ = itertools.count(1)
-
 
 class _ShardWorker:
     """Per-shard forward+backward step, shippable to pool workers.
@@ -720,105 +715,104 @@ class Trainer:
         # bitwise identical either way.  Single-worker runs stay inline
         # — there is nothing to transport.
         use_shm = workers > 1 and _shm.available() and _shm.shm_threshold() > 0
-        scope = x_desc = y_desc = None
+        x_desc = y_desc = None
         grad_size = sum(p.data.size for p in self._parameters)
-        if use_shm:
-            scope = _shm.ARENA.scope(f"tr{next(_EPOCH_SCOPE_SEQ):x}")
         for bn in self._bn_layers:
             bn.update_running = False
         total_loss = 0.0
         total_samples = 0
         try:
-            # Shares happen inside the try: if sharing y raises, the
-            # finally still releases the scope holding x's segment.
-            if use_shm:
-                x_desc = _shm.ARENA.share(x, scope)
-                y_desc = _shm.ARENA.share(y, scope)
-            for window_start in range(0, len(batches), window):
-                window_batches = batches[window_start : window_start + window]
-                shard_lists = [
-                    shard_batch(batch, num_shards) for batch in window_batches
-                ]
-                items = [s for shards in shard_lists for s in shards]
-                scale = self._loss_scale
-                block_view = None
-                if use_shm:
-                    block = _shm.ARENA.allocate(
-                        (len(items), grad_size),
-                        np.float32 if mixed else np.float64,
-                        scope,
-                    )
-                    items = [
-                        (shard, _shm.subarray(block, k))
-                        for k, shard in enumerate(items)
+            with (
+                _shm.ARENA.scope("train") if use_shm else nullcontext()
+            ) as scope:
+                if scope is not None:
+                    x_desc = scope.share(x)
+                    y_desc = scope.share(y)
+                for window_start in range(0, len(batches), window):
+                    shard_lists = [
+                        shard_batch(batch, num_shards)
+                        for batch in batches[window_start : window_start + window]
                     ]
-                    worker = self._make_shard_worker(
-                        None, None, scale, x_desc=x_desc, y_desc=y_desc
-                    )
-                else:
-                    worker = self._make_shard_worker(x, y, scale)
-                outcomes, _ = parallel_map(worker, items, workers)
-                if use_shm:
-                    block_view = block.resolve()
-                position = 0
-                for shards in shard_lists:
-                    payloads = []
-                    for _ in shards:
-                        value, error = outcomes[position]
-                        if error is not None:
-                            raise RuntimeError(
-                                f"sharded training worker failed: {error}"
-                            )
-                        if value[2] is None and block_view is not None:
-                            value = (
-                                value[0],
-                                value[1],
-                                block_view[position],
-                                value[3],
-                            )
-                        position += 1
-                        payloads.append(value)
-                    batch_samples = sum(p[1] for p in payloads)
-                    weights = [p[1] / batch_samples for p in payloads]
-                    if len(payloads) == 1:
-                        flat = payloads[0][2]
-                    else:
-                        flat = tree_reduce(
-                            [p[2] * w for p, w in zip(payloads, weights)]
+                    items = [s for shards in shard_lists for s in shards]
+                    scale = self._loss_scale
+                    block_view = None
+                    if scope is not None:
+                        block = scope.allocate(
+                            (len(items), grad_size),
+                            np.float32 if mixed else np.float64,
                         )
-                    grad = flat.astype(np.float64, copy=False)
-                    if scale != 1.0:
-                        grad = grad / scale
-                    offset = 0
-                    for parameter in self._parameters:
-                        size = parameter.data.size
-                        parameter.grad[...] = grad[
-                            offset : offset + size
-                        ].reshape(parameter.data.shape)
-                        offset += size
-                    if self._bn_layers and payloads[0][3] is not None:
-                        if len(payloads) == 1:
-                            stats = payloads[0][3]
-                        else:
-                            stats = tree_reduce(
-                                [p[3] * w for p, w in zip(payloads, weights)]
-                            )
-                        self._apply_bn_stats(stats)
-                    if not mixed or bool(np.isfinite(grad).all()):
-                        if cfg.grad_clip > 0:
-                            clip_grad_norm(self._parameters, cfg.grad_clip)
-                        self.optimizer.step()
+                        items = [
+                            (shard, _shm.subarray(block, k))
+                            for k, shard in enumerate(items)
+                        ]
+                        worker = self._make_shard_worker(
+                            None, None, scale, x_desc=x_desc, y_desc=y_desc
+                        )
                     else:
-                        self._on_overflow()
-                    total_loss += sum(
-                        p[0] * p[1] for p in payloads
-                    )
-                    total_samples += batch_samples
+                        worker = self._make_shard_worker(x, y, scale)
+                    outcomes, _ = parallel_map(worker, items, workers)
+                    if scope is not None:
+                        block_view = block.resolve()
+                    position = 0
+                    for shards in shard_lists:
+                        payloads = []
+                        for _ in shards:
+                            value, error = outcomes[position]
+                            if error is not None:
+                                raise RuntimeError(
+                                    f"sharded training worker failed: {error}"
+                                )
+                            if value[2] is None and block_view is not None:
+                                value = (
+                                    value[0],
+                                    value[1],
+                                    block_view[position],
+                                    value[3],
+                                )
+                            position += 1
+                            payloads.append(value)
+                        batch_samples = sum(p[1] for p in payloads)
+                        weights = [p[1] / batch_samples for p in payloads]
+                        if len(payloads) == 1:
+                            flat = payloads[0][2]
+                        else:
+                            flat = tree_reduce(
+                                [p[2] * w for p, w in zip(payloads, weights)]
+                            )
+                        grad = flat.astype(np.float64, copy=False)
+                        if scale != 1.0:
+                            grad = grad / scale
+                        offset = 0
+                        for parameter in self._parameters:
+                            size = parameter.data.size
+                            parameter.grad[...] = grad[
+                                offset : offset + size
+                            ].reshape(parameter.data.shape)
+                            offset += size
+                        if self._bn_layers and payloads[0][3] is not None:
+                            if len(payloads) == 1:
+                                stats = payloads[0][3]
+                            else:
+                                stats = tree_reduce(
+                                    [
+                                        p[3] * w
+                                        for p, w in zip(payloads, weights)
+                                    ]
+                                )
+                            self._apply_bn_stats(stats)
+                        if not mixed or bool(np.isfinite(grad).all()):
+                            if cfg.grad_clip > 0:
+                                clip_grad_norm(self._parameters, cfg.grad_clip)
+                            self.optimizer.step()
+                        else:
+                            self._on_overflow()
+                        total_loss += sum(
+                            p[0] * p[1] for p in payloads
+                        )
+                        total_samples += batch_samples
         finally:
             for bn in self._bn_layers:
                 bn.update_running = True
-            if scope is not None:
-                _shm.ARENA.release_scope(scope)
         return total_loss / max(total_samples, 1)
 
     def _apply_bn_stats(self, stats: np.ndarray) -> None:

@@ -1,18 +1,14 @@
-"""Seeded-violation fixtures for the callgraph analysis passes."""
+"""Seeded-violation fixtures for the metrics-contract rule, and the
+analysis CLI's flag contract."""
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import AnalysisEngine, ModuleSource
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.passes import default_passes
-from repro.analysis.passes.metrics_contract import MetricsContractPass
-from repro.analysis.passes.shm_scope import ShmScopePass
-from repro.analysis.passes.worker_context import WorkerContextPass
+from repro.analysis.rules.metrics_contract import MetricsContractRule
 
 
 def _mod(path: str, source: str) -> ModuleSource:
@@ -24,139 +20,10 @@ def _mod(path: str, source: str) -> ModuleSource:
     )
 
 
-def _write(root: Path, rel: str, text: str) -> Path:
-    path = root / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
-
-
-# Two call hops between the pool entry and the violation: the driver
-# ships ``work_item``, which calls ``bump``, which mutates a module
-# container without a lock.
-_DRIVER = (
-    "from repro.core.batch import parallel_map\n"
-    "from repro.zwork.worker import work_item\n"
-    "\n"
-    "\n"
-    "def run(items):\n"
-    "    out, _ = parallel_map(work_item, items, 2)\n"
-    "    return out\n"
-)
-_WORKER = (
-    "from repro.zwork.state import bump\n"
-    "\n"
-    "\n"
-    "def work_item(x):\n"
-    "    return bump(x)\n"
-)
-_STATE_RACY = (
-    "TABLE = {}\n"
-    "\n"
-    "\n"
-    "def bump(x):\n"
-    "    TABLE[x] = x + 1\n"
-    "    return TABLE[x]\n"
-)
-_STATE_LOCKED = (
-    "import threading\n"
-    "\n"
-    "TABLE = {}\n"
-    "_TABLE_LOCK = threading.Lock()\n"
-    "\n"
-    "\n"
-    "def bump(x):\n"
-    "    with _TABLE_LOCK:\n"
-    "        TABLE[x] = x + 1\n"
-    "        return TABLE[x]\n"
-)
-
-
-class TestWorkerContextPass:
-    def _run(self, modules):
-        graph = CallGraph.build(modules)
-        return WorkerContextPass().check_graph(modules, graph)
-
-    def _two_hop_modules(self, state_src):
-        return [
-            _mod("src/repro/zwork/driver.py", _DRIVER),
-            _mod("src/repro/zwork/worker.py", _WORKER),
-            _mod("src/repro/zwork/state.py", state_src),
-        ]
-
-    def test_two_hop_unlocked_mutation_flagged_with_callpath(self):
-        findings = self._run(self._two_hop_modules(_STATE_RACY))
-        assert len(findings) == 1  # the store; the read does not mutate
-        first = findings[0]
-        assert first.rule == "worker-context"
-        assert first.path == "src/repro/zwork/state.py"
-        # the callpath walks entry -> work_item (the hop before bump)
-        assert first.callpath[0].startswith("worker of parallel_map")
-        assert "repro.zwork.worker.work_item" in first.callpath
-
-    def test_lock_guarded_mutation_is_clean(self):
-        assert self._run(self._two_hop_modules(_STATE_LOCKED)) == []
-
-    def test_unreachable_mutation_is_clean(self):
-        # same racy module, but nothing ships it to a pool
-        modules = [
-            _mod("src/repro/zwork/state.py", _STATE_RACY),
-            _mod(
-                "src/repro/zwork/serial.py",
-                "from repro.zwork.state import bump\n"
-                "\n"
-                "\n"
-                "def run(items):\n"
-                "    return [bump(x) for x in items]\n",
-            ),
-        ]
-        assert self._run(modules) == []
-
-    def test_thread_creation_in_worker_flagged(self):
-        modules = [
-            _mod("src/repro/zwork/driver.py", _DRIVER),
-            _mod(
-                "src/repro/zwork/worker.py",
-                "import threading\n"
-                "\n"
-                "\n"
-                "def work_item(x):\n"
-                "    t = threading.Thread(target=print)\n"
-                "    t.start()\n"
-                "    return x\n",
-            ),
-        ]
-        findings = self._run(modules)
-        assert len(findings) == 1
-        assert "starts a thread" in findings[0].message
-
-    def test_known_task_entry_checks_unpicklable_init(self):
-        # _PipelineTask.__call__ is a known shipped entry; its __init__
-        # storing a lock on self breaks the task pickle
-        modules = [
-            _mod(
-                "src/repro/core/batch.py",
-                "import threading\n"
-                "\n"
-                "\n"
-                "class _PipelineTask:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "\n"
-                "    def __call__(self, item):\n"
-                "        return item\n",
-            ),
-        ]
-        findings = self._run(modules)
-        assert len(findings) == 1
-        assert "self._lock" in findings[0].message
-        assert "cannot serialise" in findings[0].message
-
-
 class TestMetricsContractPass:
     def _run(self, source):
         module = _mod("src/repro/zmetrics/emit.py", source)
-        return MetricsContractPass().check(module)
+        return MetricsContractRule().check(module)
 
     def test_typod_counter_flagged_with_suggestion(self):
         findings = self._run(
@@ -234,178 +101,22 @@ class TestMetricsContractPass:
         )
 
 
-class TestShmScopePass:
-    def _run(self, body):
-        module = _mod(
-            "src/repro/zshm/use.py",
-            "from repro.core.shm import ARENA\n\n\n" + body,
-        )
-        return ShmScopePass().check(module)
-
-    def test_retain_without_release_on_exception_edge(self):
-        findings = self._run(
-            "def leak(items, encode):\n"
-            "    scope = ARENA.scope('t')\n"
-            "    data = encode(items)\n"
-            "    ARENA.release_scope(scope)\n"
-            "    return data\n"
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "shm-scope"
-        assert "an exception here leaks it" in findings[0].message
-        # the finding points at the raise-capable call, not the open
-        assert findings[0].snippet == "data = encode(items)"
-
-    def test_try_finally_release_is_clean(self):
-        assert (
-            self._run(
-                "def safe(items, encode):\n"
-                "    scope = ARENA.scope('t')\n"
-                "    try:\n"
-                "        data = encode(items)\n"
-                "    finally:\n"
-                "        ARENA.release_scope(scope)\n"
-                "    return data\n"
-            )
-            == []
-        )
-
-    def test_fall_through_without_release_flagged(self):
-        findings = self._run(
-            "def forgot():\n"
-            "    scope = ARENA.scope('t')\n"
-            "    return None\n"
-        )
-        assert len(findings) == 1
-        assert "this exit leaks it" in findings[0].message
-
-    def test_ownership_transfer_ends_responsibility(self):
-        assert (
-            self._run(
-                "def handoff(job):\n"
-                "    scope = ARENA.scope('t')\n"
-                "    job.scope = scope\n"
-                "    return job\n"
-            )
-            == []
-        )
-
-    def test_handler_release_covers_body_but_not_fall_through(self):
-        # handlers release on the exception edges, but the normal path
-        # walks out of the try still holding the handle
-        findings = self._run(
-            "def half(items, encode):\n"
-            "    scope = ARENA.scope('t')\n"
-            "    try:\n"
-            "        data = encode(items)\n"
-            "    except Exception:\n"
-            "        ARENA.release_scope(scope)\n"
-            "        raise\n"
-            "    return data\n"
-        )
-        assert len(findings) == 1
-        assert "this exit leaks it" in findings[0].message
-
-    def test_readonly_view_write_flagged(self):
-        findings = self._run(
-            "def patch(desc, value):\n"
-            "    view = desc.resolve()\n"
-            "    view[0] = value\n"
-        )
-        assert len(findings) == 1
-        assert "read-only shm view" in findings[0].message
-
-    def test_writable_view_write_is_clean(self):
-        assert (
-            self._run(
-                "def patch(desc, value):\n"
-                "    view = desc.resolve(writable=True)\n"
-                "    view[0] = value\n"
-            )
-            == []
-        )
-
-    def test_descriptor_escape_from_released_scope(self):
-        findings = self._run(
-            "def escape(x):\n"
-            "    scope = ARENA.scope('t')\n"
-            "    try:\n"
-            "        desc = ARENA.share(x, scope)\n"
-            "    finally:\n"
-            "        ARENA.release_scope(scope)\n"
-            "    return desc\n"
-        )
-        assert len(findings) == 1
-        assert "dangling" in findings[0].message
-
-
-@pytest.fixture()
-def seeded_worker_tree(tmp_path):
-    _write(tmp_path, "src/repro/zwork/driver.py", _DRIVER)
-    _write(tmp_path, "src/repro/zwork/worker.py", _WORKER)
-    _write(tmp_path, "src/repro/zwork/state.py", _STATE_RACY)
-    return tmp_path
-
-
 class TestEngineAndCli:
-    def test_engine_runs_passes_and_attaches_callpath(
-        self, seeded_worker_tree
-    ):
-        engine = AnalysisEngine(seeded_worker_tree, rules=default_passes())
-        report = engine.run(["src"])
-        rules = {f.rule for f in report.findings}
-        assert rules == {"worker-context"}
-        assert all(f.callpath for f in report.findings)
-        formatted = report.findings[0].format()
-        assert "[reachable via" in formatted
-
     def test_pragma_suppresses_a_pass_finding(self, tmp_path):
-        _write(tmp_path, "src/repro/zwork/driver.py", _DRIVER)
-        _write(tmp_path, "src/repro/zwork/worker.py", _WORKER)
-        _write(
-            tmp_path,
-            "src/repro/zwork/state.py",
-            _STATE_RACY.replace(
-                "    TABLE[x] = x + 1\n",
-                "    TABLE[x] = x + 1"
-                "  # repro: allow(worker-context) — test-only\n",
-            ),
+        path = tmp_path / "src/repro/zwork/state.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "TABLE = {}\n"
+            "\n"
+            "\n"
+            "def bump(x):\n"
+            "    TABLE[x] = x + 1"
+            "  # repro: allow(unlocked-global-write) — test-only\n"
+            "    return TABLE[x]\n"
         )
-        report = AnalysisEngine(tmp_path, rules=default_passes()).run(["src"])
+        report = AnalysisEngine(tmp_path).run(["src"])
         assert report.ok
-        assert [f.rule for f in report.suppressed] == ["worker-context"]
-
-    def test_strict_callgraph_cli_fails_on_seeded_tree(
-        self, seeded_worker_tree
-    ):
-        rc = analysis_main(
-            [
-                "--root", str(seeded_worker_tree), "src",
-                "--rules", "callgraph", "--strict", "--no-models",
-            ]
-        )
-        assert rc == 1
-
-    def test_json_report_carries_callpath(self, seeded_worker_tree, capsys):
-        rc = analysis_main(
-            [
-                "--root", str(seeded_worker_tree), "src",
-                "--rules", "callgraph", "--no-models", "--json",
-            ]
-        )
-        assert rc == 0  # lenient mode reports without failing
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert payload["rules"] == "callgraph"
-        assert payload["duration_seconds"] >= 0.0
-        finding = next(
-            f for f in payload["findings"] if f["rule"] == "worker-context"
-        )
-        assert finding["path"] == "src/repro/zwork/state.py"
-        assert isinstance(finding["callpath"], list) and finding["callpath"]
-        assert finding["fingerprint"].startswith(
-            "worker-context:src/repro/zwork/state.py:"
-        )
+        assert [f.rule for f in report.suppressed] == ["unlocked-global-write"]
 
     def test_write_baseline_and_strict_are_mutually_exclusive(
         self, tmp_path, capsys
@@ -419,13 +130,3 @@ class TestEngineAndCli:
             )
         assert exc.value.code == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_budget_overrun_fails(self, seeded_worker_tree):
-        rc = analysis_main(
-            [
-                "--root", str(seeded_worker_tree), "src",
-                "--rules", "local", "--no-models",
-                "--budget-seconds", "0.0",
-            ]
-        )
-        assert rc == 1

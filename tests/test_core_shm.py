@@ -1,13 +1,18 @@
 """Tests for the shared-memory data plane (:mod:`repro.core.shm`)."""
 
+import gc
 import os
 import pickle
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import shm
 from repro.core.batch import parallel_map_ex
+from repro.core.pool import PoolUnusableError, get_pool
 from repro.obs import metrics_snapshot
 from repro.testing.faults import WorkerFaultPlan
 
@@ -22,54 +27,44 @@ def _leftover_segments() -> list[str]:
     return [f for f in os.listdir(shm.SHM_DIR) if f.startswith(prefix)]
 
 
-def _scoped(label: str) -> str:
-    return shm.ARENA.scope(label)
+def _counter(name: str) -> int:
+    return metrics_snapshot()["counters"].get(name, 0)
 
 
 class TestShmArray:
     def test_roundtrip_is_bitwise_and_read_only(self):
-        scope = _scoped("t_rt")
-        try:
+        with shm.ARENA.scope("t_rt") as scope:
             source = np.arange(24, dtype=np.float64).reshape(4, 6) * np.pi
-            desc = shm.ARENA.share(source, scope)
+            desc = scope.share(source)
             view = desc.resolve()
             assert np.array_equal(view, source)
             assert view.dtype == source.dtype
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0, 0] = 1.0
-        finally:
-            shm.ARENA.release_scope(scope)
 
     def test_fortran_order_and_exotic_dtypes_survive(self):
-        scope = _scoped("t_ord")
-        try:
+        with shm.ARENA.scope("t_ord") as scope:
             fortran = np.asfortranarray(
                 np.arange(12, dtype=np.float32).reshape(3, 4)
             )
-            view = shm.ARENA.share(fortran, scope).resolve()
+            view = scope.share(fortran).resolve()
             assert view.flags.f_contiguous
             assert np.array_equal(view, fortran)
             for dtype in (np.int32, np.complex128, np.bool_):
                 data = np.ones((5, 5), dtype=dtype)
-                got = shm.ARENA.share(data, scope).resolve()
+                got = scope.share(data).resolve()
                 assert got.dtype == data.dtype
                 assert np.array_equal(got, data)
-        finally:
-            shm.ARENA.release_scope(scope)
 
     def test_descriptor_pickles_small(self):
-        scope = _scoped("t_desc")
-        try:
-            desc = shm.ARENA.share(np.zeros((128, 128)), scope)
+        with shm.ARENA.scope("t_desc") as scope:
+            desc = scope.share(np.zeros((128, 128)))
             assert len(pickle.dumps(desc)) < 300
-        finally:
-            shm.ARENA.release_scope(scope)
 
     def test_subarray_slots_alias_the_block(self):
-        scope = _scoped("t_sub")
-        try:
-            block = shm.ARENA.allocate((3, 5), np.float64, scope)
+        with shm.ARENA.scope("t_sub") as scope:
+            block = scope.allocate((3, 5), np.float64)
             for row in range(3):
                 slot = shm.subarray(block, row)
                 slot.resolve(writable=True)[:] = row + 0.5
@@ -77,15 +72,12 @@ class TestShmArray:
             assert np.array_equal(view[:, 0], [0.5, 1.5, 2.5])
             with pytest.raises(IndexError):
                 shm.subarray(block, 3)
-        finally:
-            shm.ARENA.release_scope(scope)
 
     def test_views_survive_release(self):
         # POSIX keeps pages alive while mapped: unlink-early is safe.
-        scope = _scoped("t_life")
         source = np.random.default_rng(3).standard_normal(512)
-        view = shm.ARENA.share(source, scope).resolve()
-        shm.ARENA.release_scope(scope)
+        with shm.ARENA.scope("t_life") as scope:
+            view = scope.share(source).resolve()
         assert not _leftover_segments()
         assert np.array_equal(view, source)
 
@@ -98,9 +90,13 @@ class TestThreshold:
         assert shm.shm_threshold() == 1234
         monkeypatch.setenv(shm.THRESHOLD_ENV, "off")
         assert shm.shm_threshold() == 0
-        monkeypatch.setenv(shm.THRESHOLD_ENV, "nonsense")
-        assert shm.shm_threshold() == shm.DEFAULT_THRESHOLD
         assert shm.shm_threshold(4096) == 4096  # explicit wins over env
+        for malformed in ("1k", "nonsense", "-5"):
+            monkeypatch.setenv(shm.THRESHOLD_ENV, malformed)
+            with pytest.raises(ValueError) as exc:
+                shm.shm_threshold()
+            assert shm.THRESHOLD_ENV in str(exc.value)
+            assert malformed in str(exc.value)
 
     def test_config_field_validation(self):
         from repro.core.config import FusionConfig
@@ -112,23 +108,19 @@ class TestThreshold:
 
 class TestDumpsLoads:
     def test_externalizes_above_threshold_only(self):
-        scope = _scoped("t_dump")
-        try:
-            writer = lambda array: shm.ARENA.share(array, scope)  # noqa: E731
+        with shm.ARENA.scope("t_dump") as scope:
             payload = {
                 "big": np.zeros((64, 64)),
                 "small": np.arange(4, dtype=np.float64),
                 "other": "text",
             }
-            blob = shm.dumps(payload, threshold=1024, writer=writer)
+            blob = shm.dumps(payload, threshold=1024, writer=scope.share)
             assert len(blob) < 1024  # the 32 KiB array became a descriptor
             restored = shm.loads(blob)
             assert np.array_equal(restored["big"], payload["big"])
             assert np.array_equal(restored["small"], payload["small"])
             assert not restored["big"].flags.writeable
             assert restored["small"].flags.writeable  # stayed inline
-        finally:
-            shm.ARENA.release_scope(scope)
 
     def test_threshold_zero_means_plain_pickle(self):
         blob = shm.dumps({"x": np.zeros(9000)}, threshold=0, writer=None)
@@ -142,45 +134,149 @@ class TestDumpsLoads:
 
 
 class TestArena:
-    def test_refcounts_and_release(self):
-        scope_a = _scoped("t_ref_a")
-        scope_b = _scoped("t_ref_b")
+    def test_gauge_tracks_active_segments(self):
+        with shm.ARENA.scope("t_gauge") as scope:
+            scope.share(np.ones(64))
+            assert (
+                metrics_snapshot()["gauges"]["shm.segments_active"]
+                == shm.ARENA.segments_active
+            )
+
+    def test_sweep_orphans_removes_unregistered_segments(self):
+        swept = _counter("shm.segments_swept")
+        with shm.ARENA.scope("t_orph") as scope:
+            # Simulate a crashed worker's leftover: a scope-named
+            # segment the scope never came to own.
+            orphan = f"{scope.name}_w99t1k0"
+            shm.write_segment(orphan, np.zeros(256))
+            assert orphan in os.listdir(shm.SHM_DIR)
+        assert orphan not in os.listdir(shm.SHM_DIR)
+        assert _counter("shm.segments_swept") == swept + 1
+
+    def test_scope_names_never_collide(self):
+        with shm.ARENA.scope("same") as a, shm.ARENA.scope("same") as b:
+            assert a.name != b.name
+            kept = b.share(np.ones(8))
+            a.close()  # must not touch b's segment
+            assert np.array_equal(kept.resolve(), np.ones(8))
+
+
+class TestShmScope:
+    def test_exception_inside_with_releases_everything(self):
         before = shm.ARENA.segments_active
-        desc = shm.ARENA.share(np.ones(1000), scope_a)
-        shm.ARENA.retain(desc.name, scope_b)
-        assert shm.ARENA.segments_active == before + 1
-        shm.ARENA.release_scope(scope_a)
-        # still referenced by scope_b
-        assert shm.ARENA.segments_active == before + 1
-        assert np.array_equal(desc.resolve(), np.ones(1000))
-        shm.ARENA.release_scope(scope_b)
+        with pytest.raises(KeyError):
+            with shm.ARENA.scope("t_exc") as scope:
+                scope.share(np.ones(100))
+                scope.share(np.zeros(100))
+                assert shm.ARENA.segments_active == before + 2
+                assert len(_leftover_segments()) == 2
+                raise KeyError("boom")
         assert shm.ARENA.segments_active == before
         assert not _leftover_segments()
 
-    def test_gauge_tracks_active_segments(self):
-        scope = _scoped("t_gauge")
-        shm.ARENA.share(np.ones(64), scope)
-        assert (
-            metrics_snapshot()["gauges"]["shm.segments_active"]
-            == shm.ARENA.segments_active
-        )
-        shm.ARENA.release_scope(scope)
+    def test_dropped_scope_is_reclaimed_and_counted_as_leaked(self, capsys):
+        before = shm.ARENA.segments_active
+        leaked = _counter("shm.segments_leaked")
+        scope = shm.ARENA.scope("t_drop")
+        scope.share(np.ones(100))
+        scope.allocate((4,), np.float64)
+        assert len(_leftover_segments()) == 2
+        del scope
+        gc.collect()
+        assert not _leftover_segments()
+        assert shm.ARENA.segments_active == before
+        assert _counter("shm.segments_leaked") == leaked + 2
+        assert "dropped unclosed" in capsys.readouterr().err
 
-    def test_sweep_orphans_removes_unregistered_segments(self):
-        scope = _scoped("t_orph")
-        # Simulate a crashed worker's leftover: a scope-named segment the
-        # arena never registered.
-        orphan = f"{scope}_w99t1k0"
-        shm.write_segment(orphan, np.zeros(256))
-        assert orphan in os.listdir(shm.SHM_DIR)
-        swept = shm.ARENA.sweep_orphans(scope)
-        assert swept == 1
-        assert orphan not in os.listdir(shm.SHM_DIR)
+    def test_closed_scope_is_not_counted_as_leaked(self):
+        leaked = _counter("shm.segments_leaked")
+        scope = shm.ARENA.scope("t_closed")
+        scope.share(np.ones(100))
+        scope.close()
+        scope.close()  # idempotent
+        del scope
+        gc.collect()
+        assert _counter("shm.segments_leaked") == leaked
+
+    def test_resolve_after_close_raises(self):
+        with shm.ARENA.scope("t_gone") as scope:
+            desc = scope.share(np.ones(100))
+            desc.resolve()  # cached mapping must not outlive the scope
+        with pytest.raises(FileNotFoundError):
+            desc.resolve()
+
+    def test_closed_scope_owns_nothing(self):
+        before = shm.ARENA.segments_active
+        with shm.ARENA.scope("t_late") as scope:
+            pass
+        with pytest.raises(RuntimeError, match="closed"):
+            scope.share(np.ones(100))
+        # a late worker result: adopted into a closed scope = reclaimed
+        late = shm.write_segment(f"{scope.name}_w1t1k0", np.ones(100))
+        with pytest.raises(RuntimeError, match="closed"):
+            scope.adopt(late)
+        assert shm.ARENA.segments_active == before
+        assert not _leftover_segments()
+
+    def test_concurrent_scopes_stay_disjoint(self):
+        # More threads than cores, each cycling its own scopes: a close
+        # must reclaim exactly its own segments, never a sibling's.
+        before = shm.ARENA.segments_active
+        errors: list[BaseException] = []
+
+        def cycle(seed: int) -> None:
+            try:
+                for round_ in range(25):
+                    with shm.ARENA.scope("t_stress") as scope:
+                        value = float(seed * 100 + round_)
+                        desc = scope.share(np.full(64, value))
+                        scope.allocate((8,), np.float64)
+                        assert np.array_equal(
+                            desc.resolve(), np.full(64, value)
+                        )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=cycle, args=(k,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert shm.ARENA.segments_active == before
+        assert not _leftover_segments()
+
+    def test_write_through_read_only_view_raises(self):
+        with shm.ARENA.scope("t_ro") as scope:
+            block = scope.allocate((4,), np.float64)
+            with pytest.raises(ValueError):
+                block.resolve()[0] = 1.0
+            block.resolve(writable=True)[0] = 1.0
+            assert block.resolve()[0] == 1.0
 
 
 def _double_arrays(item):
     name, array = item
     return name, array * 2.0, np.zeros((32, 32)) + len(name)
+
+
+class _DiesWhenPickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _big_result_then_die(item):
+    # The tuple pickles in order: the array is externalized into a
+    # worker-created segment, then the worker dies before handing over.
+    return np.full((64, 64), float(item)), _DiesWhenPickled()
 
 
 class TestPoolTransport:
@@ -251,5 +347,29 @@ class TestPoolTransport:
         )
         assert outcomes[0].quarantine is not None
         assert all(o.ok for o in outcomes[1:])
+        assert shm.ARENA.segments_active == before_active
+        assert not _leftover_segments()
+
+    def test_unpicklable_payload_releases_the_job_scope(self):
+        before_active = shm.ARENA.segments_active
+        shared = _counter("shm.bytes_shared")
+        items = [np.ones((64, 64)), lambda: None]  # 2nd item cannot ship
+        with pytest.raises(PoolUnusableError, match="not picklable"):
+            get_pool(2).map(_double_arrays, items, shm_threshold=1024)
+        # the first item really was externalized before the failure
+        assert _counter("shm.bytes_shared") > shared
+        assert shm.ARENA.segments_active == before_active
+        assert not _leftover_segments()
+
+    def test_worker_killed_mid_result_leaves_no_orphan(self):
+        before_active = shm.ARENA.segments_active
+        swept = _counter("shm.segments_swept")
+        result = get_pool(2).map(
+            _big_result_then_die, [1, 2], jobs=2, retries=0,
+            shm_threshold=1024,
+        )
+        assert all(o.quarantine is not None for o in result.outcomes)
+        # each worker wrote its result segment, then died holding it
+        assert _counter("shm.segments_swept") >= swept + 2
         assert shm.ARENA.segments_active == before_active
         assert not _leftover_segments()
