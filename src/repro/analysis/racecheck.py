@@ -355,6 +355,9 @@ def install(strict: bool = True) -> _Recorder:
       module-level attachment cache with its lock;
     - ``repro.solvers.cache._GLOBAL_CACHE``: the AMG setup cache lock +
       LRU table;
+    - ``repro.solvers.amg._RELAXATION_LOCK``: held while a hierarchy
+      builds its per-level relaxations (order tracking only: the memo
+      dicts are per hierarchy);
     - ``repro.core.batch``: the worker-side pipeline cache + its lock.
     """
     global _RECORDER
@@ -367,6 +370,7 @@ def install(strict: bool = True) -> _Recorder:
         from repro.core import batch as _batch
         from repro.core import shm as _shm
         from repro.obs import metrics as _metrics
+        from repro.solvers import amg as _amg
         from repro.solvers import cache as _cache
 
         registry = _metrics._REGISTRY
@@ -382,6 +386,7 @@ def install(strict: bool = True) -> _Recorder:
         cache = _cache._GLOBAL_CACHE
         wrap_lock(cache, "_lock", "solvers.amg_cache")
         wrap_dict(cache, "_entries", "solvers.amg_cache", "amg_cache._entries")
+        wrap_lock(_amg, "_RELAXATION_LOCK", "solvers.amg_relaxation")
 
         wrap_lock(_batch, "_PIPELINE_CACHE_LOCK", "batch.pipeline_cache")
         wrap_dict(

@@ -25,6 +25,7 @@ from __future__ import annotations
 #: Every exact counter name ``counter_add`` may be called with.
 COUNTERS: frozenset[str] = frozenset(
     {
+        "amg.relaxation_builds",
         "amg_setup_cache.evictions",
         "amg_setup_cache.hits",
         "amg_setup_cache.misses",

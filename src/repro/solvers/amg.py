@@ -11,15 +11,22 @@ coarsening factor near four.  Coarse operators are Galerkin products
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from repro.obs import counter_add
 from repro.solvers.base import check_system
+from repro.solvers.smoothers import RELAXATIONS, Relaxation
 
 _UNAGGREGATED = -1
+
+#: Held while a hierarchy builds its level relaxations: threads that
+#: first-use one cached hierarchy together build (and count) them once.
+_RELAXATION_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -76,41 +83,38 @@ def pairwise_aggregate(matrix: sp.csr_matrix, strength_threshold: float) -> np.n
     heuristic to avoid stranding weakly connected nodes as singletons.
     """
     n = matrix.shape[0]
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    agg = np.full(n, _UNAGGREGATED, dtype=np.int64)
+    indptr, data = matrix.indptr, matrix.data
     degrees = np.diff(indptr)
-    order = np.argsort(degrees, kind="stable")
+    rows = np.repeat(np.arange(n), degrees)
+    # Coupling strength per stored entry: -a_ij for negative off-diagonals.
+    strength = np.where((data < 0.0) & (matrix.indices != rows), -data, 0.0)
+    strongest = np.zeros(n)
+    nonempty = degrees > 0
+    strongest[nonempty] = np.maximum.reduceat(strength, indptr[:-1][nonempty])
+    candidate = (strength > 0.0) & (strength >= strength_threshold * strongest[rows])
+    # Each row's candidates by descending strength; the stable sort keeps
+    # storage order among equals, so "first unaggregated candidate" below
+    # is the row's strongest still-free neighbour, earliest stored on ties.
+    cand_rows = rows[candidate]
+    by_strength = np.lexsort((-strength[candidate], cand_rows))
+    cand_cols = matrix.indices[candidate][by_strength].tolist()
+    cand_ptr = np.concatenate(([0], np.cumsum(np.bincount(cand_rows, minlength=n))))
+    cand_ptr = cand_ptr.tolist()
 
+    # The matching itself is sequential (a pick removes a neighbour from
+    # later rows' choices); it runs over plain lists.
+    agg = [_UNAGGREGATED] * n
     next_id = 0
-    for i in order:
+    for i in np.argsort(degrees, kind="stable").tolist():
         if agg[i] != _UNAGGREGATED:
             continue
-        start, end = indptr[i], indptr[i + 1]
-        best_j = -1
-        best_val = 0.0
-        strongest = 0.0
-        for k in range(start, end):
-            j = indices[k]
-            if j == i:
-                continue
-            val = data[k]
-            if val < 0.0 and -val > strongest:
-                strongest = -val
-        if strongest > 0.0:
-            cutoff = strength_threshold * strongest
-            for k in range(start, end):
-                j = indices[k]
-                if j == i or agg[j] != _UNAGGREGATED:
-                    continue
-                val = data[k]
-                if val < 0.0 and -val >= cutoff and -val > best_val:
-                    best_val = -val
-                    best_j = j
         agg[i] = next_id
-        if best_j >= 0:
-            agg[best_j] = next_id
+        for j in cand_cols[cand_ptr[i] : cand_ptr[i + 1]]:
+            if agg[j] == _UNAGGREGATED:
+                agg[j] = next_id
+                break
         next_id += 1
-    return agg
+    return np.array(agg, dtype=np.int64)
 
 
 def aggregation_to_prolongation(agg: np.ndarray) -> sp.csr_matrix:
@@ -172,11 +176,13 @@ class AMGLevel:
     """One level of the hierarchy.
 
     ``prolongation`` maps the *next coarser* level's vectors up to this
-    level; it is ``None`` on the coarsest level.
+    level and ``restriction`` is its transpose, materialised as CSR so a
+    cycle never rebuilds it; both are ``None`` on the coarsest level.
     """
 
     matrix: sp.csr_matrix
     prolongation: sp.csr_matrix | None = None
+    restriction: sp.csr_matrix | None = None
 
     @property
     def size(self) -> int:
@@ -192,6 +198,7 @@ class AMGHierarchy:
         self.levels = levels
         coarsest = levels[-1].matrix
         self._coarse_lu = splu(sp.csc_matrix(coarsest))
+        self._relaxations: dict[str, tuple[Relaxation, ...]] = {}
 
     @property
     def num_levels(self) -> int:
@@ -200,6 +207,21 @@ class AMGHierarchy:
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Exact solve on the coarsest level."""
         return np.asarray(self._coarse_lu.solve(rhs), dtype=float)
+
+    def relaxations(self, kind: str) -> tuple[Relaxation, ...]:
+        """The *kind* smoother of every level but the coarsest.
+
+        Built on the first request and shared by every preconditioner over
+        this hierarchy; a kind nobody asks for is never built.
+        """
+        with _RELAXATION_LOCK:
+            if kind not in self._relaxations:
+                self._relaxations[kind] = tuple(
+                    RELAXATIONS[kind](level.matrix, index)
+                    for index, level in enumerate(self.levels[:-1])
+                )
+                counter_add("amg.relaxation_builds", self.num_levels - 1)
+            return self._relaxations[kind]
 
     def operator_complexity(self) -> float:
         """Sum of nonzeros over all levels divided by finest nonzeros.
@@ -235,5 +257,6 @@ def build_hierarchy(
         if coarse.shape[0] >= levels[-1].size:
             break  # coarsening stalled; stop rather than loop forever
         levels[-1].prolongation = prolongation
+        levels[-1].restriction = sp.csr_matrix(prolongation.T)
         levels.append(AMGLevel(matrix=coarse))
     return AMGHierarchy(levels)

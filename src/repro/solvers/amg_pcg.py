@@ -95,11 +95,11 @@ class AMGPCGSolver:
             else:
                 hierarchy, hit = build_hierarchy(matrix, self.amg_options), False
             setup_span.attrs["cache_hit"] = hit
+            # In the span: a hierarchy's first preconditioner builds its smoothers.
+            preconditioner = CyclePreconditioner(hierarchy, self.cycle_options)
         self._last_setup_seconds = setup_span.duration
         self._last_setup_was_hit = hit
-        self._cached_preconditioner = CyclePreconditioner(
-            hierarchy, self.cycle_options
-        )
+        self._cached_preconditioner = preconditioner
         self._cached_matrix = matrix
         return self._cached_preconditioner
 

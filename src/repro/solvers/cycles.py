@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.solvers.amg import AMGHierarchy
-from repro.solvers.smoothers import gauss_seidel, jacobi
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,10 @@ class CyclePreconditioner:
     The application is (approximately) a fixed symmetric positive operator
     for V-cycles; the K-cycle varies between applications, which is why the
     outer Krylov loop must use the flexible CG update.
+
+    Construction asks the hierarchy for its level relaxations (built once
+    per smoother kind, then shared), so an application is arithmetic
+    only: it splits, factors and checks nothing.
     """
 
     def __init__(
@@ -66,6 +69,7 @@ class CyclePreconditioner:
     ) -> None:
         self.hierarchy = hierarchy
         self.options = options or CycleOptions()
+        self._relax = hierarchy.relaxations(self.options.smoother)
 
     # -- public API ---------------------------------------------------------
 
@@ -77,34 +81,22 @@ class CyclePreconditioner:
 
     # -- internals -----------------------------------------------------------
 
-    def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray, sweeps: int) -> np.ndarray:
-        if sweeps <= 0:
-            return x
-        matrix = self.hierarchy.levels[level].matrix
-        if self.options.smoother == "jacobi":
-            return jacobi(matrix, rhs, x, sweeps=sweeps)
-        return gauss_seidel(matrix, rhs, x, sweeps=sweeps, direction="symmetric")
-
     def _cycle_once(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """One cycle at *level*: smooth, coarse-correct, smooth."""
-        levels = self.hierarchy.levels
-        if level == len(levels) - 1:
-            return self.hierarchy.coarse_solve(rhs)
-        matrix = levels[level].matrix
-        prolongation = levels[level].prolongation
-        if prolongation is None:
+        fine = self.hierarchy.levels[level]
+        if fine.prolongation is None or fine.restriction is None:
             raise ValueError(
                 f"corrupted AMG hierarchy: level {level} is not the "
                 "coarsest but has no prolongation"
             )
+        relax = self._relax[level]
 
-        x = np.zeros_like(rhs)
-        x = self._smooth(level, rhs, x, self.options.presmooth_sweeps)
-        coarse_rhs = prolongation.T @ (rhs - matrix @ x)
+        # None is the zero initial guess: its A @ 0 product is skipped.
+        x = relax(rhs, None, self.options.presmooth_sweeps)
+        coarse_rhs = fine.restriction @ (rhs - fine.matrix @ x)
         coarse_x = self._solve_level(level + 1, coarse_rhs)
-        x = x + prolongation @ coarse_x
-        x = self._smooth(level, rhs, x, self.options.postsmooth_sweeps)
-        return x
+        x = x + fine.prolongation @ coarse_x
+        return relax(rhs, x, self.options.postsmooth_sweeps)
 
     def _solve_level(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Coarse correction strategy at *level* according to cycle type."""

@@ -325,23 +325,16 @@ class IncrementalEngine:
     # -- setup / rebuild ---------------------------------------------------
 
     def _setup(self, validate: bool, fingerprint: str | None) -> None:
-        """(Re)stamp from the working grid and (re)build the hierarchy."""
+        """(Re)stamp from the working grid; base solvers are built on demand."""
         base = build_reduced_system(self._grid, validate=validate)
-        self._base_matrix = base.matrix  # unpatched: what the AMG setup saw
+        self._base_matrix = base.matrix  # unpatched: what the AMG setup sees
         self._system = base.mutable_copy()
         self._row_of = base.row_map()
         if fingerprint is None:
             fingerprint = matrix_fingerprint(base.matrix)
         self._fingerprint = fingerprint
-        if setup_cache_enabled():
-            hierarchy, hit = global_setup_cache().get_or_build(
-                base.matrix, self.amg_options, fingerprint=fingerprint
-            )
-        else:
-            hierarchy, hit = build_hierarchy(base.matrix, self.amg_options), False
-        counter_add("incremental.setup_cache_hits" if hit else
-                    "incremental.setup_builds")
-        self._precond = CyclePreconditioner(hierarchy, self.cycle_options)
+        self._base_fingerprint = fingerprint  # later deltas chain _fingerprint on
+        self._precond: CyclePreconditioner | None = None
         self._factor: Callable[[np.ndarray], np.ndarray] | None = None
         self._factor_skipped = False
         self._terms.clear()
@@ -409,6 +402,25 @@ class IncrementalEngine:
             return None
         return IterationGuard(self.guard_options, solver_name="incremental")
 
+    def _preconditioner(self) -> CyclePreconditioner:
+        """K-cycle over ``G0``'s hierarchy, obtained at the first PCG use.
+
+        While ``_base_factor`` answers every solve (small system, no
+        deadline) the hierarchy is never applied, so it is never built.
+        """
+        if self._precond is None:
+            matrix, options = self._base_matrix, self.amg_options
+            if setup_cache_enabled():
+                hierarchy, hit = global_setup_cache().get_or_build(
+                    matrix, options, fingerprint=self._base_fingerprint
+                )
+            else:
+                hierarchy, hit = build_hierarchy(matrix, options), False
+            counter_add("incremental.setup_cache_hits" if hit else
+                        "incremental.setup_builds")
+            self._precond = CyclePreconditioner(hierarchy, self.cycle_options)
+        return self._precond
+
     def _base_factor(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """Sparse LU of ``G0``, built lazily once per (re)stamp.
 
@@ -446,7 +458,7 @@ class IncrementalEngine:
             self._base_matrix,
             rhs,
             x0,
-            preconditioner=self._precond.apply,
+            preconditioner=self._preconditioner().apply,
             options=options,
             flexible=True,
             guard=self._guard(),
@@ -845,7 +857,7 @@ class IncrementalEngine:
             self._system.matrix,
             self._system.rhs,
             x0,
-            preconditioner=self._precond.apply,
+            preconditioner=self._preconditioner().apply,
             options=options,
             flexible=True,
             guard=self._guard(),
@@ -921,7 +933,7 @@ class IncrementalEngine:
                 self._system.matrix,
                 self._system.rhs,
                 x,
-                preconditioner=self._precond.apply,
+                preconditioner=self._preconditioner().apply,
                 options=polish_options,
                 flexible=True,
                 guard=self._guard(),

@@ -276,6 +276,39 @@ class TestAnalyzerSatellites:
         assert step.aborted == "deadline"
         assert not step.converged
 
+    def test_hierarchy_is_built_only_when_a_pcg_path_needs_it(self):
+        from repro.obs import counters_delta, metrics_snapshot
+        from repro.solvers.cache import clear_setup_cache
+
+        def setups(before):
+            moved = counters_delta(before)["counters"]
+            return (
+                moved.get("incremental.setup_builds", 0),
+                moved.get("incremental.setup_cache_hits", 0),
+            )
+
+        clear_setup_cache()
+        before = metrics_snapshot()
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.solve()
+        for node in _free_nodes(GRID)[:3]:
+            engine.preview(AddPad(node))
+        engine.apply(AddPad(_free_nodes(GRID)[0]))
+        assert engine.solve().converged
+        # Small system, no deadline: the sparse factor answered everything.
+        assert setups(before) == (0, 0)
+
+        with deadline_scope(60.0):  # the factorisation is off; PCG needs M
+            engine.apply(ScaleWire(0, 2.0))
+            step = engine.solve()
+            assert step.converged
+            assert engine.preview(ScaleWire(1, 0.5)).converged
+        assert setups(before) == (1, 0)
+        assert counters_delta(before)["counters"]["pcg.iterations"] > 0
+        np.testing.assert_allclose(
+            step.drops, reference_drops(engine.grid), atol=1e-6
+        )
+
     def test_diagnostics_record_each_step(self):
         analyzer = IncrementalAnalyzer(GRID, SUPPLY)
         analyzer.set_loads({n.index: n.load_current for n in GRID.loads()})

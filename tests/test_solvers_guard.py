@@ -167,6 +167,27 @@ class TestFallbackCascade:
         assert diagnostics.attempts[0].error is not None
         assert "injected" in diagnostics.attempts[0].error
 
+    def test_zero_diagonal_is_one_value_error_and_degrades(self):
+        # 100 unknowns: above max_coarse_size, so the hierarchy has levels
+        # to relax on and the check runs when their smoothers are built.
+        n = 100
+        matrix = sp.diags(
+            [-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], offsets=(-1, 0, 1)
+        ).tolil()
+        matrix[7, 7] = 0.0
+        matrix = matrix.tocsr()
+        rhs = np.linspace(0.1, 1.0, n)
+        result, diagnostics = FallbackCascade(backoff_base=0.0).solve(matrix, rhs)
+        assert [a.solver for a in diagnostics.attempts] == [
+            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
+        ]
+        for attempt in diagnostics.attempts[:2]:  # primary and its GS retry alike
+            assert attempt.error.startswith("ValueError: relaxation on AMG level 0")
+            assert attempt.error.endswith("row 7")
+        assert diagnostics.fallbacks[0] == "amg_pcg_retry"
+        assert diagnostics.final_solver == "direct"
+        assert np.allclose(matrix @ result.x, rhs)
+
     def test_singular_system_raises_solver_failure_with_diagnostics(self):
         matrix, rhs = small_spd()
         singular = make_singular(matrix, row=0)

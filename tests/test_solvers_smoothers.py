@@ -105,3 +105,11 @@ def test_get_smoother_lookup():
     assert get_smoother("jacobi") is jacobi
     with pytest.raises(ValueError):
         get_smoother("nope")
+
+
+def test_docstring_names_the_functions_as_the_reference_not_the_fast_path():
+    from repro.solvers import smoothers
+
+    assert "fast enough" not in smoothers.__doc__
+    assert "reference" in smoothers.__doc__
+
