@@ -319,6 +319,24 @@ def wrap_lock(owner, attr: str, label: str) -> None:
     setattr(owner, attr, TrackedLock(current, label, _RECORDER))
 
 
+def wrap_lock_factory(owner, attr: str, label: str) -> None:
+    """Track every lock ``owner.<attr>()`` makes from now on (idempotent).
+
+    For locks on instances created after :func:`install` (one per
+    inference plan); they share *label*, which order tracking keys on.
+    """
+    factory = getattr(owner, attr)
+    if _RECORDER is None or getattr(factory, "label", None) == label:
+        return
+    rec = _RECORDER
+
+    def tracked() -> TrackedLock:
+        return TrackedLock(factory(), label, rec)
+
+    tracked.label = label
+    setattr(owner, attr, tracked)
+
+
 def wrap_dict(owner, attr: str, guard_label: str, label: str) -> None:
     """Replace ``owner.<attr>`` with a guarded view (idempotent)."""
     if _RECORDER is None:
@@ -358,6 +376,8 @@ def install(strict: bool = True) -> _Recorder:
     - ``repro.solvers.amg._RELAXATION_LOCK``: held while a hierarchy
       builds its per-level relaxations (order tracking only: the memo
       dicts are per hierarchy);
+    - ``repro.nn.inference._new_run_lock``: the factory of every inference
+      plan's run lock (order tracking only: buffers are per plan);
     - ``repro.core.batch``: the worker-side pipeline cache + its lock.
     """
     global _RECORDER
@@ -369,6 +389,7 @@ def install(strict: bool = True) -> _Recorder:
 
         from repro.core import batch as _batch
         from repro.core import shm as _shm
+        from repro.nn import inference as _inference
         from repro.obs import metrics as _metrics
         from repro.solvers import amg as _amg
         from repro.solvers import cache as _cache
@@ -387,6 +408,7 @@ def install(strict: bool = True) -> _Recorder:
         wrap_lock(cache, "_lock", "solvers.amg_cache")
         wrap_dict(cache, "_entries", "solvers.amg_cache", "amg_cache._entries")
         wrap_lock(_amg, "_RELAXATION_LOCK", "solvers.amg_relaxation")
+        wrap_lock_factory(_inference, "_new_run_lock", "nn.inference_plan")
 
         wrap_lock(_batch, "_PIPELINE_CACHE_LOCK", "batch.pipeline_cache")
         wrap_dict(

@@ -324,7 +324,7 @@ class IRFusionPipeline:
                     from repro.analysis.sanitizer import SanitizerSession
 
                     with SanitizerSession(
-                        trainer.model, on_finding="record"
+                        trainer.inference_plan().root, on_finding="record"
                     ) as session:
                         predicted = trainer.predict([probe])[0]
                     diagnostics.numerics.extend(session.findings)
@@ -388,7 +388,7 @@ class IRFusionPipeline:
         with span("model_load", source=str(path)):
             self.model = self.build_model(in_channels=in_channels)
             load_state(self.model, path)
-        self._finish_model_load(in_channels)
+            self._finish_model_load(in_channels)
 
     def load_model_state(self, state, in_channels: int) -> None:
         """Restore an in-memory state dict into a freshly built model.
@@ -405,3 +405,5 @@ class IRFusionPipeline:
         self._trained_channels = in_channels
         loss = preferred_loss(self.config.model_name)
         self.trainer = Trainer(self.model, loss=loss, config=self.config.train)
+        # A loaded model serves requests: hold the plan before the first.
+        self.trainer.inference_plan()

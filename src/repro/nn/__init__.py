@@ -15,6 +15,7 @@ forward-then-backward order.
 from repro.nn.attention import CBAM, AttentionGate, ChannelAttention, SpatialAttention
 from repro.nn.containers import Residual, Sequential
 from repro.nn.inception import InceptionA, InceptionB, InceptionC
+from repro.nn.inference import InferencePlan
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -61,6 +62,7 @@ __all__ = [
     "InceptionA",
     "InceptionB",
     "InceptionC",
+    "InferencePlan",
     "KirchhoffLoss",
     "LeakyReLU",
     "Linear",

@@ -1,0 +1,321 @@
+"""Inference plan: a frozen, BatchNorm-folded twin of a module tree.
+
+:class:`InferencePlan` rewrites the *leaves* of a tree once and reuses
+every composite forward (``FlexUNet``, ``_MultiBranch``, ``CBAM`` ...)
+unchanged: in a ``Sequential``, ``Conv2d [+ BatchNorm2d] [+ ReLU]`` becomes
+one :class:`PlannedConv` (``Identity`` placeholders keep the source tree's
+op paths); a lone ``BatchNorm2d`` is ``x*s + t``; ``MaxPool2d`` is a max of
+strided views; a stride-1 ``AvgPool2d`` is separable shifted adds; any
+other leaf keeps its own forward on a shallow copy that shares the
+source's :class:`Parameter` objects.  Nothing is cached for a backward.
+
+Folded tensors are a derived cache of the master weights, like
+``Parameter.compute``: an op remembers the ``Parameter.version`` sum and the
+BatchNorm buffer objects it folded from, and a run re-folds (never
+rebuilds) the ops whose stamp moved.  Buffers hold scratch only — outputs
+are fresh arrays — and one lock makes a run single-flight per plan.
+See docs/performance.md, "Inference plan".
+"""
+
+from __future__ import annotations
+
+import copy
+import threading
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.nn.containers import Sequential
+from repro.nn.functional import Workspace
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    FusedConvBiasReLU,
+    Identity,
+    MaxPool2d,
+    ReLU,
+)
+from repro.nn.module import Module, _collect
+from repro.obs import counter_add
+
+#: Makes each plan's run lock; ``racecheck.install`` swaps in a factory of
+#: tracked locks so plan runs take part in lock-order checking.
+_new_run_lock = threading.Lock
+
+
+def _stage(arena: Workspace, x: np.ndarray, padding) -> tuple[np.ndarray, int, int]:
+    """Copy *x* into zero-bordered scratch; returns (flat view, rows, pitch).
+
+    Rows have pitch ``W + 2*pw`` and one slack row follows the last, so the
+    window at kernel offset ``(i, j)`` is the contiguous flat slice from
+    ``i*pitch + j`` — ``kw - 1`` wrapped columns per row are the price.
+    The border is zeroed at allocation and never written.
+    """
+    n, c, h, w = x.shape
+    ph, pw = padding
+    rows, pitch = h + 2 * ph, w + 2 * pw
+    staged = arena.request(
+        f"stage{(n, c, rows, pitch, ph, pw)}", (n, c, rows + 1, pitch), x.dtype
+    )
+    staged[:, :, ph : ph + h, pw : pw + w] = x
+    return staged.reshape(n, c, -1), rows, pitch
+
+
+class _PlannedOp(Module):
+    """A leaf of the planned tree: forward only, always in eval mode."""
+
+    training = False
+
+
+class _Folded(_PlannedOp):
+    """A planned op whose tensors derive from source parameters."""
+
+    def __init__(self, dtype, conv, bn: BatchNorm2d | None) -> None:
+        self._dtype = dtype
+        # In a namespace, not as attributes: module discovery (children(),
+        # sanitizer op paths) must see a planned op as a leaf.
+        self._source = SimpleNamespace(conv=conv, bn=bn)
+        self._parameters = [
+            p for owner in (conv, bn) if owner is not None for p in owner.parameters()
+        ]
+        self.fold()
+
+    def stale(self) -> bool:
+        bn = self._source.bn
+        return self._version != sum(p.version for p in self._parameters) or (
+            bn is not None
+            and (bn.running_mean is not self._mean or bn.running_var is not self._var)
+        )
+
+    def fold(self) -> None:
+        bn = self._source.bn
+        self._version = sum(p.version for p in self._parameters)
+        scale = shift = None
+        if bn is not None:
+            # Running buffers are rebound on every update, so holding the
+            # folded-from arrays makes identity a sufficient stamp.
+            self._mean, self._var = bn.running_mean, bn.running_var
+            scale = bn.gamma.data / np.sqrt(self._var + bn.eps)
+            shift = bn.beta.data - self._mean * scale
+        self._fold(self._source.conv, scale, shift)
+
+
+class PlannedConv(_Folded):
+    """Stride-1 conv [+ BN] [+ ReLU] as ``kh*kw`` per-tap GEMMs on the
+    staged input (see :func:`_stage`); no patch matrix, nothing cached."""
+
+    def __init__(self, conv, bn, relu: bool, dtype, arena: Workspace) -> None:
+        self.kernel, self.padding = conv.kernel, conv.padding
+        self._relu, self._arena = relu, arena
+        super().__init__(dtype, conv, bn)
+
+    def _fold(self, conv, scale, shift) -> None:
+        weight = conv.weight.data
+        bias = None if conv.bias is None else conv.bias.data
+        if scale is not None:
+            weight = weight * scale[:, None, None, None]
+            bias = shift if bias is None else bias * scale + shift
+        filters, channels, kh, kw = weight.shape
+        self._taps = np.ascontiguousarray(
+            weight.transpose(2, 3, 0, 1), dtype=self._dtype
+        ).reshape(kh * kw, filters, channels)
+        self._bias = (
+            None if bias is None else bias.astype(self._dtype).reshape(1, -1, 1, 1)
+        )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        taps = self._taps
+        filters = taps.shape[1]
+        if c != taps.shape[2]:
+            raise ValueError(f"input has {c} channels, weight expects {taps.shape[2]}")
+        kh, kw = self.kernel
+        if (kh, kw) == (1, 1) and self.padding == (0, 0):
+            out = np.matmul(taps[0], x.reshape(n, c, h * w)).reshape(n, filters, h, w)
+            if self._bias is not None:
+                out += self._bias
+        else:
+            flat, rows, pitch = _stage(self._arena, x, self.padding)
+            out_h, out_w = rows - kh + 1, pitch - kw + 1
+            if out_h <= 0 or out_w <= 0:
+                raise ValueError(f"kernel {self.kernel} larger than padded input")
+            shape = (n, filters, out_h * pitch)
+            acc = self._arena.request(f"acc{shape}", shape, x.dtype)
+            tap_out = self._arena.request(f"tap{shape}", shape, x.dtype)
+            # A one-channel GEMM is an outer product; numpy's matmul takes a
+            # slow non-BLAS route for it, a broadcast multiply does not.
+            product = np.multiply if c == 1 else np.matmul
+            for t in range(kh * kw):
+                start = (t // kw) * pitch + t % kw
+                tap_in = flat[:, :, start : start + shape[2]]
+                if t == 0:
+                    product(taps[0], tap_in, out=acc)
+                else:
+                    product(taps[t], tap_in, out=tap_out)
+                    acc += tap_out
+            valid = acc.reshape(n, filters, out_h, pitch)[:, :, :, :out_w]
+            out = valid.copy() if self._bias is None else valid + self._bias
+        if self._relu:
+            np.maximum(out, 0.0, out=out)
+        return out
+
+
+class PlannedNorm(_Folded):
+    """Standalone eval-mode BatchNorm: one multiply, one add."""
+
+    def __init__(self, bn: BatchNorm2d, dtype) -> None:
+        super().__init__(dtype, None, bn)
+
+    def _fold(self, conv, scale, shift) -> None:
+        self._scale = scale.astype(self._dtype).reshape(1, -1, 1, 1)
+        self._shift = shift.astype(self._dtype).reshape(1, -1, 1, 1)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = x * self._scale
+        out += self._shift
+        return out
+
+
+class PlannedMaxPool(_PlannedOp):
+    """Non-overlapping max pooling as the max of ``kh*kw`` strided views."""
+
+    def __init__(self, pool: MaxPool2d) -> None:
+        self.kernel = pool.kernel
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        kh, kw = self.kernel
+        if x.shape[2] % kh or x.shape[3] % kw:
+            raise ValueError(
+                f"input {x.shape[2]}x{x.shape[3]} not divisible by pool {self.kernel}"
+            )
+        out = x[:, :, ::kh, ::kw].copy()
+        for t in range(1, kh * kw):
+            np.maximum(out, x[:, :, t // kw :: kh, t % kw :: kw], out=out)
+        return out
+
+
+class PlannedAvgPool(_PlannedOp):
+    """Stride-1 average pooling (zero padding counted): ``kw`` shifted adds
+    along the staged rows, then ``kh`` down them, each one contiguous run."""
+
+    def __init__(self, pool: AvgPool2d, arena: Workspace) -> None:
+        self.kernel, self.padding, self._arena = pool.kernel, pool.padding, arena
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n, c = x.shape[:2]
+        kh, kw = self.kernel
+        flat, rows, pitch = _stage(self._arena, x, self.padding)
+        out_h, out_w = rows - kh + 1, pitch - kw + 1
+        length, span = rows * pitch, out_h * pitch
+        sums = self._arena.request(f"sums{(n, c, length)}", (n, c, length), x.dtype)
+        sums[...] = flat[:, :, :length]
+        for j in range(1, kw):
+            sums += flat[:, :, j : j + length]
+        total = self._arena.request(f"acc{(n, c, span)}", (n, c, span), x.dtype)
+        total[...] = sums[:, :, :span]
+        for i in range(1, kh):
+            total += sums[:, :, i * pitch : i * pitch + span]
+        valid = total.reshape(n, c, out_h, pitch)[:, :, :, :out_w]
+        return valid * x.dtype.type(1.0 / (kh * kw))
+
+
+class InferencePlan:
+    """Planned twin of *model* computing its eval-mode forward in *dtype*."""
+
+    def __init__(self, model: Module, dtype=np.float64) -> None:
+        self.dtype = np.dtype(dtype)
+        self._arena = Workspace()
+        self._folded: list[_Folded] = []
+        self.num_ops = 0
+        self._shape: tuple | None = None
+        self._lock = _new_run_lock()
+        #: The planned tree; its leaf paths equal the source model's.
+        self.root = self._plan(model)
+        counter_add("nn.plan_builds")
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_lock": None}  # and the arena ships empty
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=_new_run_lock())
+
+    @property
+    def buffer_bytes(self) -> int:
+        with self._lock:
+            return self._arena.nbytes
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        with self._lock:
+            stale = [op for op in self._folded if op.stale()]
+            for op in stale:
+                op.fold()
+            if stale:
+                counter_add("nn.plan_refolds")
+            if x.shape != self._shape:
+                # Buffer names carry their shapes; a new input size starts
+                # a new set, so the arena never outgrows one size's worth.
+                self._arena.clear()
+                self._shape = x.shape
+            return self.root(x.astype(self.dtype, copy=False))
+
+    # -- the graph pass ----------------------------------------------------------
+
+    def _leaf(self, op: Module) -> Module:
+        self.num_ops += 1
+        if isinstance(op, _Folded):
+            self._folded.append(op)
+        return op
+
+    def _plan(self, value):
+        """The planned twin of a module, or of a list/tuple/dict holding some."""
+        if isinstance(value, (list, tuple)):
+            return type(value)(self._plan(item) for item in value)
+        if isinstance(value, dict):
+            return {key: self._plan(item) for key, item in value.items()}
+        if not isinstance(value, Module):
+            return value
+        kind = type(value)
+        if kind in (Conv2d, FusedConvBiasReLU) and value.stride == (1, 1):
+            relu = kind is FusedConvBiasReLU
+            return self._leaf(PlannedConv(value, None, relu, self.dtype, self._arena))
+        if kind is BatchNorm2d:
+            return self._leaf(PlannedNorm(value, self.dtype))
+        if kind is MaxPool2d:
+            return self._leaf(PlannedMaxPool(value))
+        if kind is AvgPool2d and value.stride == (1, 1):
+            return self._leaf(PlannedAvgPool(value, self._arena))
+        twin = copy.copy(value)  # shares Parameters; forward caches diverge
+        twin.training = False
+        if isinstance(value, Sequential):
+            twin.modules = self._plan_chain(value.modules)
+        elif value.children():
+            for attr, held in value.__dict__.items():
+                if _collect(held, Module):
+                    twin.__dict__[attr] = self._plan(held)
+        elif kind is not Identity:
+            self._leaf(twin)
+        return twin
+
+    def _plan_chain(self, modules: list[Module]) -> list[Module]:
+        planned: list[Module] = []
+        i = 0
+        while i < len(modules):
+            conv = modules[i]
+            if type(conv) is not Conv2d or conv.stride != (1, 1):
+                planned.append(self._plan(conv))
+                i += 1
+                continue
+            j = i + 1
+            bn = None
+            if j < len(modules) and type(modules[j]) is BatchNorm2d:
+                bn = modules[j]
+                j += 1
+            relu = j < len(modules) and type(modules[j]) is ReLU
+            j += relu
+            planned.append(
+                self._leaf(PlannedConv(conv, bn, relu, self.dtype, self._arena))
+            )
+            planned.extend(Identity() for _ in range(j - i - 1))
+            i = j
+        return planned

@@ -31,6 +31,8 @@ class Parameter:
         self.name = name
         self._compute_dtype = np.float64
         self._compute_cache: np.ndarray | None = None
+        #: Bumped by :meth:`sync_compute`; stamps caches derived from ``data``.
+        self.version = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,8 +64,9 @@ class Parameter:
         self._compute_cache = None
 
     def sync_compute(self) -> None:
-        """Refresh the compute cast after the master copy changed."""
+        """Invalidate everything derived from the master copy after it changed."""
         self._compute_cache = None
+        self.version += 1
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

@@ -50,6 +50,8 @@ COUNTERS: frozenset[str] = frozenset(
         "incremental.solves",
         "incremental.structural_deltas",
         "incremental.warm_solves",
+        "nn.plan_builds",
+        "nn.plan_refolds",
         "pad_placement.candidates",
         "pcg.iterations",
         "pool.workers_respawned",
@@ -121,6 +123,7 @@ SPANS: frozenset[str] = frozenset(
         "pad_placement",
         "parse",
         "pcg",
+        "plan_build",  # InferencePlan construction (under model_load)
         "run",  # Tracer default root
         "serve.request",  # per-request root span in the serving daemon
         "shm_attach",

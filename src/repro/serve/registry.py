@@ -61,6 +61,7 @@ class ModelEntry:
     def describe(self) -> dict:
         """JSON-ready row for ``GET /models``."""
         config = self.pipeline.config
+        plan = self.pipeline.trainer.inference_plan()
         return {
             "name": self.name,
             "loaded": True,
@@ -70,6 +71,8 @@ class ModelEntry:
             "base_channels": config.base_channels,
             "depth": config.depth,
             "solver_iterations": config.solver_iterations,
+            "plan_ops": plan.num_ops,
+            "plan_buffer_bytes": plan.buffer_bytes,
         }
 
 

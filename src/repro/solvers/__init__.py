@@ -5,7 +5,7 @@ algebraic-multigrid preconditioned conjugate-gradient method the paper
 adopts from PowerRush (Fig. 3): aggregation-based AMG with a K-cycle acting
 as an implicit preconditioner for CG.  Supporting pieces:
 
-- :mod:`repro.solvers.smoothers` — Jacobi / Gauss-Seidel / SOR relaxation.
+- :mod:`repro.solvers.smoothers` — setup-once Jacobi / symmetric Gauss-Seidel relaxations.
 - :mod:`repro.solvers.cg` — plain CG and Jacobi-preconditioned CG.
 - :mod:`repro.solvers.amg` — pairwise-aggregation AMG hierarchy.
 - :mod:`repro.solvers.cycles` — V-, W- and K-cycle preconditioner application.

@@ -23,6 +23,7 @@ import numpy as np
 from repro.data.curriculum import CurriculumScheduler
 from repro.data.dataset import DesignSample, IRDropDataset
 from repro.nn.containers import fuse_conv_relu
+from repro.nn.inference import InferencePlan
 from repro.nn.layers import BatchNorm2d
 from repro.nn.losses import MAELoss, _Loss
 from repro.nn.module import Module
@@ -376,6 +377,7 @@ class Trainer:
         )
         self._loss_scale = self._initial_loss_scale
         self._overflow_steps = 0
+        self._plan: InferencePlan | None = None
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -839,17 +841,19 @@ class Trainer:
 
     # -- inference ---------------------------------------------------------------
 
+    def inference_plan(self) -> InferencePlan:
+        """The model's plan, built once: it re-folds itself when weights move."""
+        if self._plan is None:
+            with span("plan_build"):
+                self._plan = InferencePlan(self.model, self.compute_dtype)
+        return self._plan
+
     def predict(self, samples: list[DesignSample] | IRDropDataset) -> np.ndarray:
         """Predict IR-drop maps (volts), shape ``(N, H, W)``."""
         items = list(samples)
         if not items:
             raise ValueError("nothing to predict")
-        x = np.stack([s.features.data for s in items]).astype(
-            self.compute_dtype, copy=False
-        )
-        self.model.eval()
-        out = self.model(x)
-        self.model.train()
+        out = self.inference_plan()(np.stack([s.features.data for s in items]))
         prediction = out[:, 0] / self.config.label_scale
         if self._uses_residual(items):
             prediction = prediction + np.stack([s.rough_label for s in items])

@@ -93,6 +93,32 @@ class TestLockOrder:
             assert a.locked() is True
         assert a.label == "A"
 
+    def test_lock_factory_makes_tracked_locks_for_later_instances(
+        self, rec, monkeypatch
+    ):
+        # How per-instance locks (one per inference plan) join order
+        # tracking: install() wraps the factory, not a lock.
+        from types import SimpleNamespace
+
+        from repro.analysis import racecheck
+
+        owner = SimpleNamespace(new_lock=threading.Lock)
+        racecheck.wrap_lock_factory(owner, "new_lock", "L")
+        assert owner.new_lock is threading.Lock  # dormant: untouched
+        monkeypatch.setattr(racecheck, "_RECORDER", rec)
+        racecheck.wrap_lock_factory(owner, "new_lock", "L")
+        wrapped = owner.new_lock
+        racecheck.wrap_lock_factory(owner, "new_lock", "L")
+        assert owner.new_lock is wrapped  # idempotent
+        first, second = owner.new_lock(), owner.new_lock()
+        assert isinstance(first, TrackedLock) and first.label == "L"
+        assert first._inner is not second._inner
+        (other,) = _locks(rec, "M")
+        with first:
+            with other:
+                pass
+        assert ("L", "M") in rec.edges
+
 
 class TestGuardedDicts:
     def test_unlocked_write_recorded(self, rec):

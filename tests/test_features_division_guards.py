@@ -13,8 +13,8 @@ from repro.features.distance import effective_distance_map
 from repro.features.resistance import resistance_map
 from repro.grid.geometry import GridGeometry, LayerInfo
 from repro.grid.netlist import PowerGrid
-from repro.solvers.smoothers import jacobi, sor
 from repro.spice.parser import parse_spice
+from tests.reference_smoothers import jacobi, sor
 
 ZERO_CURRENT_DECK = """* all loads draw zero current
 R1 n1_m1_0_0 n1_m1_1000_0 1.0

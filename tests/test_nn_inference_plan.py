@@ -1,0 +1,363 @@
+"""``InferencePlan`` against the eval-mode module graph it replaced.
+
+``_graph_predict`` is what ``Trainer.predict`` did before the plan:
+``model.eval(); model(x); model.train()`` through the training modules
+(im2col convolutions, per-call BatchNorm affine, argmax pooling).  It is
+the oracle for every planned kernel; agreement is to rounding, not
+bitwise — folding BatchNorm and accumulating per tap reorder the sums.
+
+Run with ``REPRO_RACE_CHECK=strict`` the module installs the race checker
+first, so every plan built here runs under a tracked lock.
+"""
+
+import json
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.analysis.racecheck import install_from_env
+from repro.analysis.sanitizer import named_leaf_modules
+from repro.core.batch import BatchAnalyzer, _PipelineTask
+from repro.core.config import FusionConfig
+from repro.core.pipeline import IRFusionPipeline
+from repro.core.pool import shutdown_pool
+from repro.data.dataset import DesignSample, IRDropDataset
+from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
+from repro.features.fusion import channel_names
+from repro.features.maps import FeatureStack
+from repro.models.registry import MODEL_REGISTRY, create_model
+from repro.nn import functional
+from repro.nn.containers import Sequential
+from repro.nn.inference import InferencePlan, PlannedConv
+from repro.nn.layers import BatchNorm2d, Conv2d
+from repro.nn.serialize import save_state
+from repro.obs import counters_delta, metrics_snapshot, trace
+from repro.train.trainer import TrainConfig, Trainer
+
+CHANNELS = 5
+TOLERANCE = {"fp64": 1e-12, "mixed": 1e-5}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _race_checker():
+    install_from_env()
+
+
+def _randomise(model, seed):
+    """Non-trivial weights *and* BatchNorm running stats (a fresh model's
+    head is zero and its BN is the identity, which would hide most bugs)."""
+    rng = np.random.default_rng(seed)
+    for parameter in model.parameters():
+        parameter.data[...] = rng.normal(scale=0.3, size=parameter.data.shape)
+        parameter.sync_compute()
+    for _, owner, attr in model.named_buffers():
+        low = 0.5 if attr == "running_var" else -0.5
+        setattr(owner, attr, rng.uniform(low, 1.5, size=getattr(owner, attr).shape))
+
+
+def _trainer(name="ir_fusion", precision="fp64", seed=0, **config):
+    model = create_model(name, in_channels=CHANNELS, base_channels=4, depth=2)
+    _randomise(model, seed)
+    return Trainer(model, config=TrainConfig(precision=precision, **config))
+
+
+def _sample(shape, seed, rough=False):
+    rng = np.random.default_rng(seed)
+    features = FeatureStack(
+        channels=[f"c{i}" for i in range(CHANNELS)],
+        data=rng.normal(size=(CHANNELS, *shape)),
+    )
+    return DesignSample(
+        name=f"s{seed}",
+        kind="real",
+        features=features,
+        label=rng.normal(scale=1e-3, size=shape),
+        rough_label=rng.normal(scale=1e-3, size=shape) if rough else None,
+    )
+
+
+def _graph_predict(trainer, samples):
+    x = np.stack([s.features.data for s in samples]).astype(
+        trainer.compute_dtype, copy=False
+    )
+    trainer.model.eval()
+    out = trainer.model(x)
+    trainer.model.train()
+    return out[:, 0] / trainer.config.label_scale
+
+
+def _relative(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+# -- numerics ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("precision", ["fp64", "mixed"])
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_plan_matches_eval_graph(name, precision):
+    trainer = _trainer(name, precision)
+    for count, shape in [(1, (32, 48)), (3, (32, 48)), (1, (16, 16))]:
+        samples = [_sample(shape, seed) for seed in range(count)]
+        want = _graph_predict(trainer, samples)
+        got = trainer.predict(samples)
+        assert got.shape == want.shape == (count, *shape)
+        assert got.dtype == want.dtype
+        assert np.abs(want).max() > 1e-3  # the comparison is not 0 == 0
+        assert _relative(got, want) <= TOLERANCE[precision]
+
+
+def test_fold_patterns_with_and_without_conv_relu_fusion():
+    for fuse in (True, False):
+        model = create_model("ir_fusion", in_channels=CHANNELS, base_channels=4, depth=2)
+        _randomise(model, 3)
+        trainer = Trainer(model, fuse=fuse)
+        samples = [_sample((16, 32), 0)]
+        assert _relative(trainer.predict(samples), _graph_predict(trainer, samples)) <= 1e-12
+        plan = trainer.inference_plan()
+        # conv+BN+ReLU is one op: the double-conv bottleneck plans to two
+        # kernels and four placeholders, at the source tree's positions.
+        kinds = [type(m).__name__ for m in plan.root.bottleneck.modules]
+        assert kinds == ["PlannedConv", "Identity", "Identity"] * 2
+        assert plan.num_ops < len(named_leaf_modules(model))
+
+
+def test_unplanned_leaves_keep_their_own_forward():
+    """A strided conv has no planned kernel; it runs as itself on the live weights."""
+    model = Sequential(Conv2d(CHANNELS, 4, 3, stride=2, padding=1), BatchNorm2d(4))
+    _randomise(model, 5)
+    plan = InferencePlan(model)
+    x = np.random.default_rng(0).normal(size=(2, CHANNELS, 16, 16))
+    model.eval()
+    assert _relative(plan(x), model(x)) <= 1e-12
+    assert type(plan.root.modules[0]) is Conv2d
+    model.modules[0].weight.data *= 2.0
+    model.modules[0].weight.sync_compute()
+    assert _relative(plan(x), model(x)) <= 1e-12
+
+
+# -- determinism ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_batch_members_and_repeats_are_bitwise_stable(name):
+    trainer = _trainer(name)
+    a, b = _sample((96, 96), 0, rough=True), _sample((96, 96), 1, rough=True)
+    small = _sample((32, 32), 2, rough=True)
+    first = trainer.predict([a])[0]
+    assert np.array_equal(trainer.predict([a, b])[0], first)
+    trainer.predict([small])
+    # 96 -> 32 -> 96 px: nothing leaks from one size's buffers to the next.
+    assert np.array_equal(trainer.predict([a])[0], first)
+    assert np.array_equal(trainer.predict([b, a])[1], first)
+
+
+def test_buffers_are_bounded_by_one_input_size():
+    trainer = _trainer()
+    plan = trainer.inference_plan()
+    assert plan.buffer_bytes == 0
+    trainer.predict([_sample((64, 64), 0)])
+    large = plan.buffer_bytes
+    trainer.predict([_sample((16, 16), 0)])
+    assert 0 < plan.buffer_bytes < large
+    trainer.predict([_sample((64, 64), 0)])
+    assert plan.buffer_bytes == large
+
+
+# -- staleness is impossible -----------------------------------------------------
+
+
+def _fit_samples():
+    return [_sample((16, 16), seed, rough=True) for seed in range(4)]
+
+
+def _refolds(before):
+    counters = counters_delta(before)["counters"]
+    return counters.get("nn.plan_builds", 0), counters.get("nn.plan_refolds", 0)
+
+
+@pytest.mark.parametrize("precision", ["fp64", "mixed"])
+def test_predict_follows_every_kind_of_weight_change(precision):
+    trainer = _trainer(precision=precision, epochs=1, batch_size=2)
+    probe = [_sample((16, 16), 9)]
+    tolerance = TOLERANCE[precision]
+
+    def check(builds, refolds, before):
+        got = trainer.predict(probe)
+        assert _relative(got, _graph_predict(trainer, probe)) <= tolerance
+        assert _refolds(before) == (builds, refolds)
+        return got
+
+    before = metrics_snapshot()
+    start = check(1, 0, before)  # first use builds; nothing to re-fold
+
+    before = metrics_snapshot()
+    trainer.fit(IRDropDataset(_fit_samples()))
+    after_fit = check(0, 1, before)  # one epoch of steps = exactly one re-fold
+    assert not np.array_equal(after_fit, start)
+
+    before = metrics_snapshot()
+    state = {k: v * 1.5 for k, v in trainer.model.state_dict().items()}
+    trainer.model.load_state_dict(state)
+    after_load = check(0, 1, before)
+    assert not np.array_equal(after_load, after_fit)
+
+    before = metrics_snapshot()
+    conv = trainer.model.bottleneck.modules[0]
+    conv.weight.data[:] = 0.25
+    conv.weight.sync_compute()
+    after_poke = check(0, 1, before)
+    assert not np.array_equal(after_poke, after_load)
+
+    before = metrics_snapshot()
+    x = np.stack([s.features.data for s in _fit_samples()]).astype(trainer.compute_dtype)
+    old_mean = trainer.model.bottleneck.modules[1].running_mean
+    trainer.model(x)  # a training-mode forward moves the BN running stats
+    assert trainer.model.bottleneck.modules[1].running_mean is not old_mean
+    after_stats = check(0, 1, before)
+    assert not np.array_equal(after_stats, after_poke)
+
+    before = metrics_snapshot()
+    assert np.array_equal(check(0, 0, before), after_stats)  # warm: fold-free
+
+
+def test_predict_leaves_the_training_flag_alone():
+    trainer = _trainer()
+    calls = []
+    trainer.model.train = lambda mode=True: calls.append(mode)
+    trainer.predict([_sample((16, 16), 0)])
+    assert calls == [] and trainer.model.training
+
+
+# -- no patch matrix -------------------------------------------------------------
+
+
+def test_ir_fusion_predict_never_builds_a_patch_matrix(monkeypatch):
+    trainer = _trainer("ir_fusion")
+    sample = [_sample((32, 32), 0)]
+    want = _graph_predict(trainer, sample)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("im2col on the inference path")
+
+    monkeypatch.setattr(functional, "im2col", forbidden)
+    assert _relative(trainer.predict(sample), want) <= 1e-12
+    leaves = named_leaf_modules(trainer.inference_plan().root)
+    assert any(isinstance(module, PlannedConv) for _, module in leaves)
+
+
+# -- two threads, one model ------------------------------------------------------
+
+
+def _probe(pipeline, design):
+    result = pipeline.analyze_design(design)
+    return DesignSample(
+        name=design.spec.name,
+        kind="real",
+        features=result.features,
+        label=np.zeros(result.features.shape),
+        rough_label=result.rough_drop,
+    )
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """(pipeline from a checkpoint with randomised weights, two designs)."""
+    designs = [
+        generate_design(make_real_spec("plan_r0", seed=0, pixels=96)),
+        generate_design(make_fake_spec("plan_f1", seed=1, pixels=96)),
+    ]
+    config = FusionConfig(pixels=96)
+    channels = len(channel_names(config.features, designs[0].grid.layers_present()))
+    model = IRFusionPipeline(config).build_model(channels)
+    _randomise(model, 11)
+    path = tmp_path_factory.mktemp("plan-model") / "model.npz"
+    save_state(model, path)
+    recorded = {
+        key: getattr(config, key)
+        for key in ("pixels", "base_channels", "depth", "solver_iterations")
+    }
+    meta = {"in_channels": channels, "config": recorded}
+    (path.parent / "model.npz.json").write_text(json.dumps(meta))
+    with trace("load") as tracer:
+        pipeline = IRFusionPipeline.from_model_file(path)
+    return pipeline, designs, tracer
+
+
+def test_from_model_file_builds_the_plan_under_model_load(loaded):
+    pipeline, _, tracer = loaded
+    load = tracer.root.find("model_load")
+    assert [child.name for child in load.children] == ["model_build", "plan_build"]
+    before = metrics_snapshot()
+    pipeline.trainer.inference_plan()  # held since the load; not built again
+    assert _refolds(before) == (0, 0)
+
+
+def test_warm_analyze_builds_and_refolds_nothing(loaded):
+    pipeline, designs, _ = loaded
+    pipeline.analyze_design(designs[0])
+    before = metrics_snapshot()
+    pipeline.analyze_design(designs[0])
+    assert _refolds(before) == (0, 0)
+
+
+def test_two_threads_one_model_equal_serial(loaded):
+    pipeline, designs, _ = loaded
+    probes = [_probe(pipeline, design) for design in designs]
+    serial = [pipeline.trainer.predict([probe])[0] for probe in probes]
+    assert not np.array_equal(serial[0], serial[1])
+    rounds = 60
+    mismatches = [0, 0]
+    errors = []
+
+    def loop(i):
+        try:
+            for _ in range(rounds):
+                got = pipeline.trainer.predict([probes[i]])[0]
+                mismatches[i] += not np.array_equal(got, serial[i])
+        except Exception as exc:  # surfaced below; a thread must not die silently
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=loop, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert mismatches == [0, 0]
+
+
+# -- processes -------------------------------------------------------------------
+
+
+def test_batch_payload_ships_no_plan_and_workers_agree_bitwise(loaded):
+    pipeline, designs, _ = loaded
+    pipeline.analyze_design(designs[0])  # plan buffers are warm
+    assert pipeline.trainer.inference_plan().buffer_bytes > 0
+    weights = sum(p.data.nbytes for p in pipeline.model.parameters())
+    payload = pickle.dumps(_PipelineTask(pipeline, "analyze_design"))
+    assert len(payload) < 2 * weights + 65536
+    # A plan itself pickles without its buffers or its lock.
+    clone = pickle.loads(pickle.dumps(pipeline.trainer.inference_plan()))
+    assert clone.buffer_bytes == 0
+    small = [
+        generate_design(make_real_spec(f"plan_s{seed}", seed=seed, pixels=32))
+        for seed in (3, 4)
+    ]
+    try:
+        parent = BatchAnalyzer(pipeline, jobs=1).analyze_designs(small)
+        pooled = BatchAnalyzer(pipeline, jobs=2).analyze_designs(small)
+    finally:
+        shutdown_pool()
+    for mine, theirs in zip(parent.items, pooled.items):
+        assert mine.ok and theirs.ok
+        assert np.array_equal(mine.result.predicted_drop, theirs.result.predicted_drop)

@@ -25,9 +25,10 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.analysis.racecheck import install_from_env
 from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
-from repro.data.synthetic import generate_design, make_real_spec
+from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.obs import registry as obs_registry
 from repro.obs.export import registry_errors, validate_trace_lines
 from repro.serve import (
@@ -43,6 +44,13 @@ from repro.train.trainer import TrainConfig
 
 
 # -- fixtures ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _race_checker():
+    # REPRO_RACE_CHECK=strict (CI runs the two-worker test that way): every
+    # model loaded below runs its inference plan under a tracked lock.
+    install_from_env()
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +239,49 @@ class TestWarmCaches:
             d.stop(timeout=10.0)
 
 
+# -- two executor threads, one model -------------------------------------------
+
+
+class TestTwoWorkers:
+    def test_concurrent_clients_equal_direct_analyze(self, model_dir):
+        """``workers=2`` runs two requests on one loaded model at once.
+
+        Before the inference plan made a model's forward single-flight the
+        two executor threads shared its layer buffers and train/eval flag,
+        and replies came back with silently wrong voltages.
+        """
+        decks = [
+            netlist_to_string(generate_design(spec).netlist)
+            for spec in (
+                make_real_spec("serve_two_r", seed=7, pixels=48),
+                make_fake_spec("serve_two_f", seed=8, pixels=48),
+            )
+        ]
+        d = _start_daemon(model_dir, workers=2)
+        replies = [[], []]
+
+        def client(i):
+            for _ in range(10):
+                replies[i].append(_post(d, {"netlist": decks[i]}))
+
+        try:
+            pipeline = d.service.registry.get(None).pipeline
+            want = [pipeline.analyze_text(t).worst_predicted_drop() for t in decks]
+            assert want[0] != want[1]
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            d.stop(timeout=30.0)
+        for i in range(2):
+            assert [status for status, _ in replies[i]] == [200] * 10
+            got = [body["result"]["worst_predicted_drop_volts"] for _, body in replies[i]]
+            assert got == [want[i]] * 10
+
+
 # -- admission control and drain -----------------------------------------------
 
 
@@ -324,6 +375,8 @@ class TestAdmission:
         (row,) = models["models"]
         assert row["name"] == "tiny" and row["loaded"]
         assert row["pixels"] == 16
+        # the registry holds the inference plan from load time on
+        assert row["plan_ops"] > 0 and row["plan_buffer_bytes"] >= 0
         status, body = _post(
             daemon, {"netlist": deck, "deadline_seconds": 30.0}
         )

@@ -3,9 +3,9 @@
 ``_loop_aggregate`` is the ``pairwise_aggregate`` loop that lived in
 ``repro.solvers.amg``: it walks the CSR arrays one scalar at a time and is
 the reference for which neighbour every node is matched with.  The
-reference for the level relaxations is ``smoothers.gauss_seidel`` /
-``smoothers.jacobi``, which still derive everything from the matrix on
-every call.
+reference for the level relaxations is ``reference_smoothers.gauss_seidel``
+/ ``jacobi`` (beside this file), which still derive everything from the
+matrix on every call.
 
 Run with ``REPRO_RACE_CHECK=strict`` the module installs the race checker
 first, so the threaded first-use test runs over tracked locks.
@@ -31,7 +31,8 @@ from repro.solvers.amg_pcg import AMGPCGSolver
 from repro.solvers.base import SolverOptions
 from repro.solvers.cache import clear_setup_cache, global_setup_cache
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
-from repro.solvers.smoothers import RELAXATIONS, gauss_seidel, jacobi
+from repro.solvers.smoothers import RELAXATIONS
+from tests.reference_smoothers import gauss_seidel, jacobi
 
 
 @pytest.fixture(scope="module", autouse=True)

