@@ -5,8 +5,8 @@ Four pillars, all import-light and kernel-free:
 - :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine enforcing project invariants (no runtime
   asserts, no unseeded RNG, no wall-clock reads, guarded divisions,
-  frozen fp64 paths, locked writes to module state, the metrics/span
-  name contract, import hygiene), runnable as
+  locked writes to module state, the metrics/span name contract,
+  import hygiene), runnable as
   ``python -m repro.analysis``;
 - :mod:`repro.analysis.shapes` — a symbolic shape/dtype verifier that
   propagates ``(N, C, H, W)`` specs through module graphs without

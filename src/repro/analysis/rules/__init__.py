@@ -18,8 +18,6 @@ rule id                    invariant
 ``unguarded-division``     no float division without an epsilon or
                            ``np.errstate`` guard in ``features/`` and
                            ``solvers/smoothers.py``
-``fp64-narrowing``         no float32 casts inside the frozen fp64 kernel
-                           branches of ``nn/functional.py``/``nn/layers.py``
 ``unlocked-global-write``  no function rebinds a module global or mutates
                            a module-level container outside a
                            ``with <lock>:`` block
@@ -39,7 +37,6 @@ from repro.analysis.rules.divisions import UnguardedDivisionRule
 from repro.analysis.rules.globalwrite import UnlockedGlobalWriteRule
 from repro.analysis.rules.imports import DeadImportRule, ImportCycleRule
 from repro.analysis.rules.metrics_contract import MetricsContractRule
-from repro.analysis.rules.precision import Fp64NarrowingRule
 from repro.analysis.rules.randomness import UnseededRngRule
 from repro.analysis.rules.wallclock import WallClockRule
 
@@ -51,7 +48,6 @@ def default_rules() -> list[Rule]:
         UnseededRngRule(),
         WallClockRule(),
         UnguardedDivisionRule(),
-        Fp64NarrowingRule(),
         UnlockedGlobalWriteRule(),
         MetricsContractRule(),
         DeadImportRule(),

@@ -228,6 +228,12 @@ def conv2d_forward(
     return out, cols
 
 
+def _adjoint_is_stride1(kernel: Pair, stride: Pair, padding: Pair) -> bool:
+    """Stride 1 with padding below the kernel: the adjoint of the sliding
+    window is the same window at padding ``kernel - 1 - padding``."""
+    return stride == (1, 1) and padding[0] < kernel[0] and padding[1] < kernel[1]
+
+
 def conv2d_backward(
     grad_output: np.ndarray,
     cols: np.ndarray,
@@ -245,33 +251,19 @@ def conv2d_backward(
     backward pass that consumes each gradient immediately.
     """
     n = grad_output.shape[0]
-    filters = weight.shape[0]
+    filters, in_channels, kh, kw = weight.shape
+    kernel = (kh, kw)
+    ph, pw = padding
     grad_flat = grad_output.reshape(n, filters, -1)  # (N, F, L)
-    if grad_flat.dtype == np.float64 and cols.dtype == np.float64:
-        # The einsum C-loop accumulates in a fixed order; the fp64 path
-        # keeps it so results stay bitwise identical to earlier releases.
-        grad_weight = np.einsum("nfl,nkl->fk", grad_flat, cols)
-    else:
-        # Batched BLAS matmul + sum is several times faster than einsum in
-        # fp32; per-sample partials then reduce in index order.
-        grad_weight = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+    # One GEMM per sample; the per-sample partials reduce in index order.
+    grad_weight = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
     grad_weight = grad_weight.reshape(weight.shape)
     grad_bias = grad_output.sum(axis=(0, 2, 3)) if with_bias else None
-    kernel = (weight.shape[2], weight.shape[3])
-    kh, kw = kernel
-    ph, pw = padding
-    if (
-        grad_flat.dtype != np.float64
-        and stride == (1, 1)
-        and ph < kh
-        and pw < kw
-    ):
+    if _adjoint_is_stride1(kernel, stride, padding):
         # Backward-data as a full correlation: im2col over the output
         # gradient + one GEMM with the 180°-rotated kernel.  This swaps
         # the memory-bound col2im scatter (kh*kw strided adds) for a
-        # single patch copy, a clear win in the reduced-precision path;
-        # the fp64 path keeps the scatter form bitwise-stable.
-        in_channels = weight.shape[1]
+        # single patch copy.
         w_rot = np.ascontiguousarray(
             weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         ).reshape(in_channels, filters * kh * kw)
@@ -291,6 +283,7 @@ def conv2d_backward(
         else:
             grad_input = np.matmul(w_rot, cols_g)
         return grad_input.reshape(x_shape), grad_weight, grad_bias
+    # Strided (or padding >= kernel): GEMM into patch space, then scatter.
     w_mat_t = weight.reshape(filters, -1).T
     if workspace is not None:
         grad_cols = workspace.request(
@@ -341,11 +334,65 @@ def maxpool2d_backward(
     return blocks.reshape(n, c, h, w)
 
 
+def stage_rows(
+    x: np.ndarray, padding: Pair, workspace: Workspace
+) -> tuple[np.ndarray, int, int]:
+    """Copy *x* into zero-bordered scratch; returns (flat view, rows, pitch).
+
+    Rows have pitch ``W + 2*pw`` and one slack row follows the last, so the
+    window at kernel offset ``(i, j)`` is the contiguous flat slice from
+    ``i*pitch + j`` — ``kw - 1`` wrapped columns per row are the price.
+    The border is zeroed at allocation and never written.  Buffer names
+    carry their shapes, so callers of different sizes can share an arena.
+    """
+    n, c, h, w = x.shape
+    ph, pw = padding
+    rows, pitch = h + 2 * ph, w + 2 * pw
+    staged = workspace.request(
+        f"stage{(n, c, rows, pitch, ph, pw)}", (n, c, rows + 1, pitch), x.dtype
+    )
+    staged[:, :, ph : ph + h, pw : pw + w] = x
+    return staged.reshape(n, c, -1), rows, pitch
+
+
+def box_filter(
+    x: np.ndarray, kernel: Pair, padding: Pair, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Stride-1 box mean over zero-padded *x* (the padding is counted).
+
+    Separable: ``kw`` shifted adds along the staged rows, then ``kh`` down
+    them, each one contiguous run.  The filter is symmetric, so its
+    adjoint is the same filter with padding ``kernel - 1 - padding``.
+    The result is a fresh array; a *workspace* only holds the scratch.
+    """
+    if workspace is None:
+        workspace = Workspace()
+    n, c = x.shape[:2]
+    kh, kw = kernel
+    flat, rows, pitch = stage_rows(x, padding, workspace)
+    out_h, out_w = rows - kh + 1, pitch - kw + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(f"kernel {kernel} larger than padded input")
+    length, span = rows * pitch, out_h * pitch
+    sums = workspace.request(f"sums{(n, c, length)}", (n, c, length), x.dtype)
+    sums[...] = flat[:, :, :length]
+    for j in range(1, kw):
+        sums += flat[:, :, j : j + length]
+    total = workspace.request(f"acc{(n, c, span)}", (n, c, span), x.dtype)
+    total[...] = sums[:, :, :span]
+    for i in range(1, kh):
+        total += sums[:, :, i * pitch : i * pitch + span]
+    valid = total.reshape(n, c, out_h, pitch)[:, :, :, :out_w]
+    return valid * x.dtype.type(1.0 / (kh * kw))
+
+
 def avgpool2d_forward(x: np.ndarray, kernel: Pair, padding: Pair = (0, 0),
                       stride: Pair | None = None) -> np.ndarray:
-    """Average pooling via im2col (supports overlapping windows)."""
+    """Average pooling: a box filter at stride 1, an im2col mean otherwise."""
     kh, kw = kernel
     stride = stride or kernel
+    if _adjoint_is_stride1(kernel, stride, padding):
+        return box_filter(x, kernel, padding)
     n, c = x.shape[:2]
     cols = im2col(x, kernel, stride, padding)
     out_h, out_w = conv_output_shape(x.shape[2:], kernel, stride, padding)
@@ -363,6 +410,10 @@ def avgpool2d_backward(
     """Adjoint of average pooling: spread gradients uniformly."""
     kh, kw = kernel
     stride = stride or kernel
+    if _adjoint_is_stride1(kernel, stride, padding):
+        return box_filter(
+            grad_output, kernel, (kh - 1 - padding[0], kw - 1 - padding[1])
+        )
     n, c = x_shape[:2]
     grad_flat = grad_output.reshape(n, c, 1, -1) / (kh * kw)
     grad_cols = np.broadcast_to(
@@ -377,9 +428,12 @@ def upsample_nearest_forward(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def upsample_nearest_backward(grad_output: np.ndarray, factor: int) -> np.ndarray:
-    """Adjoint of nearest upsampling: sum each factor x factor block."""
-    n, c, h, w = grad_output.shape
+    """Adjoint of nearest upsampling: sum each factor x factor block,
+    as the sum of ``factor**2`` strided views."""
+    h, w = grad_output.shape[2:]
     if h % factor or w % factor:
         raise ValueError(f"gradient {h}x{w} not divisible by factor {factor}")
-    blocks = grad_output.reshape(n, c, h // factor, factor, w // factor, factor)
-    return blocks.sum(axis=(3, 5))
+    out = grad_output[:, :, ::factor, ::factor].copy()
+    for t in range(1, factor * factor):
+        out += grad_output[:, :, t // factor :: factor, t % factor :: factor]
+    return out

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.nn.containers import Sequential
-from repro.nn.functional import Workspace
+from repro.nn.functional import Workspace, box_filter, stage_rows
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -42,24 +42,6 @@ from repro.obs import counter_add
 #: Makes each plan's run lock; ``racecheck.install`` swaps in a factory of
 #: tracked locks so plan runs take part in lock-order checking.
 _new_run_lock = threading.Lock
-
-
-def _stage(arena: Workspace, x: np.ndarray, padding) -> tuple[np.ndarray, int, int]:
-    """Copy *x* into zero-bordered scratch; returns (flat view, rows, pitch).
-
-    Rows have pitch ``W + 2*pw`` and one slack row follows the last, so the
-    window at kernel offset ``(i, j)`` is the contiguous flat slice from
-    ``i*pitch + j`` — ``kw - 1`` wrapped columns per row are the price.
-    The border is zeroed at allocation and never written.
-    """
-    n, c, h, w = x.shape
-    ph, pw = padding
-    rows, pitch = h + 2 * ph, w + 2 * pw
-    staged = arena.request(
-        f"stage{(n, c, rows, pitch, ph, pw)}", (n, c, rows + 1, pitch), x.dtype
-    )
-    staged[:, :, ph : ph + h, pw : pw + w] = x
-    return staged.reshape(n, c, -1), rows, pitch
 
 
 class _PlannedOp(Module):
@@ -103,7 +85,8 @@ class _Folded(_PlannedOp):
 
 class PlannedConv(_Folded):
     """Stride-1 conv [+ BN] [+ ReLU] as ``kh*kw`` per-tap GEMMs on the
-    staged input (see :func:`_stage`); no patch matrix, nothing cached."""
+    staged input (see :func:`~repro.nn.functional.stage_rows`); no patch
+    matrix, nothing cached."""
 
     def __init__(self, conv, bn, relu: bool, dtype, arena: Workspace) -> None:
         self.kernel, self.padding = conv.kernel, conv.padding
@@ -136,7 +119,7 @@ class PlannedConv(_Folded):
             if self._bias is not None:
                 out += self._bias
         else:
-            flat, rows, pitch = _stage(self._arena, x, self.padding)
+            flat, rows, pitch = stage_rows(x, self.padding, self._arena)
             out_h, out_w = rows - kh + 1, pitch - kw + 1
             if out_h <= 0 or out_w <= 0:
                 raise ValueError(f"kernel {self.kernel} larger than padded input")
@@ -196,28 +179,14 @@ class PlannedMaxPool(_PlannedOp):
 
 
 class PlannedAvgPool(_PlannedOp):
-    """Stride-1 average pooling (zero padding counted): ``kw`` shifted adds
-    along the staged rows, then ``kh`` down them, each one contiguous run."""
+    """Stride-1 average pooling (zero padding counted): the training
+    layer's box filter, with its scratch in the plan's arena."""
 
     def __init__(self, pool: AvgPool2d, arena: Workspace) -> None:
         self.kernel, self.padding, self._arena = pool.kernel, pool.padding, arena
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[:2]
-        kh, kw = self.kernel
-        flat, rows, pitch = _stage(self._arena, x, self.padding)
-        out_h, out_w = rows - kh + 1, pitch - kw + 1
-        length, span = rows * pitch, out_h * pitch
-        sums = self._arena.request(f"sums{(n, c, length)}", (n, c, length), x.dtype)
-        sums[...] = flat[:, :, :length]
-        for j in range(1, kw):
-            sums += flat[:, :, j : j + length]
-        total = self._arena.request(f"acc{(n, c, span)}", (n, c, span), x.dtype)
-        total[...] = sums[:, :, :span]
-        for i in range(1, kh):
-            total += sums[:, :, i * pitch : i * pitch + span]
-        valid = total.reshape(n, c, out_h, pitch)[:, :, :, :out_w]
-        return valid * x.dtype.type(1.0 / (kh * kw))
+        return box_filter(x, self.kernel, self.padding, self._arena)
 
 
 class InferencePlan:

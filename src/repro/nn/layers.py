@@ -215,10 +215,7 @@ class ConvTranspose2d(Module):
         n, c_in = x.shape[:2]
         cols = im2col(grad_output, self.kernel, self.stride, self.padding)
         x_flat = x.reshape(n, c_in, -1)
-        if x_flat.dtype == np.float64 and cols.dtype == np.float64:
-            grad_w = np.einsum("nfl,nkl->fk", x_flat, cols)
-        else:
-            grad_w = np.matmul(x_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+        grad_w = np.matmul(x_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += grad_w.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
@@ -272,17 +269,10 @@ class BatchNorm2d(Module):
             # (a no-op copy-free cast in fp64).
             mean = self.running_mean.astype(x.dtype, copy=False)
             var = self.running_var.astype(x.dtype, copy=False)
-        std = np.sqrt(var + self.eps)
-        if x.dtype == np.float64:
-            x_hat = (x - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
-        else:
-            # Reduced precision: multiply by the reciprocal instead of
-            # dividing elementwise (measurably cheaper, same tolerance).
-            inv = (1.0 / std).astype(x.dtype, copy=False)
-            x_hat = (x - mean.reshape(1, -1, 1, 1).astype(x.dtype, copy=False)) * (
-                inv.reshape(1, -1, 1, 1)
-            )
-        self._cache = (x_hat, std)
+        # Multiply by the reciprocal instead of dividing elementwise.
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        self._cache = (x_hat, inv_std)
         return self.gamma.compute.reshape(1, -1, 1, 1) * x_hat + self.beta.compute.reshape(
             1, -1, 1, 1
         )
@@ -290,38 +280,20 @@ class BatchNorm2d(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_hat, std = self._cache
-        if grad_output.dtype == np.float64:
-            # Legacy operation order, kept bitwise-stable for fp64 runs.
-            self.gamma.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
-            self.beta.grad += grad_output.sum(axis=(0, 2, 3))
-            gamma = self.gamma.compute.reshape(1, -1, 1, 1)
-            grad_x_hat = grad_output * gamma
-            if not self.training:
-                return grad_x_hat / std.reshape(1, -1, 1, 1)
-            count = grad_output.shape[0] * grad_output.shape[2] * grad_output.shape[3]
-            sum_g = grad_x_hat.sum(axis=(0, 2, 3), keepdims=True)
-            sum_gx = (grad_x_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-            return (
-                grad_x_hat - sum_g / count - x_hat * sum_gx / count
-            ) / std.reshape(1, -1, 1, 1)
-        # Reduced precision: the parameter-gradient reductions already
-        # carry the per-channel sums the input gradient needs
-        # (sum(g*gamma) = gamma*beta-contrib, sum(g*gamma*x_hat) =
-        # gamma*gamma-contrib), so the whole input gradient collapses to
-        # one per-channel affine form c1*g + c2*x_hat + c3 — two fewer
-        # full-array reduction passes and no grad_x_hat temporary.
+        x_hat, inv_std = self._cache
+        # The parameter-gradient reductions already carry the per-channel
+        # sums the input gradient needs (sum(g*gamma) = gamma*beta-contrib,
+        # sum(g*gamma*x_hat) = gamma*gamma-contrib), so the whole input
+        # gradient is one per-channel affine form c1*g + c2*x_hat + c3 —
+        # no further full-array reductions and no grad_x_hat temporary.
         g_sum = grad_output.sum(axis=(0, 2, 3))
         gx_sum = np.einsum("nchw,nchw->c", grad_output, x_hat)
         self.gamma.grad += gx_sum
         self.beta.grad += g_sum
-        gamma = self.gamma.compute
-        inv_std = (1.0 / std).astype(grad_output.dtype, copy=False)
+        scale = self.gamma.compute * inv_std
         if not self.training:
-            coef = (gamma * inv_std).reshape(1, -1, 1, 1)
-            return grad_output * coef
+            return grad_output * scale.reshape(1, -1, 1, 1)
         count = grad_output.shape[0] * grad_output.shape[2] * grad_output.shape[3]
-        scale = gamma * inv_std
         c2 = -(scale * gx_sum) / count
         c3 = -(scale * g_sum) / count
         return (

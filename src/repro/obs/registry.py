@@ -134,6 +134,9 @@ SPANS: frozenset[str] = frozenset(
         "stamp",
         "task_attempt",
         "train",
+        "train_backward",  # per batch under train: zero_grad + loss/model backward
+        "train_forward",  # per batch under train: model + loss forward
+        "train_step",  # per batch under train: unscale/reduce, clip, optimizer
         "validate",
     }
 )

@@ -552,7 +552,6 @@ class Trainer:
             )
         ):
             self.model.load_state_dict(best_state)
-        self._release_workspaces()
         return history
 
     def _release_workspaces(self) -> None:
@@ -613,30 +612,33 @@ class Trainer:
     def _run_batches_inprocess(
         self, x: np.ndarray, y: np.ndarray, batches: list[np.ndarray]
     ) -> float:
-        """The classic serial loop (bitwise-stable fp64 reference path)."""
+        """The classic serial loop: whole batches, one process."""
         mixed = self.compute_dtype != np.float64
         total_loss = 0.0
         total_samples = 0
         for batch in batches:
-            prediction = self.model(x[batch])
-            loss_value = self.loss.forward(prediction, y[batch])
-            for parameter in self._parameters:
-                parameter.zero_grad()
-            grad_in = self.loss.backward()
             scale = self._loss_scale
-            if scale != 1.0:
-                grad_in = grad_in * scale
-            self.model.backward(grad_in)
-            if scale != 1.0:
-                inv_scale = 1.0 / scale
+            with span("train_forward"):
+                prediction = self.model(x[batch])
+                loss_value = self.loss.forward(prediction, y[batch])
+            with span("train_backward"):
                 for parameter in self._parameters:
-                    parameter.grad *= inv_scale
-            if not mixed or self._grads_finite():
-                if self.config.grad_clip > 0:
-                    clip_grad_norm(self._parameters, self.config.grad_clip)
-                self.optimizer.step()
-            else:
-                self._on_overflow()
+                    parameter.zero_grad()
+                grad_in = self.loss.backward()
+                if scale != 1.0:
+                    grad_in = grad_in * scale
+                self.model.backward(grad_in)
+            with span("train_step"):
+                if scale != 1.0:
+                    inv_scale = 1.0 / scale
+                    for parameter in self._parameters:
+                        parameter.grad *= inv_scale
+                if not mixed or self._grads_finite():
+                    if self.config.grad_clip > 0:
+                        clip_grad_norm(self._parameters, self.config.grad_clip)
+                    self.optimizer.step()
+                else:
+                    self._on_overflow()
             # Weight by sample count so a short trailing batch doesn't
             # distort the reported epoch loss.
             total_loss += loss_value * len(batch)
@@ -700,7 +702,7 @@ class Trainer:
         # Imported here: repro.core pulls config, which needs TrainConfig
         # from this module at import time.
         from repro.core import shm as _shm
-        from repro.core.batch import parallel_map, tree_reduce
+        from repro.core.batch import parallel_map
 
         cfg = self.config
         mixed = self.compute_dtype != np.float64
@@ -773,49 +775,47 @@ class Trainer:
                                 )
                             position += 1
                             payloads.append(value)
+                        with span("train_step"):
+                            self._reduce_and_step(payloads, scale)
                         batch_samples = sum(p[1] for p in payloads)
-                        weights = [p[1] / batch_samples for p in payloads]
-                        if len(payloads) == 1:
-                            flat = payloads[0][2]
-                        else:
-                            flat = tree_reduce(
-                                [p[2] * w for p, w in zip(payloads, weights)]
-                            )
-                        grad = flat.astype(np.float64, copy=False)
-                        if scale != 1.0:
-                            grad = grad / scale
-                        offset = 0
-                        for parameter in self._parameters:
-                            size = parameter.data.size
-                            parameter.grad[...] = grad[
-                                offset : offset + size
-                            ].reshape(parameter.data.shape)
-                            offset += size
-                        if self._bn_layers and payloads[0][3] is not None:
-                            if len(payloads) == 1:
-                                stats = payloads[0][3]
-                            else:
-                                stats = tree_reduce(
-                                    [
-                                        p[3] * w
-                                        for p, w in zip(payloads, weights)
-                                    ]
-                                )
-                            self._apply_bn_stats(stats)
-                        if not mixed or bool(np.isfinite(grad).all()):
-                            if cfg.grad_clip > 0:
-                                clip_grad_norm(self._parameters, cfg.grad_clip)
-                            self.optimizer.step()
-                        else:
-                            self._on_overflow()
-                        total_loss += sum(
-                            p[0] * p[1] for p in payloads
-                        )
+                        total_loss += sum(p[0] * p[1] for p in payloads)
                         total_samples += batch_samples
         finally:
             for bn in self._bn_layers:
                 bn.update_running = True
         return total_loss / max(total_samples, 1)
+
+    def _reduce_and_step(self, payloads: list[tuple], scale: float) -> None:
+        """One batch's parent half: reduce its shards in fixed order, step."""
+        from repro.core.batch import tree_reduce  # deferred, as in the caller
+
+        batch_samples = sum(p[1] for p in payloads)
+        weights = [p[1] / batch_samples for p in payloads]
+
+        def reduced(k: int) -> np.ndarray:
+            if len(payloads) == 1:
+                return payloads[0][k]
+            return tree_reduce([p[k] * w for p, w in zip(payloads, weights)])
+
+        grad = reduced(2).astype(np.float64, copy=False)
+        if scale != 1.0:
+            grad = grad / scale
+        offset = 0
+        for parameter in self._parameters:
+            size = parameter.data.size
+            parameter.grad[...] = grad[offset : offset + size].reshape(
+                parameter.data.shape
+            )
+            offset += size
+        if self._bn_layers and payloads[0][3] is not None:
+            self._apply_bn_stats(reduced(3))
+        mixed = self.compute_dtype != np.float64
+        if not mixed or bool(np.isfinite(grad).all()):
+            if self.config.grad_clip > 0:
+                clip_grad_norm(self._parameters, self.config.grad_clip)
+            self.optimizer.step()
+        else:
+            self._on_overflow()
 
     def _apply_bn_stats(self, stats: np.ndarray) -> None:
         """Fold shard-reduced batch statistics into the running buffers.

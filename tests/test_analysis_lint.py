@@ -17,7 +17,6 @@ ALL_RULES = {
     "unseeded-rng",
     "wall-clock",
     "unguarded-division",
-    "fp64-narrowing",
     "unlocked-global-write",
     "metrics-contract",
     "dead-import",
@@ -47,17 +46,6 @@ def seeded_tree(tmp_path: Path) -> Path:
         "    rng = np.random.default_rng()\n"  # unseeded-rng
         "    started = time.time()\n"  # wall-clock
         "    return x / x.sum(), rng, started\n",  # unguarded-division
-    )
-    _write(
-        tmp_path,
-        "src/repro/nn/functional.py",
-        "import numpy as np\n"
-        "\n"
-        "\n"
-        "def kernel(x):\n"
-        "    if x.dtype == np.float64:\n"
-        "        x = x.astype(np.float32)\n"  # fp64-narrowing
-        "    return x\n",
     )
     _write(
         tmp_path,

@@ -1,5 +1,7 @@
 """Tests for the mixed-precision compute path (fp64 master weights,
-fp32 kernels) and its agreement with the fp64 reference kernels."""
+fp32 kernels) and its agreement with the fp64 reference kernels of
+``tests/reference_conv.py`` (``src`` has one kernel form per op, so a
+layer-vs-layer comparison would only check that form against itself)."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 from repro.models import IRFusionNet
+from tests import reference_conv
 
 
 def tiny_model(seed=0):
@@ -119,69 +122,75 @@ class TestConvPrecision:
     @pytest.mark.parametrize("kernel,padding", [(3, "same"), (1, 0), ((1, 7), "same")])
     def test_backward_fast_path_matches_fp64(self, kernel, padding):
         rng = np.random.default_rng(5)
-        conv64 = Conv2d(4, 6, kernel, padding=padding, rng=np.random.default_rng(9))
         conv32 = Conv2d(4, 6, kernel, padding=padding, rng=np.random.default_rng(9))
-        conv32.load_state_dict(conv64.state_dict())
         conv32.set_compute_dtype(np.float32)
         x = rng.standard_normal((2, 4, 12, 12))
-        out64 = conv64(x)
-        conv32(x.astype(np.float32))
-        g = rng.standard_normal(out64.shape)
-        grad64 = conv64.backward(g)
+        out32 = conv32(x.astype(np.float32))
+        g = rng.standard_normal(out32.shape)
+        # fp64 side: the reference einsum / col2im-scatter kernels on the
+        # master weights; the layer computes backward-data as a
+        # correlation GEMM — same operator, different order.
+        grad64, grad_w64, _ = reference_conv.conv2d_backward(
+            g, x, conv32.weight.data, conv32.stride, conv32.padding
+        )
         grad32 = conv32.backward(g.astype(np.float32))
-        # The fp32 path computes backward-data as a correlation GEMM
-        # instead of the col2im scatter; same operator, different order.
         np.testing.assert_allclose(grad32, grad64, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(
-            conv32.weight.grad, conv64.weight.grad, rtol=1e-4, atol=1e-4
+            conv32.weight.grad, grad_w64, rtol=1e-4, atol=1e-4
         )
 
 
 class TestBatchNormPrecision:
-    def _pair(self):
-        bn64 = BatchNorm2d(5)
+    def _layer(self):
         bn32 = BatchNorm2d(5)
-        bn64.gamma.data[...] = np.linspace(0.5, 1.5, 5)
-        bn64.beta.data[...] = np.linspace(-0.2, 0.2, 5)
-        bn32.load_state_dict(bn64.state_dict())
+        bn32.gamma.data[...] = np.linspace(0.5, 1.5, 5)
+        bn32.beta.data[...] = np.linspace(-0.2, 0.2, 5)
         bn32.set_compute_dtype(np.float32)
-        return bn64, bn32
+        return bn32
+
+    def _reference(self, bn, x, g, mean, var):
+        """fp64 side: divide-form forward, legacy-order backward."""
+        out, x_hat, std = reference_conv.batchnorm_forward(
+            x, bn.gamma.data, bn.beta.data, mean, var, bn.eps
+        )
+        return out, reference_conv.batchnorm_backward(
+            g, x_hat, std, bn.gamma.data, bn.training
+        )
 
     def test_train_mode_matches_fp64(self):
-        bn64, bn32 = self._pair()
+        bn32 = self._layer()
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 5, 8, 8)) * 2.0 + 1.0
-        np.testing.assert_allclose(
-            bn32(x.astype(np.float32)), bn64(x), rtol=1e-4, atol=1e-5
-        )
         g = rng.standard_normal(x.shape)
-        # The fp32 backward folds the input gradient into one per-channel
-        # affine form; it must still agree with the fp64 reference order.
-        np.testing.assert_allclose(
-            bn32.backward(g.astype(np.float32)),
-            bn64.backward(g),
-            rtol=1e-3,
-            atol=1e-5,
+        out64, (grad64, gamma64, beta64) = self._reference(
+            bn32, x, g, x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         )
-        np.testing.assert_allclose(bn32.gamma.grad, bn64.gamma.grad, rtol=1e-4)
-        np.testing.assert_allclose(bn32.beta.grad, bn64.beta.grad, rtol=1e-4)
+        np.testing.assert_allclose(
+            bn32(x.astype(np.float32)), out64, rtol=1e-4, atol=1e-5
+        )
+        # The layer folds the input gradient into one per-channel affine
+        # form; it must still agree with the fp64 reference order.
+        np.testing.assert_allclose(
+            bn32.backward(g.astype(np.float32)), grad64, rtol=1e-3, atol=1e-5
+        )
+        np.testing.assert_allclose(bn32.gamma.grad, gamma64, rtol=1e-4)
+        np.testing.assert_allclose(bn32.beta.grad, beta64, rtol=1e-4)
 
     def test_eval_mode_matches_fp64(self):
-        bn64, bn32 = self._pair()
+        bn32 = self._layer()
         rng = np.random.default_rng(7)
         # Train once so the running buffers are non-trivial, then compare
         # the eval-mode scale-and-shift in both precisions.
-        warm = rng.standard_normal((3, 5, 8, 8))
-        bn64(warm)
-        bn32(warm.astype(np.float32))
-        bn64.eval()
+        bn32(rng.standard_normal((3, 5, 8, 8)).astype(np.float32))
         bn32.eval()
         x = rng.standard_normal((2, 5, 8, 8))
-        np.testing.assert_allclose(
-            bn32(x.astype(np.float32)), bn64(x), rtol=1e-4, atol=1e-5
-        )
         g = rng.standard_normal(x.shape)
+        out64, (grad64, _, _) = self._reference(
+            bn32, x, g, bn32.running_mean, bn32.running_var
+        )
         np.testing.assert_allclose(
-            bn32.backward(g.astype(np.float32)), bn64.backward(g),
-            rtol=1e-4, atol=1e-5,
+            bn32(x.astype(np.float32)), out64, rtol=1e-4, atol=1e-5
+        )
+        np.testing.assert_allclose(
+            bn32.backward(g.astype(np.float32)), grad64, rtol=1e-4, atol=1e-5
         )
