@@ -15,7 +15,6 @@ can be judged against them.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from common import bench_config, save_artifact
 from repro.core.pipeline import IRFusionPipeline
@@ -39,38 +38,34 @@ def _small_config(**overrides):
     )
 
 
-def test_flat_start_ablation(benchmark, capsys):
+def test_flat_start_ablation(capsys):
     """Rough MAE at 2 iterations: flat v=vdd start vs zero start."""
 
-    def run():
-        config = bench_config()
-        pipeline = IRFusionPipeline(config)
-        designs, _ = pipeline.generate_designs()
-        amg_options, cycle_options = PRESETS["fast"]
-        rows = []
-        for design in designs[:4]:
-            system = build_reduced_system(design.grid)
-            golden = DirectSolver().solve(system.matrix, system.rhs).x
-            vdd = design.spec.supply_voltage
-            solver = AMGPCGSolver(
-                SolverOptions(max_iterations=2, tol=1e-16),
-                amg_options,
-                cycle_options,
+    config = bench_config()
+    pipeline = IRFusionPipeline(config)
+    designs, _ = pipeline.generate_designs()
+    amg_options, cycle_options = PRESETS["fast"]
+    rows = []
+    for design in designs[:4]:
+        system = build_reduced_system(design.grid)
+        golden = DirectSolver().solve(system.matrix, system.rhs).x
+        vdd = design.spec.supply_voltage
+        solver = AMGPCGSolver(
+            SolverOptions(max_iterations=2, tol=1e-16),
+            amg_options,
+            cycle_options,
+        )
+        zero = solver.solve(system.matrix, system.rhs).x
+        flat = solver.solve(
+            system.matrix, system.rhs, x0=np.full(system.size, vdd)
+        ).x
+        rows.append(
+            (
+                design.name,
+                float(np.abs(zero - golden).mean()),
+                float(np.abs(flat - golden).mean()),
             )
-            zero = solver.solve(system.matrix, system.rhs).x
-            flat = solver.solve(
-                system.matrix, system.rhs, x0=np.full(system.size, vdd)
-            ).x
-            rows.append(
-                (
-                    design.name,
-                    float(np.abs(zero - golden).mean()),
-                    float(np.abs(flat - golden).mean()),
-                )
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+        )
     lines = [
         "Design ablation 1: initial guess for the rough solve (2 iters)",
         f"{'design':<12s} {'zero-start MAE':>15s} {'flat-start MAE':>15s}",
@@ -85,34 +80,30 @@ def test_flat_start_ablation(benchmark, capsys):
     assert all(flat < zero for _, zero, flat in rows)
 
 
-def test_zero_init_head_ablation(benchmark, capsys):
+def test_zero_init_head_ablation(capsys):
     """Short-budget training: fusion starting point vs random head."""
 
-    def run():
-        results = {}
-        for variant in ("zero_head", "random_head"):
-            config = _small_config()
-            pipeline = IRFusionPipeline(config)
-            train_raw, test = pipeline.build_datasets()
-            prepared = pipeline.prepare_training_set(train_raw)
-            model = pipeline.build_model(in_channels=len(prepared.channels))
-            if variant == "random_head":
-                rng = np.random.default_rng(123)
-                model.head.weight.data[:] = 0.05 * rng.standard_normal(
-                    model.head.weight.data.shape
-                )
-            from repro.models.registry import preferred_loss
-            from repro.train.trainer import Trainer
-
-            trainer = Trainer(
-                model, loss=preferred_loss("ir_fusion"), config=config.train
+    results = {}
+    for variant in ("zero_head", "random_head"):
+        config = _small_config()
+        pipeline = IRFusionPipeline(config)
+        train_raw, test = pipeline.build_datasets()
+        prepared = pipeline.prepare_training_set(train_raw)
+        model = pipeline.build_model(in_channels=len(prepared.channels))
+        if variant == "random_head":
+            rng = np.random.default_rng(123)
+            model.head.weight.data[:] = 0.05 * rng.standard_normal(
+                model.head.weight.data.shape
             )
-            trainer.fit(prepared)
-            _, averaged = evaluate_trainer(trainer, test)
-            results[variant] = averaged
-        return results
+        from repro.models.registry import preferred_loss
+        from repro.train.trainer import Trainer
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+        trainer = Trainer(
+            model, loss=preferred_loss("ir_fusion"), config=config.train
+        )
+        trainer.fit(prepared)
+        _, averaged = evaluate_trainer(trainer, test)
+        results[variant] = averaged
     lines = [
         "Design ablation 2: regression-head initialisation (8 epochs)",
         f"{'variant':<14s} {'MAE(1e-4V)':>11s} {'F1':>6s}",
@@ -129,23 +120,19 @@ def test_zero_init_head_ablation(benchmark, capsys):
     assert results["zero_head"].mae <= results["random_head"].mae * 1.25
 
 
-def test_numerical_scale_ablation(benchmark, capsys):
+def test_numerical_scale_ablation(capsys):
     """Numerical channels at label scale vs badly conditioned."""
 
-    def run():
-        results = {}
-        for label, scale in (("matched", 20.0), ("tiny", 0.01)):
-            config = _small_config().with_(
-                features=FeatureConfig(numerical_scale=scale)
-            )
-            pipeline = IRFusionPipeline(config)
-            pipeline.train()
-            _, test = pipeline.build_datasets()
-            _, averaged = evaluate_trainer(pipeline.trainer, test)
-            results[label] = averaged
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {}
+    for label, scale in (("matched", 20.0), ("tiny", 0.01)):
+        config = _small_config().with_(
+            features=FeatureConfig(numerical_scale=scale)
+        )
+        pipeline = IRFusionPipeline(config)
+        pipeline.train()
+        _, test = pipeline.build_datasets()
+        _, averaged = evaluate_trainer(pipeline.trainer, test)
+        results[label] = averaged
     lines = [
         "Design ablation 3: numerical channel scaling (8 epochs)",
         f"{'variant':<10s} {'MAE(1e-4V)':>11s} {'F1':>6s}",

@@ -9,7 +9,6 @@ golden hotspot layout more closely (lower per-pixel error) than MAUnet's.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from common import ARTIFACTS, bench_config, save_artifact
 from repro.core.pipeline import IRFusionPipeline
@@ -44,10 +43,8 @@ def _run_fig6():
     return golden, predicted_maunet, predicted_fusion
 
 
-def test_fig6_visualization(benchmark, capsys):
-    golden, map_maunet, map_fusion = benchmark.pedantic(
-        _run_fig6, rounds=1, iterations=1
-    )
+def test_fig6_visualization(capsys):
+    golden, map_maunet, map_fusion = _run_fig6()
     art = side_by_side(
         [ascii_map(golden, 32), ascii_map(map_maunet, 32), ascii_map(map_fusion, 32)],
         ["(a) Golden", "(b) MAUnet", "(c) IR-Fusion (Ours)"],

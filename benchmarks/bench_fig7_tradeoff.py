@@ -18,12 +18,8 @@ from repro.eval.report import format_sweep_table
 ITERATIONS = list(range(1, 11))
 
 
-def test_fig7_tradeoff(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_tradeoff_study(bench_config(), iterations=ITERATIONS),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig7_tradeoff(capsys):
+    result = run_tradeoff_study(bench_config(), iterations=ITERATIONS)
     mae_table = format_sweep_table(
         result.iterations,
         {

@@ -12,10 +12,8 @@ from common import bench_config, save_artifact
 from repro.core.experiment import ABLATION_VARIANTS, run_ablation_study
 
 
-def test_fig8_ablation(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_ablation_study(bench_config()), rounds=1, iterations=1
-    )
+def test_fig8_ablation(capsys):
+    result = run_ablation_study(bench_config())
     header = (
         f"{'Variant':<18s} {'MAE(1e-4V)':>11s} {'F1':>6s} "
         f"{'dMAE%':>8s} {'dF1%':>8s}"

@@ -8,8 +8,6 @@ solutions available after 1-2 iterations.
 
 from __future__ import annotations
 
-import pytest
-
 from common import bench_config, save_artifact
 from repro.core.pipeline import IRFusionPipeline
 from repro.eval.report import format_sweep_table
@@ -19,39 +17,22 @@ from repro.solvers.base import SolverOptions
 from repro.solvers.cg import CGSolver, JacobiPCGSolver
 
 
-@pytest.fixture(scope="module")
-def pg_system():
-    pipeline = IRFusionPipeline(bench_config())
-    train_designs, _ = pipeline.generate_designs()
-    return build_reduced_system(train_designs[0].grid)
-
-
-def test_solver_convergence_comparison(benchmark, pg_system, capsys):
+def test_solver_convergence_comparison(capsys):
+    train_designs, _ = IRFusionPipeline(bench_config()).generate_designs()
+    pg_system = build_reduced_system(train_designs[0].grid)
     options = SolverOptions(tol=1e-10, max_iterations=2000)
-
-    def run_all():
-        return {
-            "CG": CGSolver(options).solve(pg_system.matrix, pg_system.rhs),
-            "Jacobi-PCG": JacobiPCGSolver(options).solve(
-                pg_system.matrix, pg_system.rhs
-            ),
-            "AMG-PCG": AMGPCGSolver(options).solve(
-                pg_system.matrix, pg_system.rhs
-            ),
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    solvers = {"CG": CGSolver, "Jacobi-PCG": JacobiPCGSolver, "AMG-PCG": AMGPCGSolver}
+    results = {
+        name: solver(options).solve(pg_system.matrix, pg_system.rhs)
+        for name, solver in solvers.items()
+    }
     lines = [
         f"PG system: n={pg_system.size}, nnz={pg_system.matrix.nnz}",
-        f"{'solver':<12s} {'iters':>6s} {'relres':>10s} "
-        f"{'setup(s)':>9s} {'solve(s)':>9s}",
+        f"{'solver':<12s} {'iters':>6s} {'relres':>10s}",
     ]
     for name, result in results.items():
         relres = pg_system.relative_residual(result.x)
-        lines.append(
-            f"{name:<12s} {result.iterations:>6d} {relres:>10.2e} "
-            f"{result.setup_seconds:>9.4f} {result.solve_seconds:>9.4f}"
-        )
+        lines.append(f"{name:<12s} {result.iterations:>6d} {relres:>10.2e}")
     # residual decay table over the first 12 iterations
     depth = 12
     series = {
@@ -74,18 +55,3 @@ def test_solver_convergence_comparison(benchmark, pg_system, capsys):
     assert results["AMG-PCG"].converged
     assert results["AMG-PCG"].iterations * 2 < results["CG"].iterations
 
-
-def test_benchmark_amg_pcg_solve(benchmark, pg_system):
-    """Wall-clock of a full-accuracy AMG-PCG solve (setup cached)."""
-    solver = AMGPCGSolver(SolverOptions(tol=1e-10))
-    solver.setup(pg_system.matrix)
-    result = benchmark(lambda: solver.solve(pg_system.matrix, pg_system.rhs))
-    assert result.converged
-
-
-def test_benchmark_rough_two_iterations(benchmark, pg_system):
-    """Wall-clock of the fusion framework's 2-iteration rough solve."""
-    solver = AMGPCGSolver(SolverOptions(tol=1e-16, max_iterations=2))
-    solver.setup(pg_system.matrix)
-    result = benchmark(lambda: solver.solve(pg_system.matrix, pg_system.rhs))
-    assert result.iterations == 2

@@ -9,26 +9,18 @@ runtime of the ML family (it pays for the AMG-PCG stage).
 
 from __future__ import annotations
 
-import pytest
-
-from common import bench_config, save_artifact
+from common import ARTIFACTS, bench_config, save_artifact
 from repro.core.experiment import run_main_results
-from repro.core.pipeline import IRFusionPipeline
 from repro.eval.report import format_metrics_table
+from repro.eval.tables import save_metrics_csv
 from repro.models.registry import DISPLAY_NAMES
 
 
-def test_table1_main_results(benchmark, capsys):
+def test_table1_main_results(capsys):
     """Reproduce Table I end to end (one full training run per method)."""
-    results = benchmark.pedantic(
-        lambda: run_main_results(bench_config()), rounds=1, iterations=1
-    )
+    results = run_main_results(bench_config())
     table = format_metrics_table(results, title="TABLE I  Main results")
     save_artifact("table1_main_results.txt", table)
-    from common import ARTIFACTS
-    from repro.eval.tables import save_metrics_csv
-
-    ARTIFACTS.mkdir(parents=True, exist_ok=True)
     save_metrics_csv(results, ARTIFACTS / "table1_main_results.csv")
     with capsys.disabled():
         print("\n" + table)
@@ -47,17 +39,3 @@ def test_table1_main_results(benchmark, capsys):
         m.runtime_seconds for m in baselines.values()
     )
 
-
-@pytest.fixture(scope="module")
-def trained_pipeline():
-    pipeline = IRFusionPipeline(bench_config())
-    pipeline.train()
-    return pipeline
-
-
-def test_table1_analysis_runtime(benchmark, trained_pipeline):
-    """Per-design end-to-end analysis latency (the runtime column cell)."""
-    _, test_designs = trained_pipeline.generate_designs()
-    design = test_designs[0]
-    result = benchmark(lambda: trained_pipeline.analyze_design(design))
-    assert result.predicted_drop.shape == design.geometry.shape

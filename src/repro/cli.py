@@ -307,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the data-parallel gradient engine")
     train.add_argument("--precision", choices=("fp64", "mixed"),
                        default="fp64",
-                       help="training compute precision: fp64 (bitwise "
-                            "legacy path) or mixed (fp32 kernels over "
-                            "fp64 master weights)")
+                       help="training compute precision: fp64 kernels or "
+                            "mixed (fp32 kernels over fp64 master weights)")
     train.add_argument("--sanitize", action="store_true",
                        help="trap NaN/Inf at the originating op during "
                             "training (numerics sanitizer)")

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from repro.obs import counter_add, span
 from repro.solvers.amg import AMGHierarchy, AMGOptions, build_hierarchy
 from repro.solvers.base import SolveResult, SolverOptions, check_system
-from repro.solvers.cache import global_setup_cache, setup_cache_enabled
+from repro.solvers.cache import global_setup_cache
 from repro.solvers.cg import _pcg
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
 from repro.solvers.guard import GuardrailOptions, IterationGuard
@@ -88,7 +88,7 @@ class AMGPCGSolver:
             self._last_setup_was_hit = True
             return self._cached_preconditioner
         with span("amg_setup") as setup_span:
-            if self.use_setup_cache and setup_cache_enabled():
+            if self.use_setup_cache:
                 hierarchy, hit = global_setup_cache().get_or_build(
                     matrix, self.amg_options
                 )

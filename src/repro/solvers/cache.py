@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import scipy.sparse as sp
@@ -195,15 +194,10 @@ class AMGSetupCache:
 
 #: The process-wide cache every AMG-PCG solver consults by default.
 _GLOBAL_CACHE = AMGSetupCache()
-_ENABLED = True
 
 
 def global_setup_cache() -> AMGSetupCache:
     return _GLOBAL_CACHE
-
-
-def setup_cache_enabled() -> bool:
-    return _ENABLED
 
 
 def setup_cache_stats() -> CacheStats:
@@ -220,14 +214,3 @@ def configure_setup_cache(max_entries: int) -> None:
     """Resize the global cache (evicts immediately if shrinking)."""
     _GLOBAL_CACHE.resize(max_entries)
 
-
-@contextmanager
-def setup_cache_disabled():
-    """Context manager forcing every setup to rebuild (benchmark baseline)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False  # repro: allow(unlocked-global-write) — benchmark/test toggle held around single-threaded work
-    try:
-        yield
-    finally:
-        _ENABLED = previous  # repro: allow(unlocked-global-write) — benchmark/test toggle held around single-threaded work

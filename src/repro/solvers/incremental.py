@@ -49,13 +49,12 @@ from repro.mna.stamper import (
 )
 from repro.mna.system import ReducedSystem
 from repro.obs import counter_add, deadline_active, span
-from repro.solvers.amg import AMGOptions, build_hierarchy
+from repro.solvers.amg import AMGOptions
 from repro.solvers.base import SolveResult, SolverOptions
 from repro.solvers.cache import (
     chained_fingerprint,
     global_setup_cache,
     matrix_fingerprint,
-    setup_cache_enabled,
 )
 from repro.solvers.cg import _pcg
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
@@ -180,8 +179,6 @@ class IncrementalOptions:
         Iteration cap of the warm-started PCG polish that runs on the
         patched matrix after an SMW correction.  A polish that fails to
         converge within the cap falls back to a rebuild.
-    polish:
-        Disable to accept raw SMW corrections (benchmark ablations).
     column_tol:
         Relative tolerance of the cached SMW factor-column solves
         (``G0⁻¹ e_j``) on the iterative tier.  ``None`` (default) uses
@@ -206,7 +203,6 @@ class IncrementalOptions:
     max_rank: int = 24
     max_stencil_churn: float = 0.25
     polish_max_iterations: int = 50
-    polish: bool = True
     column_tol: float | None = None
     direct_max_size: int = 120_000
 
@@ -409,13 +405,11 @@ class IncrementalEngine:
         deadline) the hierarchy is never applied, so it is never built.
         """
         if self._precond is None:
-            matrix, options = self._base_matrix, self.amg_options
-            if setup_cache_enabled():
-                hierarchy, hit = global_setup_cache().get_or_build(
-                    matrix, options, fingerprint=self._base_fingerprint
-                )
-            else:
-                hierarchy, hit = build_hierarchy(matrix, options), False
+            hierarchy, hit = global_setup_cache().get_or_build(
+                self._base_matrix,
+                self.amg_options,
+                fingerprint=self._base_fingerprint,
+            )
             counter_add("incremental.setup_cache_hits" if hit else
                         "incremental.setup_builds")
             self._precond = CyclePreconditioner(hierarchy, self.cycle_options)
@@ -923,7 +917,7 @@ class IncrementalEngine:
         polish_iterations = 0
         aborted: str | None = None
         converged = self._system.relative_residual(x) <= options.tol
-        if not converged and self.incremental.polish:
+        if not converged:
             polish_options = replace(
                 options,
                 max_iterations=self.incremental.polish_max_iterations,

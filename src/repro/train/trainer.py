@@ -201,8 +201,8 @@ class TrainConfig:
     jobs:
         Worker processes for the data-parallel gradient engine.  With
         the default ``jobs=1`` and ``grad_shards=0`` the trainer runs
-        the classic in-process loop (bitwise-identical to earlier
-        releases); any other setting engages the sharded engine.
+        the classic in-process loop; any other setting engages the
+        sharded engine.
     precision:
         ``"fp64"`` (default) computes everything in float64.
         ``"mixed"`` runs forward/backward kernels in float32 while the

@@ -14,7 +14,6 @@ from repro.solvers.cache import (
     configure_setup_cache,
     global_setup_cache,
     matrix_fingerprint,
-    setup_cache_disabled,
     setup_cache_stats,
 )
 
@@ -186,17 +185,6 @@ class TestSolverIntegration:
         x_warm = warm.solve(matrix.copy(), rhs).x
         assert warm.last_setup_was_cache_hit
         np.testing.assert_array_equal(x_cold, x_warm)
-
-    def test_disabled_context_bypasses_cache(self):
-        matrix = laplacian(64)
-        rhs = np.ones(64)
-        AMGPCGSolver(SolverOptions(max_iterations=10)).solve(matrix, rhs)
-        before = setup_cache_stats()
-        with setup_cache_disabled():
-            solver = AMGPCGSolver(SolverOptions(max_iterations=10))
-            solver.solve(matrix, rhs)
-            assert not solver.last_setup_was_cache_hit
-        assert setup_cache_stats().delta(before).hits == 0
 
     def test_diagnostics_carry_cache_counters(self, fake_design):
         from repro.solvers.powerrush import PowerRushSimulator

@@ -201,12 +201,26 @@ class TestDataParallelEngine:
         for key, value in candidate.model.state_dict().items():
             np.testing.assert_array_equal(value, ref_state[key], err_msg=key)
 
+    def test_sharded_default_tracks_classic_loop(self, tiny_dataset):
+        # The sharding contract: ghost batch-norm statistics and per-shard
+        # loss normalisation make jobs>1 a different (equally valid)
+        # trajectory that must land near the classic loop's, not on it.
+        dataset = five_sample_dataset(tiny_dataset)
+        _, serial_history = self.run(dataset)
+        _, sharded_history = self.run(dataset, jobs=2)
+        assert sharded_history.epoch_losses != serial_history.epoch_losses
+        assert sharded_history.final_loss == pytest.approx(
+            serial_history.final_loss, rel=0.10
+        )
+
     def test_mixed_precision_tracks_fp64(self, tiny_dataset):
+        # The precision contract: same trajectory definition, so any gap
+        # is purely the fp32 compute path.
         dataset = five_sample_dataset(tiny_dataset)
         _, fp64_history = self.run(dataset, jobs=2)
         _, mixed_history = self.run(dataset, jobs=2, precision="mixed")
         assert mixed_history.final_loss == pytest.approx(
-            fp64_history.final_loss, rel=1e-2
+            fp64_history.final_loss, rel=1e-3
         )
         assert mixed_history.epoch_losses[-1] < mixed_history.epoch_losses[0]
 
