@@ -3,8 +3,9 @@
     python examples/fix_ir_drop.py
 
 Takes an irregular design and asks the greedy optimiser to claw back 15 %
-of the worst-case drop by adding pads (each candidate trial is a rank-2
-low-rank preview against one shared solve), reporting the drop trajectory.
+of the worst-case drop by adding pads (each round of candidates is one
+batch of one-constraint previews against one shared factorisation),
+reporting the drop trajectory.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ def main() -> None:
           f"{report.worst_drop() * 1e3:.2f} mV; target budget "
           f"{budget * 1e3:.2f} mV (VIOLATION)")
 
-    print("\nRunning greedy pad placement (each candidate = one rank-2 "
-          "low-rank preview) ...")
+    print("\nRunning greedy pad placement (each candidate = one rank-1 "
+          "constraint preview) ...")
     result = greedy_pad_placement(
         design.netlist,
         budget_volts=budget,

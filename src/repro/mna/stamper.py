@@ -231,7 +231,7 @@ def patch_conductance(
 
 def pin_row(
     matrix: sp.csr_matrix, rhs: np.ndarray, row: int, voltage: float
-) -> tuple[SystemPatch, np.ndarray, np.ndarray]:
+) -> SystemPatch:
     """Pin unknown ``row`` to ``voltage`` by in-place row/column surgery.
 
     The constraint ``x[row] = voltage`` is imposed *exactly* while
@@ -242,43 +242,37 @@ def pin_row(
     onto its RHS.  After the permutation separating ``row`` the system
     is block-diagonal ``diag(G_rr, d)`` — the remaining unknowns satisfy
     precisely the system a from-scratch stamp with one more pad yields.
-
-    Returns ``(patch, q_indices, q_values)`` where ``q`` is the original
-    matrix column ``row`` (equal to the row, by symmetry) *including* the
-    diagonal — the low-rank factor the SMW solver needs.
+    Every position is looked up before anything is written, so a
+    ``KeyError`` leaves matrix and RHS untouched.
     """
     lo, hi = int(matrix.indptr[row]), int(matrix.indptr[row + 1])
-    q_indices = matrix.indices[lo:hi].astype(np.int64, copy=True)
-    q_values = matrix.data[lo:hi].copy()
+    neighbours = matrix.indices[lo:hi].astype(np.int64, copy=True)
+    couplings = matrix.data[lo:hi].copy()
     diag_pos = lo + int(np.searchsorted(matrix.indices[lo:hi], row))
     if diag_pos >= hi or matrix.indices[diag_pos] != row:
         raise KeyError(f"row {row} has no stored diagonal")
     diag = float(matrix.data[diag_pos])
 
     # Positions of the symmetric column entries (r, row) for r != row.
-    col_positions = [
-        csr_entry(matrix, int(r), row) for r in q_indices if int(r) != row
-    ]
-    data_indices = np.concatenate(
-        [np.arange(lo, hi, dtype=np.int64), np.asarray(col_positions, np.int64)]
+    off_diagonal = neighbours != row
+    col_positions = np.asarray(
+        [csr_entry(matrix, r, row) for r in neighbours[off_diagonal].tolist()],
+        dtype=np.int64,
     )
-    rhs_rows = q_indices.copy()  # neighbours plus the pinned row itself
+    data_indices = np.concatenate([np.arange(lo, hi, dtype=np.int64), col_positions])
     patch = SystemPatch(
         data_indices=data_indices,
         data_old=matrix.data[data_indices].copy(),
-        rhs_rows=rhs_rows,
-        rhs_old=rhs[rhs_rows].copy(),
+        rhs_rows=neighbours,  # the pinned row itself included
+        rhs_old=rhs[neighbours].copy(),
     )
 
-    matrix.data[lo:hi] = 0.0
+    matrix.data[data_indices] = 0.0
     matrix.data[diag_pos] = diag
-    for pos in col_positions:
-        matrix.data[pos] = 0.0
-    for r, q_r in zip(q_indices, q_values):
-        if int(r) != row:
-            rhs[int(r)] -= q_r * voltage
+    # A canonical CSR row lists each neighbour once: no duplicate targets.
+    rhs[neighbours[off_diagonal]] -= couplings[off_diagonal] * voltage
     rhs[row] = diag * voltage
-    return patch, q_indices, q_values
+    return patch
 
 
 def patch_rhs(

@@ -114,6 +114,7 @@ SPANS: frozenset[str] = frozenset(
         "grid_build",
         "imports",
         "incremental.factorize",
+        "incremental.preview_batch",  # one per preview_many: candidates=, polished=
         "incremental.rebuild",
         "incremental.solve",
         "inference",

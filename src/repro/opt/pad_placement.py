@@ -7,16 +7,20 @@ that minimises the worst drop, repeating until the budget is met or the
 pad budget is exhausted.
 
 The sweep runs over :class:`~repro.solvers.incremental.IncrementalEngine`:
-each candidate is a rank-2 Sherman–Morrison–Woodbury update previewed
-against the cached AMG hierarchy with a warm-started polish, and the
-committed pad is one more low-rank term.  One stamping + one hierarchy
-build serve the entire sweep, and the per-node correction columns are
-cached across rounds.
+a pad is one constraint on the stamped system, so a round of candidates
+is one :meth:`~repro.solvers.incremental.IncrementalEngine.preview_many`
+batch — each candidate the committed solution plus one multiple of a
+cached column ``G0⁻¹e_j``, certified by its residual — and the committed
+pad is one more rank-1 term.  One stamping and one factorisation of
+``G0`` (above ``direct_max_size``: one AMG hierarchy) serve the entire
+sweep, and the columns are cached across rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.grid.netlist import PGNode, PowerGrid
 from repro.obs import counter_add, span
@@ -77,14 +81,14 @@ def _top_layer_candidates(
     grid: PowerGrid, drops, max_candidates: int, exclude: set[str]
 ) -> list[PGNode]:
     """The most starved non-pad top-layer nodes, worst drop first."""
-    top_layer = max(grid.layers_present())
-    candidates = [
-        node
-        for node in grid.nodes_on_layer(top_layer)
-        if not node.is_pad and node.name not in exclude
-    ]
-    candidates.sort(key=lambda n: drops[n.index], reverse=True)
-    return candidates[:max_candidates]
+    _, _, layer, structured = grid.node_arrays()
+    eligible = structured & (layer == max(grid.layers_present()))
+    eligible &= np.isnan(grid.pad_voltage)
+    eligible[[grid.index_of(name) for name in exclude if name in grid]] = False
+    pool = np.flatnonzero(eligible)
+    # Stable on the negated key: ties keep node order, as a reversed sort does.
+    order = pool[np.argsort(-np.asarray(drops)[pool], kind="stable")]
+    return [grid.node(i) for i in order[:max_candidates].tolist()]
 
 
 def greedy_pad_placement(
@@ -107,13 +111,13 @@ def greedy_pad_placement(
         Candidate pool size per round: the top-layer nodes with the
         largest current drop (the most starved regions).
 
-    On the engine's direct tier (modest systems) candidate previews are
-    exact triangular solves.  On the iterative fallback tier previews
-    only *rank* pad sites, so they run at a relaxed tolerance
-    (``_RANK_TOL``) with equally relaxed cached correction columns —
-    fewer preconditioned iterations per candidate than a full solve.
-    Committed solves polish on the patched matrix at the tight
-    tolerance either way, so the reported drop history is
+    On the engine's direct tier (modest systems) a candidate costs one
+    pair of triangular solves for its column, once per sweep.  On the
+    iterative fallback tier previews only *rank* pad sites, so they are
+    certified at a relaxed tolerance (``_RANK_TOL``) on equally relaxed
+    cached columns — fewer preconditioned iterations per candidate than
+    a full solve.  Committed solves polish on the patched matrix at the
+    tight tolerance either way, so the reported drop history is
     solver-accurate.
     """
     if budget_volts <= 0:
@@ -142,11 +146,13 @@ def greedy_pad_placement(
             if not candidates:
                 break
 
+            trials = engine.preview_many(
+                [AddPad(candidate.name) for candidate in candidates], tol=_RANK_TOL
+            )
+            counter_add("pad_placement.candidates", len(candidates))
             best_name: str | None = None
             best_worst = history[-1]
-            for candidate in candidates:
-                trial = engine.preview(AddPad(candidate.name), tol=_RANK_TOL)
-                counter_add("pad_placement.candidates")
+            for candidate, trial in zip(candidates, trials):
                 worst = float(trial.drops.max())
                 if worst < best_worst:
                     best_worst = worst

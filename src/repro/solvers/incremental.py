@@ -12,12 +12,20 @@ solution.  This module keeps all three alive across edits:
 - delta stamping (:mod:`repro.mna.stamper`) patches the reduced CSR
   system in place, with undo records so candidate edits can be
   speculatively applied and reverted;
-- low-rank edits solve through Sherman–Morrison–Woodbury corrections
-  against the *cached* AMG hierarchy of the base matrix: a pad pin is a
-  symmetric rank-2 update, a wire resize rank 1, so
-  ``(G0 + U C Uᵀ)⁻¹ b`` costs a handful of base solves whose columns
-  are cached across the whole sweep — followed by a short warm-started
-  PCG polish on the patched matrix that restores full solver tolerance;
+- every low-rank edit is one rank-1 term against the *unpatched* base
+  matrix ``G0``: a wire resize is ``G0 + Δg u uᵀ``, and a pad pin is the
+  constraint ``x_j = V`` on ``G0``'s own unknown — its multiplier the
+  current the pad injects.  Each term keeps ``G0⁻¹u`` with the earlier
+  terms projected out, so the state's solution is the base solution
+  ``G0⁻¹b`` corrected one term at a time, the raw columns are cached
+  across the whole sweep, and a short warm-started PCG polish on the
+  patched matrix restores full solver tolerance wherever the cached
+  columns were solved loosely;
+- a round of candidate pads is one batch
+  (:meth:`IncrementalEngine.preview_many`): each candidate is the
+  committed solution plus one multiple of its projected column, with
+  its residual on the pinned system as certificate — nothing is
+  stamped, solved iteratively or reverted;
 - when the accumulated delta rank or the stencil churn crosses a
   threshold (or a dimension-changing edit arrives), the engine falls
   back to a full restamp + hierarchy rebuild, keyed into the process
@@ -26,14 +34,14 @@ solution.  This module keeps all three alive across edits:
 
 The classic consumer is :mod:`repro.opt.pad_placement`: a greedy pad
 sweep evaluates hundreds of nearly identical systems, and with this
-engine each candidate costs one cached column solve plus dense algebra
-instead of a from-scratch simulation.
+engine each candidate costs one cached column solve plus elementwise
+algebra instead of a from-scratch simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,7 +88,7 @@ class AddPad(GridDelta):
     """Pin a (currently unknown) node to the supply: a new power pad.
 
     ``voltage=None`` uses the engine's supply voltage.  Numerically this
-    is an exact symmetric rank-2 modification of the reduced system.
+    is one exact constraint on the reduced system: rank 1.
     """
 
     node: int | str
@@ -168,19 +176,20 @@ class IncrementalOptions:
     Attributes
     ----------
     max_rank:
-        Accumulated low-rank budget; exceeding it triggers a full
-        restamp + hierarchy rebuild at the next solve (the SMW capacity
-        system and correction algebra grow with the rank).
+        Accumulated low-rank budget — one per pad pin, one per wire
+        resize; exceeding it triggers a full restamp + hierarchy rebuild
+        at the next solve (every solve, preview and new column makes one
+        pass per active term).
     max_stencil_churn:
         Fraction of reduced-system rows the accumulated structural
         patches may touch before the stale base preconditioner is
         presumed ineffective and a rebuild is forced.
     polish_max_iterations:
         Iteration cap of the warm-started PCG polish that runs on the
-        patched matrix after an SMW correction.  A polish that fails to
+        patched matrix after the low-rank correction.  A polish that fails to
         converge within the cap falls back to a rebuild.
     column_tol:
-        Relative tolerance of the cached SMW factor-column solves
+        Relative tolerance of the cached factor-column solves
         (``G0⁻¹ e_j``) on the iterative tier.  ``None`` (default) uses
         the engine's solver tolerance — corrections are then accurate to
         full precision before any polish.  ECO sweeps that preview many
@@ -192,7 +201,7 @@ class IncrementalOptions:
     direct_max_size:
         Base-solve tier threshold.  The base matrix ``G0`` is fixed for
         the lifetime of a setup, so systems up to this many unknowns are
-        factorised once (sparse LU) and every SMW factor column and
+        factorised once (sparse LU) and every factor column and
         base-RHS solve becomes an exact pair of triangular solves —
         the decisive ECO advantage, since a from-scratch simulator
         cannot amortise anything across candidates.  Larger systems
@@ -228,13 +237,15 @@ class IncrementalSolve:
     strategy:
         How the step was solved: ``cold`` (first solve), ``warm``
         (warm-started re-solve, no structural terms), ``smw``
-        (low-rank Woodbury correction + polish), ``rebuild`` (full
-        restamp; includes threshold crossings and polish fallbacks).
+        (low-rank correction of the base solution, polished when over
+        tolerance), ``rebuild`` (full restamp; includes threshold
+        crossings and polish fallbacks).
     polish_iterations:
-        PCG iterations spent polishing an SMW correction.
+        PCG iterations spent polishing a low-rank correction.
     residual:
         Relative residual of the returned solution on the patched
-        system.
+        system (for a bordered preview: the candidate-pinned system's
+        residual over the committed right-hand side's norm).
     aborted:
         Guard trip reason (e.g. ``"deadline"``) or ``None``.
     """
@@ -248,28 +259,49 @@ class IncrementalSolve:
     aborted: str | None = None
 
 
+#: Bytes one block of :meth:`IncrementalEngine.preview_many` may hold:
+#: candidates are bordered ``_PREVIEW_SCRATCH_BYTES // (8 n)`` at a time
+#: (cache-sized at 6k unknowns; one by one at 120k, never an n x 32 block).
+_PREVIEW_SCRATCH_BYTES = 512 << 10
+
+#: A low-rank factor ``u = e[plus] - e[minus]`` (``minus`` None: ``e[plus]``).
+_Ends = tuple[int, int | None]
+
+
+def _across(ends: _Ends, block: np.ndarray) -> np.ndarray:
+    """``u^T`` applied along the last axis of a vector or a row block."""
+    plus, minus = ends
+    picked = block[..., plus]
+    return picked if minus is None else picked - block[..., minus]
+
+
 @dataclass
 class _Term:
-    """One committed low-rank delta and everything needed to undo it."""
+    """One committed delta and everything needed to undo it.
+
+    A rank-1 term holds ``column`` — ``G0⁻¹u`` with every earlier term
+    already projected out, i.e. the response of the state it was applied
+    to — the scalar ``pivot = 1/c + uᵀ column`` (``1/c`` is ``1/Δg`` for
+    a wire and 0 for a pad: a pin is the constraint ``uᵀx = target``),
+    and ``target`` (the pad voltage; 0 for a wire).
+    """
 
     token: str
     prev_fingerprint: str
-    cols: list[np.ndarray] = field(default_factory=list)
-    c_block: np.ndarray | None = None
-    w_cols: list[np.ndarray] = field(default_factory=list)
+    ends: _Ends | None = None
+    column: np.ndarray | None = None
+    pivot: float = 0.0
+    target: float = 0.0
     patch: SystemPatch = field(default_factory=SystemPatch.empty)
+    free_patch: SystemPatch = field(default_factory=SystemPatch.empty)
     y_delta: np.ndarray | None = None
-    y_invalidated: bool = False
     grid_undo: Callable[[], None] | None = None
     pinned_row: int | None = None
-    pinned_voltage: float | None = None
-    touched_rows: tuple[int, ...] = ()
-    structural: bool = False
-    prev_structural_dirty: bool = False
+    prev_structural_dirty: bool | None = None  # set by a structural delta
 
     @property
     def rank(self) -> int:
-        return len(self.cols)
+        return 0 if self.column is None else 1
 
 
 class IncrementalEngine:
@@ -278,8 +310,9 @@ class IncrementalEngine:
     The engine owns a private clone of the grid; the caller's object is
     never mutated.  ``apply`` commits a delta (returning a handle),
     ``revert`` undoes the *most recent* one (LIFO — candidate
-    evaluation), ``preview`` wraps apply → solve → revert, and ``solve``
-    produces the IR drop for the current state.
+    evaluation), ``solve`` produces the IR drop for the current state,
+    and ``preview`` / ``preview_many`` evaluate candidate edits against
+    it without committing anything.
     """
 
     def __init__(
@@ -305,16 +338,9 @@ class IncrementalEngine:
 
         self._grid = grid.clone()
         self._terms: list[_Term] = []
-        self._pinned: dict[int, float] = {}  # reduced row -> voltage
-        self._w_cache: dict[tuple, tuple[np.ndarray, int]] = {}
-        self._loads: dict[int, float] = {
-            n.index: n.load_current for n in self._grid.loads()
-        }
-        self._structural_dirty = False
-        self._x: np.ndarray | None = None  # last unknown-space solution
-        self._x_full: np.ndarray | None = None  # last full-grid voltages
-        self._y: np.ndarray | None = None  # S(b_cur) against the base
-        self._y_guess: np.ndarray | None = None
+        self._w_cache: dict[_Ends, np.ndarray] = {}
+        self._x: np.ndarray | None = None  # last committed unknown-space solution
+        self._x_fingerprint: str | None = None  # state _x converged on
         self._steps = 0
         self._setup(validate=validate, fingerprint=None)
 
@@ -325,7 +351,11 @@ class IncrementalEngine:
         base = build_reduced_system(self._grid, validate=validate)
         self._base_matrix = base.matrix  # unpatched: what the AMG setup sees
         self._system = base.mutable_copy()
-        self._row_of = base.row_map()
+        # The RHS with no delta pin stamped into it (pins are constraints
+        # on G0's own unknowns): loads and pad-side wire couplings only.
+        self._free_rhs = base.rhs
+        self._row_of = np.full(base.num_grid_nodes, -1, dtype=np.int64)
+        self._row_of[base.unknown_indices] = np.arange(base.size)
         if fingerprint is None:
             fingerprint = matrix_fingerprint(base.matrix)
         self._fingerprint = fingerprint
@@ -334,20 +364,19 @@ class IncrementalEngine:
         self._factor: Callable[[np.ndarray], np.ndarray] | None = None
         self._factor_skipped = False
         self._terms.clear()
-        self._pinned.clear()
         self._w_cache.clear()
-        self._y = None
-        self._y_guess = None
+        self._y: np.ndarray | None = None  # G0⁻¹ _free_rhs
+        self._y_guess: np.ndarray | None = None  # last valid _y: warm start
         self._structural_dirty = False
 
     def _rebuild(self) -> None:
         with span("incremental.rebuild", rank=self.rank):
-            previous_full = self._x_full
+            previous = None if self._x is None else self._system.scatter(self._x)
             self._setup(validate=True, fingerprint=self._fingerprint)
-            if previous_full is not None:
+            if previous is not None:
                 # Re-gather the previous full-grid solution onto the new
                 # unknown set: still an excellent warm start.
-                self._x = self._system.gather(previous_full)
+                self._x = self._system.gather(previous)
         counter_add("incremental.rebuilds")
 
     # -- introspection -----------------------------------------------------
@@ -375,14 +404,13 @@ class IncrementalEngine:
     @property
     def current_loads(self) -> dict[int, float]:
         """Per-node load currents of the current state (nonzero only)."""
-        return {k: v for k, v in self._loads.items() if v != 0.0}
+        loads = self._grid.load_current
+        nonzero = np.flatnonzero(loads)
+        return dict(zip(nonzero.tolist(), loads[nonzero].tolist()))
 
     def _stencil_churn(self) -> float:
-        touched: set[int] = set()
-        for term in self._terms:
-            touched.update(term.touched_rows)
-        size = max(self._system.size, 1)
-        return len(touched) / size
+        touched = {row for term in self._terms for row in term.ends or ()}
+        return len(touched - {None}) / max(self._system.size, 1)
 
     def _needs_rebuild(self) -> bool:
         return (
@@ -392,11 +420,6 @@ class IncrementalEngine:
         )
 
     # -- base solves (against the unpatched matrix + cached hierarchy) ----
-
-    def _guard(self) -> IterationGuard | None:
-        if not deadline_active():
-            return None
-        return IterationGuard(self.guard_options, solver_name="incremental")
 
     def _preconditioner(self) -> CyclePreconditioner:
         """K-cycle over ``G0``'s hierarchy, obtained at the first PCG use.
@@ -432,7 +455,13 @@ class IncrementalEngine:
                 from scipy.sparse.linalg import splu
 
                 with span("incremental.factorize", size=self._system.size):
-                    lu = splu(sp.csc_matrix(self._base_matrix))
+                    # G0 is SPD and diagonally dominant: pivot on the
+                    # diagonal, which also shortens every later solve.
+                    lu = splu(
+                        sp.csc_matrix(self._base_matrix),
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True},
+                    )
                 self._factor = lu.solve
                 counter_add("incremental.factorizations")
         return self._factor
@@ -448,64 +477,80 @@ class IncrementalEngine:
         if factor is not None:
             counter_add("incremental.direct_solves")
             return SolveResult(x=factor(rhs), iterations=0, converged=True)
+        return self._guarded_pcg(self._base_matrix, rhs, x0, options)
+
+    def _guarded_pcg(self, matrix, rhs, x0, options: SolverOptions) -> SolveResult:
+        """K-cycle PCG on *matrix* (``G0`` or the patched system), deadline-guarded."""
+        guard = None
+        if deadline_active():
+            guard = IterationGuard(self.guard_options, solver_name="incremental")
         result = _pcg(
-            self._base_matrix,
+            matrix,
             rhs,
             x0,
             preconditioner=self._preconditioner().apply,
             options=options,
             flexible=True,
-            guard=self._guard(),
+            guard=guard,
         )
         counter_add("pcg.iterations", result.iterations)
         return result
 
-    def _column_solve(self, key: tuple, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """Cached ``G0⁻¹ rhs`` for an SMW factor column."""
-        cached = self._w_cache.get(key)
+    def _column_solve(self, ends: _Ends) -> tuple[np.ndarray, bool]:
+        """``(G0⁻¹u, converged)``, one right-hand side at a time.
+
+        Only a converged column is cached: one cut short by a deadline
+        would otherwise be paid for, in polish iterations, by every
+        later use of the row.
+        """
+        cached = self._w_cache.get(ends)
         if cached is not None:
             counter_add("incremental.column_cache_hits")
-            return cached
+            return cached, True
+        plus, minus = ends
+        u = np.zeros(self._system.size, dtype=float)
+        u[plus] = 1.0
+        if minus is not None:
+            u[minus] = -1.0
         tol = self.incremental.column_tol
         column_options = replace(
             self.options,
             record_history=False,
             tol=self.options.tol if tol is None else tol,
         )
-        result = self._base_solve(rhs, None, column_options)
-        entry = (result.x, result.iterations)
-        self._w_cache[key] = entry
+        result = self._base_solve(u, None, column_options)
         counter_add("incremental.column_solves")
-        return entry
+        if result.converged:
+            self._w_cache[ends] = result.x
+        return result.x, result.converged
 
-    def _unit(self, row: int) -> np.ndarray:
-        e = np.zeros(self._system.size, dtype=float)
-        e[row] = 1.0
-        return e
+    def _project(self, block: np.ndarray, targets: bool = False) -> np.ndarray:
+        """Carry ``G0⁻¹`` images over to the current state, in place.
 
-    def _prior_correction(self, e_row: np.ndarray, row: int) -> np.ndarray:
-        """``Σ W_i C_i (U_iᵀ e_row)`` over the active terms.
-
-        With ``q = G_cur e_row`` this turns ``S(q)`` into pure algebra:
-        ``S(q) = e_row + Σ W_i C_i (U_iᵀ e_row)`` — no extra solve.
+        One Sherman–Morrison step per active term, in apply order, its
+        multiplier read off what the earlier steps left:
+        ``block -= column (uᵀblock - target) / pivot``.  Raw columns
+        ``G0⁻¹u`` take no targets (a response keeps every pin at zero);
+        ``y = G0⁻¹b`` with them becomes the state's solution.  Each step
+        is elementwise over *block* (a vector, or one candidate per row),
+        so a row's numbers do not depend on what shares its block.
         """
-        correction = np.zeros_like(e_row)
         for term in self._terms:
-            if not term.cols:
-                continue
-            proj = np.array([col[row] for col in term.cols])
-            if not proj.any():
-                continue
-            coeff = term.c_block @ proj
-            for w_col, c in zip(term.w_cols, coeff):
-                if c != 0.0:
-                    correction += c * w_col
-        return correction
+            if term.column is not None:
+                gap = _across(term.ends, block) - (term.target if targets else 0.0)
+                block -= (gap / term.pivot)[..., None] * term.column
+        return block
 
     # -- delta application -------------------------------------------------
 
     def _resolve_node(self, node: int | str) -> int:
         return self._grid.index_of(node) if isinstance(node, str) else int(node)
+
+    def _free_row(self, grid_index: int) -> int | None:
+        """Reduced row of a node that is electrically unknown, else ``None``."""
+        row = int(self._row_of[grid_index])
+        pinned = self._grid.pad_voltage[grid_index] == self._grid.pad_voltage[grid_index]
+        return None if row < 0 or pinned else row
 
     def _resolve_endpoint(
         self, grid_index: int
@@ -513,21 +558,22 @@ class IncrementalEngine:
         """Map a grid node to (reduced row, pinned voltage).
 
         Original pads have no row; delta-pinned nodes have a row but are
-        electrically pads, so both report ``row=None`` + their voltage
-        for stamping purposes (returning the row separately for RHS
-        bookkeeping is not needed — :func:`patch_conductance` mirrors
-        the full stamp's elimination rules).
+        electrically pads, so both report ``row=None`` + their voltage —
+        :func:`patch_conductance` mirrors the full stamp's elimination
+        rules, and the pin constraint makes the same form exact for the
+        low-rank factor.
         """
-        row = self._row_of.get(grid_index)
-        if row is None:
-            return None, self._system.pad_voltages[grid_index]
-        pinned = self._pinned.get(row)
-        if pinned is not None:
-            return None, pinned
-        return row, None
+        row = self._free_row(grid_index)
+        if row is not None:
+            return row, None
+        return None, float(self._grid.pad_voltage[grid_index])
 
     def apply(self, delta: GridDelta) -> _Term:
-        """Commit a delta; returns the handle :meth:`revert` accepts."""
+        """Commit a delta; returns the handle :meth:`revert` accepts.
+
+        Every column is solved and every input checked before the first
+        write, so an exception leaves the engine exactly as it was.
+        """
         if isinstance(delta, AddPad):
             term = self._apply_add_pad(delta)
         elif isinstance(delta, RemovePad):
@@ -546,75 +592,47 @@ class IncrementalEngine:
 
     def _apply_add_pad(self, delta: AddPad) -> _Term:
         index = self._resolve_node(delta.node)
-        node = self._grid.node(index)
-        if node.is_pad:
-            raise ValueError(f"node {node.name!r} is already a pad")
+        row = self._free_row(index)
+        if row is None:
+            raise ValueError(
+                f"node {self._grid.node_names[index]!r} is already a pad"
+            )
         voltage = self.supply_voltage if delta.voltage is None else delta.voltage
-        row = self._row_of[index]
-        matrix, rhs = self._system.matrix, self._system.rhs
-        rhs_j_old = float(rhs[row])
-        patch, q_indices, q_values = pin_row(matrix, rhs, row, voltage)
-        diag = float(q_values[np.searchsorted(q_indices, row)])
+        if not np.isfinite(voltage):
+            raise ValueError(f"a pad voltage must be finite, got {voltage}")
+        raw, _ = self._column_solve((row, None))
+        column = self._project(raw.copy())
 
-        e_row = self._unit(row)
-        q_dense = np.zeros_like(e_row)
-        q_dense[q_indices] = q_values
-        alpha = 2.0 * diag
-        c_block = np.array([[alpha, -1.0], [-1.0, 0.0]])
-
-        w1, _ = self._column_solve(("node", row), e_row)
-        # S(q) = S(G_cur e_row) = e_row + Σ W_i C_i (U_iᵀ e_row): algebra.
-        w2 = e_row + self._prior_correction(e_row, row)
-        # RHS moved by the pin: Δb = -V q + (2 d V - b_j) e_j, so the
-        # cached base solution S(b) shifts by -V S(q) + (2 d V - b_j) w1.
-        y_delta = -voltage * w2 + (2.0 * diag * voltage - rhs_j_old) * w1
-
+        patch = pin_row(self._system.matrix, self._system.rhs, row, voltage)
         self._grid.pin_pad(index, voltage)
-        self._pinned[row] = voltage
-        if self._y is not None:
-            self._y = self._y + y_delta
-
         term = _Term(
             token=delta.token(),
             prev_fingerprint=self._fingerprint,
-            cols=[e_row, q_dense],
-            c_block=c_block,
-            w_cols=[w1, w2],
+            ends=(row, None),
+            column=column,
+            pivot=float(column[row]),
+            target=voltage,
             patch=patch,
-            y_delta=y_delta,
-            grid_undo=lambda: (
-                self._grid.unpin_pad(index),
-                self._pinned.pop(row, None),
-            ),
+            grid_undo=lambda: self._grid.unpin_pad(index),
             pinned_row=row,
-            pinned_voltage=voltage,
-            touched_rows=(row,),
         )
         self._terms.append(term)
         return term
 
     def _apply_remove_pad(self, delta: RemovePad) -> _Term:
         index = self._resolve_node(delta.node)
-        node = self._grid.node(index)
-        if not node.is_pad:
-            raise ValueError(f"node {node.name!r} is not a pad")
-        row = self._row_of.get(index)
-        if (
-            row is not None
-            and self._terms
-            and self._terms[-1].pinned_row == row
-        ):
+        voltage = float(self._grid.pad_voltage[index])
+        if voltage != voltage:
+            raise ValueError(
+                f"node {self._grid.node_names[index]!r} is not a pad"
+            )
+        if self._terms and self._terms[-1].pinned_row == self._row_of[index]:
             # Exact reversal of the most recent AddPad: pop it.
             self.revert(self._terms[-1])
             # Re-chain so the fingerprint reflects "add then remove"
             # rather than silently rewinding (apply() chains on top).
-            return _Term(
-                token=delta.token(),
-                prev_fingerprint=self._fingerprint,
-                grid_undo=None,
-            )
+            return _Term(token=delta.token(), prev_fingerprint=self._fingerprint)
         # Anything else changes the unknown set: structural rebuild.
-        voltage = node.pad_voltage
         self._grid.unpin_pad(index)
         prev_dirty = self._structural_dirty
         self._structural_dirty = True
@@ -623,7 +641,6 @@ class IncrementalEngine:
             token=delta.token(),
             prev_fingerprint=self._fingerprint,
             grid_undo=lambda: self._grid.pin_pad(index, voltage),
-            structural=True,
             prev_structural_dirty=prev_dirty,
         )
         self._terms.append(term)
@@ -637,70 +654,62 @@ class IncrementalEngine:
             new_resistance = old_resistance * delta.factor
         else:
             new_resistance = delta.resistance
+        if not (new_resistance > 0 and np.isfinite(new_resistance)):
+            raise ValueError(f"resistance must be positive, got {new_resistance}")
         delta_g = 1.0 / new_resistance - 1.0 / old_resistance
 
-        a_index, b_index = wire.node_a, wire.node_b
-        row_a, voltage_a = self._resolve_endpoint(a_index)
-        row_b, voltage_b = self._resolve_endpoint(b_index)
-        matrix, rhs = self._system.matrix, self._system.rhs
-        patch = patch_conductance(
-            matrix, rhs, row_a, row_b, delta_g, voltage_a, voltage_b
-        )
-
-        cols: list[np.ndarray] = []
-        w_cols: list[np.ndarray] = []
-        c_block: np.ndarray | None = None
-        y_delta: np.ndarray | None = None
-        touched: tuple[int, ...] = ()
-        if delta_g != 0.0 and (row_a is not None or row_b is not None):
-            if row_a is not None and row_b is not None:
-                u = self._unit(row_a) - self._unit(row_b)
-                w, _ = self._column_solve(("edge", row_a, row_b), u)
-                touched = (row_a, row_b)
-            else:
-                live = row_a if row_a is not None else row_b
-                pad_voltage = voltage_b if row_a is not None else voltage_a
-                u = self._unit(live)
-                w, _ = self._column_solve(("node", live), u)
-                # RHS coupling to the pinned side moved by delta_g * V.
-                y_delta = delta_g * pad_voltage * w
-                touched = (live,)
-            cols, w_cols = [u], [w]
-            c_block = np.array([[delta_g]])
-            if self._y is not None and y_delta is not None:
-                self._y = self._y + y_delta
-
-        self._grid.set_wire_resistance(wire_index, new_resistance)
+        row_a, voltage_a = self._resolve_endpoint(wire.node_a)
+        row_b, voltage_b = self._resolve_endpoint(wire.node_b)
         term = _Term(
             token=delta.token(),
             prev_fingerprint=self._fingerprint,
-            cols=cols,
-            c_block=c_block,
-            w_cols=w_cols,
-            patch=patch,
-            y_delta=y_delta,
             grid_undo=lambda: self._grid.set_wire_resistance(
                 wire_index, old_resistance
             ),
-            touched_rows=touched,
         )
+        rhs_shift = 0.0  # what the pinned side's coupling adds to the live row
+        if delta_g != 0.0 and (row_a is not None or row_b is not None):
+            if row_a is not None and row_b is not None:
+                term.ends = (row_a, row_b)
+            else:
+                term.ends = (row_a if row_a is not None else row_b, None)
+                rhs_shift = delta_g * (voltage_b if row_a is not None else voltage_a)
+            raw, _ = self._column_solve(term.ends)
+            term.column = self._project(raw.copy())
+            term.pivot = 1.0 / delta_g + float(_across(term.ends, term.column))
+            if rhs_shift:
+                term.y_delta = rhs_shift * raw
+
+        term.patch = patch_conductance(
+            self._system.matrix, self._system.rhs,
+            row_a, row_b, delta_g, voltage_a, voltage_b,
+        )
+        if rhs_shift:
+            term.free_patch = patch_rhs(
+                self._free_rhs, np.array([term.ends[0]]), np.array([rhs_shift])
+            )
+            if self._y is not None:
+                self._y = self._y + term.y_delta
+        self._grid.set_wire_resistance(wire_index, new_resistance)
         self._terms.append(term)
         return term
 
     def _apply_loads(self, delta: ReviseLoads) -> _Term:
+        resolved: list[tuple[int, int, float]] = []
+        for node, amps in delta.currents:
+            index = self._resolve_node(node)
+            row = self._free_row(index)
+            if row is None:
+                raise ValueError(
+                    f"node {self._grid.node_names[index]!r} ({index}) is a pad "
+                    "or unknown; cannot load it"
+                )
+            resolved.append((index, row, amps))
         rows: list[int] = []
         rhs_deltas: list[float] = []
         old_loads: list[tuple[int, float]] = []
-        for node, amps in delta.currents:
-            index = self._resolve_node(node)
-            row = self._row_of.get(index)
-            if row is None or row in self._pinned:
-                name = self._grid.node(index).name
-                raise ValueError(
-                    f"node {name!r} ({index}) is a pad or unknown; "
-                    "cannot load it"
-                )
-            old = self._loads.get(index, 0.0)
+        for index, row, amps in resolved:
+            old = float(self._grid.load_current[index])
             new = old + amps if delta.additive else amps
             if new == old:
                 continue
@@ -708,24 +717,18 @@ class IncrementalEngine:
             # Loads enter the stamped RHS with a negative sign.
             rhs_deltas.append(-(new - old))
             old_loads.append((index, old))
-            self._loads[index] = new
             self._grid.set_load(index, new)
-        patch = patch_rhs(
-            self._system.rhs,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(rhs_deltas, dtype=float),
-        )
+        shifts = (np.asarray(rows, dtype=np.int64), np.asarray(rhs_deltas, dtype=float))
 
         def undo() -> None:
             for index, old in old_loads:
-                self._loads[index] = old
                 self._grid.set_load(index, old)
 
         term = _Term(
             token=delta.token(),
             prev_fingerprint=self._fingerprint,
-            patch=patch,
-            y_invalidated=bool(rows),
+            patch=patch_rhs(self._system.rhs, *shifts),
+            free_patch=patch_rhs(self._free_rhs, *shifts),
             grid_undo=undo,
         )
         if rows:
@@ -741,45 +744,119 @@ class IncrementalEngine:
             )
         self._terms.pop()
         revert_patch(self._system.matrix, self._system.rhs, term.patch)
+        self._free_rhs[term.free_patch.rhs_rows] = term.free_patch.rhs_old
         if term.grid_undo is not None:
             term.grid_undo()
-        if term.structural:
+        if term.prev_structural_dirty is not None:
             self._structural_dirty = term.prev_structural_dirty
-        if term.y_invalidated:
-            self._y = None
+        if term.y_delta is None and term.free_patch.rhs_rows.size:
+            self._y = None  # a load revision: nothing algebraic to take back
         elif term.y_delta is not None and self._y is not None:
             self._y = self._y - term.y_delta
         self._fingerprint = term.prev_fingerprint
+
+    # -- previews ----------------------------------------------------------
+
+    def preview(self, delta: GridDelta, tol: float | None = None) -> IncrementalSolve:
+        """Evaluate a candidate edit without committing it."""
+        return self.preview_many([delta], tol)[0]
+
+    def preview_many(
+        self, deltas: Sequence[GridDelta], tol: float | None = None
+    ) -> list[IncrementalSolve]:
+        """Evaluate candidate edits, each alone against the current state.
+
+        An :class:`AddPad` on top of a committed :meth:`solve` is one
+        more constraint bordered onto that solution, ``x + δ_j z̃_j``,
+        read off cached columns without touching :attr:`system`; its
+        relative residual on the pinned system is the certificate.  A
+        candidate over *tol*, any other delta kind, and every candidate
+        when the state moved since the last ``solve()``, goes through
+        apply → ``solve(commit=False)`` → revert instead.  A candidate's
+        result does not depend on what else is in the batch.
+        """
+        with span("incremental.preview_batch", candidates=len(deltas)) as batch:
+            results = self._border_pads(deltas, self.options.tol if tol is None else tol)
+            polished = 0
+            for k, delta in enumerate(deltas):
+                if results[k] is None:
+                    polished += 1
+                    term = self.apply(delta)
+                    try:
+                        results[k] = self.solve(tol=tol, commit=False)
+                    finally:
+                        self.revert(term)
+            batch.attrs["polished"] = polished
+        worst = max((step.residual for step in results), default=0.0)
+        self.diagnostics.warnings.append(
+            f"incremental preview batch: candidates={len(deltas)} "
+            f"polished={polished} worst_residual={worst:.3e}"
+        )
+        return results
+
+    def _border_pads(
+        self, deltas: Sequence[GridDelta], tol: float
+    ) -> list[IncrementalSolve | None]:
+        """The certified one-multiplier previews; ``None`` where there is none."""
+        results: list[IncrementalSolve | None] = [None] * len(deltas)
+        if self._x_fingerprint != self._fingerprint:
+            return results
+        lanes: list[tuple[int, int, float, np.ndarray]] = []
+        for k, delta in enumerate(deltas):
+            row = (
+                self._free_row(self._resolve_node(delta.node))
+                if isinstance(delta, AddPad) else None
+            )
+            if row is None:
+                continue  # not a pad, or apply() owns the error
+            raw, converged = self._column_solve((row, None))
+            if converged:
+                voltage = self.supply_voltage if delta.voltage is None else delta.voltage
+                lanes.append((k, row, voltage, raw))
+
+        x, system = self._x, self._system
+        denom = float(np.linalg.norm(system.rhs)) or 1.0
+        pads = list(system.pad_voltages)
+        chunk = max(1, _PREVIEW_SCRATCH_BYTES // (8 * max(system.size, 1)))
+        for start in range(0, len(lanes), chunk):
+            picks, rows, volts, columns = zip(*lanes[start : start + chunk])
+            block = self._project(np.array(columns))
+            scale = (np.array(volts) - x[list(rows)]) / block[range(len(rows)), rows]
+            block *= scale[:, None]
+            block += x
+            drops = np.empty((len(rows), system.num_grid_nodes))
+            drops[:, system.unknown_indices] = block
+            drops[:, pads] = list(system.pad_voltages.values())
+            np.subtract(self.supply_voltage, drops, out=drops)
+            for i, (k, row) in enumerate(zip(picks, rows)):
+                # Row j of the pinned system is d(V - x_j) = 0; every other
+                # row is the committed matrix's, column j already carrying V.
+                r = system.rhs - system.matrix @ block[i]
+                r[row] = 0.0
+                residual = float(np.sqrt(r @ r)) / denom
+                if residual <= tol:
+                    results[k] = IncrementalSolve(
+                        drops=drops[i], iterations=0, strategy="smw",
+                        residual=residual,
+                    )
+        return results
 
     # -- solving -----------------------------------------------------------
 
     def set_loads(self, currents: Mapping[int | str, float]) -> _Term:
         """Replace the whole load vector (unmentioned loads go to zero)."""
-        merged: dict[int | str, float] = {
-            index: 0.0 for index, load in self._loads.items() if load != 0.0
-        }
+        merged: dict[int | str, float] = dict.fromkeys(self.current_loads, 0.0)
         merged.update(currents)
         return self.apply(ReviseLoads.of(merged))
-
-    def preview(self, delta: GridDelta, tol: float | None = None) -> IncrementalSolve:
-        """Evaluate a candidate edit without committing it."""
-        term = self.apply(delta)
-        previous_x = self._x
-        previous_full = self._x_full
-        try:
-            return self.solve(tol=tol, commit=False)
-        finally:
-            self.revert(term)
-            self._x = previous_x
-            self._x_full = previous_full
 
     def solve(
         self, tol: float | None = None, commit: bool = True
     ) -> IncrementalSolve:
         """Solve the current state; warm-starts and corrects as possible.
 
-        ``commit=False`` (used by :meth:`preview`) keeps the cached
-        solution trajectory pointed at the last committed state.
+        ``commit=False`` (the polish path of :meth:`preview_many`) keeps
+        the cached solution trajectory and the per-step diagnostics
+        pointed at the last committed state.
         """
         options = self.options if tol is None else replace(self.options, tol=tol)
         with span("incremental.solve", rank=self.rank) as solve_span:
@@ -790,24 +867,25 @@ class IncrementalEngine:
             if rebuilt:
                 self._rebuild()
             if not self._terms:
-                step = self._solve_direct(options)
+                step = self._solve_direct(options, commit)
                 if rebuilt:
                     step.strategy = "rebuild"
             else:
-                step = self._solve_smw(options, allow_rebuild=commit)
+                step = self._solve_smw(options, commit)
             solve_span.attrs["strategy"] = step.strategy
             solve_span.attrs["iterations"] = step.iterations
-        self._steps += 1
         counter_add("incremental.solves")
         counter_add("incremental.polish_iterations", step.polish_iterations)
         if step.aborted is not None:
             counter_add("incremental.aborted")
-        self.diagnostics.warnings.append(
-            f"incremental step {self._steps}: strategy={step.strategy} "
-            f"iterations={step.iterations} polish={step.polish_iterations} "
-            f"converged={step.converged}"
-            + (f" aborted={step.aborted}" if step.aborted else "")
-        )
+        if commit:
+            self._steps += 1
+            self.diagnostics.warnings.append(
+                f"incremental step {self._steps}: strategy={step.strategy} "
+                f"iterations={step.iterations} polish={step.polish_iterations} "
+                f"converged={step.converged}"
+                + (f" aborted={step.aborted}" if step.aborted else "")
+            )
         return step
 
     def _finish(
@@ -815,14 +893,18 @@ class IncrementalEngine:
         x: np.ndarray,
         iterations: int,
         strategy: str,
+        commit: bool,
         polish_iterations: int = 0,
         aborted: str | None = None,
         converged: bool = True,
+        residual: float | None = None,
     ) -> IncrementalSolve:
-        self._x = x
         voltages = self._system.scatter(x)
-        self._x_full = voltages
-        residual = self._system.relative_residual(x)
+        if commit:
+            self._x = x
+            self._x_fingerprint = self._fingerprint if converged else None
+        if residual is None:
+            residual = self._system.relative_residual(x)
         return IncrementalSolve(
             drops=self.supply_voltage - voltages,
             iterations=iterations,
@@ -833,123 +915,79 @@ class IncrementalEngine:
             aborted=aborted,
         )
 
-    def _solve_direct(self, options: SolverOptions) -> IncrementalSolve:
-        """No active low-rank terms: the matrix IS ``G0``; solve it."""
+    def _solve_direct(self, options: SolverOptions, commit: bool) -> IncrementalSolve:
+        """No active terms: matrix and RHS ARE ``G0`` and the pin-free ``b``."""
         if self._x is not None and self._x.shape == (self._system.size,):
             x0 = self._x
             strategy = "warm"
         else:
             x0 = np.full(self._system.size, self.supply_voltage)
             strategy = "cold" if self._steps == 0 else "rebuild"
-        factor = self._base_factor()
-        if factor is not None:
-            counter_add("incremental.direct_solves")
-            counter_add("incremental.warm_solves" if strategy == "warm" else
-                        "incremental.full_solves")
-            return self._finish(factor(self._system.rhs), 0, strategy)
-        result = _pcg(
-            self._system.matrix,
-            self._system.rhs,
-            x0,
-            preconditioner=self._preconditioner().apply,
-            options=options,
-            flexible=True,
-            guard=self._guard(),
-        )
-        counter_add("pcg.iterations", result.iterations)
+        result = self._base_solve(self._free_rhs, x0, options)
         counter_add("incremental.warm_solves" if strategy == "warm" else
                     "incremental.full_solves")
         return self._finish(
             result.x,
             result.iterations,
             strategy,
+            commit,
             aborted=result.aborted,
             converged=result.converged,
         )
 
-    def _solve_smw(
-        self, options: SolverOptions, allow_rebuild: bool = True
-    ) -> IncrementalSolve:
-        """Woodbury correction against the base hierarchy, then polish."""
+    def _solve_smw(self, options: SolverOptions, commit: bool) -> IncrementalSolve:
+        """Term-by-term correction of the base solution, then polish."""
         iterations = 0
-        # y = G0⁻¹ b_cur; maintained algebraically across pad/wire edits,
-        # re-solved (warm) after a general RHS move.
+        # y = G0⁻¹ b with no pin in b; shifted algebraically by pad-side
+        # wire edits, re-solved (warm) after a general RHS move.
         if self._y is None:
-            result = self._base_solve(
-                self._system.rhs, self._y_guess, options
-            )
-            self._y = result.x
+            result = self._base_solve(self._free_rhs, self._y_guess, options)
             iterations += result.iterations
             if result.aborted is not None:
                 return self._finish(
-                    result.x, iterations, "smw",
+                    result.x, iterations, "smw", commit,
                     aborted=result.aborted, converged=False,
                 )
+            self._y = result.x
         self._y_guess = self._y
-
-        terms = [t for t in self._terms if t.cols]
-        if terms:
-            u_mat = np.column_stack(
-                [col for t in terms for col in t.cols]
-            )
-            w_mat = np.column_stack(
-                [col for t in terms for col in t.w_cols]
-            )
-            k = u_mat.shape[1]
-            c_inv = np.zeros((k, k))
-            offset = 0
-            for t in terms:
-                r = t.rank
-                c_inv[offset : offset + r, offset : offset + r] = (
-                    np.linalg.inv(t.c_block)
-                )
-                offset += r
-            capacitance = c_inv + u_mat.T @ w_mat
-            coeff = np.linalg.solve(capacitance, u_mat.T @ self._y)
-            x = self._y - w_mat @ coeff
-        else:
-            x = self._y.copy()
+        x = self._project(self._y.copy(), targets=True)
         counter_add("incremental.smw_solves")
 
         # Polish on the *patched* matrix with the stale base
-        # preconditioner: restores full tolerance regardless of the
-        # conditioning of the capacitance solve.
+        # preconditioner: restores full tolerance whatever the accuracy
+        # of the cached columns.
+        residual: float | None = self._system.relative_residual(x)
         polish_iterations = 0
         aborted: str | None = None
-        converged = self._system.relative_residual(x) <= options.tol
+        converged = residual <= options.tol
         if not converged:
             polish_options = replace(
                 options,
                 max_iterations=self.incremental.polish_max_iterations,
                 record_history=False,
             )
-            result = _pcg(
-                self._system.matrix,
-                self._system.rhs,
-                x,
-                preconditioner=self._preconditioner().apply,
-                options=polish_options,
-                flexible=True,
-                guard=self._guard(),
+            result = self._guarded_pcg(
+                self._system.matrix, self._system.rhs, x, polish_options
             )
-            counter_add("pcg.iterations", result.iterations)
             polish_iterations = result.iterations
             iterations += result.iterations
-            x = result.x
+            x, residual = result.x, None
             aborted = result.aborted
             converged = result.converged
-            if not converged and aborted is None and allow_rebuild:
+            if not converged and aborted is None and commit:
                 # Stale preconditioner not pulling its weight: rebuild.
                 counter_add("incremental.fallbacks")
                 self._rebuild()
-                return self._solve_direct(options)
+                return self._solve_direct(options, commit)
         return self._finish(
             x,
             iterations,
             "smw",
+            commit,
             polish_iterations=polish_iterations,
             aborted=aborted,
             converged=converged,
+            residual=residual,
         )
 
 

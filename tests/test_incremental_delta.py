@@ -13,9 +13,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.synthetic import DesignSpec, generate_design
+import repro.solvers.incremental as incremental_module
+from repro.data.synthetic import DesignSpec, generate_design, make_real_spec
 from repro.mna.stamper import build_reduced_system
-from repro.obs import deadline_scope
+from repro.obs import counters_delta, deadline_scope, metrics_snapshot, trace
+from repro.solvers.guard import GuardrailOptions
 from repro.solvers.incremental import (
     AddPad,
     IncrementalAnalyzer,
@@ -48,6 +50,13 @@ def reference_drops(grid):
     return SUPPLY - system.scatter(x)
 
 
+def reference_with_pad(grid, node):
+    """``reference_drops`` of *grid* with *node* pinned to the supply."""
+    pinned = grid.clone()
+    pinned.pin_pad(node, SUPPLY)
+    return reference_drops(pinned)
+
+
 def _free_nodes(grid):
     return [n.index for n in grid.nodes if not n.is_pad]
 
@@ -66,9 +75,10 @@ def delta_programs(draw):
     length = draw(st.integers(min_value=1, max_value=6))
     program = []
     for _ in range(length):
-        kind = draw(st.sampled_from(
-            ["add_pad", "remove_added_pad", "scale_wire", "set_wire", "loads"]
-        ))
+        kind = draw(st.sampled_from([
+            "add_pad", "remove_added_pad", "scale_wire", "set_wire", "loads",
+            "preview_many",
+        ]))
         payload = {
             "pick": draw(st.integers(min_value=0, max_value=10**6)),
             "factor": draw(st.floats(min_value=0.25, max_value=4.0)),
@@ -76,6 +86,17 @@ def delta_programs(draw):
         }
         program.append((kind, payload))
     return program
+
+
+def _engine_state(engine):
+    """Everything a preview must leave alone, comparable with ``==``."""
+    system = engine.system
+    return (
+        system.matrix.data.tobytes(), system.rhs.tobytes(),
+        engine.fingerprint, engine.rank,
+        engine.grid.pad_voltage.tobytes(), engine.grid.load_current.tobytes(),
+        engine.grid.wire_arrays()[2].tobytes(),
+    )
 
 
 #: Both base-solve tiers must satisfy every invariant: "direct" factors
@@ -127,6 +148,21 @@ class TestDeltaSequencesMatchFromScratch:
                 resistance = shadow.wires[wire].resistance * factor + 1e-4
                 engine.apply(SetWireResistance(wire, resistance))
                 shadow.set_wire_resistance(wire, resistance)
+            elif kind == "preview_many":
+                engine.solve()
+                pool = _free_nodes(shadow)
+                nodes = [pool[(pick + 7 * k) % len(pool)] for k in range(3)]
+                state = _engine_state(engine)
+                trials = engine.preview_many(
+                    [AddPad(node) for node in nodes]
+                    + [ScaleWire(pick % shadow.num_wires, factor)]
+                )
+                assert _engine_state(engine) == state
+                for node, trial in zip(nodes, trials):
+                    assert trial.converged
+                    np.testing.assert_allclose(
+                        trial.drops, reference_with_pad(shadow, node), atol=1e-6
+                    )
             else:
                 pool = [
                     i for i in _load_nodes(shadow)
@@ -169,7 +205,7 @@ class TestRebuildBoundary:
             if shadow.node(i).load_current == 0.0
         ]
         strategies = []
-        for node in free[:3]:  # rank 6 > budget 2 after the second pad
+        for node in free[:4]:  # a pad is rank 1: the third exceeds budget 2
             engine.apply(AddPad(node))
             shadow.pin_pad(node, SUPPLY)
             step = engine.solve()
@@ -316,3 +352,199 @@ class TestAnalyzerSatellites:
         notes = analyzer.diagnostics.warnings
         assert len(notes) == 2
         assert "strategy=" in notes[0] and "iterations=" in notes[0]
+
+
+class TestPadIsOneConstraint:
+    """Tentpole: pins are rank-1 constraints; previews border, never stamp."""
+
+    def test_pad_costs_rank_one(self):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.apply(AddPad(_free_nodes(GRID)[0]))
+        assert engine.rank == 1
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_off_supply_pad_loaded_pin_and_wire_at_a_pin_match_reference(self, tier):
+        engine = IncrementalEngine(GRID, SUPPLY, incremental=TIERS[tier])
+        shadow = GRID.clone()
+        loaded = _load_nodes(GRID)[0]
+        wire_at_pin = next(
+            k for k, wire in enumerate(GRID.wires)
+            if loaded in (wire.node_a, wire.node_b)
+        )
+        plain = next(i for i in _free_nodes(GRID) if i not in _load_nodes(GRID))
+        for delta, mirror in [
+            (AddPad(loaded, voltage=0.97), lambda: shadow.pin_pad(loaded, 0.97)),
+            (ScaleWire(wire_at_pin, 0.5), lambda: shadow.set_wire_resistance(
+                wire_at_pin, shadow.wires[wire_at_pin].resistance * 0.5)),
+            (AddPad(plain), lambda: shadow.pin_pad(plain, SUPPLY)),
+        ]:
+            trial = engine.preview(delta)
+            engine.apply(delta)
+            mirror()
+            step = engine.solve()
+            assert step.converged and trial.converged
+            np.testing.assert_allclose(step.drops, reference_drops(shadow), atol=1e-6)
+            np.testing.assert_allclose(trial.drops, step.drops, atol=1e-6)
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_batch_members_equal_single_previews_bitwise(self, tier):
+        design = generate_design(make_real_spec("batch", seed=5, pixels=16))
+        engine = IncrementalEngine(design.grid, incremental=TIERS[tier])
+        engine.solve()
+        free = [n.index for n in design.grid.nodes if not n.is_pad]
+        deltas = [AddPad(node) for node in free[3::7][:32]]
+        assert len(deltas) == 32
+        for commit in (None, deltas[0], deltas[9]):
+            if commit is not None:
+                engine.apply(commit)
+                engine.solve()
+                deltas = [d for d in deltas if d is not commit]
+            for size in (1, 7, len(deltas)):
+                batch = engine.preview_many(deltas[:size])
+                for delta, member in zip(deltas, batch):
+                    alone = engine.preview(delta)
+                    assert member.drops.tobytes() == alone.drops.tobytes()
+                    assert member.residual == alone.residual
+
+    def test_previews_of_a_batch_chunk_without_changing_a_number(self, monkeypatch):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.solve()
+        deltas = [AddPad(node) for node in _free_nodes(GRID)[:9]]
+        whole = engine.preview_many(deltas)
+        # Room for two candidates per chunk: five chunks for nine previews.
+        monkeypatch.setattr(
+            incremental_module, "_PREVIEW_SCRATCH_BYTES", 2 * 8 * engine.system.size
+        )
+        for member, chunked in zip(whole, engine.preview_many(deltas)):
+            assert member.drops.tobytes() == chunked.drops.tobytes()
+
+    def test_candidate_over_tolerance_takes_the_polish_path(self):
+        loose = IncrementalOptions(direct_max_size=0, column_tol=1e-2)
+        engine = IncrementalEngine(GRID, SUPPLY, incremental=loose)
+        engine.solve()
+        nodes = _free_nodes(GRID)[:4]
+        notes_before = len(engine.diagnostics.warnings)
+        with trace("batch") as tracer:
+            trials = engine.preview_many([AddPad(node) for node in nodes])
+        spans = [s for s in tracer.root.iter_spans()
+                 if s.name == "incremental.preview_batch"]
+        assert len(spans) == 1
+        assert spans[0].attrs["candidates"] == 4
+        assert spans[0].attrs["polished"] >= 1
+        assert sum(t.polish_iterations > 0 for t in trials) == spans[0].attrs["polished"]
+        # One diagnostics line for the whole batch, polished members included.
+        notes = engine.diagnostics.warnings[notes_before:]
+        assert len(notes) == 1
+        assert "candidates=4" in notes[0] and "polished=" in notes[0]
+        for node, trial in zip(nodes, trials):
+            assert trial.converged
+            np.testing.assert_allclose(
+                trial.drops, reference_with_pad(GRID, node), atol=1e-6
+            )
+
+    def test_bordered_previews_move_no_solver_counter(self):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.solve()
+        before = metrics_snapshot()
+        engine.preview_many([AddPad(node) for node in _free_nodes(GRID)[:5]])
+        moved = counters_delta(before)["counters"]
+        assert moved.get("incremental.column_solves") == 5
+        for name in ("incremental.deltas", "incremental.solves", "incremental.smw_solves"):
+            assert name not in moved
+
+    def test_preview_before_any_solve_still_answers(self):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        node = _free_nodes(GRID)[0]
+        trial = engine.preview(AddPad(node))
+        np.testing.assert_allclose(
+            trial.drops, reference_with_pad(GRID, node), atol=1e-6
+        )
+
+
+class TestColumnCacheHoldsOnlyConvergedColumns:
+    """Satellite: a deadline-aborted column must not poison the cache."""
+
+    def test_aborted_column_is_solved_again(self):
+        design = generate_design(make_real_spec("cache", seed=3, pixels=32))
+        tier = IncrementalOptions(direct_max_size=0)
+        node = next(n.index for n in design.grid.nodes if not n.is_pad)
+
+        def preview_counters(engine):
+            before = metrics_snapshot()
+            trial = engine.preview(AddPad(node))
+            return trial, counters_delta(before)["counters"]
+
+        fresh = IncrementalEngine(design.grid, incremental=tier)
+        fresh.solve()
+        clean, clean_moved = preview_counters(fresh)
+        assert clean.converged and clean.polish_iterations == 0
+
+        engine = IncrementalEngine(design.grid, incremental=tier)
+        engine.solve()
+        with deadline_scope(1e-9):
+            assert engine.preview(AddPad(node)).aborted == "deadline"
+        again, moved = preview_counters(engine)
+        assert "incremental.column_cache_hits" not in moved
+        assert moved["incremental.column_solves"] == 1
+        assert moved["pcg.iterations"] == clean_moved["pcg.iterations"]
+        assert again.converged and again.polish_iterations == 0
+        # ... and the converged column is what the cache keeps.
+        _, third = preview_counters(engine)
+        assert third["incremental.column_cache_hits"] == 1
+        assert "pcg.iterations" not in third
+
+
+class TestApplyIsAllOrNothing:
+    """Satellite: an exception out of ``apply`` leaves no trace."""
+
+    @staticmethod
+    def _failing_engine(monkeypatch):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.solve()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected column failure")
+
+        monkeypatch.setattr(engine, "_base_solve", boom)
+        return engine
+
+    @pytest.mark.parametrize("delta", [
+        AddPad(_free_nodes(GRID)[0]),
+        ScaleWire(next(
+            k for k, wire in enumerate(GRID.wires)
+            if not GRID.node(wire.node_a).is_pad and not GRID.node(wire.node_b).is_pad
+        ), 2.0),
+    ], ids=["add_pad", "wire"])
+    def test_failed_column_solve_leaves_engine_untouched(self, monkeypatch, delta):
+        engine = self._failing_engine(monkeypatch)
+        state = _engine_state(engine)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.apply(delta)
+        assert _engine_state(engine) == state
+        assert engine._terms == []
+
+    def test_injected_solver_fault_leaves_engine_untouched(self):
+        from repro.testing.faults import FaultPlan
+
+        plan = FaultPlan(fail_stage={"incremental"})
+        engine = IncrementalEngine(
+            GRID, SUPPLY,
+            guard_options=GuardrailOptions(fault_hook=plan.residual_hook),
+        )
+        engine.solve()
+        state = _engine_state(engine)
+        with deadline_scope(60.0):  # the guarded PCG path: the hook is live
+            with pytest.raises(RuntimeError, match="injected failure"):
+                engine.apply(AddPad(_free_nodes(GRID)[0]))
+        assert plan.fired("stage_error") == 1
+        assert _engine_state(engine) == state
+
+    def test_rejected_load_revision_applies_none_of_it(self):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        good = _load_nodes(GRID)[0]
+        pad = GRID.pads()[0].index
+        state = _engine_state(engine)
+        with pytest.raises(ValueError):
+            engine.apply(ReviseLoads(((good, 0.5), (pad, 0.1))))
+        assert _engine_state(engine) == state
+        assert engine.current_loads[good] == GRID.node(good).load_current

@@ -1,12 +1,19 @@
 """Tests for greedy pad placement."""
 
+import numpy as np
 import pytest
 
+import repro.solvers.incremental as incremental_module
+from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
+from repro.grid.netlist import PowerGrid
+from repro.obs import counters_delta, metrics_snapshot, trace
 from repro.opt.pad_placement import (
     _top_layer_candidates,
     _with_extra_pads,
     greedy_pad_placement,
 )
+from repro.solvers.base import SolverOptions
+from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
 from repro.solvers.powerrush import PowerRushSimulator
 from repro.spice.ast import VoltageSource
 
@@ -132,3 +139,112 @@ class TestGreedyPadPlacement:
         added, history = _brute_force_placement(real_design.netlist, **kwargs)
         assert fast.added_pads == added
         assert fast.worst_drop_history == pytest.approx(history, rel=1e-6)
+
+
+def _staged_sweep(netlist, budget_volts, max_new_pads, max_candidates):
+    """The benchmark suite's traced loop: the same sweep, one engine call
+    per candidate, its pool sorted as node records.  The suite requires
+    ``(added, history)`` to ``==`` :func:`greedy_pad_placement`'s."""
+    grid = PowerGrid.from_netlist(netlist)
+    engine = IncrementalEngine(
+        grid,
+        netlist.supply_voltage(),
+        options=SolverOptions(tol=1e-10, record_history=False),
+        incremental=IncrementalOptions(column_tol=1e-6),
+    )
+    step = engine.solve()
+    history = [float(step.drops.max())]
+    added: list[str] = []
+    while len(added) < max_new_pads and history[-1] > budget_volts:
+        top = max(engine.grid.layers_present())
+        candidates = sorted(
+            (
+                node
+                for node in engine.grid.nodes_on_layer(top)
+                if not node.is_pad and node.name not in added
+            ),
+            key=lambda node: step.drops[node.index],
+            reverse=True,
+        )[:max_candidates]
+        best_name, best_worst = None, history[-1]
+        for candidate in candidates:
+            trial = engine.preview(AddPad(candidate.name), tol=1e-6)
+            worst = float(trial.drops.max())
+            if worst < best_worst:
+                best_name, best_worst = candidate.name, worst
+        if best_name is None:
+            break
+        engine.apply(AddPad(best_name))
+        step = engine.solve()
+        added.append(best_name)
+        history.append(float(step.drops.max()))
+    return added, history
+
+
+class TestSweepIsOneBatchPerRound:
+    @pytest.mark.parametrize("pixels", [32, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make_spec", [make_fake_spec, make_real_spec])
+    def test_batched_sweep_equals_the_staged_loop_exactly(self, make_spec, seed, pixels):
+        netlist = generate_design(make_spec("sweep", seed=seed, pixels=pixels)).netlist
+        kwargs = dict(budget_volts=1e-6, max_new_pads=4, max_candidates=32)
+        result = greedy_pad_placement(netlist, **kwargs)
+        assert (result.added_pads, result.worst_drop_history) == _staged_sweep(
+            netlist, **kwargs
+        )
+
+    def test_candidates_keep_the_record_sort_order_through_ties(self, real_design):
+        grid = real_design.grid
+        # Quantised drops: most of the pool ties with a neighbour.
+        drops = np.round(np.linspace(0.0, 1.0, grid.num_nodes) % 0.1, 2)
+        top = max(grid.layers_present())
+        pool = [n for n in grid.nodes_on_layer(top) if not n.is_pad]
+        exclude = {pool[1].name, pool[4].name}
+        expected = sorted(
+            (n for n in pool if n.name not in exclude),
+            key=lambda n: drops[n.index],
+            reverse=True,
+        )
+        assert len({drops[n.index] for n in expected}) < len(expected)
+        for count in (5, len(pool) + 3):
+            assert _top_layer_candidates(grid, drops, count, exclude) == expected[:count]
+
+    def test_sweep_stamps_commits_only_and_builds_no_node_lists(
+        self, real_design, monkeypatch
+    ):
+        calls = {"pin_row": 0, "revert_patch": 0}
+
+        def spy(name):
+            real = getattr(incremental_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(incremental_module, name, wrapper)
+
+        spy("pin_row")
+        spy("revert_patch")
+        for name in ("loads", "pads", "nodes_on_layer"):
+            monkeypatch.setattr(
+                PowerGrid, name,
+                lambda self, *args, _name=name: pytest.fail(f"sweep called {_name}()"),
+            )
+        before = metrics_snapshot()
+        with trace("sweep") as tracer:
+            result = greedy_pad_placement(
+                real_design.netlist, budget_volts=1e-6, max_new_pads=3, max_candidates=8
+            )
+        assert len(result.added_pads) == 3
+        assert calls == {"pin_row": 3, "revert_patch": 0}
+        batches = [s for s in tracer.root.iter_spans()
+                   if s.name == "incremental.preview_batch"]
+        assert [s.attrs for s in batches] == [{"candidates": 8, "polished": 0}] * 3
+        moved = counters_delta(before)["counters"]
+        assert moved["pad_placement.candidates"] == 24
+        assert moved["incremental.deltas"] == 3  # commits; previews apply nothing
+        assert (
+            moved["incremental.column_solves"]
+            + moved.get("incremental.column_cache_hits", 0)
+            == 24 + 3
+        )
