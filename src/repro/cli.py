@@ -10,9 +10,10 @@ Subcommands
     into a directory.
 ``train``
     Train an IR-Fusion pipeline on a generated suite and save the model;
-    ``--jobs N`` shards each mini-batch across gradient workers and
-    ``--precision mixed`` switches the kernels to the fp32 compute path
-    (fp64 master weights, see ``docs/performance.md``).
+    ``--jobs N`` extracts the training features on N worker processes
+    (the saved weights are the same at any N) and ``--precision mixed``
+    switches the kernels to the fp32 compute path (fp64 master weights,
+    see ``docs/performance.md``).
 ``analyze``
     Fused analysis of one or more decks with a previously trained model
     checkpoint; ``--jobs N`` fans multiple decks across the supervised
@@ -136,8 +137,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         data_seed=args.seed,
         base_channels=args.channels,
         train=TrainConfig(epochs=args.epochs, batch_size=8,
-                          use_curriculum=True,
-                          jobs=args.jobs, precision=args.precision),
+                          use_curriculum=True, precision=args.precision),
         jobs=args.jobs,
         sanitize=args.sanitize,
     )
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--channels", type=int, default=6)
     train.add_argument("--seed", type=int, default=7)
     train.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for feature extraction and "
-                            "the data-parallel gradient engine")
+                       help="worker processes for training-set feature "
+                            "extraction (the model is the same at any N)")
     train.add_argument("--precision", choices=("fp64", "mixed"),
                        default="fp64",
                        help="training compute precision: fp64 kernels or "

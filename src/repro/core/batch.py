@@ -1,8 +1,8 @@
 """Parallel batch-analysis engine.
 
 Fans independent per-design work (end-to-end analysis, training-set
-feature extraction, gradient shards) across the persistent spawn-safe
-worker pool in :mod:`repro.core.pool`:
+feature extraction) across the persistent spawn-safe worker pool in
+:mod:`repro.core.pool`:
 
 - **spawn-safe**: the pool parallelizes correctly from non-main threads;
 - **supervised**: crashed workers are respawned and their items retried
@@ -174,52 +174,6 @@ def parallel_map_ex(
     except PoolUnusableError:
         _serial_fallback("pool_unusable")
         return _serial_map(fn, items), True
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int,
-) -> tuple[list[tuple[object | None, str | None]], bool]:
-    """Compatibility wrapper: :func:`parallel_map_ex` without the knobs.
-
-    Returns ``(outcomes, degraded)`` where ``outcomes[k]`` is
-    ``(result, None)`` on success or ``(None, "ErrType: message")`` on a
-    per-item failure, and *degraded* is True when any part of the batch
-    fell back to serial execution.  ``jobs <= 1`` or a single item runs
-    serially without ever touching multiprocessing.
-    """
-    outcomes, degraded = parallel_map_ex(fn, items, jobs)
-    return [(o.result, o.error) for o in outcomes], degraded
-
-
-def tree_reduce(values: Sequence, combine: Callable = None):
-    """Reduce *values* by pairwise combination in a fixed tree order.
-
-    The reduction tree depends only on ``len(values)`` — never on worker
-    count or completion order — so floating-point sums are reproducible
-    run-to-run: level by level, element ``2k`` combines with ``2k + 1``
-    and an odd tail passes through unchanged.  The default *combine* is
-    ``lambda a, b: a + b`` (numpy arrays sum elementwise).
-
-    The training engine reduces per-shard gradient vectors with this so
-    a sharded run's summed gradient is a pure function of the shard
-    decomposition, not of how many processes computed the shards.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("cannot reduce an empty sequence")
-    if combine is None:
-        combine = lambda a, b: a + b  # noqa: E731 - default pairwise sum
-    while len(values) > 1:
-        paired = [
-            combine(values[k], values[k + 1])
-            for k in range(0, len(values) - 1, 2)
-        ]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0]
 
 
 #: Worker-side pipeline cache keyed by (weight fingerprint, config repr).

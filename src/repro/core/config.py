@@ -54,12 +54,10 @@ class FusionConfig:
     Training
     --------
     train:
-        Loop controls (epochs, lr, batch size, curriculum flag, ...) plus
-        the data-parallel engine knobs (``jobs``, ``precision``,
-        ``grad_shards``, ``sync_every``, ``loss_scale``) — see
-        :class:`repro.train.trainer.TrainConfig`.  The trainer's ``jobs``
-        is independent of the pipeline-level ``jobs`` below: one shards
-        gradient work inside an epoch, the other fans out whole designs.
+        Loop controls (epochs, lr, batch size, curriculum flag,
+        ``precision``, ``loss_scale``, ...) — see
+        :class:`repro.train.trainer.TrainConfig`.  Training runs in this
+        process; ``jobs`` below never changes the trained weights.
     augment:
         Apply the 4x rotation augmentation to the training set.
     oversample_fake / oversample_real:
@@ -69,8 +67,8 @@ class FusionConfig:
     ---------
     jobs:
         Worker processes for batchable stages (dataset feature extraction,
-        batch analysis); 1 keeps everything serial in-process.  Gradient
-        sharding during training is controlled by ``train.jobs`` instead.
+        batch analysis); 1 keeps everything serial in-process.  Results
+        are identical at any value.
     sanitize:
         Enable the numerics sanitizer (:mod:`repro.analysis.sanitizer`):
         training traps NaN/Inf at the originating op, analysis records

@@ -1,8 +1,9 @@
 """Persistent, spawn-safe, supervised worker pool.
 
-This is the execution substrate under :func:`repro.core.batch.parallel_map`
-and :class:`~repro.core.batch.BatchAnalyzer`, built for long-lived
-processes (servers, schedulers):
+This is the execution substrate under
+:func:`repro.core.batch.parallel_map_ex` and
+:class:`~repro.core.batch.BatchAnalyzer`, built for long-lived processes
+(servers, schedulers):
 
 - **spawn context** — workers are started with the ``spawn`` method, so
   the pool is safe off the main thread, under nested/threaded callers,
@@ -84,7 +85,7 @@ from repro.obs import (
     trace,
 )
 
-#: Environment marker set inside pool workers.  ``parallel_map`` checks
+#: Environment marker set inside pool workers.  ``parallel_map_ex`` checks
 #: it so a nested call inside a worker runs serially instead of spawning
 #: grandchild pools (workers are daemonic and cannot have children).
 WORKER_ENV = "REPRO_POOL_WORKER"
@@ -94,8 +95,8 @@ class PoolUnusableError(RuntimeError):
     """The pool cannot run this job (unpicklable payload, dead runtime).
 
     Callers treat this as "use another execution path", never as a
-    per-item failure: :func:`repro.core.batch.parallel_map` falls back to
-    serial execution in the parent, counted and flagged ``degraded``.
+    per-item failure: :func:`repro.core.batch.parallel_map_ex` falls back
+    to serial execution in the parent, counted and flagged ``degraded``.
     """
 
 
@@ -105,8 +106,8 @@ class TransientTaskError(RuntimeError):
     Raise it — or a subclass — from task code for failures that are
     expected to succeed on a second attempt (lost locks, torn caches,
     injected flakiness).  Any other exception is captured as the item's
-    final error without retry, matching the classic ``parallel_map``
-    contract that deterministic failures are data, not crashes.
+    final error without retry, as the serial path does: deterministic
+    failures are data, not crashes.
     """
 
 

@@ -1,7 +1,7 @@
 """Zero-copy shared-memory data plane for the worker pool.
 
-Large numpy arrays crossing the pool's pipes (feature stacks in, result
-maps and gradient shards out) used to pay a full pickle round-trip per
+Large numpy arrays crossing the pool's pipes (feature stacks and model
+weights in, result maps out) used to pay a full pickle round-trip per
 attempt.  This module externalizes them into POSIX shared-memory
 segments (plain files under ``/dev/shm``) so only a ~100-byte
 :class:`ShmArray` descriptor rides the pipe; the receiving process maps
@@ -22,15 +22,18 @@ Design notes (hard-won lifetime rules):
   immediately and the memory is freed when the last view is collected.
   This is what makes crash reclamation watertight: nothing needs to
   outlive the job.
+- **Read-only on the receiving side.**  A segment is written once, by
+  the process that creates it, and every other process maps it
+  read-only and gets an immutable view.
 - **No resource tracker.**  Segments are plain ``os.open``/``mmap``
   files created with ``O_EXCL``, so there is no
   ``multiprocessing.resource_tracker`` registration to leak or
   double-unregister across the spawn boundary.
 - **Parent-owned lifetime, by construction.**  Every segment belongs
-  to one :class:`ShmScope` (one per pool job / trainer epoch), opened
-  with ``with ARENA.scope(label) as scope:``; ``share``/``allocate``/
-  ``adopt`` are methods of the scope, so there is no way to create a
-  segment without an owner.  Leaving the block unlinks what the scope
+  to one :class:`ShmScope` (one per pool job), opened with
+  ``with ARENA.scope(label) as scope:``; ``share`` and ``adopt`` are
+  methods of the scope, so there is no way to create a segment without
+  an owner.  Leaving the block unlinks what the scope
   owns and sweeps segments a SIGKILL'd worker created under its name
   but never handed over.  A scope that is dropped unclosed is
   reclaimed by its finalizer — at collection, or at interpreter exit —
@@ -135,29 +138,25 @@ def shm_threshold(explicit: int | None = None) -> int:
 
 # -- attachment cache ----------------------------------------------------------
 
-#: name -> mmap, per access mode.  Process-local; workers populate it
-#: lazily on first resolve and drop entries on job end (``detach``).
+#: name -> read-only mmap.  Process-local; workers populate it lazily on
+#: first resolve and drop entries on job end (``detach``).
 _ATTACH_LOCK = threading.Lock()
-_ATTACHMENTS: dict[tuple[str, bool], mmap.mmap] = {}
+_ATTACHMENTS: dict[str, mmap.mmap] = {}
 
 
-def _attach(name: str, writable: bool) -> mmap.mmap:
-    key = (name, writable)
+def _attach(name: str) -> mmap.mmap:
     with _ATTACH_LOCK:
-        cached = _ATTACHMENTS.get(key)
+        cached = _ATTACHMENTS.get(name)
         if cached is not None and not cached.closed:
             return cached
-    path = os.path.join(SHM_DIR, name)
-    flags = os.O_RDWR if writable else os.O_RDONLY
-    fd = os.open(path, flags)
+    fd = os.open(os.path.join(SHM_DIR, name), os.O_RDONLY)
     try:
         size = os.fstat(fd).st_size
-        access = mmap.ACCESS_WRITE if writable else mmap.ACCESS_READ
-        mapped = mmap.mmap(fd, size, access=access)
+        mapped = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
     finally:
         os.close(fd)
     with _ATTACH_LOCK:
-        _ATTACHMENTS[key] = mapped
+        _ATTACHMENTS[name] = mapped
     counter_add("shm.attaches")
     return mapped
 
@@ -177,12 +176,11 @@ def _close_mapping(mapped: mmap.mmap) -> None:
 
 
 def detach(name: str) -> None:
-    """Drop this process's cached mappings of *name* (safe under views)."""
+    """Drop this process's cached mapping of *name* (safe under views)."""
     with _ATTACH_LOCK:
-        for writable in (False, True):
-            mapped = _ATTACHMENTS.pop((name, writable), None)
-            if mapped is not None:
-                _close_mapping(mapped)
+        mapped = _ATTACHMENTS.pop(name, None)
+    if mapped is not None:
+        _close_mapping(mapped)
 
 
 def detach_all() -> None:
@@ -202,16 +200,15 @@ class ShmArray:
     """A ~100-byte handle for an ndarray living in a shared segment.
 
     Pickles as plain data; :meth:`resolve` maps the segment (cached per
-    process) and returns a zero-copy view.  Read-only resolves hand out
-    immutable arrays so accidental mutation of shared inputs fails loud
-    instead of corrupting a sibling worker.
+    process) and returns a zero-copy view.  Views are immutable, so
+    accidental mutation of shared inputs fails loud instead of
+    corrupting a sibling worker.
     """
 
     name: str
     dtype: str
     shape: tuple
     order: str = "C"
-    offset: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -220,42 +217,18 @@ class ShmArray:
             count *= int(dim)
         return count * np.dtype(self.dtype).itemsize
 
-    def resolve(self, writable: bool = False) -> np.ndarray:
-        """Map the segment and return the array view (cached mapping)."""
+    def resolve(self) -> np.ndarray:
+        """Map the segment and return the read-only view (cached mapping)."""
         start = monotonic()
-        mapped = _attach(self.name, writable)
+        mapped = _attach(self.name)
         count = 1
         for dim in self.shape:
             count *= int(dim)
-        flat = np.frombuffer(
-            mapped, dtype=np.dtype(self.dtype), count=count, offset=self.offset
-        )
+        flat = np.frombuffer(mapped, dtype=np.dtype(self.dtype), count=count)
         array = flat.reshape(self.shape, order=self.order)
-        if not writable:
-            array.flags.writeable = False
+        array.flags.writeable = False
         _record_span("shm_attach", start, bytes=self.nbytes, segment=self.name)
         return array
-
-
-def subarray(desc: ShmArray, index: int) -> ShmArray:
-    """Descriptor for row *index* of a C-ordered block descriptor.
-
-    Lets one segment hold N preallocated slots (the trainer's gradient
-    outputs) while each worker receives only its own row's descriptor.
-    """
-    if desc.order != "C":
-        raise ValueError("subarray requires a C-ordered block")
-    row_shape = tuple(desc.shape[1:])
-    row_bytes = ShmArray(desc.name, desc.dtype, row_shape).nbytes
-    if not 0 <= index < desc.shape[0]:
-        raise IndexError(f"row {index} out of range for shape {desc.shape}")
-    return ShmArray(
-        name=desc.name,
-        dtype=desc.dtype,
-        shape=row_shape,
-        order="C",
-        offset=desc.offset + index * row_bytes,
-    )
 
 
 def _record_span(name: str, start: float, **attrs) -> None:
@@ -329,7 +302,7 @@ def write_segment(name: str, array: np.ndarray) -> ShmArray:
 
 
 class ShmScope:
-    """Owner of the segments of one pool job or trainer epoch.
+    """Owner of the segments of one pool job.
 
     Opened with :meth:`ShmArena.scope` and closed by leaving its
     ``with`` block (or :meth:`close`): every segment it created or
@@ -380,18 +353,6 @@ class ShmScope:
         _record_span(
             "shm_externalize", start, bytes=desc.nbytes, segment=name
         )
-        return desc
-
-    def allocate(self, shape: tuple, dtype) -> ShmArray:
-        """A zero-filled writable block (the trainer's gradient slots)."""
-        dt = np.dtype(dtype)
-        desc = ShmArray(
-            name=self._arena._next_name(self.name),
-            dtype=dt.str,
-            shape=tuple(shape),
-        )
-        _close_mapping(_create(desc.name, max(desc.nbytes, 1)))
-        self._own(desc.name)
         return desc
 
     def adopt(self, desc: ShmArray) -> None:
@@ -473,7 +434,7 @@ class ShmArena:
             )
 
 
-#: The process-wide arena (parent-side owner of pool/trainer segments).
+#: The process-wide arena (parent-side owner of pool segments).
 ARENA = ShmArena()
 
 

@@ -197,7 +197,7 @@ class IRDropDataset:
             )
         import functools
 
-        from repro.core.batch import parallel_map
+        from repro.core.batch import parallel_map_ex
 
         worker = functools.partial(
             build_sample,
@@ -205,13 +205,11 @@ class IRDropDataset:
             solver_iterations=solver_iterations,
             solver_preset=solver_preset,
         )
-        outcomes, _ = parallel_map(worker, designs, jobs)
-        samples = []
-        for design, (sample, error) in zip(designs, outcomes):
-            if error is not None:
+        outcomes, _ = parallel_map_ex(worker, designs, jobs)
+        for design, outcome in zip(designs, outcomes):
+            if outcome.error is not None:
                 raise RuntimeError(
                     f"building sample for design {design.name!r} failed: "
-                    f"{error}"
+                    f"{outcome.error}"
                 )
-            samples.append(sample)
-        return cls(samples)
+        return cls([outcome.result for outcome in outcomes])

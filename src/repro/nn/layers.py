@@ -237,13 +237,6 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        #: When False, training-mode forwards still normalise with batch
-        #: statistics but leave the running buffers untouched.  The
-        #: sharded training engine uses this: workers compute per-shard
-        #: stats (exposed via ``batch_stats``) and the parent folds a
-        #: deterministic reduction of them into the buffers itself.
-        self.update_running = True
-        self.batch_stats: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -255,14 +248,12 @@ class BatchNorm2d(Module):
             mean = x.sum(axis=(0, 2, 3)) / count
             mean_sq = np.einsum("nchw,nchw->c", x, x) / count
             var = np.maximum(mean_sq - mean * mean, 0.0)
-            self.batch_stats = (mean, var)
-            if self.update_running:
-                self.running_mean = (
-                    (1 - self.momentum) * self.running_mean + self.momentum * mean
-                )
-                self.running_var = (
-                    (1 - self.momentum) * self.running_var + self.momentum * var
-                )
+            self.running_mean = (
+                (1 - self.momentum) * self.running_mean + self.momentum * mean
+            )
+            self.running_var = (
+                (1 - self.momentum) * self.running_var + self.momentum * var
+            )
         else:
             # Running stats are float64 buffers; cast to the activation
             # dtype so eval mode never upcasts a reduced-precision pass

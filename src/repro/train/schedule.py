@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ConstantLR:
@@ -34,26 +32,6 @@ class StepLR:
         if self.step_size < 1:
             raise ValueError("step_size must be >= 1")
         return self.lr * (self.gamma ** (epoch // self.step_size))
-
-
-def shard_batch(batch: np.ndarray, num_shards: int) -> list[np.ndarray]:
-    """Split one mini-batch's sample indices into contiguous shards.
-
-    Operates on the already-shuffled epoch order, *after* curriculum
-    subsetting and fake/real oversampling have produced the epoch's
-    sample sequence — so every shard inherits whatever easy/hard mixture
-    the batch carries without any stratification logic here.
-
-    The decomposition depends only on the batch length and
-    ``num_shards`` (``np.array_split`` semantics, empty shards dropped),
-    never on worker count or completion order: this is what makes a
-    sharded gradient a pure function of ``(seed, grad_shards)`` and
-    therefore reproducible at any ``jobs`` setting.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    batch = np.asarray(batch)
-    return [s for s in np.array_split(batch, num_shards) if len(s)]
 
 
 @dataclass(frozen=True)

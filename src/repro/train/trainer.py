@@ -14,7 +14,6 @@ of silently corrupting the weights.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,134 +23,16 @@ from repro.data.curriculum import CurriculumScheduler
 from repro.data.dataset import DesignSample, IRDropDataset
 from repro.nn.containers import fuse_conv_relu
 from repro.nn.inference import InferencePlan
-from repro.nn.layers import BatchNorm2d
 from repro.nn.losses import MAELoss, _Loss
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.serialize import load_checkpoint, save_checkpoint
 from repro.obs import counter_add, span
-from repro.train.schedule import ConstantLR, shard_batch
-
-#: Shard count the data-parallel engine uses when ``grad_shards`` is 0
-#: and ``jobs`` > 1.  A fixed constant (never derived from ``jobs``) so
-#: auto-sharded runs at different worker counts share one decomposition
-#: and therefore one parameter trajectory.  Two shards keeps each shard
-#: large enough for efficient kernels while still letting every worker
-#: pull shard items from the publication window's many batches.
-DEFAULT_GRAD_SHARDS = 2
-
-
-def _available_cores() -> int:
-    """CPU cores this process may actually run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+from repro.train.schedule import ConstantLR
 
 #: Loss-scale floor: repeated overflows halve the scale but never push it
 #: into a denormal spiral.
 MIN_LOSS_SCALE = 1.0 / 65536.0
-
-class _ShardWorker:
-    """Per-shard forward+backward step, shippable to pool workers.
-
-    A plain picklable object (module-level class, array/module state
-    only) instead of a closure, so the spawn pool can pickle it.  One
-    pickle payload carries the whole object graph, so the aliasing between
-    ``model``'s parameters and ``parameters`` (the optimizer's view,
-    same order) survives the round-trip and ``zero_grad``/``backward``
-    keep mutating the same arrays inside the worker.
-
-    Only the returned payload crosses back per shard: ``(mean loss,
-    shard size, flat gradient of the shard-mean loss, flat BatchNorm
-    batch statistics or None)``.
-
-    Shared-memory variant (:mod:`repro.core.shm`): when built with
-    ``x_desc``/``y_desc`` the epoch data ships as ~100-byte descriptors
-    resolved lazily in the worker, and when an item arrives as
-    ``(shard, slot)`` — *slot* a writable :class:`~repro.core.shm.ShmArray`
-    row preallocated by the parent — the flat gradient is written
-    straight into the slot and the returned payload carries ``None`` in
-    its place.  The bytes in the slot are exactly the bytes the inline
-    path would have pickled, so the reduction downstream is unchanged.
-    """
-
-    def __init__(
-        self,
-        model,
-        loss,
-        parameters,
-        bn_layers,
-        x,
-        y,
-        scale,
-        mixed,
-        x_desc=None,
-        y_desc=None,
-    ) -> None:
-        self.model = model
-        self.loss = loss
-        self.parameters = parameters
-        self.bn_layers = bn_layers
-        self.x = x
-        self.y = y
-        self.scale = scale
-        self.mixed = mixed
-        self.x_desc = x_desc
-        self.y_desc = y_desc
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # The pool's shm transport resolves shipped arrays read-only.
-        # The forward/backward pass only ever *reads* weights, so
-        # zero-copy views are fine there, but gradients accumulate in
-        # place — give each parameter a fresh writable buffer (every
-        # step starts with zero_grad, so the old values are dead).
-        for parameter in self.parameters:
-            if not parameter.grad.flags.writeable:
-                parameter.grad = np.zeros_like(parameter.data)
-
-    def _data(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.x is None:
-            self.x = self.x_desc.resolve()
-            self.y = self.y_desc.resolve()
-        return self.x, self.y
-
-    def __call__(self, item):
-        if isinstance(item, tuple):
-            shard, slot = item
-        else:
-            shard, slot = item, None
-        x, y = self._data()
-        prediction = self.model(x[shard])
-        loss_value = self.loss.forward(prediction, y[shard])
-        for parameter in self.parameters:
-            parameter.zero_grad()
-        grad_in = self.loss.backward()
-        if self.scale != 1.0:
-            grad_in = grad_in * self.scale
-        self.model.backward(grad_in)
-        flat = np.concatenate(
-            [parameter.grad.ravel() for parameter in self.parameters]
-        )
-        if self.mixed:
-            flat = flat.astype(np.float32)
-        stats = None
-        if self.bn_layers:
-            stats = np.concatenate(
-                [np.concatenate(bn.batch_stats) for bn in self.bn_layers]
-            )
-        if slot is not None:
-            slot.resolve(writable=True)[:] = flat
-            flat = None
-        return float(loss_value), int(len(shard)), flat, stats
-
-
-def _iter_modules(module: Module) -> list[Module]:
-    """*module* and every descendant, in deterministic tree-walk order."""
-    found = [module]
-    for child in module.children():
-        found.extend(_iter_modules(child))
-    return found
 
 
 @dataclass(frozen=True)
@@ -192,40 +73,17 @@ class TrainConfig:
         On a non-finite epoch loss: reload the last good model/optimiser
         state, scale the learning rate by ``recovery_lr_factor`` and keep
         training.  Off ⇒ the NaN epoch is recorded and training proceeds
-        with whatever weights the epoch produced (legacy behaviour).
+        with whatever weights the epoch produced.
     max_recoveries:
         Abort training (``history.aborted = "nan_loss"``) after this many
         recoveries — the run is unsalvageable, don't spin forever.
     recovery_lr_factor:
         Learning-rate multiplier applied at each NaN recovery.
-    jobs:
-        Worker processes for the data-parallel gradient engine.  With
-        the default ``jobs=1`` and ``grad_shards=0`` the trainer runs
-        the classic in-process loop; any other setting engages the
-        sharded engine.
     precision:
         ``"fp64"`` (default) computes everything in float64.
         ``"mixed"`` runs forward/backward kernels in float32 while the
         optimiser keeps float64 master weights (see
         ``docs/performance.md`` for the full contract).
-    grad_shards:
-        Mini-batch shard count for the data-parallel engine.  0 = auto:
-        the classic whole-batch loop at ``jobs=1``, a fixed
-        ``DEFAULT_GRAD_SHARDS`` decomposition at ``jobs>1``.  Any
-        explicit value >= 1 forces the sharded engine even at
-        ``jobs=1``; because the decomposition and the fixed-order tree
-        reduction depend only on this value (never on ``jobs``), runs
-        with the same ``grad_shards`` produce bitwise-identical fp64
-        parameter trajectories at any worker count.
-    sync_every:
-        Parameter-publication cadence of the sharded engine, in
-        optimizer steps.  Workers always evaluate gradients at the
-        parameters published at the start of their window: 0 (default)
-        publishes once per epoch (one pool job per epoch, maximum
-        throughput, gradients up to one epoch stale), ``k`` republishes
-        every ``k`` steps, and 1 is fully synchronous data parallelism.
-        The optimizer itself always steps once per batch in the parent,
-        in batch order, whatever the window size.
     loss_scale:
         Static starting loss scale for mixed precision (0 = auto: 1.0
         in fp64, 256.0 in mixed).  In mixed mode a guard skips the
@@ -248,23 +106,14 @@ class TrainConfig:
     nan_recovery: bool = True
     max_recoveries: int = 3
     recovery_lr_factor: float = 0.5
-    jobs: int = 1
     precision: str = "fp64"
-    grad_shards: int = 0
-    sync_every: int = 0
     loss_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.precision not in ("fp64", "mixed"):
             raise ValueError(
                 f"precision must be 'fp64' or 'mixed', got {self.precision!r}"
             )
-        if self.grad_shards < 0:
-            raise ValueError("grad_shards must be >= 0 (0 = auto)")
-        if self.sync_every < 0:
-            raise ValueError("sync_every must be >= 0 (0 = once per epoch)")
         if self.loss_scale < 0:
             raise ValueError("loss_scale must be >= 0 (0 = auto)")
 
@@ -366,12 +215,9 @@ class Trainer:
         )
         self.model.set_compute_dtype(self.compute_dtype)
         # Parameter list cached once (model structure is frozen after the
-        # fusion pass above): zero_grad / clip / flatten all walk this
+        # fusion pass above): zero_grad / unscale / clip all walk this
         # list, which is the same tree order model.parameters() returns.
         self._parameters = self.optimizer.parameters
-        self._bn_layers = [
-            m for m in _iter_modules(model) if isinstance(m, BatchNorm2d)
-        ]
         self._initial_loss_scale = self.config.loss_scale or (
             256.0 if self.config.precision == "mixed" else 1.0
         )
@@ -417,8 +263,23 @@ class Trainer:
         path: str | os.PathLike[str],
         rng: np.random.Generator,
     ) -> tuple[int, float, TrainHistory]:
-        """Load a checkpoint; returns (next epoch, lr_scale, history)."""
+        """Load a checkpoint; returns (next epoch, lr_scale, history).
+
+        The batch order is a function of ``batch_size`` and
+        ``shuffle_seed``, so a run resumed with either changed cannot
+        reproduce the uninterrupted one: that raises ``ValueError``.
+        ``epochs`` may differ — extending a finished run is a resume.
+        """
         arrays, meta = load_checkpoint(path)
+        recorded = meta.get("config", {})
+        for name in ("batch_size", "shuffle_seed"):
+            current = getattr(self.config, name)
+            if name in recorded and recorded[name] != current:
+                raise ValueError(
+                    f"checkpoint {path} was written with {name}="
+                    f"{recorded[name]} but this run has {name}={current}; "
+                    "resuming would not reproduce the original run"
+                )
         model_state = {
             key[len("model/"):]: value
             for key, value in arrays.items()
@@ -579,14 +440,6 @@ class Trainer:
             s.rough_label is not None for s in samples
         )
 
-    def _effective_shards(self) -> int:
-        """Shard count per mini-batch; 0 selects the classic loop."""
-        if self.config.grad_shards > 0:
-            return self.config.grad_shards
-        if self.config.jobs > 1:
-            return DEFAULT_GRAD_SHARDS
-        return 0
-
     def _run_epoch(self, dataset: IRDropDataset, rng: np.random.Generator) -> float:
         x, y = dataset.as_arrays()
         if self._uses_residual(dataset.samples):
@@ -604,15 +457,6 @@ class Trainer:
             order[start : start + self.config.batch_size]
             for start in range(0, len(order), self.config.batch_size)
         ]
-        num_shards = self._effective_shards()
-        if num_shards == 0:
-            return self._run_batches_inprocess(x, y, batches)
-        return self._run_batches_sharded(x, y, batches, num_shards)
-
-    def _run_batches_inprocess(
-        self, x: np.ndarray, y: np.ndarray, batches: list[np.ndarray]
-    ) -> float:
-        """The classic serial loop: whole batches, one process."""
         mixed = self.compute_dtype != np.float64
         total_loss = 0.0
         total_samples = 0
@@ -655,189 +499,6 @@ class Trainer:
         self._loss_scale = max(self._loss_scale * 0.5, MIN_LOSS_SCALE)
         self._overflow_steps += 1
         counter_add("train.overflow_steps")
-
-    def _make_shard_worker(
-        self,
-        x: np.ndarray | None,
-        y: np.ndarray | None,
-        scale: float,
-        x_desc=None,
-        y_desc=None,
-    ) -> _ShardWorker:
-        """Build the per-shard forward+backward worker processes run."""
-        return _ShardWorker(
-            model=self.model,
-            loss=self.loss,
-            parameters=self._parameters,
-            bn_layers=self._bn_layers,
-            x=x,
-            y=y,
-            scale=scale,
-            mixed=self.compute_dtype != np.float64,
-            x_desc=x_desc,
-            y_desc=y_desc,
-        )
-
-    def _run_batches_sharded(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        batches: list[np.ndarray],
-        num_shards: int,
-    ) -> float:
-        """Data-parallel engine: per-batch shards, fixed-order reduction.
-
-        Staleness/sync contract: within one publication window
-        (``sync_every`` steps, or the whole epoch when 0) every shard
-        gradient is evaluated at the parameters current when the window
-        started — workers receive that snapshot once per window (one
-        spawn-pool pickle) and never observe the
-        parent's optimizer steps.  The parent then consumes the window's
-        results strictly in batch order: reduce shards (fixed pairwise
-        tree), clip, step, fold BatchNorm statistics.  The summed
-        gradient is a pure function of the shard decomposition, so fp64
-        runs are bitwise identical at any ``jobs`` for a fixed
-        ``grad_shards``.
-        """
-        # Imported here: repro.core pulls config, which needs TrainConfig
-        # from this module at import time.
-        from repro.core import shm as _shm
-        from repro.core.batch import parallel_map
-
-        cfg = self.config
-        mixed = self.compute_dtype != np.float64
-        window = cfg.sync_every if cfg.sync_every > 0 else len(batches)
-        # ``jobs`` is an upper bound: shard results are jobs-invariant
-        # by construction, so the engine never spawns more workers than
-        # schedulable cores — on a saturated or single-core host that
-        # collapses to the in-process path, trading useless spawn/IPC
-        # for speed without changing a single bit of the trajectory.
-        workers = min(cfg.jobs, _available_cores())
-        # Zero-copy plane: the epoch's x/y ship once as descriptors and
-        # gradient shards come back through preallocated slots; the slot
-        # bytes equal the inline payload's bytes, so the trajectory is
-        # bitwise identical either way.  Single-worker runs stay inline
-        # — there is nothing to transport.
-        use_shm = workers > 1 and _shm.available() and _shm.shm_threshold() > 0
-        x_desc = y_desc = None
-        grad_size = sum(p.data.size for p in self._parameters)
-        for bn in self._bn_layers:
-            bn.update_running = False
-        total_loss = 0.0
-        total_samples = 0
-        try:
-            with (
-                _shm.ARENA.scope("train") if use_shm else nullcontext()
-            ) as scope:
-                if scope is not None:
-                    x_desc = scope.share(x)
-                    y_desc = scope.share(y)
-                for window_start in range(0, len(batches), window):
-                    shard_lists = [
-                        shard_batch(batch, num_shards)
-                        for batch in batches[window_start : window_start + window]
-                    ]
-                    items = [s for shards in shard_lists for s in shards]
-                    scale = self._loss_scale
-                    block_view = None
-                    if scope is not None:
-                        block = scope.allocate(
-                            (len(items), grad_size),
-                            np.float32 if mixed else np.float64,
-                        )
-                        items = [
-                            (shard, _shm.subarray(block, k))
-                            for k, shard in enumerate(items)
-                        ]
-                        worker = self._make_shard_worker(
-                            None, None, scale, x_desc=x_desc, y_desc=y_desc
-                        )
-                    else:
-                        worker = self._make_shard_worker(x, y, scale)
-                    outcomes, _ = parallel_map(worker, items, workers)
-                    if scope is not None:
-                        block_view = block.resolve()
-                    position = 0
-                    for shards in shard_lists:
-                        payloads = []
-                        for _ in shards:
-                            value, error = outcomes[position]
-                            if error is not None:
-                                raise RuntimeError(
-                                    f"sharded training worker failed: {error}"
-                                )
-                            if value[2] is None and block_view is not None:
-                                value = (
-                                    value[0],
-                                    value[1],
-                                    block_view[position],
-                                    value[3],
-                                )
-                            position += 1
-                            payloads.append(value)
-                        with span("train_step"):
-                            self._reduce_and_step(payloads, scale)
-                        batch_samples = sum(p[1] for p in payloads)
-                        total_loss += sum(p[0] * p[1] for p in payloads)
-                        total_samples += batch_samples
-        finally:
-            for bn in self._bn_layers:
-                bn.update_running = True
-        return total_loss / max(total_samples, 1)
-
-    def _reduce_and_step(self, payloads: list[tuple], scale: float) -> None:
-        """One batch's parent half: reduce its shards in fixed order, step."""
-        from repro.core.batch import tree_reduce  # deferred, as in the caller
-
-        batch_samples = sum(p[1] for p in payloads)
-        weights = [p[1] / batch_samples for p in payloads]
-
-        def reduced(k: int) -> np.ndarray:
-            if len(payloads) == 1:
-                return payloads[0][k]
-            return tree_reduce([p[k] * w for p, w in zip(payloads, weights)])
-
-        grad = reduced(2).astype(np.float64, copy=False)
-        if scale != 1.0:
-            grad = grad / scale
-        offset = 0
-        for parameter in self._parameters:
-            size = parameter.data.size
-            parameter.grad[...] = grad[offset : offset + size].reshape(
-                parameter.data.shape
-            )
-            offset += size
-        if self._bn_layers and payloads[0][3] is not None:
-            self._apply_bn_stats(reduced(3))
-        mixed = self.compute_dtype != np.float64
-        if not mixed or bool(np.isfinite(grad).all()):
-            if self.config.grad_clip > 0:
-                clip_grad_norm(self._parameters, self.config.grad_clip)
-            self.optimizer.step()
-        else:
-            self._on_overflow()
-
-    def _apply_bn_stats(self, stats: np.ndarray) -> None:
-        """Fold shard-reduced batch statistics into the running buffers.
-
-        The reduced vector holds the sample-weighted average of per-shard
-        means and variances (ghost-batch-norm style: the between-shard
-        mean spread is not added back), applied with each layer's own
-        momentum exactly as an unsharded forward would.
-        """
-        stats = stats.astype(np.float64, copy=False)
-        offset = 0
-        for bn in self._bn_layers:
-            channels = bn.running_mean.size
-            mean = stats[offset : offset + channels]
-            var = stats[offset + channels : offset + 2 * channels]
-            offset += 2 * channels
-            bn.running_mean = (
-                (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
-            )
-            bn.running_var = (
-                (1 - bn.momentum) * bn.running_var + bn.momentum * var
-            )
 
     # -- inference ---------------------------------------------------------------
 

@@ -108,6 +108,25 @@ class TestTrainAnalyze:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_train_jobs_only_parallelises_feature_extraction(self, tmp_path):
+        # --jobs fans the feature extraction out; the training loop is
+        # the same either way, so the saved weights are bitwise equal.
+        states = []
+        for jobs in ("1", "2"):
+            model = tmp_path / f"model{jobs}.npz"
+            code = main(
+                ["train", str(model), "--pixels", "16", "--fake", "2",
+                 "--real", "1", "--epochs", "1", "--channels", "4",
+                 "--jobs", jobs]
+            )
+            assert code == 0
+            with np.load(model) as archive:
+                states.append({key: archive[key] for key in archive.files})
+        serial, pooled = states
+        assert sorted(serial) == sorted(pooled)
+        for key, value in serial.items():
+            np.testing.assert_array_equal(pooled[key], value, err_msg=key)
+
 
 class TestDiagnosticsOutput:
     def test_simulate_prints_diagnostics_block(self, deck_path, capsys):

@@ -11,12 +11,9 @@ from repro.core.batch import (
     BatchAnalyzer,
     BatchItem,
     BatchReport,
-    parallel_map,
     parallel_map_ex,
-    tree_reduce,
 )
 from repro.obs import counters_delta, metrics_snapshot, monotonic
-from repro.train.schedule import shard_batch
 
 
 def _square(x):
@@ -28,7 +25,7 @@ def _reciprocal(x):
 
 
 def _slow_square(x):
-    # Busy-wait a few ms so concurrent parallel_map calls overlap inside
+    # Busy-wait a few ms so concurrent parallel_map_ex calls overlap inside
     # the pool supervisor.
     deadline = monotonic() + 0.02
     while monotonic() < deadline:
@@ -50,32 +47,33 @@ def _nested_map(x):
     # Runs inside a pool worker, which is daemonic and sees the worker
     # env marker: the inner call must degrade to serial instead of
     # spawning grandchildren.
-    outcomes, degraded = parallel_map(_square, [x, x + 1], jobs=2)
-    return ([value for value, _ in outcomes], degraded)
+    outcomes, degraded = parallel_map_ex(_square, [x, x + 1], jobs=2)
+    return ([o.result for o in outcomes], degraded)
 
 
 class TestParallelMap:
     def test_serial_preserves_order(self):
-        outcomes, degraded = parallel_map(_square, [3, 1, 2], jobs=1)
-        assert outcomes == [(9, None), (1, None), (4, None)]
+        outcomes, degraded = parallel_map_ex(_square, [3, 1, 2], jobs=1)
+        assert [o.result for o in outcomes] == [9, 1, 4]
+        assert all(o.error is None for o in outcomes)
         assert not degraded
 
     def test_parallel_preserves_order(self):
-        outcomes, degraded = parallel_map(_square, list(range(7)), jobs=2)
-        assert [value for value, _ in outcomes] == [k * k for k in range(7)]
+        outcomes, degraded = parallel_map_ex(_square, list(range(7)), jobs=2)
+        assert [o.result for o in outcomes] == [k * k for k in range(7)]
         assert not degraded
 
     def test_empty_items(self):
-        outcomes, degraded = parallel_map(_square, [], jobs=4)
+        outcomes, degraded = parallel_map_ex(_square, [], jobs=4)
         assert outcomes == [] and not degraded
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_per_item_errors_are_captured(self, jobs):
-        outcomes, _ = parallel_map(_reciprocal, [2.0, 0.0, 4.0], jobs=jobs)
-        assert outcomes[0] == (0.5, None)
-        value, error = outcomes[1]
-        assert value is None and error.startswith("ZeroDivisionError")
-        assert outcomes[2] == (0.25, None)
+        outcomes, _ = parallel_map_ex(_reciprocal, [2.0, 0.0, 4.0], jobs=jobs)
+        assert (outcomes[0].result, outcomes[0].error) == (0.5, None)
+        assert outcomes[1].result is None
+        assert outcomes[1].error.startswith("ZeroDivisionError")
+        assert (outcomes[2].result, outcomes[2].error) == (0.25, None)
 
     def test_worker_death_is_respawned_and_retried(self, tmp_path):
         marker = str(tmp_path / "died-once")
@@ -98,7 +96,7 @@ class TestParallelMap:
         results: dict[int, tuple] = {}
 
         def run(key):
-            results[key] = parallel_map(_slow_square, items_by_key[key], 2)
+            results[key] = parallel_map_ex(_slow_square, items_by_key[key], 2)
 
         threads = [
             threading.Thread(target=run, args=(key,)) for key in items_by_key
@@ -110,72 +108,19 @@ class TestParallelMap:
         for key, items in items_by_key.items():
             outcomes, degraded = results[key]
             assert not degraded
-            assert [value for value, _ in outcomes] == [x * x for x in items]
+            assert [o.result for o in outcomes] == [x * x for x in items]
 
     def test_nested_call_inside_worker_degrades_to_serial(self):
-        outcomes, outer_degraded = parallel_map(_nested_map, [10, 20], jobs=2)
+        outcomes, outer_degraded = parallel_map_ex(_nested_map, [10, 20], jobs=2)
         expected = {10: [100, 121], 20: [400, 441]}
-        for item, (value, error) in zip([10, 20], outcomes):
-            assert error is None
-            values, inner_degraded = value
+        for item, outcome in zip([10, 20], outcomes):
+            assert outcome.error is None
+            values, inner_degraded = outcome.result
             assert values == expected[item]
             if not outer_degraded:
                 # The item ran in a pool worker, so the nested call
                 # must have taken the serial path.
                 assert inner_degraded
-
-
-class TestTreeReduce:
-    def test_pairing_order_is_fixed(self):
-        # Level by level, 2k combines with 2k+1 and an odd tail passes
-        # through: the shape of the reduction depends only on the count.
-        combined = tree_reduce(list("abcde"), combine=lambda a, b: f"({a}{b})")
-        assert combined == "(((ab)(cd))e)"
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 13])
-    def test_matches_plain_sum(self, count):
-        rng = np.random.default_rng(count)
-        values = [rng.standard_normal(5) for _ in range(count)]
-        np.testing.assert_allclose(tree_reduce(values), np.sum(values, axis=0))
-
-    def test_single_value_passes_through(self):
-        value = np.arange(3.0)
-        assert tree_reduce([value]) is value
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            tree_reduce([])
-
-    def test_deterministic_across_repeats(self):
-        rng = np.random.default_rng(9)
-        values = [rng.standard_normal(64) * 10.0**k for k in range(6)]
-        first = tree_reduce(values)
-        np.testing.assert_array_equal(first, tree_reduce(values))
-
-
-class TestShardBatch:
-    def test_concatenation_preserves_order(self):
-        batch = np.array([5, 3, 9, 1, 7])
-        shards = shard_batch(batch, 2)
-        np.testing.assert_array_equal(np.concatenate(shards), batch)
-
-    def test_shard_sizes_balanced(self):
-        shards = shard_batch(np.arange(10), 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-
-    def test_more_shards_than_samples_drops_empties(self):
-        shards = shard_batch(np.arange(2), 4)
-        assert [len(s) for s in shards] == [1, 1]
-
-    def test_decomposition_independent_of_values(self):
-        # Same length -> same split points, whatever the indices are.
-        a = shard_batch(np.arange(7), 2)
-        b = shard_batch(np.arange(100, 107), 2)
-        assert [len(s) for s in a] == [len(s) for s in b]
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            shard_batch(np.arange(4), 0)
 
 
 class TestBatchReport:

@@ -69,29 +69,19 @@ class TestTraining:
         with pytest.raises(RuntimeError):
             pipeline.predict_sample(None)
 
-    def _train_span(self, config, **train):
+    def test_batch_spans_cover_train_wall_time(self, tiny_config):
         from repro.obs import trace
 
         pipeline = IRFusionPipeline(
-            config.with_(train=TrainConfig(epochs=1, batch_size=2, **train))
+            tiny_config.with_(train=TrainConfig(epochs=1, batch_size=2))
         )
         with trace("run") as tracer:
             pipeline.train()  # three samples: two batches
         (epoch,) = [s for s in tracer.root.iter_spans() if s.name == "train"]
-        return epoch
-
-    def test_batch_spans_cover_train_wall_time(self, tiny_config):
-        epoch = self._train_span(tiny_config)
         assert [c.name for c in epoch.children] == [
             "train_forward", "train_backward", "train_step",
         ] * 2  # fmt: skip
         assert sum(c.duration for c in epoch.children) >= 0.9 * epoch.duration
-
-    def test_sharded_epoch_steps_once_per_batch(self, tiny_config):
-        epoch = self._train_span(tiny_config, grad_shards=2)
-        steps = [s for s in epoch.iter_spans() if s.name == "train_step"]
-        assert len(steps) == 2
-        assert all(s in epoch.children for s in steps)
 
 
 class TestAnalyze:

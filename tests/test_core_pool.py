@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchAnalyzer, parallel_map, parallel_map_ex
+from repro.core.batch import BatchAnalyzer, parallel_map_ex
 from repro.core.pool import (
     PoolOptions,
     PoolUnusableError,

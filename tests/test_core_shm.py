@@ -62,17 +62,6 @@ class TestShmArray:
             desc = scope.share(np.zeros((128, 128)))
             assert len(pickle.dumps(desc)) < 300
 
-    def test_subarray_slots_alias_the_block(self):
-        with shm.ARENA.scope("t_sub") as scope:
-            block = scope.allocate((3, 5), np.float64)
-            for row in range(3):
-                slot = shm.subarray(block, row)
-                slot.resolve(writable=True)[:] = row + 0.5
-            view = block.resolve()
-            assert np.array_equal(view[:, 0], [0.5, 1.5, 2.5])
-            with pytest.raises(IndexError):
-                shm.subarray(block, 3)
-
     def test_views_survive_release(self):
         # POSIX keeps pages alive while mapped: unlink-early is safe.
         source = np.random.default_rng(3).standard_normal(512)
@@ -179,7 +168,7 @@ class TestShmScope:
         leaked = _counter("shm.segments_leaked")
         scope = shm.ARENA.scope("t_drop")
         scope.share(np.ones(100))
-        scope.allocate((4,), np.float64)
+        scope.share(np.zeros(4))
         assert len(_leftover_segments()) == 2
         del scope
         gc.collect()
@@ -230,7 +219,7 @@ class TestShmScope:
                     with shm.ARENA.scope("t_stress") as scope:
                         value = float(seed * 100 + round_)
                         desc = scope.share(np.full(64, value))
-                        scope.allocate((8,), np.float64)
+                        scope.share(np.zeros(8))
                         assert np.array_equal(
                             desc.resolve(), np.full(64, value)
                         )
@@ -256,11 +245,10 @@ class TestShmScope:
 
     def test_write_through_read_only_view_raises(self):
         with shm.ARENA.scope("t_ro") as scope:
-            block = scope.allocate((4,), np.float64)
+            block = scope.share(np.zeros(4))
             with pytest.raises(ValueError):
                 block.resolve()[0] = 1.0
-            block.resolve(writable=True)[0] = 1.0
-            assert block.resolve()[0] == 1.0
+            assert block.resolve()[0] == 0.0
 
 
 def _double_arrays(item):

@@ -221,9 +221,13 @@ class TestBatchNorm:
         x, x_wide = draw(rng, (n, 5, 6, 7), dtype)
         x, x_wide = x * 2 + 1, x_wide * 2 + 1
         mean, var = x_wide.mean(axis=(0, 2, 3)), x_wide.var(axis=(0, 2, 3))
+        keep = 1 - bn.momentum
+        old_mean, old_var = bn.running_mean.copy(), bn.running_var.copy()
         self._check(bn, x, x_wide, mean, var, rng, dtype)
-        assert rel_err(bn.batch_stats[0], mean) <= TOLERANCE[dtype]
-        assert rel_err(bn.batch_stats[1], var) <= TOLERANCE[dtype]
+        moved_mean = bn.running_mean - keep * old_mean
+        moved_var = bn.running_var - keep * old_var
+        assert rel_err(moved_mean, bn.momentum * mean) <= TOLERANCE[dtype]
+        assert rel_err(moved_var, bn.momentum * var) <= TOLERANCE[dtype]
 
     def test_eval_mode(self, dtype):
         rng = np.random.default_rng(19)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.batch import parallel_map
+from repro.core.batch import parallel_map_ex
 from repro.obs import (
     Span,
     Tracer,
@@ -154,10 +154,10 @@ class TestWorkerRoundTrip:
         reset_metrics()
         before = metrics_snapshot()
         with trace("batch_test") as tracer:
-            outcomes, degraded = parallel_map(
+            outcomes, degraded = parallel_map_ex(
                 _traced_item, [1, 2, 3, 4], jobs=2
             )
-        assert [value for value, _ in outcomes] == [2, 4, 6, 8]
+        assert [o.result for o in outcomes] == [2, 4, 6, 8]
         root = tracer.root
         works = [s for s in root.iter_spans() if s.name == "work"]
         assert sorted(s.attrs["item"] for s in works) == [1, 2, 3, 4]
@@ -172,8 +172,8 @@ class TestWorkerRoundTrip:
 
     def test_untraced_batch_ships_no_trees(self):
         assert current_tracer() is None
-        outcomes, _ = parallel_map(_traced_item, [5, 6], jobs=2)
-        assert [value for value, _ in outcomes] == [10, 12]
+        outcomes, _ = parallel_map_ex(_traced_item, [5, 6], jobs=2)
+        assert [o.result for o in outcomes] == [10, 12]
 
 
 class TestExport:

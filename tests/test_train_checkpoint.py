@@ -129,6 +129,32 @@ class TestBitExactResume:
         # Nothing left to train: history is exactly the checkpointed one.
         assert resumed_history.epoch_losses == first_history.epoch_losses
 
+    @pytest.mark.parametrize(
+        "changed", [{"batch_size": 1}, {"shuffle_seed": 5}]
+    )
+    def test_resume_rejects_changed_batch_order(
+        self, tiny_dataset, tmp_path, changed
+    ):
+        # batch_size and shuffle_seed fix the batch order a bit-exact
+        # resume replays; epochs may differ (extending a run is a resume).
+        ckpt = tmp_path / "mid.npz"
+        Trainer(
+            make_model(tiny_dataset),
+            config=TrainConfig(
+                epochs=1,
+                batch_size=2,
+                checkpoint_every=1,
+                checkpoint_path=str(ckpt),
+            ),
+        ).fit(tiny_dataset)
+        resumed = Trainer(
+            make_model(tiny_dataset),
+            config=TrainConfig(**{"epochs": 2, "batch_size": 2, **changed}),
+        )
+        (name,) = changed
+        with pytest.raises(ValueError, match=name):
+            resumed.fit(tiny_dataset, resume_from=str(ckpt))
+
 
 class TestMixedPrecisionCheckpoint:
     @staticmethod

@@ -152,20 +152,6 @@ class TestEpochLossWeighting:
         history = trainer.fit(dataset)
         assert history.epoch_losses[0] == pytest.approx(9 / 5)
 
-    def test_sharded_engine_weights_identically(self, tiny_dataset):
-        dataset = five_sample_dataset(tiny_dataset)
-        trainer = Trainer(
-            make_model(dataset),
-            loss=_BatchSizeLoss(),
-            config=TrainConfig(epochs=1, batch_size=2, grad_shards=2),
-        )
-        history = trainer.fit(dataset)
-        # Per-shard losses are shard means re-weighted by shard size, so
-        # the epoch loss agrees with the in-process loop: shards of a
-        # 2-batch are 1+1 -> batch loss 1, and the trailing 1-batch is a
-        # single shard -> (2*1 + 2*1 + 1*1) / 5.
-        assert history.epoch_losses[0] == pytest.approx(1.0)
-
 
 class TestDataParallelEngine:
     @staticmethod
@@ -177,48 +163,12 @@ class TestDataParallelEngine:
         history = trainer.fit(dataset)
         return trainer, history
 
-    def test_single_shard_sync1_matches_serial_bitwise(self, tiny_dataset):
-        # One shard per batch published every step is mathematically the
-        # classic loop; the engine must reproduce it to the last bit.
-        dataset = five_sample_dataset(tiny_dataset)
-        serial, serial_history = self.run(dataset)
-        sharded, sharded_history = self.run(dataset, grad_shards=1, sync_every=1)
-        assert sharded_history.epoch_losses == serial_history.epoch_losses
-        serial_state = serial.model.state_dict()
-        for key, value in sharded.model.state_dict().items():
-            np.testing.assert_array_equal(value, serial_state[key], err_msg=key)
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_fp64_trajectory_invariant_across_jobs(self, tiny_dataset, jobs):
-        # The shard decomposition and the fixed-order tree reduction
-        # depend only on grad_shards, so fp64 runs are bitwise identical
-        # at any worker count.
-        dataset = five_sample_dataset(tiny_dataset)
-        reference, ref_history = self.run(dataset, jobs=1, grad_shards=2)
-        candidate, history = self.run(dataset, jobs=jobs, grad_shards=2)
-        assert history.epoch_losses == ref_history.epoch_losses
-        ref_state = reference.model.state_dict()
-        for key, value in candidate.model.state_dict().items():
-            np.testing.assert_array_equal(value, ref_state[key], err_msg=key)
-
-    def test_sharded_default_tracks_classic_loop(self, tiny_dataset):
-        # The sharding contract: ghost batch-norm statistics and per-shard
-        # loss normalisation make jobs>1 a different (equally valid)
-        # trajectory that must land near the classic loop's, not on it.
-        dataset = five_sample_dataset(tiny_dataset)
-        _, serial_history = self.run(dataset)
-        _, sharded_history = self.run(dataset, jobs=2)
-        assert sharded_history.epoch_losses != serial_history.epoch_losses
-        assert sharded_history.final_loss == pytest.approx(
-            serial_history.final_loss, rel=0.10
-        )
-
     def test_mixed_precision_tracks_fp64(self, tiny_dataset):
         # The precision contract: same trajectory definition, so any gap
         # is purely the fp32 compute path.
         dataset = five_sample_dataset(tiny_dataset)
-        _, fp64_history = self.run(dataset, jobs=2)
-        _, mixed_history = self.run(dataset, jobs=2, precision="mixed")
+        _, fp64_history = self.run(dataset)
+        _, mixed_history = self.run(dataset, precision="mixed")
         assert mixed_history.final_loss == pytest.approx(
             fp64_history.final_loss, rel=1e-3
         )
@@ -248,18 +198,12 @@ class TestDataParallelEngine:
             assert np.isfinite(value).all(), key
 
     def test_workspaces_released_after_fit(self, tiny_dataset):
-        trainer, _ = self.run(tiny_dataset, jobs=2, precision="mixed")
+        trainer, _ = self.run(tiny_dataset, precision="mixed")
         assert sum(w.nbytes for w in trainer.model.workspaces()) == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            TrainConfig(jobs=0)
         with pytest.raises(ValueError, match="precision"):
             TrainConfig(precision="fp16")
-        with pytest.raises(ValueError, match="grad_shards"):
-            TrainConfig(grad_shards=-1)
-        with pytest.raises(ValueError, match="sync_every"):
-            TrainConfig(sync_every=-2)
         with pytest.raises(ValueError, match="loss_scale"):
             TrainConfig(loss_scale=-1.0)
 
