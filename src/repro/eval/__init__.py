@@ -1,6 +1,5 @@
 """Evaluation harness and report rendering for the paper's tables/figures."""
 
-from repro.eval.em import EMReport, WireViolation, check_wire_currents
 from repro.eval.evaluate import (
     evaluate_rough_solutions,
     evaluate_trainer,
@@ -11,10 +10,7 @@ from repro.eval.signoff import SignoffReport, ViolationRegion, check_ir_drop
 from repro.eval.tables import save_metrics_csv, save_metrics_json
 
 __all__ = [
-    "EMReport",
     "SignoffReport",
-    "WireViolation",
-    "check_wire_currents",
     "ViolationRegion",
     "ascii_map",
     "check_ir_drop",

@@ -147,8 +147,8 @@ class PowerGrid:
     their PG-side endpoint).  The columns are the state and what pickles:
     ``node_names`` / ``wire_names`` in id order, ``load_current`` (amps) and
     ``pad_voltage`` (volts, NaN where the node is not a pad) per node.  Read
-    them freely; write only through :meth:`pin_pad`, :meth:`unpin_pad`,
-    :meth:`set_load` and :meth:`set_wire_resistance`.
+    them freely; write only through :meth:`pin_pad`, :meth:`unpin_pad` and
+    :meth:`set_load`.
     """
 
     def __init__(
@@ -261,19 +261,12 @@ class PowerGrid:
         """Set a node's attached load current (absolute, not additive)."""
         self._own("load_current")[self._index(node)] = amps
 
-    def set_wire_resistance(self, wire_index: int, resistance: float) -> None:
-        """Replace one wire's resistance (ECO resize)."""
-        if resistance <= 0 or not np.isfinite(resistance):
-            raise ValueError(f"resistance must be positive, got {resistance}")
-        self._own("_wire_r")[wire_index] = resistance
-
     def clone(self) -> "PowerGrid":
-        """Independent copy: the three editable columns are copied, the rest shared."""
+        """Independent copy: the two editable columns are copied, the rest shared."""
         other = object.__new__(PowerGrid)
         other.__dict__.update(self.__dict__)
         other.load_current = self.load_current.copy()
         other.pad_voltage = self.pad_voltage.copy()
-        other._wire_r = self._wire_r.copy()
         return other
 
     # -- queries -----------------------------------------------------------

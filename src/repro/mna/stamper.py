@@ -113,13 +113,12 @@ def build_reduced_system(
 # ---------------------------------------------------------------------------
 # Delta stamping: patch an already-reduced CSR system in place.
 #
-# ECO-style edits (a pad added, a wire resized, loads revised) change a
-# handful of matrix entries; re-running the full stamp throws away the
-# CSR structure, the RHS and — further downstream — the AMG hierarchy.
-# The helpers below edit ``matrix.data``/``rhs`` directly and return an
-# undo record, so a caller can speculatively apply a candidate edit,
-# solve, and revert.  The sparsity *pattern* never changes: every update
-# touches entries the symmetric stamp already materialised.
+# An added pad changes one row and column of the matrix; re-running the
+# full stamp throws away the CSR structure, the RHS and — further
+# downstream — the AMG hierarchy.  ``pin_row`` edits ``matrix.data``/
+# ``rhs`` directly and returns an undo record, so a caller can apply a
+# pad, solve, and revert.  The sparsity *pattern* never changes: every
+# update touches entries the symmetric stamp already materialised.
 # ---------------------------------------------------------------------------
 
 
@@ -136,15 +135,6 @@ class SystemPatch:
     data_old: np.ndarray
     rhs_rows: np.ndarray
     rhs_old: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "SystemPatch":
-        return cls(
-            data_indices=np.empty(0, dtype=np.int64),
-            data_old=np.empty(0, dtype=float),
-            rhs_rows=np.empty(0, dtype=np.int64),
-            rhs_old=np.empty(0, dtype=float),
-        )
 
 
 def csr_entry(matrix: sp.csr_matrix, row: int, col: int) -> int:
@@ -167,66 +157,6 @@ def revert_patch(
     """Undo an in-place edit, restoring matrix and RHS bitwise."""
     matrix.data[patch.data_indices] = patch.data_old
     rhs[patch.rhs_rows] = patch.rhs_old
-
-
-def patch_conductance(
-    matrix: sp.csr_matrix,
-    rhs: np.ndarray,
-    row_a: int | None,
-    row_b: int | None,
-    delta_g: float,
-    voltage_a: float | None = None,
-    voltage_b: float | None = None,
-) -> SystemPatch:
-    """Re-stamp one wire's conductance change ``delta_g`` in place.
-
-    ``row_a``/``row_b`` are reduced-system rows, or ``None`` for an
-    endpoint pinned to a known voltage (an eliminated pad *or* a node
-    pinned by a delta), in which case the matching ``voltage_*`` supplies
-    the coupling term that moves to the RHS — exactly mirroring the full
-    stamp's elimination rules.
-    """
-    data_indices: list[int] = []
-    rhs_rows: list[int] = []
-    if row_a is not None and row_b is not None:
-        data_indices = [
-            csr_entry(matrix, row_a, row_a),
-            csr_entry(matrix, row_b, row_b),
-            csr_entry(matrix, row_a, row_b),
-            csr_entry(matrix, row_b, row_a),
-        ]
-    elif row_a is not None:
-        if voltage_b is None:
-            raise ValueError("pinned endpoint b needs voltage_b")
-        data_indices = [csr_entry(matrix, row_a, row_a)]
-        rhs_rows = [row_a]
-    elif row_b is not None:
-        if voltage_a is None:
-            raise ValueError("pinned endpoint a needs voltage_a")
-        data_indices = [csr_entry(matrix, row_b, row_b)]
-        rhs_rows = [row_b]
-    # both endpoints pinned: nothing reaches the reduced system
-
-    idx = np.asarray(data_indices, dtype=np.int64)
-    rows = np.asarray(rhs_rows, dtype=np.int64)
-    patch = SystemPatch(
-        data_indices=idx,
-        data_old=matrix.data[idx].copy(),
-        rhs_rows=rows,
-        rhs_old=rhs[rows].copy(),
-    )
-    if row_a is not None and row_b is not None:
-        matrix.data[idx[0]] += delta_g
-        matrix.data[idx[1]] += delta_g
-        matrix.data[idx[2]] -= delta_g
-        matrix.data[idx[3]] -= delta_g
-    elif row_a is not None:
-        matrix.data[idx[0]] += delta_g
-        rhs[row_a] += delta_g * voltage_b
-    elif row_b is not None:
-        matrix.data[idx[0]] += delta_g
-        rhs[row_b] += delta_g * voltage_a
-    return patch
 
 
 def pin_row(
@@ -272,21 +202,6 @@ def pin_row(
     # A canonical CSR row lists each neighbour once: no duplicate targets.
     rhs[neighbours[off_diagonal]] -= couplings[off_diagonal] * voltage
     rhs[row] = diag * voltage
-    return patch
-
-
-def patch_rhs(
-    rhs: np.ndarray, rows: np.ndarray, deltas: np.ndarray
-) -> SystemPatch:
-    """Apply additive RHS changes (load revisions) with an undo record."""
-    rows = np.asarray(rows, dtype=np.int64)
-    patch = SystemPatch(
-        data_indices=np.empty(0, dtype=np.int64),
-        data_old=np.empty(0, dtype=float),
-        rhs_rows=rows,
-        rhs_old=rhs[rows].copy(),
-    )
-    rhs[rows] += deltas
     return patch
 
 

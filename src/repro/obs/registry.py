@@ -48,7 +48,6 @@ COUNTERS: frozenset[str] = frozenset(
         "incremental.setup_cache_hits",
         "incremental.smw_solves",
         "incremental.solves",
-        "incremental.structural_deltas",
         "incremental.warm_solves",
         "nn.plan_builds",
         "nn.plan_refolds",

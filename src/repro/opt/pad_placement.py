@@ -120,10 +120,12 @@ def greedy_pad_placement(
     tight tolerance either way, so the reported drop history is
     solver-accurate.
     """
-    if budget_volts <= 0:
-        raise ValueError("budget_volts must be positive")
+    if not budget_volts > 0:  # NaN fails this too
+        raise ValueError(f"budget_volts must be positive, got {budget_volts}")
     if max_new_pads < 1:
         raise ValueError("max_new_pads must be >= 1")
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be >= 1")
     grid = PowerGrid.from_netlist(netlist)
     supply_voltage = netlist.supply_voltage()
     engine = IncrementalEngine(

@@ -9,8 +9,12 @@ as an implicit preconditioner for CG.  Supporting pieces:
 - :mod:`repro.solvers.cg` — plain CG and Jacobi-preconditioned CG.
 - :mod:`repro.solvers.amg` — pairwise-aggregation AMG hierarchy.
 - :mod:`repro.solvers.cycles` — V-, W- and K-cycle preconditioner application.
+- :mod:`repro.solvers.cache` — process-wide AMG setup cache keyed by matrix fingerprint.
 - :mod:`repro.solvers.direct` — sparse-LU golden reference solver.
+- :mod:`repro.solvers.guard` — iteration guards and the fallback cascade.
 - :mod:`repro.solvers.powerrush` — the end-to-end PowerRush-style simulator.
+- :mod:`repro.solvers.incremental` — low-rank pad previews and commits for
+  :mod:`repro.opt.pad_placement`.
 """
 
 from repro.solvers.amg import AMGHierarchy, AMGLevel, build_hierarchy
@@ -30,19 +34,10 @@ from repro.solvers.powerrush import PowerRushSimulator, SimulationReport
 from repro.solvers.incremental import (
     AddPad,
     GridDelta,
-    IncrementalAnalyzer,
     IncrementalEngine,
     IncrementalOptions,
     IncrementalSolve,
-    RemovePad,
-    ReviseLoads,
-    ScaleWire,
-    SetWireResistance,
 )
-from repro.solvers.macromodel import SchurReduction, layer_port_rows
-from repro.solvers.schwarz import AdditiveSchwarzPreconditioner, SchwarzPCGSolver
-from repro.solvers.random_walk import RandomWalkOptions, RandomWalkSolver
-from repro.solvers.vectored import VectoredAnalyzer, VectoredResult
 
 __all__ = [
     "AMGHierarchy",
@@ -58,26 +53,13 @@ __all__ = [
     "SolverFailure",
     "AddPad",
     "GridDelta",
-    "IncrementalAnalyzer",
     "IncrementalEngine",
     "IncrementalOptions",
     "IncrementalSolve",
-    "RemovePad",
-    "ReviseLoads",
-    "ScaleWire",
-    "SetWireResistance",
     "JacobiPCGSolver",
     "PowerRushSimulator",
-    "RandomWalkOptions",
-    "RandomWalkSolver",
-    "AdditiveSchwarzPreconditioner",
-    "SchurReduction",
-    "SchwarzPCGSolver",
-    "layer_port_rows",
     "SimulationReport",
     "SolveResult",
     "SolverOptions",
-    "VectoredAnalyzer",
-    "VectoredResult",
     "build_hierarchy",
 ]

@@ -6,7 +6,7 @@ PCG iterations, so rebuilding the hierarchy for every call to
 ``analyze_design`` throws away most of the paper's claimed speedup.  Many
 workloads solve the **same conductance matrix** repeatedly — curriculum
 epochs over a fixed design suite, the fallback cascade's adjusted retry,
-Fig. 7 iteration sweeps, transient/incremental stepping — and for all of
+Fig. 7 iteration sweeps, incremental-engine rebuilds — and for all of
 them the hierarchy is a pure function of ``(matrix, AMGOptions)``.
 
 This module keys hierarchies by a *content fingerprint* of the matrix

@@ -1,60 +1,49 @@
-"""Incremental ECO re-solve engine: structural deltas without restamping.
+"""Incremental ECO re-solve engine: pad additions without restamping.
 
-ECO loops re-analyse a grid after small edits — loads revised, a wire
-resized, a pad added or removed.  The original analyzer could only
-warm-start when the conductance matrix was *unchanged*; any structural
-edit threw away the stamped system, the AMG hierarchy and the previous
-solution.  This module keeps all three alive across edits:
+Pad placement re-analyses a grid after one small edit at a time — one
+more power pad.  A from-scratch analysis would throw away the stamped
+system, the AMG hierarchy and the previous solution on every
+candidate.  This module keeps all three alive across edits:
 
-- :class:`GridDelta` subclasses describe the edits
-  (:class:`AddPad` / :class:`RemovePad` / :class:`ScaleWire` /
-  :class:`SetWireResistance` / :class:`ReviseLoads`);
-- delta stamping (:mod:`repro.mna.stamper`) patches the reduced CSR
-  system in place, with undo records so candidate edits can be
-  speculatively applied and reverted;
-- every low-rank edit is one rank-1 term against the *unpatched* base
-  matrix ``G0``: a wire resize is ``G0 + Δg u uᵀ``, and a pad pin is the
-  constraint ``x_j = V`` on ``G0``'s own unknown — its multiplier the
-  current the pad injects.  Each term keeps ``G0⁻¹u`` with the earlier
-  terms projected out, so the state's solution is the base solution
-  ``G0⁻¹b`` corrected one term at a time, the raw columns are cached
-  across the whole sweep, and a short warm-started PCG polish on the
-  patched matrix restores full solver tolerance wherever the cached
-  columns were solved loosely;
+- :class:`AddPad` describes the edit;
+- every pad is one rank-1 term against the *unpatched* base matrix
+  ``G0``: the constraint ``x_j = V`` on ``G0``'s own unknown, its
+  multiplier the current the pad injects.  Each term keeps ``G0⁻¹e_j``
+  with the earlier terms projected out, so the state's solution is the
+  base solution ``G0⁻¹b`` corrected one term at a time, the raw columns
+  are cached across the whole sweep, and a short warm-started PCG
+  polish on the pinned matrix restores full solver tolerance wherever
+  the cached columns were solved loosely;
+- committing a pad pins its row of the reduced CSR system in place
+  (:func:`repro.mna.stamper.pin_row`) with an undo record, so the most
+  recent pad can be reverted exactly;
 - a round of candidate pads is one batch
   (:meth:`IncrementalEngine.preview_many`): each candidate is the
   committed solution plus one multiple of its projected column, with
   its residual on the pinned system as certificate — nothing is
   stamped, solved iteratively or reverted;
-- when the accumulated delta rank or the stencil churn crosses a
-  threshold (or a dimension-changing edit arrives), the engine falls
-  back to a full restamp + hierarchy rebuild, keyed into the process
-  setup cache by a *delta-chain fingerprint* so revisited structural
+- when the number of committed pads crosses ``max_rank`` the engine
+  falls back to a full restamp + hierarchy rebuild, keyed into the
+  process setup cache by a *delta-chain fingerprint* so revisited
   states rehit the cache without rehashing the matrix.
 
-The classic consumer is :mod:`repro.opt.pad_placement`: a greedy pad
-sweep evaluates hundreds of nearly identical systems, and with this
-engine each candidate costs one cached column solve plus elementwise
-algebra instead of a from-scratch simulation.
+The consumer is :mod:`repro.opt.pad_placement`: a greedy pad sweep
+evaluates hundreds of nearly identical systems, and with this engine
+each candidate costs one cached column solve plus elementwise algebra
+instead of a from-scratch simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.diagnostics import RunDiagnostics
 from repro.grid.netlist import PowerGrid
-from repro.mna.stamper import (
-    SystemPatch,
-    build_reduced_system,
-    patch_conductance,
-    patch_rhs,
-    pin_row,
-    revert_patch,
-)
+from repro.mna.stamper import SystemPatch, build_reduced_system, pin_row, revert_patch
 from repro.mna.system import ReducedSystem
 from repro.obs import counter_add, deadline_active, span
 from repro.solvers.amg import AMGOptions
@@ -69,14 +58,9 @@ from repro.solvers.cycles import CycleOptions, CyclePreconditioner
 from repro.solvers.guard import GuardrailOptions, IterationGuard
 
 
-# ---------------------------------------------------------------------------
-# Deltas
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class GridDelta:
-    """Base class for structural/electrical grid edits."""
+    """Base class for grid edits."""
 
     def token(self) -> str:
         """Stable identity string for delta-chain fingerprints."""
@@ -87,6 +71,7 @@ class GridDelta:
 class AddPad(GridDelta):
     """Pin a (currently unknown) node to the supply: a new power pad.
 
+    ``node`` is a grid node name or an index in ``[0, num_nodes)``;
     ``voltage=None`` uses the engine's supply voltage.  Numerically this
     is one exact constraint on the reduced system: rank 1.
     """
@@ -99,94 +84,18 @@ class AddPad(GridDelta):
 
 
 @dataclass(frozen=True)
-class RemovePad(GridDelta):
-    """Un-pin a pad.
-
-    Removing a pad that an earlier :class:`AddPad` delta created is the
-    exact low-rank reversal when it is the most recent edit; any other
-    removal changes the unknown set and forces a structural rebuild at
-    the next solve.
-    """
-
-    node: int | str
-
-    def token(self) -> str:
-        return f"pad-:{self.node}"
-
-
-@dataclass(frozen=True)
-class ScaleWire(GridDelta):
-    """Multiply one wire's resistance by ``factor`` (ECO resize)."""
-
-    wire: int
-    factor: float
-
-    def token(self) -> str:
-        return f"wire*:{self.wire}:{self.factor!r}"
-
-    def __post_init__(self) -> None:
-        if self.factor <= 0 or not np.isfinite(self.factor):
-            raise ValueError(f"factor must be positive, got {self.factor}")
-
-
-@dataclass(frozen=True)
-class SetWireResistance(GridDelta):
-    """Set one wire's resistance to an absolute value."""
-
-    wire: int
-    resistance: float
-
-    def token(self) -> str:
-        return f"wire=:{self.wire}:{self.resistance!r}"
-
-    def __post_init__(self) -> None:
-        if self.resistance <= 0 or not np.isfinite(self.resistance):
-            raise ValueError(
-                f"resistance must be positive, got {self.resistance}"
-            )
-
-
-@dataclass(frozen=True)
-class ReviseLoads(GridDelta):
-    """Set per-node load currents (RHS-only edit).
-
-    ``currents`` maps grid node (index or name) to the node's *new*
-    absolute load; with ``additive=True`` values are added to the
-    current loads instead.
-    """
-
-    currents: tuple[tuple[int | str, float], ...]
-    additive: bool = False
-
-    @classmethod
-    def of(
-        cls, currents: Mapping[int | str, float], additive: bool = False
-    ) -> "ReviseLoads":
-        return cls(currents=tuple(sorted(currents.items(), key=repr)),
-                   additive=additive)
-
-    def token(self) -> str:
-        return f"loads:{self.additive}:{self.currents!r}"
-
-
-@dataclass(frozen=True)
 class IncrementalOptions:
     """Tuning knobs for the incremental engine.
 
     Attributes
     ----------
     max_rank:
-        Accumulated low-rank budget — one per pad pin, one per wire
-        resize; exceeding it triggers a full restamp + hierarchy rebuild
-        at the next solve (every solve, preview and new column makes one
-        pass per active term).
-    max_stencil_churn:
-        Fraction of reduced-system rows the accumulated structural
-        patches may touch before the stale base preconditioner is
-        presumed ineffective and a rebuild is forced.
+        Committed pads the engine carries as low-rank terms; one more
+        triggers a full restamp + hierarchy rebuild at the next solve
+        (every solve, preview and new column makes one pass per term).
     polish_max_iterations:
         Iteration cap of the warm-started PCG polish that runs on the
-        patched matrix after the low-rank correction.  A polish that fails to
+        pinned matrix after the low-rank correction.  A polish that fails to
         converge within the cap falls back to a rebuild.
     column_tol:
         Relative tolerance of the cached factor-column solves
@@ -195,7 +104,7 @@ class IncrementalOptions:
         full precision before any polish.  ECO sweeps that preview many
         candidates and only need to *rank* them can loosen this:
         column accuracy bounds preview accuracy, while committed solves
-        are always polished on the patched matrix to the requested
+        are always polished on the pinned matrix to the requested
         tolerance regardless.  Ignored on the direct tier (columns are
         exact there).
     direct_max_size:
@@ -210,7 +119,6 @@ class IncrementalOptions:
     """
 
     max_rank: int = 24
-    max_stencil_churn: float = 0.25
     polish_max_iterations: int = 50
     column_tol: float | None = None
     direct_max_size: int = 120_000
@@ -218,8 +126,6 @@ class IncrementalOptions:
     def __post_init__(self) -> None:
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
-        if not 0.0 < self.max_stencil_churn <= 1.0:
-            raise ValueError("max_stencil_churn must be in (0, 1]")
 
 
 @dataclass
@@ -236,14 +142,14 @@ class IncrementalSolve:
         Whether the final iterate met the solver tolerance.
     strategy:
         How the step was solved: ``cold`` (first solve), ``warm``
-        (warm-started re-solve, no structural terms), ``smw``
+        (warm-started re-solve, no pad terms), ``smw``
         (low-rank correction of the base solution, polished when over
         tolerance), ``rebuild`` (full restamp; includes threshold
         crossings and polish fallbacks).
     polish_iterations:
         PCG iterations spent polishing a low-rank correction.
     residual:
-        Relative residual of the returned solution on the patched
+        Relative residual of the returned solution on the pinned
         system (for a bordered preview: the candidate-pinned system's
         residual over the committed right-hand side's norm).
     aborted:
@@ -264,55 +170,36 @@ class IncrementalSolve:
 #: (cache-sized at 6k unknowns; one by one at 120k, never an n x 32 block).
 _PREVIEW_SCRATCH_BYTES = 512 << 10
 
-#: A low-rank factor ``u = e[plus] - e[minus]`` (``minus`` None: ``e[plus]``).
-_Ends = tuple[int, int | None]
-
-
-def _across(ends: _Ends, block: np.ndarray) -> np.ndarray:
-    """``u^T`` applied along the last axis of a vector or a row block."""
-    plus, minus = ends
-    picked = block[..., plus]
-    return picked if minus is None else picked - block[..., minus]
-
 
 @dataclass
 class _Term:
-    """One committed delta and everything needed to undo it.
+    """One committed pad and everything needed to undo it.
 
-    A rank-1 term holds ``column`` — ``G0⁻¹u`` with every earlier term
-    already projected out, i.e. the response of the state it was applied
-    to — the scalar ``pivot = 1/c + uᵀ column`` (``1/c`` is ``1/Δg`` for
-    a wire and 0 for a pad: a pin is the constraint ``uᵀx = target``),
-    and ``target`` (the pad voltage; 0 for a wire).
+    ``column`` is ``G0⁻¹e_row`` with every earlier term already projected
+    out, i.e. the response of the state the pad was applied to;
+    ``pivot = column[row]`` and ``target`` is the pad voltage, so the
+    pin is the constraint ``x[row] = target``.
     """
 
     token: str
     prev_fingerprint: str
-    ends: _Ends | None = None
-    column: np.ndarray | None = None
-    pivot: float = 0.0
-    target: float = 0.0
-    patch: SystemPatch = field(default_factory=SystemPatch.empty)
-    free_patch: SystemPatch = field(default_factory=SystemPatch.empty)
-    y_delta: np.ndarray | None = None
-    grid_undo: Callable[[], None] | None = None
-    pinned_row: int | None = None
-    prev_structural_dirty: bool | None = None  # set by a structural delta
-
-    @property
-    def rank(self) -> int:
-        return 0 if self.column is None else 1
+    index: int  # grid node
+    row: int  # reduced-system row
+    column: np.ndarray
+    pivot: float
+    target: float
+    patch: SystemPatch
 
 
 class IncrementalEngine:
-    """Keeps system, hierarchy and solution alive across grid deltas.
+    """Keeps system, hierarchy and solution alive across added pads.
 
     The engine owns a private clone of the grid; the caller's object is
-    never mutated.  ``apply`` commits a delta (returning a handle),
-    ``revert`` undoes the *most recent* one (LIFO — candidate
-    evaluation), ``solve`` produces the IR drop for the current state,
-    and ``preview`` / ``preview_many`` evaluate candidate edits against
-    it without committing anything.
+    never mutated.  ``apply`` commits a pad (returning a handle),
+    ``revert`` undoes the *most recent* one (LIFO), ``solve`` produces
+    the IR drop for the current state, and ``preview`` /
+    ``preview_many`` evaluate candidate pads against it without
+    committing anything.
     """
 
     def __init__(
@@ -338,7 +225,7 @@ class IncrementalEngine:
 
         self._grid = grid.clone()
         self._terms: list[_Term] = []
-        self._w_cache: dict[_Ends, np.ndarray] = {}
+        self._w_cache: dict[int, np.ndarray] = {}  # row -> G0⁻¹e_row
         self._x: np.ndarray | None = None  # last committed unknown-space solution
         self._x_fingerprint: str | None = None  # state _x converged on
         self._steps = 0
@@ -352,7 +239,7 @@ class IncrementalEngine:
         self._base_matrix = base.matrix  # unpatched: what the AMG setup sees
         self._system = base.mutable_copy()
         # The RHS with no delta pin stamped into it (pins are constraints
-        # on G0's own unknowns): loads and pad-side wire couplings only.
+        # on G0's own unknowns), fixed for the lifetime of the setup.
         self._free_rhs = base.rhs
         self._row_of = np.full(base.num_grid_nodes, -1, dtype=np.int64)
         self._row_of[base.unknown_indices] = np.arange(base.size)
@@ -365,9 +252,7 @@ class IncrementalEngine:
         self._factor_skipped = False
         self._terms.clear()
         self._w_cache.clear()
-        self._y: np.ndarray | None = None  # G0⁻¹ _free_rhs
-        self._y_guess: np.ndarray | None = None  # last valid _y: warm start
-        self._structural_dirty = False
+        self._y: np.ndarray | None = None  # G0⁻¹ _free_rhs, solved once
 
     def _rebuild(self) -> None:
         with span("incremental.rebuild", rank=self.rank):
@@ -388,36 +273,18 @@ class IncrementalEngine:
 
     @property
     def system(self) -> ReducedSystem:
-        """The current (patched) reduced system."""
+        """The current (pinned) reduced system."""
         return self._system
 
     @property
     def rank(self) -> int:
-        """Accumulated low-rank budget consumed by active deltas."""
-        return sum(t.rank for t in self._terms)
+        """Low-rank terms carried: the pads committed since the last (re)stamp."""
+        return len(self._terms)
 
     @property
     def fingerprint(self) -> str:
         """Delta-chain fingerprint of the current structural state."""
         return self._fingerprint
-
-    @property
-    def current_loads(self) -> dict[int, float]:
-        """Per-node load currents of the current state (nonzero only)."""
-        loads = self._grid.load_current
-        nonzero = np.flatnonzero(loads)
-        return dict(zip(nonzero.tolist(), loads[nonzero].tolist()))
-
-    def _stencil_churn(self) -> float:
-        touched = {row for term in self._terms for row in term.ends or ()}
-        return len(touched - {None}) / max(self._system.size, 1)
-
-    def _needs_rebuild(self) -> bool:
-        return (
-            self._structural_dirty
-            or self.rank > self.incremental.max_rank
-            or self._stencil_churn() > self.incremental.max_stencil_churn
-        )
 
     # -- base solves (against the unpatched matrix + cached hierarchy) ----
 
@@ -480,7 +347,7 @@ class IncrementalEngine:
         return self._guarded_pcg(self._base_matrix, rhs, x0, options)
 
     def _guarded_pcg(self, matrix, rhs, x0, options: SolverOptions) -> SolveResult:
-        """K-cycle PCG on *matrix* (``G0`` or the patched system), deadline-guarded."""
+        """K-cycle PCG on *matrix* (``G0`` or the pinned system), deadline-guarded."""
         guard = None
         if deadline_active():
             guard = IterationGuard(self.guard_options, solver_name="incremental")
@@ -496,22 +363,19 @@ class IncrementalEngine:
         counter_add("pcg.iterations", result.iterations)
         return result
 
-    def _column_solve(self, ends: _Ends) -> tuple[np.ndarray, bool]:
-        """``(G0⁻¹u, converged)``, one right-hand side at a time.
+    def _column_solve(self, row: int) -> tuple[np.ndarray, bool]:
+        """``(G0⁻¹e_row, converged)``, one right-hand side at a time.
 
         Only a converged column is cached: one cut short by a deadline
         would otherwise be paid for, in polish iterations, by every
         later use of the row.
         """
-        cached = self._w_cache.get(ends)
+        cached = self._w_cache.get(row)
         if cached is not None:
             counter_add("incremental.column_cache_hits")
             return cached, True
-        plus, minus = ends
         u = np.zeros(self._system.size, dtype=float)
-        u[plus] = 1.0
-        if minus is not None:
-            u[minus] = -1.0
+        u[row] = 1.0
         tol = self.incremental.column_tol
         column_options = replace(
             self.options,
@@ -521,30 +385,36 @@ class IncrementalEngine:
         result = self._base_solve(u, None, column_options)
         counter_add("incremental.column_solves")
         if result.converged:
-            self._w_cache[ends] = result.x
+            self._w_cache[row] = result.x
         return result.x, result.converged
 
     def _project(self, block: np.ndarray, targets: bool = False) -> np.ndarray:
         """Carry ``G0⁻¹`` images over to the current state, in place.
 
-        One Sherman–Morrison step per active term, in apply order, its
+        One Sherman–Morrison step per committed pad, in apply order, its
         multiplier read off what the earlier steps left:
-        ``block -= column (uᵀblock - target) / pivot``.  Raw columns
-        ``G0⁻¹u`` take no targets (a response keeps every pin at zero);
+        ``block -= column (block[row] - target) / pivot``.  Raw columns
+        ``G0⁻¹e_j`` take no targets (a response keeps every pin at zero);
         ``y = G0⁻¹b`` with them becomes the state's solution.  Each step
         is elementwise over *block* (a vector, or one candidate per row),
         so a row's numbers do not depend on what shares its block.
         """
         for term in self._terms:
-            if term.column is not None:
-                gap = _across(term.ends, block) - (term.target if targets else 0.0)
-                block -= (gap / term.pivot)[..., None] * term.column
+            gap = block[..., term.row] - (term.target if targets else 0.0)
+            block -= (gap / term.pivot)[..., None] * term.column
         return block
 
     # -- delta application -------------------------------------------------
 
     def _resolve_node(self, node: int | str) -> int:
-        return self._grid.index_of(node) if isinstance(node, str) else int(node)
+        """Grid index of a node name, or of an index in ``[0, num_nodes)``."""
+        if isinstance(node, str):
+            index = self._grid.index_of(node) if node in self._grid else -1
+        else:
+            index = operator.index(node)
+        if not 0 <= index < self._grid.num_nodes:
+            raise ValueError(f"no grid node {node!r}")
+        return index
 
     def _free_row(self, grid_index: int) -> int | None:
         """Reduced row of a node that is electrically unknown, else ``None``."""
@@ -552,45 +422,14 @@ class IncrementalEngine:
         pinned = self._grid.pad_voltage[grid_index] == self._grid.pad_voltage[grid_index]
         return None if row < 0 or pinned else row
 
-    def _resolve_endpoint(
-        self, grid_index: int
-    ) -> tuple[int | None, float | None]:
-        """Map a grid node to (reduced row, pinned voltage).
-
-        Original pads have no row; delta-pinned nodes have a row but are
-        electrically pads, so both report ``row=None`` + their voltage —
-        :func:`patch_conductance` mirrors the full stamp's elimination
-        rules, and the pin constraint makes the same form exact for the
-        low-rank factor.
-        """
-        row = self._free_row(grid_index)
-        if row is not None:
-            return row, None
-        return None, float(self._grid.pad_voltage[grid_index])
-
     def apply(self, delta: GridDelta) -> _Term:
-        """Commit a delta; returns the handle :meth:`revert` accepts.
+        """Commit a pad; returns the handle :meth:`revert` accepts.
 
-        Every column is solved and every input checked before the first
+        The column is solved and every input checked before the first
         write, so an exception leaves the engine exactly as it was.
         """
-        if isinstance(delta, AddPad):
-            term = self._apply_add_pad(delta)
-        elif isinstance(delta, RemovePad):
-            term = self._apply_remove_pad(delta)
-        elif isinstance(delta, (ScaleWire, SetWireResistance)):
-            term = self._apply_wire(delta)
-        elif isinstance(delta, ReviseLoads):
-            term = self._apply_loads(delta)
-        else:
+        if not isinstance(delta, AddPad):
             raise TypeError(f"unsupported delta {type(delta).__name__}")
-        self._fingerprint = chained_fingerprint(
-            term.prev_fingerprint, term.token
-        )
-        counter_add("incremental.deltas")
-        return term
-
-    def _apply_add_pad(self, delta: AddPad) -> _Term:
         index = self._resolve_node(delta.node)
         row = self._free_row(index)
         if row is None:
@@ -600,7 +439,7 @@ class IncrementalEngine:
         voltage = self.supply_voltage if delta.voltage is None else delta.voltage
         if not np.isfinite(voltage):
             raise ValueError(f"a pad voltage must be finite, got {voltage}")
-        raw, _ = self._column_solve((row, None))
+        raw, _ = self._column_solve(row)
         column = self._project(raw.copy())
 
         patch = pin_row(self._system.matrix, self._system.rhs, row, voltage)
@@ -608,172 +447,48 @@ class IncrementalEngine:
         term = _Term(
             token=delta.token(),
             prev_fingerprint=self._fingerprint,
-            ends=(row, None),
+            index=index,
+            row=row,
             column=column,
             pivot=float(column[row]),
             target=voltage,
             patch=patch,
-            grid_undo=lambda: self._grid.unpin_pad(index),
-            pinned_row=row,
         )
         self._terms.append(term)
-        return term
-
-    def _apply_remove_pad(self, delta: RemovePad) -> _Term:
-        index = self._resolve_node(delta.node)
-        voltage = float(self._grid.pad_voltage[index])
-        if voltage != voltage:
-            raise ValueError(
-                f"node {self._grid.node_names[index]!r} is not a pad"
-            )
-        if self._terms and self._terms[-1].pinned_row == self._row_of[index]:
-            # Exact reversal of the most recent AddPad: pop it.
-            self.revert(self._terms[-1])
-            # Re-chain so the fingerprint reflects "add then remove"
-            # rather than silently rewinding (apply() chains on top).
-            return _Term(token=delta.token(), prev_fingerprint=self._fingerprint)
-        # Anything else changes the unknown set: structural rebuild.
-        self._grid.unpin_pad(index)
-        prev_dirty = self._structural_dirty
-        self._structural_dirty = True
-        counter_add("incremental.structural_deltas")
-        term = _Term(
-            token=delta.token(),
-            prev_fingerprint=self._fingerprint,
-            grid_undo=lambda: self._grid.pin_pad(index, voltage),
-            prev_structural_dirty=prev_dirty,
-        )
-        self._terms.append(term)
-        return term
-
-    def _apply_wire(self, delta: ScaleWire | SetWireResistance) -> _Term:
-        wire_index = int(delta.wire)
-        wire = self._grid.wires[wire_index]
-        old_resistance = wire.resistance
-        if isinstance(delta, ScaleWire):
-            new_resistance = old_resistance * delta.factor
-        else:
-            new_resistance = delta.resistance
-        if not (new_resistance > 0 and np.isfinite(new_resistance)):
-            raise ValueError(f"resistance must be positive, got {new_resistance}")
-        delta_g = 1.0 / new_resistance - 1.0 / old_resistance
-
-        row_a, voltage_a = self._resolve_endpoint(wire.node_a)
-        row_b, voltage_b = self._resolve_endpoint(wire.node_b)
-        term = _Term(
-            token=delta.token(),
-            prev_fingerprint=self._fingerprint,
-            grid_undo=lambda: self._grid.set_wire_resistance(
-                wire_index, old_resistance
-            ),
-        )
-        rhs_shift = 0.0  # what the pinned side's coupling adds to the live row
-        if delta_g != 0.0 and (row_a is not None or row_b is not None):
-            if row_a is not None and row_b is not None:
-                term.ends = (row_a, row_b)
-            else:
-                term.ends = (row_a if row_a is not None else row_b, None)
-                rhs_shift = delta_g * (voltage_b if row_a is not None else voltage_a)
-            raw, _ = self._column_solve(term.ends)
-            term.column = self._project(raw.copy())
-            term.pivot = 1.0 / delta_g + float(_across(term.ends, term.column))
-            if rhs_shift:
-                term.y_delta = rhs_shift * raw
-
-        term.patch = patch_conductance(
-            self._system.matrix, self._system.rhs,
-            row_a, row_b, delta_g, voltage_a, voltage_b,
-        )
-        if rhs_shift:
-            term.free_patch = patch_rhs(
-                self._free_rhs, np.array([term.ends[0]]), np.array([rhs_shift])
-            )
-            if self._y is not None:
-                self._y = self._y + term.y_delta
-        self._grid.set_wire_resistance(wire_index, new_resistance)
-        self._terms.append(term)
-        return term
-
-    def _apply_loads(self, delta: ReviseLoads) -> _Term:
-        resolved: list[tuple[int, int, float]] = []
-        for node, amps in delta.currents:
-            index = self._resolve_node(node)
-            row = self._free_row(index)
-            if row is None:
-                raise ValueError(
-                    f"node {self._grid.node_names[index]!r} ({index}) is a pad "
-                    "or unknown; cannot load it"
-                )
-            resolved.append((index, row, amps))
-        rows: list[int] = []
-        rhs_deltas: list[float] = []
-        old_loads: list[tuple[int, float]] = []
-        for index, row, amps in resolved:
-            old = float(self._grid.load_current[index])
-            new = old + amps if delta.additive else amps
-            if new == old:
-                continue
-            rows.append(row)
-            # Loads enter the stamped RHS with a negative sign.
-            rhs_deltas.append(-(new - old))
-            old_loads.append((index, old))
-            self._grid.set_load(index, new)
-        shifts = (np.asarray(rows, dtype=np.int64), np.asarray(rhs_deltas, dtype=float))
-
-        def undo() -> None:
-            for index, old in old_loads:
-                self._grid.set_load(index, old)
-
-        term = _Term(
-            token=delta.token(),
-            prev_fingerprint=self._fingerprint,
-            patch=patch_rhs(self._system.rhs, *shifts),
-            free_patch=patch_rhs(self._free_rhs, *shifts),
-            grid_undo=undo,
-        )
-        if rows:
-            self._y = None  # general RHS move: re-solve (warm) on demand
-        self._terms.append(term)
+        self._fingerprint = chained_fingerprint(term.prev_fingerprint, term.token)
+        counter_add("incremental.deltas")
         return term
 
     def revert(self, term: _Term) -> None:
-        """Undo the most recently applied delta (LIFO discipline)."""
+        """Undo the most recently applied pad (LIFO discipline)."""
         if not self._terms or self._terms[-1] is not term:
             raise ValueError(
                 "revert only accepts the most recently applied delta"
             )
         self._terms.pop()
         revert_patch(self._system.matrix, self._system.rhs, term.patch)
-        self._free_rhs[term.free_patch.rhs_rows] = term.free_patch.rhs_old
-        if term.grid_undo is not None:
-            term.grid_undo()
-        if term.prev_structural_dirty is not None:
-            self._structural_dirty = term.prev_structural_dirty
-        if term.y_delta is None and term.free_patch.rhs_rows.size:
-            self._y = None  # a load revision: nothing algebraic to take back
-        elif term.y_delta is not None and self._y is not None:
-            self._y = self._y - term.y_delta
+        self._grid.unpin_pad(term.index)
         self._fingerprint = term.prev_fingerprint
 
     # -- previews ----------------------------------------------------------
 
     def preview(self, delta: GridDelta, tol: float | None = None) -> IncrementalSolve:
-        """Evaluate a candidate edit without committing it."""
+        """Evaluate a candidate pad without committing it."""
         return self.preview_many([delta], tol)[0]
 
     def preview_many(
         self, deltas: Sequence[GridDelta], tol: float | None = None
     ) -> list[IncrementalSolve]:
-        """Evaluate candidate edits, each alone against the current state.
+        """Evaluate candidate pads, each alone against the current state.
 
-        An :class:`AddPad` on top of a committed :meth:`solve` is one
-        more constraint bordered onto that solution, ``x + δ_j z̃_j``,
-        read off cached columns without touching :attr:`system`; its
-        relative residual on the pinned system is the certificate.  A
-        candidate over *tol*, any other delta kind, and every candidate
-        when the state moved since the last ``solve()``, goes through
-        apply → ``solve(commit=False)`` → revert instead.  A candidate's
-        result does not depend on what else is in the batch.
+        A candidate on top of a committed :meth:`solve` is one more
+        constraint bordered onto that solution, ``x + δ_j z̃_j``, read
+        off cached columns without touching :attr:`system`; its relative
+        residual on the pinned system is the certificate.  A candidate
+        over *tol*, and every candidate when the state moved since the
+        last ``solve()``, goes through apply → ``solve(commit=False)`` →
+        revert instead.  A candidate's result does not depend on what
+        else is in the batch.
         """
         with span("incremental.preview_batch", candidates=len(deltas)) as batch:
             results = self._border_pads(deltas, self.options.tol if tol is None else tol)
@@ -808,8 +523,8 @@ class IncrementalEngine:
                 if isinstance(delta, AddPad) else None
             )
             if row is None:
-                continue  # not a pad, or apply() owns the error
-            raw, converged = self._column_solve((row, None))
+                continue  # apply() owns the error
+            raw, converged = self._column_solve(row)
             if converged:
                 voltage = self.supply_voltage if delta.voltage is None else delta.voltage
                 lanes.append((k, row, voltage, raw))
@@ -843,12 +558,6 @@ class IncrementalEngine:
 
     # -- solving -----------------------------------------------------------
 
-    def set_loads(self, currents: Mapping[int | str, float]) -> _Term:
-        """Replace the whole load vector (unmentioned loads go to zero)."""
-        merged: dict[int | str, float] = dict.fromkeys(self.current_loads, 0.0)
-        merged.update(currents)
-        return self.apply(ReviseLoads.of(merged))
-
     def solve(
         self, tol: float | None = None, commit: bool = True
     ) -> IncrementalSolve:
@@ -863,7 +572,7 @@ class IncrementalEngine:
             # Previews must never rebuild: a rebuild folds the term
             # stack into the base system, and the caller still holds a
             # term it is about to revert.
-            rebuilt = commit and self._needs_rebuild()
+            rebuilt = commit and self.rank > self.incremental.max_rank
             if rebuilt:
                 self._rebuild()
             if not self._terms:
@@ -938,10 +647,8 @@ class IncrementalEngine:
     def _solve_smw(self, options: SolverOptions, commit: bool) -> IncrementalSolve:
         """Term-by-term correction of the base solution, then polish."""
         iterations = 0
-        # y = G0⁻¹ b with no pin in b; shifted algebraically by pad-side
-        # wire edits, re-solved (warm) after a general RHS move.
         if self._y is None:
-            result = self._base_solve(self._free_rhs, self._y_guess, options)
+            result = self._base_solve(self._free_rhs, None, options)
             iterations += result.iterations
             if result.aborted is not None:
                 return self._finish(
@@ -949,11 +656,10 @@ class IncrementalEngine:
                     aborted=result.aborted, converged=False,
                 )
             self._y = result.x
-        self._y_guess = self._y
         x = self._project(self._y.copy(), targets=True)
         counter_add("incremental.smw_solves")
 
-        # Polish on the *patched* matrix with the stale base
+        # Polish on the *pinned* matrix with the stale base
         # preconditioner: restores full tolerance whatever the accuracy
         # of the cached columns.
         residual: float | None = self._system.relative_residual(x)
@@ -989,76 +695,3 @@ class IncrementalEngine:
             converged=converged,
             residual=residual,
         )
-
-
-class IncrementalAnalyzer:
-    """Warm-started load re-analysis (the classic ECO loop front-end).
-
-    A thin wrapper over :class:`IncrementalEngine` for the common case
-    of revising load currents only.  Accepts caller-supplied
-    :class:`SolverOptions`, honours an ambient
-    :func:`repro.obs.deadline_scope`, and surfaces per-step
-    iteration/strategy records through :attr:`diagnostics`.
-    """
-
-    def __init__(
-        self,
-        grid: PowerGrid,
-        supply_voltage: float | None = None,
-        tol: float = 1e-8,
-        options: SolverOptions | None = None,
-        incremental: IncrementalOptions | None = None,
-    ) -> None:
-        if options is None:
-            options = SolverOptions(tol=tol, max_iterations=500)
-        self._engine = IncrementalEngine(
-            grid,
-            supply_voltage,
-            options=options,
-            incremental=incremental,
-        )
-        self._currents: dict[int, float] = {}
-
-    @property
-    def engine(self) -> IncrementalEngine:
-        """The underlying incremental engine (for structural deltas)."""
-        return self._engine
-
-    @property
-    def grid(self) -> PowerGrid:
-        return self._engine.grid
-
-    @property
-    def supply_voltage(self) -> float:
-        return self._engine.supply_voltage
-
-    @property
-    def options(self) -> SolverOptions:
-        return self._engine.options
-
-    @property
-    def diagnostics(self) -> RunDiagnostics:
-        """Per-step strategy/iteration records for the whole session."""
-        return self._engine.diagnostics
-
-    @property
-    def current_loads(self) -> dict[int, float]:
-        """The load vector of the most recent solve."""
-        return dict(self._currents)
-
-    def set_loads(self, currents: Mapping[int, float]) -> IncrementalSolve:
-        """Replace the full load vector and (re)solve.
-
-        The first call is a cold solve from the flat guess; later calls
-        warm-start from the previous solution.
-        """
-        self._engine.set_loads(currents)
-        self._currents = dict(currents)
-        return self._engine.solve()
-
-    def update_loads(self, delta: Mapping[int, float]) -> IncrementalSolve:
-        """Apply additive current changes to the current vector and re-solve."""
-        merged = dict(self._currents)
-        for node_index, amps in delta.items():
-            merged[node_index] = merged.get(node_index, 0.0) + amps
-        return self.set_loads(merged)

@@ -2,7 +2,7 @@
 
 Four element kinds occur in PG decks: resistors, independent current
 sources (cell current drains), independent voltage sources (power pads)
-and capacitors (transient only).  A :class:`Netlist` holds one
+and capacitors (parsed, ignored by static analysis).  A :class:`Netlist` holds one
 :class:`ElementList` per kind — names, two node-name columns and float64
 values in file order — which the parser fills from the token stream,
 :class:`~repro.grid.netlist.PowerGrid` reads whole, and pickle ships; the
@@ -53,8 +53,8 @@ class Resistor:
 class Capacitor:
     """``C<name> <node_a> <node_b> <farads>`` — decap or wire capacitance.
 
-    Capacitors are ignored by static analysis and consumed by
-    :mod:`repro.transient`; ground may appear on either terminal.
+    Capacitors are parsed and ignored by static analysis, so decks that
+    carry them still load; ground may appear on either terminal.
     """
 
     name: str

@@ -5,7 +5,8 @@ The parser accepts the subset of SPICE used by PG decks:
 - ``R<name> a b value`` resistors,
 - ``I<name> a b value`` independent current sources,
 - ``V<name> a b value`` independent voltage sources,
-- ``C<name> a b value`` capacitors (decap / wire cap; transient only),
+- ``C<name> a b value`` capacitors (decap / wire cap; parsed, ignored by
+  static analysis),
 - ``*`` comment lines (the first one becomes the netlist title),
 - ``.end`` terminator (optional; nothing after it is read), ``.ends`` and
   ``.op`` (ignored); directives are case-insensitive,

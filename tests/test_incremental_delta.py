@@ -1,11 +1,14 @@
 """Property and unit tests for the incremental ECO re-solve engine.
 
-The central invariant: any sequence of :class:`GridDelta` edits applied
-through :class:`IncrementalEngine` must produce the same IR drop as
-restamping the mutated grid from scratch and solving to convergence —
-regardless of whether the engine answered via Sherman–Morrison–Woodbury
-corrections, warm starts, or a threshold-triggered full rebuild.
+The central invariant: any sequence of pad additions, reverts and
+previews run through :class:`IncrementalEngine` must produce the same IR
+drop as restamping the mutated grid from scratch and solving to
+convergence — regardless of whether the engine answered via
+Sherman–Morrison corrections, warm starts, or a threshold-triggered full
+rebuild.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,20 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.solvers.incremental as incremental_module
-from repro.data.synthetic import DesignSpec, generate_design, make_real_spec
+from repro.data.synthetic import (
+    DesignSpec,
+    generate_design,
+    make_fake_spec,
+    make_real_spec,
+)
 from repro.mna.stamper import build_reduced_system
 from repro.obs import counters_delta, deadline_scope, metrics_snapshot, trace
+from repro.solvers.base import SolverOptions
 from repro.solvers.guard import GuardrailOptions
-from repro.solvers.incremental import (
-    AddPad,
-    IncrementalAnalyzer,
-    IncrementalEngine,
-    IncrementalOptions,
-    RemovePad,
-    ReviseLoads,
-    ScaleWire,
-    SetWireResistance,
-)
+from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
+from repro.solvers.powerrush import PowerRushSimulator
 
 
 def _small_grid():
@@ -66,26 +67,20 @@ def _load_nodes(grid):
 
 
 @st.composite
-def delta_programs(draw):
-    """A short random ECO program: list of (kind, payload) instructions.
+def pad_programs(draw):
+    """A short random ECO program: list of (kind, pick) instructions.
 
-    Node/wire identities are drawn as indices into the *current* pools so
-    every program is valid by construction (no double pins, no pad loads).
+    Node identities are drawn as indices into the *current* pool of free
+    nodes, so every program is valid by construction (no double pins).
     """
-    length = draw(st.integers(min_value=1, max_value=6))
-    program = []
-    for _ in range(length):
-        kind = draw(st.sampled_from([
-            "add_pad", "remove_added_pad", "scale_wire", "set_wire", "loads",
-            "preview_many",
-        ]))
-        payload = {
-            "pick": draw(st.integers(min_value=0, max_value=10**6)),
-            "factor": draw(st.floats(min_value=0.25, max_value=4.0)),
-            "amps": draw(st.floats(min_value=-0.002, max_value=0.002)),
-        }
-        program.append((kind, payload))
-    return program
+    length = draw(st.integers(min_value=1, max_value=8))
+    return [
+        (
+            draw(st.sampled_from(["add_pad", "revert", "preview_many", "solve"])),
+            draw(st.integers(min_value=0, max_value=10**6)),
+        )
+        for _ in range(length)
+    ]
 
 
 def _engine_state(engine):
@@ -95,7 +90,6 @@ def _engine_state(engine):
         system.matrix.data.tobytes(), system.rhs.tobytes(),
         engine.fingerprint, engine.rank,
         engine.grid.pad_voltage.tobytes(), engine.grid.load_current.tobytes(),
-        engine.grid.wire_arrays()[2].tobytes(),
     )
 
 
@@ -110,53 +104,39 @@ TIERS = {
 
 class TestDeltaSequencesMatchFromScratch:
     @pytest.mark.parametrize("tier", sorted(TIERS))
-    @given(program=delta_programs())
+    @given(program=pad_programs())
     @settings(max_examples=10, deadline=None)
     def test_incremental_matches_reference(self, tier, program):
-        engine = IncrementalEngine(GRID, SUPPLY, incremental=TIERS[tier])
+        # A budget of three pads puts rebuilds inside most programs.
+        engine = IncrementalEngine(
+            GRID, SUPPLY, incremental=replace(TIERS[tier], max_rank=3)
+        )
         shadow = GRID.clone()  # mutated in lockstep, solved from scratch
-        added_pads: list[int] = []
+        handles = []  # (term, node) of the pads still revertible, oldest first
 
-        for kind, payload in program:
-            pick, factor, amps = (
-                payload["pick"], payload["factor"], payload["amps"],
-            )
+        def check_solve():
+            step = engine.solve()
+            assert step.converged
+            np.testing.assert_allclose(step.drops, reference_drops(shadow), atol=1e-6)
+            if engine.rank < len(handles):
+                handles.clear()  # a rebuild folded the terms into the base
+
+        for kind, pick in program:
+            pool = _free_nodes(shadow)
             if kind == "add_pad":
-                pool = [i for i in _free_nodes(shadow)]
-                if not pool:
-                    continue
                 node = pool[pick % len(pool)]
-                if shadow.node(node).load_current != 0.0:
-                    continue  # keep pinned nodes load-free for clarity
-                engine.apply(AddPad(node))
+                handles.append((engine.apply(AddPad(node)), node))
                 shadow.pin_pad(node, SUPPLY)
-                added_pads.append(node)
-            elif kind == "remove_added_pad":
-                if not added_pads:
-                    continue
-                node = added_pads.pop(pick % len(added_pads))
-                engine.apply(RemovePad(node))
-                shadow.unpin_pad(node)
-            elif kind == "scale_wire":
-                wire = pick % shadow.num_wires
-                engine.apply(ScaleWire(wire, factor))
-                shadow.set_wire_resistance(
-                    wire, shadow.wires[wire].resistance * factor
-                )
-            elif kind == "set_wire":
-                wire = pick % shadow.num_wires
-                resistance = shadow.wires[wire].resistance * factor + 1e-4
-                engine.apply(SetWireResistance(wire, resistance))
-                shadow.set_wire_resistance(wire, resistance)
+            elif kind == "revert":
+                if handles:
+                    term, node = handles.pop()
+                    engine.revert(term)
+                    shadow.unpin_pad(node)
             elif kind == "preview_many":
-                engine.solve()
-                pool = _free_nodes(shadow)
+                # Bordered on top of a committed solve, polished otherwise.
                 nodes = [pool[(pick + 7 * k) % len(pool)] for k in range(3)]
                 state = _engine_state(engine)
-                trials = engine.preview_many(
-                    [AddPad(node) for node in nodes]
-                    + [ScaleWire(pick % shadow.num_wires, factor)]
-                )
+                trials = engine.preview_many([AddPad(node) for node in nodes])
                 assert _engine_state(engine) == state
                 for node, trial in zip(nodes, trials):
                     assert trial.converged
@@ -164,30 +144,18 @@ class TestDeltaSequencesMatchFromScratch:
                         trial.drops, reference_with_pad(shadow, node), atol=1e-6
                     )
             else:
-                pool = [
-                    i for i in _load_nodes(shadow)
-                    if not shadow.node(i).is_pad
-                ]
-                if not pool:
-                    continue
-                node = pool[pick % len(pool)]
-                engine.apply(ReviseLoads.of({node: amps}, additive=True))
-                shadow.set_load(
-                    node, shadow.node(node).load_current + amps
-                )
+                check_solve()
+        check_solve()
 
-            step = engine.solve()
-            assert step.converged
-            np.testing.assert_allclose(
-                step.drops, reference_drops(shadow), atol=1e-6
-            )
-
-    @given(factor=st.floats(min_value=0.5, max_value=2.0))
+    @given(pick=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=10, deadline=None)
-    def test_preview_leaves_state_untouched(self, factor):
+    def test_preview_leaves_state_untouched(self, pick):
         engine = IncrementalEngine(GRID, SUPPLY)
         before = engine.solve()
-        engine.preview(ScaleWire(0, factor))
+        free = _free_nodes(GRID)
+        state = _engine_state(engine)
+        engine.preview(AddPad(free[pick % len(free)]))
+        assert _engine_state(engine) == state
         after = engine.solve()
         np.testing.assert_allclose(after.drops, before.drops, atol=1e-8)
         assert engine.rank == 0
@@ -218,60 +186,65 @@ class TestRebuildBoundary:
         # edits committed after it accumulate rank again from zero.
         assert engine.rank <= engine.incremental.max_rank
 
-    def test_structural_removal_forces_rebuild(self):
-        engine = IncrementalEngine(GRID, SUPPLY)
-        engine.solve()
-        shadow = GRID.clone()
-        original_pad = shadow.pads()[0].index
-        engine.apply(RemovePad(original_pad))
-        shadow.unpin_pad(original_pad)
-        step = engine.solve()
-        assert step.strategy == "rebuild"
-        np.testing.assert_allclose(
-            step.drops, reference_drops(shadow), atol=1e-6
-        )
-
     def test_add_then_remove_is_exact_reversal(self):
         engine = IncrementalEngine(GRID, SUPPLY)
         baseline = engine.solve()
+        state = _engine_state(engine)
         node = next(
             i for i in _free_nodes(GRID)
             if GRID.node(i).load_current == 0.0
         )
-        engine.apply(AddPad(node))
-        engine.apply(RemovePad(node))
+        engine.revert(engine.apply(AddPad(node)))
+        assert _engine_state(engine) == state
         step = engine.solve()
         assert engine.rank == 0
         np.testing.assert_allclose(step.drops, baseline.drops, atol=1e-8)
 
 
 class TestEngineContracts:
+    def test_first_solve_matches_powerrush(self, fake_design):
+        engine = IncrementalEngine(
+            fake_design.grid, options=SolverOptions(tol=1e-10)
+        )
+        report = PowerRushSimulator(tol=1e-10).simulate_grid(fake_design.grid)
+        np.testing.assert_allclose(engine.solve().drops, report.ir_drop, atol=1e-6)
+
+    def test_unchanged_state_resolves_warm_and_nearly_free(self, fake_design):
+        engine = IncrementalEngine(
+            fake_design.grid,
+            options=SolverOptions(tol=1e-8),
+            incremental=IncrementalOptions(direct_max_size=0),
+        )
+        cold = engine.solve()
+        repeat = engine.solve()
+        assert (cold.strategy, repeat.strategy) == ("cold", "warm")
+        assert repeat.iterations <= 1 < cold.iterations
+
     def test_caller_grid_never_mutated(self):
-        pads_before = len(GRID.pads())
+        pads_before = GRID.pad_voltage.tobytes()
         engine = IncrementalEngine(GRID, SUPPLY)
         node = _free_nodes(GRID)[0]
-        engine.apply(ScaleWire(0, 2.0))
-        if GRID.node(node).load_current == 0.0:
-            engine.apply(AddPad(node))
-        assert len(GRID.pads()) == pads_before
-        assert GRID.wires[0].resistance == engine.grid.wires[0].resistance / 2.0
+        engine.apply(AddPad(node))
+        assert GRID.pad_voltage.tobytes() == pads_before
+        assert engine.grid.node(node).is_pad and not GRID.node(node).is_pad
 
     def test_revert_requires_lifo(self):
         engine = IncrementalEngine(GRID, SUPPLY)
-        first = engine.apply(ScaleWire(0, 2.0))
-        engine.apply(ScaleWire(1, 2.0))
+        first = engine.apply(AddPad(_free_nodes(GRID)[0]))
+        engine.apply(AddPad(_free_nodes(GRID)[1]))
         with pytest.raises(ValueError):
             engine.revert(first)
 
     def test_fingerprint_chains_and_rewinds(self):
         engine = IncrementalEngine(GRID, SUPPLY)
+        node = _free_nodes(GRID)[0]
         fp0 = engine.fingerprint
-        term = engine.apply(ScaleWire(0, 2.0))
+        term = engine.apply(AddPad(node))
         fp1 = engine.fingerprint
         assert fp1 != fp0
         engine.revert(term)
         assert engine.fingerprint == fp0
-        engine.apply(ScaleWire(0, 2.0))
+        engine.apply(AddPad(node))
         assert engine.fingerprint == fp1  # same edit → same chain key
 
     def test_double_pin_rejected(self):
@@ -280,40 +253,63 @@ class TestEngineContracts:
         with pytest.raises(ValueError):
             engine.apply(AddPad(pad))
 
-    def test_invalid_wire_factor_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleWire(0, -1.0)
-        with pytest.raises(ValueError):
-            SetWireResistance(0, 0.0)
+    def test_non_finite_pad_voltage_rejected(self):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        with pytest.raises(ValueError, match="finite"):
+            engine.apply(AddPad(_free_nodes(GRID)[0], voltage=float("nan")))
+        assert engine.rank == 0
+
+
+class TestNodeResolution:
+    """A node is a name or an index in ``[0, num_nodes)``, nothing else."""
+
+    DESIGN = generate_design(make_fake_spec("t", seed=0))
+
+    @pytest.mark.parametrize("node", [-2, -1, DESIGN.grid.num_nodes, "n9_m9_0_0"])
+    def test_bad_node_rejected_by_apply_and_preview_many(self, node):
+        engine = IncrementalEngine(self.DESIGN.grid)
+        engine.solve()
+        state = _engine_state(engine)
+        with pytest.raises(ValueError, match=repr(node).replace("'", ".")):
+            engine.apply(AddPad(node))
+        with pytest.raises(ValueError, match=repr(node).replace("'", ".")):
+            engine.preview_many([AddPad(node)])
+        assert _engine_state(engine) == state
+
+    def test_index_and_name_pin_the_same_node(self):
+        grid = self.DESIGN.grid
+        index = _free_nodes(grid)[-1]
+        by_index = IncrementalEngine(grid)
+        by_name = IncrementalEngine(grid)
+        by_index.apply(AddPad(index))
+        by_name.apply(AddPad(grid.node_names[index]))
+        assert by_index.grid.pad_voltage.tobytes() == by_name.grid.pad_voltage.tobytes()
 
 
 class TestAnalyzerSatellites:
-    """Satellite 1: options passthrough, deadlines, diagnostics."""
+    """Options passthrough, deadlines, diagnostics."""
 
     def test_caller_supplied_options_respected(self):
-        from repro.solvers.base import SolverOptions
-
         options = SolverOptions(tol=1e-4, max_iterations=7)
-        analyzer = IncrementalAnalyzer(GRID, SUPPLY, options=options)
-        assert analyzer.options is options
-        step = analyzer.set_loads(
-            {n.index: n.load_current * 1.5 for n in GRID.loads()}
+        engine = IncrementalEngine(
+            GRID, SUPPLY, options=options, incremental=TIERS["iterative"]
         )
+        assert engine.options is options
+        engine.solve()
+        engine.apply(AddPad(_free_nodes(GRID)[0]))
+        step = engine.solve()
         # iterations totals every inner PCG loop; each individual loop
         # (base solve, polish) honours the caller's cap.
         assert step.iterations - step.polish_iterations <= 7
 
     def test_deadline_scope_aborts_cleanly(self):
-        analyzer = IncrementalAnalyzer(GRID, SUPPLY)
+        engine = IncrementalEngine(GRID, SUPPLY)
         with deadline_scope(1e-9):
-            step = analyzer.set_loads(
-                {n.index: n.load_current * 2.0 for n in GRID.loads()}
-            )
+            step = engine.solve()
         assert step.aborted == "deadline"
         assert not step.converged
 
     def test_hierarchy_is_built_only_when_a_pcg_path_needs_it(self):
-        from repro.obs import counters_delta, metrics_snapshot
         from repro.solvers.cache import clear_setup_cache
 
         def setups(before):
@@ -327,18 +323,19 @@ class TestAnalyzerSatellites:
         before = metrics_snapshot()
         engine = IncrementalEngine(GRID, SUPPLY)
         engine.solve()
-        for node in _free_nodes(GRID)[:3]:
+        free = _free_nodes(GRID)
+        for node in free[:3]:
             engine.preview(AddPad(node))
-        engine.apply(AddPad(_free_nodes(GRID)[0]))
+        engine.apply(AddPad(free[0]))
         assert engine.solve().converged
         # Small system, no deadline: the sparse factor answered everything.
         assert setups(before) == (0, 0)
 
         with deadline_scope(60.0):  # the factorisation is off; PCG needs M
-            engine.apply(ScaleWire(0, 2.0))
+            engine.apply(AddPad(free[1]))
             step = engine.solve()
             assert step.converged
-            assert engine.preview(ScaleWire(1, 0.5)).converged
+            assert engine.preview(AddPad(free[5])).converged
         assert setups(before) == (1, 0)
         assert counters_delta(before)["counters"]["pcg.iterations"] > 0
         np.testing.assert_allclose(
@@ -346,10 +343,11 @@ class TestAnalyzerSatellites:
         )
 
     def test_diagnostics_record_each_step(self):
-        analyzer = IncrementalAnalyzer(GRID, SUPPLY)
-        analyzer.set_loads({n.index: n.load_current for n in GRID.loads()})
-        analyzer.update_loads({GRID.loads()[0].index: 1e-4})
-        notes = analyzer.diagnostics.warnings
+        engine = IncrementalEngine(GRID, SUPPLY)
+        engine.solve()
+        engine.apply(AddPad(_free_nodes(GRID)[0]))
+        engine.solve()
+        notes = engine.diagnostics.warnings
         assert len(notes) == 2
         assert "strategy=" in notes[0] and "iterations=" in notes[0]
 
@@ -363,24 +361,16 @@ class TestPadIsOneConstraint:
         assert engine.rank == 1
 
     @pytest.mark.parametrize("tier", sorted(TIERS))
-    def test_off_supply_pad_loaded_pin_and_wire_at_a_pin_match_reference(self, tier):
+    def test_off_supply_pad_and_loaded_pin_match_reference(self, tier):
         engine = IncrementalEngine(GRID, SUPPLY, incremental=TIERS[tier])
         shadow = GRID.clone()
         loaded = _load_nodes(GRID)[0]
-        wire_at_pin = next(
-            k for k, wire in enumerate(GRID.wires)
-            if loaded in (wire.node_a, wire.node_b)
-        )
         plain = next(i for i in _free_nodes(GRID) if i not in _load_nodes(GRID))
-        for delta, mirror in [
-            (AddPad(loaded, voltage=0.97), lambda: shadow.pin_pad(loaded, 0.97)),
-            (ScaleWire(wire_at_pin, 0.5), lambda: shadow.set_wire_resistance(
-                wire_at_pin, shadow.wires[wire_at_pin].resistance * 0.5)),
-            (AddPad(plain), lambda: shadow.pin_pad(plain, SUPPLY)),
-        ]:
+        for node, voltage in [(loaded, 0.97), (plain, SUPPLY)]:
+            delta = AddPad(node, voltage=voltage)
             trial = engine.preview(delta)
             engine.apply(delta)
-            mirror()
+            shadow.pin_pad(node, voltage)
             step = engine.solve()
             assert step.converged and trial.converged
             np.testing.assert_allclose(step.drops, reference_drops(shadow), atol=1e-6)
@@ -508,13 +498,7 @@ class TestApplyIsAllOrNothing:
         monkeypatch.setattr(engine, "_base_solve", boom)
         return engine
 
-    @pytest.mark.parametrize("delta", [
-        AddPad(_free_nodes(GRID)[0]),
-        ScaleWire(next(
-            k for k, wire in enumerate(GRID.wires)
-            if not GRID.node(wire.node_a).is_pad and not GRID.node(wire.node_b).is_pad
-        ), 2.0),
-    ], ids=["add_pad", "wire"])
+    @pytest.mark.parametrize("delta", [AddPad(_free_nodes(GRID)[0])], ids=["add_pad"])
     def test_failed_column_solve_leaves_engine_untouched(self, monkeypatch, delta):
         engine = self._failing_engine(monkeypatch)
         state = _engine_state(engine)
@@ -538,13 +522,3 @@ class TestApplyIsAllOrNothing:
                 engine.apply(AddPad(_free_nodes(GRID)[0]))
         assert plan.fired("stage_error") == 1
         assert _engine_state(engine) == state
-
-    def test_rejected_load_revision_applies_none_of_it(self):
-        engine = IncrementalEngine(GRID, SUPPLY)
-        good = _load_nodes(GRID)[0]
-        pad = GRID.pads()[0].index
-        state = _engine_state(engine)
-        with pytest.raises(ValueError):
-            engine.apply(ReviseLoads(((good, 0.5), (pad, 0.1))))
-        assert _engine_state(engine) == state
-        assert engine.current_loads[good] == GRID.node(good).load_current

@@ -122,14 +122,12 @@ class TestDataFormatsInterop:
 class TestSolverCrossValidation:
     """Every solver family must agree on the same PG system."""
 
-    def test_five_solvers_agree(self, fake_design):
+    def test_direct_cg_and_amg_pcg_agree(self, fake_design):
         from repro.mna.stamper import build_reduced_system
         from repro.solvers.amg_pcg import AMGPCGSolver
         from repro.solvers.base import SolverOptions
         from repro.solvers.cg import CGSolver
         from repro.solvers.direct import DirectSolver
-        from repro.solvers.macromodel import SchurReduction, layer_port_rows
-        from repro.solvers.schwarz import SchwarzPCGSolver
 
         system = build_reduced_system(fake_design.grid)
         options = SolverOptions(tol=1e-11, max_iterations=5000)
@@ -139,12 +137,6 @@ class TestSolverCrossValidation:
             "amg_pcg": AMGPCGSolver(options).solve(
                 system.matrix, system.rhs
             ).x,
-            "schwarz": SchwarzPCGSolver(options, num_blocks=4).solve(
-                system.matrix, system.rhs
-            ).x,
-            "schur": SchurReduction(
-                system, layer_port_rows(system, fake_design.grid, 2)
-            ).solve(),
         }
         reference = solutions.pop("direct")
         for name, x in solutions.items():

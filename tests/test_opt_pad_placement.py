@@ -130,6 +130,12 @@ class TestGreedyPadPlacement:
             greedy_pad_placement(
                 fake_design.netlist, budget_volts=0.1, max_new_pads=0
             )
+        with pytest.raises(ValueError, match="budget_volts"):
+            greedy_pad_placement(fake_design.netlist, budget_volts=float("nan"))
+        with pytest.raises(ValueError, match="max_candidates"):
+            greedy_pad_placement(
+                fake_design.netlist, budget_volts=0.1, max_candidates=0
+            )
 
     def test_sweep_matches_brute_force(self, real_design):
         """The low-rank sweep must commit the same pads and report the
