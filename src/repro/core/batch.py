@@ -12,9 +12,11 @@ feature extraction) across the persistent spawn-safe worker pool in
 - **seed-deterministic**: results are keyed back to their submission
   index, so the output list is identical to a serial run regardless of
   completion order;
-- **diagnostics-preserving**: every :class:`AnalysisResult` (including
-  its :class:`~repro.diagnostics.RunDiagnostics`) crosses the process
-  boundary intact;
+- **slim results**: a per-deck task returns the two maps, the stage
+  timings and the :class:`~repro.diagnostics.RunDiagnostics` — not the
+  grid, reduced system and feature stack, which the caller can rebuild
+  from the deck it submitted — so both engines return one result shape
+  and the pool pipes tens of kilobytes per deck, not megabytes;
 - **gracefully degrading**: per-item exceptions are captured as data,
   and when the pool cannot run a job at all (unpicklable closure, no
   spawn support) the batch runs serially in the parent — never an
@@ -35,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 import traceback as _traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.pool import (
@@ -201,6 +203,10 @@ class _PipelineTask:
     fingerprint (:func:`repro.nn.serialize.state_fingerprint`) covers
     every weight byte, so a retrained model can never hit a stale
     cache entry.
+
+    Either way a call returns the slim :class:`AnalysisResult`: maps,
+    stage timings and diagnostics, with ``report`` and ``features``
+    ``None``.
     """
 
     def __init__(self, pipeline: "IRFusionPipeline", method: str) -> None:
@@ -251,11 +257,14 @@ class _PipelineTask:
         self.pipeline = pipeline
         return pipeline
 
-    def __call__(self, item):
+    def __call__(self, item) -> "AnalysisResult":
         pipeline = self.pipeline
         if pipeline is None:
             pipeline = self._rebuild()
-        return getattr(pipeline, self.method)(item)
+        result = getattr(pipeline, self.method)(item)
+        # The report (grid + reduced system) and the feature stack are
+        # ~95% of a pickled result and no batch caller reads them.
+        return replace(result, report=None, features=None)
 
 
 @dataclass
@@ -353,7 +362,8 @@ class BatchAnalyzer:
     Parameters
     ----------
     pipeline:
-        A trained :class:`~repro.core.pipeline.IRFusionPipeline`.
+        A trained :class:`~repro.core.pipeline.IRFusionPipeline`; an
+        untrained one raises ``RuntimeError`` here, not once per design.
     jobs:
         Worker count; defaults to the pipeline config's ``jobs`` field.
     task_timeout:
@@ -376,6 +386,7 @@ class BatchAnalyzer:
         retries: int | None = None,
         deadline: float | None = None,
     ) -> None:
+        pipeline._require_trainer()
         self.pipeline = pipeline
         self.jobs = int(jobs if jobs is not None else pipeline.config.jobs)
         if self.jobs < 1:
@@ -432,18 +443,13 @@ class BatchAnalyzer:
         return report
 
     def _task(self, method: str) -> Callable:
-        """Per-design callable for the pool.
+        """Per-design callable for both engines: a :class:`_PipelineTask`.
 
-        Trained pipelines ship as a :class:`_PipelineTask` so spawn
-        workers can cache the rebuilt model by weight fingerprint (and
-        the weights themselves ride the shm transport); untrained
-        pipelines (ML disabled / numerical-only) fall back to the plain
-        bound method.
+        Spawn workers cache the rebuilt model by weight fingerprint (the
+        weights ride the shm transport), and every result comes back
+        slim, whichever engine ran it.
         """
-        pipeline = self.pipeline
-        if pipeline.model is not None and pipeline._trained_channels is not None:
-            return _PipelineTask(pipeline, method)
-        return getattr(pipeline, method)
+        return _PipelineTask(self.pipeline, method)
 
     def analyze_designs(self, designs: Sequence["Design"]) -> BatchReport:
         """Analyse many synthetic designs; per-design failures are recorded."""

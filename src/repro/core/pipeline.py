@@ -46,9 +46,13 @@ class AnalysisResult:
         ``None`` when the numerical stage is ablated.
     report:
         The rough solver's full :class:`SimulationReport` (``None`` when
-        ablated).
+        ablated).  ``None`` on results from
+        :class:`~repro.core.batch.BatchAnalyzer` and the worker pool: the
+        caller has the deck, so analyse it in-process to get the grid
+        and reduced system.
     features:
-        The assembled input stack.
+        The assembled input stack; ``None`` on batch and pool results,
+        like ``report``.
     solver_seconds, feature_seconds, model_seconds:
         Wall-clock breakdown of the three pipeline stages — the durations
         of the ``solve``/``features``/``inference`` spans the run emitted
@@ -62,7 +66,7 @@ class AnalysisResult:
     predicted_drop: np.ndarray
     rough_drop: np.ndarray | None
     report: SimulationReport | None
-    features: FeatureStack
+    features: FeatureStack | None
     solver_seconds: float
     feature_seconds: float
     model_seconds: float

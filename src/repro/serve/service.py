@@ -510,7 +510,9 @@ class AnalysisService:
 
         The task rides as a :class:`~repro.core.batch._PipelineTask`, so
         the worker caches the rebuilt pipeline by weight fingerprint —
-        repeat requests against a warm worker skip the model rebuild.
+        repeat requests against a warm worker skip the model rebuild —
+        and returns the slim result (maps, stage timings, diagnostics):
+        everything the reply is built from.
         """
         from repro.core.batch import _PipelineTask
         from repro.core.pool import get_pool

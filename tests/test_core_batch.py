@@ -1,6 +1,7 @@
 """Tests for the parallel batch-analysis engine."""
 
 import os
+import pickle
 import signal
 import threading
 
@@ -165,6 +166,36 @@ class TestBatchAnalyzer:
     def test_jobs_defaults_to_config(self, trained_tiny_pipeline):
         analyzer = BatchAnalyzer(trained_tiny_pipeline)
         assert analyzer.jobs == trained_tiny_pipeline.config.jobs
+
+    def test_rejects_untrained_pipeline(self):
+        from repro.core.config import FusionConfig
+        from repro.core.pipeline import IRFusionPipeline
+
+        with pytest.raises(RuntimeError, match="untrained"):
+            BatchAnalyzer(IRFusionPipeline(FusionConfig(pixels=16)), jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_carry_maps_not_grid_or_features(
+        self, trained_tiny_pipeline, tmp_path, jobs
+    ):
+        from repro.spice.writer import write_spice
+
+        pipeline = trained_tiny_pipeline
+        train, test = pipeline.generate_designs()
+        paths = []
+        for design in [*test, train[0]]:
+            paths.append(tmp_path / f"{design.name}.sp")
+            write_spice(design.netlist, paths[-1])
+        report = BatchAnalyzer(pipeline, jobs=jobs).analyze_files(paths)
+        assert not report.degraded
+        assert [item.ok for item in report.items] == [True] * len(paths)
+        for path, result in zip(paths, report.results):
+            assert result.report is None and result.features is None
+            local = pipeline.analyze_file(path)
+            np.testing.assert_array_equal(result.predicted_drop, local.predicted_drop)
+            np.testing.assert_array_equal(result.rough_drop, local.rough_drop)
+            maps = result.predicted_drop.nbytes + result.rough_drop.nbytes
+            assert len(pickle.dumps(result)) < maps + 16 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -405,6 +405,23 @@ class TestPoolDispatch:
             d.stop(timeout=60.0)
         assert get_pool()._keepalive == 0
 
+    def test_pool_reply_matches_in_process_analysis(self, model_dir, deck):
+        d = _start_daemon(model_dir, pool_jobs=1)
+        try:
+            status, body = _post(d, {"netlist": deck})
+            local = d.service.registry.get(None).pipeline.analyze_text(deck)
+        finally:
+            d.stop(timeout=60.0)
+        assert status == 200
+        result = body["result"]
+        assert result["worst_predicted_drop_volts"] == local.worst_predicted_drop()
+        assert result["mean_predicted_drop_volts"] == float(
+            local.predicted_drop.mean()
+        )
+        assert result["map_shape"] == list(local.predicted_drop.shape)
+        assert set(result["stage_seconds"]) == {"solve", "features", "inference"}
+        assert all(seconds > 0 for seconds in result["stage_seconds"].values())
+
 
 # -- request schema ------------------------------------------------------------
 
