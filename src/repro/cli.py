@@ -40,7 +40,9 @@ code  meaning
 
 Errors print a one-line message to stderr; pass ``--debug`` for the full
 traceback.  ``simulate``/``analyze`` also print a ``diagnostics:`` block
-recording validation issues, repairs and solver fallbacks.
+recording validation issues, repairs and solver fallbacks; ``simulate``
+ends it with the AMG hierarchy it built (``amg: levels=… coarsest=…
+operator_complexity=…``).
 
 Observability: ``analyze`` and ``train`` accept ``--trace PATH`` to run
 under a :mod:`repro.obs` tracer and write the JSONL span trace (validate
@@ -80,7 +82,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     simulator = PowerRushSimulator(
         max_iterations=args.iterations, tol=args.tol, preset=args.preset
     )
-    report = simulator.simulate_file(args.deck)
+    with _span("simulate") as run:
+        report = simulator.simulate_file(args.deck)
     print(f"nodes={report.grid.num_nodes} wires={report.grid.num_wires} "
           f"pads={len(report.grid.pads())}")
     print(f"iterations={report.solve.iterations} "
@@ -88,6 +91,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"residual={report.solve.final_residual:.3e}")
     print(f"worst_drop_mV={report.worst_drop() * 1e3:.4f}")
     _print_diagnostics(report.diagnostics)
+    setup = run.find("amg_setup")
+    if setup is not None and "levels" in setup.attrs:  # a setup-cache miss
+        attrs = setup.attrs
+        print(f"  amg: levels={attrs['levels']} coarsest={attrs['coarsest']} "
+              f"operator_complexity={attrs['operator_complexity']:.3f}")
     if args.limit_mv is not None:
         geometry = infer_geometry(report.grid)
         verdict = check_ir_drop(

@@ -6,7 +6,9 @@ progressively coarser grids".  The grouping here is Notay-style *pairwise
 aggregation*: each fine node is matched with its strongest negatively
 coupled neighbour; two matching passes per level ("double pairwise") give a
 coarsening factor near four.  Coarse operators are Galerkin products
-``A_c = P^T A P`` with piecewise-constant prolongation.
+``A_c = P^T A P`` with piecewise-constant prolongation, so both ``P`` and
+``A_c`` follow from the aggregate vector alone: ``A_c[I, J]`` is the sum of
+``a_ij`` over ``agg[i] = I``, ``agg[j] = J``.
 """
 
 from __future__ import annotations
@@ -46,20 +48,12 @@ class AMGOptions:
     passes_per_level:
         Pairwise matching passes per level (2 = double pairwise, the
         PowerRush/AGMG default).
-    smooth_prolongation:
-        Smoothed aggregation (Vanek et al.): replace the piecewise-constant
-        tentative prolongation by ``(I - omega D^{-1} A) P``.  Improves the
-        convergence rate per cycle at the cost of denser coarse operators.
-    smoothing_omega:
-        Damping for the prolongation smoother (2/3 is the Jacobi classic).
     """
 
     max_levels: int = 20
     max_coarse_size: int = 64
     strength_threshold: float = 0.25
     passes_per_level: int = 2
-    smooth_prolongation: bool = False
-    smoothing_omega: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
         if self.max_levels < 1:
@@ -70,8 +64,6 @@ class AMGOptions:
             raise ValueError("strength_threshold must be in [0, 1]")
         if self.passes_per_level < 1:
             raise ValueError("passes_per_level must be >= 1")
-        if not 0.0 < self.smoothing_omega < 2.0:
-            raise ValueError("smoothing_omega must be in (0, 2)")
 
 
 def pairwise_aggregate(matrix: sp.csr_matrix, strength_threshold: float) -> np.ndarray:
@@ -92,11 +84,11 @@ def pairwise_aggregate(matrix: sp.csr_matrix, strength_threshold: float) -> np.n
     nonempty = degrees > 0
     strongest[nonempty] = np.maximum.reduceat(strength, indptr[:-1][nonempty])
     candidate = (strength > 0.0) & (strength >= strength_threshold * strongest[rows])
-    # Each row's candidates by descending strength; the stable sort keeps
-    # storage order among equals, so "first unaggregated candidate" below
-    # is the row's strongest still-free neighbour, earliest stored on ties.
+    # Each row's candidates by descending strength, storage order among
+    # equals, so "first unaggregated candidate" below is the row's
+    # strongest still-free neighbour, earliest stored on ties.
     cand_rows = rows[candidate]
-    by_strength = np.lexsort((-strength[candidate], cand_rows))
+    by_strength = _descending_within_rows(cand_rows, strength[candidate])
     cand_cols = matrix.indices[candidate][by_strength].tolist()
     cand_ptr = np.concatenate(([0], np.cumsum(np.bincount(cand_rows, minlength=n))))
     cand_ptr = cand_ptr.tolist()
@@ -117,58 +109,82 @@ def pairwise_aggregate(matrix: sp.csr_matrix, strength_threshold: float) -> np.n
     return np.array(agg, dtype=np.int64)
 
 
+def _descending_within_rows(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Order by ``rows`` (nondecreasing), then descending value, ties stable.
+
+    One unstable sort ranks the values (equal values share a rank), then a
+    stable sort of ``row * k + rank`` — already in row order, so it is
+    nearly a linear pass — keeps storage order among equals.  Both sorts
+    are O(k log k) whatever one row's length.
+    """
+    k = values.size
+    descending = np.argsort(-values)
+    ordered = values[descending]
+    new_value = np.empty(k, dtype=bool)
+    new_value[:1] = False
+    new_value[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(k, dtype=np.int64)
+    rank[descending] = np.cumsum(new_value)
+    return np.argsort(rows * k + rank, kind="stable")
+
+
+def _num_aggregates(agg: np.ndarray) -> int:
+    return int(agg.max()) + 1 if agg.size else 0
+
+
 def aggregation_to_prolongation(agg: np.ndarray) -> sp.csr_matrix:
     """Piecewise-constant prolongation from an aggregate assignment."""
     n = agg.shape[0]
-    n_coarse = int(agg.max()) + 1 if n else 0
-    data = np.ones(n, dtype=float)
-    rows = np.arange(n, dtype=np.int64)
-    return sp.csr_matrix((data, (rows, agg)), shape=(n, n_coarse))
+    return sp.csr_matrix(
+        (np.ones(n), agg, np.arange(n + 1)), shape=(n, _num_aggregates(agg))
+    )
 
 
-def smooth_prolongation(
-    matrix: sp.csr_matrix, tentative: sp.csr_matrix, omega: float
-) -> sp.csr_matrix:
-    """Smoothed-aggregation prolongation: ``(I - omega D^{-1} A) P``."""
-    diag = matrix.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("prolongation smoothing requires a nonzero diagonal")
-    inv_diag = sp.diags(omega / diag)
-    return sp.csr_matrix(tentative - inv_diag @ (matrix @ tentative))
+def aggregation_to_restriction(agg: np.ndarray) -> sp.csr_matrix:
+    """``P^T`` as CSR: row ``I`` lists aggregate ``I``'s nodes, ascending."""
+    n, n_coarse = agg.shape[0], _num_aggregates(agg)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(agg, minlength=n_coarse))))
+    return sp.csr_matrix(
+        (np.ones(n), np.argsort(agg, kind="stable"), indptr), shape=(n_coarse, n)
+    )
+
+
+def galerkin_coarse(matrix: sp.csr_matrix, agg: np.ndarray) -> sp.csr_matrix:
+    """``P^T A P`` for the piecewise-constant ``P`` of *agg*, in one sum.
+
+    Entry ``(i, j)`` of *matrix* lands on ``(agg[i], agg[j])``; the COO to
+    CSR conversion sums the duplicates.  Exact zeros are dropped, as the
+    sparse triple product does.  The result is copied because the summed
+    arrays are views into fine-level-sized buffers, which a cached
+    hierarchy would otherwise keep alive.
+    """
+    n_coarse = _num_aggregates(agg)
+    rows = np.repeat(agg, np.diff(matrix.indptr))
+    coarse = sp.csr_matrix(
+        (matrix.data, (rows, agg[matrix.indices])), shape=(n_coarse, n_coarse)
+    )
+    coarse.eliminate_zeros()
+    return coarse.copy()
 
 
 def coarsen_once(
     matrix: sp.csr_matrix, options: AMGOptions
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+) -> tuple[np.ndarray, sp.csr_matrix]:
     """One level of (possibly multi-pass) pairwise coarsening.
 
-    Returns ``(P, A_coarse)`` where ``A_coarse = P^T A P``; with
-    ``smooth_prolongation`` on, the composed tentative operator is
-    Jacobi-smoothed before the Galerkin product.
+    Returns ``(agg, A_coarse)``: the composed aggregate of every fine
+    node (pass 2 of node *i* is ``agg2[agg1[i]]``) and ``P^T A P`` for
+    its piecewise-constant ``P``.
     """
-    tentative: sp.csr_matrix | None = None
+    agg = np.arange(matrix.shape[0], dtype=np.int64)
     current = matrix
     for _ in range(options.passes_per_level):
-        agg = pairwise_aggregate(current, options.strength_threshold)
-        p_step = aggregation_to_prolongation(agg)
-        current = sp.csr_matrix(p_step.T @ current @ p_step)
-        current.sum_duplicates()
-        tentative = p_step if tentative is None else sp.csr_matrix(
-            tentative @ p_step
-        )
+        step = pairwise_aggregate(current, options.strength_threshold)
+        current = galerkin_coarse(current, step)
+        agg = step[agg]
         if current.shape[0] <= options.max_coarse_size:
             break
-    if tentative is None:
-        raise ValueError(
-            "pairwise coarsening produced no prolongation; "
-            "passes_per_level must be >= 1"
-        )
-    if not options.smooth_prolongation:
-        return tentative, current
-    smoothed = smooth_prolongation(matrix, tentative, options.smoothing_omega)
-    coarse = sp.csr_matrix(smoothed.T @ matrix @ smoothed)
-    coarse.sum_duplicates()
-    return smoothed, coarse
+    return agg, current
 
 
 @dataclass
@@ -226,8 +242,9 @@ class AMGHierarchy:
     def operator_complexity(self) -> float:
         """Sum of nonzeros over all levels divided by finest nonzeros.
 
-        The standard AMG cost metric; healthy aggregation hierarchies stay
-        below ~1.6.
+        The standard AMG cost metric.  On the synthetic power grids it is
+        about 1.7 for the ``quality`` preset and 2.8 for ``fast``
+        (docs/solver_theory.md has the measured table).
         """
         finest_nnz = self.levels[0].matrix.nnz
         if finest_nnz == 0:
@@ -253,10 +270,10 @@ def build_hierarchy(
         levels[-1].size > options.max_coarse_size
         and len(levels) < options.max_levels
     ):
-        prolongation, coarse = coarsen_once(levels[-1].matrix, options)
+        agg, coarse = coarsen_once(levels[-1].matrix, options)
         if coarse.shape[0] >= levels[-1].size:
             break  # coarsening stalled; stop rather than loop forever
-        levels[-1].prolongation = prolongation
-        levels[-1].restriction = sp.csr_matrix(prolongation.T)
+        levels[-1].prolongation = aggregation_to_prolongation(agg)
+        levels[-1].restriction = aggregation_to_restriction(agg)
         levels.append(AMGLevel(matrix=coarse))
     return AMGHierarchy(levels)

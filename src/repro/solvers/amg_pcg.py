@@ -95,6 +95,12 @@ class AMGPCGSolver:
             else:
                 hierarchy, hit = build_hierarchy(matrix, self.amg_options), False
             setup_span.attrs["cache_hit"] = hit
+            if not hit:
+                setup_span.attrs.update(
+                    levels=hierarchy.num_levels,
+                    coarsest=hierarchy.levels[-1].size,
+                    operator_complexity=hierarchy.operator_complexity(),
+                )
             # In the span: a hierarchy's first preconditioner builds its smoothers.
             preconditioner = CyclePreconditioner(hierarchy, self.cycle_options)
         self._last_setup_seconds = setup_span.duration

@@ -93,8 +93,16 @@ class SimulationReport:
 #: cost for convergence rate (single-pass aggregation + damped-Jacobi
 #: V-cycle), which is the configuration the fusion framework and the Fig. 7
 #: trade-off sweep use for their 1-10 rough iterations.
+#:
+#: ``quality`` stops coarsening at 1000 unknowns: a K-cycle visits level
+#: ``l`` up to ``2**(l-1)`` times per iteration, and one sparse LU solve on
+#: the coarsest level is cheaper than that recursion over levels of a few
+#: hundred unknowns (docs/solver_theory.md has the sweep).  ``fast`` keeps
+#: the default 64: its V-cycle visits each level once, and a 16 px design
+#: under a 1000 cutoff would be its own coarsest level, its rough solve
+#: exact.
 PRESETS: dict[str, tuple[AMGOptions, CycleOptions]] = {
-    "quality": (AMGOptions(), CycleOptions()),
+    "quality": (AMGOptions(max_coarse_size=1000), CycleOptions()),
     "fast": (
         AMGOptions(passes_per_level=1),
         CycleOptions(

@@ -29,6 +29,18 @@ def deck4_path(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def real48_deck(tmp_path_factory):
+    """A 48 px real-like deck: large enough that the quality preset's
+    hierarchy keeps a K-cycle above its 1000-unknown coarsest level."""
+    from repro.data.synthetic import generate_design, make_real_spec
+
+    design = generate_design(make_real_spec("cli48", seed=0, pixels=48))
+    path = tmp_path_factory.mktemp("real48") / "design.sp"
+    write_spice(design.netlist, path)
+    return path
+
+
 class TestSimulate:
     def test_basic(self, deck_path, capsys):
         assert main(["simulate", str(deck_path)]) == 0
@@ -46,9 +58,21 @@ class TestSimulate:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_iteration_cap(self, deck_path, capsys):
-        assert main(["simulate", str(deck_path), "--iterations", "2"]) == 0
-        assert "iterations=2" in capsys.readouterr().out
+    def test_iteration_cap(self, real48_deck, capsys):
+        assert main(["simulate", str(real48_deck), "--iterations", "2"]) == 0
+        assert "iterations=2 converged=False" in capsys.readouterr().out
+
+    def test_prints_the_hierarchy_it_built(self, real48_deck, capsys):
+        from repro.solvers.cache import clear_setup_cache
+
+        clear_setup_cache()
+        assert main(["simulate", str(real48_deck), "--preset", "quality"]) == 0
+        out = capsys.readouterr().out
+        assert "converged=True" in out
+        amg = [line for line in out.splitlines() if line.strip().startswith("amg:")]
+        assert len(amg) == 1
+        assert "levels=3 coarsest=" in amg[0]
+        assert "operator_complexity=" in amg[0]
 
     def test_fast_preset(self, deck_path, capsys):
         assert main(

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data.synthetic import generate_design, make_real_spec
+from repro.solvers.amg import AMGOptions, build_hierarchy
 from repro.solvers.direct import DirectSolver
 from repro.mna.stamper import build_reduced_system
-from repro.solvers.powerrush import PowerRushSimulator
+from repro.solvers.powerrush import PRESETS, PowerRushSimulator
 from repro.spice.writer import netlist_to_string
 
 
@@ -36,10 +38,12 @@ class TestSimulate:
         report = PowerRushSimulator(tol=1e-12).simulate_grid(fake_design.grid)
         assert report.worst_drop() > 0
 
+    # The quality preset's 1000-unknown coarsest level is the whole of a
+    # 16 px design (one exact LU solve); the default 64 keeps it iterative.
     def test_iteration_cap_respected(self, fake_design):
-        report = PowerRushSimulator(max_iterations=2, tol=1e-16).simulate_grid(
-            fake_design.grid
-        )
+        report = PowerRushSimulator(
+            max_iterations=2, tol=1e-16, amg_options=AMGOptions()
+        ).simulate_grid(fake_design.grid)
         assert report.solve.iterations == 2
 
     def test_more_iterations_more_accurate(self, fake_design):
@@ -47,7 +51,7 @@ class TestSimulate:
         errors = []
         for budget in (1, 4):
             rough = PowerRushSimulator(
-                max_iterations=budget, tol=1e-16
+                max_iterations=budget, tol=1e-16, amg_options=AMGOptions()
             ).simulate_grid(fake_design.grid)
             errors.append(np.abs(rough.voltages - golden.voltages).mean())
         assert errors[1] < errors[0]
@@ -126,3 +130,30 @@ class TestPresets:
         )
         correlation = np.corrcoef(rough.ir_drop, golden.ir_drop)[0, 1]
         assert correlation > 0.8
+
+
+class TestQualityCutoff:
+    """The quality preset stops coarsening at 1000 unknowns, not 64.
+
+    On 48 px real designs that still leaves a K-cycle over at least two
+    levels, and the solve to 1e-10 takes no more iterations than the
+    64-unknown hierarchy did (recorded below, one per design seed).
+    """
+
+    #: PCG iterations to 1e-10 with the 64-unknown cutoff, seeds 0..7.
+    PARENT_ITERATIONS = (16, 16, 16, 15, 17, 17, 16, 16)
+
+    def test_real_48px_hierarchy_and_iterations(self):
+        iterations = []
+        for seed, parent in enumerate(self.PARENT_ITERATIONS):
+            design = generate_design(make_real_spec(f"r{seed}", seed=seed, pixels=48))
+            report = PowerRushSimulator(tol=1e-10, preset="quality").simulate_grid(
+                design.grid
+            )
+            hierarchy = build_hierarchy(report.system.matrix, PRESETS["quality"][0])
+            assert hierarchy.num_levels >= 3
+            assert hierarchy.levels[-1].size <= 1000
+            assert report.solve.converged
+            assert report.solve.iterations <= parent + 1
+            iterations.append(report.solve.iterations)
+        assert np.median(iterations) <= np.median(self.PARENT_ITERATIONS)

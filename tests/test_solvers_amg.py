@@ -62,7 +62,7 @@ class TestProlongation:
 
     def test_galerkin_preserves_symmetry(self):
         matrix = laplacian_2d(8)
-        p, coarse = coarsen_once(matrix, AMGOptions())
+        _, coarse = coarsen_once(matrix, AMGOptions())
         dense = coarse.toarray()
         assert np.allclose(dense, dense.T)
 
@@ -136,44 +136,3 @@ class TestAMGOptions:
         with pytest.raises(ValueError):
             AMGOptions(**kwargs)
 
-
-class TestSmoothedAggregation:
-    def test_smoothed_hierarchy_preserves_spd(self):
-        matrix = laplacian_2d(10)
-        hierarchy = build_hierarchy(
-            matrix, AMGOptions(smooth_prolongation=True, max_coarse_size=16)
-        )
-        for level in hierarchy.levels:
-            dense = level.matrix.toarray()
-            assert np.allclose(dense, dense.T, atol=1e-12)
-            assert np.linalg.eigvalsh(dense).min() > -1e-10
-
-    def test_smoothed_converges_at_least_as_fast(self, fake_design):
-        """SA should not be worse than plain aggregation per iteration."""
-        from repro.solvers.amg_pcg import AMGPCGSolver
-        from repro.solvers.base import SolverOptions
-
-        system = build_reduced_system(fake_design.grid)
-        options = SolverOptions(tol=1e-10, max_iterations=500)
-        plain = AMGPCGSolver(options, AMGOptions()).solve(
-            system.matrix, system.rhs
-        )
-        smoothed = AMGPCGSolver(
-            options, AMGOptions(smooth_prolongation=True)
-        ).solve(system.matrix, system.rhs)
-        assert smoothed.converged
-        assert smoothed.iterations <= plain.iterations + 2
-
-    def test_smoothed_operators_denser(self):
-        matrix = laplacian_2d(12)
-        _, plain = coarsen_once(matrix, AMGOptions())
-        _, smoothed = coarsen_once(
-            matrix, AMGOptions(smooth_prolongation=True)
-        )
-        assert smoothed.nnz >= plain.nnz
-
-    def test_smoothing_omega_validation(self):
-        with pytest.raises(ValueError):
-            AMGOptions(smoothing_omega=0.0)
-        with pytest.raises(ValueError):
-            AMGOptions(smoothing_omega=2.0)
