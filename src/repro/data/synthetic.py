@@ -19,6 +19,7 @@ bottom-layer taps according to the current image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +27,14 @@ import numpy as np
 from repro.grid.geometry import GridGeometry, LayerInfo
 from repro.grid.netlist import PowerGrid
 from repro.grid.topology import validate_connectivity
-from repro.spice.ast import CurrentSource, Netlist, Resistor, VoltageSource
-from repro.spice.nodes import format_node_name
+from repro.spice.ast import (
+    CurrentSource,
+    ElementList,
+    Netlist,
+    Resistor,
+    VoltageSource,
+)
+from repro.spice.nodes import GROUND, format_node_name, format_node_names
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,22 @@ class DesignSpec:
             raise ValueError("designs need at least 8x8 pixels")
         if self.num_layers < 2:
             raise ValueError("need >=2 metal layers (pads above loads)")
-        if self.total_current <= 0:
-            raise ValueError("total_current must be positive")
+        # Written so NaN fails every range: it compares false to anything.
+        for name in ("total_current", "resistance_per_um", "via_resistance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if not 0.0 <= self.stripe_dropout < 0.8:
             raise ValueError("stripe_dropout must be in [0, 0.8)")
+        if not 0.0 <= self.resistance_jitter < 1.0:
+            # at 1 or above a jittered resistor can reach 0 ohms or go negative
+            raise ValueError(
+                f"resistance_jitter must be in [0, 1), got {self.resistance_jitter}"
+            )
+        for name in ("num_blobs", "num_macros"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -208,12 +227,6 @@ def _stripe_positions(
     return kept
 
 
-def _jitter(value: float, jitter: float, rng: np.random.Generator) -> float:
-    if jitter <= 0.0:
-        return value
-    return value * float(1.0 + rng.uniform(-jitter, jitter))
-
-
 def _pad_positions(
     spec: DesignSpec,
     xs: list[int],
@@ -252,145 +265,119 @@ def _build_netlist(
     current_image: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[Netlist, list[tuple[int, int]]]:
+    """The design's deck as columns, plus the ``(row, col)`` pixel of each pad.
+
+    Each layer's nodes form a lattice: one row per stripe, one column per
+    cross position.  Element order (wires layer by layer, stripe-major;
+    vias lower-stripe-major; loads row-major) and the RNG draw order are
+    part of every generated deck and are pinned by the tests.
+    """
     extent = spec.pixels * spec.pixel_nm
-    netlist = Netlist(title=f"{spec.name} ({spec.kind}) synthetic PG")
 
     # Stripe coordinates per layer: the coordinate perpendicular to the
     # layer's direction.  Layer 1 never drops stripes (cell rails are
     # always present); upper layers may, for "real" designs.
-    stripes: dict[int, list[int]] = {}
+    stripes: dict[int, np.ndarray] = {}
     for info in geometry.layers:
         dropout = spec.stripe_dropout if info.index >= 2 else 0.0
-        stripes[info.index] = _stripe_positions(info.pitch_nm, extent, dropout, rng)
+        stripes[info.index] = np.array(
+            _stripe_positions(info.pitch_nm, extent, dropout, rng), dtype=np.int64
+        )
 
     # Node cross positions on each stripe: where adjacent layers' stripes
     # cross it (via landings); layer 1 additionally gets a cell tap at
-    # every pixel column.
-    taps = list(range(0, extent, spec.pixel_nm))
-    cross: dict[int, list[int]] = {}
+    # every pixel column (layer 2's stripes sit on pixel columns, so layer
+    # 1's lattice is exactly the pixel grid).
+    cross: dict[int, np.ndarray] = {}
     for info in geometry.layers:
-        positions: set[int] = set()
+        around = [stripes[k] for k in (info.index - 1, info.index + 1) if k in stripes]
         if info.index == 1:
-            positions.update(taps)
-        if info.index - 1 >= 1:
-            positions.update(stripes[info.index - 1])
-        if info.index + 1 <= spec.num_layers:
-            positions.update(stripes[info.index + 1])
-        cross[info.index] = sorted(positions)
+            around.append(np.arange(0, extent, spec.pixel_nm))
+        cross[info.index] = np.unique(np.concatenate(around))
+    # A layer with one cross position carries no wire and so has no node.
+    # Pitch doubles upward, so if any layer is like that, the top one is.
+    top = geometry.layers[-1]
+    if cross[top.index].size < 2:
+        raise RuntimeError("top layer has no via landings to place pads on")
 
-    node_sets: dict[int, set[tuple[int, int]]] = {}
-    resistor_id = 0
+    # Node names, formatted once per lattice node: (x, y) is
+    # (cross, stripe) on a horizontal layer and (stripe, cross) on a
+    # vertical one.
+    lattice: dict[int, np.ndarray] = {}
+    for info in geometry.layers:
+        along, across = stripes[info.index].tolist(), cross[info.index].tolist()
+        if info.direction == "h":
+            lattice[info.index] = format_node_names(1, info.index, across, along).T
+        else:
+            lattice[info.index] = format_node_names(1, info.index, along, across)
 
-    def node_name(layer: int, x: int, y: int) -> str:
-        return format_node_name(1, layer, x, y)
-
-    # Wires along each stripe.
+    # Wires join adjacent nodes along each stripe.
+    node_a, node_b, wire_ohms = [], [], []
     for info in geometry.layers:
         rho = spec.resistance_per_um * info.sheet_resistance
-        nodes: set[tuple[int, int]] = set()
-        for stripe_pos in stripes[info.index]:
-            line = cross[info.index]
-            for a, b in zip(line, line[1:]):
-                if info.direction == "h":
-                    na, nb = (a, stripe_pos), (b, stripe_pos)
-                else:
-                    na, nb = (stripe_pos, a), (stripe_pos, b)
-                length_um = (b - a) / 1000.0
-                resistance = _jitter(
-                    max(rho * length_um, 1e-4), spec.resistance_jitter, rng
-                )
-                resistor_id += 1
-                netlist.resistors.append(
-                    Resistor(
-                        f"R{resistor_id}",
-                        node_name(info.index, *na),
-                        node_name(info.index, *nb),
-                        resistance,
-                    )
-                )
-                nodes.add(na)
-                nodes.add(nb)
-        node_sets[info.index] = nodes
+        length_um = np.diff(cross[info.index]) / 1000.0
+        node_a.append(lattice[info.index][:, :-1].ravel())
+        node_b.append(lattice[info.index][:, 1:].ravel())
+        wire_ohms.append(np.tile(np.maximum(rho * length_um, 1e-4), len(stripes[info.index])))
 
-    # Vias at crossings of adjacent layers' stripes.
+    # Vias at every crossing of adjacent layers' stripes, lower stripe
+    # major.  Each layer's cross positions include its neighbours'
+    # stripes, so a crossing is a node of both: (low stripe, up stripe's
+    # cross index) below, (up stripe, low stripe's cross index) above.
     for lower, upper in zip(geometry.layers, geometry.layers[1:]):
-        lower_dir = lower.direction
-        for low_stripe in stripes[lower.index]:
-            for up_stripe in stripes[upper.index]:
-                if lower_dir == "h":
-                    point = (up_stripe, low_stripe)  # (x, y)
-                else:
-                    point = (low_stripe, up_stripe)
-                if (
-                    point in node_sets[lower.index]
-                    and point in node_sets[upper.index]
-                ):
-                    resistance = _jitter(
-                        spec.via_resistance, spec.resistance_jitter, rng
-                    )
-                    resistor_id += 1
-                    netlist.resistors.append(
-                        Resistor(
-                            f"R{resistor_id}",
-                            node_name(lower.index, *point),
-                            node_name(upper.index, *point),
-                            resistance,
-                        )
-                    )
+        up_on_lower = np.searchsorted(cross[lower.index], stripes[upper.index])
+        low_on_upper = np.searchsorted(cross[upper.index], stripes[lower.index])
+        node_a.append(lattice[lower.index][:, up_on_lower].ravel())
+        node_b.append(lattice[upper.index][:, low_on_upper].T.ravel())
+    num_wires = sum(len(ohms) for ohms in wire_ohms)
+    num_vias = sum(len(column) for column in node_a) - num_wires
 
-    # Loads: one tap per pixel on the bottom layer, drawing the pixel's
-    # current.  Bottom-layer stripes are horizontal rows at every pixel
-    # pitch, so (x, y) = pixel centres snapped onto the lattice.
-    source_id = 0
-    for row in range(spec.pixels):
-        y = row * spec.pixel_nm
-        for col in range(spec.pixels):
-            current = float(current_image[row, col])
-            if current <= 0.0:
-                continue
-            x = col * spec.pixel_nm
-            if (x, y) not in node_sets[1]:
-                continue
-            source_id += 1
-            netlist.current_sources.append(
-                CurrentSource(f"I{source_id}", node_name(1, x, y), "0", current)
+    # One jitter draw per resistor, wires first, in element order.
+    ohms = [np.concatenate(wire_ohms), np.full(num_vias, spec.via_resistance)]
+    if spec.resistance_jitter > 0.0:
+        for column in ohms:
+            column *= 1.0 + rng.uniform(
+                -spec.resistance_jitter, spec.resistance_jitter, size=column.size
             )
+    resistors = ElementList.from_columns(
+        Resistor,
+        [f"R{k}" for k in range(1, num_wires + num_vias + 1)],
+        np.concatenate(node_a).tolist(),
+        np.concatenate(node_b).tolist(),
+        np.concatenate(ohms),
+    )
 
-    # Pads on the top layer.
-    top = geometry.layers[-1]
+    # Loads: one tap per drawing pixel on the bottom layer, row-major, at
+    # the pixel's lattice node.
+    tapped = current_image > 0.0
+    num_loads = int(tapped.sum())
+    current_sources = ElementList.from_columns(
+        CurrentSource,
+        [f"I{k}" for k in range(1, num_loads + 1)],
+        lattice[1][tapped].tolist(),
+        [GROUND] * num_loads,
+        current_image[tapped],
+    )
+
+    # Pads on the top layer, whose nodes are the whole (xs, ys) lattice,
+    # so every pad lands on a node and no two coincide.
+    xs, ys = stripes[top.index].tolist(), cross[top.index].tolist()
     if top.direction == "h":
-        ys_top = stripes[top.index]
-        xs_top = cross[top.index]
-    else:
-        xs_top = stripes[top.index]
-        ys_top = cross[top.index]
-    candidates = [
-        (x, y) for x in xs_top for y in ys_top if (x, y) in node_sets[top.index]
-    ]
-    if not candidates:
-        raise RuntimeError("top layer has no via landings to place pads on")
-    xs = sorted({p[0] for p in candidates})
-    ys = sorted({p[1] for p in candidates})
+        xs, ys = ys, xs
     pads = _pad_positions(spec, xs, ys, rng)
-    pad_pixels: list[tuple[int, int]] = []
-    placed: set[tuple[int, int]] = set()
-    for k, (x, y) in enumerate(pads, start=1):
-        if (x, y) not in node_sets[top.index]:
-            # snap to the nearest actual top-layer node
-            x, y = min(
-                node_sets[top.index],
-                key=lambda p: (p[0] - x) ** 2 + (p[1] - y) ** 2,
-            )
-        if (x, y) in placed:
-            continue
-        placed.add((x, y))
-        netlist.voltage_sources.append(
-            VoltageSource(
-                f"V{k}", node_name(top.index, x, y), "0", spec.supply_voltage
-            )
+    voltage_sources = [
+        VoltageSource(
+            f"V{k}", format_node_name(1, top.index, x, y), GROUND, spec.supply_voltage
         )
-        pad_pixels.append(geometry.to_pixel(x, y))
-    return netlist, pad_pixels
+        for k, (x, y) in enumerate(pads, start=1)
+    ]
+    netlist = Netlist(
+        title=f"{spec.name} ({spec.kind}) synthetic PG",
+        resistors=resistors,
+        current_sources=current_sources,
+        voltage_sources=voltage_sources,
+    )
+    return netlist, [geometry.to_pixel(x, y) for x, y in pads]
 
 
 def generate_design(spec: DesignSpec) -> Design:

@@ -196,7 +196,10 @@ class PowerRushSimulator:
         if self.robust:
             with span("validate"):
                 diagnostics.validation = validate_grid(grid)
-                grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
+                # A healthy grid needs no repair, and repairing relabels its
+                # components; only a fatal issue (no pads, islands) is repaired.
+                if any(issue.fatal for issue in diagnostics.validation):
+                    grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
         with span("stamp"):
             system = build_reduced_system(grid, validate=not self.robust)
 

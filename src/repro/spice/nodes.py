@@ -57,6 +57,18 @@ def format_node_name(net: int, layer: int, x: int, y: int) -> str:
     return f"n{net}_m{layer}_{x}_{y}"
 
 
+def format_node_names(net: int, layer: int, xs: list[int], ys: list[int]) -> np.ndarray:
+    """:func:`format_node_name` over the lattice ``xs × ys`` of one layer.
+
+    Returns a ``(len(xs), len(ys))`` object array; entry ``[i, j]`` names
+    the node at ``(xs[i], ys[j])``.
+    """
+    heads = [f"n{net}_m{layer}_{x}_" for x in xs]
+    tails = [str(y) for y in ys]
+    names = [head + tail for head in heads for tail in tails]
+    return np.array(names, dtype=object).reshape(len(xs), len(ys))
+
+
 def parse_node_name(name: str) -> NodeName:
     """Parse a contest-grammar node name.
 

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic design generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.data.synthetic import (
     synthesize_current_image,
 )
 from repro.grid.topology import validate_connectivity
+from repro.spice.writer import netlist_to_string
 
 
 class TestDesignSpec:
@@ -30,6 +33,29 @@ class TestDesignSpec:
     def test_dropout_bounds(self):
         with pytest.raises(ValueError):
             DesignSpec(name="x", stripe_dropout=0.9)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_current", 0.0),
+            ("total_current", float("nan")),
+            ("total_current", float("inf")),
+            ("resistance_per_um", 0.0),
+            ("resistance_per_um", -0.4),
+            ("resistance_per_um", float("nan")),
+            ("via_resistance", 0.0),
+            ("via_resistance", -0.05),
+            ("via_resistance", float("inf")),
+            ("resistance_jitter", -0.1),
+            ("resistance_jitter", 1.0),
+            ("resistance_jitter", float("nan")),
+            ("num_blobs", -1),
+            ("num_macros", -1),
+        ],
+    )
+    def test_rejects_values_that_break_the_design(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DesignSpec(name="x", **{field: value})
 
 
 class TestCurrentImage:
@@ -79,13 +105,31 @@ class TestGenerateDesign:
         )
 
     def test_deterministic_under_seed(self):
-        a = generate_design(make_fake_spec("a", seed=9, pixels=16))
-        b = generate_design(make_fake_spec("a", seed=9, pixels=16))
-        assert a.grid.num_nodes == b.grid.num_nodes
-        assert np.allclose(a.current_image, b.current_image)
-        assert [w.resistance for w in a.grid.wires] == [
-            w.resistance for w in b.grid.wires
-        ]
+        for make in (make_fake_spec, make_real_spec):
+            a = generate_design(make("a", seed=9, pixels=16))
+            b = generate_design(make("a", seed=9, pixels=16))
+            assert a.netlist == b.netlist
+            assert a.pad_pixels == b.pad_pixels
+            assert np.array_equal(a.current_image, b.current_image)
+
+    # blake2b (16-byte digest) of the written deck, recorded before the
+    # netlist builder became columnar.  Every benchmark input is a
+    # generated design, so a change to the RNG draw order or the element
+    # order fails here before it silently changes them.
+    @pytest.mark.parametrize(
+        "make, pixels, digest",
+        [
+            (make_fake_spec, 16, "1362f3f0f40d1955a6002759898ab568"),
+            (make_fake_spec, 48, "c89251319ea2695daf0d954e93b5d0a6"),
+            (make_real_spec, 16, "aa45a15cdcc04a25699817f033382d9c"),
+            (make_real_spec, 48, "1d504265410832690fc69f4337fa91e1"),
+        ],
+    )
+    def test_deck_bytes_pinned(self, make, pixels, digest):
+        kind = "fake" if make is make_fake_spec else "real"
+        design = generate_design(make(f"{kind}{pixels}", seed=7, pixels=pixels))
+        text = netlist_to_string(design.netlist).encode()
+        assert hashlib.blake2b(text, digest_size=16).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         a = generate_design(make_fake_spec("a", seed=1, pixels=16))

@@ -5,6 +5,7 @@ import pytest
 from repro.spice.nodes import (
     NodeName,
     format_node_name,
+    format_node_names,
     is_structured_name,
     parse_node_name,
 )
@@ -51,3 +52,13 @@ class TestParseNodeName:
         b = NodeName(1, 1, 0, 1000)
         c = NodeName(1, 2, 0, 0)
         assert a < b < c
+
+
+def test_lattice_names_match_single_names():
+    xs, ys = [0, 2000, -500], [1000, 0]
+    names = format_node_names(2, 5, xs, ys)
+    assert names.shape == (3, 2)
+    assert names.tolist() == [
+        [format_node_name(2, 5, x, y) for y in ys] for x in xs
+    ]
+    assert format_node_names(1, 1, [], [0]).shape == (0, 1)

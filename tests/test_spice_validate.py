@@ -183,6 +183,31 @@ class TestEndToEndDegradation:
         island = report.grid.node("n1_m1_5000_5000")
         assert report.ir_drop[island.index] <= 0.05
 
+    def test_healthy_grid_labelled_once(self, fake_design, monkeypatch):
+        from repro.grid import topology
+        from repro.solvers.powerrush import PowerRushSimulator
+
+        calls = []
+
+        def spy(grid):
+            calls.append(grid)
+            return label(grid)
+
+        label = topology.component_labels
+        monkeypatch.setattr(topology, "component_labels", spy)
+        report = PowerRushSimulator().simulate_grid(fake_design.grid)
+        assert calls == [fake_design.grid]
+        assert report.grid is fake_design.grid
+        assert report.diagnostics.repairs == []
+        assert not report.diagnostics.degraded
+
+    def test_padless_grid_raises_typed_error(self):
+        from repro.solvers.powerrush import PowerRushSimulator
+
+        grid = PowerGrid.from_netlist(Netlist(resistors=[Resistor("R1", "a", "b", 1.0)]))
+        with pytest.raises(NetlistValidationError, match="no voltage pads"):
+            PowerRushSimulator().simulate_grid(grid, supply_voltage=1.0)
+
     def test_strict_mode_still_raises(self):
         from repro.solvers.powerrush import PowerRushSimulator
 
