@@ -48,6 +48,8 @@ from repro.analysis.shapes import (
     verify_feature_contract,
     verify_registry,
 )
+from repro.obs import span
+from repro.obs.registry import ANALYSIS
 
 
 def _verify_models(verbose: bool = True) -> list[str]:
@@ -146,9 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    from repro.obs import span
-
-    with span("analysis") as timing:
+    with span(ANALYSIS) as timing:
         report = engine.run(args.paths, baseline_path=baseline)
     duration = timing.duration
 

@@ -6,7 +6,7 @@ project-specific invariants (see :mod:`repro.analysis.rules`): things the
 test suite cannot cheaply enforce but that PRs must not regress — assert
 misuse, unseeded RNG, wall-clock in deterministic paths, unguarded float
 division, precision-contract breaks, unlocked writes to module state,
-undeclared metric names, dead imports and import cycles.
+dead imports and import cycles.
 
 Suppression mechanisms, in order of preference:
 

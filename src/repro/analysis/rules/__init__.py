@@ -21,9 +21,6 @@ rule id                    invariant
 ``unlocked-global-write``  no function rebinds a module global or mutates
                            a module-level container outside a
                            ``with <lock>:`` block
-``metrics-contract``       every ``counter_add``/``gauge_set``/``span``
-                           name literal resolves against the declared
-                           registry in :mod:`repro.obs.registry`
 ``dead-import``            no module-level import that is never used
 ``import-cycle``           no module-level import cycles inside ``repro``
 =========================  ================================================
@@ -36,7 +33,6 @@ from repro.analysis.rules.asserts import RuntimeAssertRule
 from repro.analysis.rules.divisions import UnguardedDivisionRule
 from repro.analysis.rules.globalwrite import UnlockedGlobalWriteRule
 from repro.analysis.rules.imports import DeadImportRule, ImportCycleRule
-from repro.analysis.rules.metrics_contract import MetricsContractRule
 from repro.analysis.rules.randomness import UnseededRngRule
 from repro.analysis.rules.wallclock import WallClockRule
 
@@ -49,7 +45,6 @@ def default_rules() -> list[Rule]:
         WallClockRule(),
         UnguardedDivisionRule(),
         UnlockedGlobalWriteRule(),
-        MetricsContractRule(),
         DeadImportRule(),
         ImportCycleRule(),
     ]

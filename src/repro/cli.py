@@ -61,6 +61,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import span as _span
+from repro.obs.registry import (
+    AMG_SETUP,
+    ANALYZE,
+    GENERATE,
+    IMPORTS,
+    SERVE,
+    SIMULATE,
+    TRAIN,
+)
 
 #: Exit codes (see module docstring).
 EXIT_OK = 0
@@ -82,7 +91,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     simulator = PowerRushSimulator(
         max_iterations=args.iterations, tol=args.tol, preset=args.preset
     )
-    with _span("simulate") as run:
+    with _span(SIMULATE) as run:
         report = simulator.simulate_file(args.deck)
     print(f"nodes={report.grid.num_nodes} wires={report.grid.num_wires} "
           f"pads={len(report.grid.pads())}")
@@ -91,7 +100,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"residual={report.solve.final_residual:.3e}")
     print(f"worst_drop_mV={report.worst_drop() * 1e3:.4f}")
     _print_diagnostics(report.diagnostics)
-    setup = run.find("amg_setup")
+    setup = run.find(AMG_SETUP)
     if setup is not None and "levels" in setup.attrs:  # a setup-cache miss
         attrs = setup.attrs
         print(f"  amg: levels={attrs['levels']} coarsest={attrs['coarsest']} "
@@ -132,7 +141,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    with _span("imports"):
+    with _span(IMPORTS):
         from repro.core.config import FusionConfig
         from repro.core.pipeline import IRFusionPipeline
         from repro.train.trainer import TrainConfig
@@ -188,7 +197,7 @@ def _batch_error_code(error: str) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with _span("imports"):
+    with _span(IMPORTS):
         from repro.core.pipeline import IRFusionPipeline
 
     pipeline = IRFusionPipeline.from_model_file(
@@ -290,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="quality")
     simulate.add_argument("--limit-mv", type=float, default=None,
                           help="signoff budget in millivolts")
-    simulate.set_defaults(func=_cmd_simulate)
+    simulate.set_defaults(func=_cmd_simulate, root_span=SIMULATE)
 
     generate = sub.add_parser("generate", help="emit a synthetic design")
     generate.add_argument("out", help="output directory")
@@ -300,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--golden", action="store_true",
                           help="include the golden IR-drop image")
-    generate.set_defaults(func=_cmd_generate)
+    generate.set_defaults(func=_cmd_generate, root_span=GENERATE)
 
     train = sub.add_parser("train", help="train and checkpoint IR-Fusion")
     train.add_argument("out", help="model checkpoint path (.npz)")
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "training (numerics sanitizer)")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="write a JSONL span trace of the run")
-    train.set_defaults(func=_cmd_train)
+    train.set_defaults(func=_cmd_train, root_span=TRAIN)
 
     analyze = sub.add_parser("analyze", help="fused analysis with a checkpoint")
     analyze.add_argument("model", help="checkpoint path from 'train'")
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "in the run diagnostics")
     analyze.add_argument("--trace", default=None, metavar="PATH",
                          help="write a JSONL span trace of the run")
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_analyze, root_span=ANALYZE)
 
     serve = sub.add_parser(
         "serve",
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("serve_args", nargs=argparse.REMAINDER,
                        help="arguments forwarded to python -m repro.serve")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_cmd_serve, root_span=SERVE)
     return parser
 
 
@@ -379,7 +388,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return args.func(args)
     from repro.obs import metrics_snapshot, summary_lines, trace, write_trace
 
-    with trace(args.command) as tracer:
+    with trace(args.root_span) as tracer:
         status = args.func(args)
     metrics = metrics_snapshot()
     if trace_path is not None:

@@ -48,16 +48,26 @@ from repro.core.pool import (
     get_pool,
 )
 from repro.obs import counter_add, current_tracer, span
+from repro.obs.registry import (
+    BATCH,
+    BATCH_ITEMS,
+    BATCH_PIPELINE_CACHE_HITS,
+    BATCH_PIPELINE_CACHE_MISSES,
+    BATCH_SERIAL_FALLBACKS,
+    BATCH_SERIAL_FALLBACKS_NESTED_IN_WORKER,
+    BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE,
+    Counter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import AnalysisResult, IRFusionPipeline
     from repro.data.synthetic import Design
 
 
-def _serial_fallback(reason: str, count: int = 1) -> None:
+def _serial_fallback(reason: Counter, count: int = 1) -> None:
     """Record that *count* batches lost parallelism (obs + nothing else)."""
-    counter_add("batch.serial_fallbacks", count)
-    counter_add(f"batch.serial_fallbacks.{reason}", count)
+    counter_add(BATCH_SERIAL_FALLBACKS, count)
+    counter_add(reason, count)
 
 
 def _apply_serial(fn: Callable, item, index: int) -> TaskOutcome:
@@ -162,7 +172,7 @@ def parallel_map_ex(
     if os.environ.get(WORKER_ENV):
         # Nested call inside a pool worker: daemonic processes cannot
         # have children, so run serially (correct, just not parallel).
-        _serial_fallback("nested_in_worker")
+        _serial_fallback(BATCH_SERIAL_FALLBACKS_NESTED_IN_WORKER)
         return _serial_map(fn, items), True
 
     try:
@@ -174,7 +184,7 @@ def parallel_map_ex(
             False,
         )
     except PoolUnusableError:
-        _serial_fallback("pool_unusable")
+        _serial_fallback(BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE)
         return _serial_map(fn, items), True
 
 
@@ -236,7 +246,7 @@ class _PipelineTask:
         with _PIPELINE_CACHE_LOCK:
             pipeline = _PIPELINE_CACHE.get(key)
         if pipeline is None:
-            counter_add("batch.pipeline_cache_misses")
+            counter_add(BATCH_PIPELINE_CACHE_MISSES)
             from repro.core.pipeline import IRFusionPipeline
 
             pipeline = IRFusionPipeline(payload["config"])
@@ -253,7 +263,7 @@ class _PipelineTask:
                         _PIPELINE_CACHE.pop(next(iter(_PIPELINE_CACHE)))
                     _PIPELINE_CACHE[key] = pipeline
         else:
-            counter_add("batch.pipeline_cache_hits")
+            counter_add(BATCH_PIPELINE_CACHE_HITS)
         self.pipeline = pipeline
         return pipeline
 
@@ -396,8 +406,8 @@ class BatchAnalyzer:
         self.deadline = deadline
 
     def _run(self, fn: Callable, names: list[str], work: Sequence) -> BatchReport:
-        counter_add("batch.items", len(work))
-        with span("batch", items=len(work), jobs=self.jobs) as batch_span:
+        counter_add(BATCH_ITEMS, len(work))
+        with span(BATCH, items=len(work), jobs=self.jobs) as batch_span:
             outcomes, degraded = parallel_map_ex(
                 fn,
                 work,

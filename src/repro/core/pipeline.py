@@ -16,6 +16,16 @@ import numpy as np
 
 from repro.core.config import FusionConfig
 from repro.obs import span
+from repro.obs.registry import (
+    ANALYZE,
+    FEATURES,
+    GRID_BUILD,
+    INFERENCE,
+    MODEL_BUILD,
+    MODEL_LOAD,
+    PARSE,
+    SOLVE,
+)
 from repro.data.augment import augment_dataset, oversample
 from repro.diagnostics import RunDiagnostics
 from repro.data.dataset import DesignSample, IRDropDataset
@@ -155,7 +165,7 @@ class IRFusionPipeline:
 
     def build_model(self, in_channels: int) -> Module:
         cfg = self.config
-        with span("model_build", model=cfg.model_name):
+        with span(MODEL_BUILD, model=cfg.model_name):
             model = create_model(
                 cfg.model_name,
                 in_channels=in_channels,
@@ -208,19 +218,19 @@ class IRFusionPipeline:
 
     def analyze_file(self, path) -> AnalysisResult:
         """Analyse a SPICE deck from disk."""
-        with span("parse", source=str(path)):
+        with span(PARSE, source=str(path)):
             netlist = parse_spice_file(path)
         return self.analyze_netlist(netlist)
 
     def analyze_text(self, text: str) -> AnalysisResult:
         """Analyse a SPICE deck held in a string."""
-        with span("parse", source="<text>"):
+        with span(PARSE, source="<text>"):
             netlist = parse_spice(text)
         return self.analyze_netlist(netlist)
 
     def analyze_netlist(self, netlist) -> AnalysisResult:
         """Analyse a parsed deck (geometry inferred from node names)."""
-        with span("grid_build"):
+        with span(GRID_BUILD):
             grid = PowerGrid.from_netlist(netlist)
             geometry = infer_geometry(grid, align_pixels=2**self.config.depth)
         return self.analyze_grid(
@@ -254,10 +264,10 @@ class IRFusionPipeline:
         voltages = None
         solver_seconds = 0.0
         diagnostics = RunDiagnostics()
-        with span("analyze") as analyze_span:
+        with span(ANALYZE) as analyze_span:
             if cfg.features.use_numerical:
                 with span(
-                    "solve", iterations=cfg.solver_iterations
+                    SOLVE, iterations=cfg.solver_iterations
                 ) as solve_span:
                     simulator = PowerRushSimulator(
                         max_iterations=cfg.solver_iterations,
@@ -287,7 +297,7 @@ class IRFusionPipeline:
                         check_array(rough_drop, "solver.rough_drop")
                     )
 
-            with span("features") as feature_span:
+            with span(FEATURES) as feature_span:
                 features = assemble_feature_stack(
                     geometry,
                     grid,
@@ -314,7 +324,7 @@ class IRFusionPipeline:
                     "match the training designs"
                 )
 
-            with span("inference") as model_span:
+            with span(INFERENCE) as model_span:
                 # Route through the trainer so residual (fusion) prediction
                 # logic is applied exactly as during evaluation.
                 probe = DesignSample(
@@ -389,7 +399,7 @@ class IRFusionPipeline:
 
     def load_model(self, path, in_channels: int) -> None:
         """Restore a checkpoint into a freshly built model."""
-        with span("model_load", source=str(path)):
+        with span(MODEL_LOAD, source=str(path)):
             self.model = self.build_model(in_channels=in_channels)
             load_state(self.model, path)
             self._finish_model_load(in_channels)

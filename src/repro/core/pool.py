@@ -82,7 +82,18 @@ from repro.obs import (
     merge_metrics,
     metrics_snapshot,
     monotonic,
+    span_record,
     trace,
+)
+from repro.obs.registry import (
+    ITEM,
+    POOL_WORKERS_RESPAWNED,
+    SHM_BYTES_ADOPTED,
+    TASK_ATTEMPT,
+    TASK_QUARANTINED,
+    TASK_RETRIES,
+    TASK_TIMEOUTS,
+    TRANSPORT_PICKLED_BYTES,
 )
 
 #: Environment marker set inside pool workers.  ``parallel_map_ex`` checks
@@ -303,7 +314,7 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
         payload["retryable"] = isinstance(exc, TransientTaskError)
     else:
         if traced:
-            with trace("item", index=index, attempt=attempt) as tracer:
+            with trace(ITEM, index=index, attempt=attempt) as tracer:
                 result, error, tb, retryable = _execute(fn, item, budget)
             payload["span_tree"] = tracer.root.to_dict()
         else:
@@ -504,17 +515,14 @@ class _Job:
     ) -> None:
         start = task.acked_at or task.dispatched_at or end
         self.attempt_spans.append(
-            {
-                "name": "task_attempt",
-                "start": float(start),
-                "duration": float(max(end - start, 0.0)),
-                "attrs": {
-                    "index": task.index,
-                    "attempt": task.attempt,
-                    "outcome": outcome,
-                },
-                "children": [],
-            }
+            span_record(
+                TASK_ATTEMPT,
+                start,
+                end,
+                index=task.index,
+                attempt=task.attempt,
+                outcome=outcome,
+            )
         )
 
     def resolve(self, index: int, outcome: TaskOutcome) -> None:
@@ -534,7 +542,7 @@ class _Job:
         traceback: str | None,
         now: float,
     ) -> None:
-        counter_add("task.quarantined")
+        counter_add(TASK_QUARANTINED)
         record = QuarantineRecord(
             index=task.index,
             reason=reason,
@@ -564,7 +572,7 @@ class _Job:
     ) -> None:
         """Schedule a backoff retry, or quarantine past the budget."""
         if task.attempt <= self.retries:
-            counter_add("task.retries")
+            counter_add(TASK_RETRIES)
             retry = _Task(
                 self, self.next_task_id(), task.index, task.attempt + 1
             )
@@ -674,7 +682,7 @@ class WorkerPool:
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
             counter_add(
-                "transport.pickled_bytes",
+                TRANSPORT_PICKLED_BYTES,
                 len(payload) + sum(len(blob) for blob in item_blobs),
             )
             if not items:
@@ -966,14 +974,14 @@ class WorkerPool:
 
     def _on_result(self, job: _Job, task: _Task, blob: bytes) -> None:
         now = monotonic()
-        counter_add("transport.pickled_bytes", len(blob))
+        counter_add(TRANSPORT_PICKLED_BYTES, len(blob))
         scope = job.scope
 
         def adopt(descriptor) -> None:
             # Worker-created result segment: the job's scope takes
             # ownership so crash/quarantine cleanup is central.
             scope.adopt(descriptor)
-            counter_add("shm.bytes_adopted", descriptor.nbytes)
+            counter_add(SHM_BYTES_ADOPTED, descriptor.nbytes)
 
         try:
             payload = _shm.loads(
@@ -1065,7 +1073,7 @@ class WorkerPool:
             respawns += 1
         self._workers = alive
         if respawns:
-            counter_add("pool.workers_respawned", respawns)
+            counter_add(POOL_WORKERS_RESPAWNED, respawns)
         while len(self._workers) < target:
             self._workers.append(self._spawn_worker(now))
 
@@ -1077,7 +1085,7 @@ class WorkerPool:
             worker.task = None
             self._discard_worker(worker, kill=True)
             self._workers.remove(worker)
-            counter_add("pool.workers_respawned")
+            counter_add(POOL_WORKERS_RESPAWNED)
             self._workers.append(self._spawn_worker(monotonic()))
 
     def _check_timeouts(self, jobs: list[_Job], now: float) -> None:
@@ -1087,7 +1095,7 @@ class WorkerPool:
                     continue
                 if now - task.acked_at <= task.budget:
                     continue
-                counter_add("task.timeouts")
+                counter_add(TASK_TIMEOUTS)
                 job.active.pop(task.task_id, None)
                 # The worker is wedged inside the task: kill + respawn.
                 self._kill_worker_of(task, jobs)
@@ -1108,7 +1116,7 @@ class WorkerPool:
             # Alive but silent past the heartbeat budget: presumed frozen.
             self._discard_worker(worker, kill=True)
             self._workers.remove(worker)
-            counter_add("pool.workers_respawned")
+            counter_add(POOL_WORKERS_RESPAWNED)
             self._on_worker_death(worker, jobs, "crash")
             self._workers.append(self._spawn_worker(now))
 

@@ -68,7 +68,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import counter_add, current_tracer, gauge_set, monotonic
+from repro.obs import (
+    counter_add,
+    current_tracer,
+    gauge_set,
+    monotonic,
+    span_record,
+)
+from repro.obs.registry import (
+    SHM_ATTACH,
+    SHM_ATTACHES,
+    SHM_BYTES_SHARED,
+    SHM_EXTERNALIZE,
+    SHM_INLINE_FALLBACKS,
+    SHM_SEGMENTS_ACTIVE,
+    SHM_SEGMENTS_LEAKED,
+    SHM_SEGMENTS_RELEASED,
+    SHM_SEGMENTS_SWEPT,
+    SpanName,
+)
 
 #: Where POSIX shared-memory segments appear as plain files (Linux).
 SHM_DIR = "/dev/shm"
@@ -157,7 +175,7 @@ def _attach(name: str) -> mmap.mmap:
         os.close(fd)
     with _ATTACH_LOCK:
         _ATTACHMENTS[name] = mapped
-    counter_add("shm.attaches")
+    counter_add(SHM_ATTACHES)
     return mapped
 
 
@@ -227,25 +245,15 @@ class ShmArray:
         flat = np.frombuffer(mapped, dtype=np.dtype(self.dtype), count=count)
         array = flat.reshape(self.shape, order=self.order)
         array.flags.writeable = False
-        _record_span("shm_attach", start, bytes=self.nbytes, segment=self.name)
+        _record_span(SHM_ATTACH, start, bytes=self.nbytes, segment=self.name)
         return array
 
 
-def _record_span(name: str, start: float, **attrs) -> None:
+def _record_span(name: SpanName, start: float, **attrs) -> None:
     """Attach a completed externalize/attach span to any active trace."""
     tracer = current_tracer()
-    if tracer is None:
-        return
-    end = monotonic()
-    tracer.attach(
-        {
-            "name": name,
-            "start": float(start),
-            "duration": float(max(end - start, 0.0)),
-            "attrs": attrs,
-            "children": [],
-        }
-    )
+    if tracer is not None:
+        tracer.attach(span_record(name, start, monotonic(), **attrs))
 
 
 # -- segment creation ----------------------------------------------------------
@@ -292,7 +300,7 @@ def write_segment(name: str, array: np.ndarray) -> ShmArray:
         target[:] = data.ravel(order="K")
     finally:
         _close_mapping(mapped)
-    counter_add("shm.bytes_shared", int(data.nbytes))
+    counter_add(SHM_BYTES_SHARED, int(data.nbytes))
     return ShmArray(
         name=name, dtype=data.dtype.str, shape=tuple(data.shape), order=order
     )
@@ -342,7 +350,7 @@ class ShmScope:
         if closed:
             arena._unlink(name)
             raise RuntimeError(f"shm scope {self.name} is closed")
-        gauge_set("shm.segments_active", active)
+        gauge_set(SHM_SEGMENTS_ACTIVE, active)
 
     def share(self, array: np.ndarray) -> ShmArray:
         """Copy *array* into a new segment owned by this scope."""
@@ -350,9 +358,7 @@ class ShmScope:
         name = self._arena._next_name(self.name)
         desc = write_segment(name, array)
         self._own(name)
-        _record_span(
-            "shm_externalize", start, bytes=desc.nbytes, segment=name
-        )
+        _record_span(SHM_EXTERNALIZE, start, bytes=desc.nbytes, segment=name)
         return desc
 
     def adopt(self, desc: ShmArray) -> None:
@@ -413,8 +419,8 @@ class ShmArena:
             active = len(self._segments)
         for name in owned:
             self._unlink(name)
-        gauge_set("shm.segments_active", active)
-        counter_add("shm.segments_released", len(owned))
+        gauge_set(SHM_SEGMENTS_ACTIVE, active)
+        counter_add(SHM_SEGMENTS_RELEASED, len(owned))
         try:
             entries = os.listdir(SHM_DIR)
         except OSError:  # pragma: no cover - shm vanished underneath us
@@ -424,9 +430,9 @@ class ShmArena:
         for name in strays:
             self._unlink(name)
         if strays:
-            counter_add("shm.segments_swept", len(strays))
+            counter_add(SHM_SEGMENTS_SWEPT, len(strays))
         if leaked and (owned or strays):
-            counter_add("shm.segments_leaked", len(owned) + len(strays))
+            counter_add(SHM_SEGMENTS_LEAKED, len(owned) + len(strays))
             print(
                 f"repro.core.shm: scope {scope} was dropped unclosed; "
                 f"reclaimed {len(owned) + len(strays)} shared segment(s)",
@@ -503,7 +509,7 @@ def dumps(obj, *, threshold: int | None = None, writer=None) -> bytes:
     effective = shm_threshold() if threshold is None else threshold
     if effective <= 0 or not available() or writer is None:
         if effective > 0 and writer is not None:
-            counter_add("shm.inline_fallbacks")
+            counter_add(SHM_INLINE_FALLBACKS)
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     buffer = io.BytesIO()
     pickler = _ExternalizingPickler(buffer, effective, writer)

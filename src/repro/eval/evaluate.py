@@ -6,6 +6,7 @@ from repro.data.dataset import IRDropDataset
 from repro.nn.losses import _Loss
 from repro.nn.module import Module
 from repro.obs import span
+from repro.obs.registry import FIT, INFERENCE
 from repro.train.metrics import Metrics, evaluate_prediction
 from repro.train.trainer import TrainConfig, Trainer, TrainHistory
 
@@ -21,7 +22,7 @@ def evaluate_trainer(
     """
     per_design: list[Metrics] = []
     for sample in dataset:
-        with span("inference", design=sample.name) as infer_span:
+        with span(INFERENCE, design=sample.name) as infer_span:
             prediction = trainer.predict([sample])[0]
         per_design.append(
             evaluate_prediction(
@@ -59,7 +60,7 @@ def train_and_evaluate(
     Returns (history, averaged test metrics, training wall-clock seconds).
     """
     trainer = Trainer(model, loss=loss, config=config)
-    with span("fit") as fit_span:
+    with span(FIT) as fit_span:
         history = trainer.fit(train_set)
     _, averaged = evaluate_trainer(trainer, test_set)
     return history, averaged, fit_span.duration

@@ -38,6 +38,7 @@ from repro.nn.layers import (
 )
 from repro.nn.module import Module, _collect
 from repro.obs import counter_add
+from repro.obs.registry import NN_PLAN_BUILDS, NN_PLAN_REFOLDS
 
 #: Makes each plan's run lock; ``racecheck.install`` swaps in a factory of
 #: tracked locks so plan runs take part in lock-order checking.
@@ -201,7 +202,7 @@ class InferencePlan:
         self._lock = _new_run_lock()
         #: The planned tree; its leaf paths equal the source model's.
         self.root = self._plan(model)
-        counter_add("nn.plan_builds")
+        counter_add(NN_PLAN_BUILDS)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_lock": None}  # and the arena ships empty
@@ -220,7 +221,7 @@ class InferencePlan:
             for op in stale:
                 op.fold()
             if stale:
-                counter_add("nn.plan_refolds")
+                counter_add(NN_PLAN_REFOLDS)
             if x.shape != self._shape:
                 # Buffer names carry their shapes; a new input size starts
                 # a new set, so the arena never outgrows one size's worth.

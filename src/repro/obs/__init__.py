@@ -10,7 +10,7 @@ modules each keeping private stopwatches.
 Three pieces:
 
 - :mod:`repro.obs.trace` — nested, labelled spans on the monotonic
-  clock.  ``span("pcg")`` attaches to whatever trace is active on the
+  clock.  ``span(PCG)`` attaches to whatever trace is active on the
   calling thread, or times a detached subtree when none is (so
   ``SolveResult.setup_seconds``-style fields work with zero
   configuration).
@@ -25,9 +25,9 @@ Three pieces:
   same monotonic clock: the worker pool scopes each task attempt, the
   solver cascade reads the remaining budget to short-circuit stages it
   cannot finish in time.
-- :mod:`repro.obs.registry` — the declared contract of every
-  counter/gauge/span name; the ``metrics-contract`` lint pass and the
-  ``--validate`` trace check both resolve names against it.
+- :mod:`repro.obs.registry` — one declared handle per counter, gauge
+  and span name; the emit functions accept nothing else, so a name is
+  written exactly once.
 """
 
 from repro.obs.deadline import (
@@ -36,7 +36,6 @@ from repro.obs.deadline import (
     deadline_scope,
 )
 from repro.obs.export import (
-    registry_errors,
     summary_lines,
     validate_trace_file,
     validate_trace_lines,
@@ -50,7 +49,15 @@ from repro.obs.metrics import (
     metrics_snapshot,
     reset_metrics,
 )
-from repro.obs.trace import Span, Tracer, current_tracer, monotonic, span, trace
+from repro.obs.trace import (
+    Span,
+    Tracer,
+    current_tracer,
+    monotonic,
+    span,
+    span_record,
+    trace,
+)
 
 __all__ = [
     "Span",
@@ -65,9 +72,9 @@ __all__ = [
     "merge_metrics",
     "metrics_snapshot",
     "monotonic",
-    "registry_errors",
     "reset_metrics",
     "span",
+    "span_record",
     "summary_lines",
     "trace",
     "validate_trace_file",

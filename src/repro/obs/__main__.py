@@ -1,13 +1,11 @@
 """Trace-file validation: ``python -m repro.obs --validate PATH``.
 
 Exit status 0 when every given file conforms to the JSONL trace schema
-(see :mod:`repro.obs.export`) **and** every span/counter/gauge name it
-contains is declared in the contract registry
-(:mod:`repro.obs.registry`), 1 otherwise — the CI bench-smoke and
-chaos-smoke jobs run this on traced batch runs, so a metric name that
-only materialises dynamically at runtime still fails CI rather than
-feeding a dead dashboard series.  ``--no-registry`` restores the
-schema-only check for ad-hoc traces with experimental names.
+(see :mod:`repro.obs.export`), 1 otherwise — a malformed or unreadable
+file is reported as ``PATH: line N: …`` errors, never a traceback.  The
+CI smoke jobs run this on every trace they write.  Names need no check:
+the emit API only accepts the handles declared in
+:mod:`repro.obs.registry`.
 """
 
 from __future__ import annotations
@@ -17,16 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.export import registry_errors, validate_trace_file
+from repro.obs.export import validate_trace_file
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description=(
-            "validate JSONL trace files against the schema and the "
-            "metric/span name registry"
-        ),
+        description="validate JSONL trace files against the trace schema",
     )
     parser.add_argument(
         "--validate",
@@ -35,23 +30,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="trace file(s) to check",
     )
-    parser.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the span/counter name registry cross-check",
-    )
     args = parser.parse_args(argv)
 
     status = 0
     for path in args.validate:
-        target = Path(path)
-        if not target.exists():
-            print(f"{path}: no such file", file=sys.stderr)
-            status = 1
-            continue
-        errors = validate_trace_file(target)
-        if not args.no_registry:
-            errors.extend(registry_errors(target.read_text().splitlines()))
+        try:
+            errors = validate_trace_file(path)
+        except OSError as exc:
+            errors = [exc.strerror or str(exc)]
         if errors:
             for error in errors:
                 print(f"{path}: {error}", file=sys.stderr)
@@ -59,8 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             spans = sum(
                 1
-                for line in target.read_text().splitlines()
-                if line.strip() and json.loads(line).get("kind") == "span"
+                for line in Path(path).read_text().splitlines()
+                if line.strip() and json.loads(line)["kind"] == "span"
             )
             print(f"{path}: ok ({spans} span(s))")
     return status

@@ -100,7 +100,7 @@ def _check_span(record: dict, seen_ids: set, lineno: int) -> list[str]:
     if parent is None:
         if span_id != 0:
             errors.append(f"line {lineno}: only span 0 may be the root")
-    elif not isinstance(parent, int) or parent not in seen_ids - {span_id}:
+    elif not isinstance(parent, int) or parent == span_id or parent not in seen_ids:
         errors.append(
             f"line {lineno}: parent {parent!r} does not precede this span"
         )
@@ -126,7 +126,7 @@ def validate_trace_lines(lines: list[str]) -> list[str]:
         return errors + ["empty trace file"]
 
     lineno, header = records[0]
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         errors.append(f"line {lineno}: first record must be the header")
     elif header.get("version") != TRACE_VERSION:
         errors.append(
@@ -136,6 +136,9 @@ def validate_trace_lines(lines: list[str]) -> list[str]:
     seen_ids: set[int] = set()
     metrics_seen = False
     for lineno, record in records[1:]:
+        if not isinstance(record, dict):
+            errors.append(f"line {lineno}: not a JSON object")
+            continue
         kind = record.get("kind")
         if kind == "span":
             if metrics_seen:
@@ -159,57 +162,15 @@ def validate_trace_lines(lines: list[str]) -> list[str]:
 
 def validate_trace_file(path) -> list[str]:
     """Schema errors for a trace file on disk (empty list = valid)."""
-    return validate_trace_lines(Path(path).read_text().splitlines())
-
-
-def registry_errors(lines: list[str]) -> list[str]:
-    """Names in the trace that the contract registry does not declare.
-
-    Complements the structural check in :func:`validate_trace_lines`:
-    the schema says a span has *a* name, the registry
-    (:mod:`repro.obs.registry`) says which names exist.  This catches
-    dynamically-built names the static ``metrics-contract`` lint pass
-    cannot see.  Kept separate from the schema check because ad-hoc
-    traces (tests, exploratory scripts) legitimately use unregistered
-    names — ``python -m repro.obs --validate`` applies both, with
-    ``--no-registry`` to opt out.
-    """
-    from repro.obs import registry
-
     errors: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    lines: list[str] = []
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # the schema check reports these
-        kind = record.get("kind")
-        if kind == "span":
-            name = record.get("name")
-            if isinstance(name, str) and not registry.is_registered(
-                "span", name
-            ):
-                hint = registry.suggest("span", name)
-                suffix = f" (did you mean {hint!r}?)" if hint else ""
-                errors.append(
-                    f"line {lineno}: span name {name!r} is not in the "
-                    f"repro.obs registry{suffix}"
-                )
-        elif kind == "metrics":
-            for metric_kind, key in (("counter", "counters"), ("gauge", "gauges")):
-                values = record.get(key)
-                if not isinstance(values, dict):
-                    continue
-                for name in sorted(values):
-                    if not registry.is_registered(metric_kind, name):
-                        hint = registry.suggest(metric_kind, name)
-                        suffix = f" (did you mean {hint!r}?)" if hint else ""
-                        errors.append(
-                            f"line {lineno}: {metric_kind} name {name!r} is "
-                            f"not in the repro.obs registry{suffix}"
-                        )
-    return errors
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            errors.append(f"line {lineno}: not valid UTF-8")
+            lines.append("")
+    return errors + validate_trace_lines(lines)
 
 
 # -- human summary ------------------------------------------------------------

@@ -7,17 +7,15 @@ registry crosses processes by delta: a pool worker takes
 :func:`counters_delta` back with the result so the parent can
 :func:`merge_metrics` the movement without double counting.
 
-Counter names are dotted, lowest-level owner first::
-
-    amg_setup_cache.hits        amg_setup_cache.misses
-    amg_setup_cache.evictions   pcg.iterations
-    solver.attempts             solver.fallbacks
-    train.overflow_steps        batch.items
+Emit sites pass declared handles (:mod:`repro.obs.registry`), never
+strings; the registry below is keyed by the handles' names.
 """
 
 from __future__ import annotations
 
 import threading
+
+from repro.obs.registry import Counter, Gauge
 
 
 class MetricsRegistry:
@@ -79,14 +77,18 @@ class MetricsRegistry:
 _REGISTRY = MetricsRegistry()
 
 
-def counter_add(name: str, value: float = 1.0) -> None:
-    """Add *value* to the named process-wide counter."""
-    _REGISTRY.counter_add(name, value)
+def counter_add(counter: Counter, value: float = 1.0) -> None:
+    """Add *value* to a declared process-wide counter."""
+    if not isinstance(counter, Counter):
+        raise TypeError(f"counter_add takes a registry Counter, not {counter!r}")
+    _REGISTRY.counter_add(counter.name, value)
 
 
-def gauge_set(name: str, value: float) -> None:
-    """Set the named process-wide gauge."""
-    _REGISTRY.gauge_set(name, value)
+def gauge_set(gauge: Gauge, value: float) -> None:
+    """Set a declared process-wide gauge."""
+    if not isinstance(gauge, Gauge):
+        raise TypeError(f"gauge_set takes a registry Gauge, not {gauge!r}")
+    _REGISTRY.gauge_set(gauge.name, value)
 
 
 def metrics_snapshot() -> dict:

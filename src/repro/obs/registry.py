@@ -1,192 +1,150 @@
-"""Declared contract for every metric and span name in the project.
+"""Every counter, gauge and span name in the project, declared once.
 
-The observability layer is stringly typed at the emit sites —
-``counter_add("amg_setup_cache.hits")`` — which is ergonomic but means a
-typo'd name produces a silently-dead dashboard series rather than an
-error.  This module is the single source of truth the tooling checks
-those strings against:
+An emit site never spells a name: it imports the declared handle by
+name at module level and passes it to the emit API —
 
-- the ``metrics-contract`` analysis pass resolves every
-  ``counter_add``/``gauge_set``/``span(...)`` string literal in ``src/``
-  against this registry at lint time;
-- ``python -m repro.obs --validate`` cross-checks the names that appear
-  in an exported trace file against the same registry at runtime, so a
-  name that only materialises dynamically (f-strings, dispatch tables)
-  is still caught in CI.
+    from repro.obs.registry import AMG_SETUP, PCG_ITERATIONS
 
-Adding a new counter/gauge/span is a two-line change: emit it, and
-declare it here.  Dynamic families (names built with a runtime suffix,
-e.g. per-reason serial-fallback counters) are declared with a trailing
-``.*`` wildcard that matches exactly one-or-more extra segments.
+    with span(AMG_SETUP):
+        ...
+    counter_add(PCG_ITERATIONS, result.iterations)
+
+A misspelt handle is an ``ImportError`` the moment its module loads
+(tier-1 imports every module), and :func:`~repro.obs.counter_add`,
+:func:`~repro.obs.gauge_set`, :func:`~repro.obs.span` and
+:func:`~repro.obs.trace` raise ``TypeError`` for anything but a handle
+of their kind, so a trace can only contain names declared here.  Each
+handle is named after its string: upper case, dots become underscores.
+docs/observability.md lists them all (tier-1 checks the two agree).
 """
 
 from __future__ import annotations
 
-#: Every exact counter name ``counter_add`` may be called with.
-COUNTERS: frozenset[str] = frozenset(
-    {
-        "amg.relaxation_builds",
-        "amg_setup_cache.evictions",
-        "amg_setup_cache.hits",
-        "amg_setup_cache.misses",
-        "batch.items",
-        "batch.pipeline_cache_hits",
-        "batch.pipeline_cache_misses",
-        "batch.serial_fallbacks",
-        "incremental.aborted",
-        "incremental.base_solves",
-        "incremental.column_cache_hits",
-        "incremental.column_solves",
-        "incremental.deltas",
-        "incremental.direct_solves",
-        "incremental.factorizations",
-        "incremental.fallbacks",
-        "incremental.full_solves",
-        "incremental.polish_iterations",
-        "incremental.rebuilds",
-        "incremental.setup_builds",
-        "incremental.setup_cache_hits",
-        "incremental.smw_solves",
-        "incremental.solves",
-        "incremental.warm_solves",
-        "nn.plan_builds",
-        "nn.plan_refolds",
-        "pad_placement.candidates",
-        "pcg.iterations",
-        "pool.workers_respawned",
-        "serve.completed",
-        "serve.failed",
-        "serve.model_loads",
-        "serve.model_reloads",
-        "serve.rejected",
-        "serve.requests",
-        "shm.attaches",
-        "shm.bytes_adopted",
-        "shm.bytes_shared",
-        "shm.inline_fallbacks",
-        "shm.segments_leaked",
-        "shm.segments_released",
-        "shm.segments_swept",
-        "solver.attempts",
-        "solver.deadline_skips",
-        "solver.fallbacks",
-        "task.quarantined",
-        "task.retries",
-        "task.timeouts",
-        "train.overflow_steps",
-        "transport.pickled_bytes",
-    }
+
+class _Handle:
+    """A declared telemetry name; the emitted string is :attr:`name`."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
+
+
+class Counter(_Handle):
+    """A process-wide counter (:func:`repro.obs.counter_add`)."""
+
+
+class Gauge(_Handle):
+    """A process-wide gauge (:func:`repro.obs.gauge_set`)."""
+
+
+class SpanName(_Handle):
+    """A span or trace root (:func:`repro.obs.span`, :func:`repro.obs.trace`)."""
+
+
+# -- counters ------------------------------------------------------------------
+
+AMG_RELAXATION_BUILDS = Counter("amg.relaxation_builds")
+AMG_SETUP_CACHE_EVICTIONS = Counter("amg_setup_cache.evictions")
+AMG_SETUP_CACHE_HITS = Counter("amg_setup_cache.hits")
+AMG_SETUP_CACHE_MISSES = Counter("amg_setup_cache.misses")
+BATCH_ITEMS = Counter("batch.items")
+BATCH_PIPELINE_CACHE_HITS = Counter("batch.pipeline_cache_hits")
+BATCH_PIPELINE_CACHE_MISSES = Counter("batch.pipeline_cache_misses")
+BATCH_SERIAL_FALLBACKS = Counter("batch.serial_fallbacks")
+BATCH_SERIAL_FALLBACKS_NESTED_IN_WORKER = Counter(
+    "batch.serial_fallbacks.nested_in_worker"
 )
-
-#: Counter families with a runtime-built suffix.  ``name.*`` matches
-#: ``name.anything`` (one or more extra dotted segments), never bare
-#: ``name`` — declare the bare name separately if it is also emitted.
-COUNTER_FAMILIES: frozenset[str] = frozenset(
-    {
-        # per-reason breakdown emitted next to batch.serial_fallbacks:
-        # nested_in_worker, pool_unusable
-        "batch.serial_fallbacks.*",
-    }
+BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE = Counter(
+    "batch.serial_fallbacks.pool_unusable"
 )
+INCREMENTAL_ABORTED = Counter("incremental.aborted")
+INCREMENTAL_BASE_SOLVES = Counter("incremental.base_solves")
+INCREMENTAL_COLUMN_CACHE_HITS = Counter("incremental.column_cache_hits")
+INCREMENTAL_COLUMN_SOLVES = Counter("incremental.column_solves")
+INCREMENTAL_DELTAS = Counter("incremental.deltas")
+INCREMENTAL_DIRECT_SOLVES = Counter("incremental.direct_solves")
+INCREMENTAL_FACTORIZATIONS = Counter("incremental.factorizations")
+INCREMENTAL_FALLBACKS = Counter("incremental.fallbacks")
+INCREMENTAL_FULL_SOLVES = Counter("incremental.full_solves")
+INCREMENTAL_POLISH_ITERATIONS = Counter("incremental.polish_iterations")
+INCREMENTAL_REBUILDS = Counter("incremental.rebuilds")
+INCREMENTAL_SETUP_BUILDS = Counter("incremental.setup_builds")
+INCREMENTAL_SETUP_CACHE_HITS = Counter("incremental.setup_cache_hits")
+INCREMENTAL_SMW_SOLVES = Counter("incremental.smw_solves")
+INCREMENTAL_SOLVES = Counter("incremental.solves")
+INCREMENTAL_WARM_SOLVES = Counter("incremental.warm_solves")
+NN_PLAN_BUILDS = Counter("nn.plan_builds")
+NN_PLAN_REFOLDS = Counter("nn.plan_refolds")
+PAD_PLACEMENT_CANDIDATES = Counter("pad_placement.candidates")
+PCG_ITERATIONS = Counter("pcg.iterations")
+POOL_WORKERS_RESPAWNED = Counter("pool.workers_respawned")
+SERVE_COMPLETED = Counter("serve.completed")
+SERVE_FAILED = Counter("serve.failed")
+SERVE_MODEL_LOADS = Counter("serve.model_loads")
+SERVE_MODEL_RELOADS = Counter("serve.model_reloads")
+SERVE_REJECTED = Counter("serve.rejected")
+SERVE_REQUESTS = Counter("serve.requests")
+SHM_ATTACHES = Counter("shm.attaches")
+SHM_BYTES_ADOPTED = Counter("shm.bytes_adopted")
+SHM_BYTES_SHARED = Counter("shm.bytes_shared")
+SHM_INLINE_FALLBACKS = Counter("shm.inline_fallbacks")
+SHM_SEGMENTS_LEAKED = Counter("shm.segments_leaked")
+SHM_SEGMENTS_RELEASED = Counter("shm.segments_released")
+SHM_SEGMENTS_SWEPT = Counter("shm.segments_swept")
+SOLVER_ATTEMPTS = Counter("solver.attempts")
+SOLVER_DEADLINE_SKIPS = Counter("solver.deadline_skips")
+SOLVER_FALLBACKS = Counter("solver.fallbacks")
+TASK_QUARANTINED = Counter("task.quarantined")
+TASK_RETRIES = Counter("task.retries")
+TASK_TIMEOUTS = Counter("task.timeouts")
+TRAIN_OVERFLOW_STEPS = Counter("train.overflow_steps")
+TRANSPORT_PICKLED_BYTES = Counter("transport.pickled_bytes")
 
-#: Every exact gauge name ``gauge_set`` may be called with.
-GAUGES: frozenset[str] = frozenset(
-    {
-        "serve.active_jobs",
-        "serve.queue_depth",
-        "shm.segments_active",
-    }
-)
+# -- gauges --------------------------------------------------------------------
 
-GAUGE_FAMILIES: frozenset[str] = frozenset()
+SERVE_ACTIVE_JOBS = Gauge("serve.active_jobs")
+SERVE_QUEUE_DEPTH = Gauge("serve.queue_depth")
+SHM_SEGMENTS_ACTIVE = Gauge("shm.segments_active")
 
-#: Every span name ``span(...)``/``trace(...)`` may open.
-SPANS: frozenset[str] = frozenset(
-    {
-        "amg_setup",
-        "analysis",  # python -m repro.analysis total wall time
-        "analyze",
-        "batch",
-        "features",
-        "fit",
-        "generate",
-        "grid_build",
-        "imports",
-        "incremental.factorize",
-        "incremental.preview_batch",  # one per preview_many: candidates=, polished=
-        "incremental.rebuild",
-        "incremental.solve",
-        "inference",
-        "item",
-        "model_build",
-        "model_load",
-        "pad_placement",
-        "parse",
-        "pcg",
-        "plan_build",  # InferencePlan construction (under model_load)
-        "run",  # Tracer default root
-        "serve.request",  # per-request root span in the serving daemon
-        "shm_attach",
-        "shm_externalize",
-        "simulate",
-        "solve",
-        "solve_attempt",
-        "stamp",
-        "task_attempt",
-        "train",
-        "train_backward",  # per batch under train: zero_grad + loss/model backward
-        "train_forward",  # per batch under train: model + loss forward
-        "train_step",  # per batch under train: unscale/reduce, clip, optimizer
-        "validate",
-    }
-)
+# -- spans ---------------------------------------------------------------------
 
-SPAN_FAMILIES: frozenset[str] = frozenset()
-
-_KINDS = {
-    "counter": (COUNTERS, COUNTER_FAMILIES),
-    "gauge": (GAUGES, GAUGE_FAMILIES),
-    "span": (SPANS, SPAN_FAMILIES),
-}
-
-
-def _family_match(name: str, families: frozenset[str]) -> bool:
-    for pattern in families:
-        prefix = pattern[:-1]  # "batch.serial_fallbacks." from "....*"
-        if name.startswith(prefix) and len(name) > len(prefix):
-            return True
-    return False
-
-
-def is_registered(kind: str, name: str) -> bool:
-    """True when *name* is a declared ``counter``/``gauge``/``span``."""
-    try:
-        exact, families = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown registry kind: {kind!r}") from None
-    return name in exact or _family_match(name, families)
-
-
-def registered_names(kind: str) -> frozenset[str]:
-    """The exact (non-wildcard) names declared for *kind*."""
-    try:
-        exact, _ = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown registry kind: {kind!r}") from None
-    return exact
-
-
-def suggest(kind: str, name: str) -> str | None:
-    """The closest registered name, for "did you mean" messages."""
-    import difflib
-
-    exact, _ = _KINDS.get(kind, (frozenset(), frozenset()))
-    matches = difflib.get_close_matches(name, sorted(exact), n=1, cutoff=0.6)
-    return matches[0] if matches else None
-
-
-def unregistered_names(
-    kind: str, names: "set[str] | frozenset[str]"
-) -> list[str]:
-    """The subset of *names* missing from the registry, sorted."""
-    return sorted(name for name in names if not is_registered(kind, name))
+AMG_SETUP = SpanName("amg_setup")
+ANALYSIS = SpanName("analysis")
+ANALYZE = SpanName("analyze")
+BATCH = SpanName("batch")
+FEATURES = SpanName("features")
+FIT = SpanName("fit")
+GENERATE = SpanName("generate")
+GRID_BUILD = SpanName("grid_build")
+IMPORTS = SpanName("imports")
+INCREMENTAL_FACTORIZE = SpanName("incremental.factorize")
+INCREMENTAL_PREVIEW_BATCH = SpanName("incremental.preview_batch")
+INCREMENTAL_REBUILD = SpanName("incremental.rebuild")
+INCREMENTAL_SOLVE = SpanName("incremental.solve")
+INFERENCE = SpanName("inference")
+ITEM = SpanName("item")
+MODEL_BUILD = SpanName("model_build")
+MODEL_LOAD = SpanName("model_load")
+PAD_PLACEMENT = SpanName("pad_placement")
+PARSE = SpanName("parse")
+PCG = SpanName("pcg")
+PLAN_BUILD = SpanName("plan_build")
+RUN = SpanName("run")
+SERVE = SpanName("serve")
+SERVE_REQUEST = SpanName("serve.request")
+SHM_ATTACH = SpanName("shm_attach")
+SHM_EXTERNALIZE = SpanName("shm_externalize")
+SIMULATE = SpanName("simulate")
+SOLVE = SpanName("solve")
+SOLVE_ATTEMPT = SpanName("solve_attempt")
+STAMP = SpanName("stamp")
+TASK_ATTEMPT = SpanName("task_attempt")
+TRAIN = SpanName("train")
+TRAIN_BACKWARD = SpanName("train_backward")
+TRAIN_FORWARD = SpanName("train_forward")
+TRAIN_STEP = SpanName("train_step")
+VALIDATE = SpanName("validate")

@@ -2,14 +2,15 @@
 
 A :class:`Span` records one named interval (``parse``, ``amg_setup``,
 ``pcg``, ``features``, ``inference``, a per-epoch ``train`` …) plus
-free-form attributes and child spans.  A :class:`Tracer` owns one span
-tree and a stack of open spans; :func:`trace` installs a tracer as the
-calling thread's *active* trace, and :func:`span` attaches to whatever
-is active — or, when nothing is, opens an implicit trace for its own
-dynamic extent so deeply nested instrumentation still produces a
-correctly nested subtree.  Library code therefore never threads a tracer
-through its call signatures: the pipeline opens ``span("analyze")``, the
-solver opens ``span("pcg")`` five frames down, and they nest.
+free-form attributes and child spans, and is opened with a declared
+:class:`~repro.obs.registry.SpanName` handle, never a string.  A
+:class:`Tracer` owns one span tree and a stack of open spans;
+:func:`trace` installs a tracer as the calling thread's *active* trace,
+and :func:`span` attaches to whatever is active — or, when nothing is,
+opens an implicit trace for its own dynamic extent so deeply nested
+instrumentation still produces a correctly nested subtree.  Library code therefore never threads a tracer
+through its call signatures: the pipeline opens ``span(ANALYZE)``, the
+solver opens ``span(PCG)`` five frames down, and they nest.
 
 Only the monotonic clock is read here (``time.perf_counter``): span
 timestamps are intervals, never wall-clock data, so traces stay out of
@@ -25,6 +26,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.obs.registry import RUN, SpanName
+
 
 def monotonic() -> float:
     """The one timing primitive in the repository (monotonic seconds).
@@ -34,6 +37,12 @@ def monotonic() -> float:
     ``perf_counter`` call (the ``wall-clock`` lint rule enforces both).
     """
     return time.perf_counter()
+
+
+def _name_of(handle: SpanName) -> str:
+    if not isinstance(handle, SpanName):
+        raise TypeError(f"spans take a registry SpanName, not {handle!r}")
+    return handle.name
 
 
 class Span:
@@ -72,15 +81,17 @@ class Span:
         for child in self.children:
             yield from child.iter_spans()
 
-    def find(self, name: str) -> "Span | None":
-        """First span named *name* in the subtree (preorder), or None."""
+    def find(self, handle: SpanName) -> "Span | None":
+        """First span named *handle* in the subtree (preorder), or None."""
+        name = _name_of(handle)
         for candidate in self.iter_spans():
             if candidate.name == name:
                 return candidate
         return None
 
-    def total(self, name: str) -> float:
-        """Summed duration of every span named *name* in the subtree."""
+    def total(self, handle: SpanName) -> float:
+        """Summed duration of every span named *handle* in the subtree."""
+        name = _name_of(handle)
         return sum(s.duration for s in self.iter_spans() if s.name == name)
 
     # -- serialization --------------------------------------------------------
@@ -115,8 +126,8 @@ class Tracer:
     :mod:`repro.core.pool`).
     """
 
-    def __init__(self, name: str = "run", attrs: dict | None = None) -> None:
-        self.root = Span(name, attrs)
+    def __init__(self, name: SpanName = RUN, attrs: dict | None = None) -> None:
+        self.root = Span(_name_of(name), attrs)
         self._stack: list[Span] = [self.root]
 
     @property
@@ -125,8 +136,8 @@ class Tracer:
         return self._stack[-1]
 
     @contextmanager
-    def span(self, name: str, **attrs):
-        child = Span(name, attrs)
+    def span(self, name: SpanName, **attrs):
+        child = Span(_name_of(name), attrs)
         self.active.children.append(child)
         self._stack.append(child)
         try:
@@ -165,7 +176,7 @@ def current_tracer() -> Tracer | None:
 
 
 @contextmanager
-def trace(name: str = "run", **attrs):
+def trace(name: SpanName = RUN, **attrs):
     """Install a fresh :class:`Tracer` as this thread's active trace.
 
     Yields the tracer; on exit the tree is finished and the previously
@@ -184,7 +195,7 @@ def trace(name: str = "run", **attrs):
 
 
 @contextmanager
-def span(name: str, **attrs):
+def span(name: SpanName, **attrs):
     """Open a span under the active trace; yields the :class:`Span`.
 
     With no active trace, an implicit one is opened for this span's
@@ -200,3 +211,18 @@ def span(name: str, **attrs):
         return
     with trace(name, **attrs) as implicit:
         yield implicit.root
+
+
+def span_record(name: SpanName, start: float, end: float, **attrs) -> dict:
+    """A completed leaf span in the serialized form :meth:`Tracer.attach` takes.
+
+    For intervals measured outside a ``with span(...)`` block: pool task
+    attempts, shared-memory externalize/attach.
+    """
+    return {
+        "name": _name_of(name),
+        "start": float(start),
+        "duration": float(max(end - start, 0.0)),
+        "attrs": attrs,
+        "children": [],
+    }

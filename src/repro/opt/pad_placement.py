@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.grid.netlist import PGNode, PowerGrid
 from repro.obs import counter_add, span
+from repro.obs.registry import PAD_PLACEMENT, PAD_PLACEMENT_CANDIDATES
 from repro.solvers.base import SolverOptions
 from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
 from repro.spice.ast import Netlist, VoltageSource
@@ -136,7 +137,7 @@ def greedy_pad_placement(
     )
 
     added: list[str] = []
-    with span("pad_placement"):
+    with span(PAD_PLACEMENT):
         step = engine.solve()
         history = [float(step.drops.max())]
         for _ in range(max_new_pads):
@@ -151,7 +152,7 @@ def greedy_pad_placement(
             trials = engine.preview_many(
                 [AddPad(candidate.name) for candidate in candidates], tol=_RANK_TOL
             )
-            counter_add("pad_placement.candidates", len(candidates))
+            counter_add(PAD_PLACEMENT_CANDIDATES, len(candidates))
             best_name: str | None = None
             best_worst = history[-1]
             for candidate, trial in zip(candidates, trials):

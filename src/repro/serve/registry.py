@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.core.pipeline import IRFusionPipeline
 from repro.nn.serialize import state_fingerprint
 from repro.obs import counter_add
+from repro.obs.registry import SERVE_MODEL_LOADS, SERVE_MODEL_RELOADS
 
 _WEIGHTS_SUFFIX = ".npz"
 _META_SUFFIX = ".npz.json"
@@ -192,9 +193,7 @@ class ModelRegistry:
                 stamp=stamp,
             )
             self._entries[name] = entry
-            counter_add(
-                "serve.model_reloads" if reloading else "serve.model_loads"
-            )
+            counter_add(SERVE_MODEL_RELOADS if reloading else SERVE_MODEL_LOADS)
             return entry
 
     def warm(self) -> list[ModelEntry]:

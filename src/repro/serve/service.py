@@ -41,6 +41,7 @@ from contextlib import ExitStack
 from repro.obs import (
     counter_add,
     counters_delta,
+    current_tracer,
     deadline_scope,
     gauge_set,
     metrics_snapshot,
@@ -48,6 +49,16 @@ from repro.obs import (
     trace,
 )
 from repro.obs.export import trace_lines, write_trace
+from repro.obs.registry import (
+    AMG_SETUP,
+    SERVE_ACTIVE_JOBS,
+    SERVE_COMPLETED,
+    SERVE_FAILED,
+    SERVE_QUEUE_DEPTH,
+    SERVE_REJECTED,
+    SERVE_REQUEST,
+    SERVE_REQUESTS,
+)
 from repro.serve.registry import (
     ModelLoadError,
     ModelNotFoundError,
@@ -342,7 +353,7 @@ class AnalysisService:
                 job.fail(503, "draining", "daemon stopped before the job ran")
                 job.finished = monotonic()
                 job.done.set()
-            gauge_set("serve.queue_depth", 0)
+            gauge_set(SERVE_QUEUE_DEPTH, 0)
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=5.0)
@@ -363,10 +374,10 @@ class AnalysisService:
             if not self._started:
                 raise DrainingError("service is not started")
             if self._draining or self._stopped:
-                counter_add("serve.rejected")
+                counter_add(SERVE_REJECTED)
                 raise DrainingError("daemon is draining; retry elsewhere")
             if len(self._queue) >= self.options.queue_limit:
-                counter_add("serve.rejected")
+                counter_add(SERVE_REJECTED)
                 raise QueueFullError(
                     f"queue is full ({self.options.queue_limit} jobs waiting)"
                 )
@@ -374,8 +385,8 @@ class AnalysisService:
             self._jobs[job.id] = job
             self._prune_locked()
             self._queue.append(job)
-            counter_add("serve.requests")
-            gauge_set("serve.queue_depth", len(self._queue))
+            counter_add(SERVE_REQUESTS)
+            gauge_set(SERVE_QUEUE_DEPTH, len(self._queue))
             self._cond.notify()
         return job
 
@@ -422,9 +433,9 @@ class AnalysisService:
                 if self._stopped and not self._queue:
                     return
                 job = self._queue.popleft()
-                gauge_set("serve.queue_depth", len(self._queue))
+                gauge_set(SERVE_QUEUE_DEPTH, len(self._queue))
                 self._active += 1
-                gauge_set("serve.active_jobs", self._active)
+                gauge_set(SERVE_ACTIVE_JOBS, self._active)
                 job.state = "running"
                 job.started = monotonic()
             try:
@@ -432,7 +443,7 @@ class AnalysisService:
             finally:
                 with self._cond:
                     self._active -= 1
-                    gauge_set("serve.active_jobs", self._active)
+                    gauge_set(SERVE_ACTIVE_JOBS, self._active)
                     job.finished = monotonic()
                     job.request = None  # history keeps the result, not the deck text
                     job.done.set()
@@ -448,7 +459,7 @@ class AnalysisService:
                 if request.deadline_seconds is not None
                 else self.options.default_deadline
             )
-            with trace("serve.request", job=job.id, model=entry.name) as tracer:
+            with trace(SERVE_REQUEST, job=job.id, model=entry.name) as tracer:
                 with ExitStack() as stack:
                     if deadline is not None:
                         stack.enter_context(deadline_scope(deadline))
@@ -460,11 +471,16 @@ class AnalysisService:
         except Exception as exc:  # noqa: BLE001 - reported per-job, never fatal
             status, kind = _classify(exc)
             job.fail(status, kind, str(exc))
-            counter_add("serve.failed")
+            counter_add(SERVE_FAILED)
             return
 
         metrics = counters_delta(before)
-        delta = metrics["counters"]
+        # This request's own cache lookups, read off its trace (pool
+        # dispatch grafts the worker's spans in): a process-wide counter
+        # delta would also count requests running on other executors.
+        setups = [
+            span.attrs for span in root.iter_spans() if span.name == AMG_SETUP.name
+        ]
         payload = {
             "model": entry.name,
             "model_fingerprint": entry.fingerprint,
@@ -478,9 +494,11 @@ class AnalysisService:
             },
             "duration_seconds": root.duration,
             "amg_setup_cache": {
-                "hits": int(delta.get("amg_setup_cache.hits", 0)),
-                "misses": int(delta.get("amg_setup_cache.misses", 0)),
-                "evictions": int(delta.get("amg_setup_cache.evictions", 0)),
+                "hits": sum(1 for attrs in setups if attrs.get("cache_hit")),
+                "misses": sum(1 for attrs in setups if not attrs.get("cache_hit")),
+                "evictions": sum(
+                    attrs.get("cache_evictions", 0) for attrs in setups
+                ),
             },
             "degraded": result.diagnostics.degraded,
             "diagnostics": result.diagnostics.summary_lines(),
@@ -498,7 +516,7 @@ class AnalysisService:
         job.result = payload
         job.state = "done"
         job.status = 200
-        counter_add("serve.completed")
+        counter_add(SERVE_COMPLETED)
 
     def _run_in_process(self, entry, request: AnalyzeRequest):
         if request.netlist is not None:
@@ -516,7 +534,6 @@ class AnalysisService:
         """
         from repro.core.batch import _PipelineTask
         from repro.core.pool import get_pool
-        from repro.obs import current_tracer
 
         if request.netlist is not None:
             method, item = "analyze_text", request.netlist

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from repro.obs import counter_add
+from repro.obs.registry import AMG_RELAXATION_BUILDS
 from repro.solvers.base import check_system
 from repro.solvers.smoothers import RELAXATIONS, Relaxation
 
@@ -236,7 +237,7 @@ class AMGHierarchy:
                     RELAXATIONS[kind](level.matrix, index)
                     for index, level in enumerate(self.levels[:-1])
                 )
-                counter_add("amg.relaxation_builds", self.num_levels - 1)
+                counter_add(AMG_RELAXATION_BUILDS, self.num_levels - 1)
             return self._relaxations[kind]
 
     def operator_complexity(self) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import counter_add, span
+from repro.obs.registry import AMG_SETUP, PCG, PCG_ITERATIONS
 from repro.solvers.amg import AMGHierarchy, AMGOptions, build_hierarchy
 from repro.solvers.base import SolveResult, SolverOptions, check_system
 from repro.solvers.cache import global_setup_cache
@@ -87,10 +88,10 @@ class AMGPCGSolver:
             self._last_setup_seconds = 0.0
             self._last_setup_was_hit = True
             return self._cached_preconditioner
-        with span("amg_setup") as setup_span:
+        with span(AMG_SETUP) as setup_span:
             if self.use_setup_cache:
                 hierarchy, hit = global_setup_cache().get_or_build(
-                    matrix, self.amg_options
+                    matrix, self.amg_options, setup_span=setup_span
                 )
             else:
                 hierarchy, hit = build_hierarchy(matrix, self.amg_options), False
@@ -120,7 +121,7 @@ class AMGPCGSolver:
         preconditioner = self.setup(matrix)
         if guard is None and self.guard_options is not None:
             guard = IterationGuard(self.guard_options, solver_name="amg_pcg")
-        with span("pcg", solver="amg_pcg"):
+        with span(PCG, solver="amg_pcg"):
             result = _pcg(
                 csr,
                 rhs,
@@ -130,6 +131,6 @@ class AMGPCGSolver:
                 flexible=True,
                 guard=guard,
             )
-        counter_add("pcg.iterations", result.iterations)
+        counter_add(PCG_ITERATIONS, result.iterations)
         result.setup_seconds += self._last_setup_seconds
         return result

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import scipy.sparse as sp
 
-from repro.obs import counter_add
+from repro.obs import Span, counter_add
+from repro.obs.registry import (
+    AMG_SETUP_CACHE_EVICTIONS,
+    AMG_SETUP_CACHE_HITS,
+    AMG_SETUP_CACHE_MISSES,
+)
 from repro.solvers.amg import AMGHierarchy, AMGOptions, build_hierarchy
 
 
@@ -120,6 +125,7 @@ class AMGSetupCache:
         matrix: sp.spmatrix,
         options: AMGOptions,
         fingerprint: str | None = None,
+        setup_span: Span | None = None,
     ) -> tuple[AMGHierarchy, bool]:
         """The hierarchy for *matrix* under *options*; builds on first use.
 
@@ -131,6 +137,10 @@ class AMGSetupCache:
         identity (the incremental engine's delta-chain keys) skip the
         content hash; the caller is then responsible for the key being
         injective over the matrices it presents.
+
+        A lookup that evicts entries records how many as the
+        ``cache_evictions`` attr of *setup_span* (the caller's
+        ``amg_setup`` span), so a trace carries its own cache movement.
         """
         key = (fingerprint or matrix_fingerprint(matrix), options)
         with self._lock:
@@ -138,18 +148,17 @@ class AMGSetupCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                counter_add("amg_setup_cache.hits")
+                counter_add(AMG_SETUP_CACHE_HITS)
                 return cached, True
             self._misses += 1
-        counter_add("amg_setup_cache.misses")
+        counter_add(AMG_SETUP_CACHE_MISSES)
         hierarchy = build_hierarchy(matrix, options)
         with self._lock:
             winner = self._entries.setdefault(key, hierarchy)
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                counter_add("amg_setup_cache.evictions")
+            evicted = self._evict_to(self.max_entries)
+        if evicted and setup_span is not None:
+            setup_span.attrs["cache_evictions"] = evicted
         return winner, False
 
     def resize(self, max_entries: int) -> None:
@@ -164,10 +173,17 @@ class AMGSetupCache:
             raise ValueError("max_entries must be >= 1")
         with self._lock:
             self.max_entries = max_entries
-            while len(self._entries) > max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                counter_add("amg_setup_cache.evictions")
+            self._evict_to(max_entries)
+
+    def _evict_to(self, max_entries: int) -> int:
+        """Drop LRU entries down to *max_entries* (lock held); the count."""
+        evicted = 0
+        while len(self._entries) > max_entries:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+            evicted += 1
+            counter_add(AMG_SETUP_CACHE_EVICTIONS)
+        return evicted
 
     def clear(self) -> None:
         with self._lock:

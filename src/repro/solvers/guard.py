@@ -29,6 +29,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import counter_add, deadline_remaining, monotonic, span
+from repro.obs.registry import (
+    SOLVE_ATTEMPT,
+    SOLVER_ATTEMPTS,
+    SOLVER_DEADLINE_SKIPS,
+    SOLVER_FALLBACKS,
+)
 from repro.solvers.base import SolveResult, SolverOptions
 
 #: Signature of a fault hook: ``(solver_name, iteration, residual) -> residual``.
@@ -345,7 +351,7 @@ class FallbackCascade:
                 # attempt cannot finish in the remaining budget, so
                 # short-circuit straight toward the direct stage (which
                 # always runs — returning *something* beats nothing).
-                counter_add("solver.deadline_skips")
+                counter_add(SOLVER_DEADLINE_SKIPS)
                 diagnostics.attempts.append(
                     AttemptRecord(
                         solver=name,
@@ -356,7 +362,7 @@ class FallbackCascade:
                         aborted="deadline_skipped",
                     )
                 )
-                counter_add("solver.fallbacks")
+                counter_add(SOLVER_FALLBACKS)
                 diagnostics.fallbacks.append(stages[position + 1][0])
                 pending_backoff = 0.0
                 continue
@@ -371,8 +377,8 @@ class FallbackCascade:
                 time.sleep(backoff)
             pending_backoff = 0.0
             guard = IterationGuard(self.guard_options, solver_name=name)
-            counter_add("solver.attempts")
-            with span("solve_attempt", solver=name) as attempt_span:
+            counter_add(SOLVER_ATTEMPTS)
+            with span(SOLVE_ATTEMPT, solver=name) as attempt_span:
                 try:
                     solver = factory()
                     if name == "direct":
@@ -411,7 +417,7 @@ class FallbackCascade:
                     if reason is None:
                         return result, diagnostics
             if not final_stage:
-                counter_add("solver.fallbacks")
+                counter_add(SOLVER_FALLBACKS)
                 diagnostics.fallbacks.append(stages[position + 1][0])
                 pending_backoff = self._backoff_delay(
                     position + 1, stages[position + 1][0]

@@ -46,6 +46,29 @@ from repro.grid.netlist import PowerGrid
 from repro.mna.stamper import SystemPatch, build_reduced_system, pin_row, revert_patch
 from repro.mna.system import ReducedSystem
 from repro.obs import counter_add, deadline_active, span
+from repro.obs.registry import (
+    INCREMENTAL_ABORTED,
+    INCREMENTAL_BASE_SOLVES,
+    INCREMENTAL_COLUMN_CACHE_HITS,
+    INCREMENTAL_COLUMN_SOLVES,
+    INCREMENTAL_DELTAS,
+    INCREMENTAL_DIRECT_SOLVES,
+    INCREMENTAL_FACTORIZATIONS,
+    INCREMENTAL_FACTORIZE,
+    INCREMENTAL_FALLBACKS,
+    INCREMENTAL_FULL_SOLVES,
+    INCREMENTAL_POLISH_ITERATIONS,
+    INCREMENTAL_PREVIEW_BATCH,
+    INCREMENTAL_REBUILD,
+    INCREMENTAL_REBUILDS,
+    INCREMENTAL_SETUP_BUILDS,
+    INCREMENTAL_SETUP_CACHE_HITS,
+    INCREMENTAL_SMW_SOLVES,
+    INCREMENTAL_SOLVE,
+    INCREMENTAL_SOLVES,
+    INCREMENTAL_WARM_SOLVES,
+    PCG_ITERATIONS,
+)
 from repro.solvers.amg import AMGOptions
 from repro.solvers.base import SolveResult, SolverOptions
 from repro.solvers.cache import (
@@ -255,14 +278,14 @@ class IncrementalEngine:
         self._y: np.ndarray | None = None  # G0⁻¹ _free_rhs, solved once
 
     def _rebuild(self) -> None:
-        with span("incremental.rebuild", rank=self.rank):
+        with span(INCREMENTAL_REBUILD, rank=self.rank):
             previous = None if self._x is None else self._system.scatter(self._x)
             self._setup(validate=True, fingerprint=self._fingerprint)
             if previous is not None:
                 # Re-gather the previous full-grid solution onto the new
                 # unknown set: still an excellent warm start.
                 self._x = self._system.gather(previous)
-        counter_add("incremental.rebuilds")
+        counter_add(INCREMENTAL_REBUILDS)
 
     # -- introspection -----------------------------------------------------
 
@@ -300,8 +323,9 @@ class IncrementalEngine:
                 self.amg_options,
                 fingerprint=self._base_fingerprint,
             )
-            counter_add("incremental.setup_cache_hits" if hit else
-                        "incremental.setup_builds")
+            counter_add(
+                INCREMENTAL_SETUP_CACHE_HITS if hit else INCREMENTAL_SETUP_BUILDS
+            )
             self._precond = CyclePreconditioner(hierarchy, self.cycle_options)
         return self._precond
 
@@ -321,7 +345,7 @@ class IncrementalEngine:
                 import scipy.sparse as sp
                 from scipy.sparse.linalg import splu
 
-                with span("incremental.factorize", size=self._system.size):
+                with span(INCREMENTAL_FACTORIZE, size=self._system.size):
                     # G0 is SPD and diagonally dominant: pivot on the
                     # diagonal, which also shortens every later solve.
                     lu = splu(
@@ -330,7 +354,7 @@ class IncrementalEngine:
                         options={"SymmetricMode": True},
                     )
                 self._factor = lu.solve
-                counter_add("incremental.factorizations")
+                counter_add(INCREMENTAL_FACTORIZATIONS)
         return self._factor
 
     def _base_solve(
@@ -339,10 +363,10 @@ class IncrementalEngine:
         x0: np.ndarray | None,
         options: SolverOptions,
     ) -> SolveResult:
-        counter_add("incremental.base_solves")
+        counter_add(INCREMENTAL_BASE_SOLVES)
         factor = self._base_factor()
         if factor is not None:
-            counter_add("incremental.direct_solves")
+            counter_add(INCREMENTAL_DIRECT_SOLVES)
             return SolveResult(x=factor(rhs), iterations=0, converged=True)
         return self._guarded_pcg(self._base_matrix, rhs, x0, options)
 
@@ -360,7 +384,7 @@ class IncrementalEngine:
             flexible=True,
             guard=guard,
         )
-        counter_add("pcg.iterations", result.iterations)
+        counter_add(PCG_ITERATIONS, result.iterations)
         return result
 
     def _column_solve(self, row: int) -> tuple[np.ndarray, bool]:
@@ -372,7 +396,7 @@ class IncrementalEngine:
         """
         cached = self._w_cache.get(row)
         if cached is not None:
-            counter_add("incremental.column_cache_hits")
+            counter_add(INCREMENTAL_COLUMN_CACHE_HITS)
             return cached, True
         u = np.zeros(self._system.size, dtype=float)
         u[row] = 1.0
@@ -383,7 +407,7 @@ class IncrementalEngine:
             tol=self.options.tol if tol is None else tol,
         )
         result = self._base_solve(u, None, column_options)
-        counter_add("incremental.column_solves")
+        counter_add(INCREMENTAL_COLUMN_SOLVES)
         if result.converged:
             self._w_cache[row] = result.x
         return result.x, result.converged
@@ -456,7 +480,7 @@ class IncrementalEngine:
         )
         self._terms.append(term)
         self._fingerprint = chained_fingerprint(term.prev_fingerprint, term.token)
-        counter_add("incremental.deltas")
+        counter_add(INCREMENTAL_DELTAS)
         return term
 
     def revert(self, term: _Term) -> None:
@@ -490,7 +514,9 @@ class IncrementalEngine:
         revert instead.  A candidate's result does not depend on what
         else is in the batch.
         """
-        with span("incremental.preview_batch", candidates=len(deltas)) as batch:
+        with span(
+            INCREMENTAL_PREVIEW_BATCH, candidates=len(deltas)
+        ) as batch:
             results = self._border_pads(deltas, self.options.tol if tol is None else tol)
             polished = 0
             for k, delta in enumerate(deltas):
@@ -568,7 +594,7 @@ class IncrementalEngine:
         pointed at the last committed state.
         """
         options = self.options if tol is None else replace(self.options, tol=tol)
-        with span("incremental.solve", rank=self.rank) as solve_span:
+        with span(INCREMENTAL_SOLVE, rank=self.rank) as solve_span:
             # Previews must never rebuild: a rebuild folds the term
             # stack into the base system, and the caller still holds a
             # term it is about to revert.
@@ -583,10 +609,10 @@ class IncrementalEngine:
                 step = self._solve_smw(options, commit)
             solve_span.attrs["strategy"] = step.strategy
             solve_span.attrs["iterations"] = step.iterations
-        counter_add("incremental.solves")
-        counter_add("incremental.polish_iterations", step.polish_iterations)
+        counter_add(INCREMENTAL_SOLVES)
+        counter_add(INCREMENTAL_POLISH_ITERATIONS, step.polish_iterations)
         if step.aborted is not None:
-            counter_add("incremental.aborted")
+            counter_add(INCREMENTAL_ABORTED)
         if commit:
             self._steps += 1
             self.diagnostics.warnings.append(
@@ -633,8 +659,9 @@ class IncrementalEngine:
             x0 = np.full(self._system.size, self.supply_voltage)
             strategy = "cold" if self._steps == 0 else "rebuild"
         result = self._base_solve(self._free_rhs, x0, options)
-        counter_add("incremental.warm_solves" if strategy == "warm" else
-                    "incremental.full_solves")
+        counter_add(
+            INCREMENTAL_WARM_SOLVES if strategy == "warm" else INCREMENTAL_FULL_SOLVES
+        )
         return self._finish(
             result.x,
             result.iterations,
@@ -657,7 +684,7 @@ class IncrementalEngine:
                 )
             self._y = result.x
         x = self._project(self._y.copy(), targets=True)
-        counter_add("incremental.smw_solves")
+        counter_add(INCREMENTAL_SMW_SOLVES)
 
         # Polish on the *pinned* matrix with the stale base
         # preconditioner: restores full tolerance whatever the accuracy
@@ -682,7 +709,7 @@ class IncrementalEngine:
             converged = result.converged
             if not converged and aborted is None and commit:
                 # Stale preconditioner not pulling its weight: rebuild.
-                counter_add("incremental.fallbacks")
+                counter_add(INCREMENTAL_FALLBACKS)
                 self._rebuild()
                 return self._solve_direct(options, commit)
         return self._finish(

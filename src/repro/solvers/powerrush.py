@@ -22,6 +22,7 @@ import numpy as np
 from repro.diagnostics import RunDiagnostics
 from repro.grid.geometry import GridGeometry
 from repro.obs import span
+from repro.obs.registry import STAMP, VALIDATE
 from repro.grid.netlist import PowerGrid
 from repro.grid.raster import layer_values_image
 from repro.mna.stamper import build_reduced_system
@@ -194,13 +195,13 @@ class PowerRushSimulator:
 
         diagnostics = RunDiagnostics()
         if self.robust:
-            with span("validate"):
+            with span(VALIDATE):
                 diagnostics.validation = validate_grid(grid)
                 # A healthy grid needs no repair, and repairing relabels its
                 # components; only a fatal issue (no pads, islands) is repaired.
                 if any(issue.fatal for issue in diagnostics.validation):
                     grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
-        with span("stamp"):
+        with span(STAMP):
             system = build_reduced_system(grid, validate=not self.robust)
 
         flat_guess = np.full(system.size, supply_voltage, dtype=float)

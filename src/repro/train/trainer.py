@@ -28,6 +28,14 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.serialize import load_checkpoint, save_checkpoint
 from repro.obs import counter_add, span
+from repro.obs.registry import (
+    PLAN_BUILD,
+    TRAIN,
+    TRAIN_BACKWARD,
+    TRAIN_FORWARD,
+    TRAIN_OVERFLOW_STEPS,
+    TRAIN_STEP,
+)
 from repro.train.schedule import ConstantLR
 
 #: Loss-scale floor: repeated overflows halve the scale but never push it
@@ -351,7 +359,7 @@ class Trainer:
             )
             lr = float(self.lr_schedule(epoch)) * lr_scale
             self.optimizer.lr = lr
-            with span("train", epoch=epoch, samples=len(subset)):
+            with span(TRAIN, epoch=epoch, samples=len(subset)):
                 epoch_loss = self._run_epoch(subset, rng)
             self._release_workspaces()
             if self.fault_hook is not None:
@@ -462,17 +470,17 @@ class Trainer:
         total_samples = 0
         for batch in batches:
             scale = self._loss_scale
-            with span("train_forward"):
+            with span(TRAIN_FORWARD):
                 prediction = self.model(x[batch])
                 loss_value = self.loss.forward(prediction, y[batch])
-            with span("train_backward"):
+            with span(TRAIN_BACKWARD):
                 for parameter in self._parameters:
                     parameter.zero_grad()
                 grad_in = self.loss.backward()
                 if scale != 1.0:
                     grad_in = grad_in * scale
                 self.model.backward(grad_in)
-            with span("train_step"):
+            with span(TRAIN_STEP):
                 if scale != 1.0:
                     inv_scale = 1.0 / scale
                     for parameter in self._parameters:
@@ -498,14 +506,14 @@ class Trainer:
         """Mixed-precision guard: skip the step, back the loss scale off."""
         self._loss_scale = max(self._loss_scale * 0.5, MIN_LOSS_SCALE)
         self._overflow_steps += 1
-        counter_add("train.overflow_steps")
+        counter_add(TRAIN_OVERFLOW_STEPS)
 
     # -- inference ---------------------------------------------------------------
 
     def inference_plan(self) -> InferencePlan:
         """The model's plan, built once: it re-folds itself when weights move."""
         if self._plan is None:
-            with span("plan_build"):
+            with span(PLAN_BUILD):
                 self._plan = InferencePlan(self.model, self.compute_dtype)
         return self._plan
 

@@ -18,7 +18,6 @@ ALL_RULES = {
     "wall-clock",
     "unguarded-division",
     "unlocked-global-write",
-    "metrics-contract",
     "dead-import",
     "import-cycle",
 }
@@ -50,14 +49,11 @@ def seeded_tree(tmp_path: Path) -> Path:
     _write(
         tmp_path,
         "src/repro/core/runner.py",
-        "from repro.obs import counter_add\n"
-        "\n"
         "SEEN = {}\n"
         "\n"
         "\n"
         "def run(item):\n"
-        "    SEEN[item] = True\n"  # unlocked-global-write
-        "    counter_add('amg_setup_cache.hit')\n",  # metrics-contract
+        "    SEEN[item] = True\n",  # unlocked-global-write
     )
     _write(
         tmp_path,

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
 from repro.features.fusion import FeatureConfig
+from repro.obs.registry import FEATURES, INFERENCE, SOLVE
 from repro.train.trainer import TrainConfig
 
 
@@ -75,7 +76,7 @@ class TestTraining:
         pipeline = IRFusionPipeline(
             tiny_config.with_(train=TrainConfig(epochs=1, batch_size=2))
         )
-        with trace("run") as tracer:
+        with trace() as tracer:
             pipeline.train()  # three samples: two batches
         (epoch,) = [s for s in tracer.root.iter_spans() if s.name == "train"]
         assert [c.name for c in epoch.children] == [
@@ -129,13 +130,13 @@ class TestAnalyze:
         result = trained.analyze_design(test_designs[0])
         root = Span.from_dict(result.diagnostics.trace)
         assert result.solver_seconds == pytest.approx(
-            root.find("solve").duration, rel=1e-9
+            root.find(SOLVE).duration, rel=1e-9
         )
         assert result.feature_seconds == pytest.approx(
-            root.find("features").duration, rel=1e-9
+            root.find(FEATURES).duration, rel=1e-9
         )
         assert result.model_seconds == pytest.approx(
-            root.find("inference").duration, rel=1e-9
+            root.find(INFERENCE).duration, rel=1e-9
         )
 
     def test_stage_spans_cover_analyze_wall_time(self, trained):
@@ -145,9 +146,9 @@ class TestAnalyze:
         result = trained.analyze_design(test_designs[0])
         root = Span.from_dict(result.diagnostics.trace)
         covered = (
-            root.total("solve")
-            + root.total("features")
-            + root.total("inference")
+            root.total(SOLVE)
+            + root.total(FEATURES)
+            + root.total(INFERENCE)
         )
         assert covered >= 0.9 * root.duration
 
@@ -157,13 +158,13 @@ class TestAnalyze:
 
         _, test_designs = trained.generate_designs()
         text = netlist_to_string(test_designs[0].netlist)
-        with trace("run") as tracer:
+        with trace() as tracer:
             trained.analyze_text(text)
         root = tracer.root
         assert [c.name for c in root.children] == ["parse", "grid_build", "analyze"]
         assert sum(c.duration for c in root.children) >= 0.9 * root.duration
         # validation and stamping are told apart inside the numerical stage
-        assert {"validate", "stamp"} <= {c.name for c in root.find("solve").children}
+        assert {"validate", "stamp"} <= {c.name for c in root.find(SOLVE).children}
 
     def test_analyze_without_numerical_stage(self, tiny_config):
         config = tiny_config.with_(

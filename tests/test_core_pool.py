@@ -16,6 +16,7 @@ from repro.core.pool import (
     get_pool,
 )
 from repro.obs import counters_delta, metrics_snapshot, reset_metrics, trace
+from repro.obs.registry import SpanName
 from repro.testing.faults import WorkerFaultPlan
 
 
@@ -197,7 +198,7 @@ class TestTelemetry:
         _warm_pool()
         plan = WorkerFaultPlan(flaky={1: frozenset({1})})
         reset_metrics()
-        with trace("pool_batch") as tracer:
+        with trace(SpanName("pool_batch")) as tracer:
             outcomes, _ = parallel_map_ex(
                 _square, [1, 2, 3], 2, fault_plan=plan, retries=1
             )

@@ -25,6 +25,7 @@ from repro.data.synthetic import (
 )
 from repro.mna.stamper import build_reduced_system
 from repro.obs import counters_delta, deadline_scope, metrics_snapshot, trace
+from repro.obs.registry import SpanName
 from repro.solvers.base import SolverOptions
 from repro.solvers.guard import GuardrailOptions
 from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
@@ -414,7 +415,7 @@ class TestPadIsOneConstraint:
         engine.solve()
         nodes = _free_nodes(GRID)[:4]
         notes_before = len(engine.diagnostics.warnings)
-        with trace("batch") as tracer:
+        with trace(SpanName("preview")) as tracer:
             trials = engine.preview_many([AddPad(node) for node in nodes])
         spans = [s for s in tracer.root.iter_spans()
                  if s.name == "incremental.preview_batch"]

@@ -35,6 +35,7 @@ from repro.nn.inference import InferencePlan, PlannedConv
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.serialize import save_state
 from repro.obs import counters_delta, metrics_snapshot, trace
+from repro.obs.registry import MODEL_LOAD, SpanName
 from repro.train.trainer import TrainConfig, Trainer
 
 CHANNELS = 5
@@ -282,14 +283,14 @@ def loaded(tmp_path_factory):
     }
     meta = {"in_channels": channels, "config": recorded}
     (path.parent / "model.npz.json").write_text(json.dumps(meta))
-    with trace("load") as tracer:
+    with trace(SpanName("load")) as tracer:
         pipeline = IRFusionPipeline.from_model_file(path)
     return pipeline, designs, tracer
 
 
 def test_from_model_file_builds_the_plan_under_model_load(loaded):
     pipeline, _, tracer = loaded
-    load = tracer.root.find("model_load")
+    load = tracer.root.find(MODEL_LOAD)
     assert [child.name for child in load.children] == ["model_build", "plan_build"]
     before = metrics_snapshot()
     pipeline.trainer.inference_plan()  # held since the load; not built again

@@ -24,23 +24,44 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.export import TRACE_VERSION, trace_lines
+from repro.obs.registry import Counter, Gauge, SpanName
+
+# Ad-hoc handles for exercising the machinery; src/ declares its names
+# in repro.obs.registry.
+WORK = SpanName("work")
+OUTER = SpanName("outer")
+INNER_A = SpanName("inner_a")
+INNER_B = SpanName("inner_b")
+SIBLING = SpanName("sibling")
+STAGE = SpanName("stage")
+SUBSTAGE = SpanName("substage")
+LONELY = SpanName("lonely")
+CHILD = SpanName("child")
+REPEAT = SpanName("repeat")
+ABSENT = SpanName("absent")
+ITEMS = Counter("obs_test.items")
+HITS = Counter("obs_test.hits")
+STABLE = Counter("obs_test.stable")
+MOVED = Counter("obs_test.moved")
+BASE = Counter("obs_test.base")
+LEVEL = Gauge("obs_test.level")
 
 
 def _traced_item(x):
-    with span("work", item=x):
-        counter_add("obs_test.items")
+    with span(WORK, item=x):
+        counter_add(ITEMS)
     return x * 2
 
 
 class TestSpans:
     def test_nesting_follows_dynamic_extent(self):
-        with trace("run") as tracer:
-            with span("outer"):
-                with span("inner_a"):
+        with trace() as tracer:
+            with span(OUTER):
+                with span(INNER_A):
                     pass
-                with span("inner_b"):
+                with span(INNER_B):
                     pass
-            with span("sibling"):
+            with span(SIBLING):
                 pass
         root = tracer.root
         assert [c.name for c in root.children] == ["outer", "sibling"]
@@ -48,8 +69,8 @@ class TestSpans:
         assert [c.name for c in outer.children] == ["inner_a", "inner_b"]
 
     def test_durations_are_monotonic_and_closed(self):
-        with trace("run") as tracer:
-            with span("stage") as stage:
+        with trace() as tracer:
+            with span(STAGE) as stage:
                 pass
         assert tracer.root.end is not None
         assert stage.end is not None
@@ -57,36 +78,36 @@ class TestSpans:
 
     def test_implicit_trace_when_nothing_active(self):
         assert current_tracer() is None
-        with span("lonely", detail=1) as lonely:
+        with span(LONELY, detail=1) as lonely:
             assert current_tracer() is not None
-            with span("child"):
+            with span(CHILD):
                 pass
         assert current_tracer() is None
         assert lonely.name == "lonely"
         assert [c.name for c in lonely.children] == ["child"]
 
     def test_attrs_recorded(self):
-        with span("stage", epoch=3, tag="x") as stage:
+        with span(STAGE, epoch=3, tag="x") as stage:
             pass
         assert stage.attrs == {"epoch": 3, "tag": "x"}
 
     def test_find_and_total(self):
-        with trace("run") as tracer:
-            with span("repeat"):
+        with trace() as tracer:
+            with span(REPEAT):
                 pass
-            with span("repeat"):
+            with span(REPEAT):
                 pass
         root = tracer.root
-        assert root.find("repeat") is root.children[0]
-        assert root.find("absent") is None
-        total = root.total("repeat")
+        assert root.find(REPEAT) is root.children[0]
+        assert root.find(ABSENT) is None
+        total = root.total(REPEAT)
         assert total == pytest.approx(
             sum(c.duration for c in root.children)
         )
 
     def test_to_dict_round_trip(self):
-        with trace("run", kind="test") as tracer:
-            with span("stage", index=1):
+        with trace(kind="test") as tracer:
+            with span(STAGE, index=1):
                 pass
         payload = tracer.root.to_dict()
         restored = Span.from_dict(payload)
@@ -98,8 +119,8 @@ class TestSpans:
         )
 
     def test_nested_tracers_restore_previous(self):
-        with trace("outer") as outer:
-            with trace("inner") as inner:
+        with trace(OUTER) as outer:
+            with trace(INNER_A) as inner:
                 assert current_tracer() is inner
             assert current_tracer() is outer
         assert current_tracer() is None
@@ -110,8 +131,8 @@ class TestSpans:
         assert second >= first
 
     def test_tracer_finish_closes_open_spans(self):
-        tracer = Tracer("run")
-        with tracer.span("open_stage"):
+        tracer = Tracer()
+        with tracer.span(STAGE):
             root = tracer.finish()
         assert root.end is not None
         assert root.children[0].end is not None
@@ -125,24 +146,24 @@ class TestMetrics:
         reset_metrics()
 
     def test_counter_accumulates(self):
-        counter_add("obs_test.hits")
-        counter_add("obs_test.hits", 2)
+        counter_add(HITS)
+        counter_add(HITS, 2)
         assert metrics_snapshot()["counters"]["obs_test.hits"] == 3
 
     def test_gauge_last_write_wins(self):
-        gauge_set("obs_test.level", 1.5)
-        gauge_set("obs_test.level", 2.5)
+        gauge_set(LEVEL, 1.5)
+        gauge_set(LEVEL, 2.5)
         assert metrics_snapshot()["gauges"]["obs_test.level"] == 2.5
 
     def test_delta_only_reports_movement(self):
-        counter_add("obs_test.stable")
+        counter_add(STABLE)
         before = metrics_snapshot()
-        counter_add("obs_test.moved", 4)
+        counter_add(MOVED, 4)
         delta = counters_delta(before)
         assert delta["counters"] == {"obs_test.moved": 4}
 
     def test_merge_folds_delta(self):
-        counter_add("obs_test.base", 1)
+        counter_add(BASE, 1)
         merge_metrics({"counters": {"obs_test.base": 2}, "gauges": {"g": 7}})
         snapshot = metrics_snapshot()
         assert snapshot["counters"]["obs_test.base"] == 3
@@ -153,7 +174,7 @@ class TestWorkerRoundTrip:
     def test_worker_spans_and_counters_reach_parent(self):
         reset_metrics()
         before = metrics_snapshot()
-        with trace("batch_test") as tracer:
+        with trace() as tracer:
             outcomes, degraded = parallel_map_ex(
                 _traced_item, [1, 2, 3, 4], jobs=2
             )
@@ -178,9 +199,9 @@ class TestWorkerRoundTrip:
 
 class TestExport:
     def _sample_root(self) -> Span:
-        with trace("run") as tracer:
-            with span("stage", index=0):
-                with span("substage"):
+        with trace() as tracer:
+            with span(STAGE, index=0):
+                with span(SUBSTAGE):
                     pass
         return tracer.root
 
@@ -230,12 +251,8 @@ class TestExport:
 
         path = tmp_path / "ok.trace.jsonl"
         write_trace(path, self._sample_root())
-        # schema-valid, but "stage"/"substage" are ad-hoc names: the
-        # registry cross-check rejects them unless opted out
-        assert main(["--validate", str(path), "--no-registry"]) == 0
-        assert main(["--validate", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "not in the repro.obs registry" in err
+        assert main(["--validate", str(path)]) == 0
+        assert "ok (3 span(s))" in capsys.readouterr().out
         bad = tmp_path / "bad.trace.jsonl"
         bad.write_text('{"kind": "span"}\n')
         assert main(["--validate", str(bad)]) == 1
@@ -247,3 +264,48 @@ class TestExport:
         text = "\n".join(lines)
         assert "run" in text and "stage" in text and "substage" in text
         assert "pcg.iterations" in text
+
+    @pytest.mark.parametrize(
+        "content, lineno",
+        [
+            (b"[1]\n", 1),  # a non-object where the header belongs
+            (b'{"kind": "header", "version": 1, "root": "run"}\n5\n', 2),
+            (b'{"kind": "header", "version": 1, "root": "r\xff"}\n', 1),
+        ],
+        ids=["list-header", "scalar-record", "non-utf8"],
+    )
+    def test_validator_reports_malformed_lines(
+        self, tmp_path, capsys, content, lineno
+    ):
+        from repro.obs.__main__ import main
+
+        path = tmp_path / "malformed.trace.jsonl"
+        path.write_bytes(content)
+        assert main(["--validate", str(path)]) == 1
+        assert f"{path}: line {lineno}: " in capsys.readouterr().err
+
+
+class TestDeclaredNames:
+    def test_emit_api_rejects_strings(self):
+        tracer = Tracer()
+        for emit in (
+            lambda: span("pcg").__enter__(),
+            lambda: trace("run").__enter__(),
+            lambda: Tracer("run"),
+            lambda: tracer.span("pcg").__enter__(),
+            lambda: tracer.root.find("pcg"),
+            lambda: tracer.root.total("pcg"),
+            lambda: counter_add("pcg.iterations"),
+            lambda: gauge_set("serve.queue_depth", 1.0),
+        ):
+            with pytest.raises(TypeError):
+                emit()
+        assert current_tracer() is None
+
+    def test_emit_api_rejects_the_wrong_kind_of_handle(self):
+        with pytest.raises(TypeError):
+            counter_add(LEVEL)
+        with pytest.raises(TypeError):
+            gauge_set(HITS, 1.0)
+        with pytest.raises(TypeError):
+            span(HITS).__enter__()

@@ -7,6 +7,7 @@ import repro.solvers.incremental as incremental_module
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.grid.netlist import PowerGrid
 from repro.obs import counters_delta, metrics_snapshot, trace
+from repro.obs.registry import SpanName
 from repro.opt.pad_placement import (
     _top_layer_candidates,
     _with_extra_pads,
@@ -237,7 +238,7 @@ class TestSweepIsOneBatchPerRound:
                 lambda self, *args, _name=name: pytest.fail(f"sweep called {_name}()"),
             )
         before = metrics_snapshot()
-        with trace("sweep") as tracer:
+        with trace(SpanName("sweep")) as tracer:
             result = greedy_pad_placement(
                 real_design.netlist, budget_volts=1e-6, max_new_pads=3, max_candidates=8
             )
