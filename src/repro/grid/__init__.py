@@ -7,8 +7,7 @@ analysis needs (Section III-B of the paper):
   from nanometre coordinates to a fixed pixel grid.
 - :mod:`repro.grid.netlist` — the node hash table + wires map
   (:class:`PowerGrid`) the paper's spice parser/circuit generator builds.
-- :mod:`repro.grid.topology` — the circuit topology graph and connectivity
-  diagnostics.
+- :mod:`repro.grid.topology` — connectivity diagnostics over the wires map.
 """
 
 from repro.grid.geometry import GridGeometry, LayerInfo
@@ -16,7 +15,6 @@ from repro.grid.netlist import PGNode, PGWire, PowerGrid
 from repro.grid.topology import (
     connected_components,
     floating_nodes,
-    to_networkx,
     validate_connectivity,
 )
 
@@ -28,6 +26,5 @@ __all__ = [
     "PowerGrid",
     "connected_components",
     "floating_nodes",
-    "to_networkx",
     "validate_connectivity",
 ]

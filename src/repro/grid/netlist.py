@@ -6,9 +6,10 @@ stored as a nodes list and wires map, which are linked to present their
 topologies."
 
 :class:`PowerGrid` is that structure, stored as columns: a node table
-(names, the name → dense-id hash table, parsed coordinates, load current
-and pad voltage per node) and a wires map (names, two endpoint-id columns
-and resistances, plus a lazily built CSR adjacency).  It is the single
+(names, parsed coordinates, load current and pad voltage per node, plus
+the name → dense-id hash table, built on the first lookup by name) and a
+wires map (names, two endpoint-id columns and resistances, plus a lazily
+built CSR adjacency).  It is the single
 input to MNA stamping, feature extraction and the synthetic generators,
 all of which read the columns; :class:`PGNode` / :class:`PGWire` records
 are made on demand for callers that want one node or wire at a time.
@@ -154,7 +155,6 @@ class PowerGrid:
     def __init__(
         self,
         node_names: list[str],
-        index_of: dict[str, int],
         load_current: np.ndarray,
         pad_voltage: np.ndarray,
         wire_names: list[str],
@@ -163,7 +163,9 @@ class PowerGrid:
         wire_r: np.ndarray,
     ) -> None:
         self.node_names = node_names
-        self._index_of = index_of
+        # The name -> id hash table, built on the first lookup by name: the
+        # analyse path addresses nodes by id only.
+        self._index_of: dict[str, int] | None = None
         self.load_current = load_current
         self.pad_voltage = pad_voltage
         self.wire_names = wire_names
@@ -195,10 +197,15 @@ class PowerGrid:
         ends[0::2], ends[1::2] = res.node_a, res.node_b
         ends += src.node_a
         ends += pad.node_a
-        index_of = dict.fromkeys(ends)
-        node_names = list(index_of)
-        index_of.update(zip(node_names, range(len(node_names))))
-        ids = np.fromiter(map(index_of.__getitem__, ends), np.int64, len(ends))
+        # One hash pass: each endpoint gets the position where its name was
+        # first seen; ranking the first sightings gives the dense ids.
+        first_seen: dict[str, int] = {}
+        seen_at = np.fromiter(
+            map(first_seen.setdefault, ends, range(len(ends))), np.int64, len(ends)
+        )
+        node_names = list(first_seen)
+        is_first = seen_at == np.arange(len(ends))
+        ids = (np.cumsum(is_first) - 1)[seen_at]
         wire_a, wire_b = ids[0 : 2 * len(res) : 2].copy(), ids[1 : 2 * len(res) : 2].copy()
         load_ids, pad_ids = np.split(ids[2 * len(res) :], [len(src)])
 
@@ -206,7 +213,7 @@ class PowerGrid:
         pad_voltage = np.full(len(node_names), np.nan)
         pad_voltage[pad_ids] = volts
         if (
-            GROUND in index_of
+            GROUND in first_seen
             or (ohms == 0.0).any()
             or (wire_a == wire_b).any()
             or src.node_b.count(GROUND) != len(src)
@@ -219,8 +226,7 @@ class PowerGrid:
             load_ids, weights=src.values, minlength=len(node_names)
         )
         return cls(
-            node_names, index_of, load_current, pad_voltage,
-            res.names[:], wire_a, wire_b, ohms,
+            node_names, load_current, pad_voltage, res.names[:], wire_a, wire_b, ohms
         )
 
     # -- ECO mutation ------------------------------------------------------
@@ -235,7 +241,7 @@ class PowerGrid:
 
     def _index(self, node: int | str) -> int:
         if isinstance(node, str):
-            return self._index_of[node]
+            return self.index_of(node)
         return range(len(self.node_names))[node]
 
     def pin_pad(self, node: int | str, voltage: float) -> None:
@@ -309,11 +315,16 @@ class PowerGrid:
     def wires(self) -> Sequence[PGWire]:
         return _Records(self.num_wires, self._wire)
 
+    def _name_table(self) -> dict[str, int]:
+        if self._index_of is None:
+            self._index_of = dict(zip(self.node_names, range(self.num_nodes)))
+        return self._index_of
+
     def __contains__(self, name: str) -> bool:
-        return name in self._index_of
+        return name in self._name_table()
 
     def index_of(self, name: str) -> int:
-        return self._index_of[name]
+        return self._name_table()[name]
 
     def _incident(self, node: int) -> np.ndarray:
         """Indices of the wires at a node, ascending."""

@@ -1,43 +1,19 @@
 """Circuit topology graph and connectivity diagnostics.
 
 The circuit generator in the paper "constructs the circuit topology graph,
-enabling the extraction of the conductance matrix G".  Here the graph view
-supports the sanity checks a simulator must run before stamping: every node
-must have a resistive path to a pad, otherwise the reduced system is
-singular.
+enabling the extraction of the conductance matrix G".  Here that graph is
+the wire columns read as a sparse adjacency, and it supports the checks a
+simulator must run before stamping: every node must have a resistive path
+to a pad, otherwise the reduced system is singular.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from repro.grid.netlist import PowerGrid
-
-
-def to_networkx(grid: PowerGrid) -> nx.Graph:
-    """The PG as an undirected multigraph-free graph.
-
-    Parallel resistors are combined (conductances summed) onto a single
-    edge whose ``conductance`` attribute is the total.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(grid.num_nodes))
-    for wire in grid.wires:
-        if graph.has_edge(wire.node_a, wire.node_b):
-            graph[wire.node_a][wire.node_b]["conductance"] += wire.conductance
-        else:
-            graph.add_edge(
-                wire.node_a,
-                wire.node_b,
-                conductance=wire.conductance,
-                resistance=wire.resistance,
-            )
-    for a, b, data in graph.edges(data=True):
-        data["resistance"] = 1.0 / data["conductance"]
-    return graph
 
 
 def component_labels(grid: PowerGrid) -> np.ndarray:
@@ -94,21 +70,3 @@ def validate_connectivity(grid: PowerGrid) -> None:
             f"{len(floating)} node(s) have no resistive path to a pad "
             f"(e.g. {names}); the reduced system is singular"
         )
-
-
-def effective_pad_resistance(grid: PowerGrid, node: int) -> float:
-    """Shortest-path resistance from *node* to the nearest pad.
-
-    Dijkstra over wire resistances; used both as a diagnostic and by the
-    shortest-path-resistance feature map.  Returns ``inf`` for floating
-    nodes.
-    """
-    graph = to_networkx(grid)
-    pad_indices = grid.pad_indices().tolist()
-    if not pad_indices:
-        return float("inf")
-    best = float("inf")
-    lengths = nx.multi_source_dijkstra_path_length(
-        graph, pad_indices, weight="resistance"
-    )
-    return lengths.get(node, best)

@@ -20,30 +20,6 @@ def kaiming_normal(
     return rng.normal(0.0, std, size=shape)
 
 
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot initialisation for sigmoid/tanh paths."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-class RngState:
-    """A shared generator handed through model construction.
-
-    Models create one from their seed and pass it to every layer, so layer
-    creation order fully determines the weights.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.generator = np.random.default_rng(seed)
-
-    def __call__(self) -> np.random.Generator:
-        return self.generator
-
-
 #: The process-wide stream unseeded layers draw from.  Every unseeded
 #: layer advances the *same* stream, so consecutive layers get distinct
 #: weights (the old per-layer ``default_rng(0)`` fallback handed every

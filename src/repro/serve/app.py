@@ -62,6 +62,17 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive requires Content-Length on every response; _send_json
     # always sets it.
     protocol_version = "HTTP/1.1"
+    # Buffer replies so headers and body leave in one send when the request
+    # ends (a reply longer than the buffer goes out in more).  Each send
+    # re-takes the GIL, which a busy executor thread holds for up to the
+    # switch interval.
+    wbufsize = 1 << 16
+
+    def handle_expect_100(self) -> bool:
+        # The interim "100 Continue" must leave before the body is read.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     @property
     def service(self) -> AnalysisService:

@@ -24,6 +24,11 @@ _NODE_RE = re.compile(
     r"n(?P<net>\d{1,18})_m(?P<layer>\d{1,18})_(?P<x>-?\d{1,18})_(?P<y>-?\d{1,18})",
     re.ASCII,
 )
+# The same grammar over newline-terminated names, matched a window of about
+# _SCAN_WINDOW characters at a time: one match keeps backtracking state for
+# every name it has passed.
+_NODE_LINES_RE = re.compile(r"(?:n\d{1,18}_m\d{1,18}_-?\d{1,18}_-?\d{1,18}\n)*", re.ASCII)
+_SCAN_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -93,18 +98,39 @@ def is_structured_name(name: str) -> bool:
     return _NODE_RE.fullmatch(name) is not None
 
 
+def _all_lines_structured(joined: str) -> bool:
+    """Whether every newline-terminated line of *joined* is in the grammar."""
+    pos = 0
+    while pos < len(joined):
+        end = joined.find("\n", pos + _SCAN_WINDOW) + 1 or len(joined)
+        if _NODE_LINES_RE.fullmatch(joined, pos, end) is None:
+            return False
+        pos = end
+    return True
+
+
 def parse_node_names(names: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`parse_node_name` over a whole name column.
 
     Returns ``(fields, structured)``: a ``(4, len(names))`` int64 array whose
     rows are net, layer, x and y, and the mask of names in the grammar
     (the fields of the others are zero).
+
+    A column of grammar names only (every generated deck) is checked in a
+    few scans of the joined names, at under half the cost of a match per
+    name; any other column is matched name by name.  One scan that also
+    yields the mask, from match positions, is slower on the first kind.
     """
-    structured = np.fromiter(
-        map(_NODE_RE.fullmatch, names), dtype=bool, count=len(names)
-    )
+    digits = "\n".join(names) + "\n"
+    # A name holding a newline would pass as two lines.
+    if digits.count("\n") == len(names) and _all_lines_structured(digits):
+        structured = np.ones(len(names), dtype=bool)
+    else:
+        structured = np.fromiter(
+            map(_NODE_RE.fullmatch, names), dtype=bool, count=len(names)
+        )
+        digits = " ".join(compress(names, structured.tolist()))
     # A matched name is digits, '-', and the separators 'n', '_m', '_'.
-    digits = " ".join(compress(names, structured.tolist()))
     digits = digits.replace("_m", " ").replace("_", " ").replace("n", " ")
     fields = np.zeros((len(names), 4), dtype=np.int64)
     fields[structured] = np.fromstring(digits, dtype=np.int64, sep=" ").reshape(-1, 4)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -137,10 +137,18 @@ def _take(column: list[str], index: np.ndarray) -> list[str]:
 def parse_spice(text: str) -> Netlist:
     """Parse a SPICE deck from a string into a :class:`Netlist`."""
     lines = text.split("\n")
-    rows = list(map(str.split, lines))
-    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    # Token counts come from throwaway per-line splits, the tokens from one
+    # split of the deck ("\n" is whitespace too).  No per-line list outlives
+    # its line, so a parse does not wake the cyclic GC.
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    deck_tokens = text.split()
+    end = np.cumsum(counts)
+    start = end - counts
     four = counts == 4
-    flat = list(chain.from_iterable(compress(rows, four.tolist())))
+    # Each run of consecutive four-token lines is one slice of the tokens.
+    runs = np.flatnonzero(np.diff(four, prepend=False, append=False))
+    run_start, run_end = start[runs[0::2]].tolist(), end[runs[1::2] - 1].tolist()
+    flat = list(chain.from_iterable(deck_tokens[a:b] for a, b in zip(run_start, run_end)))
     line_of = np.flatnonzero(four)
     # First character of every four-token line, as a code point.
     head = np.array(flat[0::4], dtype="U1").view(np.uint32).reshape(-1)
@@ -152,7 +160,7 @@ def parse_spice(text: str) -> Netlist:
     stop = len(lines)
     odd = np.concatenate([np.flatnonzero(~four & (counts > 0)), line_of[special]])
     for i in np.sort(odd).tolist():
-        first = rows[i][0]
+        first = deck_tokens[start[i]]
         if first[0] == "*":
             if title is None:
                 title = lines[i].strip().lstrip("*").strip()

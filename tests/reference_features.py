@@ -5,7 +5,9 @@ Python-loop rasterisation, span walking, heap Dijkstra and networkx
 components: the implementations ``repro.grid.raster``, ``repro.features``
 and ``repro.grid.topology`` replaced with vectorised scatters.  They are
 the *reference* ``tests/test_features_oracle.py`` compares the shipped
-functions against.  Nothing in ``src/`` calls these.
+functions against.  ``to_networkx`` (moved from ``repro.grid.topology``)
+is the networkx view they build on; networkx is a test-only dependency.
+Nothing in ``src/`` calls these.
 """
 
 from __future__ import annotations
@@ -164,10 +166,33 @@ def _legacy_pdn_density_map(geometry, grid, layer=None):
     return _legacy_rasterize(geometry, nodes, ones, reduce="sum")
 
 
-def _legacy_connected_components(grid):
+def to_networkx(grid):
+    """The PG as an undirected multigraph-free graph.
+
+    Parallel resistors are combined (conductances summed) onto a single
+    edge whose ``conductance`` attribute is the total.
+    """
     import networkx as nx
 
-    from repro.grid.topology import to_networkx
+    graph = nx.Graph()
+    graph.add_nodes_from(range(grid.num_nodes))
+    for wire in grid.wires:
+        if graph.has_edge(wire.node_a, wire.node_b):
+            graph[wire.node_a][wire.node_b]["conductance"] += wire.conductance
+        else:
+            graph.add_edge(
+                wire.node_a,
+                wire.node_b,
+                conductance=wire.conductance,
+                resistance=wire.resistance,
+            )
+    for a, b, data in graph.edges(data=True):
+        data["resistance"] = 1.0 / data["conductance"]
+    return graph
+
+
+def _legacy_connected_components(grid):
+    import networkx as nx
 
     return [set(c) for c in nx.connected_components(to_networkx(grid))]
 

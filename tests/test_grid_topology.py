@@ -1,16 +1,21 @@
 """Unit tests for topology diagnostics."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.features.resistance import shortest_path_resistances
 from repro.grid.netlist import PowerGrid
 from repro.grid.topology import (
     connected_components,
-    effective_pad_resistance,
     floating_nodes,
-    to_networkx,
     validate_connectivity,
 )
 from repro.spice.parser import parse_spice
+
+from tests.reference_features import to_networkx
 
 
 def grid_from(text: str) -> PowerGrid:
@@ -59,15 +64,36 @@ class TestConnectivity:
         validate_connectivity(real_design.grid)
 
 
+def effective_pad_resistance(grid: PowerGrid, name: str) -> float:
+    return shortest_path_resistances(grid)[grid.index_of(name)]
+
+
 class TestEffectivePadResistance:
+    """Shortest-path resistance to the nearest pad, node by node."""
+
     def test_series_chain(self):
         grid = grid_from("R1 a b 2\nR2 b c 3\nV1 a 0 1\n")
-        assert effective_pad_resistance(grid, grid.index_of("c")) == pytest.approx(5.0)
+        assert effective_pad_resistance(grid, "c") == pytest.approx(5.0)
 
     def test_pad_itself_zero(self):
         grid = grid_from("R1 a b 2\nV1 a 0 1\n")
-        assert effective_pad_resistance(grid, grid.index_of("a")) == 0.0
+        assert effective_pad_resistance(grid, "a") == 0.0
 
     def test_floating_is_inf(self):
         grid = grid_from("R1 a b 1\nV1 a 0 1\nR2 c d 1\n")
-        assert effective_pad_resistance(grid, grid.index_of("c")) == float("inf")
+        assert effective_pad_resistance(grid, "c") == float("inf")
+
+
+def test_product_imports_leave_networkx_out():
+    """networkx is a test-only dependency: the CLI, the batch engine and the
+    daemon never import it."""
+    probe = (
+        "import sys, repro.cli, repro.core.batch, repro.serve; "
+        "print('networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

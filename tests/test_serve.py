@@ -16,6 +16,7 @@ import os
 import pathlib
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -180,6 +181,45 @@ class TestWarmCaches:
         }
         assert "serve.request" in names
         assert "solve" in names and "inference" in names
+
+    def test_analyze_reply_leaves_in_one_send(self, daemon, deck, monkeypatch):
+        """Status line, headers and body go out in one socket write."""
+        _, port = daemon.address
+        sends = []
+
+        def counted(real):
+            def send(sock, data, *args):
+                if sock.getsockname()[1] == port:
+                    sends.append(len(data))
+                return real(sock, data, *args)
+
+            return send
+
+        monkeypatch.setattr(socket.socket, "send", counted(socket.socket.send))
+        monkeypatch.setattr(socket.socket, "sendall", counted(socket.socket.sendall))
+        for body in ({"netlist": deck}, {"netlist": deck, "trace": "inline"}):
+            sends.clear()
+            status, _ = _post(daemon, body)
+            assert status == 200
+            assert len(sends) == 1, sends
+
+    def test_expect_continue_is_answered_before_the_body(self, daemon, deck):
+        """A client that sends ``Expect: 100-continue`` gets the interim
+        reply at once, although replies are buffered, and only then sends
+        the body."""
+        _, port = daemon.address
+        body = json.dumps({"netlist": deck}).encode("utf-8")
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        with sock, sock.makefile("rb") as reply:
+            sock.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert reply.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reply.readline() == b"\r\n"
+            sock.sendall(body)
+            assert reply.readline().startswith(b"HTTP/1.1 200 ")
 
     def test_trace_file_mode_writes_to_trace_dir(self, model_dir, deck, tmp_path):
         trace_dir = tmp_path / "traces"
