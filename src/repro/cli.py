@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -284,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--debug", action="store_true",
                         help="print full tracebacks instead of one-line errors")
-    parser.add_argument("--shm-threshold", default=None, metavar="BYTES",
-                        help="minimum ndarray size for the zero-copy "
-                             "shared-memory pool transport; 0 or 'off' forces "
-                             "inline pickling (default: REPRO_SHM_THRESHOLD "
-                             "env var, else 64 KiB)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="numerical (PowerRush) analysis")
@@ -345,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-deck budget in batch mode: a hung deck "
                               "is killed, retried, then quarantined")
-    analyze.add_argument("--retries", type=int, default=None, metavar="N",
+    analyze.add_argument("--retries", type=int, default=2, metavar="N",
                          help="extra attempts per deck after a worker "
                               "crash, timeout or transient failure "
-                              "(default: pool default)")
+                              "(default: 2)")
     analyze.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="whole-run budget: batch items still "
@@ -406,17 +400,10 @@ def _serve_split(argv: list[str]) -> int | None:
     Scans over the global flags only, so a deck that happens to be
     named ``serve`` in another subcommand's positionals never matches.
     """
-    value_flags = {"--shm-threshold"}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
+    for i, token in enumerate(argv):
         if token == "serve":
             return i + 1
-        if token in value_flags:
-            i += 2
-        elif token.startswith("-"):
-            i += 1
-        else:
+        if not token.startswith("-"):
             return None  # first positional is a different subcommand
     return None
 
@@ -440,13 +427,6 @@ def main(argv: list[str] | None = None) -> int:
 
     _install_racecheck()
     try:
-        from repro.core import shm as _shm
-
-        if args.shm_threshold is not None:
-            os.environ[_shm.THRESHOLD_ENV] = args.shm_threshold
-        # Parse eagerly so a malformed flag or variable is bad input
-        # here, not an error inside the first pool job.
-        _shm.shm_threshold()
         return _dispatch(args)
     except SolverFailure as exc:
         if args.debug:

@@ -47,7 +47,7 @@ from repro.core.pool import (
     WORKER_ENV,
     get_pool,
 )
-from repro.obs import counter_add, current_tracer, span
+from repro.obs import counter_add, span
 from repro.obs.registry import (
     BATCH,
     BATCH_ITEMS,
@@ -95,47 +95,15 @@ def _chaos_plan():
     return WorkerFaultPlan.from_spec(spec)
 
 
-def _pool_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int,
-    task_timeout: float | None,
-    retries: int | None,
-    deadline: float | None,
-    fault_plan,
-    shm_threshold: int | None,
-) -> list[TaskOutcome]:
-    """Run the batch on the shared spawn pool; telemetry rides back."""
-    tracer = current_tracer()
-    result = get_pool(jobs).map(
-        fn,
-        items,
-        jobs=jobs,
-        timeout=task_timeout,
-        retries=retries,
-        deadline=deadline,
-        fault_plan=fault_plan if fault_plan is not None else _chaos_plan(),
-        traced=tracer is not None,
-        shm_threshold=shm_threshold,
-    )
-    if tracer is not None:
-        for payload in result.span_payloads:
-            tracer.attach(payload)
-        for payload in result.attempt_spans:
-            tracer.attach(payload)
-    return result.outcomes
-
-
 def parallel_map_ex(
     fn: Callable,
     items: Sequence,
     jobs: int,
     *,
     task_timeout: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     deadline: float | None = None,
     fault_plan=None,
-    shm_threshold: int | None = None,
 ) -> tuple[list[TaskOutcome], bool]:
     """Order-preserving supervised map of *fn* over *items*.
 
@@ -146,23 +114,21 @@ def parallel_map_ex(
     when any part of the batch fell back to serial execution.
 
     *task_timeout*, *retries* and *deadline* are honoured on the pool
-    path (see :class:`~repro.core.pool.PoolOptions`); the serial path
+    path (see :meth:`~repro.core.pool.WorkerPool.map`); the serial path
     (``jobs == 1``, a call nested inside a pool worker — workers are
     daemonic and cannot have children — or a job the pool cannot ship)
     runs each item once with no timeout.
 
-    On the pool path, large ndarrays in items and results cross via the
-    shared-memory data plane (:mod:`repro.core.shm`) rather than the
-    pipe; *shm_threshold* overrides the ambient externalization
-    threshold (``REPRO_SHM_THRESHOLD``) for this batch, and ``0``
-    forces inline transport.  Results are bitwise-identical either
-    way; externalized result arrays are handed back as read-only
-    views.
+    On the pool path, ndarrays of at least 64 KiB
+    (:data:`repro.core.shm.THRESHOLD`) in items and results cross via
+    the shared-memory data plane (:mod:`repro.core.shm`) rather than
+    the pipe.  Results are bitwise-identical to the serial path;
+    externalized result arrays are handed back as read-only views.
 
-    When the calling thread has an active :mod:`repro.obs` trace, each
-    worker item runs under its own tracer and ships its span tree and
-    counter movement back with the result; both are grafted into the
-    caller's trace/metrics, so a traced batch reads like one run.
+    Worker counter movement is merged into this process's metrics, and
+    when the calling thread has an active :mod:`repro.obs` trace the
+    workers' span trees are grafted into it, so a traced batch reads
+    like one run.
     """
     items = list(items)
     jobs = max(1, min(int(jobs), len(items))) if items else 1
@@ -176,13 +142,16 @@ def parallel_map_ex(
         return _serial_map(fn, items), True
 
     try:
-        return (
-            _pool_map(
-                fn, items, jobs, task_timeout, retries, deadline, fault_plan,
-                shm_threshold,
-            ),
-            False,
+        outcomes = get_pool(jobs).map(
+            fn,
+            items,
+            jobs=jobs,
+            timeout=task_timeout,
+            retries=retries,
+            deadline=deadline,
+            fault_plan=fault_plan if fault_plan is not None else _chaos_plan(),
         )
+        return outcomes, False
     except PoolUnusableError:
         _serial_fallback(BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE)
         return _serial_map(fn, items), True
@@ -380,8 +349,7 @@ class BatchAnalyzer:
         Per-design budget in seconds (pool path); hung designs are
         killed, retried and eventually quarantined.
     retries:
-        Extra attempts per design after a crash/timeout/transient error
-        (pool default when ``None``).
+        Extra attempts per design after a crash/timeout/transient error.
     deadline:
         Whole-batch budget in seconds; unfinished designs are
         quarantined when it expires.
@@ -393,7 +361,7 @@ class BatchAnalyzer:
         jobs: int | None = None,
         *,
         task_timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 2,
         deadline: float | None = None,
     ) -> None:
         pipeline._require_trainer()
@@ -415,7 +383,6 @@ class BatchAnalyzer:
                 task_timeout=self.task_timeout,
                 retries=self.retries,
                 deadline=self.deadline,
-                shm_threshold=self.pipeline.config.shm_threshold,
             )
         report = BatchReport(
             items=[

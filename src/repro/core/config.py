@@ -68,19 +68,13 @@ class FusionConfig:
     jobs:
         Worker processes for batchable stages (dataset feature extraction,
         batch analysis); 1 keeps everything serial in-process.  Results
-        are identical at any value.
+        are identical at any value.  Pool batches ship ndarrays of
+        64 KiB or more through shared memory (:mod:`repro.core.shm`).
     sanitize:
         Enable the numerics sanitizer (:mod:`repro.analysis.sanitizer`):
         training traps NaN/Inf at the originating op, analysis records
         numerics findings in the run diagnostics.  Off by default — the
         instrumented path re-checks every leaf-op output.
-    shm_threshold:
-        Minimum ndarray size in bytes for the zero-copy shared-memory
-        payload transport (:mod:`repro.core.shm`) in pool batches.
-        ``None`` keeps the ambient selection (the ``REPRO_SHM_THRESHOLD``
-        environment variable, defaulting to 64 KiB); ``0`` forces plain
-        inline pickling for the run.  Results are identical either way —
-        this is purely a transport knob.
     """
 
     pixels: int = 32
@@ -103,7 +97,6 @@ class FusionConfig:
     oversample_real: int = 5
     jobs: int = 1
     sanitize: bool = False
-    shm_threshold: int | None = None
 
     def __post_init__(self) -> None:
         if self.pixels % (2**self.depth) != 0:
@@ -117,8 +110,6 @@ class FusionConfig:
             raise ValueError("solver_iterations must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.shm_threshold is not None and self.shm_threshold < 0:
-            raise ValueError("shm_threshold must be >= 0 (0 disables)")
 
     def with_(self, **overrides) -> "FusionConfig":
         """A copy with the given fields replaced (ablation helper)."""

@@ -11,7 +11,7 @@ This is the execution substrate under
   chaos plan) are pickled once per worker per job; items once per job.
 - **persistent** — workers are long-lived and lazily started; the module
   pool survives across ``map`` calls, amortising interpreter start-up,
-  and shuts itself down after ``idle_timeout`` seconds without work.  A
+  and shuts itself down after :data:`IDLE_TIMEOUT` seconds without work.  A
   long-lived owner (the serving daemon) pins the runtime across request
   gaps with :meth:`WorkerPool.keep_alive`, so warm workers never respawn
   cold mid-service.
@@ -25,10 +25,12 @@ This is the execution substrate under
   and the effective budget rides into the worker as a
   :func:`repro.obs.deadline_scope`, so the solver cascade inside can
   short-circuit stages it cannot finish in time.
-- **observable** — workers ship span trees and counter deltas back with
-  every result; the supervisor emits ``pool.workers_respawned``,
-  ``task.retries``, ``task.timeouts`` and ``task.quarantined`` counters
-  plus per-attempt ``task_attempt`` spans.
+- **observable** — when the calling thread has an active
+  :mod:`repro.obs` trace, workers run each item under an ``item`` span
+  and ship it back; ``map`` grafts those and one ``task_attempt`` span
+  per attempt into the caller's trace.  Counter deltas always ride
+  back, and the supervisor emits ``pool.workers_respawned``,
+  ``task.retries``, ``task.timeouts`` and ``task.quarantined``.
 
 The parent **never deadlocks on a sick pool**: every worker has its own
 pipe (a SIGKILL'd worker can only corrupt its own channel), the
@@ -46,18 +48,21 @@ path above is testable on schedule.
 Span timestamps from workers are comparable with the parent's because
 Linux shares one ``CLOCK_MONOTONIC`` epoch across processes.
 
-Payload transport: large ndarrays inside job payloads, items and
-results travel through the shared-memory data plane
-(:mod:`repro.core.shm`) instead of the pipe — the pipe carries a
-~100-byte descriptor per array.  ``map`` holds one
+Payload transport: ndarrays of at least :data:`repro.core.shm.THRESHOLD`
+bytes inside job payloads, items and results travel through the
+shared-memory data plane (:mod:`repro.core.shm`) instead of the pipe —
+the pipe carries a ~100-byte descriptor per array.  ``map`` holds one
 :class:`repro.core.shm.ShmScope` open for the duration of the job: it
 owns the parent-created segments, *adopts* worker-created result
 segments when the result is unpickled, and on the way out of ``map``
 (success, quarantine, deadline, unpicklable payload, supervisor crash,
 shutdown) unlinks them all and sweeps anything a SIGKILL'd worker left
-behind under the job's name.  Disable with
-``REPRO_SHM_THRESHOLD=off`` to fall back to inline pickling
-byte-for-byte identically.
+behind under the job's name.  On a host without ``/dev/shm`` the job
+is pickled inline, with bitwise-identical results.
+
+Supervision timing is fixed by the module constants below; tests
+monkeypatch them on this module.  A worker reads the heartbeat interval
+once, from its spawn arguments.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from repro.core import shm as _shm
 from repro.obs import (
     counter_add,
     counters_delta,
+    current_tracer,
     deadline_scope,
     merge_metrics,
     metrics_snapshot,
@@ -89,6 +95,7 @@ from repro.obs.registry import (
     ITEM,
     POOL_WORKERS_RESPAWNED,
     SHM_BYTES_ADOPTED,
+    SHM_INLINE_FALLBACKS,
     TASK_ATTEMPT,
     TASK_QUARANTINED,
     TASK_RETRIES,
@@ -100,6 +107,21 @@ from repro.obs.registry import (
 #: it so a nested call inside a worker runs serially instead of spawning
 #: grandchild pools (workers are daemonic and cannot have children).
 WORKER_ENV = "REPRO_POOL_WORKER"
+
+#: Exponential retry backoff: attempt ``k`` waits
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds, scaled by a
+#: deterministic jitter in ``[0.5, 1.5)``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Workers send a heartbeat every HEARTBEAT_INTERVAL seconds from a
+#: daemon thread; one silent for HEARTBEAT_TIMEOUT seconds is presumed
+#: frozen, killed and respawned.
+HEARTBEAT_INTERVAL = 1.0
+HEARTBEAT_TIMEOUT = 30.0
+#: The supervisor stops every worker and exits after this many seconds
+#: without jobs (and without a keep-alive handle); the next ``map``
+#: restarts it lazily.
+IDLE_TIMEOUT = 300.0
 
 
 class PoolUnusableError(RuntimeError):
@@ -123,46 +145,6 @@ class TransientTaskError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PoolOptions:
-    """Supervision knobs (per-``map`` values override these defaults).
-
-    Attributes
-    ----------
-    task_timeout:
-        Budget in seconds for one task *attempt*, measured from the
-        worker's start acknowledgement (queueing and worker start-up time
-        never count).  ``None`` = unlimited.
-    retries:
-        Extra attempts allowed per item after a crash, timeout or
-        :class:`TransientTaskError` (so an item runs at most
-        ``retries + 1`` times before quarantine).
-    deadline:
-        Whole-batch budget in seconds; unfinished items are quarantined
-        when it expires.  ``None`` = unlimited.
-    backoff_base, backoff_cap:
-        Exponential retry backoff: attempt ``k`` waits
-        ``min(cap, base * 2**(k-1))`` scaled by a deterministic jitter in
-        ``[0.5, 1.5)`` (no RNG — jitter is hashed from item and attempt).
-    heartbeat_interval, heartbeat_timeout:
-        Workers send a heartbeat every *interval* seconds from a daemon
-        thread; a worker silent for *timeout* seconds is presumed frozen,
-        killed and respawned.
-    idle_timeout:
-        The supervisor stops every worker and exits after this many
-        seconds without jobs; the next ``map`` restarts lazily.
-    """
-
-    task_timeout: float | None = None
-    retries: int = 2
-    deadline: float | None = None
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 30.0
-    idle_timeout: float = 300.0
-
-
-@dataclass(frozen=True)
 class QuarantineRecord:
     """Why an item was removed from the batch instead of resolved.
 
@@ -178,16 +160,6 @@ class QuarantineRecord:
     traceback: str | None
     attempts: int
     elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "reason": self.reason,
-            "error": self.error,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 @dataclass
@@ -211,22 +183,14 @@ class TaskOutcome:
         return self.quarantine is not None
 
 
-@dataclass
-class PoolMapResult:
-    """Outcomes plus the telemetry the caller may graft into its trace."""
-
-    outcomes: list[TaskOutcome]
-    span_payloads: list[dict]
-    attempt_spans: list[dict]
-
-
 class PoolKeepAlive:
     """Ownership handle pinning a pool's runtime while held.
 
     While at least one handle is outstanding the supervisor never
     idle-retires its workers, so a long-lived owner (the serving daemon)
     keeps warm workers — and their per-process caches — across arbitrary
-    request gaps instead of paying a cold respawn after ``idle_timeout``.
+    request gaps instead of paying a cold respawn after
+    :data:`IDLE_TIMEOUT`.
     Release with :meth:`release` or use the handle as a context manager;
     releasing twice is a no-op.  An explicit :meth:`WorkerPool.shutdown`
     still wins over any keep-alive.
@@ -253,12 +217,10 @@ def _jitter(index: int, attempt: int) -> float:
     return (zlib.crc32(f"{index}:{attempt}".encode()) % 1024) / 1024.0
 
 
-def backoff_delay(
-    attempt: int, index: int, base: float, cap: float
-) -> float:
+def backoff_delay(attempt: int, index: int) -> float:
     """Jittered exponential backoff before retry *attempt* (1-based)."""
-    raw = base * (2.0 ** max(attempt - 1, 0))
-    return min(cap, raw) * (0.5 + _jitter(index, attempt))
+    raw = BACKOFF_BASE * (2.0 ** max(attempt - 1, 0))
+    return min(BACKOFF_CAP, raw) * (0.5 + _jitter(index, attempt))
 
 
 # -- worker side ---------------------------------------------------------------
@@ -326,8 +288,8 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
     return payload
 
 
-def _dump_result(payload: dict, scope, threshold: int, task_id: int) -> bytes:
-    """Serialize a task result, externalizing large arrays when enabled.
+def _dump_result(payload: dict, scope: str | None, task_id: int) -> bytes:
+    """Serialize a task result, externalizing large arrays under *scope*.
 
     Worker-created segments are named under the job scope
     (``<scope>_w<pid>t<task>k<n>``) so the parent can adopt them on
@@ -345,9 +307,7 @@ def _dump_result(payload: dict, scope, threshold: int, task_id: int) -> bytes:
         return descriptor
 
     try:
-        if scope is not None and threshold > 0:
-            return _shm.dumps(payload, threshold=threshold, writer=writer)
-        return pickle.dumps(payload)
+        return _shm.dumps(payload, writer=None if scope is None else writer)
     except Exception as exc:  # noqa: BLE001 - unpicklable result
         for name in created:
             try:
@@ -395,8 +355,8 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
     ).start()
 
     jobs: dict[int, tuple | str] = {}
-    #: job id -> (shm scope or None, externalization threshold).
-    transports: dict[int, tuple] = {}
+    #: job id -> the job's shm scope name (None: inline transport).
+    scopes: dict[int, str | None] = {}
     try:
         while True:
             try:
@@ -407,15 +367,14 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
             if kind == "exit":
                 break
             if kind == "job":
-                _, job_id, blob, scope, threshold = message
-                transports[job_id] = (scope, threshold)
+                _, job_id, blob, scopes[job_id] = message
                 try:
                     jobs[job_id] = _shm.loads(blob)
                 except Exception as exc:  # noqa: BLE001 - reported per task
                     jobs[job_id] = f"{type(exc).__name__}: {exc}"
             elif kind == "forget":
                 jobs.pop(message[1], None)
-                transports.pop(message[1], None)
+                scopes.pop(message[1], None)
                 # Job-end hygiene: drop cached segment mappings.  Views
                 # still alive inside another job's payload keep their
                 # mapping pinned (close defers to GC), so this is safe.
@@ -427,8 +386,7 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
                 payload = _run_task(
                     jobs.get(job_id), index, attempt, item_bytes, budget
                 )
-                scope, threshold = transports.get(job_id, (None, 0))
-                blob = _dump_result(payload, scope, threshold, task_id)
+                blob = _dump_result(payload, scopes.get(job_id), task_id)
                 if not send(("result", slot, job_id, task_id, blob)):
                     break
     finally:
@@ -470,26 +428,18 @@ class _Job:
         payload: bytes,
         items: list[bytes],
         scope: "_shm.ShmScope | None",
-        threshold: int,
         timeout: float | None,
         retries: int,
         deadline: float | None,
-        backoff_base: float,
-        backoff_cap: float,
     ) -> None:
         self.id = job_id
         self.payload = payload
         self.items = items
-        #: Shm transport: the scope ``map`` holds open for this job (None
-        #: for inline transport) and the externalization threshold
-        #: workers apply to results.
+        #: The shm scope ``map`` holds open for this job (None: inline).
         self.scope = scope
-        self.threshold = threshold
         self.timeout = timeout
         self.retries = retries
         self.deadline_at = None if deadline is None else monotonic() + deadline
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.outcomes: list[TaskOutcome | None] = [None] * len(items)
         self.remaining = len(items)
         self.pending: deque[_Task] = deque(
@@ -576,9 +526,7 @@ class _Job:
             retry = _Task(
                 self, self.next_task_id(), task.index, task.attempt + 1
             )
-            due = now + backoff_delay(
-                task.attempt, task.index, self.backoff_base, self.backoff_cap
-            )
+            due = now + backoff_delay(task.attempt, task.index)
             self.waiting.append((due, retry))
         else:
             self.quarantine(task, reason, error, traceback, now)
@@ -599,12 +547,7 @@ class _WorkerHandle:
 class WorkerPool:
     """Supervised spawn pool; see the module docstring for semantics."""
 
-    def __init__(
-        self,
-        max_workers: int = 1,
-        options: PoolOptions | None = None,
-    ) -> None:
-        self.options = options or PoolOptions()
+    def __init__(self, max_workers: int = 1) -> None:
         self._context = get_context("spawn")
         self._lock = threading.Lock()
         self._intake: deque[_Job] = deque()
@@ -632,50 +575,44 @@ class WorkerPool:
         *,
         jobs: int | None = None,
         timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 2,
         deadline: float | None = None,
         fault_plan=None,
-        traced: bool = False,
-        shm_threshold: int | None = None,
-    ) -> PoolMapResult:
+    ) -> list[TaskOutcome]:
         """Run *fn* over *items* on the pool; every item terminates.
+
+        *timeout* bounds one attempt, *retries* counts the extra attempts
+        after a crash, timeout or :class:`TransientTaskError` (an item
+        runs at most ``retries + 1`` times before quarantine), and
+        *deadline* bounds the whole batch; ``None`` means unlimited.
+        When the calling thread has an active :mod:`repro.obs` trace,
+        the workers' ``item`` spans and the per-attempt ``task_attempt``
+        spans are grafted into it before returning.
 
         Raises :class:`PoolUnusableError` when the job cannot run on the
         pool at all (unpicklable payload, pool shut down, supervisor
         dead) — per-item failures never raise.
-
-        *shm_threshold* overrides the ambient shared-memory
-        externalization threshold for this job's payload transport
-        (``None`` = :func:`repro.core.shm.shm_threshold` default).
         """
         items = list(items)
-        opts = self.options
-        timeout = opts.task_timeout if timeout is None else float(timeout)
-        retries = opts.retries if retries is None else max(0, int(retries))
-        deadline = opts.deadline if deadline is None else float(deadline)
+        tracer = current_tracer()
         with self._lock:
             if self._shutdown:
                 raise PoolUnusableError("pool is shut down")
             self._job_counter += 1
             job_id = self._job_counter
-        threshold = _shm.shm_threshold(shm_threshold)
-        if not _shm.available():
-            threshold = 0
+        shared = _shm.available()
+        if not shared:
+            counter_add(SHM_INLINE_FALLBACKS)
         # The job's segments (payload, items, adopted results) live
         # exactly as long as this call: whichever way it ends, leaving
         # the block unlinks them and sweeps what a killed worker left.
-        with (
-            _shm.ARENA.scope("job") if threshold > 0 else nullcontext()
-        ) as scope:
+        with (_shm.ARENA.scope("job") if shared else nullcontext()) as scope:
             writer = None if scope is None else scope.share
             try:
                 payload = _shm.dumps(
-                    (fn, fault_plan, traced), threshold=threshold, writer=writer
+                    (fn, fault_plan, tracer is not None), writer=writer
                 )
-                item_blobs = [
-                    _shm.dumps(item, threshold=threshold, writer=writer)
-                    for item in items
-                ]
+                item_blobs = [_shm.dumps(item, writer=writer) for item in items]
             except Exception as exc:  # noqa: BLE001 - anything unpicklable
                 raise PoolUnusableError(
                     f"job payload is not picklable: "
@@ -686,21 +623,13 @@ class WorkerPool:
                 len(payload) + sum(len(blob) for blob in item_blobs),
             )
             if not items:
-                return PoolMapResult([], [], [])
+                return []
             with self._lock:
                 if self._shutdown:
                     raise PoolUnusableError("pool is shut down")
                 job = _Job(
-                    job_id,
-                    payload,
-                    item_blobs,
-                    scope,
-                    threshold,
-                    timeout,
-                    retries,
+                    job_id, payload, item_blobs, scope, timeout, retries,
                     deadline,
-                    opts.backoff_base,
-                    opts.backoff_cap,
                 )
                 if jobs is not None:
                     self._target = max(
@@ -715,16 +644,17 @@ class WorkerPool:
                     raise PoolUnusableError("pool supervisor died")
             if job.fatal is not None:
                 raise PoolUnusableError(job.fatal)
-            return PoolMapResult(
-                list(job.outcomes), job.span_payloads, job.attempt_spans
-            )
+            if tracer is not None:
+                for record in job.span_payloads + job.attempt_spans:
+                    tracer.attach(record)
+            return list(job.outcomes)
 
     def keep_alive(self) -> PoolKeepAlive:
         """Pin the pool's runtime: no idle retirement while held.
 
         Returns a :class:`PoolKeepAlive` handle (also a context manager).
         Stacks: the supervisor idles out only once every outstanding
-        handle is released *and* ``idle_timeout`` then elapses without
+        handle is released *and* :data:`IDLE_TIMEOUT` then elapses without
         work.  Raises :class:`PoolUnusableError` on a shut-down pool.
         """
         with self._lock:
@@ -787,7 +717,7 @@ class WorkerPool:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, child_conn, self.options.heartbeat_interval),
+            args=(slot, child_conn, HEARTBEAT_INTERVAL),
             name=f"repro-pool-worker-{slot}",
             daemon=True,
         )
@@ -838,7 +768,6 @@ class WorkerPool:
 
     def _supervise(self) -> None:
         jobs: list[_Job] = []
-        opts = self.options
         last_activity = monotonic()
         retired: tuple[tuple, list[_WorkerHandle]] | None = None
         try:
@@ -870,7 +799,7 @@ class WorkerPool:
                 for job in finished:
                     self._finish(job)
                 jobs = [job for job in jobs if job.remaining > 0]
-                if not jobs and monotonic() - last_activity > opts.idle_timeout:
+                if not jobs and monotonic() - last_activity > IDLE_TIMEOUT:
                     with self._lock:
                         if (
                             not self._intake
@@ -1030,9 +959,7 @@ class WorkerPool:
                 ),
             )
 
-    def _on_worker_death(
-        self, worker: _WorkerHandle, jobs: list[_Job], reason: str
-    ) -> None:
+    def _on_worker_death(self, worker: _WorkerHandle, jobs: list[_Job]) -> None:
         task = worker.task
         worker.task = None
         if task is None:
@@ -1042,18 +969,12 @@ class WorkerPool:
             return
         job.active.pop(task.task_id, None)
         now = monotonic()
-        job.record_attempt_span(task, now, reason)
-        if reason == "timeout":
-            error = (
-                f"TimeoutError: item {task.index} exceeded the task "
-                f"timeout of {task.budget:.3g}s (attempt {task.attempt})"
-            )
-        else:
-            error = (
-                f"WorkerCrashError: worker died while running item "
-                f"{task.index} (attempt {task.attempt})"
-            )
-        job.retry_or_quarantine(task, reason, error, None, now)
+        job.record_attempt_span(task, now, "crash")
+        error = (
+            f"WorkerCrashError: worker died while running item "
+            f"{task.index} (attempt {task.attempt})"
+        )
+        job.retry_or_quarantine(task, "crash", error, None, now)
 
     def _reap_and_respawn(
         self, jobs: list[_Job], target: int, now: float
@@ -1068,7 +989,7 @@ class WorkerPool:
             if worker.process.is_alive():  # raced: it spoke, keep it
                 alive.append(worker)
                 continue
-            self._on_worker_death(worker, jobs, "crash")
+            self._on_worker_death(worker, jobs)
             self._discard_worker(worker, kill=False)
             respawns += 1
         self._workers = alive
@@ -1077,7 +998,7 @@ class WorkerPool:
         while len(self._workers) < target:
             self._workers.append(self._spawn_worker(now))
 
-    def _kill_worker_of(self, task: _Task, jobs: list[_Job]) -> None:
+    def _kill_worker_of(self, task: _Task) -> None:
         worker = next(
             (w for w in self._workers if w.slot == task.worker_slot), None
         )
@@ -1098,7 +1019,7 @@ class WorkerPool:
                 counter_add(TASK_TIMEOUTS)
                 job.active.pop(task.task_id, None)
                 # The worker is wedged inside the task: kill + respawn.
-                self._kill_worker_of(task, jobs)
+                self._kill_worker_of(task)
                 job.record_attempt_span(task, now, "timeout")
                 error = (
                     f"TimeoutError: item {task.index} exceeded the task "
@@ -1107,17 +1028,16 @@ class WorkerPool:
                 job.retry_or_quarantine(task, "timeout", error, None, now)
 
     def _check_heartbeats(self, jobs: list[_Job], now: float) -> None:
-        limit = self.options.heartbeat_timeout
         for worker in list(self._workers):
             if not worker.process.is_alive():
                 continue
-            if now - worker.last_seen <= limit:
+            if now - worker.last_seen <= HEARTBEAT_TIMEOUT:
                 continue
             # Alive but silent past the heartbeat budget: presumed frozen.
             self._discard_worker(worker, kill=True)
             self._workers.remove(worker)
             counter_add(POOL_WORKERS_RESPAWNED)
-            self._on_worker_death(worker, jobs, "crash")
+            self._on_worker_death(worker, jobs)
             self._workers.append(self._spawn_worker(now))
 
     def _check_deadlines(self, jobs: list[_Job], now: float) -> None:
@@ -1130,7 +1050,7 @@ class WorkerPool:
             )
             for task in list(job.active.values()):
                 job.active.pop(task.task_id, None)
-                self._kill_worker_of(task, jobs)
+                self._kill_worker_of(task)
                 job.record_attempt_span(task, now, "deadline")
                 job.quarantine(
                     task,
@@ -1193,7 +1113,6 @@ class WorkerPool:
                                 job.id,
                                 job.payload,
                                 job.scope and job.scope.name,
-                                job.threshold,
                             )
                         )
                         worker.jobs_sent.add(job.id)

@@ -41,17 +41,12 @@ Design notes (hard-won lifetime rules):
 
 Transport: :func:`dumps` / :func:`loads` are drop-in pickle
 replacements that externalize eligible ndarrays (``type(obj) is
-np.ndarray``, non-object dtype, ``nbytes`` at or above the threshold)
+np.ndarray``, non-object dtype, ``nbytes`` at least :data:`THRESHOLD`)
 through the pickle ``persistent_id`` hook.  Eligibility preserves C/F
 contiguity the way numpy's own pickle does, so reconstructed arrays are
-bitwise- and layout-identical to inline transport.  When ``/dev/shm``
-is unavailable (non-Linux, exotic sandboxes) or the threshold is
-disabled, both functions degrade transparently to plain pickle and
-count ``shm.inline_fallbacks``.
-
-The threshold comes from ``FusionConfig.shm_threshold``, the
-``REPRO_SHM_THRESHOLD`` environment variable or the ``--shm-threshold``
-CLI flag (``0``/``off`` disables externalization entirely); see the
+bitwise- and layout-identical to inline transport.  Without a writer
+(the pool passes none when ``/dev/shm`` is unavailable, and counts
+``shm.inline_fallbacks``), :func:`dumps` is plain pickle; see the
 "payload transport" section of ``docs/performance.md``.
 """
 
@@ -80,7 +75,6 @@ from repro.obs.registry import (
     SHM_ATTACHES,
     SHM_BYTES_SHARED,
     SHM_EXTERNALIZE,
-    SHM_INLINE_FALLBACKS,
     SHM_SEGMENTS_ACTIVE,
     SHM_SEGMENTS_LEAKED,
     SHM_SEGMENTS_RELEASED,
@@ -91,13 +85,10 @@ from repro.obs.registry import (
 #: Where POSIX shared-memory segments appear as plain files (Linux).
 SHM_DIR = "/dev/shm"
 
-#: Default externalization threshold in bytes: arrays smaller than this
-#: ship inline (descriptor + mmap overhead beats pickle only for large
+#: Externalization threshold in bytes: arrays smaller than this ship
+#: inline (descriptor + mmap overhead beats pickle only for large
 #: payloads).
-DEFAULT_THRESHOLD = 64 * 1024
-
-#: Environment override for the threshold (``0``/``off`` disables).
-THRESHOLD_ENV = "REPRO_SHM_THRESHOLD"
+THRESHOLD = 64 * 1024
 
 #: Tag namespacing our pickle persistent ids.
 _PID_TAG = "repro-shm-ndarray"
@@ -125,33 +116,6 @@ def available() -> bool:
 
 _AVAILABLE: bool | None = None
 _AVAILABLE_LOCK = threading.Lock()
-
-
-def shm_threshold(explicit: int | None = None) -> int:
-    """Effective externalization threshold in bytes (0 = disabled).
-
-    *explicit* (e.g. ``FusionConfig.shm_threshold``) wins over the
-    ``REPRO_SHM_THRESHOLD`` environment variable, which wins over
-    :data:`DEFAULT_THRESHOLD`.  This is the one parser of the variable
-    (the ``--shm-threshold`` flag sets it): anything but a byte count
-    ``>= 0`` or ``off``/``none``/``disabled`` raises ``ValueError``.
-    """
-    if explicit is not None:
-        return max(0, int(explicit))
-    raw = os.environ.get(THRESHOLD_ENV, "").strip().lower()
-    if not raw:
-        return DEFAULT_THRESHOLD
-    if raw in ("off", "none", "disabled"):
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(
-            f"{THRESHOLD_ENV}={raw!r} is neither a byte count >= 0 nor 'off'"
-        )
-    return value
 
 
 # -- attachment cache ----------------------------------------------------------
@@ -455,25 +419,17 @@ class _ExternalizingPickler(pickle.Pickler):
     worker → parent results).
     """
 
-    def __init__(self, file, threshold: int, writer) -> None:
+    def __init__(self, file, writer) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._threshold = threshold
         self._writer = writer
-        self.externalized = 0
-        self.externalized_bytes = 0
 
     def persistent_id(self, obj):
         if (
-            self._threshold > 0
-            and type(obj) is np.ndarray
+            type(obj) is np.ndarray
             and obj.dtype != object
-            and obj.nbytes >= self._threshold
+            and obj.nbytes >= THRESHOLD
         ):
-            desc = self._writer(obj)
-            if desc is not None:
-                self.externalized += 1
-                self.externalized_bytes += int(obj.nbytes)
-                return (_PID_TAG, desc)
+            return (_PID_TAG, self._writer(obj))
         return None
 
 
@@ -498,22 +454,16 @@ class _ResolvingUnpickler(pickle.Unpickler):
         return desc.resolve()
 
 
-def dumps(obj, *, threshold: int | None = None, writer=None) -> bytes:
+def dumps(obj, *, writer=None) -> bytes:
     """Pickle *obj*, externalizing large ndarrays into shared memory.
 
-    *writer* maps an eligible array to a :class:`ShmArray` (or ``None``
-    to keep it inline) — the pool passes its job scope's ``share``.
-    Falls back to plain pickle (counted in
-    ``shm.inline_fallbacks``) when shm is unavailable or disabled.
+    *writer* maps an eligible array to a :class:`ShmArray` — the pool
+    passes its job scope's ``share``.  Without one, plain pickle.
     """
-    effective = shm_threshold() if threshold is None else threshold
-    if effective <= 0 or not available() or writer is None:
-        if effective > 0 and writer is not None:
-            counter_add(SHM_INLINE_FALLBACKS)
+    if writer is None:
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     buffer = io.BytesIO()
-    pickler = _ExternalizingPickler(buffer, effective, writer)
-    pickler.dump(obj)
+    _ExternalizingPickler(buffer, writer).dump(obj)
     return buffer.getvalue()
 
 

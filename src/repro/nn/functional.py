@@ -38,8 +38,9 @@ class Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def __getstate__(self) -> dict:
-        # Scratch is never shipped: the pool's shm transport would hand
-        # a worker read-only views of warm buffers it must write into.
+        # Scratch is never shipped: the pool's shm transport carries
+        # every buffer of 64 KiB or more as a read-only view, and a
+        # worker must write into its buffers.
         return {"_buffers": {}}
 
     def request(

@@ -81,7 +81,7 @@ class ModelRegistry:
     """Named, warm, hot-reloadable pipelines backed by a checkpoint dir.
 
     *config_overrides* adjust execution knobs on every loaded pipeline
-    (``sanitize=True``, ``shm_threshold=0``, ...) without touching the
+    (``sanitize=True``, ``jobs=2``, ...) without touching the
     recorded architecture — they pass straight through to
     :meth:`IRFusionPipeline.from_model_file`.
     """

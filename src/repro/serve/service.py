@@ -41,7 +41,6 @@ from contextlib import ExitStack
 from repro.obs import (
     counter_add,
     counters_delta,
-    current_tracer,
     deadline_scope,
     gauge_set,
     metrics_snapshot,
@@ -539,20 +538,12 @@ class AnalysisService:
             method, item = "analyze_text", request.netlist
         else:
             method, item = "analyze_file", request.netlist_path
-        mapped = get_pool(self.options.pool_jobs).map(
+        (outcome,) = get_pool(self.options.pool_jobs).map(
             _PipelineTask(entry.pipeline, method),
             [item],
             timeout=deadline,
             deadline=deadline,
-            traced=True,
         )
-        tracer = current_tracer()
-        if tracer is not None:
-            for payload in mapped.span_payloads:
-                tracer.attach(payload)
-            for payload in mapped.attempt_spans:
-                tracer.attach(payload)
-        outcome = mapped.outcomes[0]
         if outcome.quarantine is not None:
             raise RuntimeError(
                 f"deck quarantined after {outcome.attempts} attempt(s): "

@@ -196,24 +196,6 @@ class TestErrorHandling:
         assert code == 2
         assert "error: bad input:" in capsys.readouterr().err
 
-    def test_malformed_shm_threshold_same_error_from_env_and_flag(
-        self, deck_path, capsys, monkeypatch
-    ):
-        from repro.core.shm import THRESHOLD_ENV
-
-        monkeypatch.setenv(THRESHOLD_ENV, "1k")
-        assert main(["simulate", str(deck_path)]) == 2
-        from_env = capsys.readouterr().err
-        monkeypatch.delenv(THRESHOLD_ENV)
-        assert main(["--shm-threshold", "1k", "simulate", str(deck_path)]) == 2
-        from_flag = capsys.readouterr().err
-        assert from_env == from_flag
-        assert from_env.startswith("error: bad input:")
-        assert THRESHOLD_ENV in from_env and "'1k'" in from_env
-        # the flag still wins over a malformed variable
-        monkeypatch.setenv(THRESHOLD_ENV, "banana")
-        assert main(["--shm-threshold", "off", "simulate", str(deck_path)]) == 0
-
     def test_debug_reraises(self, tmp_path):
         from repro.spice.parser import SpiceParseError
 

@@ -1,14 +1,16 @@
 """Tests for the persistent spawn-safe worker pool and its chaos paths."""
 
+import os
+import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.batch import BatchAnalyzer, parallel_map_ex
 from repro.core.pool import (
-    PoolOptions,
     PoolUnusableError,
     TransientTaskError,
     WorkerPool,
@@ -33,6 +35,16 @@ def _boom(x):
 def _nap(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _freeze_once(marker: str) -> str:
+    """SIGSTOP this worker the first time it runs: a frozen process,
+    alive but silent, heartbeat thread included."""
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return "thawed"
 
 
 def _warm_pool(jobs: int = 2) -> None:
@@ -218,35 +230,70 @@ class TestTelemetry:
         reset_metrics()
 
 
+class TestHeartbeat:
+    def test_frozen_worker_is_killed_and_item_retried(
+        self, tmp_path, monkeypatch
+    ):
+        # Only the heartbeat check can see this worker: it is alive, it
+        # holds a task with no per-attempt timeout, and it never sends
+        # another message.  Without the check the batch deadline
+        # quarantines the item instead.  The timeout must outlast a
+        # cold worker start, or the respawned worker is killed too.
+        monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL", 0.1)
+        monkeypatch.setattr(pool_module, "HEARTBEAT_TIMEOUT", 4.0)
+        pool = WorkerPool(max_workers=1)
+        try:
+            assert pool.map(_square, [3], jobs=1)[0].result == 9
+            before = metrics_snapshot()
+            with trace(SpanName("heartbeat")) as tracer:
+                (outcome,) = pool.map(
+                    _freeze_once,
+                    [str(tmp_path / "frozen")],
+                    jobs=1,
+                    deadline=30.0,
+                )
+            assert outcome.ok, outcome.error
+            assert outcome.result == "thawed"
+            assert outcome.attempts == 2
+            delta = counters_delta(before)["counters"]
+            assert delta.get("pool.workers_respawned", 0) >= 1
+            attempts = [
+                s.attrs["outcome"]
+                for s in tracer.root.iter_spans()
+                if s.name == "task_attempt"
+            ]
+            assert attempts == ["crash", "ok"]
+        finally:
+            pool.shutdown()
+
+
 class TestPoolLifecycle:
-    def test_idle_shutdown_and_lazy_restart(self):
-        pool = WorkerPool(
-            max_workers=2, options=PoolOptions(idle_timeout=0.4)
-        )
+    def test_idle_shutdown_and_lazy_restart(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.4)
+        pool = WorkerPool(max_workers=2)
         try:
             result = pool.map(_square, [1, 2, 3], jobs=2)
-            assert [o.result for o in result.outcomes] == [1, 4, 9]
+            assert [o.result for o in result] == [1, 4, 9]
             deadline = time.monotonic() + 30.0
             while pool.worker_pids and time.monotonic() < deadline:
                 time.sleep(0.1)
             assert pool.worker_pids == []  # idle supervisor stopped them
             # The next map lazily restarts the runtime.
             result = pool.map(_square, [4, 5], jobs=2)
-            assert [o.result for o in result.outcomes] == [16, 25]
+            assert [o.result for o in result] == [16, 25]
         finally:
             pool.shutdown()
 
-    def test_keep_alive_pins_idle_workers(self):
-        pool = WorkerPool(
-            max_workers=1, options=PoolOptions(idle_timeout=0.2)
-        )
+    def test_keep_alive_pins_idle_workers(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.2)
+        pool = WorkerPool(max_workers=1)
         try:
             with pool.keep_alive():
                 result = pool.map(_square, [2], jobs=1)
-                assert [o.result for o in result.outcomes] == [4]
+                assert [o.result for o in result] == [4]
                 pids = pool.worker_pids
                 assert pids  # workers are up
-                time.sleep(1.0)  # several idle_timeout periods
+                time.sleep(1.0)  # several IDLE_TIMEOUT periods
                 assert pool.worker_pids == pids  # still the same workers
             # Once released, the idle countdown resumes and retires them.
             deadline = time.monotonic() + 30.0
@@ -256,10 +303,9 @@ class TestPoolLifecycle:
         finally:
             pool.shutdown()
 
-    def test_keep_alive_stacks_and_release_is_idempotent(self):
-        pool = WorkerPool(
-            max_workers=1, options=PoolOptions(idle_timeout=0.2)
-        )
+    def test_keep_alive_stacks_and_release_is_idempotent(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.2)
+        pool = WorkerPool(max_workers=1)
         try:
             first = pool.keep_alive()
             second = pool.keep_alive()
@@ -278,7 +324,7 @@ class TestPoolLifecycle:
         with pytest.raises(PoolUnusableError, match="shut down"):
             pool.keep_alive()
 
-    def test_idle_retirement_never_drops_racing_work(self):
+    def test_idle_retirement_never_drops_racing_work(self, monkeypatch):
         """Regression: a map() landing exactly as the supervisor
         idle-retires must run on the successor runtime, not lose its
         queued work to the retiring thread's teardown.
@@ -289,9 +335,8 @@ class TestPoolLifecycle:
         stalled (PoolUnusableError) or hung.  A tiny idle timeout makes
         the window hit constantly.
         """
-        pool = WorkerPool(
-            max_workers=1, options=PoolOptions(idle_timeout=0.01)
-        )
+        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.01)
+        pool = WorkerPool(max_workers=1)
         errors: list[str] = []
 
         def hammer(offset: int) -> None:
@@ -302,7 +347,7 @@ class TestPoolLifecycle:
                 except PoolUnusableError as exc:
                     errors.append(f"unusable at {offset + k}: {exc}")
                     return
-                values = [o.result for o in result.outcomes]
+                values = [o.result for o in result]
                 if values != [(offset + k) ** 2]:
                     errors.append(f"bad result at {offset + k}: {values}")
 
@@ -326,11 +371,12 @@ class TestPoolLifecycle:
             pool.map(_square, [1], jobs=1)
 
     def test_backoff_delay_is_deterministic_and_capped(self):
-        first = backoff_delay(1, index=3, base=0.05, cap=2.0)
-        assert first == backoff_delay(1, index=3, base=0.05, cap=2.0)
-        assert 0.025 <= first <= 0.075  # base x jitter in [0.5, 1.5)
-        huge = backoff_delay(30, index=3, base=0.05, cap=2.0)
-        assert huge <= 2.0 * 1.5
+        base, cap = pool_module.BACKOFF_BASE, pool_module.BACKOFF_CAP
+        first = backoff_delay(1, index=3)
+        assert first == backoff_delay(1, index=3)
+        assert 0.5 * base <= first <= 1.5 * base  # jitter in [0.5, 1.5)
+        huge = backoff_delay(30, index=3)
+        assert huge <= cap * 1.5
 
 
 class TestWorkerFaultPlanSpec:

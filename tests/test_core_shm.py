@@ -71,53 +71,30 @@ class TestShmArray:
         assert np.array_equal(view, source)
 
 
-class TestThreshold:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(shm.THRESHOLD_ENV, raising=False)
-        assert shm.shm_threshold() == shm.DEFAULT_THRESHOLD
-        monkeypatch.setenv(shm.THRESHOLD_ENV, "1234")
-        assert shm.shm_threshold() == 1234
-        monkeypatch.setenv(shm.THRESHOLD_ENV, "off")
-        assert shm.shm_threshold() == 0
-        assert shm.shm_threshold(4096) == 4096  # explicit wins over env
-        for malformed in ("1k", "nonsense", "-5"):
-            monkeypatch.setenv(shm.THRESHOLD_ENV, malformed)
-            with pytest.raises(ValueError) as exc:
-                shm.shm_threshold()
-            assert shm.THRESHOLD_ENV in str(exc.value)
-            assert malformed in str(exc.value)
-
-    def test_config_field_validation(self):
-        from repro.core.config import FusionConfig
-
-        assert FusionConfig(shm_threshold=0).shm_threshold == 0
-        with pytest.raises(ValueError):
-            FusionConfig(shm_threshold=-1)
-
-
 class TestDumpsLoads:
     def test_externalizes_above_threshold_only(self):
         with shm.ARENA.scope("t_dump") as scope:
             payload = {
-                "big": np.zeros((64, 64)),
+                "big": np.zeros((128, 64)),
                 "small": np.arange(4, dtype=np.float64),
                 "other": "text",
             }
-            blob = shm.dumps(payload, threshold=1024, writer=scope.share)
-            assert len(blob) < 1024  # the 32 KiB array became a descriptor
+            assert payload["big"].nbytes == shm.THRESHOLD
+            blob = shm.dumps(payload, writer=scope.share)
+            assert len(blob) < 1024  # the 64 KiB array became a descriptor
             restored = shm.loads(blob)
             assert np.array_equal(restored["big"], payload["big"])
             assert np.array_equal(restored["small"], payload["small"])
             assert not restored["big"].flags.writeable
             assert restored["small"].flags.writeable  # stayed inline
 
-    def test_threshold_zero_means_plain_pickle(self):
-        blob = shm.dumps({"x": np.zeros(9000)}, threshold=0, writer=None)
+    def test_no_writer_means_plain_pickle(self):
+        blob = shm.dumps({"x": np.zeros(9000)})
         assert np.array_equal(pickle.loads(blob)["x"], np.zeros(9000))
 
     def test_aliasing_within_payload_is_preserved_inline(self):
         arr = np.zeros(8)
-        blob = shm.dumps([arr, arr], threshold=0, writer=None)
+        blob = shm.dumps([arr, arr])
         a, b = shm.loads(blob)
         assert a is b
 
@@ -264,37 +241,56 @@ class _DiesWhenPickled:
 def _big_result_then_die(item):
     # The tuple pickles in order: the array is externalized into a
     # worker-created segment, then the worker dies before handing over.
-    return np.full((64, 64), float(item)), _DiesWhenPickled()
+    return np.full((128, 64), float(item)), _DiesWhenPickled()
 
 
 class TestPoolTransport:
-    def test_spawn_results_bitwise_identical_to_inline(self):
+    """Items are (128, 64) float64 arrays: 64 KiB, exactly the threshold,
+    so they and the doubled result arrays ride shared memory."""
+
+    def test_spawn_results_bitwise_identical_to_inline(self, monkeypatch):
         items = [
-            (f"item{k}", np.random.default_rng(k).standard_normal((64, 64)))
+            (f"item{k}", np.random.default_rng(k).standard_normal((128, 64)))
             for k in range(4)
         ]
-        shm_out, _ = parallel_map_ex(
-            _double_arrays, items, 2, shm_threshold=1024
+        serial_out, _ = parallel_map_ex(_double_arrays, items, 1)
+        shared, adopted = _counter("shm.bytes_shared"), _counter(
+            "shm.bytes_adopted"
         )
-        inline_out, _ = parallel_map_ex(
-            _double_arrays, items, 2, shm_threshold=0
+        shm_out, degraded = parallel_map_ex(_double_arrays, items, 2)
+        assert not degraded
+        assert _counter("shm.bytes_shared") > shared
+        assert _counter("shm.bytes_adopted") > adopted
+        # A parent without /dev/shm ships the same job inline.
+        monkeypatch.setattr(shm, "available", lambda: False)
+        shared, adopted = _counter("shm.bytes_shared"), _counter(
+            "shm.bytes_adopted"
         )
-        assert all(o.ok for o in shm_out) and all(o.ok for o in inline_out)
-        for via_shm, via_pipe in zip(shm_out, inline_out):
-            assert via_shm.result[0] == via_pipe.result[0]
-            assert np.array_equal(via_shm.result[1], via_pipe.result[1])
-            assert np.array_equal(via_shm.result[2], via_pipe.result[2])
+        inline_out, degraded = parallel_map_ex(_double_arrays, items, 2)
+        assert not degraded
+        assert _counter("shm.bytes_shared") == shared
+        assert _counter("shm.bytes_adopted") == adopted
+        for outs in (shm_out, inline_out):
+            assert all(o.ok for o in outs)
+            for got, want in zip(outs, serial_out):
+                assert got.result[0] == want.result[0]
+                assert np.array_equal(got.result[1], want.result[1])
+                assert np.array_equal(got.result[2], want.result[2])
         assert not _leftover_segments()
 
     def test_result_views_are_read_only(self):
-        items = [("ro", np.ones((64, 64)))]
-        outcomes, _ = parallel_map_ex(
-            _double_arrays, items, 2, shm_threshold=1024
-        )
-        if outcomes[0].ok:  # serial fallback keeps plain arrays
-            result_array = outcomes[0].result[1]
-            before = result_array.copy()
-            assert np.array_equal(result_array, before)
+        # Two items: one alone would run serially in this process.
+        items = [("ro", np.ones((128, 64))), ("ro2", np.ones((128, 64)))]
+        outcomes, degraded = parallel_map_ex(_double_arrays, items, 2)
+        assert not degraded and all(o.ok for o in outcomes)
+        result_array = outcomes[0].result[1]
+        assert result_array.nbytes >= shm.THRESHOLD
+        assert result_array.flags.writeable is False
+        with pytest.raises(ValueError):
+            result_array[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            result_array *= 2.0
+        assert np.array_equal(result_array, np.full((128, 64), 2.0))
 
     def test_chaos_kill_while_holding_segments_reclaims_all(self):
         """Satellite: SIGKILL with attached segments must not leak.
@@ -306,18 +302,17 @@ class TestPoolTransport:
         """
         plan = WorkerFaultPlan.from_spec("kill@1x1")
         items = [
-            (f"chaos{k}", np.full((64, 64), float(k))) for k in range(4)
+            (f"chaos{k}", np.full((128, 64), float(k))) for k in range(4)
         ]
         before_active = shm.ARENA.segments_active
         outcomes, _ = parallel_map_ex(
-            _double_arrays, items, 2,
-            fault_plan=plan, retries=2, shm_threshold=1024,
+            _double_arrays, items, 2, fault_plan=plan, retries=2
         )
         assert all(o.ok for o in outcomes)
         assert outcomes[1].attempts >= 2  # the kill really fired
         for k, outcome in enumerate(outcomes):
             assert np.array_equal(
-                outcome.result[1], np.full((64, 64), float(k)) * 2.0
+                outcome.result[1], np.full((128, 64), float(k)) * 2.0
             )
         assert shm.ARENA.segments_active == before_active
         assert metrics_snapshot()["gauges"]["shm.segments_active"] == 0
@@ -326,12 +321,11 @@ class TestPoolTransport:
     def test_chaos_kill_to_quarantine_reclaims_all(self):
         plan = WorkerFaultPlan.from_spec("kill@0")  # every attempt
         items = [
-            (f"quar{k}", np.full((64, 64), float(k))) for k in range(3)
+            (f"quar{k}", np.full((128, 64), float(k))) for k in range(3)
         ]
         before_active = shm.ARENA.segments_active
         outcomes, _ = parallel_map_ex(
-            _double_arrays, items, 2,
-            fault_plan=plan, retries=1, shm_threshold=1024,
+            _double_arrays, items, 2, fault_plan=plan, retries=1
         )
         assert outcomes[0].quarantine is not None
         assert all(o.ok for o in outcomes[1:])
@@ -341,9 +335,9 @@ class TestPoolTransport:
     def test_unpicklable_payload_releases_the_job_scope(self):
         before_active = shm.ARENA.segments_active
         shared = _counter("shm.bytes_shared")
-        items = [np.ones((64, 64)), lambda: None]  # 2nd item cannot ship
+        items = [np.ones((128, 64)), lambda: None]  # 2nd item cannot ship
         with pytest.raises(PoolUnusableError, match="not picklable"):
-            get_pool(2).map(_double_arrays, items, shm_threshold=1024)
+            get_pool(2).map(_double_arrays, items)
         # the first item really was externalized before the failure
         assert _counter("shm.bytes_shared") > shared
         assert shm.ARENA.segments_active == before_active
@@ -352,11 +346,10 @@ class TestPoolTransport:
     def test_worker_killed_mid_result_leaves_no_orphan(self):
         before_active = shm.ARENA.segments_active
         swept = _counter("shm.segments_swept")
-        result = get_pool(2).map(
-            _big_result_then_die, [1, 2], jobs=2, retries=0,
-            shm_threshold=1024,
+        outcomes = get_pool(2).map(
+            _big_result_then_die, [1, 2], jobs=2, retries=0
         )
-        assert all(o.quarantine is not None for o in result.outcomes)
+        assert all(o.quarantine is not None for o in outcomes)
         # each worker wrote its result segment, then died holding it
         assert _counter("shm.segments_swept") >= swept + 2
         assert shm.ARENA.segments_active == before_active

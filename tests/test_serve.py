@@ -485,12 +485,16 @@ class TestPoolDispatch:
     def test_pool_reply_matches_in_process_analysis(self, model_dir, deck):
         d = _start_daemon(model_dir, pool_jobs=1)
         try:
-            status, body = _post(d, {"netlist": deck})
+            status, body = _post(d, {"netlist": deck, "trace": "inline"})
             local = d.service.registry.get(None).pipeline.analyze_text(deck)
         finally:
             d.stop(timeout=60.0)
         assert status == 200
         result = body["result"]
+        # The worker's spans are grafted into the request's trace.
+        spans = [json.loads(line) for line in result["trace"]]
+        names = {s["name"] for s in spans if s.get("kind") == "span"}
+        assert {"serve.request", "task_attempt", "item", "inference"} <= names
         assert result["worst_predicted_drop_volts"] == local.worst_predicted_drop()
         assert result["mean_predicted_drop_volts"] == float(
             local.predicted_drop.mean()
