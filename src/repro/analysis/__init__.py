@@ -1,15 +1,12 @@
 """Project-wide correctness tooling.
 
-Three pillars, all import-light and kernel-free:
+Two pillars, both import-light and kernel-free:
 
 - :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine enforcing project invariants (no runtime
   asserts, no unseeded RNG, no wall-clock reads, guarded divisions,
   locked writes to module state, import hygiene), runnable as
   ``python -m repro.analysis``;
-- :mod:`repro.analysis.sanitizer` — an opt-in runtime numerics
-  sanitizer that traps NaN/Inf/denormal/overflow at the originating op
-  (``FusionConfig.sanitize`` / ``--sanitize``);
 - :mod:`repro.analysis.racecheck` — an opt-in runtime lock-order/race
   sanitizer (``REPRO_RACE_CHECK``) that wraps the project's locks and
   shared dicts to flag acquisition-order inversions and unlocked
@@ -28,12 +25,6 @@ from repro.analysis.racecheck import (
     RaceFinding,
     install_from_env as install_racecheck_from_env,
 )
-from repro.analysis.sanitizer import (
-    NumericsFinding,
-    NumericsTrap,
-    SanitizerSession,
-    check_array,
-)
 
 __all__ = [
     "AnalysisEngine",
@@ -44,8 +35,4 @@ __all__ = [
     "RaceFinding",
     "Rule",
     "install_racecheck_from_env",
-    "NumericsFinding",
-    "NumericsTrap",
-    "SanitizerSession",
-    "check_array",
 ]

@@ -1,9 +1,8 @@
 """Opt-in lock-order/race sanitizer (``REPRO_RACE_CHECK``).
 
-Sibling of the numerics sanitizer: the static ``unlocked-global-write``
-rule proves *where* locking is missing, this runtime mode proves the
-locking that exists is *used consistently*.  Two dynamic properties no static
-pass can check:
+The static ``unlocked-global-write`` rule proves *where* locking is
+missing; this runtime mode proves the locking that exists is *used
+consistently*.  Two dynamic properties no static pass can check:
 
 - **lock-order inversions** — thread A acquires ``obs.metrics`` then
   ``shm.arena`` while thread B acquires them in the opposite order: no
@@ -29,8 +28,8 @@ Modes, via the ``REPRO_RACE_CHECK`` environment variable:
 
 :func:`install_from_env` is called from the CLI entry point and from
 the pool worker bootstrap, so parent and worker processes are both
-covered; instrumentation replaces *instance* attributes (the same
-pattern the numerics sanitizer uses on modules), never classes.
+covered; instrumentation replaces *instance* attributes, never
+classes.
 """
 
 from __future__ import annotations

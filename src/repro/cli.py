@@ -155,7 +155,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         train=TrainConfig(epochs=args.epochs, batch_size=8,
                           use_curriculum=True, precision=args.precision),
         jobs=args.jobs,
-        sanitize=args.sanitize,
     )
     pipeline = IRFusionPipeline(config)
     history = pipeline.train()
@@ -200,7 +199,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from repro.core.pipeline import IRFusionPipeline
 
     pipeline = IRFusionPipeline.from_model_file(
-        args.model, jobs=max(1, args.jobs), sanitize=args.sanitize
+        args.model, jobs=max(1, args.jobs)
     )
     config = pipeline.config
 
@@ -320,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="fp64",
                        help="training compute precision: fp64 kernels or "
                             "mixed (fp32 kernels over fp64 master weights)")
-    train.add_argument("--sanitize", action="store_true",
-                       help="trap NaN/Inf at the originating op during "
-                            "training (numerics sanitizer)")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="write a JSONL span trace of the run")
     train.set_defaults(func=_cmd_train, root_span=TRAIN)
@@ -349,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "unfinished are quarantined; a single deck "
                               "short-circuits solver fallbacks that "
                               "cannot finish in time")
-    analyze.add_argument("--sanitize", action="store_true",
-                         help="record NaN/Inf/denormal findings per stage "
-                              "in the run diagnostics")
     analyze.add_argument("--trace", default=None, metavar="PATH",
                          help="write a JSONL span trace of the run")
     analyze.set_defaults(func=_cmd_analyze, root_span=ANALYZE)

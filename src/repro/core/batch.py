@@ -34,6 +34,7 @@ hook the CI chaos-smoke job uses.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import traceback as _traceback
@@ -369,6 +370,9 @@ class BatchAnalyzer:
         self.jobs = int(jobs if jobs is not None else pipeline.config.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        for name, value in (("task_timeout", task_timeout), ("deadline", deadline)):
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{name} must be a number, got nan")
         self.task_timeout = task_timeout
         self.retries = retries
         self.deadline = deadline

@@ -70,11 +70,6 @@ class FusionConfig:
         batch analysis); 1 keeps everything serial in-process.  Results
         are identical at any value.  Pool batches ship ndarrays of
         64 KiB or more through shared memory (:mod:`repro.core.shm`).
-    sanitize:
-        Enable the numerics sanitizer (:mod:`repro.analysis.sanitizer`):
-        training traps NaN/Inf at the originating op, analysis records
-        numerics findings in the run diagnostics.  Off by default — the
-        instrumented path re-checks every leaf-op output.
     """
 
     pixels: int = 32
@@ -96,7 +91,6 @@ class FusionConfig:
     oversample_fake: int = 2
     oversample_real: int = 5
     jobs: int = 1
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.pixels % (2**self.depth) != 0:
@@ -125,7 +119,7 @@ class FusionConfig:
         serving daemon's model registry rebuild their pipeline config
         from it through this one constructor, so the two can never
         drift.  *overrides* replace any field after the meta is applied
-        (e.g. ``jobs=4``, ``sanitize=True``).
+        (e.g. ``jobs=4``).
         """
         try:
             recorded = meta["config"]

@@ -224,13 +224,6 @@ class IRFusionPipeline:
         self._trained_channels = len(prepared.channels)
         loss = preferred_loss(self.config.model_name)
         self.trainer = Trainer(self.model, loss=loss, config=self.config.train)
-        if self.config.sanitize:
-            # Trap NaN/Inf at the producing op instead of three layers
-            # later in the loss.
-            from repro.analysis.sanitizer import SanitizerSession
-
-            with SanitizerSession(self.model, on_finding="raise"):
-                return self.trainer.fit(prepared)
         return self.trainer.fit(prepared)
 
     # -- inference ----------------------------------------------------------------
@@ -312,19 +305,6 @@ class IRFusionPipeline:
                 # features must describe, or raster/solver views disagree.
                 grid = report.grid
 
-            sanitize = cfg.sanitize
-            if sanitize:
-                from repro.analysis.sanitizer import check_array
-
-                if voltages is not None:
-                    diagnostics.numerics.extend(
-                        check_array(voltages, "solver.voltages")
-                    )
-                if rough_drop is not None:
-                    diagnostics.numerics.extend(
-                        check_array(rough_drop, "solver.rough_drop")
-                    )
-
             with span(FEATURES) as feature_span:
                 features = assemble_feature_stack(
                     geometry,
@@ -334,12 +314,6 @@ class IRFusionPipeline:
                     supply_voltage=supply_voltage,
                 )
             feature_seconds = feature_span.duration
-
-            if sanitize:
-                for name, channel in zip(features.channels, features.data):
-                    diagnostics.numerics.extend(
-                        check_array(channel, f"features.{name}")
-                    )
 
             if (
                 self._trained_channels is not None
@@ -362,19 +336,7 @@ class IRFusionPipeline:
                     label=np.zeros(features.shape),
                     rough_label=rough_drop,
                 )
-                if sanitize:
-                    from repro.analysis.sanitizer import SanitizerSession
-
-                    with SanitizerSession(
-                        trainer.inference_plan().root, on_finding="record"
-                    ) as session:
-                        predicted = trainer.predict([probe])[0]
-                    diagnostics.numerics.extend(session.findings)
-                    diagnostics.numerics.extend(
-                        check_array(predicted, "prediction")
-                    )
-                else:
-                    predicted = trainer.predict([probe])[0]
+                predicted = trainer.predict([probe])[0]
             model_seconds = model_span.duration
 
         diagnostics.trace = analyze_span.to_dict()
@@ -398,10 +360,10 @@ class IRFusionPipeline:
         *path* is the ``.npz`` weights archive; its ``<path>.json`` meta
         sidecar (written by ``repro train``) supplies the architecture
         and solver config via :meth:`FusionConfig.from_model_meta`.
-        *config_overrides* adjust execution knobs (``jobs``,
-        ``sanitize``, ...) without touching the recorded
-        architecture.  This is the single load path shared by the CLI
-        ``analyze`` command and the serving daemon's model registry.
+        *config_overrides* adjust execution knobs (``jobs``) without
+        touching the recorded architecture.  This is the single load
+        path shared by the CLI ``analyze`` command and the serving
+        daemon's model registry.
         """
         import json
 

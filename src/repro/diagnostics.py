@@ -37,11 +37,6 @@ class RunDiagnostics:
         reused a previously built hierarchy and skipped the setup stage.
     warnings:
         Free-form notes from other stages (feature guards, trainer).
-    numerics:
-        Findings from the opt-in numerics sanitizer
-        (:mod:`repro.analysis.sanitizer`), as
-        :class:`~repro.analysis.sanitizer.NumericsFinding` instances;
-        empty unless the run had ``sanitize`` enabled.
     trace:
         Serialized :class:`repro.obs.Span` tree for the run (the
         ``analyze`` span and its children), as produced by
@@ -54,7 +49,6 @@ class RunDiagnostics:
     solver: SolverDiagnostics | None = None
     solver_cache: CacheStats | None = None
     warnings: list[str] = field(default_factory=list)
-    numerics: list = field(default_factory=list)
     trace: dict | None = None
 
     @property
@@ -75,7 +69,6 @@ class RunDiagnostics:
                 else None
             ),
             "warnings": list(self.warnings),
-            "numerics": [f.to_dict() for f in self.numerics],
             "degraded": self.degraded,
             "trace": self.trace,
         }
@@ -99,8 +92,6 @@ class RunDiagnostics:
             )
         for note in self.warnings:
             lines.append(f"  warning: {note}")
-        for finding in self.numerics:
-            lines.append(f"  numerics[{finding.kind}]: {finding.summary()}")
         if self.trace is not None:
             for line in _span_summary_lines(Span.from_dict(self.trace)):
                 lines.append(f"  {line}")

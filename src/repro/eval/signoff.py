@@ -88,12 +88,21 @@ def check_ir_drop(drop_map: np.ndarray, limit: float) -> SignoffReport:
         Bottom-layer IR-drop image in volts.
     limit:
         Maximum tolerated drop in volts (e.g. 5 % of vdd).
+
+    Raises ``ValueError`` for a limit that is not positive and finite,
+    and for a map with any non-finite pixel: NaN compares false against
+    every limit, so either would pass sign-off unchecked.
     """
     drop_map = np.asarray(drop_map, dtype=float)
     if drop_map.ndim != 2:
         raise ValueError(f"expected a 2D drop map, got shape {drop_map.shape}")
-    if limit <= 0:
-        raise ValueError("limit must be positive")
+    if not 0 < limit < np.inf:
+        raise ValueError(f"limit must be positive and finite, got {limit}")
+    non_finite = int(np.count_nonzero(~np.isfinite(drop_map)))
+    if non_finite:
+        raise ValueError(
+            f"drop map has {non_finite} non-finite pixel(s) of {drop_map.size}"
+        )
 
     mask = drop_map > limit
     structure = np.ones((3, 3), dtype=bool)  # 8-connectivity

@@ -57,7 +57,7 @@ class _Folded(_PlannedOp):
     def __init__(self, dtype, conv, bn: BatchNorm2d | None) -> None:
         self._dtype = dtype
         # In a namespace, not as attributes: module discovery (children(),
-        # sanitizer op paths) must see a planned op as a leaf.
+        # named_modules()) must see a planned op as a leaf.
         self._source = SimpleNamespace(conv=conv, bn=bn)
         self._parameters = [
             p for owner in (conv, bn) if owner is not None for p in owner.parameters()

@@ -20,6 +20,7 @@ another thread, and an untraced, un-budgeted call sees ``None``
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -42,10 +43,16 @@ def deadline_scope(seconds: float):
 
     Nested scopes tighten: the effective deadline inside the body is the
     minimum of this scope's and every enclosing one's, so handing a
-    callee a generous budget can never extend the caller's.
+    callee a generous budget can never extend the caller's.  A NaN
+    budget raises ``ValueError``: ``min`` would keep it and drop the
+    enclosing deadline.  Zero and negative budgets are legal (already
+    expired).
     """
+    seconds = float(seconds)
+    if math.isnan(seconds):
+        raise ValueError("deadline budget must be a number, got nan")
     stack = _stack()
-    at = monotonic() + float(seconds)
+    at = monotonic() + seconds
     if stack:
         at = min(at, stack[-1])
     stack.append(at)

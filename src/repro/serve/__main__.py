@@ -69,11 +69,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="seconds to let in-flight jobs finish on SIGTERM/SIGINT",
     )
     parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the numerics sanitizer on every loaded model",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="log one line per HTTP request to stderr",
@@ -82,8 +77,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Start the daemon from parsed arguments; blocks until drained."""
-    overrides = {"sanitize": True} if args.sanitize else {}
-    registry = ModelRegistry(args.model_dir, **overrides)
+    registry = ModelRegistry(args.model_dir)
     try:
         entries = registry.warm()
     except (ModelNotFoundError, ModelLoadError) as exc:

@@ -80,15 +80,13 @@ class ModelEntry:
 class ModelRegistry:
     """Named, warm, hot-reloadable pipelines backed by a checkpoint dir.
 
-    *config_overrides* adjust execution knobs on every loaded pipeline
-    (``sanitize=True``, ``jobs=2``, ...) without touching the
-    recorded architecture — they pass straight through to
-    :meth:`IRFusionPipeline.from_model_file`.
+    Every pipeline is loaded through
+    :meth:`IRFusionPipeline.from_model_file` with the config its
+    checkpoint recorded.
     """
 
-    def __init__(self, model_dir, **config_overrides) -> None:
+    def __init__(self, model_dir) -> None:
         self._dir = os.fspath(model_dir)
-        self._overrides = dict(config_overrides)
         self._lock = threading.Lock()
         self._entries: dict[str, ModelEntry] = {}
 
@@ -171,9 +169,7 @@ class ModelRegistry:
                 return entry
             reloading = entry is not None
             try:
-                pipeline = IRFusionPipeline.from_model_file(
-                    path, **self._overrides
-                )
+                pipeline = IRFusionPipeline.from_model_file(path)
             except Exception as exc:
                 # A broken file on disk invalidates any stale entry too:
                 # serving old weights while the operator believes a new

@@ -32,6 +32,7 @@ time short-circuits instead of blowing the request budget.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from collections import OrderedDict, deque
@@ -186,8 +187,10 @@ class AnalyzeRequest:
                 raise RequestError(
                     "'deadline_seconds' must be a number"
                 ) from None
-            if deadline <= 0:
-                raise RequestError("'deadline_seconds' must be > 0")
+            if not 0 < deadline < math.inf:
+                raise RequestError(
+                    "'deadline_seconds' must be a finite number > 0"
+                )
 
         trace_mode = payload.get("trace", "none")
         if trace_mode not in _TRACE_MODES:

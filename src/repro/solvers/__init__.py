@@ -25,7 +25,6 @@ from repro.solvers.cycles import CyclePreconditioner
 from repro.solvers.direct import DirectSolver
 from repro.solvers.guard import (
     FallbackCascade,
-    GuardrailOptions,
     IterationGuard,
     SolverDiagnostics,
     SolverFailure,
@@ -47,7 +46,6 @@ __all__ = [
     "CyclePreconditioner",
     "DirectSolver",
     "FallbackCascade",
-    "GuardrailOptions",
     "IterationGuard",
     "SolverDiagnostics",
     "SolverFailure",

@@ -13,12 +13,12 @@ import scipy.sparse as sp
 
 from repro.obs import counter_add, span
 from repro.obs.registry import AMG_SETUP, PCG, PCG_ITERATIONS
-from repro.solvers.amg import AMGHierarchy, AMGOptions, build_hierarchy
+from repro.solvers.amg import AMGHierarchy, AMGOptions
 from repro.solvers.base import SolveResult, SolverOptions, check_system
 from repro.solvers.cache import global_setup_cache
 from repro.solvers.cg import _pcg
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
-from repro.solvers.guard import GuardrailOptions, IterationGuard
+from repro.solvers.guard import IterationGuard
 
 
 class AMGPCGSolver:
@@ -44,14 +44,10 @@ class AMGPCGSolver:
         options: SolverOptions | None = None,
         amg_options: AMGOptions | None = None,
         cycle_options: CycleOptions | None = None,
-        guard_options: GuardrailOptions | None = None,
-        use_setup_cache: bool = True,
     ) -> None:
         self.options = options or SolverOptions()
         self.amg_options = amg_options or AMGOptions()
         self.cycle_options = cycle_options or CycleOptions()
-        self.guard_options = guard_options
-        self.use_setup_cache = use_setup_cache
         #: Strong reference to the matrix the cached preconditioner was
         #: built for.  Keeping the object alive is what makes the
         #: identity fast path sound: a live object's address cannot be
@@ -89,12 +85,9 @@ class AMGPCGSolver:
             self._last_setup_was_hit = True
             return self._cached_preconditioner
         with span(AMG_SETUP) as setup_span:
-            if self.use_setup_cache:
-                hierarchy, hit = global_setup_cache().get_or_build(
-                    matrix, self.amg_options, setup_span=setup_span
-                )
-            else:
-                hierarchy, hit = build_hierarchy(matrix, self.amg_options), False
+            hierarchy, hit = global_setup_cache().get_or_build(
+                matrix, self.amg_options, setup_span=setup_span
+            )
             setup_span.attrs["cache_hit"] = hit
             if not hit:
                 setup_span.attrs.update(
@@ -119,8 +112,6 @@ class AMGPCGSolver:
     ) -> SolveResult:
         csr = check_system(matrix, rhs)
         preconditioner = self.setup(matrix)
-        if guard is None and self.guard_options is not None:
-            guard = IterationGuard(self.guard_options, solver_name="amg_pcg")
         with span(PCG, solver="amg_pcg"):
             result = _pcg(
                 csr,

@@ -31,7 +31,7 @@ class SolverOptions:
     record_history: bool = True
 
     def __post_init__(self) -> None:
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
         if self.max_iterations < 0:
             raise ValueError(
@@ -59,7 +59,7 @@ class SolveResult:
     aborted:
         ``None`` for a clean run; otherwise the guardrail trip reason
         (``"nan_residual"``, ``"diverged"``, ``"stagnated"``,
-        ``"time_budget"``, ``"indefinite_matrix"``) that stopped iteration
+        ``"deadline"``, ``"indefinite_matrix"``) that stopped iteration
         early.  A non-``None`` value means the iterate should not be
         trusted and the fallback cascade treats the attempt as failed.
     """

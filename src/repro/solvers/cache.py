@@ -156,29 +156,15 @@ class AMGSetupCache:
         with self._lock:
             winner = self._entries.setdefault(key, hierarchy)
             self._entries.move_to_end(key)
-            evicted = self._evict_to(self.max_entries)
+            evicted = self._evict()
         if evicted and setup_span is not None:
             setup_span.attrs["cache_evictions"] = evicted
         return winner, False
 
-    def resize(self, max_entries: int) -> None:
-        """Change the capacity, evicting LRU entries if shrinking.
-
-        Both the capacity write and the eviction loop happen under the
-        lock: a racing :meth:`get_or_build` must never observe the new
-        (smaller) capacity while the cache still holds more entries, nor
-        interleave its own eviction loop with this one.
-        """
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        with self._lock:
-            self.max_entries = max_entries
-            self._evict_to(max_entries)
-
-    def _evict_to(self, max_entries: int) -> int:
-        """Drop LRU entries down to *max_entries* (lock held); the count."""
+    def _evict(self) -> int:
+        """Drop LRU entries down to the capacity (lock held); the count."""
         evicted = 0
-        while len(self._entries) > max_entries:
+        while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self._evictions += 1
             evicted += 1
@@ -188,10 +174,6 @@ class AMGSetupCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
 
     @property
     def stats(self) -> CacheStats:
@@ -208,7 +190,7 @@ class AMGSetupCache:
             return len(self._entries)
 
 
-#: The process-wide cache every AMG-PCG solver consults by default.
+#: The process-wide cache every AMG-PCG solver consults.
 _GLOBAL_CACHE = AMGSetupCache()
 
 
@@ -224,9 +206,3 @@ def setup_cache_stats() -> CacheStats:
 def clear_setup_cache() -> None:
     """Drop all cached hierarchies (counters are kept)."""
     _GLOBAL_CACHE.clear()
-
-
-def configure_setup_cache(max_entries: int) -> None:
-    """Resize the global cache (evicts immediately if shrinking)."""
-    _GLOBAL_CACHE.resize(max_entries)
-

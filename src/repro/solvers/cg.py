@@ -4,8 +4,8 @@ These are the classical Krylov baselines (Chen & Chen, DAC'01 lineage) that
 AMG-PCG is compared against; they share the iteration skeleton used by
 :class:`~repro.solvers.amg_pcg.AMGPCGSolver`.  Every solver accepts an
 optional :class:`~repro.solvers.guard.IterationGuard` watchdog that can
-abort a sick iteration (NaN residual, divergence, stagnation, blown time
-budget) without raising.
+abort a sick iteration (NaN residual, divergence, stagnation, expired
+deadline) without raising.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.solvers.base import SolveResult, SolverOptions, Timer, check_system
-from repro.solvers.guard import GuardrailOptions, IterationGuard
+from repro.solvers.guard import IterationGuard
+
 
 class CGSolver:
     """Unpreconditioned conjugate gradients for SPD systems."""
 
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        guard_options: GuardrailOptions | None = None,
-    ) -> None:
+    def __init__(self, options: SolverOptions | None = None) -> None:
         self.options = options or SolverOptions()
-        self.guard_options = guard_options
 
     def solve(
         self,
@@ -35,8 +31,6 @@ class CGSolver:
         guard: IterationGuard | None = None,
     ) -> SolveResult:
         csr = check_system(matrix, rhs)
-        if guard is None and self.guard_options is not None:
-            guard = IterationGuard(self.guard_options, solver_name="cg")
         return _pcg(
             csr, rhs, x0, preconditioner=None, options=self.options, guard=guard
         )
@@ -45,13 +39,8 @@ class CGSolver:
 class JacobiPCGSolver:
     """CG preconditioned by the inverse diagonal (point Jacobi)."""
 
-    def __init__(
-        self,
-        options: SolverOptions | None = None,
-        guard_options: GuardrailOptions | None = None,
-    ) -> None:
+    def __init__(self, options: SolverOptions | None = None) -> None:
         self.options = options or SolverOptions()
-        self.guard_options = guard_options
 
     def solve(
         self,
@@ -65,8 +54,6 @@ class JacobiPCGSolver:
         if np.any(diag <= 0.0):
             raise ValueError("Jacobi preconditioning needs a positive diagonal")
         inv_diag = 1.0 / diag
-        if guard is None and self.guard_options is not None:
-            guard = IterationGuard(self.guard_options, solver_name="jacobi_pcg")
 
         def precondition(r: np.ndarray) -> np.ndarray:
             return inv_diag * r

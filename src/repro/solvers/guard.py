@@ -7,7 +7,7 @@ of protection:
 
 - :class:`IterationGuard` — per-iteration watchdog hooked into the shared
   PCG loop: NaN/Inf residual detection, divergence and stagnation
-  detectors, and a wall-clock budget.
+  detectors, and the cooperative deadline.
 - :class:`FallbackCascade` — tries AMG-PCG first, retries with adjusted
   parameters (stronger smoothing, relaxed tolerance), then degrades to
   Jacobi-PCG and finally a dense/direct solve.  Every attempt and every
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.obs import counter_add, deadline_remaining, monotonic, span
+from repro.obs import counter_add, deadline_remaining, span
 from repro.obs.registry import (
     SOLVE_ATTEMPT,
     SOLVER_ATTEMPTS,
@@ -43,37 +43,19 @@ from repro.solvers.base import SolveResult, SolverOptions
 FaultHook = Callable[[str, int, float], float]
 
 
-@dataclass(frozen=True)
-class GuardrailOptions:
-    """Watchdog thresholds applied per solve attempt.
-
-    Attributes
-    ----------
-    max_seconds:
-        Wall-clock budget for one attempt (``None`` = unlimited).
-    divergence_factor:
-        Trip when the residual norm exceeds this multiple of the initial
-        residual (the iteration is exploding, not converging).
-    stagnation_window:
-        Number of consecutive iterations over which progress is measured.
-    stagnation_improvement:
-        Minimum relative residual reduction demanded over the window;
-        less progress than this trips the stagnation detector.
-    fault_hook:
-        Test-only residual corruption hook (see :data:`FaultHook`).
-    """
-
-    max_seconds: float | None = None
-    divergence_factor: float = 1e6
-    stagnation_window: int = 25
-    stagnation_improvement: float = 1e-4
-    fault_hook: FaultHook | None = None
-
-    def __post_init__(self) -> None:
-        if self.divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must exceed 1")
-        if self.stagnation_window < 2:
-            raise ValueError("stagnation_window must be at least 2")
+#: Divergence detector: trip when the residual norm exceeds this multiple
+#: of the initial residual (the iteration is exploding, not converging).
+DIVERGENCE_FACTOR = 1e6
+#: Stagnation detector: trip when the residual fell by less than
+#: ``STAGNATION_IMPROVEMENT`` (relative) over ``STAGNATION_WINDOW``
+#: consecutive iterations.
+STAGNATION_WINDOW = 25
+STAGNATION_IMPROVEMENT = 1e-4
+#: The cascade waits ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds,
+#: scaled by a deterministic jitter in ``[0.5, 1.5)``, before fallback stage
+#: ``k``.
+BACKOFF_BASE = 0.02
+BACKOFF_CAP = 0.25
 
 
 class IterationGuard:
@@ -82,24 +64,23 @@ class IterationGuard:
     The PCG loop calls :meth:`observe` with each new residual norm; the
     (possibly fault-corrupted) value is returned for the convergence test
     and :attr:`tripped` holds the abort reason once a detector fires.
+    *fault_hook* is the fault-injection seam (see :data:`FaultHook`).
     """
 
     def __init__(
-        self, options: GuardrailOptions | None = None, solver_name: str = "solver"
+        self, solver_name: str = "solver", fault_hook: FaultHook | None = None
     ) -> None:
-        self.options = options or GuardrailOptions()
         self.solver_name = solver_name
+        self.fault_hook = fault_hook
         self.tripped: str | None = None
         self._initial: float | None = None
         self._window: list[float] = []
-        self._start = monotonic()
 
     def observe(self, iteration: int, residual_norm: float) -> float:
         """Feed one residual norm; returns it (after any fault injection)."""
-        opts = self.options
-        if opts.fault_hook is not None:
+        if self.fault_hook is not None:
             residual_norm = float(
-                opts.fault_hook(self.solver_name, iteration, residual_norm)
+                self.fault_hook(self.solver_name, iteration, residual_norm)
             )
         if self.tripped is not None:
             return residual_norm
@@ -109,23 +90,17 @@ class IterationGuard:
         if self._initial is None:
             self._initial = max(residual_norm, np.finfo(float).tiny)
             return residual_norm
-        if residual_norm > opts.divergence_factor * self._initial:
+        if residual_norm > DIVERGENCE_FACTOR * self._initial:
             self.tripped = "diverged"
             return residual_norm
         self._window.append(residual_norm)
-        if len(self._window) > opts.stagnation_window:
+        if len(self._window) > STAGNATION_WINDOW:
             oldest = self._window.pop(0)
             if oldest > 0 and (
                 1.0 - min(self._window) / oldest
-            ) < opts.stagnation_improvement:
+            ) < STAGNATION_IMPROVEMENT:
                 self.tripped = "stagnated"
                 return residual_norm
-        if (
-            opts.max_seconds is not None
-            and monotonic() - self._start > opts.max_seconds
-        ):
-            self.tripped = "time_budget"
-            return residual_norm
         remaining = deadline_remaining()
         if remaining is not None and remaining <= 0.0:
             # The cooperative deadline (batch budget handed down by the
@@ -133,10 +108,6 @@ class IterationGuard:
             # cascade can decide what still fits in zero budget.
             self.tripped = "deadline"
         return residual_norm
-
-    @property
-    def seconds_elapsed(self) -> float:
-        return monotonic() - self._start
 
 
 @dataclass(frozen=True)
@@ -233,6 +204,13 @@ def _attempt_failed(result: SolveResult) -> str | None:
     return None
 
 
+def _backoff_delay(position: int, name: str) -> float:
+    """Deterministic jittered wait before fallback stage *position*."""
+    raw = BACKOFF_BASE * (2.0 ** max(position - 1, 0))
+    jitter = (zlib.crc32(f"{position}:{name}".encode()) % 1024) / 1024.0
+    return min(BACKOFF_CAP, raw) * (0.5 + jitter)
+
+
 class FallbackCascade:
     """AMG-PCG → AMG-PCG (adjusted) → Jacobi-PCG → direct, guarded.
 
@@ -242,20 +220,18 @@ class FallbackCascade:
         Iteration controls for the Krylov stages.
     amg_options, cycle_options:
         Primary AMG-PCG configuration (defaults used when omitted).
-    guard_options:
-        Watchdog thresholds shared by all guarded stages.
-    retry:
-        Include the adjusted-parameter AMG-PCG retry stage (stronger
-        smoothing, 10x relaxed tolerance) between the primary attempt and
-        Jacobi-PCG.
-    backoff_base, backoff_cap:
-        Jittered exponential wait inserted before a fallback attempt
-        (stage ``k`` waits ``min(cap, base * 2**(k-1))`` scaled by a
-        deterministic jitter in ``[0.5, 1.5)``), giving transient
-        conditions — a contended cache, a torn shared resource — time to
-        clear instead of retrying into the same failure.  The wait is
-        recorded in :attr:`AttemptRecord.backoff_seconds` and skipped
-        entirely under an expiring cooperative deadline.
+    fault_hook:
+        Residual corrupter handed to every guarded stage's
+        :class:`IterationGuard` (the fault-injection seam).
+
+    The ``amg_pcg_retry`` stage runs the primary setup with stronger
+    smoothing and a 10x relaxed tolerance.  Before each fallback attempt
+    the cascade waits a jittered exponential backoff
+    (:data:`BACKOFF_BASE`, :data:`BACKOFF_CAP`), giving transient
+    conditions — a contended cache, a torn shared resource — time to
+    clear instead of retrying into the same failure.  The wait is
+    recorded in :attr:`AttemptRecord.backoff_seconds` and skipped
+    entirely under an expiring cooperative deadline.
     """
 
     def __init__(
@@ -263,24 +239,12 @@ class FallbackCascade:
         options: SolverOptions | None = None,
         amg_options=None,
         cycle_options=None,
-        guard_options: GuardrailOptions | None = None,
-        retry: bool = True,
-        backoff_base: float = 0.02,
-        backoff_cap: float = 0.25,
+        fault_hook: FaultHook | None = None,
     ) -> None:
         self.options = options or SolverOptions()
         self.amg_options = amg_options
         self.cycle_options = cycle_options
-        self.guard_options = guard_options or GuardrailOptions()
-        self.retry = retry
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-
-    def _backoff_delay(self, position: int, name: str) -> float:
-        """Deterministic jittered wait before fallback stage *position*."""
-        raw = self.backoff_base * (2.0 ** max(position - 1, 0))
-        jitter = (zlib.crc32(f"{position}:{name}".encode()) % 1024) / 1024.0
-        return min(self.backoff_cap, raw) * (0.5 + jitter)
+        self.fault_hook = fault_hook
 
     # -- stages -------------------------------------------------------------
 
@@ -318,12 +282,12 @@ class FallbackCascade:
         def jacobi() -> JacobiPCGSolver:
             return JacobiPCGSolver(options=self.options)
 
-        stages: list[tuple[str, Callable]] = [("amg_pcg", primary)]
-        if self.retry:
-            stages.append(("amg_pcg_retry", adjusted))
-        stages.append(("jacobi_pcg", jacobi))
-        stages.append(("direct", DirectSolver))
-        return stages
+        return [
+            ("amg_pcg", primary),
+            ("amg_pcg_retry", adjusted),
+            ("jacobi_pcg", jacobi),
+            ("direct", DirectSolver),
+        ]
 
     # -- solving ------------------------------------------------------------
 
@@ -376,7 +340,7 @@ class FallbackCascade:
                 backoff = pending_backoff
                 time.sleep(backoff)
             pending_backoff = 0.0
-            guard = IterationGuard(self.guard_options, solver_name=name)
+            guard = IterationGuard(name, self.fault_hook)
             counter_add(SOLVER_ATTEMPTS)
             with span(SOLVE_ATTEMPT, solver=name) as attempt_span:
                 try:
@@ -419,7 +383,7 @@ class FallbackCascade:
             if not final_stage:
                 counter_add(SOLVER_FALLBACKS)
                 diagnostics.fallbacks.append(stages[position + 1][0])
-                pending_backoff = self._backoff_delay(
+                pending_backoff = _backoff_delay(
                     position + 1, stages[position + 1][0]
                 )
         raise SolverFailure(

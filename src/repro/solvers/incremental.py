@@ -78,7 +78,7 @@ from repro.solvers.cache import (
 )
 from repro.solvers.cg import _pcg
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
-from repro.solvers.guard import GuardrailOptions, IterationGuard
+from repro.solvers.guard import FaultHook, IterationGuard
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ class IncrementalEngine:
         incremental: IncrementalOptions | None = None,
         amg_options: AMGOptions | None = None,
         cycle_options: CycleOptions | None = None,
-        guard_options: GuardrailOptions | None = None,
+        fault_hook: FaultHook | None = None,
         validate: bool = True,
     ) -> None:
         if supply_voltage is None:
@@ -243,7 +243,7 @@ class IncrementalEngine:
         self.incremental = incremental or IncrementalOptions()
         self.amg_options = amg_options or AMGOptions()
         self.cycle_options = cycle_options or CycleOptions()
-        self.guard_options = guard_options or GuardrailOptions()
+        self.fault_hook = fault_hook
         self.diagnostics = RunDiagnostics()
 
         self._grid = grid.clone()
@@ -374,7 +374,7 @@ class IncrementalEngine:
         """K-cycle PCG on *matrix* (``G0`` or the pinned system), deadline-guarded."""
         guard = None
         if deadline_active():
-            guard = IterationGuard(self.guard_options, solver_name="incremental")
+            guard = IterationGuard("incremental", self.fault_hook)
         result = _pcg(
             matrix,
             rhs,

@@ -5,12 +5,11 @@ IR-drop maps out, with AMG-PCG doing the solving.  Capping
 ``max_iterations`` reproduces the rough-solution regime the fusion
 framework feeds into the ML model (and the Fig. 7 sweep).
 
-The simulator is fault-tolerant by default: the input grid is validated
-(and repaired — floating islands ground-tied) before stamping, and the
-solve runs through the :class:`~repro.solvers.guard.FallbackCascade`
+The simulator is fault-tolerant: the input grid is validated (and
+repaired — floating islands ground-tied) before stamping, and the solve
+runs through the :class:`~repro.solvers.guard.FallbackCascade`
 (AMG-PCG → adjusted retry → Jacobi-PCG → direct).  Everything non-nominal
-is recorded on ``SimulationReport.diagnostics``; set ``robust=False`` to
-restore the raise-on-anything behaviour for debugging.
+is recorded on ``SimulationReport.diagnostics``.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from repro.grid.raster import layer_values_image
 from repro.mna.stamper import build_reduced_system
 from repro.mna.system import ReducedSystem
 from repro.solvers.amg import AMGOptions
-from repro.solvers.amg_pcg import AMGPCGSolver
 from repro.solvers.base import SolveResult, SolverOptions
 from repro.solvers.cache import setup_cache_stats
 from repro.solvers.cycles import CycleOptions
-from repro.solvers.guard import FallbackCascade, GuardrailOptions
+from repro.solvers.guard import FallbackCascade, FaultHook
 from repro.spice.ast import Netlist
 from repro.spice.parser import parse_spice, parse_spice_file
 from repro.spice.validate import repair_grid, validate_grid
@@ -128,13 +126,9 @@ class PowerRushSimulator:
         explicit ``amg_options``/``cycle_options`` are given.
     amg_options, cycle_options:
         Forwarded to the underlying solver, overriding the preset.
-    robust:
-        Validate/repair the grid before stamping and solve through the
-        fallback cascade (default).  ``False`` restores strict mode: any
-        problem raises immediately.
-    guard_options:
-        Watchdog thresholds for the guarded solve (robust mode only).
-        This is also the hook the fault-injection harness uses.
+    fault_hook:
+        Forwarded to the :class:`FallbackCascade`; the hook the
+        fault-injection harness uses.
 
     Iterations start from the flat guess ``v = vdd`` (zero drop), the
     natural operating-point estimate a production simulator uses.
@@ -147,8 +141,7 @@ class PowerRushSimulator:
         preset: str = "quality",
         amg_options: AMGOptions | None = None,
         cycle_options: CycleOptions | None = None,
-        robust: bool = True,
-        guard_options: GuardrailOptions | None = None,
+        fault_hook: FaultHook | None = None,
     ) -> None:
         if preset not in PRESETS:
             raise ValueError(
@@ -156,16 +149,10 @@ class PowerRushSimulator:
             )
         preset_amg, preset_cycle = PRESETS[preset]
         self.preset = preset
-        self.robust = robust
-        self.guard_options = guard_options or GuardrailOptions()
+        self.fault_hook = fault_hook
         self.options = SolverOptions(tol=tol, max_iterations=max_iterations)
         self.amg_options = amg_options or preset_amg
         self.cycle_options = cycle_options or preset_cycle
-        self.solver = AMGPCGSolver(
-            options=self.options,
-            amg_options=self.amg_options,
-            cycle_options=self.cycle_options,
-        )
 
     # -- entry points --------------------------------------------------------
 
@@ -194,30 +181,26 @@ class PowerRushSimulator:
             supply_voltage = grid.supply_voltage()
 
         diagnostics = RunDiagnostics()
-        if self.robust:
-            with span(VALIDATE):
-                diagnostics.validation = validate_grid(grid)
-                # A healthy grid needs no repair, and repairing relabels its
-                # components; only a fatal issue (no pads, islands) is repaired.
-                if any(issue.fatal for issue in diagnostics.validation):
-                    grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
+        with span(VALIDATE):
+            diagnostics.validation = validate_grid(grid)
+            # A healthy grid needs no repair, and repairing relabels its
+            # components; only a fatal issue (no pads, islands) is repaired.
+            if any(issue.fatal for issue in diagnostics.validation):
+                grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
         with span(STAMP):
-            system = build_reduced_system(grid, validate=not self.robust)
+            system = build_reduced_system(grid, validate=False)
 
         flat_guess = np.full(system.size, supply_voltage, dtype=float)
         cache_before = setup_cache_stats()
-        if self.robust:
-            cascade = FallbackCascade(
-                options=self.options,
-                amg_options=self.amg_options,
-                cycle_options=self.cycle_options,
-                guard_options=self.guard_options,
-            )
-            result, diagnostics.solver = cascade.solve(
-                system.matrix, system.rhs, x0=flat_guess
-            )
-        else:
-            result = self.solver.solve(system.matrix, system.rhs, x0=flat_guess)
+        cascade = FallbackCascade(
+            options=self.options,
+            amg_options=self.amg_options,
+            cycle_options=self.cycle_options,
+            fault_hook=self.fault_hook,
+        )
+        result, diagnostics.solver = cascade.solve(
+            system.matrix, system.rhs, x0=flat_guess
+        )
         diagnostics.solver_cache = setup_cache_stats().delta(cache_before)
 
         voltages = system.scatter(result.x)

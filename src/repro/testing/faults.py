@@ -11,7 +11,7 @@ that the runtime absorbed it.
 Usage::
 
     plan = FaultPlan(nan_residual={"amg_pcg": 2})
-    guard_options = GuardrailOptions(fault_hook=plan.residual_hook)
+    cascade = FallbackCascade(fault_hook=plan.residual_hook)
     # ... run the cascade; AMG-PCG sees NaN at iteration 2, falls back.
     assert plan.injections == [("amg_pcg", "nan_residual", 2)]
 
@@ -29,7 +29,6 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 import scipy.sparse as sp
 
 
@@ -66,7 +65,7 @@ class FaultPlan:
     # -- solver-side hooks --------------------------------------------------
 
     def residual_hook(self, solver: str, iteration: int, value: float) -> float:
-        """`GuardrailOptions.fault_hook`-compatible residual corrupter."""
+        """`FaultHook`-compatible residual corrupter."""
         if solver in self.fail_stage:
             self.injections.append((solver, "stage_error", iteration))
             raise RuntimeError(f"injected failure in stage {solver!r}")
@@ -233,10 +232,3 @@ def make_singular(matrix: sp.spmatrix, row: int = 0) -> sp.csr_matrix:
     singular[row, :] = 0.0
     singular[:, row] = 0.0
     return singular.tocsr()
-
-
-def zero_row_rhs(rhs: np.ndarray, row: int = 0) -> np.ndarray:
-    """RHS companion to :func:`make_singular` (keeps the system consistent)."""
-    out = np.asarray(rhs, dtype=float).copy()
-    out[row] = 0.0
-    return out

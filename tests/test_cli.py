@@ -191,6 +191,31 @@ class TestErrorHandling:
         assert code == 2
         assert "error: bad input:" in capsys.readouterr().err
 
+    def test_nan_tolerance_exits_2(self, deck_path, capsys):
+        code = main(["simulate", str(deck_path), "--tol", "nan"])
+        assert code == 2
+        assert "tol must be non-negative" in capsys.readouterr().err
+
+    def test_nan_signoff_limit_exits_2(self, deck_path, capsys):
+        code = main(["simulate", str(deck_path), "--limit-mv", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "limit must be positive and finite" in captured.err
+
+    def test_nan_batch_deadline_exits_2(self, tmp_path, deck4_path, capsys):
+        model = tmp_path / "model.npz"
+        main(
+            ["train", str(model), "--pixels", "16", "--fake", "2",
+             "--real", "1", "--epochs", "1", "--channels", "4"]
+        )
+        code = main(
+            ["analyze", str(model), str(deck4_path), str(deck4_path),
+             "--deadline", "nan"]
+        )
+        assert code == 2
+        assert "deadline must be a number" in capsys.readouterr().err
+
     def test_missing_model_meta_exits_2(self, tmp_path, deck_path, capsys):
         code = main(["analyze", str(tmp_path / "no_model.npz"), str(deck_path)])
         assert code == 2

@@ -151,6 +151,11 @@ class TestBatchAnalyzer:
         with pytest.raises(ValueError):
             BatchAnalyzer(trained_tiny_pipeline, jobs=0)
 
+    @pytest.mark.parametrize("field", ["task_timeout", "deadline"])
+    def test_rejects_nan_budgets(self, trained_tiny_pipeline, field):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            BatchAnalyzer(trained_tiny_pipeline, **{field: float("nan")})
+
     def test_parallel_matches_serial_bitwise(self, trained_tiny_pipeline):
         pipeline = trained_tiny_pipeline
         _, test_designs = pipeline.generate_designs()

@@ -56,6 +56,22 @@ class TestCheckIRDrop:
         with pytest.raises(ValueError):
             check_ir_drop(np.zeros((2, 2)), limit=0.0)
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+    def test_rejects_limit_not_positive_and_finite(self, limit):
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_ir_drop(np.zeros((2, 2)), limit=limit)
+
+    def test_rejects_non_finite_pixels(self):
+        drop = np.zeros((4, 4))
+        drop[1, 2] = np.nan
+        drop[3, 3] = np.inf
+        with pytest.raises(ValueError, match="2 non-finite pixel"):
+            check_ir_drop(drop, limit=0.1)
+
+    def test_all_nan_map_does_not_pass(self):
+        with pytest.raises(ValueError, match="16 non-finite pixel"):
+            check_ir_drop(np.full((4, 4), np.nan), limit=0.1)
+
     def test_on_real_pipeline_output(self, fake_sample):
         """Golden labels from the generator produce a sensible report."""
         limit = 0.5 * fake_sample.label.max()

@@ -27,7 +27,6 @@ from repro.mna.stamper import build_reduced_system
 from repro.obs import counters_delta, deadline_scope, metrics_snapshot, trace
 from repro.obs.registry import SpanName
 from repro.solvers.base import SolverOptions
-from repro.solvers.guard import GuardrailOptions
 from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
 from repro.solvers.powerrush import PowerRushSimulator
 
@@ -514,7 +513,7 @@ class TestApplyIsAllOrNothing:
         plan = FaultPlan(fail_stage={"incremental"})
         engine = IncrementalEngine(
             GRID, SUPPLY,
-            guard_options=GuardrailOptions(fault_hook=plan.residual_hook),
+            fault_hook=plan.residual_hook,
         )
         engine.solve()
         state = _engine_state(engine)

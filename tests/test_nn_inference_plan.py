@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.racecheck import install_from_env
-from repro.analysis.sanitizer import named_leaf_modules
 from repro.core.batch import BatchAnalyzer, _PipelineTask
 from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
@@ -94,6 +93,11 @@ def _relative(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+def _leaves(model):
+    """Every childless module in *model*'s tree."""
+    return [module for _, module in model.named_modules() if not module.children()]
+
+
 # -- numerics ------------------------------------------------------------------
 
 
@@ -123,7 +127,7 @@ def test_fold_patterns_with_and_without_conv_relu_fusion():
         # kernels and four placeholders, at the source tree's positions.
         kinds = [type(m).__name__ for m in plan.root.bottleneck.modules]
         assert kinds == ["PlannedConv", "Identity", "Identity"] * 2
-        assert plan.num_ops < len(named_leaf_modules(model))
+        assert plan.num_ops < len(_leaves(model))
 
 
 def test_unplanned_leaves_keep_their_own_forward():
@@ -246,8 +250,8 @@ def test_ir_fusion_predict_never_builds_a_patch_matrix(monkeypatch):
 
     monkeypatch.setattr(functional, "im2col", forbidden)
     assert _relative(trainer.predict(sample), want) <= 1e-12
-    leaves = named_leaf_modules(trainer.inference_plan().root)
-    assert any(isinstance(module, PlannedConv) for _, module in leaves)
+    leaves = _leaves(trainer.inference_plan().root)
+    assert any(isinstance(module, PlannedConv) for module in leaves)
 
 
 # -- two threads, one model ------------------------------------------------------

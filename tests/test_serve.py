@@ -426,6 +426,9 @@ class TestAdmission:
             {"netlist": deck, "netlist_path": "/tmp/x.sp"},  # both
             {"netlist": deck, "mode": "transient"},  # unsupported mode
             {"netlist": deck, "deadline_seconds": -1},  # bad deadline
+            {"netlist": deck, "deadline_seconds": float("nan")},  # NaN token
+            {"netlist": deck, "deadline_seconds": "nan"},
+            {"netlist": deck, "deadline_seconds": float("inf")},  # Infinity
             {"netlist": deck, "trace": "file"},  # no --trace-dir
             {"netlist": deck, "frobnicate": True},  # unknown field
         ]
@@ -519,6 +522,13 @@ class TestRequestSchema:
     def test_from_payload_rejects_non_object(self):
         with pytest.raises(RequestError):
             AnalyzeRequest.from_payload(["not", "an", "object"])
+
+    @pytest.mark.parametrize("deadline", [float("nan"), "nan", float("inf")])
+    def test_from_payload_rejects_non_finite_deadline(self, deadline):
+        with pytest.raises(RequestError, match="finite"):
+            AnalyzeRequest.from_payload(
+                {"netlist": "* deck", "deadline_seconds": deadline}
+            )
 
 
 # -- the real entry point ------------------------------------------------------

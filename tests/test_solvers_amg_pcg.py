@@ -106,9 +106,8 @@ class TestSetupReuse:
         # the last matrix without holding a reference.  Once that matrix
         # was garbage collected, CPython could hand its address to a
         # *different* matrix, silently reusing the stale preconditioner.
-        solver = AMGPCGSolver(
-            SolverOptions(max_iterations=2), use_setup_cache=False
-        )
+        clear_setup_cache()
+        solver = AMGPCGSolver(SolverOptions(max_iterations=2))
         matrix = _tridiag(48, scale=1.0)
         solver.setup(matrix)
         first_hierarchy = solver.hierarchy
@@ -138,9 +137,8 @@ class TestSetupReuse:
         # Accounting contract: a reused setup costs nothing, so it must
         # report nothing — the old code re-billed the original build to
         # every subsequent solve.
-        solver = AMGPCGSolver(
-            SolverOptions(max_iterations=2), use_setup_cache=False
-        )
+        clear_setup_cache()
+        solver = AMGPCGSolver(SolverOptions(max_iterations=2))
         first = solver.solve(pg_system.matrix, pg_system.rhs)
         second = solver.solve(pg_system.matrix, pg_system.rhs)
         assert first.setup_seconds > 0.0

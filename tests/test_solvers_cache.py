@@ -11,8 +11,6 @@ from repro.solvers.cache import (
     AMGSetupCache,
     CacheStats,
     clear_setup_cache,
-    configure_setup_cache,
-    global_setup_cache,
     matrix_fingerprint,
     setup_cache_stats,
 )
@@ -87,76 +85,9 @@ class TestLRU:
         assert not hit
         assert len(cache) == 2
 
-
-class TestResize:
-    def test_shrink_evicts_oldest_first(self):
-        cache = AMGSetupCache(max_entries=4)
-        options = AMGOptions()
-        mats = [laplacian(8 + k) for k in range(4)]
-        for matrix in mats:
-            cache.get_or_build(matrix, options)
-        cache.get_or_build(mats[0], options)  # refresh 0 -> LRU order 1,2,3,0
-        cache.resize(2)
-        assert cache.max_entries == 2
-        assert len(cache) == 2
-        _, hit_recent = cache.get_or_build(mats[3], options)
-        _, hit_refreshed = cache.get_or_build(mats[0], options)
-        assert hit_recent and hit_refreshed
-        _, hit_evicted = cache.get_or_build(mats[1], options)
-        assert not hit_evicted
-
-    def test_grow_keeps_entries(self):
-        cache = AMGSetupCache(max_entries=2)
-        options = AMGOptions()
-        for matrix in (laplacian(8), laplacian(9)):
-            cache.get_or_build(matrix, options)
-        cache.resize(8)
-        assert len(cache) == 2
-        _, hit = cache.get_or_build(laplacian(8), options)
-        assert hit
-
     def test_rejects_bad_capacity(self):
-        cache = AMGSetupCache(max_entries=2)
         with pytest.raises(ValueError, match="max_entries"):
-            cache.resize(0)
-
-    def test_configure_resizes_global_cache(self):
-        # Regression: configure_setup_cache used to write max_entries and
-        # run its eviction loop outside the cache lock, racing any
-        # concurrent get_or_build.  It now delegates to resize(), which
-        # does both under the lock.
-        previous = global_setup_cache().max_entries
-        try:
-            configure_setup_cache(3)
-            assert global_setup_cache().max_entries == 3
-        finally:
-            configure_setup_cache(previous)
-
-    def test_resize_races_with_get_or_build(self):
-        import threading
-
-        cache = AMGSetupCache(max_entries=8)
-        options = AMGOptions()
-        mats = [laplacian(8 + k) for k in range(6)]
-        stop = threading.Event()
-
-        def hammer():
-            index = 0
-            while not stop.is_set():
-                cache.get_or_build(mats[index % len(mats)], options)
-                index += 1
-
-        worker = threading.Thread(target=hammer)
-        worker.start()
-        try:
-            for _ in range(25):
-                cache.resize(1)
-                cache.resize(8)
-        finally:
-            stop.set()
-            worker.join()
-        cache.resize(2)
-        assert len(cache) <= 2
+            AMGSetupCache(max_entries=0)
 
 
 class TestStats:

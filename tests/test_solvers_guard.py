@@ -5,13 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.mna.stamper import build_reduced_system
+from repro.solvers import guard as guard_module
 from repro.solvers.cg import CGSolver, JacobiPCGSolver
-from repro.solvers.guard import (
-    FallbackCascade,
-    GuardrailOptions,
-    IterationGuard,
-    SolverFailure,
-)
+from repro.solvers.direct import DirectSolver
+from repro.solvers.guard import FallbackCascade, IterationGuard, SolverFailure
 from repro.testing.faults import FaultPlan, corrupt_matrix, make_singular
 
 
@@ -31,18 +28,19 @@ class TestIterationGuard:
         guard.observe(1, float("nan"))
         assert guard.tripped == "nan_residual"
 
-    def test_divergence_trips(self):
-        guard = IterationGuard(GuardrailOptions(divergence_factor=10.0))
+    def test_divergence_trips(self, monkeypatch):
+        monkeypatch.setattr(guard_module, "DIVERGENCE_FACTOR", 10.0)
+        guard = IterationGuard()
         guard.observe(0, 1.0)
         guard.observe(1, 5.0)
         assert guard.tripped is None
         guard.observe(2, 100.0)
         assert guard.tripped == "diverged"
 
-    def test_stagnation_trips(self):
-        guard = IterationGuard(
-            GuardrailOptions(stagnation_window=3, stagnation_improvement=0.01)
-        )
+    def test_stagnation_trips(self, monkeypatch):
+        monkeypatch.setattr(guard_module, "STAGNATION_WINDOW", 3)
+        monkeypatch.setattr(guard_module, "STAGNATION_IMPROVEMENT", 0.01)
+        guard = IterationGuard()
         guard.observe(0, 1.0)
         for i in range(1, 10):
             guard.observe(i, 0.5)  # zero progress forever
@@ -57,12 +55,6 @@ class TestIterationGuard:
             guard.observe(i, norm)
         assert guard.tripped is None
 
-    def test_time_budget(self, monkeypatch):
-        guard = IterationGuard(GuardrailOptions(max_seconds=0.0))
-        guard.observe(0, 1.0)
-        guard.observe(1, 0.9)
-        assert guard.tripped == "time_budget"
-
     def test_expired_deadline_trips(self):
         from repro.obs import deadline_scope
 
@@ -71,6 +63,15 @@ class TestIterationGuard:
             guard.observe(0, 1.0)
             guard.observe(1, 0.9)
         assert guard.tripped == "deadline"
+
+    def test_nan_budget_cannot_loosen_an_expired_deadline(self):
+        from repro.obs import deadline_remaining, deadline_scope
+
+        with deadline_scope(0.0):
+            with pytest.raises(ValueError, match="nan"):
+                with deadline_scope(float("nan")):
+                    pass
+            assert deadline_remaining() <= 0.0
 
     def test_generous_deadline_never_trips(self):
         from repro.obs import deadline_scope
@@ -101,9 +102,7 @@ class TestGuardedPCG:
     def test_fault_hook_corrupts_on_schedule(self):
         matrix, rhs = small_spd()
         plan = FaultPlan(nan_residual={"cg": 2})
-        guard = IterationGuard(
-            GuardrailOptions(fault_hook=plan.residual_hook), solver_name="cg"
-        )
+        guard = IterationGuard("cg", fault_hook=plan.residual_hook)
         result = CGSolver().solve(matrix, rhs, guard=guard)
         assert result.aborted == "nan_residual"
         assert result.iterations == 2
@@ -119,7 +118,9 @@ class TestFallbackCascade:
         assert diagnostics.fallbacks == []
         assert diagnostics.final_solver == "amg_pcg"
 
-    def test_forced_amg_divergence_falls_back_to_pcg_then_direct(self):
+    def test_forced_amg_divergence_falls_back_to_pcg_then_direct(
+        self, monkeypatch
+    ):
         matrix, rhs = small_spd()
         plan = FaultPlan(
             divergence={
@@ -128,11 +129,8 @@ class TestFallbackCascade:
                 "jacobi_pcg": 1,
             }
         )
-        cascade = FallbackCascade(
-            guard_options=GuardrailOptions(
-                divergence_factor=10.0, fault_hook=plan.residual_hook
-            )
-        )
+        monkeypatch.setattr(guard_module, "DIVERGENCE_FACTOR", 10.0)
+        cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
         assert result.converged
         assert np.all(np.isfinite(result.x))
@@ -148,9 +146,7 @@ class TestFallbackCascade:
     def test_nan_residual_fault_degrades(self):
         matrix, rhs = small_spd()
         plan = FaultPlan(nan_residual={"amg_pcg": 1})
-        cascade = FallbackCascade(
-            guard_options=GuardrailOptions(fault_hook=plan.residual_hook)
-        )
+        cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
         assert result.converged
         assert diagnostics.attempts[0].aborted == "nan_residual"
@@ -159,15 +155,13 @@ class TestFallbackCascade:
     def test_injected_stage_error_recorded(self):
         matrix, rhs = small_spd()
         plan = FaultPlan(fail_stage={"amg_pcg"})
-        cascade = FallbackCascade(
-            guard_options=GuardrailOptions(fault_hook=plan.residual_hook)
-        )
+        cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
         assert result.converged
         assert diagnostics.attempts[0].error is not None
         assert "injected" in diagnostics.attempts[0].error
 
-    def test_zero_diagonal_is_one_value_error_and_degrades(self):
+    def test_zero_diagonal_is_one_value_error_and_degrades(self, monkeypatch):
         # 100 unknowns: above max_coarse_size, so the hierarchy has levels
         # to relax on and the check runs when their smoothers are built.
         n = 100
@@ -177,7 +171,8 @@ class TestFallbackCascade:
         matrix[7, 7] = 0.0
         matrix = matrix.tocsr()
         rhs = np.linspace(0.1, 1.0, n)
-        result, diagnostics = FallbackCascade(backoff_base=0.0).solve(matrix, rhs)
+        monkeypatch.setattr(guard_module, "BACKOFF_BASE", 0.0)
+        result, diagnostics = FallbackCascade().solve(matrix, rhs)
         assert [a.solver for a in diagnostics.attempts] == [
             "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
         ]
@@ -209,14 +204,12 @@ class TestFallbackCascade:
         assert "solver_chain=" in diagnostics.summary()
         assert payload["attempts"][0]["backoff_seconds"] == 0.0
 
-    def test_fallback_attempts_record_jittered_backoff(self):
+    def test_fallback_attempts_record_jittered_backoff(self, monkeypatch):
         matrix, rhs = small_spd()
         plan = FaultPlan(nan_residual={"amg_pcg": 1, "amg_pcg_retry": 1})
-        cascade = FallbackCascade(
-            guard_options=GuardrailOptions(fault_hook=plan.residual_hook),
-            backoff_base=0.01,
-            backoff_cap=0.05,
-        )
+        monkeypatch.setattr(guard_module, "BACKOFF_BASE", 0.01)
+        monkeypatch.setattr(guard_module, "BACKOFF_CAP", 0.05)
+        cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
         assert result.converged
         assert diagnostics.attempts[0].backoff_seconds == 0.0
@@ -228,11 +221,9 @@ class TestFallbackCascade:
         )
 
     def test_backoff_deterministic_per_stage(self):
-        cascade = FallbackCascade()
-        assert cascade._backoff_delay(1, "amg_pcg_retry") == (
-            cascade._backoff_delay(1, "amg_pcg_retry")
-        )
-        assert cascade._backoff_delay(3, "direct") <= cascade.backoff_cap * 1.5
+        delay = guard_module._backoff_delay
+        assert delay(1, "amg_pcg_retry") == delay(1, "amg_pcg_retry")
+        assert delay(3, "direct") <= guard_module.BACKOFF_CAP * 1.5
 
     def test_expired_deadline_short_circuits_to_direct(self):
         from repro.obs import deadline_scope
@@ -268,25 +259,18 @@ class TestSimulatorIntegration:
         plan = FaultPlan(
             nan_residual={"amg_pcg": 1, "amg_pcg_retry": 1, "jacobi_pcg": 1}
         )
-        simulator = PowerRushSimulator(
-            guard_options=GuardrailOptions(fault_hook=plan.residual_hook)
-        )
+        simulator = PowerRushSimulator(fault_hook=plan.residual_hook)
         report = simulator.simulate_netlist(tiny_netlist)
         assert np.all(np.isfinite(report.ir_drop))
         solver_diag = report.diagnostics.solver
         assert solver_diag.final_solver == "direct"
         assert solver_diag.num_fallbacks == 3
 
-    def test_strict_mode_keeps_original_solver(self, tiny_netlist):
-        from repro.solvers.powerrush import PowerRushSimulator
-
-        report = PowerRushSimulator(robust=False).simulate_netlist(tiny_netlist)
-        assert report.solve.converged
-        assert report.diagnostics.solver is None
-
     def test_reduced_system_solution_matches_strict(self, tiny_netlist):
+        from repro.grid.netlist import PowerGrid
         from repro.solvers.powerrush import PowerRushSimulator
 
-        robust = PowerRushSimulator().simulate_netlist(tiny_netlist)
-        strict = PowerRushSimulator(robust=False).simulate_netlist(tiny_netlist)
-        np.testing.assert_allclose(robust.voltages, strict.voltages)
+        report = PowerRushSimulator().simulate_netlist(tiny_netlist)
+        system = build_reduced_system(PowerGrid.from_netlist(tiny_netlist))
+        exact = DirectSolver().solve(system.matrix, system.rhs)
+        np.testing.assert_allclose(report.voltages, system.scatter(exact.x))

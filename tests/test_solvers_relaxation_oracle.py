@@ -203,7 +203,8 @@ class TestApplyPathIsSetupFree:
         self, design_matrix, rng, monkeypatch, cycle_options
     ):
         matrix = design_matrix("fake", 16)
-        solver = AMGPCGSolver(cycle_options=cycle_options, use_setup_cache=False)
+        clear_setup_cache()
+        solver = AMGPCGSolver(cycle_options=cycle_options)
         preconditioner = solver.setup(matrix)
         assert preconditioner.hierarchy.num_levels >= 3
         residual = rng.standard_normal(matrix.shape[0])

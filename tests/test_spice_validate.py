@@ -209,7 +209,5 @@ class TestEndToEndDegradation:
             PowerRushSimulator().simulate_grid(grid, supply_voltage=1.0)
 
     def test_strict_mode_still_raises(self):
-        from repro.solvers.powerrush import PowerRushSimulator
-
         with pytest.raises(ValueError, match="no resistive path"):
-            PowerRushSimulator(robust=False).simulate_text(ISLAND_DECK)
+            build_reduced_system(island_grid(), validate=True)
