@@ -1,25 +1,13 @@
 """Project-wide correctness tooling.
 
-Two pillars, both import-light and kernel-free:
-
-- :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
-  AST-based lint engine enforcing project invariants (no runtime
-  asserts, no unseeded RNG, no wall-clock reads, guarded divisions,
-  locked writes to module state, import hygiene), runnable as
-  ``python -m repro.analysis``;
-- :mod:`repro.analysis.racecheck` — an opt-in runtime lock-order/race
-  sanitizer (``REPRO_RACE_CHECK``) that wraps the project's locks and
-  shared dicts to flag acquisition-order inversions and unlocked
-  writes; the chaos-smoke CI job runs under it.
+:mod:`repro.analysis.racecheck` — an opt-in runtime lock-order/race
+sanitizer (``REPRO_RACE_CHECK``) that wraps the project's locks and
+shared dicts to flag acquisition-order inversions and unlocked writes;
+the chaos-smoke CI job runs under it.  The invariants a lint pass used
+to check are held by tests, float traps and read-only tables instead
+(docs/static_analysis.md maps each one to what holds it).
 """
 
-from repro.analysis.engine import (
-    AnalysisEngine,
-    AnalysisReport,
-    Finding,
-    ModuleSource,
-    Rule,
-)
 from repro.analysis.racecheck import (
     RaceError,
     RaceFinding,
@@ -27,12 +15,7 @@ from repro.analysis.racecheck import (
 )
 
 __all__ = [
-    "AnalysisEngine",
-    "AnalysisReport",
-    "Finding",
-    "ModuleSource",
     "RaceError",
     "RaceFinding",
-    "Rule",
     "install_racecheck_from_env",
 ]

@@ -1,8 +1,8 @@
 """Opt-in lock-order/race sanitizer (``REPRO_RACE_CHECK``).
 
-The static ``unlocked-global-write`` rule proves *where* locking is
-missing; this runtime mode proves the locking that exists is *used
-consistently*.  Two dynamic properties no static pass can check:
+Module tables are read-only and module state lives behind locks; this
+runtime mode proves the locking that exists is *used consistently*.
+Two dynamic properties no static pass can check:
 
 - **lock-order inversions** — thread A acquires ``obs.metrics`` then
   ``shm.arena`` while thread B acquires them in the opposite order: no

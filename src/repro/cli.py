@@ -199,7 +199,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from repro.core.pipeline import IRFusionPipeline
 
     pipeline = IRFusionPipeline.from_model_file(
-        args.model, jobs=max(1, args.jobs)
+        args.model, jobs=args.jobs
     )
     config = pipeline.config
 
@@ -333,12 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the predicted map as CSV")
     analyze.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-deck budget in batch mode: a hung deck "
-                              "is killed, retried, then quarantined")
+                         help="per-deck budget in batch mode with --jobs "
+                              "above 1: a hung deck is killed, retried, "
+                              "then quarantined")
     analyze.add_argument("--retries", type=int, default=2, metavar="N",
                          help="extra attempts per deck after a worker "
-                              "crash, timeout or transient failure "
-                              "(default: 2)")
+                              "crash, timeout or transient failure, with "
+                              "--jobs above 1 (default: 2)")
     analyze.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="whole-run budget: batch items still "

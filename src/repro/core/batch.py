@@ -6,9 +6,11 @@ feature extraction) across the persistent spawn-safe worker pool in
 
 - **spawn-safe**: the pool parallelizes correctly from non-main threads;
 - **supervised**: crashed workers are respawned and their items retried
-  with backoff, hung items are killed at ``task_timeout``, repeat
-  offenders are quarantined with a structured record, and a whole-batch
-  ``deadline`` bounds the run (see :mod:`repro.core.pool`);
+  with backoff, hung items are killed at ``task_timeout``, and repeat
+  offenders are quarantined with a structured record (see
+  :mod:`repro.core.pool`);
+- **deadline-bound**: a whole-batch ``deadline`` quarantines every item
+  unfinished when it expires, on either engine;
 - **seed-deterministic**: results are keyed back to their submission
   index, so the output list is identical to a serial run regardless of
   completion order;
@@ -34,7 +36,6 @@ hook the CI chaos-smoke job uses.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import traceback as _traceback
@@ -48,7 +49,7 @@ from repro.core.pool import (
     WORKER_ENV,
     get_pool,
 )
-from repro.obs import counter_add, span
+from repro.obs import counter_add, deadline_scope, monotonic, span
 from repro.obs.registry import (
     BATCH,
     BATCH_ITEMS,
@@ -57,6 +58,7 @@ from repro.obs.registry import (
     BATCH_SERIAL_FALLBACKS,
     BATCH_SERIAL_FALLBACKS_NESTED_IN_WORKER,
     BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE,
+    TASK_QUARANTINED,
     Counter,
 )
 
@@ -82,8 +84,56 @@ def _apply_serial(fn: Callable, item, index: int) -> TaskOutcome:
         )
 
 
-def _serial_map(fn: Callable, items: Sequence) -> list[TaskOutcome]:
-    return [_apply_serial(fn, item, k) for k, item in enumerate(items)]
+def _deadline_outcome(
+    index: int, overdue: float, when: str, elapsed: float
+) -> TaskOutcome:
+    """The pool's quarantine record for an item the deadline cut off."""
+    counter_add(TASK_QUARANTINED)
+    error = f"DeadlineExceededError: batch deadline expired {overdue:.3g}s ago {when}"
+    record = QuarantineRecord(
+        index=index,
+        reason="deadline",
+        error=error,
+        traceback=None,
+        attempts=1,
+        elapsed_seconds=elapsed,
+    )
+    return TaskOutcome(index=index, error=error, quarantine=record)
+
+
+def _serial_map(
+    fn: Callable, items: Sequence, deadline: float | None = None
+) -> list[TaskOutcome]:
+    """Run each item once, in order, in this process.
+
+    A *deadline* keeps the pool's contract: an item not yet started when
+    it expires is quarantined, and a started item runs under
+    ``deadline_scope`` of the time left.  This engine cannot kill a
+    running item, so one that returns after the deadline is quarantined
+    then, as the pool would have done when the deadline expired.
+    """
+    if deadline is None:
+        return [_apply_serial(fn, item, k) for k, item in enumerate(items)]
+    deadline_at = monotonic() + deadline
+    outcomes = []
+    for k, item in enumerate(items):
+        started = monotonic()
+        if started > deadline_at:
+            outcomes.append(
+                _deadline_outcome(
+                    k, started - deadline_at, f"before item {k} started", 0.0
+                )
+            )
+            continue
+        with deadline_scope(deadline_at - started):
+            outcome = _apply_serial(fn, item, k)
+        now = monotonic()
+        if now > deadline_at:
+            outcome = _deadline_outcome(
+                k, now - deadline_at, f"while item {k} was running", now - started
+            )
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _chaos_plan():
@@ -114,11 +164,12 @@ def parallel_map_ex(
     :class:`~repro.core.pool.QuarantineRecord` — and *degraded* is True
     when any part of the batch fell back to serial execution.
 
-    *task_timeout*, *retries* and *deadline* are honoured on the pool
-    path (see :meth:`~repro.core.pool.WorkerPool.map`); the serial path
-    (``jobs == 1``, a call nested inside a pool worker — workers are
-    daemonic and cannot have children — or a job the pool cannot ship)
-    runs each item once with no timeout.
+    *deadline* is honoured on both paths.  *task_timeout* and *retries*
+    are pool-only (see :meth:`~repro.core.pool.WorkerPool.map`): the
+    serial path (``jobs == 1``, a call nested inside a pool worker —
+    workers are daemonic and cannot have children — or a job the pool
+    cannot ship) runs each item once with no per-item timeout, because
+    it cannot kill an item that overruns one.
 
     On the pool path, ndarrays of at least 64 KiB
     (:data:`repro.core.shm.THRESHOLD`) in items and results cross via
@@ -135,12 +186,12 @@ def parallel_map_ex(
     jobs = max(1, min(int(jobs), len(items))) if items else 1
 
     if jobs == 1:
-        return _serial_map(fn, items), False
+        return _serial_map(fn, items, deadline), False
     if os.environ.get(WORKER_ENV):
         # Nested call inside a pool worker: daemonic processes cannot
         # have children, so run serially (correct, just not parallel).
         _serial_fallback(BATCH_SERIAL_FALLBACKS_NESTED_IN_WORKER)
-        return _serial_map(fn, items), True
+        return _serial_map(fn, items, deadline), True
 
     try:
         outcomes = get_pool(jobs).map(
@@ -155,7 +206,7 @@ def parallel_map_ex(
         return outcomes, False
     except PoolUnusableError:
         _serial_fallback(BATCH_SERIAL_FALLBACKS_POOL_UNUSABLE)
-        return _serial_map(fn, items), True
+        return _serial_map(fn, items, deadline), True
 
 
 #: Worker-side pipeline cache keyed by (weight fingerprint, config repr).
@@ -347,13 +398,14 @@ class BatchAnalyzer:
     jobs:
         Worker count; defaults to the pipeline config's ``jobs`` field.
     task_timeout:
-        Per-design budget in seconds (pool path); hung designs are
-        killed, retried and eventually quarantined.
+        Per-design budget in seconds, > 0 (pool path only); hung designs
+        are killed, retried and eventually quarantined.
     retries:
-        Extra attempts per design after a crash/timeout/transient error.
+        Extra attempts per design after a crash/timeout/transient error,
+        >= 0 (pool path only).
     deadline:
-        Whole-batch budget in seconds; unfinished designs are
-        quarantined when it expires.
+        Whole-batch budget in seconds, > 0; on either path, designs
+        unfinished when it expires are quarantined.
     """
 
     def __init__(
@@ -371,8 +423,11 @@ class BatchAnalyzer:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for name, value in (("task_timeout", task_timeout), ("deadline", deadline)):
-            if value is not None and math.isnan(value):
-                raise ValueError(f"{name} must be a number, got nan")
+            # ``not value > 0`` also refuses NaN.
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be a number > 0, got {value}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.task_timeout = task_timeout
         self.retries = retries
         self.deadline = deadline

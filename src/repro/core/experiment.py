@@ -12,8 +12,8 @@ rendered tables).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -182,14 +182,14 @@ def _without_curriculum(config: FusionConfig) -> FusionConfig:
     return config.with_(train=replace(config.train, use_curriculum=False))
 
 
-ABLATION_VARIANTS = {
+ABLATION_VARIANTS = MappingProxyType({
     "w/o Num. Solu.": _without_numerical,
     "w/o Hier. Feat.": _without_hierarchical,
     "w/o Inception": _without_inception,
     "w/o CBAM": _without_cbam,
     "w/o Data Aug.": _without_augmentation,
     "w/o Curr. Lear.": _without_curriculum,
-}
+})
 
 
 @dataclass

@@ -100,8 +100,7 @@ def available() -> bool:
     if _AVAILABLE is None:
         # The probe is idempotent, but the write must still be locked:
         # pool supervisor and caller threads race through here on first
-        # use, and torn init under an unlocked check-then-set is exactly
-        # what the unlocked-global-write rule exists to keep out.
+        # use, and an unlocked check-then-set could tear the init.
         with _AVAILABLE_LOCK:
             if _AVAILABLE is None:
                 try:

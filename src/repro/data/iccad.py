@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,12 +20,12 @@ from repro.spice.ast import Netlist
 from repro.spice.parser import parse_spice_file
 from repro.spice.writer import write_spice
 
-_IMAGE_FILES = {
+_IMAGE_FILES = MappingProxyType({
     "current": "current_map.csv",
     "eff_dist": "eff_dist_map.csv",
     "pdn_density": "pdn_density.csv",
     "ir_drop": "ir_drop_map.csv",
-}
+})
 
 
 def save_iccad_design(

@@ -8,7 +8,8 @@ PGAU and the contest winner).
 
 from __future__ import annotations
 
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from repro.models.pgau import PGAU
 from repro.nn.losses import KirchhoffLoss, MAELoss, WeightedHotspotLoss, _Loss
 from repro.nn.module import Module
 
-MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
+MODEL_REGISTRY: Mapping[str, Callable[..., Module]] = MappingProxyType({
     "iredge": IREDGe,
     "mavirec": MAVIREC,
     "irpnet": IRPnet,
@@ -30,10 +31,10 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
     "maunet": MAUnet,
     "contest_winner": ContestWinner,
     "ir_fusion": IRFusionNet,
-}
+})
 
 # Paper-facing display names for tables.
-DISPLAY_NAMES: dict[str, str] = {
+DISPLAY_NAMES: Mapping[str, str] = MappingProxyType({
     "iredge": "IREDGe",
     "mavirec": "MAVIREC",
     "irpnet": "IRPnet",
@@ -41,7 +42,7 @@ DISPLAY_NAMES: dict[str, str] = {
     "maunet": "MAUnet",
     "contest_winner": "Contest Winner",
     "ir_fusion": "IR-Fusion (Ours)",
-}
+})
 
 
 def create_model(

@@ -38,4 +38,6 @@ def construction_rng(
 def seed_construction_rng(seed: int = 0) -> None:
     """Reset the shared stream (call before building a model unseeded)."""
     global _construction_rng
-    _construction_rng = np.random.default_rng(seed)  # repro: allow(unlocked-global-write) — one atomic rebind; callers reseed before building a model, never beside it
+    # One atomic rebind, so no lock: callers reseed before building a
+    # model, never beside it.
+    _construction_rng = np.random.default_rng(seed)

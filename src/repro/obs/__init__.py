@@ -1,7 +1,7 @@
 """Unified observability layer: tracing, metrics and run telemetry.
 
 This package is the *only* module in the repository that touches timing
-primitives directly (enforced by the ``wall-clock`` lint rule).  Every
+primitives directly (a convention; docs/observability.md states it).  Every
 other module expresses timing through :func:`span` / :func:`trace` and
 reads durations back from the resulting :class:`Span` tree, so one run
 produces one coherent account of where its time went instead of eight

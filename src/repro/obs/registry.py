@@ -113,7 +113,6 @@ SHM_SEGMENTS_ACTIVE = Gauge("shm.segments_active")
 # -- spans ---------------------------------------------------------------------
 
 AMG_SETUP = SpanName("amg_setup")
-ANALYSIS = SpanName("analysis")
 ANALYZE = SpanName("analyze")
 BATCH = SpanName("batch")
 FEATURES = SpanName("features")

@@ -14,7 +14,7 @@ solver opens ``span(PCG)`` five frames down, and they nest.
 
 Only the monotonic clock is read here (``time.perf_counter``): span
 timestamps are intervals, never wall-clock data, so traces stay out of
-the reproducibility story and the PR-4 ``wall-clock`` lint stays clean.
+the reproducibility story.
 Pool workers share the parent's monotonic epoch on Linux, so their span
 timestamps remain directly comparable with the parent's.
 """
@@ -34,7 +34,7 @@ def monotonic() -> float:
 
     Every interval measurement outside this package goes through spans
     or this function — never ``time.time()`` and never a private
-    ``perf_counter`` call (the ``wall-clock`` lint rule enforces both).
+    ``perf_counter`` call.
     """
     return time.perf_counter()
 

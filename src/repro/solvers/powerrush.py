@@ -15,6 +15,8 @@ is recorded on ``SimulationReport.diagnostics``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -100,7 +102,7 @@ class SimulationReport:
 #: the default 64: its V-cycle visits each level once, and a 16 px design
 #: under a 1000 cutoff would be its own coarsest level, its rough solve
 #: exact.
-PRESETS: dict[str, tuple[AMGOptions, CycleOptions]] = {
+PRESETS: Mapping[str, tuple[AMGOptions, CycleOptions]] = MappingProxyType({
     "quality": (AMGOptions(max_coarse_size=1000), CycleOptions()),
     "fast": (
         AMGOptions(passes_per_level=1),
@@ -108,7 +110,7 @@ PRESETS: dict[str, tuple[AMGOptions, CycleOptions]] = {
             cycle="v", presmooth_sweeps=1, postsmooth_sweeps=0, smoother="jacobi"
         ),
     ),
-}
+})
 
 
 class PowerRushSimulator:

@@ -9,6 +9,7 @@ functions these replaced are the oracle in ``tests/reference_smoothers.py``.
 from __future__ import annotations
 
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,4 +73,6 @@ def symmetric_gauss_seidel(matrix: sp.csr_matrix, level: int = 0) -> Relaxation:
 
 
 #: ``CycleOptions.smoother`` -> builder ``(matrix, level) -> Relaxation``.
-RELAXATIONS = {"jacobi": jacobi_relaxation, "gauss_seidel": symmetric_gauss_seidel}
+RELAXATIONS = MappingProxyType(
+    {"jacobi": jacobi_relaxation, "gauss_seidel": symmetric_gauss_seidel}
+)

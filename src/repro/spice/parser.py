@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import re
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class SpiceParseError(ValueError):
         self.line_no = line_no
 
 
-_SUFFIXES = {
+_SUFFIXES = MappingProxyType({
     "t": 1e12,
     "g": 1e9,
     "meg": 1e6,
@@ -59,7 +60,7 @@ _SUFFIXES = {
     "n": 1e-9,
     "p": 1e-12,
     "f": 1e-15,
-}
+})
 
 #: A numeric token: an ASCII decimal number and an optional suffix.
 #: ``float()`` alone would also take ``inf``, ``nan``, ``1_0`` and non-ASCII digits.

@@ -477,9 +477,14 @@ class Trainer:
                 for parameter in self._parameters:
                     parameter.zero_grad()
                 grad_in = self.loss.backward()
-                if scale != 1.0:
-                    grad_in = grad_in * scale
-                self.model.backward(grad_in)
+                if scale == 1.0:
+                    self.model.backward(grad_in)
+                else:
+                    # A too-large scale overflows fp32 on purpose, and the
+                    # inf then meets zeros in the backward; the finiteness
+                    # check below skips that step.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        self.model.backward(grad_in * scale)
             with span(TRAIN_STEP):
                 if scale != 1.0:
                     inv_scale = 1.0 / scale

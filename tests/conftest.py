@@ -1,7 +1,13 @@
-"""Shared fixtures.
+"""Shared fixtures, and float traps for the whole suite.
 
 Expensive artefacts (generated designs, built samples) are session-scoped;
 tests must treat them as immutable.
+
+A division by zero, an overflow or an invalid operation raises
+``FloatingPointError`` anywhere in the suite, so arithmetic that makes
+inf or NaN on real data fails a test.  Code that makes one on purpose
+says so in a local ``np.errstate`` block.  Underflow stays off: a flush
+to zero is benign.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from repro.data.dataset import IRDropDataset, build_sample
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.grid.netlist import PowerGrid
 from repro.spice.parser import parse_spice
+
+np.seterr(divide="raise", over="raise", invalid="raise")
 
 TINY_DECK = """* tiny 2x2 test grid
 R1 n1_m1_0_0 n1_m1_1000_0 1.0

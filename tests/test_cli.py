@@ -30,6 +30,18 @@ def deck4_path(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A 16 px, one-epoch checkpoint from ``repro train``."""
+    model = tmp_path_factory.mktemp("model") / "model.npz"
+    code = main(
+        ["train", str(model), "--pixels", "16", "--fake", "2",
+         "--real", "1", "--epochs", "1", "--channels", "4"]
+    )
+    assert code == 0
+    return model
+
+
+@pytest.fixture(scope="module")
 def real48_deck(tmp_path_factory):
     """A 48 px real-like deck: large enough that the quality preset's
     hierarchy keeps a K-cycle above its 1000-unknown coarsest level."""
@@ -203,18 +215,51 @@ class TestErrorHandling:
         assert "PASS" not in captured.out
         assert "limit must be positive and finite" in captured.err
 
-    def test_nan_batch_deadline_exits_2(self, tmp_path, deck4_path, capsys):
-        model = tmp_path / "model.npz"
-        main(
-            ["train", str(model), "--pixels", "16", "--fake", "2",
-             "--real", "1", "--epochs", "1", "--channels", "4"]
-        )
+    def test_nan_batch_deadline_exits_2(self, tiny_model, deck4_path, capsys):
         code = main(
-            ["analyze", str(model), str(deck4_path), str(deck4_path),
+            ["analyze", str(tiny_model), str(deck4_path), str(deck4_path),
              "--deadline", "nan"]
         )
         assert code == 2
         assert "deadline must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-2"], "jobs must be >= 1"),
+            (["--jobs", "0"], "jobs must be >= 1"),
+            (["--jobs", "2", "--task-timeout", "-1"], "task_timeout must be"),
+            (["--task-timeout", "0"], "task_timeout must be"),
+            (["--retries", "-1"], "retries must be >= 0"),
+            (["--deadline", "0"], "deadline must be"),
+        ],
+    )
+    def test_out_of_range_batch_control_exits_2(
+        self, tiny_model, deck4_path, capsys, flags, message
+    ):
+        code = main(
+            ["analyze", str(tiny_model), str(deck4_path), str(deck4_path),
+             *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        # Refused before any deck ran.
+        assert "worst_predicted_drop_mV" not in captured.out
+        assert "batch:" not in captured.out
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_expired_deadline_quarantines_every_deck_at_any_jobs(
+        self, tiny_model, deck4_path, capsys, jobs
+    ):
+        code = main(
+            ["analyze", str(tiny_model), str(deck4_path), str(deck4_path),
+             "--jobs", str(jobs), "--deadline", "1e-6"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("reason=deadline") == 2
+        assert "worst_predicted_drop_mV" not in out
 
     def test_missing_model_meta_exits_2(self, tmp_path, deck_path, capsys):
         code = main(["analyze", str(tmp_path / "no_model.npz"), str(deck_path)])

@@ -151,10 +151,22 @@ class TestBatchAnalyzer:
         with pytest.raises(ValueError):
             BatchAnalyzer(trained_tiny_pipeline, jobs=0)
 
-    @pytest.mark.parametrize("field", ["task_timeout", "deadline"])
-    def test_rejects_nan_budgets(self, trained_tiny_pipeline, field):
-        with pytest.raises(ValueError, match=f"{field} must be a number"):
-            BatchAnalyzer(trained_tiny_pipeline, **{field: float("nan")})
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("task_timeout", float("nan"), "a number", id="task_timeout"),
+            pytest.param("deadline", float("nan"), "a number", id="deadline"),
+            pytest.param("task_timeout", 0.0, "> 0", id="task_timeout=0"),
+            pytest.param("task_timeout", -1.0, "> 0", id="task_timeout=-1"),
+            pytest.param("deadline", 0.0, "> 0", id="deadline=0"),
+            pytest.param("deadline", -1.0, "> 0", id="deadline=-1"),
+            pytest.param("retries", -1, ">= 0", id="retries=-1"),
+        ],
+    )
+    def test_rejects_nan_budgets(self, trained_tiny_pipeline, field, value, message):
+        # NaN and out-of-range batch controls alike are bad input.
+        with pytest.raises(ValueError, match=f"{field} must be .*{message}"):
+            BatchAnalyzer(trained_tiny_pipeline, **{field: value})
 
     def test_parallel_matches_serial_bitwise(self, trained_tiny_pipeline):
         pipeline = trained_tiny_pipeline

@@ -17,7 +17,13 @@ from repro.core.pool import (
     backoff_delay,
     get_pool,
 )
-from repro.obs import counters_delta, metrics_snapshot, reset_metrics, trace
+from repro.obs import (
+    counters_delta,
+    deadline_remaining,
+    metrics_snapshot,
+    reset_metrics,
+    trace,
+)
 from repro.obs.registry import SpanName
 from repro.testing.faults import WorkerFaultPlan
 
@@ -32,7 +38,12 @@ def _boom(x):
     return x
 
 
-def _nap(seconds):
+def _overrun(seconds):
+    """Sleep *seconds*, or until a second past the item's deadline: the
+    serial engine cannot kill an item, so it must end on its own."""
+    remaining = deadline_remaining()
+    if remaining is not None:
+        seconds = min(seconds, max(remaining, 0.0) + 1.0)
     time.sleep(seconds)
     return seconds
 
@@ -184,11 +195,15 @@ class TestChaosPaths:
         # The poison item never takes healthy neighbours down with it.
         assert outcomes[0].result == 1 and outcomes[2].result == 9
 
-    def test_batch_deadline_quarantines_unfinished(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_deadline_quarantines_unfinished(self, jobs):
+        # Both engines: the pool kills the running items at the deadline;
+        # the serial loop quarantines the one that returns late and never
+        # starts the rest.
         _warm_pool()
         start = time.monotonic()
         outcomes, _ = parallel_map_ex(
-            _nap, [3600.0, 3600.0, 3600.0], 2, deadline=1.5, retries=0
+            _overrun, [3600.0, 3600.0, 3600.0], jobs, deadline=1.5, retries=0
         )
         elapsed = time.monotonic() - start
         assert elapsed < 30.0
