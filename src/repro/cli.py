@@ -11,9 +11,8 @@ Subcommands
 ``train``
     Train an IR-Fusion pipeline on a generated suite and save the model;
     ``--jobs N`` extracts the training features on N worker processes
-    (the saved weights are the same at any N) and ``--precision mixed``
-    switches the kernels to the fp32 compute path (fp64 master weights,
-    see ``docs/performance.md``).
+    (the saved weights are the same at any N).  The network trains in
+    float64, the dtype of the numerical solution it corrects.
 ``analyze``
     Fused analysis of one or more decks with a previously trained model
     checkpoint; ``--jobs N`` fans multiple decks across the supervised
@@ -152,8 +151,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         num_real_test=1,
         data_seed=args.seed,
         base_channels=args.channels,
-        train=TrainConfig(epochs=args.epochs, batch_size=8,
-                          use_curriculum=True, precision=args.precision),
+        train=TrainConfig(epochs=args.epochs, batch_size=8, use_curriculum=True),
         jobs=args.jobs,
     )
     pipeline = IRFusionPipeline(config)
@@ -315,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--jobs", type=int, default=1,
                        help="worker processes for training-set feature "
                             "extraction (the model is the same at any N)")
-    train.add_argument("--precision", choices=("fp64", "mixed"),
-                       default="fp64",
-                       help="training compute precision: fp64 kernels or "
-                            "mixed (fp32 kernels over fp64 master weights)")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="write a JSONL span trace of the run")
     train.set_defaults(func=_cmd_train, root_span=TRAIN)

@@ -54,10 +54,10 @@ class FusionConfig:
     Training
     --------
     train:
-        Loop controls (epochs, lr, batch size, curriculum flag,
-        ``precision``, ``loss_scale``, ...) — see
-        :class:`repro.train.trainer.TrainConfig`.  Training runs in this
-        process; ``jobs`` below never changes the trained weights.
+        Loop controls (epochs, lr, batch size, curriculum flag, ...) —
+        see :class:`repro.train.trainer.TrainConfig`.  The network is
+        float64, like the numerical solution it corrects.  Training runs
+        in this process; ``jobs`` below never changes the trained weights.
     augment:
         Apply the 4x rotation augmentation to the training set.
     oversample_fake / oversample_real:

@@ -7,8 +7,10 @@ This is the execution substrate under
 
 - **spawn context** — workers are started with the ``spawn`` method, so
   the pool is safe off the main thread, under nested/threaded callers,
-  and on platforms without ``fork``.  Job payloads (the callable and a
-  chaos plan) are pickled once per worker per job; items once per job.
+  and on platforms without ``fork``.  Job payloads (the callable, a
+  chaos plan and the caller's ``np.geterr()`` float-error mode) are
+  pickled once per worker per job; items once per job.  Items run under
+  that mode, so float traps the caller set hold inside the workers too.
 - **persistent** — workers are long-lived and lazily started; the module
   pool survives across ``map`` calls, amortising interpreter start-up,
   and shuts itself down after :data:`IDLE_TIMEOUT` seconds without work.  A
@@ -78,6 +80,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core import shm as _shm
 from repro.obs import (
@@ -226,13 +230,14 @@ def backoff_delay(attempt: int, index: int) -> float:
 # -- worker side ---------------------------------------------------------------
 
 
-def _execute(fn: Callable, item, budget: float | None) -> tuple:
+def _execute(fn: Callable, item, budget: float | None, float_errors: dict) -> tuple:
     """Run one item; returns ``(result, error, traceback, retryable)``."""
     try:
-        if budget is not None:
-            with deadline_scope(budget):
-                return fn(item), None, None, False
-        return fn(item), None, None, False
+        with np.errstate(**float_errors):
+            if budget is not None:
+                with deadline_scope(budget):
+                    return fn(item), None, None, False
+            return fn(item), None, None, False
     except Exception as exc:  # noqa: BLE001 - captured per item by design
         return (
             None,
@@ -262,7 +267,7 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
     if isinstance(job, str):  # the job payload failed to unpickle
         payload["error"] = f"JobSetupError: {job}"
         return payload
-    fn, fault_plan, traced = job
+    fn, fault_plan, traced, float_errors = job
     before = metrics_snapshot()
     try:
         # Shm descriptors inside the item resolve to zero-copy views.
@@ -277,10 +282,12 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
     else:
         if traced:
             with trace(ITEM, index=index, attempt=attempt) as tracer:
-                result, error, tb, retryable = _execute(fn, item, budget)
+                result, error, tb, retryable = _execute(
+                    fn, item, budget, float_errors
+                )
             payload["span_tree"] = tracer.root.to_dict()
         else:
-            result, error, tb, retryable = _execute(fn, item, budget)
+            result, error, tb, retryable = _execute(fn, item, budget, float_errors)
         payload.update(
             result=result, error=error, traceback=tb, retryable=retryable
         )
@@ -610,7 +617,8 @@ class WorkerPool:
             writer = None if scope is None else scope.share
             try:
                 payload = _shm.dumps(
-                    (fn, fault_plan, tracer is not None), writer=writer
+                    (fn, fault_plan, tracer is not None, np.geterr()),
+                    writer=writer,
                 )
                 item_blobs = [_shm.dumps(item, writer=writer) for item in items]
             except Exception as exc:  # noqa: BLE001 - anything unpicklable

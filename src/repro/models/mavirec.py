@@ -47,7 +47,7 @@ class DepthSharedConv(Module):
         n, c, h, w = x.shape
         folded = x.reshape(n * c, 1, h, w)
         out, cols = conv2d_forward(
-            folded, self.weight.compute, self.bias.compute, (1, 1), self.padding
+            folded, self.weight.data, self.bias.data, (1, 1), self.padding
         )
         self._cols = cols
         self._shape = (n, c, h, w)
@@ -62,7 +62,7 @@ class DepthSharedConv(Module):
             folded_grad,
             self._cols,
             (n * c, 1, h, w),
-            self.weight.compute,
+            self.weight.data,
             (1, 1),
             self.padding,
             with_bias=True,

@@ -48,18 +48,18 @@ class ChannelAttention(Module):
         self._cache: dict | None = None
 
     def _mlp_forward(self, pooled: np.ndarray) -> tuple[np.ndarray, dict]:
-        hidden_pre = pooled @ self.w1.compute.T + self.b1.compute
+        hidden_pre = pooled @ self.w1.data.T + self.b1.data
         hidden = np.maximum(hidden_pre, 0.0)
-        out = hidden @ self.w2.compute.T + self.b2.compute
+        out = hidden @ self.w2.data.T + self.b2.data
         return out, {"input": pooled, "hidden": hidden, "mask": hidden_pre > 0}
 
     def _mlp_backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
         self.w2.grad += grad_out.T @ cache["hidden"]
         self.b2.grad += grad_out.sum(axis=0)
-        grad_hidden = (grad_out @ self.w2.compute) * cache["mask"]
+        grad_hidden = (grad_out @ self.w2.data) * cache["mask"]
         self.w1.grad += grad_hidden.T @ cache["input"]
         self.b1.grad += grad_hidden.sum(axis=0)
-        return grad_hidden @ self.w1.compute
+        return grad_hidden @ self.w1.data
 
     def forward(self, m: np.ndarray) -> np.ndarray:
         n, c, h, w = m.shape

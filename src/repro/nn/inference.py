@@ -9,10 +9,9 @@ strided views; a stride-1 ``AvgPool2d`` is separable shifted adds; any
 other leaf keeps its own forward on a shallow copy that shares the
 source's :class:`Parameter` objects.  Nothing is cached for a backward.
 
-Folded tensors are a derived cache of the master weights, like
-``Parameter.compute``: an op remembers the ``Parameter.version`` sum and the
-BatchNorm buffer objects it folded from, and a run re-folds (never
-rebuilds) the ops whose stamp moved.  Buffers hold scratch only — outputs
+Folded tensors are a derived cache of the weights: an op remembers the
+``Parameter.version`` sum and the BatchNorm buffer objects it folded from,
+and a run re-folds (never rebuilds) the ops whose stamp moved.  Buffers hold scratch only — outputs
 are fresh arrays — and one lock makes a run single-flight per plan.
 See docs/performance.md, "Inference plan".
 """
@@ -54,8 +53,7 @@ class _PlannedOp(Module):
 class _Folded(_PlannedOp):
     """A planned op whose tensors derive from source parameters."""
 
-    def __init__(self, dtype, conv, bn: BatchNorm2d | None) -> None:
-        self._dtype = dtype
+    def __init__(self, conv, bn: BatchNorm2d | None) -> None:
         # In a namespace, not as attributes: module discovery (children(),
         # named_modules()) must see a planned op as a leaf.
         self._source = SimpleNamespace(conv=conv, bn=bn)
@@ -89,10 +87,10 @@ class PlannedConv(_Folded):
     staged input (see :func:`~repro.nn.functional.stage_rows`); no patch
     matrix, nothing cached."""
 
-    def __init__(self, conv, bn, relu: bool, dtype, arena: Workspace) -> None:
+    def __init__(self, conv, bn, relu: bool, arena: Workspace) -> None:
         self.kernel, self.padding = conv.kernel, conv.padding
         self._relu, self._arena = relu, arena
-        super().__init__(dtype, conv, bn)
+        super().__init__(conv, bn)
 
     def _fold(self, conv, scale, shift) -> None:
         weight = conv.weight.data
@@ -101,12 +99,10 @@ class PlannedConv(_Folded):
             weight = weight * scale[:, None, None, None]
             bias = shift if bias is None else bias * scale + shift
         filters, channels, kh, kw = weight.shape
-        self._taps = np.ascontiguousarray(
-            weight.transpose(2, 3, 0, 1), dtype=self._dtype
-        ).reshape(kh * kw, filters, channels)
-        self._bias = (
-            None if bias is None else bias.astype(self._dtype).reshape(1, -1, 1, 1)
+        self._taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(
+            kh * kw, filters, channels
         )
+        self._bias = None if bias is None else bias.reshape(1, -1, 1, 1).copy()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -148,12 +144,12 @@ class PlannedConv(_Folded):
 class PlannedNorm(_Folded):
     """Standalone eval-mode BatchNorm: one multiply, one add."""
 
-    def __init__(self, bn: BatchNorm2d, dtype) -> None:
-        super().__init__(dtype, None, bn)
+    def __init__(self, bn: BatchNorm2d) -> None:
+        super().__init__(None, bn)
 
     def _fold(self, conv, scale, shift) -> None:
-        self._scale = scale.astype(self._dtype).reshape(1, -1, 1, 1)
-        self._shift = shift.astype(self._dtype).reshape(1, -1, 1, 1)
+        self._scale = scale.reshape(1, -1, 1, 1)
+        self._shift = shift.reshape(1, -1, 1, 1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = x * self._scale
@@ -191,10 +187,9 @@ class PlannedAvgPool(_PlannedOp):
 
 
 class InferencePlan:
-    """Planned twin of *model* computing its eval-mode forward in *dtype*."""
+    """Planned twin of *model* computing its eval-mode forward in float64."""
 
-    def __init__(self, model: Module, dtype=np.float64) -> None:
-        self.dtype = np.dtype(dtype)
+    def __init__(self, model: Module) -> None:
         self._arena = Workspace()
         self._folded: list[_Folded] = []
         self.num_ops = 0
@@ -227,7 +222,7 @@ class InferencePlan:
                 # a new set, so the arena never outgrows one size's worth.
                 self._arena.clear()
                 self._shape = x.shape
-            return self.root(x.astype(self.dtype, copy=False))
+            return self.root(x.astype(np.float64, copy=False))
 
     # -- the graph pass ----------------------------------------------------------
 
@@ -248,9 +243,9 @@ class InferencePlan:
         kind = type(value)
         if kind in (Conv2d, FusedConvBiasReLU) and value.stride == (1, 1):
             relu = kind is FusedConvBiasReLU
-            return self._leaf(PlannedConv(value, None, relu, self.dtype, self._arena))
+            return self._leaf(PlannedConv(value, None, relu, self._arena))
         if kind is BatchNorm2d:
-            return self._leaf(PlannedNorm(value, self.dtype))
+            return self._leaf(PlannedNorm(value))
         if kind is MaxPool2d:
             return self._leaf(PlannedMaxPool(value))
         if kind is AvgPool2d and value.stride == (1, 1):
@@ -284,7 +279,7 @@ class InferencePlan:
             relu = j < len(modules) and type(modules[j]) is ReLU
             j += relu
             planned.append(
-                self._leaf(PlannedConv(conv, bn, relu, self.dtype, self._arena))
+                self._leaf(PlannedConv(conv, bn, relu, self._arena))
             )
             planned.extend(Identity() for _ in range(j - i - 1))
             i = j

@@ -65,8 +65,8 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, cols = conv2d_forward(
             x,
-            self.weight.compute,
-            self.bias.compute if self.bias is not None else None,
+            self.weight.data,
+            self.bias.data if self.bias is not None else None,
             self.stride,
             self.padding,
             workspace=self._workspace,
@@ -82,7 +82,7 @@ class Conv2d(Module):
             grad_output,
             self._cols,
             self._x_shape,
-            self.weight.compute,
+            self.weight.data,
             self.stride,
             self.padding,
             with_bias=self.bias is not None,
@@ -122,8 +122,8 @@ class FusedConvBiasReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, cols = conv2d_forward(
             x,
-            self.weight.compute,
-            self.bias.compute if self.bias is not None else None,
+            self.weight.data,
+            self.bias.data if self.bias is not None else None,
             self.stride,
             self.padding,
             workspace=self._workspace,
@@ -142,7 +142,7 @@ class FusedConvBiasReLU(Module):
             grad_pre,
             self._cols,
             self._x_shape,
-            self.weight.compute,
+            self.weight.data,
             self.stride,
             self.padding,
             with_bias=self.bias is not None,
@@ -199,11 +199,11 @@ class ConvTranspose2d(Module):
         out_h, out_w = self._output_hw((h, w))
         out_shape = (n, self.out_channels, out_h, out_w)
         # conv-transpose forward == conv backward-data with x as the gradient
-        w_mat = self.weight.compute.reshape(c_in, -1)  # (Cin, Cout*kh*kw)
+        w_mat = self.weight.data.reshape(c_in, -1)  # (Cin, Cout*kh*kw)
         grad_cols = np.matmul(w_mat.T, x.reshape(n, c_in, -1))
         out = col2im(grad_cols, out_shape, self.kernel, self.stride, self.padding)
         if self.bias is not None:
-            out = out + self.bias.compute.reshape(1, -1, 1, 1)
+            out = out + self.bias.data.reshape(1, -1, 1, 1)
         self._x = x
         self._out_shape = out_shape
         return out
@@ -219,7 +219,7 @@ class ConvTranspose2d(Module):
         self.weight.grad += grad_w.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        w_mat = self.weight.compute.reshape(c_in, -1)
+        w_mat = self.weight.data.reshape(c_in, -1)
         grad_input = np.matmul(w_mat, cols).reshape(x.shape)
         return grad_input
 
@@ -255,16 +255,12 @@ class BatchNorm2d(Module):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             )
         else:
-            # Running stats are float64 buffers; cast to the activation
-            # dtype so eval mode never upcasts a reduced-precision pass
-            # (a no-op copy-free cast in fp64).
-            mean = self.running_mean.astype(x.dtype, copy=False)
-            var = self.running_var.astype(x.dtype, copy=False)
+            mean, var = self.running_mean, self.running_var
         # Multiply by the reciprocal instead of dividing elementwise.
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
         self._cache = (x_hat, inv_std)
-        return self.gamma.compute.reshape(1, -1, 1, 1) * x_hat + self.beta.compute.reshape(
+        return self.gamma.data.reshape(1, -1, 1, 1) * x_hat + self.beta.data.reshape(
             1, -1, 1, 1
         )
 
@@ -281,7 +277,7 @@ class BatchNorm2d(Module):
         gx_sum = np.einsum("nchw,nchw->c", grad_output, x_hat)
         self.gamma.grad += gx_sum
         self.beta.grad += g_sum
-        scale = self.gamma.compute * inv_std
+        scale = self.gamma.data * inv_std
         if not self.training:
             return grad_output * scale.reshape(1, -1, 1, 1)
         count = grad_output.shape[0] * grad_output.shape[2] * grad_output.shape[3]
@@ -500,9 +496,9 @@ class Linear(Module):
         if x.ndim != 2:
             raise ValueError(f"Linear expects (N, F) input, got shape {x.shape}")
         self._x = x
-        out = x @ self.weight.compute.T
+        out = x @ self.weight.data.T
         if self.bias is not None:
-            out = out + self.bias.compute
+            out = out + self.bias.data
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -511,7 +507,7 @@ class Linear(Module):
         self.weight.grad += grad_output.T @ self._x
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.compute
+        return grad_output @ self.weight.data
 
 
 class Concat(Module):

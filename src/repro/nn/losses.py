@@ -122,7 +122,7 @@ class WeightedHotspotLoss(_Loss):
         per_sample_max = target.max(axis=tuple(range(1, target.ndim)), keepdims=True)
         hot = target > self.threshold * per_sample_max
         # np.where over two python scalars yields float64; cast so the
-        # weighted gradient keeps the prediction's compute dtype.
+        # weighted gradient keeps the prediction's dtype.
         weights = np.where(hot, self.hotspot_weight, 1.0).astype(
             prediction.dtype, copy=False
         )

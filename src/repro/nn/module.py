@@ -14,24 +14,19 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient.
+    """A trainable float64 tensor with an accumulated gradient.
 
-    Precision contract: ``data`` is always the float64 **master** copy —
-    it is what optimisers update, what ``state_dict`` saves and what
-    checkpoints restore.  ``compute`` is what forward/backward kernels
-    read: identical to ``data`` in the default fp64 mode (zero overhead,
-    bitwise-neutral), or a cached lower-precision cast after
-    :meth:`set_compute_dtype`.  Gradients always accumulate in float64
-    regardless of the compute dtype.
+    ``data`` is what kernels read, optimisers update, ``state_dict`` saves
+    and checkpoints restore.  Whoever changes ``data`` calls
+    :meth:`bump_version`, which stamps caches derived from it (the
+    inference plan's folded weights).
     """
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
-        self._compute_dtype = np.float64
-        self._compute_cache: np.ndarray | None = None
-        #: Bumped by :meth:`sync_compute`; stamps caches derived from ``data``.
+        #: Bumped by :meth:`bump_version`; stamps caches derived from ``data``.
         self.version = 0
 
     @property
@@ -42,30 +37,8 @@ class Parameter:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def compute_dtype(self) -> np.dtype:
-        return np.dtype(self._compute_dtype)
-
-    @property
-    def compute(self) -> np.ndarray:
-        """The tensor kernels should read: master data, or its cached cast."""
-        if self._compute_dtype == np.float64:
-            return self.data
-        if self._compute_cache is None:
-            self._compute_cache = self.data.astype(self._compute_dtype)
-        return self._compute_cache
-
-    def set_compute_dtype(self, dtype) -> None:
-        """Switch the compute precision; the master copy stays float64."""
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"unsupported compute dtype: {dtype}")
-        self._compute_dtype = dtype.type
-        self._compute_cache = None
-
-    def sync_compute(self) -> None:
-        """Invalidate everything derived from the master copy after it changed."""
-        self._compute_cache = None
+    def bump_version(self) -> None:
+        """Mark ``data`` changed, so caches derived from it rebuild."""
         self.version += 1
 
     def zero_grad(self) -> None:
@@ -132,18 +105,6 @@ class Module:
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    # -- compute precision -------------------------------------------------------
-
-    def set_compute_dtype(self, dtype) -> "Module":
-        """Set the compute precision of every parameter in the tree.
-
-        Master weights stay float64; kernels reading ``Parameter.compute``
-        see the requested dtype.  fp64 restores the zero-overhead default.
-        """
-        for parameter in self.parameters():
-            parameter.set_compute_dtype(dtype)
-        return self
 
     def workspaces(self) -> list:
         """Every :class:`~repro.nn.functional.Workspace` in the module tree."""
@@ -221,7 +182,7 @@ class Module:
                 )
             parameter.data = value.copy()
             parameter.grad = np.zeros_like(parameter.data)
-            parameter.sync_compute()
+            parameter.bump_version()
         for name, (owner, attr) in buffers.items():
             current = np.asarray(getattr(owner, attr))
             value = np.asarray(state[name], dtype=np.float64)

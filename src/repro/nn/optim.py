@@ -60,7 +60,7 @@ class SGD(Optimizer):
             velocity *= self.momentum
             velocity += grad
             parameter.data -= self.lr * velocity
-            parameter.sync_compute()
+            parameter.bump_version()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"velocity.{i}": v.copy() for i, v in enumerate(self._velocity)}
@@ -77,12 +77,7 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba).
-
-    Steps operate on the float64 master weights (``Parameter.data``) and
-    re-sync each parameter's compute-precision cast afterwards, so mixed
-    precision never degrades the accumulated weight state.
-    """
+    """Adam with bias correction (Kingma & Ba)."""
 
     def __init__(
         self,
@@ -121,7 +116,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            parameter.sync_compute()
+            parameter.bump_version()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {f"m.{i}": m.copy() for i, m in enumerate(self._m)}

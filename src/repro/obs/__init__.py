@@ -15,7 +15,7 @@ Three pieces:
   ``SolveResult.setup_seconds``-style fields work with zero
   configuration).
 - :mod:`repro.obs.metrics` — process-wide named counters and gauges
-  (cache hits, fallback attempts, PCG iterations, overflow steps).
+  (cache hits, fallback attempts, PCG iterations, plan re-folds).
   Process-aware: :mod:`repro.core.pool` workers snapshot the registry
   at item start and ship the delta back with each result.
 - :mod:`repro.obs.export` — structured JSONL trace files plus the

@@ -101,7 +101,6 @@ SOLVER_FALLBACKS = Counter("solver.fallbacks")
 TASK_QUARANTINED = Counter("task.quarantined")
 TASK_RETRIES = Counter("task.retries")
 TASK_TIMEOUTS = Counter("task.timeouts")
-TRAIN_OVERFLOW_STEPS = Counter("train.overflow_steps")
 TRANSPORT_PICKLED_BYTES = Counter("transport.pickled_bytes")
 
 # -- gauges --------------------------------------------------------------------

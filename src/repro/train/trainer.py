@@ -13,8 +13,10 @@ of silently corrupting the weights.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -27,25 +29,35 @@ from repro.nn.losses import MAELoss, _Loss
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.serialize import load_checkpoint, save_checkpoint
-from repro.obs import counter_add, span
+from repro.obs import span
 from repro.obs.registry import (
     PLAN_BUILD,
     TRAIN,
     TRAIN_BACKWARD,
     TRAIN_FORWARD,
-    TRAIN_OVERFLOW_STEPS,
     TRAIN_STEP,
 )
 from repro.train.schedule import ConstantLR
 
-#: Loss-scale floor: repeated overflows halve the scale but never push it
-#: into a denormal spiral.
-MIN_LOSS_SCALE = 1.0 / 65536.0
+#: Fields that must be integers, and their smallest allowed value.
+_INTEGER_FLOORS = {
+    "epochs": 1,
+    "batch_size": 1,
+    "shuffle_seed": 0,
+    "early_stop_patience": 0,
+    "checkpoint_every": 0,
+    "max_recoveries": 0,
+}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer knobs.
+    """Trainer knobs.  The network trains and infers in float64.
+
+    Construction raises ``ValueError``, naming the field, for a value
+    outside its range: a count below its floor, a non-integral count, a
+    learning rate, label scale or clip that is NaN, infinite or out of
+    range, or periodic checkpoints with nowhere to write them.
 
     Attributes
     ----------
@@ -86,18 +98,7 @@ class TrainConfig:
         Abort training (``history.aborted = "nan_loss"``) after this many
         recoveries — the run is unsalvageable, don't spin forever.
     recovery_lr_factor:
-        Learning-rate multiplier applied at each NaN recovery.
-    precision:
-        ``"fp64"`` (default) computes everything in float64.
-        ``"mixed"`` runs forward/backward kernels in float32 while the
-        optimiser keeps float64 master weights (see
-        ``docs/performance.md`` for the full contract).
-    loss_scale:
-        Static starting loss scale for mixed precision (0 = auto: 1.0
-        in fp64, 256.0 in mixed).  In mixed mode a guard skips the
-        optimizer step and halves the scale whenever scaled gradients
-        overflow to non-finite values, so overflows never reach the
-        master weights; a NaN recovery resets the scale.
+        Learning-rate multiplier applied at each NaN recovery, in (0, 1].
     """
 
     epochs: int = 10
@@ -114,16 +115,30 @@ class TrainConfig:
     nan_recovery: bool = True
     max_recoveries: int = 3
     recovery_lr_factor: float = 0.5
-    precision: str = "fp64"
-    loss_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.precision not in ("fp64", "mixed"):
+        for name, floor in _INTEGER_FLOORS.items():
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < floor:
+                raise ValueError(
+                    f"TrainConfig.{name} must be an integer >= {floor}, "
+                    f"got {value!r}"
+                )
+        for name, ok, rule in (
+            ("lr", self.lr > 0, "> 0"),
+            ("label_scale", self.label_scale > 0, "> 0"),
+            ("grad_clip", self.grad_clip >= 0, ">= 0"),
+            ("recovery_lr_factor", 0 < self.recovery_lr_factor <= 1, "in (0, 1]"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(
+                    f"TrainConfig.{name} must be finite and {rule}, got {value!r}"
+                )
+        if self.checkpoint_every > 0 and self.checkpoint_path is None:
             raise ValueError(
-                f"precision must be 'fp64' or 'mixed', got {self.precision!r}"
+                "TrainConfig.checkpoint_every > 0 needs a checkpoint_path"
             )
-        if self.loss_scale < 0:
-            raise ValueError("loss_scale must be >= 0 (0 = auto)")
 
 
 @dataclass
@@ -138,7 +153,6 @@ class TrainHistory:
     recoveries: list[int] = field(default_factory=list)
     resumed_from: int | None = None
     aborted: str | None = None
-    overflow_steps: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -167,7 +181,6 @@ class TrainHistory:
             "recoveries": list(self.recoveries),
             "resumed_from": self.resumed_from,
             "aborted": self.aborted,
-            "overflow_steps": int(self.overflow_steps),
         }
 
     @classmethod
@@ -181,7 +194,6 @@ class TrainHistory:
             recoveries=list(meta.get("recoveries", [])),
             resumed_from=meta.get("resumed_from"),
             aborted=meta.get("aborted"),
-            overflow_steps=int(meta.get("overflow_steps", 0)),
         )
 
 
@@ -218,19 +230,10 @@ class Trainer:
         self.lr_schedule = lr_schedule or ConstantLR(self.config.lr)
         self.optimizer = Adam(model.parameters(), lr=self.config.lr)
         self.fault_hook = fault_hook
-        self.compute_dtype = (
-            np.float32 if self.config.precision == "mixed" else np.float64
-        )
-        self.model.set_compute_dtype(self.compute_dtype)
         # Parameter list cached once (model structure is frozen after the
-        # fusion pass above): zero_grad / unscale / clip all walk this
-        # list, which is the same tree order model.parameters() returns.
+        # fusion pass above): zero_grad and clip walk this list, which is
+        # the same tree order model.parameters() returns.
         self._parameters = self.optimizer.parameters
-        self._initial_loss_scale = self.config.loss_scale or (
-            256.0 if self.config.precision == "mixed" else 1.0
-        )
-        self._loss_scale = self._initial_loss_scale
-        self._overflow_steps = 0
         self._plan: InferencePlan | None = None
 
     # -- checkpointing ---------------------------------------------------------
@@ -255,7 +258,6 @@ class Trainer:
         meta = {
             "epoch": epoch,
             "lr_scale": lr_scale,
-            "loss_scale": self._loss_scale,
             "rng_state": rng.bit_generator.state,
             "history": history.to_meta(),
             "config": {
@@ -303,10 +305,6 @@ class Trainer:
         rng.bit_generator.state = meta["rng_state"]
         history = TrainHistory.from_meta(meta.get("history", {}))
         history.resumed_from = int(meta["epoch"])
-        self._loss_scale = float(
-            meta.get("loss_scale", self._initial_loss_scale)
-        )
-        self._overflow_steps = history.overflow_steps
         return int(meta["epoch"]) + 1, float(meta.get("lr_scale", 1.0)), history
 
     # -- fitting --------------------------------------------------------------
@@ -367,7 +365,6 @@ class Trainer:
             history.epoch_losses.append(epoch_loss)
             history.epoch_sizes.append(len(subset))
             history.learning_rates.append(lr)
-            history.overflow_steps = self._overflow_steps
             if not np.isfinite(epoch_loss):
                 history.recoveries.append(epoch)
                 if not cfg.nan_recovery:
@@ -377,13 +374,10 @@ class Trainer:
                     break
                 # Reload the last healthy weights and damp the step size;
                 # the sick epoch is recorded but never poisons the model.
-                # The mixed-precision loss scale restarts from its initial
-                # value alongside the reloaded state.
                 model_state, optim_state = last_good
                 self.model.load_state_dict(model_state)
                 self.optimizer.load_state_dict(optim_state)
                 lr_scale *= cfg.recovery_lr_factor
-                self._loss_scale = self._initial_loss_scale
                 continue
             if cfg.nan_recovery:
                 last_good = (self.model.state_dict(), self.optimizer.state_dict())
@@ -403,11 +397,7 @@ class Trainer:
                     ):
                         history.stopped_early = True
                         break
-            if (
-                cfg.checkpoint_every > 0
-                and cfg.checkpoint_path is not None
-                and (epoch + 1) % cfg.checkpoint_every == 0
-            ):
+            if cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
                 self._save_checkpoint(
                     cfg.checkpoint_path, epoch, rng, history, lr_scale
                 )
@@ -457,61 +447,30 @@ class Trainer:
             for k, sample in enumerate(dataset.samples):
                 y[k, 0] -= sample.rough_label
         y *= self.config.label_scale
-        if self.compute_dtype != np.float64:
-            x = x.astype(self.compute_dtype)
-            y = y.astype(self.compute_dtype)
         order = rng.permutation(len(dataset))
         batches = [
             order[start : start + self.config.batch_size]
             for start in range(0, len(order), self.config.batch_size)
         ]
-        mixed = self.compute_dtype != np.float64
         total_loss = 0.0
         total_samples = 0
         for batch in batches:
-            scale = self._loss_scale
             with span(TRAIN_FORWARD):
                 prediction = self.model(x[batch])
                 loss_value = self.loss.forward(prediction, y[batch])
             with span(TRAIN_BACKWARD):
                 for parameter in self._parameters:
                     parameter.zero_grad()
-                grad_in = self.loss.backward()
-                if scale == 1.0:
-                    self.model.backward(grad_in)
-                else:
-                    # A too-large scale overflows fp32 on purpose, and the
-                    # inf then meets zeros in the backward; the finiteness
-                    # check below skips that step.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        self.model.backward(grad_in * scale)
+                self.model.backward(self.loss.backward())
             with span(TRAIN_STEP):
-                if scale != 1.0:
-                    inv_scale = 1.0 / scale
-                    for parameter in self._parameters:
-                        parameter.grad *= inv_scale
-                if not mixed or self._grads_finite():
-                    if self.config.grad_clip > 0:
-                        clip_grad_norm(self._parameters, self.config.grad_clip)
-                    self.optimizer.step()
-                else:
-                    self._on_overflow()
+                if self.config.grad_clip > 0:
+                    clip_grad_norm(self._parameters, self.config.grad_clip)
+                self.optimizer.step()
             # Weight by sample count so a short trailing batch doesn't
             # distort the reported epoch loss.
             total_loss += loss_value * len(batch)
             total_samples += len(batch)
         return total_loss / max(total_samples, 1)
-
-    def _grads_finite(self) -> bool:
-        return all(
-            np.isfinite(parameter.grad).all() for parameter in self._parameters
-        )
-
-    def _on_overflow(self) -> None:
-        """Mixed-precision guard: skip the step, back the loss scale off."""
-        self._loss_scale = max(self._loss_scale * 0.5, MIN_LOSS_SCALE)
-        self._overflow_steps += 1
-        counter_add(TRAIN_OVERFLOW_STEPS)
 
     # -- inference ---------------------------------------------------------------
 
@@ -519,7 +478,7 @@ class Trainer:
         """The model's plan, built once: it re-folds itself when weights move."""
         if self._plan is None:
             with span(PLAN_BUILD):
-                self._plan = InferencePlan(self.model, self.compute_dtype)
+                self._plan = InferencePlan(self.model)
         return self._plan
 
     def predict(self, samples: list[DesignSample] | IRDropDataset) -> np.ndarray:

@@ -38,6 +38,10 @@ def _boom(x):
     return x
 
 
+def _reciprocal(x):
+    return np.float64(1.0) / x
+
+
 def _overrun(seconds):
     """Sleep *seconds*, or until a second past the item's deadline: the
     serial engine cannot kill an item, so it must end on its own."""
@@ -81,6 +85,15 @@ class TestPoolBasics:
         assert "Traceback" in bad.traceback
         assert "_boom" in bad.traceback
         assert bad.attempts == 1  # deterministic errors are not retried
+
+    def test_caller_float_traps_reach_the_workers(self):
+        # tests/conftest.py makes a division by zero raise here; a spawned
+        # worker starts at numpy's default "warn" and would return inf.
+        assert np.geterr()["divide"] == "raise"
+        outcomes, degraded = parallel_map_ex(_reciprocal, [0.0, 2.0], 2)
+        assert not degraded
+        assert outcomes[0].error.startswith("FloatingPointError: divide by zero")
+        assert outcomes[1].result == 0.5
 
     def test_parallelizes_from_non_main_thread(self):
         _warm_pool()

@@ -38,7 +38,7 @@ from repro.obs.registry import MODEL_LOAD, SpanName
 from repro.train.trainer import TrainConfig, Trainer
 
 CHANNELS = 5
-TOLERANCE = {"fp64": 1e-12, "mixed": 1e-5}
+TOLERANCE = 1e-12
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -52,16 +52,16 @@ def _randomise(model, seed):
     rng = np.random.default_rng(seed)
     for parameter in model.parameters():
         parameter.data[...] = rng.normal(scale=0.3, size=parameter.data.shape)
-        parameter.sync_compute()
+        parameter.bump_version()
     for _, owner, attr in model.named_buffers():
         low = 0.5 if attr == "running_var" else -0.5
         setattr(owner, attr, rng.uniform(low, 1.5, size=getattr(owner, attr).shape))
 
 
-def _trainer(name="ir_fusion", precision="fp64", seed=0, **config):
+def _trainer(name="ir_fusion", seed=0, **config):
     model = create_model(name, in_channels=CHANNELS, base_channels=4, depth=2)
     _randomise(model, seed)
-    return Trainer(model, config=TrainConfig(precision=precision, **config))
+    return Trainer(model, config=TrainConfig(**config))
 
 
 def _sample(shape, seed, rough=False):
@@ -80,9 +80,7 @@ def _sample(shape, seed, rough=False):
 
 
 def _graph_predict(trainer, samples):
-    x = np.stack([s.features.data for s in samples]).astype(
-        trainer.compute_dtype, copy=False
-    )
+    x = np.stack([s.features.data for s in samples])
     trainer.model.eval()
     out = trainer.model(x)
     trainer.model.train()
@@ -101,18 +99,18 @@ def _leaves(model):
 # -- numerics ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("precision", ["fp64", "mixed"])
+@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-def test_plan_matches_eval_graph(name, precision):
-    trainer = _trainer(name, precision)
+def test_plan_matches_eval_graph(name, dtype):
+    trainer = _trainer(name)
     for count, shape in [(1, (32, 48)), (3, (32, 48)), (1, (16, 16))]:
         samples = [_sample(shape, seed) for seed in range(count)]
         want = _graph_predict(trainer, samples)
         got = trainer.predict(samples)
         assert got.shape == want.shape == (count, *shape)
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == dtype
         assert np.abs(want).max() > 1e-3  # the comparison is not 0 == 0
-        assert _relative(got, want) <= TOLERANCE[precision]
+        assert _relative(got, want) <= TOLERANCE
 
 
 def test_fold_patterns_with_and_without_conv_relu_fusion():
@@ -140,7 +138,7 @@ def test_unplanned_leaves_keep_their_own_forward():
     assert _relative(plan(x), model(x)) <= 1e-12
     assert type(plan.root.modules[0]) is Conv2d
     model.modules[0].weight.data *= 2.0
-    model.modules[0].weight.sync_compute()
+    model.modules[0].weight.bump_version()
     assert _relative(plan(x), model(x)) <= 1e-12
 
 
@@ -184,15 +182,15 @@ def _refolds(before):
     return counters.get("nn.plan_builds", 0), counters.get("nn.plan_refolds", 0)
 
 
-@pytest.mark.parametrize("precision", ["fp64", "mixed"])
-def test_predict_follows_every_kind_of_weight_change(precision):
-    trainer = _trainer(precision=precision, epochs=1, batch_size=2)
+@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
+def test_predict_follows_every_kind_of_weight_change(dtype):
+    trainer = _trainer(epochs=1, batch_size=2)
     probe = [_sample((16, 16), 9)]
-    tolerance = TOLERANCE[precision]
 
     def check(builds, refolds, before):
         got = trainer.predict(probe)
-        assert _relative(got, _graph_predict(trainer, probe)) <= tolerance
+        assert got.dtype == dtype
+        assert _relative(got, _graph_predict(trainer, probe)) <= TOLERANCE
         assert _refolds(before) == (builds, refolds)
         return got
 
@@ -213,12 +211,12 @@ def test_predict_follows_every_kind_of_weight_change(precision):
     before = metrics_snapshot()
     conv = trainer.model.bottleneck.modules[0]
     conv.weight.data[:] = 0.25
-    conv.weight.sync_compute()
+    conv.weight.bump_version()
     after_poke = check(0, 1, before)
     assert not np.array_equal(after_poke, after_load)
 
     before = metrics_snapshot()
-    x = np.stack([s.features.data for s in _fit_samples()]).astype(trainer.compute_dtype)
+    x = np.stack([s.features.data for s in _fit_samples()])
     old_mean = trainer.model.bottleneck.modules[1].running_mean
     trainer.model(x)  # a training-mode forward moves the BN running stats
     assert trainer.model.bottleneck.modules[1].running_mean is not old_mean

@@ -21,6 +21,14 @@ class TestParameter:
         p.zero_grad()
         assert np.all(p.grad == 0.0)
 
+    def test_float64_whatever_the_input_dtype(self):
+        # The network has one dtype: weights, gradients and saved state.
+        p = Parameter(np.ones((2, 3), dtype=np.float32))
+        assert p.data.dtype == p.grad.dtype == np.float64
+        bn = BatchNorm2d(2)
+        bn.load_state_dict({k: v.astype(np.float32) for k, v in bn.state_dict().items()})
+        assert all(v.dtype == np.float64 for v in bn.state_dict().values())
+
 
 class TestDiscovery:
     def test_parameters_recursive(self, rng):

@@ -83,8 +83,23 @@ class TestBitExactResume:
         dataset = IRDropDataset(tiny_dataset.samples * 2)
         self._check_resume_matches(dataset, tmp_path, batch_size=1)
 
+    def test_resume_from_a_checkpoint_with_loss_scale_meta(
+        self, tiny_dataset, tmp_path
+    ):
+        # Checkpoints written while the trainer had a mixed-precision
+        # loss-scale guard carry its state; an fp64 run wrote these values.
+        def add_loss_scale_meta(ckpt):
+            arrays, meta = load_checkpoint(ckpt)
+            meta["loss_scale"] = 1.0
+            meta["history"]["overflow_steps"] = 0
+            save_checkpoint(ckpt, arrays, meta)
+
+        self._check_resume_matches(
+            tiny_dataset, tmp_path, batch_size=2, rewrite=add_loss_scale_meta
+        )
+
     @staticmethod
-    def _check_resume_matches(dataset, tmp_path, batch_size):
+    def _check_resume_matches(dataset, tmp_path, batch_size, rewrite=None):
         ckpt = tmp_path / "mid.npz"
         # Uninterrupted 4-epoch run.
         straight = Trainer(
@@ -106,6 +121,8 @@ class TestBitExactResume:
         )
         first.fit(dataset)
         assert ckpt.exists()
+        if rewrite is not None:
+            rewrite(ckpt)
         # Fresh process: new trainer, new model, resume from the checkpoint.
         resumed = Trainer(
             make_model(dataset),
@@ -167,56 +184,6 @@ class TestBitExactResume:
         (name,) = changed
         with pytest.raises(ValueError, match=name):
             resumed.fit(tiny_dataset, resume_from=str(ckpt))
-
-
-class TestMixedPrecisionCheckpoint:
-    @staticmethod
-    def mixed_trainer(dataset, epochs=4, **kwargs):
-        return Trainer(
-            make_model(dataset),
-            config=TrainConfig(
-                epochs=epochs, batch_size=2, lr=2e-3, precision="mixed", **kwargs
-            ),
-        )
-
-    def test_checkpoint_stores_float64_master_weights(
-        self, tiny_dataset, tmp_path
-    ):
-        ckpt = tmp_path / "mixed.npz"
-        trainer = self.mixed_trainer(
-            tiny_dataset, checkpoint_every=2, checkpoint_path=str(ckpt)
-        )
-        trainer.fit(tiny_dataset)
-        arrays, meta = load_checkpoint(ckpt)
-        model_keys = [k for k in arrays if k.startswith("model/")]
-        assert model_keys
-        for key in model_keys:
-            assert arrays[key].dtype == np.float64, key
-        assert meta["loss_scale"] > 0  # the guard state survives restarts
-
-    def test_resume_matches_uninterrupted_mixed_run(
-        self, tiny_dataset, tmp_path
-    ):
-        ckpt = tmp_path / "mixed.npz"
-        straight = self.mixed_trainer(tiny_dataset)
-        straight_history = straight.fit(tiny_dataset)
-        first = self.mixed_trainer(
-            tiny_dataset, epochs=2, checkpoint_every=2, checkpoint_path=str(ckpt)
-        )
-        first.fit(tiny_dataset)
-        resumed = self.mixed_trainer(tiny_dataset)
-        resumed_history = resumed.fit(tiny_dataset, resume_from=str(ckpt))
-        assert resumed_history.resumed_from == 1
-        np.testing.assert_array_equal(
-            resumed_history.epoch_losses, straight_history.epoch_losses
-        )
-        assert_states_equal(state_of(resumed), state_of(straight))
-        # The restored compute casts must re-derive from the loaded
-        # master weights, not linger from initialisation.
-        for _, parameter in resumed.model.named_parameters():
-            np.testing.assert_array_equal(
-                parameter.compute, parameter.data.astype(np.float32)
-            )
 
 
 class TestNaNRecovery:

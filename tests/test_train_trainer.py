@@ -57,6 +57,14 @@ class TestFit:
         history = trainer.fit(tiny_dataset)
         assert history.learning_rates == [1e-2, 1e-2, 1e-3, 1e-3]
 
+    def test_workspaces_released_after_fit(self, tiny_dataset):
+        trainer = Trainer(
+            make_model(tiny_dataset),
+            config=TrainConfig(epochs=3, batch_size=2, lr=2e-3),
+        )
+        trainer.fit(tiny_dataset)
+        assert sum(w.nbytes for w in trainer.model.workspaces()) == 0
+
 
 class TestResidualLearning:
     def test_untrained_fusion_predicts_rough(self, tiny_dataset):
@@ -120,6 +128,34 @@ class TestTrainConfigValidation:
         assert config.label_scale > 0
         assert config.epochs > 0
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epochs", 0),
+            ("epochs", 2.5),
+            ("batch_size", 0),
+            ("batch_size", -2),
+            ("lr", 0.0),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("label_scale", 0.0),
+            ("label_scale", -20.0),
+            ("grad_clip", -1.0),
+            ("grad_clip", float("nan")),
+            ("shuffle_seed", -1),
+            ("early_stop_patience", -1),
+            ("checkpoint_every", -1),
+            ("checkpoint_every", 2),  # with no checkpoint_path
+            ("max_recoveries", -1),
+            ("recovery_lr_factor", 0.0),
+            ("recovery_lr_factor", 2.0),
+            ("recovery_lr_factor", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"TrainConfig.{field}"):
+            TrainConfig(**{field: value})
+
 
 class _BatchSizeLoss:
     """Stub loss returning the batch size, with zero gradients."""
@@ -151,61 +187,6 @@ class TestEpochLossWeighting:
         )
         history = trainer.fit(dataset)
         assert history.epoch_losses[0] == pytest.approx(9 / 5)
-
-
-class TestDataParallelEngine:
-    @staticmethod
-    def run(dataset, **kwargs):
-        trainer = Trainer(
-            make_model(dataset),
-            config=TrainConfig(epochs=3, batch_size=2, lr=2e-3, **kwargs),
-        )
-        history = trainer.fit(dataset)
-        return trainer, history
-
-    def test_mixed_precision_tracks_fp64(self, tiny_dataset):
-        # The precision contract: same trajectory definition, so any gap
-        # is purely the fp32 compute path.
-        dataset = five_sample_dataset(tiny_dataset)
-        _, fp64_history = self.run(dataset)
-        _, mixed_history = self.run(dataset, precision="mixed")
-        assert mixed_history.final_loss == pytest.approx(
-            fp64_history.final_loss, rel=1e-3
-        )
-        assert mixed_history.epoch_losses[-1] < mixed_history.epoch_losses[0]
-
-    def test_master_weights_stay_float64_in_mixed(self, tiny_dataset):
-        trainer, _ = self.run(tiny_dataset, precision="mixed")
-        for key, value in trainer.model.state_dict().items():
-            assert value.dtype == np.float64, key
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_guard_skips_steps_and_stays_finite(self, tiny_dataset):
-        # An absurd starting loss scale overflows fp32 gradients; the
-        # guard must skip those steps (recording them) rather than let
-        # non-finite values reach the master weights.
-        trainer = Trainer(
-            make_model(tiny_dataset),
-            config=TrainConfig(
-                epochs=2, batch_size=2, precision="mixed", loss_scale=1e39
-            ),
-        )
-        history = trainer.fit(tiny_dataset)
-        assert history.overflow_steps > 0
-        assert np.isfinite(history.final_loss)
-        assert trainer._loss_scale < 1e39
-        for key, value in trainer.model.state_dict().items():
-            assert np.isfinite(value).all(), key
-
-    def test_workspaces_released_after_fit(self, tiny_dataset):
-        trainer, _ = self.run(tiny_dataset, precision="mixed")
-        assert sum(w.nbytes for w in trainer.model.workspaces()) == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="precision"):
-            TrainConfig(precision="fp16")
-        with pytest.raises(ValueError, match="loss_scale"):
-            TrainConfig(loss_scale=-1.0)
 
 
 class TestValidationAndEarlyStopping:
