@@ -116,7 +116,7 @@ def _probe_forward(model: Module, in_channels: int, name: str) -> None:
     modes = [(module, module.training) for _, module in named]
     model.eval()
     try:
-        model(np.zeros(shape))
+        model(np.zeros(shape, dtype=np.float32))
     except Exception as exc:
         raise ValueError(
             f"{name}: zero {shape} probe forward failed in "

@@ -7,9 +7,12 @@ pooling/upsampling, the CBAM and attention-gate blocks, Inception blocks,
 standard losses and Adam/SGD optimisers.  Every layer's backward pass is
 verified against numerical gradients in the test suite.
 
-Conventions: activations are ``(N, C, H, W)`` float64 arrays; modules cache
-what their backward pass needs during forward and must be called in
-forward-then-backward order.
+Conventions: activations are ``(N, C, H, W)`` float32 arrays, PyTorch's
+default and the dtype of every parameter, gradient, optimiser slot and
+buffer.  The kernels follow their inputs' dtype; the trainer and the
+inference plan cast the float64 features to float32 once at the network's
+boundary.  Modules cache what their backward pass needs during forward and
+must be called in forward-then-backward order.
 """
 
 from repro.nn.attention import CBAM, AttentionGate, ChannelAttention, SpatialAttention

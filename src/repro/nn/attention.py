@@ -48,9 +48,12 @@ class ChannelAttention(Module):
         self._cache: dict | None = None
 
     def _mlp_forward(self, pooled: np.ndarray) -> tuple[np.ndarray, dict]:
-        hidden_pre = pooled @ self.w1.data.T + self.b1.data
+        # One (1, C) row per sample: a stacked matmul runs the same GEMM for
+        # every sample, so a sample's scale does not depend on its batch (a
+        # 2-D (N, C) GEMM picks a BLAS kernel, and a summation order, by N).
+        hidden_pre = (pooled[:, None] @ self.w1.data.T)[:, 0] + self.b1.data
         hidden = np.maximum(hidden_pre, 0.0)
-        out = hidden @ self.w2.data.T + self.b2.data
+        out = (hidden[:, None] @ self.w2.data.T)[:, 0] + self.b2.data
         return out, {"input": pooled, "hidden": hidden, "mask": hidden_pre > 0}
 
     def _mlp_backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:

@@ -47,7 +47,7 @@ class Workspace:
         self,
         name: str,
         shape: tuple[int, ...],
-        dtype: np.dtype | type = np.float64,
+        dtype: np.dtype | type,
         refill: float | None = None,
     ) -> np.ndarray:
         buffer = self._buffers.get(name)

@@ -187,7 +187,11 @@ class PlannedAvgPool(_PlannedOp):
 
 
 class InferencePlan:
-    """Planned twin of *model* computing its eval-mode forward in float64."""
+    """Planned twin of *model* computing its eval-mode forward in float32.
+
+    A call casts its input to float32 once (a float64 feature stack is
+    the usual input); the output is float32, like the network's weights.
+    """
 
     def __init__(self, model: Module) -> None:
         self._arena = Workspace()
@@ -222,7 +226,7 @@ class InferencePlan:
                 # a new set, so the arena never outgrows one size's worth.
                 self._arena.clear()
                 self._shape = x.shape
-            return self.root(x.astype(np.float64, copy=False))
+            return self.root(x.astype(np.float32, copy=False))
 
     # -- the graph pass ----------------------------------------------------------
 

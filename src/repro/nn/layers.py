@@ -235,8 +235,8 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(channels), name="beta")
         self.eps = eps
         self.momentum = momentum
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -14,16 +14,17 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable float64 tensor with an accumulated gradient.
+    """A trainable float32 tensor with an accumulated float32 gradient.
 
-    ``data`` is what kernels read, optimisers update, ``state_dict`` saves
-    and checkpoints restore.  Whoever changes ``data`` calls
-    :meth:`bump_version`, which stamps caches derived from it (the
-    inference plan's folded weights).
+    float32 is the network's one dtype: whatever *data* arrives as, it is
+    stored as float32.  ``data`` is what kernels read, optimisers update,
+    ``state_dict`` saves and checkpoints restore.  Whoever changes
+    ``data`` calls :meth:`bump_version`, which stamps caches derived from
+    it (the inference plan's folded weights).
     """
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad = np.zeros_like(self.data)
         self.name = name
         #: Bumped by :meth:`bump_version`; stamps caches derived from ``data``.
@@ -158,11 +159,18 @@ class Module:
         """Copy of every parameter and buffer keyed by its path."""
         state = {name: p.data.copy() for name, p in self.named_parameters()}
         for name, owner, attr in self.named_buffers():
-            state[name] = np.array(getattr(owner, attr), dtype=np.float64)
+            state[name] = np.array(getattr(owner, attr), dtype=np.float32)
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers; keys and shapes must match exactly."""
+        """Load parameters and buffers; keys and shapes must match exactly.
+
+        Every entry must be a real floating array; it loads through one
+        cast to float32, so float64 archives (checkpoints and model files
+        written before the network was float32) load as their rounding.
+        Any other kind raises ``ValueError`` naming the key.  Everything
+        is checked before the first weight is touched.
+        """
         named = dict(self.named_parameters())
         buffers = {name: (owner, attr) for name, owner, attr in self.named_buffers()}
         expected = set(named) | set(buffers)
@@ -173,25 +181,30 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)[:5]}, "
                 f"unexpected={sorted(unexpected)[:5]}"
             )
-        for name, parameter in named.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != parameter.data.shape:
+        shapes = {name: p.data.shape for name, p in named.items()}
+        shapes.update(
+            (name, np.shape(getattr(owner, attr)))
+            for name, (owner, attr) in buffers.items()
+        )
+        values = {}
+        for name, shape in shapes.items():
+            value = np.asarray(state[name])
+            if value.dtype.kind != "f":
                 raise ValueError(
-                    f"shape mismatch for {name}: {value.shape} vs "
-                    f"{parameter.data.shape}"
+                    f"state dict entry {name} has dtype {value.dtype}; "
+                    "expected a real floating array"
                 )
-            parameter.data = value.copy()
+            if value.shape != shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: {value.shape} vs {shape}"
+                )
+            values[name] = value.astype(np.float32)
+        for name, parameter in named.items():
+            parameter.data = values[name]
             parameter.grad = np.zeros_like(parameter.data)
             parameter.bump_version()
         for name, (owner, attr) in buffers.items():
-            current = np.asarray(getattr(owner, attr))
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != current.shape:
-                raise ValueError(
-                    f"shape mismatch for buffer {name}: {value.shape} vs "
-                    f"{current.shape}"
-                )
-            setattr(owner, attr, value.copy())
+            setattr(owner, attr, values[name])
 
 
 def _collect(value, kind) -> list:

@@ -52,7 +52,12 @@ _INTEGER_FLOORS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer knobs.  The network trains and infers in float64.
+    """Trainer knobs.  The network trains and infers in float32.
+
+    Features, labels and rough solutions stay float64: an epoch builds its
+    residual target in float64 and casts its ``(x, y)`` block to float32
+    once, and :meth:`Trainer.predict` widens the network output to float64
+    before the label scale and the rough add.
 
     Construction raises ``ValueError``, naming the field, for a value
     outside its range: a count below its floor, a non-integral count, a
@@ -447,6 +452,8 @@ class Trainer:
             for k, sample in enumerate(dataset.samples):
                 y[k, 0] -= sample.rough_label
         y *= self.config.label_scale
+        # The network's one dtype; the target above was built in float64.
+        x, y = x.astype(np.float32), y.astype(np.float32)
         order = rng.permutation(len(dataset))
         batches = [
             order[start : start + self.config.batch_size]
@@ -482,12 +489,16 @@ class Trainer:
         return self._plan
 
     def predict(self, samples: list[DesignSample] | IRDropDataset) -> np.ndarray:
-        """Predict IR-drop maps (volts), shape ``(N, H, W)``."""
+        """Predict IR-drop maps (volts, float64), shape ``(N, H, W)``.
+
+        The float32 network output is widened to float64 before it is
+        unscaled, so the residual add ``rough + correction`` runs in float64.
+        """
         items = list(samples)
         if not items:
             raise ValueError("nothing to predict")
         out = self.inference_plan()(np.stack([s.features.data for s in items]))
-        prediction = out[:, 0] / self.config.label_scale
+        prediction = out[:, 0].astype(np.float64) / self.config.label_scale
         if self._uses_residual(items):
             prediction = prediction + np.stack([s.rough_label for s in items])
         return prediction

@@ -5,6 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def widen(module):
+    """Rebind *module*'s parameters, gradients and buffers as float64.
+
+    The network is float32; the finite-difference checks below run in
+    float64, so their tolerances hold the kernels, not float32 rounding.
+    The kernels follow their inputs' dtype.
+    """
+    for parameter in module.parameters():
+        parameter.data = parameter.data.astype(np.float64)
+        parameter.grad = np.zeros_like(parameter.data)
+    for _, owner, attr in module.named_buffers():
+        setattr(owner, attr, np.asarray(getattr(owner, attr), dtype=np.float64))
+    return module
+
+
 def numerical_input_gradient(
     module, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
@@ -23,7 +38,8 @@ def numerical_input_gradient(
 
 
 def check_input_gradient(module, x: np.ndarray, rng, tol: float = 1e-5) -> None:
-    """Assert analytic input gradient matches numeric for *module*."""
+    """Assert analytic input gradient matches numeric for *module* (float64)."""
+    widen(module)
     y = module(x)
     grad_out = rng.standard_normal(y.shape)
     module(x)  # refresh caches after probing shape
@@ -35,7 +51,8 @@ def check_input_gradient(module, x: np.ndarray, rng, tol: float = 1e-5) -> None:
 
 
 def check_parameter_gradients(module, x: np.ndarray, rng, tol: float = 1e-4) -> None:
-    """Assert analytic parameter gradients match numeric for *module*."""
+    """Assert analytic parameter gradients match numeric for *module* (float64)."""
+    widen(module)
     y = module(x)
     grad_out = rng.standard_normal(y.shape)
     module.zero_grad()

@@ -153,16 +153,24 @@ class TestWorkspaceReuse:
 
     def test_shape_change_reallocates(self):
         ws = Workspace()
-        a = ws.request("buf", (4, 4))
-        b = ws.request("buf", (4, 4))
-        c = ws.request("buf", (2, 8))
+        a = ws.request("buf", (4, 4), np.float32)
+        b = ws.request("buf", (4, 4), np.float32)
+        c = ws.request("buf", (2, 8), np.float32)
         assert a is b
         assert c.shape == (2, 8)
 
+    def test_dtype_is_required_and_a_change_reallocates(self):
+        ws = Workspace()
+        with pytest.raises(TypeError):
+            ws.request("buf", (4, 4))  # no silent float64 default
+        narrow = ws.request("buf", (4, 4), np.float32)
+        wide = ws.request("buf", (4, 4), np.float64)
+        assert narrow.dtype == np.float32 and wide.dtype == np.float64
+
     def test_refill_resets_values(self):
         ws = Workspace()
-        buf = ws.request("buf", (3,), refill=0.0)
+        buf = ws.request("buf", (3,), np.float32, refill=0.0)
         buf[:] = 7.0
-        again = ws.request("buf", (3,), refill=0.0)
+        again = ws.request("buf", (3,), np.float32, refill=0.0)
         assert again is buf
         np.testing.assert_array_equal(again, np.zeros(3))

@@ -5,11 +5,15 @@
 (im2col convolutions, per-call BatchNorm affine, argmax pooling).  It is
 the oracle for every planned kernel; agreement is to rounding, not
 bitwise — folding BatchNorm and accumulating per tap reorder the sums.
+The plan runs in float32, the network's dtype; the graph runs in float32
+too, or in float64 on a widened copy of the model (``fp64`` ids), and
+both agree with the plan to 1e-5 of the largest magnitude.
 
 Run with ``REPRO_RACE_CHECK=strict`` the module installs the race checker
 first, so every plan built here runs under a tracked lock.
 """
 
+import copy
 import json
 import pickle
 import sys
@@ -36,9 +40,12 @@ from repro.nn.serialize import save_state
 from repro.obs import counters_delta, metrics_snapshot, trace
 from repro.obs.registry import MODEL_LOAD, SpanName
 from repro.train.trainer import TrainConfig, Trainer
+from tests.helpers import widen
 
 CHANNELS = 5
-TOLERANCE = 1e-12
+TOLERANCE = 1e-5
+DTYPES = [np.float64, np.float32]
+IDS = ["fp64", "fp32"]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -55,7 +62,8 @@ def _randomise(model, seed):
         parameter.bump_version()
     for _, owner, attr in model.named_buffers():
         low = 0.5 if attr == "running_var" else -0.5
-        setattr(owner, attr, rng.uniform(low, 1.5, size=getattr(owner, attr).shape))
+        shape = getattr(owner, attr).shape
+        setattr(owner, attr, rng.uniform(low, 1.5, size=shape).astype(np.float32))
 
 
 def _trainer(name="ir_fusion", seed=0, **config):
@@ -79,12 +87,17 @@ def _sample(shape, seed, rough=False):
     )
 
 
-def _graph_predict(trainer, samples):
-    x = np.stack([s.features.data for s in samples])
-    trainer.model.eval()
-    out = trainer.model(x)
-    trainer.model.train()
-    return out[:, 0] / trainer.config.label_scale
+def _graph_predict(trainer, samples, dtype=np.float32):
+    """The eval graph's prediction, run in *dtype* (float64 on a widened copy)."""
+    model = trainer.model
+    if dtype == np.float64:
+        model = widen(copy.deepcopy(model))
+    x = np.stack([s.features.data for s in samples]).astype(dtype)
+    model.eval()
+    out = model(x)
+    model.train()
+    assert out.dtype == dtype
+    return out[:, 0].astype(np.float64) / trainer.config.label_scale
 
 
 def _relative(got, want):
@@ -99,16 +112,16 @@ def _leaves(model):
 # -- numerics ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
+@pytest.mark.parametrize("dtype", DTYPES, ids=IDS)
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_plan_matches_eval_graph(name, dtype):
     trainer = _trainer(name)
     for count, shape in [(1, (32, 48)), (3, (32, 48)), (1, (16, 16))]:
         samples = [_sample(shape, seed) for seed in range(count)]
-        want = _graph_predict(trainer, samples)
+        want = _graph_predict(trainer, samples, dtype)
         got = trainer.predict(samples)
         assert got.shape == want.shape == (count, *shape)
-        assert got.dtype == want.dtype == dtype
+        assert got.dtype == np.float64  # widened at the network's boundary
         assert np.abs(want).max() > 1e-3  # the comparison is not 0 == 0
         assert _relative(got, want) <= TOLERANCE
 
@@ -119,7 +132,7 @@ def test_fold_patterns_with_and_without_conv_relu_fusion():
         _randomise(model, 3)
         trainer = Trainer(model, fuse=fuse)
         samples = [_sample((16, 32), 0)]
-        assert _relative(trainer.predict(samples), _graph_predict(trainer, samples)) <= 1e-12
+        assert _relative(trainer.predict(samples), _graph_predict(trainer, samples)) <= TOLERANCE
         plan = trainer.inference_plan()
         # conv+BN+ReLU is one op: the double-conv bottleneck plans to two
         # kernels and four placeholders, at the source tree's positions.
@@ -133,13 +146,13 @@ def test_unplanned_leaves_keep_their_own_forward():
     model = Sequential(Conv2d(CHANNELS, 4, 3, stride=2, padding=1), BatchNorm2d(4))
     _randomise(model, 5)
     plan = InferencePlan(model)
-    x = np.random.default_rng(0).normal(size=(2, CHANNELS, 16, 16))
+    x = np.random.default_rng(0).normal(size=(2, CHANNELS, 16, 16)).astype(np.float32)
     model.eval()
-    assert _relative(plan(x), model(x)) <= 1e-12
+    assert _relative(plan(x), model(x)) <= TOLERANCE
     assert type(plan.root.modules[0]) is Conv2d
     model.modules[0].weight.data *= 2.0
     model.modules[0].weight.bump_version()
-    assert _relative(plan(x), model(x)) <= 1e-12
+    assert _relative(plan(x), model(x)) <= TOLERANCE
 
 
 # -- determinism ---------------------------------------------------------------
@@ -182,15 +195,15 @@ def _refolds(before):
     return counters.get("nn.plan_builds", 0), counters.get("nn.plan_refolds", 0)
 
 
-@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
+@pytest.mark.parametrize("dtype", DTYPES, ids=IDS)
 def test_predict_follows_every_kind_of_weight_change(dtype):
     trainer = _trainer(epochs=1, batch_size=2)
     probe = [_sample((16, 16), 9)]
 
     def check(builds, refolds, before):
         got = trainer.predict(probe)
-        assert got.dtype == dtype
-        assert _relative(got, _graph_predict(trainer, probe)) <= TOLERANCE
+        assert got.dtype == np.float64
+        assert _relative(got, _graph_predict(trainer, probe, dtype)) <= TOLERANCE
         assert _refolds(before) == (builds, refolds)
         return got
 
@@ -216,7 +229,7 @@ def test_predict_follows_every_kind_of_weight_change(dtype):
     assert not np.array_equal(after_poke, after_load)
 
     before = metrics_snapshot()
-    x = np.stack([s.features.data for s in _fit_samples()])
+    x = np.stack([s.features.data for s in _fit_samples()]).astype(np.float32)
     old_mean = trainer.model.bottleneck.modules[1].running_mean
     trainer.model(x)  # a training-mode forward moves the BN running stats
     assert trainer.model.bottleneck.modules[1].running_mean is not old_mean
@@ -247,7 +260,7 @@ def test_ir_fusion_predict_never_builds_a_patch_matrix(monkeypatch):
         raise AssertionError("im2col on the inference path")
 
     monkeypatch.setattr(functional, "im2col", forbidden)
-    assert _relative(trainer.predict(sample), want) <= 1e-12
+    assert _relative(trainer.predict(sample), want) <= TOLERANCE
     leaves = _leaves(trainer.inference_plan().root)
     assert any(isinstance(module, PlannedConv) for module in leaves)
 

@@ -7,7 +7,9 @@ adjoint).  ``src/`` now has one GEMM form per op for every dtype; this
 file is the referee: float64 agrees to 1e-12 and float32 to 1e-5 of the
 reference's largest magnitude, on every kernel / padding / stride shape
 the models use and the ones that pick the other branch.  Layers hold
-float64 parameters, so the layer-level cases run in float64 only.
+float32 parameters, the network's dtype; a float64 layer-level case widens
+its layer first (``tests.helpers.widen``), since kernels follow their
+inputs' dtype.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.nn.functional import Workspace
 from repro.nn.inference import PlannedAvgPool
 from repro.nn.layers import AvgPool2d, BatchNorm2d, ConvTranspose2d
 from tests import reference_conv as ref
+from tests.helpers import widen
 
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
 DTYPES = [np.float64, np.float32]
@@ -160,7 +163,7 @@ def test_conv_backward_noncontiguous_grad_output(
             assert rel_err(a, b) <= TOLERANCE[dtype]
 
 
-@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
+@pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
 @pytest.mark.parametrize(
     "kernel,stride,padding",
     [(2, 2, 0), (3, 1, 1), ((3, 2), (2, 1), (1, 0)), (4, 2, 1)],
@@ -170,6 +173,8 @@ def test_conv_transpose_backward(kernel, stride, padding, dtype, monkeypatch):
     layer = ConvTranspose2d(
         CHANNELS, FILTERS, kernel, stride=stride, padding=padding, rng=rng
     )
+    if dtype == np.float64:
+        widen(layer)
     for n in (1, 3, 8):
         x, x_wide = draw(rng, (n, CHANNELS, 5, 6), dtype)
         out = layer(x)
@@ -182,15 +187,17 @@ def test_conv_transpose_backward(kernel, stride, padding, dtype, monkeypatch):
             no_einsum(patch)
             grad_input = layer.backward(g)
         got = (grad_input, layer.weight.grad, layer.bias.grad)
-        assert grad_input.dtype == dtype
+        assert all(a.dtype == dtype for a in got)
         for a, b in zip(got, want):
             assert rel_err(a, b) <= TOLERANCE[dtype]
 
 
-@pytest.mark.parametrize("dtype", [np.float64], ids=["fp64"])
+@pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
 class TestBatchNorm:
-    def _layer(self):
+    def _layer(self, dtype):
         bn = BatchNorm2d(5)
+        if dtype == np.float64:
+            widen(bn)
         bn.gamma.data[...] = np.linspace(0.5, 1.5, 5)
         bn.beta.data[...] = np.linspace(-0.2, 0.2, 5)
         return bn
@@ -208,14 +215,16 @@ class TestBatchNorm:
         want = ref.batchnorm_backward(g_wide, x_hat, std, gamma, bn.training)
         bn.zero_grad()
         grad_input = bn.backward(g)
-        assert grad_input.dtype == dtype
-        for a, b in zip((grad_input, bn.gamma.grad, bn.beta.grad), want):
+        assert bn.running_mean.dtype == bn.running_var.dtype == dtype
+        got = (grad_input, bn.gamma.grad, bn.beta.grad)
+        assert all(a.dtype == dtype for a in got)
+        for a, b in zip(got, want):
             assert rel_err(a, b) <= tol
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_train_mode(self, dtype, n):
         rng = np.random.default_rng(17)
-        bn = self._layer()
+        bn = self._layer(dtype)
         x, x_wide = draw(rng, (n, 5, 6, 7), dtype)
         x, x_wide = x * 2 + 1, x_wide * 2 + 1
         mean, var = x_wide.mean(axis=(0, 2, 3)), x_wide.var(axis=(0, 2, 3))
@@ -229,7 +238,7 @@ class TestBatchNorm:
 
     def test_eval_mode(self, dtype):
         rng = np.random.default_rng(19)
-        bn = self._layer()
+        bn = self._layer(dtype)
         warm, _ = draw(rng, (4, 5, 6, 7), dtype)
         bn(warm * 3 - 1)  # non-trivial running buffers
         bn.eval()

@@ -21,13 +21,13 @@ class TestParameter:
         p.zero_grad()
         assert np.all(p.grad == 0.0)
 
-    def test_float64_whatever_the_input_dtype(self):
+    def test_float32_whatever_the_input_dtype(self):
         # The network has one dtype: weights, gradients and saved state.
-        p = Parameter(np.ones((2, 3), dtype=np.float32))
-        assert p.data.dtype == p.grad.dtype == np.float64
+        p = Parameter(np.ones((2, 3), dtype=np.float64))
+        assert p.data.dtype == p.grad.dtype == np.float32
         bn = BatchNorm2d(2)
-        bn.load_state_dict({k: v.astype(np.float32) for k, v in bn.state_dict().items()})
-        assert all(v.dtype == np.float64 for v in bn.state_dict().values())
+        bn.load_state_dict({k: v.astype(np.float64) for k, v in bn.state_dict().items()})
+        assert all(v.dtype == np.float32 for v in bn.state_dict().values())
 
 
 class TestDiscovery:
@@ -102,6 +102,36 @@ class TestStateDict:
         state["modules.0.bias"] = np.zeros(99)
         with pytest.raises(ValueError):
             model.load_state_dict(state)
+
+    def test_float64_entries_load_as_their_float32_rounding(self, rng):
+        # Model files and checkpoints written while the network was float64.
+        model = Sequential(Conv2d(2, 3, 3, rng=rng), BatchNorm2d(3))
+        wide = {
+            key: rng.uniform(0.5, 1.5, size=value.shape)
+            for key, value in model.state_dict().items()
+        }
+        model.load_state_dict(wide)
+        loaded = model.state_dict()
+        for key, value in wide.items():
+            assert loaded[key].dtype == np.float32
+            np.testing.assert_array_equal(loaded[key], value.astype(np.float32))
+        assert all(p.grad.dtype == np.float32 for p in model.parameters())
+
+    @pytest.mark.parametrize("kind", [np.int64, np.bool_, np.complex128])
+    def test_non_floating_entry_rejected_before_any_weight_moves(self, rng, kind):
+        model = Sequential(Conv2d(2, 3, 3, rng=rng), BatchNorm2d(3))
+        before = model.state_dict()
+        versions = [p.version for p in model.parameters()]
+        state = {key: value + 1.0 for key, value in before.items()}
+        # The last entry checked: every weight before it would have moved
+        # in a load that assigned as it went.
+        state["modules.1.running_var"] = np.ones(3, dtype=kind)
+        with pytest.raises(ValueError, match="modules.1.running_var"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
+        assert [p.version for p in model.parameters()] == versions
 
     def test_loaded_copy_is_independent(self, rng):
         a = Sequential(Conv2d(2, 3, 3, rng=rng))

@@ -98,6 +98,63 @@ class TestBitExactResume:
             tiny_dataset, tmp_path, batch_size=2, rewrite=add_loss_scale_meta
         )
 
+    def test_resume_from_a_float64_checkpoint(self, tiny_dataset, tmp_path):
+        # Checkpoints written while the network was float64 hold float64
+        # weights and Adam moments; each loads through one cast to float32.
+        def widen(ckpt):
+            arrays, meta = load_checkpoint(ckpt)
+            wide = {
+                key: value.astype(np.float64) if value.dtype == np.float32 else value
+                for key, value in arrays.items()
+            }
+            save_checkpoint(ckpt, wide, meta)
+
+        self._check_resume_matches(
+            tiny_dataset, tmp_path, batch_size=2, rewrite=widen
+        )
+
+    def test_float64_checkpoint_loads_as_its_float32_rounding(
+        self, tiny_dataset, tmp_path
+    ):
+        ckpt = tmp_path / "wide.npz"
+        config = dict(batch_size=2, checkpoint_every=1, checkpoint_path=str(ckpt))
+        Trainer(
+            make_model(tiny_dataset), config=TrainConfig(epochs=1, **config)
+        ).fit(tiny_dataset)
+        arrays, meta = load_checkpoint(ckpt)
+        # float64 values float32 cannot hold, as a float64 network wrote them.
+        jitter = np.random.default_rng(0)
+        wide = {
+            key: value * (1.0 + 1e-9 * jitter.uniform(size=value.shape))
+            if value.dtype == np.float32
+            else value
+            for key, value in arrays.items()
+        }
+        assert all(v.dtype != np.float32 for v in wide.values())
+        save_checkpoint(ckpt, wide, meta)
+        # Resumed with nothing left to train: the state is the loaded one.
+        loaded = Trainer(
+            make_model(tiny_dataset), config=TrainConfig(epochs=1, batch_size=2)
+        )
+        loaded.fit(tiny_dataset, resume_from=str(ckpt))
+        states = {
+            "model/": loaded.model.state_dict(),
+            "optim/": loaded.optimizer.state_dict(),
+        }
+        for key, value in wide.items():
+            prefix, name = key[:6], key[6:]
+            got = states[prefix][name]
+            if value.dtype == np.float64:
+                assert got.dtype == np.float32, key
+                np.testing.assert_array_equal(got, value.astype(np.float32))
+        resumed = Trainer(
+            make_model(tiny_dataset), config=TrainConfig(epochs=3, batch_size=2)
+        )
+        history = resumed.fit(tiny_dataset, resume_from=str(ckpt))
+        assert len(history.epoch_losses) == 3
+        assert np.all(np.isfinite(history.epoch_losses))
+        assert all(v.dtype == np.float32 for v in resumed.model.state_dict().values())
+
     @staticmethod
     def _check_resume_matches(dataset, tmp_path, batch_size, rewrite=None):
         ckpt = tmp_path / "mid.npz"

@@ -116,6 +116,34 @@ class TestPredict:
         with pytest.raises(ValueError):
             trainer.predict([])
 
+    def test_residual_add_runs_in_float64(self, tiny_dataset):
+        trainer = Trainer(
+            make_model(tiny_dataset), config=TrainConfig(epochs=2, batch_size=2)
+        )
+        trainer.fit(tiny_dataset)  # a non-zero correction
+        x = np.stack([s.features.data for s in tiny_dataset])
+        out = trainer.inference_plan()(x)
+        assert out.dtype == np.float32 and np.abs(out).max() > 0
+        rough = np.stack([s.rough_label for s in tiny_dataset])
+        scale = trainer.config.label_scale
+        got = trainer.predict(tiny_dataset)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rough + out[:, 0].astype(np.float64) / scale)
+        narrow = rough.astype(np.float32) + out[:, 0] / np.float32(scale)
+        assert not np.array_equal(got, narrow.astype(np.float64))
+
+    def test_direct_regression_output_is_float64(self, tiny_dataset):
+        trainer = Trainer(
+            make_model(tiny_dataset),
+            config=TrainConfig(epochs=1, batch_size=2, residual=False),
+        )
+        trainer.fit(tiny_dataset)
+        out = trainer.inference_plan()(np.stack([s.features.data for s in tiny_dataset]))
+        got = trainer.predict(tiny_dataset)
+        assert got.dtype == np.float64
+        scale = trainer.config.label_scale
+        assert np.array_equal(got, out[:, 0].astype(np.float64) / scale)
+
     def test_model_left_in_train_mode(self, tiny_dataset):
         trainer = Trainer(make_model(tiny_dataset), config=TrainConfig())
         trainer.predict(tiny_dataset)
