@@ -66,17 +66,10 @@ INCREMENTAL_BASE_SOLVES = Counter("incremental.base_solves")
 INCREMENTAL_COLUMN_CACHE_HITS = Counter("incremental.column_cache_hits")
 INCREMENTAL_COLUMN_SOLVES = Counter("incremental.column_solves")
 INCREMENTAL_DELTAS = Counter("incremental.deltas")
-INCREMENTAL_DIRECT_SOLVES = Counter("incremental.direct_solves")
 INCREMENTAL_FACTORIZATIONS = Counter("incremental.factorizations")
-INCREMENTAL_FALLBACKS = Counter("incremental.fallbacks")
-INCREMENTAL_FULL_SOLVES = Counter("incremental.full_solves")
-INCREMENTAL_POLISH_ITERATIONS = Counter("incremental.polish_iterations")
 INCREMENTAL_REBUILDS = Counter("incremental.rebuilds")
-INCREMENTAL_SETUP_BUILDS = Counter("incremental.setup_builds")
-INCREMENTAL_SETUP_CACHE_HITS = Counter("incremental.setup_cache_hits")
 INCREMENTAL_SMW_SOLVES = Counter("incremental.smw_solves")
 INCREMENTAL_SOLVES = Counter("incremental.solves")
-INCREMENTAL_WARM_SOLVES = Counter("incremental.warm_solves")
 NN_PLAN_BUILDS = Counter("nn.plan_builds")
 NN_PLAN_REFOLDS = Counter("nn.plan_refolds")
 PAD_PLACEMENT_CANDIDATES = Counter("pad_placement.candidates")

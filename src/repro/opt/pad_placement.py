@@ -11,14 +11,16 @@ a pad is one constraint on the stamped system, so a round of candidates
 is one :meth:`~repro.solvers.incremental.IncrementalEngine.preview_many`
 batch — each candidate the committed solution plus one multiple of a
 cached column ``G0⁻¹e_j``, certified by its residual — and the committed
-pad is one more rank-1 term.  One stamping and one factorisation of
-``G0`` (above ``direct_max_size``: one AMG hierarchy) serve the entire
-sweep, and the columns are cached across rounds.
+pad is one more rank-1 term.  One stamping and one sparse LU of ``G0``
+serve the entire sweep, and the columns are cached across rounds.  The
+LU is the one tier at every size; its measured memory envelope (0.74 GB
+peak RSS for a 384 px, 226k-unknown sweep) is in docs/performance.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -26,13 +28,11 @@ from repro.grid.netlist import PGNode, PowerGrid
 from repro.obs import counter_add, span
 from repro.obs.registry import PAD_PLACEMENT, PAD_PLACEMENT_CANDIDATES
 from repro.solvers.base import SolverOptions
-from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
+from repro.solvers.incremental import AddPad, IncrementalEngine
 from repro.spice.ast import Netlist, VoltageSource
 
-#: Tolerance of the committed solves that produce the drop history.
+#: Tolerance that certifies every committed solve and candidate preview.
 _TOL = 1e-10
-#: Relaxed tolerance of candidate previews, which only rank pad sites.
-_RANK_TOL = 1e-6
 
 
 @dataclass
@@ -65,16 +65,23 @@ class PadPlacementResult:
 def _with_extra_pads(
     netlist: Netlist, pads: list[str], voltage: float
 ) -> Netlist:
+    """*netlist* plus one source per pad, each named by the next free ``Vopt{k}``.
+
+    SPICE instance names are unique and case-insensitive, so a deck that
+    already went through a sweep gets ``Vopt3`` onward, not a second
+    ``Vopt1``.
+    """
     out = Netlist(
         title=netlist.title,
         resistors=netlist.resistors.copy(),
         current_sources=netlist.current_sources.copy(),
         voltage_sources=netlist.voltage_sources.copy(),
+        capacitors=netlist.capacitors.copy(),
     )
-    for k, node in enumerate(pads, start=1):
-        out.voltage_sources.append(
-            VoltageSource(f"Vopt{k}", node, "0", voltage)
-        )
+    taken = {name.lower() for name in netlist.voltage_sources.names}
+    free = (f"Vopt{k}" for k in count(1) if f"vopt{k}" not in taken)
+    for node, name in zip(pads, free):
+        out.voltage_sources.append(VoltageSource(name, node, "0", voltage))
     return out
 
 
@@ -112,14 +119,10 @@ def greedy_pad_placement(
         Candidate pool size per round: the top-layer nodes with the
         largest current drop (the most starved regions).
 
-    On the engine's direct tier (modest systems) a candidate costs one
-    pair of triangular solves for its column, once per sweep.  On the
-    iterative fallback tier previews only *rank* pad sites, so they are
-    certified at a relaxed tolerance (``_RANK_TOL``) on equally relaxed
-    cached columns — fewer preconditioned iterations per candidate than
-    a full solve.  Committed solves polish on the patched matrix at the
-    tight tolerance either way, so the reported drop history is
-    solver-accurate.
+    A candidate costs one pair of triangular solves for its column, once
+    per sweep, plus elementwise algebra.  Previews and committed solves
+    are certified by their residuals at the same tolerance (``_TOL``),
+    so the ranking and the reported drop history are solver-accurate.
     """
     if not budget_volts > 0:  # NaN fails this too
         raise ValueError(f"budget_volts must be positive, got {budget_volts}")
@@ -133,7 +136,6 @@ def greedy_pad_placement(
         grid,
         supply_voltage,
         options=SolverOptions(tol=_TOL, record_history=False),
-        incremental=IncrementalOptions(column_tol=_RANK_TOL),
     )
 
     added: list[str] = []
@@ -150,7 +152,7 @@ def greedy_pad_placement(
                 break
 
             trials = engine.preview_many(
-                [AddPad(candidate.name) for candidate in candidates], tol=_RANK_TOL
+                [AddPad(candidate.name) for candidate in candidates]
             )
             counter_add(PAD_PLACEMENT_CANDIDATES, len(candidates))
             best_name: str | None = None

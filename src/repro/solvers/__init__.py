@@ -32,9 +32,7 @@ from repro.solvers.guard import (
 from repro.solvers.powerrush import PowerRushSimulator, SimulationReport
 from repro.solvers.incremental import (
     AddPad,
-    GridDelta,
     IncrementalEngine,
-    IncrementalOptions,
     IncrementalSolve,
 )
 
@@ -50,9 +48,7 @@ __all__ = [
     "SolverDiagnostics",
     "SolverFailure",
     "AddPad",
-    "GridDelta",
     "IncrementalEngine",
-    "IncrementalOptions",
     "IncrementalSolve",
     "JacobiPCGSolver",
     "PowerRushSimulator",

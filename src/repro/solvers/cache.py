@@ -6,8 +6,8 @@ PCG iterations, so rebuilding the hierarchy for every call to
 ``analyze_design`` throws away most of the paper's claimed speedup.  Many
 workloads solve the **same conductance matrix** repeatedly — curriculum
 epochs over a fixed design suite, the fallback cascade's adjusted retry,
-Fig. 7 iteration sweeps, incremental-engine rebuilds — and for all of
-them the hierarchy is a pure function of ``(matrix, AMGOptions)``.
+Fig. 7 iteration sweeps — and for all of them the hierarchy is a pure
+function of ``(matrix, AMGOptions)``.
 
 This module keys hierarchies by a *content fingerprint* of the matrix
 (shape + CSR structure + values, hashed with BLAKE2b) plus the frozen
@@ -82,27 +82,6 @@ def matrix_fingerprint(matrix: sp.spmatrix) -> str:
     return digest.hexdigest()
 
 
-def chained_fingerprint(parent: str, delta_token: str) -> str:
-    """Fingerprint of ``parent`` matrix after one structural delta.
-
-    The incremental engine identifies its patched systems by *delta
-    chain* — ``chain(chain(fp0, d1), d2)`` — instead of re-hashing the
-    full CSR content after every edit.  Two chains collide only when
-    they apply the same token sequence to the same base, so an ECO sweep
-    that revisits a structural state (apply candidate, revert, re-apply)
-    hits the setup cache without touching the matrix data.  Chain keys
-    live in the same namespace as content fingerprints but are distinct
-    from them: the same matrix reached by stamping and by patching gets
-    two cache entries, which costs one redundant build, never a wrong
-    hierarchy.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(parent.encode())
-    digest.update(b"\x00")
-    digest.update(delta_token.encode())
-    return digest.hexdigest()
-
-
 class AMGSetupCache:
     """LRU cache of AMG hierarchies keyed by (matrix fingerprint, options)."""
 
@@ -124,7 +103,6 @@ class AMGSetupCache:
         self,
         matrix: sp.spmatrix,
         options: AMGOptions,
-        fingerprint: str | None = None,
         setup_span: Span | None = None,
     ) -> tuple[AMGHierarchy, bool]:
         """The hierarchy for *matrix* under *options*; builds on first use.
@@ -133,16 +111,11 @@ class AMGSetupCache:
         lock so concurrent threads are not serialised on setup; a racing
         duplicate build is resolved first-writer-wins.
 
-        *fingerprint* lets a caller that already knows the matrix
-        identity (the incremental engine's delta-chain keys) skip the
-        content hash; the caller is then responsible for the key being
-        injective over the matrices it presents.
-
         A lookup that evicts entries records how many as the
         ``cache_evictions`` attr of *setup_span* (the caller's
         ``amg_setup`` span), so a trace carries its own cache movement.
         """
-        key = (fingerprint or matrix_fingerprint(matrix), options)
+        key = (matrix_fingerprint(matrix), options)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:

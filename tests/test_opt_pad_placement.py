@@ -16,7 +16,9 @@ from repro.opt.pad_placement import (
 from repro.solvers.base import SolverOptions
 from repro.solvers.incremental import AddPad, IncrementalEngine, IncrementalOptions
 from repro.solvers.powerrush import PowerRushSimulator
-from repro.spice.ast import VoltageSource
+from repro.spice.ast import Capacitor, VoltageSource
+from repro.spice.parser import parse_spice
+from repro.spice.writer import netlist_to_string
 
 
 def _brute_force_placement(netlist, budget_volts, max_new_pads, max_candidates):
@@ -138,6 +140,26 @@ class TestGreedyPadPlacement:
                 fake_design.netlist, budget_volts=0.1, max_candidates=0
             )
 
+    def test_repeated_sweep_keeps_source_names_unique(self):
+        netlist = generate_design(make_real_spec("v", seed=77, pixels=32)).netlist
+        kwargs = dict(budget_volts=1e-6, max_new_pads=2, max_candidates=8)
+        first = greedy_pad_placement(netlist, **kwargs)
+        second = greedy_pad_placement(first.final_netlist, **kwargs)
+        assert len(first.added_pads) == len(second.added_pads) == 2
+        names = list(second.final_netlist.voltage_sources.names)
+        assert len({name.lower() for name in names}) == len(names)
+        assert names[-2:] == ["Vopt3", "Vopt4"]
+        deck = parse_spice(netlist_to_string(second.final_netlist))
+        report = PowerRushSimulator(tol=1e-10).simulate_netlist(deck)
+        assert abs(report.worst_drop() - second.worst_drop_history[-1]) <= 1e-6
+
+    def test_final_netlist_keeps_the_decks_capacitors(self, tiny_netlist):
+        deck = parse_spice(netlist_to_string(tiny_netlist))
+        deck.capacitors.append(Capacitor("C1", "n1_m1_1000_0", "0", 1e-12))
+        out = _with_extra_pads(deck, ["n1_m1_1000_1000"], 1.05)
+        assert list(out.capacitors.names) == ["C1"]
+        assert list(out.voltage_sources.names) == ["V1", "Vopt1"]
+
     def test_sweep_matches_brute_force(self, real_design):
         """The low-rank sweep must commit the same pads and report the
         same drops as from-scratch re-simulation of every candidate."""
@@ -151,7 +173,10 @@ class TestGreedyPadPlacement:
 def _staged_sweep(netlist, budget_volts, max_new_pads, max_candidates):
     """The benchmark suite's traced loop: the same sweep, one engine call
     per candidate, its pool sorted as node records.  The suite requires
-    ``(added, history)`` to ``==`` :func:`greedy_pad_placement`'s."""
+    ``(added, history)`` to ``==`` :func:`greedy_pad_placement`'s.  The
+    engine is built exactly as the frozen suite builds it, inert
+    ``IncrementalOptions(column_tol=...)`` included, so a change that
+    breaks that caller fails here."""
     grid = PowerGrid.from_netlist(netlist)
     engine = IncrementalEngine(
         grid,
