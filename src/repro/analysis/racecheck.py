@@ -175,13 +175,6 @@ def findings() -> list[RaceFinding]:
     return list(_RECORDER.findings) if _RECORDER is not None else []
 
 
-def reset_findings() -> None:
-    if _RECORDER is not None:
-        with _RECORDER._lock:
-            _RECORDER.findings.clear()
-            _RECORDER.edges.clear()
-
-
 class TrackedLock:
     """A lock wrapper that reports acquisition order to the recorder.
 

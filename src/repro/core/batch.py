@@ -216,8 +216,8 @@ def parallel_map_ex(
 #: limit.
 _PIPELINE_CACHE: dict[tuple[str, str], object] = {}
 _PIPELINE_CACHE_MAX = 4
-#: Guards _PIPELINE_CACHE: the worker's heartbeat thread runs next to
-#: task execution, and the serving daemon will run tasks concurrently.
+#: Guards _PIPELINE_CACHE: a worker's heartbeat thread runs next to
+#: task execution, and a caller may run tasks from threads of its own.
 _PIPELINE_CACHE_LOCK = threading.Lock()
 
 

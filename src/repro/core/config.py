@@ -55,9 +55,11 @@ class FusionConfig:
     --------
     train:
         Loop controls (epochs, lr, batch size, curriculum flag, ...) —
-        see :class:`repro.train.trainer.TrainConfig`.  The network is
-        float64, like the numerical solution it corrects.  Training runs
-        in this process; ``jobs`` below never changes the trained weights.
+        see :class:`repro.train.trainer.TrainConfig`.  The network
+        trains and infers in float32; the solver, features, labels and
+        the residual add ``rough + correction`` stay float64.  Training
+        runs in this process; ``jobs`` below never changes the trained
+        weights.
     augment:
         Apply the 4x rotation augmentation to the training set.
     oversample_fake / oversample_real:

@@ -29,11 +29,6 @@ from repro.train.metrics import Metrics
 _FLAT_FEATURES = FeatureConfig(use_numerical=False, hierarchical=False)
 
 
-def _designs_for(config: FusionConfig) -> tuple[list[Design], list[Design]]:
-    pipeline = IRFusionPipeline(config)
-    return pipeline.generate_designs()
-
-
 def _runtime_per_design(
     config: FusionConfig, designs: list[Design], pipeline: IRFusionPipeline
 ) -> float:

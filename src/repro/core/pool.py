@@ -13,10 +13,7 @@ This is the execution substrate under
   that mode, so float traps the caller set hold inside the workers too.
 - **persistent** — workers are long-lived and lazily started; the module
   pool survives across ``map`` calls, amortising interpreter start-up,
-  and shuts itself down after :data:`IDLE_TIMEOUT` seconds without work.  A
-  long-lived owner (the serving daemon) pins the runtime across request
-  gaps with :meth:`WorkerPool.keep_alive`, so warm workers never respawn
-  cold mid-service.
+  and shuts itself down after :data:`IDLE_TIMEOUT` seconds without work.
 - **supervised** — the parent watches per-worker heartbeats, process
   liveness and per-task budgets.  A crashed worker is respawned and its
   in-flight item retried with exponential backoff plus deterministic
@@ -123,8 +120,7 @@ BACKOFF_CAP = 2.0
 HEARTBEAT_INTERVAL = 1.0
 HEARTBEAT_TIMEOUT = 30.0
 #: The supervisor stops every worker and exits after this many seconds
-#: without jobs (and without a keep-alive handle); the next ``map``
-#: restarts it lazily.
+#: without jobs; the next ``map`` restarts it lazily.
 IDLE_TIMEOUT = 300.0
 
 
@@ -185,35 +181,6 @@ class TaskOutcome:
     @property
     def quarantined(self) -> bool:
         return self.quarantine is not None
-
-
-class PoolKeepAlive:
-    """Ownership handle pinning a pool's runtime while held.
-
-    While at least one handle is outstanding the supervisor never
-    idle-retires its workers, so a long-lived owner (the serving daemon)
-    keeps warm workers — and their per-process caches — across arbitrary
-    request gaps instead of paying a cold respawn after
-    :data:`IDLE_TIMEOUT`.
-    Release with :meth:`release` or use the handle as a context manager;
-    releasing twice is a no-op.  An explicit :meth:`WorkerPool.shutdown`
-    still wins over any keep-alive.
-    """
-
-    def __init__(self, pool: "WorkerPool") -> None:
-        self._pool = pool
-        self._released = False
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._pool._release_keepalive()
-
-    def __enter__(self) -> "PoolKeepAlive":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
 
 
 def _jitter(index: int, attempt: int) -> float:
@@ -567,7 +534,6 @@ class WorkerPool:
         self._wake_w: int | None = None
         self._job_counter = 0
         self._slot_counter = 0
-        self._keepalive = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -657,30 +623,8 @@ class WorkerPool:
                     tracer.attach(record)
             return list(job.outcomes)
 
-    def keep_alive(self) -> PoolKeepAlive:
-        """Pin the pool's runtime: no idle retirement while held.
-
-        Returns a :class:`PoolKeepAlive` handle (also a context manager).
-        Stacks: the supervisor idles out only once every outstanding
-        handle is released *and* :data:`IDLE_TIMEOUT` then elapses without
-        work.  Raises :class:`PoolUnusableError` on a shut-down pool.
-        """
-        with self._lock:
-            if self._shutdown:
-                raise PoolUnusableError("pool is shut down")
-            self._keepalive += 1
-        return PoolKeepAlive(self)
-
-    def _release_keepalive(self) -> None:
-        with self._lock:
-            self._keepalive = max(0, self._keepalive - 1)
-
     def shutdown(self) -> None:
-        """Stop the supervisor and every worker (idempotent).
-
-        Overrides any outstanding :meth:`keep_alive` handle — explicit
-        shutdown always wins.
-        """
+        """Stop the supervisor and every worker (idempotent)."""
         with self._lock:
             self._shutdown = True
             running = self._running
@@ -785,17 +729,13 @@ class WorkerPool:
                         jobs.append(self._intake.popleft())
                     shutdown = self._shutdown
                     target = self._target
-                    keepalive = self._keepalive
                 if shutdown:
                     for job in jobs:
                         job.fatal = "pool shut down"
                         job.done.set()
                     break
                 now = monotonic()
-                if jobs or keepalive:
-                    # Outstanding keep-alive handles count as activity:
-                    # the idle countdown starts only once the last owner
-                    # releases (see :meth:`keep_alive`).
+                if jobs:
                     last_activity = now
                 self._reap_and_respawn(jobs, target if jobs else 0, now)
                 self._check_deadlines(jobs, now)
@@ -809,11 +749,7 @@ class WorkerPool:
                 jobs = [job for job in jobs if job.remaining > 0]
                 if not jobs and monotonic() - last_activity > IDLE_TIMEOUT:
                     with self._lock:
-                        if (
-                            not self._intake
-                            and not self._shutdown
-                            and self._keepalive == 0
-                        ):
+                        if not self._intake and not self._shutdown:
                             retired = self._retire_locked()
                             break
                 self._poll(jobs, now)

@@ -33,11 +33,3 @@ def construction_rng(
 ) -> np.random.Generator:
     """Resolve a layer's init generator: the given one, else the shared stream."""
     return rng if rng is not None else _construction_rng
-
-
-def seed_construction_rng(seed: int = 0) -> None:
-    """Reset the shared stream (call before building a model unseeded)."""
-    global _construction_rng
-    # One atomic rebind, so no lock: callers reseed before building a
-    # model, never beside it.
-    _construction_rng = np.random.default_rng(seed)

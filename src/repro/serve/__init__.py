@@ -3,17 +3,14 @@
 Batch analysis (:mod:`repro.core.batch`) amortises model-load and AMG
 setup cost *within* one invocation; this package amortises it *across*
 invocations.  ``python -m repro.serve --model-dir runs/models`` starts a
-long-lived HTTP/JSON daemon whose three warm layers each remove a cold
-start from the request path:
+long-lived HTTP/JSON daemon that runs every request in-process, on its
+executor threads, behind two warm layers that each remove a cold start
+from the request path:
 
 - the **model registry** (:mod:`repro.serve.registry`) loads every
   checkpoint pair once and hot-reloads on file change;
 - the **AMG setup cache** (:mod:`repro.solvers.cache`) is shared across
-  requests, so repeat decks skip hierarchy construction entirely;
-- in pool-dispatch mode, a **keep-alive** handle
-  (:meth:`repro.core.pool.WorkerPool.keep_alive`) pins warm spawn
-  workers — and their fingerprint-keyed pipeline caches — between
-  requests.
+  requests, so repeat decks skip hierarchy construction entirely.
 
 Admission control (bounded queue, ``queue_full``/``draining``
 rejections), cooperative per-request deadlines, per-request

@@ -5,7 +5,8 @@ installs the flag set on any argparse parser and :func:`run` executes a
 parsed namespace, so the two entry points cannot drift.
 
 Exit codes follow the CLI convention: ``0`` clean (drained) exit, ``2``
-startup/configuration error (bad model dir, unloadable checkpoint).
+startup/configuration error (bad model dir, unloadable checkpoint,
+out-of-range flag such as a non-finite ``--default-deadline``).
 SIGTERM and SIGINT both trigger a graceful drain — in-flight and queued
 jobs finish (bounded by ``--drain-timeout``) before the process exits 0.
 """
@@ -57,12 +58,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for 'trace': 'file' requests (created if missing)",
     )
     parser.add_argument(
-        "--pool-jobs",
-        type=int,
-        default=0,
-        help="dispatch analysis to N crash-isolated pool workers (0 = in-process)",
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -77,6 +72,17 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Start the daemon from parsed arguments; blocks until drained."""
+    # Options first: a bad flag is reported before any model loads.
+    try:
+        options = ServeOptions(
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            default_deadline=args.default_deadline,
+            trace_dir=args.trace_dir,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     registry = ModelRegistry(args.model_dir)
     try:
         entries = registry.warm()
@@ -92,17 +98,6 @@ def run(args: argparse.Namespace) -> int:
         return 2
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-    try:
-        options = ServeOptions(
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            default_deadline=args.default_deadline,
-            trace_dir=args.trace_dir,
-            pool_jobs=args.pool_jobs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     daemon = ServeDaemon(
         registry=registry,

@@ -16,9 +16,8 @@ reloads only when a retrain actually replaced the checkpoint.  Because
 ``os.replace``, a lookup never observes a half-written archive — it sees
 either the old stamp (old entry stays valid) or the new one (reload).
 The entry's weight fingerprint (:func:`~repro.nn.serialize.state_fingerprint`)
-rides into every response, and in pool-dispatch mode it is what keys the
-worker-side pipeline cache — a reloaded model changes the fingerprint, so
-warm workers can never serve stale weights.
+rides into every response — a reloaded model changes the fingerprint, so
+a client can tell which weights produced a reply.
 """
 
 from __future__ import annotations

@@ -7,19 +7,10 @@ typed rejections, never silent drops), and runs them on a small fixed
 set of executor threads against the warm
 :class:`~repro.serve.registry.ModelRegistry`.
 
-Two execution modes:
-
-- **in-process** (default): the request runs on the executor thread
-  itself, so every request shares the process-global AMG setup cache
-  (:mod:`repro.solvers.cache`) — the second request for the same deck
-  reuses the first one's hierarchy and skips the dominant setup cost.
-- **pool dispatch** (``pool_jobs > 0``): the deck ships to the
-  supervised spawn pool as a :class:`~repro.core.batch._PipelineTask`,
-  buying crash isolation (a segfaulting deck kills a worker, not the
-  daemon) at the price of per-worker caches.  The service holds a
-  :meth:`~repro.core.pool.WorkerPool.keep_alive` handle for its whole
-  lifetime so warm workers — and their fingerprint-keyed pipeline
-  caches — survive arbitrary request gaps.
+Each request runs in-process, on the executor thread itself, so every
+request shares the process-global AMG setup cache
+(:mod:`repro.solvers.cache`) — the second request for the same deck
+reuses the first one's hierarchy and skips the dominant setup cost.
 
 Every job runs under its own ``serve.request`` trace; the resulting span
 tree is returned inline (``"trace": "inline"``) or written to the
@@ -81,6 +72,9 @@ class DrainingError(RuntimeError):
 
 
 _TRACE_MODES = ("none", "inline", "file")
+#: Finished jobs kept addressable via ``GET /jobs/<id>``; older finished
+#: jobs are evicted first, live ones never.
+_HISTORY_LIMIT = 256
 _REQUEST_FIELDS = frozenset(
     {
         "netlist",
@@ -107,33 +101,27 @@ class ServeOptions:
         returns ``queue_full``.
     default_deadline:
         Per-request budget in seconds applied when the request does not
-        carry its own ``deadline_seconds``; ``None`` = unlimited.
+        carry its own ``deadline_seconds``; ``None`` = unlimited.  Like
+        a request's own budget it must be finite and ``> 0``.
     trace_dir:
         Directory for ``"trace": "file"`` requests; ``None`` rejects
         them at admission.
-    pool_jobs:
-        ``> 0`` dispatches execution to the supervised spawn pool with
-        this worker count (crash isolation); ``0`` runs in-process.
-    history_limit:
-        Completed jobs kept addressable via ``GET /jobs/<id>``.
     """
 
     workers: int = 1
     queue_limit: int = 8
     default_deadline: float | None = None
     trace_dir: str | None = None
-    pool_jobs: int = 0
-    history_limit: int = 256
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.pool_jobs < 0:
-            raise ValueError("pool_jobs must be >= 0")
-        if self.history_limit < 1:
-            raise ValueError("history_limit must be >= 1")
+        if self.default_deadline is not None and not (
+            0 < self.default_deadline < math.inf
+        ):
+            raise ValueError("default_deadline must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -292,7 +280,6 @@ class AnalysisService:
         self._started = False
         self._draining = False
         self._stopped = False
-        self._keepalive = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -311,13 +298,6 @@ class AnalysisService:
             if self._started:
                 return
             self._started = True
-        if self.options.pool_jobs > 0:
-            from repro.core.pool import get_pool
-
-            # Pin the pool for the daemon's lifetime: without this the
-            # supervisor idle-retires warm workers between requests and
-            # every cold request pays the respawn + model rebuild.
-            self._keepalive = get_pool(self.options.pool_jobs).keep_alive()
         for index in range(self.options.workers):
             thread = threading.Thread(
                 target=self._work,
@@ -359,9 +339,6 @@ class AnalysisService:
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._keepalive is not None:
-            self._keepalive.release()
-            self._keepalive = None
         return drained
 
     # -- admission -------------------------------------------------------------
@@ -395,7 +372,7 @@ class AnalysisService:
     def _prune_locked(self) -> None:
         # Drop oldest *finished* jobs beyond the history bound; live jobs
         # are never evicted, so a slow job's handle cannot vanish.
-        excess = len(self._jobs) - self.options.history_limit
+        excess = len(self._jobs) - _HISTORY_LIMIT
         if excess <= 0:
             return
         for job_id in [
@@ -420,7 +397,6 @@ class AnalysisService:
                 "queue_limit": self.options.queue_limit,
                 "active": self._active,
                 "workers": len(self._threads),
-                "pool_jobs": self.options.pool_jobs,
                 "draining": self._draining or self._stopped,
                 "jobs": states,
             }
@@ -465,10 +441,7 @@ class AnalysisService:
                 with ExitStack() as stack:
                     if deadline is not None:
                         stack.enter_context(deadline_scope(deadline))
-                    if self.options.pool_jobs > 0:
-                        result = self._run_on_pool(entry, request, deadline)
-                    else:
-                        result = self._run_in_process(entry, request)
+                    result = self._run_in_process(entry, request)
             root = tracer.root
         except Exception as exc:  # noqa: BLE001 - reported per-job, never fatal
             status, kind = _classify(exc)
@@ -477,9 +450,9 @@ class AnalysisService:
             return
 
         metrics = counters_delta(before)
-        # This request's own cache lookups, read off its trace (pool
-        # dispatch grafts the worker's spans in): a process-wide counter
-        # delta would also count requests running on other executors.
+        # This request's own cache lookups, read off its trace: a
+        # process-wide counter delta would also count requests running
+        # on other executors.
         setups = [
             span.attrs for span in root.iter_spans() if span.name == AMG_SETUP.name
         ]
@@ -524,34 +497,3 @@ class AnalysisService:
         if request.netlist is not None:
             return entry.pipeline.analyze_text(request.netlist)
         return entry.pipeline.analyze_file(request.netlist_path)
-
-    def _run_on_pool(self, entry, request: AnalyzeRequest, deadline):
-        """Ship the deck to the spawn pool for crash-isolated execution.
-
-        The task rides as a :class:`~repro.core.batch._PipelineTask`, so
-        the worker caches the rebuilt pipeline by weight fingerprint —
-        repeat requests against a warm worker skip the model rebuild —
-        and returns the slim result (maps, stage timings, diagnostics):
-        everything the reply is built from.
-        """
-        from repro.core.batch import _PipelineTask
-        from repro.core.pool import get_pool
-
-        if request.netlist is not None:
-            method, item = "analyze_text", request.netlist
-        else:
-            method, item = "analyze_file", request.netlist_path
-        (outcome,) = get_pool(self.options.pool_jobs).map(
-            _PipelineTask(entry.pipeline, method),
-            [item],
-            timeout=deadline,
-            deadline=deadline,
-        )
-        if outcome.quarantine is not None:
-            raise RuntimeError(
-                f"deck quarantined after {outcome.attempts} attempt(s): "
-                f"{outcome.quarantine.reason}"
-            )
-        if outcome.error is not None:
-            raise RuntimeError(outcome.error)
-        return outcome.result

@@ -90,12 +90,6 @@ class SolveResult:
         return float((last / first) ** (1.0 / steps))
 
 
-class LinearOperator(Protocol):
-    """Anything that can be applied to a vector (preconditioners)."""
-
-    def apply(self, r: np.ndarray) -> np.ndarray: ...
-
-
 class Solver(Protocol):
     """Common protocol: solve ``A x = b`` from an optional initial guess."""
 

@@ -312,46 +312,6 @@ class TestPoolLifecycle:
         finally:
             pool.shutdown()
 
-    def test_keep_alive_pins_idle_workers(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.2)
-        pool = WorkerPool(max_workers=1)
-        try:
-            with pool.keep_alive():
-                result = pool.map(_square, [2], jobs=1)
-                assert [o.result for o in result] == [4]
-                pids = pool.worker_pids
-                assert pids  # workers are up
-                time.sleep(1.0)  # several IDLE_TIMEOUT periods
-                assert pool.worker_pids == pids  # still the same workers
-            # Once released, the idle countdown resumes and retires them.
-            deadline = time.monotonic() + 30.0
-            while pool.worker_pids and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert pool.worker_pids == []
-        finally:
-            pool.shutdown()
-
-    def test_keep_alive_stacks_and_release_is_idempotent(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.2)
-        pool = WorkerPool(max_workers=1)
-        try:
-            first = pool.keep_alive()
-            second = pool.keep_alive()
-            first.release()
-            first.release()  # double release must not release `second`
-            pool.map(_square, [3], jobs=1)
-            time.sleep(0.8)
-            assert pool.worker_pids  # second handle still pins the pool
-            second.release()
-        finally:
-            pool.shutdown()
-
-    def test_keep_alive_on_shut_down_pool_raises(self):
-        pool = WorkerPool(max_workers=1)
-        pool.shutdown()
-        with pytest.raises(PoolUnusableError, match="shut down"):
-            pool.keep_alive()
-
     def test_idle_retirement_never_drops_racing_work(self, monkeypatch):
         """Regression: a map() landing exactly as the supervisor
         idle-retires must run on the successor runtime, not lose its

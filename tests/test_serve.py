@@ -32,6 +32,7 @@ from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.obs.export import validate_trace_lines
+from repro.serve import service as service_module
 from repro.serve import (
     AnalyzeRequest,
     ModelRegistry,
@@ -39,6 +40,7 @@ from repro.serve import (
     ServeDaemon,
     ServeOptions,
 )
+from repro.serve.__main__ import main as serve_main
 from repro.solvers.cache import clear_setup_cache
 from repro.spice.writer import netlist_to_string
 from repro.train.trainer import TrainConfig
@@ -463,48 +465,44 @@ class TestAdmission:
         assert status == 200
         assert body["result"]["deadline_seconds"] == 30.0
 
-
-# -- pool dispatch -------------------------------------------------------------
-
-
-class TestPoolDispatch:
-    def test_pool_mode_serves_requests_with_keepalive(self, model_dir, deck):
-        d = _start_daemon(model_dir, pool_jobs=2)
+    def test_history_evicts_oldest_finished_never_live_jobs(
+        self, model_dir, deck, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "_HISTORY_LIMIT", 2)
+        d = _start_daemon(model_dir)
+        release = None
         try:
-            from repro.core.pool import get_pool
+            finished = []
+            for _ in range(3):
+                status, body = _post(d, {"netlist": deck})
+                assert status == 200 and body["state"] == "done"
+                finished.append(body["job_id"])
+            # The third admission pushed the oldest finished job out.
+            assert _get(d, f"/jobs/{finished[0]}")[0] == 404
+            assert _get(d, f"/jobs/{finished[1]}")[0] == 200
+            assert _get(d, f"/jobs/{finished[2]}")[0] == 200
 
-            assert get_pool()._keepalive >= 1
-            status1, first = _post(d, {"netlist": deck})
-            status2, second = _post(d, {"netlist": deck})
-            assert status1 == 200 and status2 == 200
-            assert (
-                first["result"]["model_fingerprint"]
-                == second["result"]["model_fingerprint"]
+            release = _block_analysis(d)
+            live = []
+            for _ in range(3):
+                status, body = _post(d, {"netlist": deck, "async": True})
+                assert status == 202
+                live.append(body["job_id"])
+            assert _wait_for(
+                lambda: _get(d, f"/jobs/{live[0]}")[1]["state"] == "running"
             )
+            # Both finished jobs went first; with only live jobs left the
+            # history runs over its bound rather than drop a live handle.
+            for job_id in finished[1:]:
+                assert _get(d, f"/jobs/{job_id}")[0] == 404
+            states = [_get(d, f"/jobs/{job_id}")[1]["state"] for job_id in live]
+            assert states == ["running", "queued", "queued"]
         finally:
+            if release is not None:
+                release.set()
             d.stop(timeout=60.0)
-        assert get_pool()._keepalive == 0
-
-    def test_pool_reply_matches_in_process_analysis(self, model_dir, deck):
-        d = _start_daemon(model_dir, pool_jobs=1)
-        try:
-            status, body = _post(d, {"netlist": deck, "trace": "inline"})
-            local = d.service.registry.get(None).pipeline.analyze_text(deck)
-        finally:
-            d.stop(timeout=60.0)
-        assert status == 200
-        result = body["result"]
-        # The worker's spans are grafted into the request's trace.
-        spans = [json.loads(line) for line in result["trace"]]
-        names = {s["name"] for s in spans if s.get("kind") == "span"}
-        assert {"serve.request", "task_attempt", "item", "inference"} <= names
-        assert result["worst_predicted_drop_volts"] == local.worst_predicted_drop()
-        assert result["mean_predicted_drop_volts"] == float(
-            local.predicted_drop.mean()
-        )
-        assert result["map_shape"] == list(local.predicted_drop.shape)
-        assert set(result["stage_seconds"]) == {"solve", "features", "inference"}
-        assert all(seconds > 0 for seconds in result["stage_seconds"].values())
+        for job_id in live:
+            assert d.service.get_job(job_id).state == "done"
 
 
 # -- request schema ------------------------------------------------------------
@@ -529,6 +527,25 @@ class TestRequestSchema:
             AnalyzeRequest.from_payload(
                 {"netlist": "* deck", "deadline_seconds": deadline}
             )
+
+
+class TestServeOptions:
+    @pytest.mark.parametrize("deadline", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_default_deadline_must_be_finite_and_positive(self, deadline):
+        with pytest.raises(ValueError, match="default_deadline"):
+            ServeOptions(default_deadline=deadline)
+
+    def test_entry_point_rejects_bad_default_deadline_before_loading(
+        self, tmp_path, capsys
+    ):
+        # The option check runs first, so even an empty model directory
+        # reports the flag rather than the missing checkpoints.
+        code = serve_main(
+            ["--model-dir", os.fspath(tmp_path), "--default-deadline", "nan"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: default_deadline")
 
 
 # -- the real entry point ------------------------------------------------------
