@@ -5,14 +5,14 @@ runtime mode proves the locking that exists is *used consistently*.
 Two dynamic properties no static pass can check:
 
 - **lock-order inversions** — thread A acquires ``obs.metrics`` then
-  ``shm.arena`` while thread B acquires them in the opposite order: no
-  test deadlocks (the windows are microseconds) until a loaded serving
-  daemon does.  The sanitizer wraps the project's long-lived locks in
+  ``solvers.amg_cache`` while thread B acquires them in the opposite
+  order: no test deadlocks (the windows are microseconds) until a
+  loaded serving daemon does.  The sanitizer wraps the project's long-lived locks in
   :class:`TrackedLock` and records every *held-while-acquiring* edge;
   an edge in both directions is an inversion.
-- **unlocked writes** — shared dicts (metrics registry, arena segment
-  table, AMG setup cache, pipeline cache) mutated by a thread that does
-  not hold the lock that is supposed to guard them.  The dicts are
+- **unlocked writes** — shared dicts (metrics registry, AMG setup
+  cache, pipeline cache) mutated by a thread that does not hold the
+  lock that is supposed to guard them.  The dicts are
   replaced by :class:`GuardedDict`/:class:`GuardedOrderedDict` views
   that verify the guard on every mutating operation.
 
@@ -361,8 +361,6 @@ def install(strict: bool = True) -> _Recorder:
     Targets (instance attributes only — no class is mutated):
 
     - ``repro.obs.metrics._REGISTRY``: the metrics lock + both tables;
-    - ``repro.core.shm.ARENA``: the arena lock + segment table, and the
-      module-level attachment cache with its lock;
     - ``repro.solvers.cache._GLOBAL_CACHE``: the AMG setup cache lock +
       LRU table;
     - ``repro.solvers.amg._RELAXATION_LOCK``: held while a hierarchy
@@ -380,7 +378,6 @@ def install(strict: bool = True) -> _Recorder:
         _RECORDER = _Recorder(strict=strict)
 
         from repro.core import batch as _batch
-        from repro.core import shm as _shm
         from repro.nn import inference as _inference
         from repro.obs import metrics as _metrics
         from repro.solvers import amg as _amg
@@ -390,11 +387,6 @@ def install(strict: bool = True) -> _Recorder:
         wrap_lock(registry, "_lock", "obs.metrics")
         wrap_dict(registry, "_counters", "obs.metrics", "obs.metrics._counters")
         wrap_dict(registry, "_gauges", "obs.metrics", "obs.metrics._gauges")
-
-        wrap_lock(_shm.ARENA, "_lock", "shm.arena")
-        wrap_dict(_shm.ARENA, "_segments", "shm.arena", "shm.arena._segments")
-        wrap_lock(_shm, "_ATTACH_LOCK", "shm.attach")
-        wrap_dict(_shm, "_ATTACHMENTS", "shm.attach", "shm._ATTACHMENTS")
 
         cache = _cache._GLOBAL_CACHE
         wrap_lock(cache, "_lock", "solvers.amg_cache")

@@ -64,7 +64,6 @@ from repro.obs.registry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import AnalysisResult, IRFusionPipeline
-    from repro.data.synthetic import Design
 
 
 def _serial_fallback(reason: Counter, count: int = 1) -> None:
@@ -171,11 +170,8 @@ def parallel_map_ex(
     cannot ship) runs each item once with no per-item timeout, because
     it cannot kill an item that overruns one.
 
-    On the pool path, ndarrays of at least 64 KiB
-    (:data:`repro.core.shm.THRESHOLD`) in items and results cross via
-    the shared-memory data plane (:mod:`repro.core.shm`) rather than
-    the pipe.  Results are bitwise-identical to the serial path;
-    externalized result arrays are handed back as read-only views.
+    On the pool path, items and results cross the worker pipes as
+    pickles.  Results are bitwise-identical to the serial path.
 
     Worker counter movement is merged into this process's metrics, and
     when the calling thread has an active :mod:`repro.obs` trace the
@@ -227,10 +223,9 @@ class _PipelineTask:
     In the parent this is a thin wrapper over a trained
     :class:`~repro.core.pipeline.IRFusionPipeline`; the serial engine
     calls straight through.  Under the spawn pool it pickles as
-    ``(method, config, channels, state_dict, fingerprint)`` — the state
-    dict's arrays ride the shm transport, so weights ship once per
-    (job, worker) as descriptors — and the worker rebuilds the pipeline
-    once per fingerprint, caching it across tasks *and* jobs.  The
+    ``(config, channels, state_dict, fingerprint)`` — so weights ship
+    once per (job, worker) — and the worker rebuilds the pipeline once
+    per fingerprint, caching it across tasks *and* jobs.  The
     fingerprint (:func:`repro.nn.serialize.state_fingerprint`) covers
     every weight byte, so a retrained model can never hit a stale
     cache entry.
@@ -240,16 +235,14 @@ class _PipelineTask:
     ``None``.
     """
 
-    def __init__(self, pipeline: "IRFusionPipeline", method: str) -> None:
+    def __init__(self, pipeline: "IRFusionPipeline") -> None:
         self.pipeline = pipeline
-        self.method = method
 
     def __getstate__(self) -> dict:
         from repro.nn.serialize import state_fingerprint
 
         state = self.pipeline.model.state_dict()
         return {
-            "method": self.method,
             "config": self.pipeline.config,
             "channels": self.pipeline._trained_channels,
             "state": state,
@@ -257,7 +250,6 @@ class _PipelineTask:
         }
 
     def __setstate__(self, payload: dict) -> None:
-        self.method = payload["method"]
         self.pipeline = None
         self._payload = payload
 
@@ -288,11 +280,11 @@ class _PipelineTask:
         self.pipeline = pipeline
         return pipeline
 
-    def __call__(self, item) -> "AnalysisResult":
+    def __call__(self, path) -> "AnalysisResult":
         pipeline = self.pipeline
         if pipeline is None:
             pipeline = self._rebuild()
-        result = getattr(pipeline, self.method)(item)
+        result = pipeline.analyze_file(path)
         # The report (grid + reduced system) and the feature stack are
         # ~95% of a pickled result and no batch caller reads them.
         return replace(result, report=None, features=None)
@@ -432,12 +424,17 @@ class BatchAnalyzer:
         self.retries = retries
         self.deadline = deadline
 
-    def _run(self, fn: Callable, names: list[str], work: Sequence) -> BatchReport:
-        counter_add(BATCH_ITEMS, len(work))
-        with span(BATCH, items=len(work), jobs=self.jobs) as batch_span:
+    def analyze_files(self, paths: Sequence) -> BatchReport:
+        """Analyse many SPICE decks from disk; per-deck failures are recorded.
+
+        Spawn workers cache the rebuilt model by weight fingerprint, and
+        every result comes back slim, whichever engine ran it.
+        """
+        counter_add(BATCH_ITEMS, len(paths))
+        with span(BATCH, items=len(paths), jobs=self.jobs) as batch_span:
             outcomes, degraded = parallel_map_ex(
-                fn,
-                work,
+                _PipelineTask(self.pipeline),
+                paths,
                 self.jobs,
                 task_timeout=self.task_timeout,
                 retries=self.retries,
@@ -446,14 +443,14 @@ class BatchAnalyzer:
         report = BatchReport(
             items=[
                 BatchItem(
-                    name=name,
+                    name=str(path),
                     result=outcome.result,
                     error=outcome.error,
                     traceback=outcome.traceback,
                     attempts=outcome.attempts,
                     quarantine=outcome.quarantine,
                 )
-                for name, outcome in zip(names, outcomes)
+                for path, outcome in zip(paths, outcomes)
             ],
             jobs=self.jobs,
             degraded=degraded,
@@ -477,26 +474,3 @@ class BatchAnalyzer:
         if retried:
             report.notes.append(f"{retried} item(s) needed retries")
         return report
-
-    def _task(self, method: str) -> Callable:
-        """Per-design callable for both engines: a :class:`_PipelineTask`.
-
-        Spawn workers cache the rebuilt model by weight fingerprint (the
-        weights ride the shm transport), and every result comes back
-        slim, whichever engine ran it.
-        """
-        return _PipelineTask(self.pipeline, method)
-
-    def analyze_designs(self, designs: Sequence["Design"]) -> BatchReport:
-        """Analyse many synthetic designs; per-design failures are recorded."""
-        return self._run(
-            self._task("analyze_design"),
-            [design.name for design in designs],
-            designs,
-        )
-
-    def analyze_files(self, paths: Sequence) -> BatchReport:
-        """Analyse many SPICE decks from disk."""
-        return self._run(
-            self._task("analyze_file"), [str(path) for path in paths], paths
-        )

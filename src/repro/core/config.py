@@ -70,8 +70,7 @@ class FusionConfig:
     jobs:
         Worker processes for batchable stages (dataset feature extraction,
         batch analysis); 1 keeps everything serial in-process.  Results
-        are identical at any value.  Pool batches ship ndarrays of
-        64 KiB or more through shared memory (:mod:`repro.core.shm`).
+        are identical at any value.
     """
 
     pixels: int = 32

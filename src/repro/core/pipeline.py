@@ -398,8 +398,8 @@ class IRFusionPipeline:
         """Restore an in-memory state dict into a freshly built model.
 
         Same contract as :meth:`load_model` but without touching disk —
-        the path pool workers use to rebuild a shipped pipeline from
-        shared-memory weight views.
+        the path pool workers use to rebuild a shipped pipeline from its
+        pickled state dict.
         """
         self.model = self.build_model(in_channels=in_channels)
         self.model.load_state_dict(state)

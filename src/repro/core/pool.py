@@ -47,18 +47,6 @@ path above is testable on schedule.
 Span timestamps from workers are comparable with the parent's because
 Linux shares one ``CLOCK_MONOTONIC`` epoch across processes.
 
-Payload transport: ndarrays of at least :data:`repro.core.shm.THRESHOLD`
-bytes inside job payloads, items and results travel through the
-shared-memory data plane (:mod:`repro.core.shm`) instead of the pipe —
-the pipe carries a ~100-byte descriptor per array.  ``map`` holds one
-:class:`repro.core.shm.ShmScope` open for the duration of the job: it
-owns the parent-created segments, *adopts* worker-created result
-segments when the result is unpickled, and on the way out of ``map``
-(success, quarantine, deadline, unpicklable payload, supervisor crash,
-shutdown) unlinks them all and sweeps anything a SIGKILL'd worker left
-behind under the job's name.  On a host without ``/dev/shm`` the job
-is pickled inline, with bitwise-identical results.
-
 Supervision timing is fixed by the module constants below; tests
 monkeypatch them on this module.  A worker reads the heartbeat interval
 once, from its spawn arguments.
@@ -73,14 +61,12 @@ import threading
 import traceback as _tb
 import zlib
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core import shm as _shm
 from repro.obs import (
     counter_add,
     counters_delta,
@@ -95,8 +81,6 @@ from repro.obs import (
 from repro.obs.registry import (
     ITEM,
     POOL_WORKERS_RESPAWNED,
-    SHM_BYTES_ADOPTED,
-    SHM_INLINE_FALLBACKS,
     TASK_ATTEMPT,
     TASK_QUARANTINED,
     TASK_RETRIES,
@@ -237,8 +221,7 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
     fn, fault_plan, traced, float_errors = job
     before = metrics_snapshot()
     try:
-        # Shm descriptors inside the item resolve to zero-copy views.
-        item = _shm.loads(item_bytes)
+        item = pickle.loads(item_bytes)
         if fault_plan is not None:
             # May SIGKILL us, hang, sleep, or raise TransientTaskError.
             payload["injected"] = fault_plan.apply(index, attempt)
@@ -262,32 +245,15 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
     return payload
 
 
-def _dump_result(payload: dict, scope: str | None, task_id: int) -> bytes:
-    """Serialize a task result, externalizing large arrays under *scope*.
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
-    Worker-created segments are named under the job scope
-    (``<scope>_w<pid>t<task>k<n>``) so the parent can adopt them on
-    unpickle — and sweep them as orphans if this process dies before
-    the result lands.  On a serialization failure every segment this
-    attempt created is unlinked here, then the classic
-    unpicklable-result fallback reports the error inline.
-    """
-    created: list[str] = []
 
-    def writer(array):
-        name = f"{scope}_w{os.getpid():x}t{task_id:x}k{len(created):x}"
-        descriptor = _shm.write_segment(name, array)
-        created.append(name)
-        return descriptor
-
+def _dump_result(payload: dict) -> bytes:
+    """Serialize a task result; an unpicklable one becomes the item's error."""
     try:
-        return _shm.dumps(payload, writer=None if scope is None else writer)
+        return _dumps(payload)
     except Exception as exc:  # noqa: BLE001 - unpicklable result
-        for name in created:
-            try:
-                os.unlink(os.path.join(_shm.SHM_DIR, name))
-            except OSError:
-                pass
         payload.update(
             result=None,
             span_tree=None,
@@ -296,7 +262,7 @@ def _dump_result(payload: dict, scope: str | None, task_id: int) -> bytes:
             error=f"{type(exc).__name__}: result of item "
             f"{payload['index']} is not picklable ({exc})",
         )
-        return pickle.dumps(payload)
+        return _dumps(payload)
 
 
 def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
@@ -329,8 +295,6 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
     ).start()
 
     jobs: dict[int, tuple | str] = {}
-    #: job id -> the job's shm scope name (None: inline transport).
-    scopes: dict[int, str | None] = {}
     try:
         while True:
             try:
@@ -341,18 +305,13 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
             if kind == "exit":
                 break
             if kind == "job":
-                _, job_id, blob, scopes[job_id] = message
+                _, job_id, blob = message
                 try:
-                    jobs[job_id] = _shm.loads(blob)
+                    jobs[job_id] = pickle.loads(blob)
                 except Exception as exc:  # noqa: BLE001 - reported per task
                     jobs[job_id] = f"{type(exc).__name__}: {exc}"
             elif kind == "forget":
                 jobs.pop(message[1], None)
-                scopes.pop(message[1], None)
-                # Job-end hygiene: drop cached segment mappings.  Views
-                # still alive inside another job's payload keep their
-                # mapping pinned (close defers to GC), so this is safe.
-                _shm.detach_all()
             elif kind == "task":
                 _, job_id, task_id, index, attempt, item_bytes, budget = message
                 if not send(("start", slot, job_id, task_id)):
@@ -360,7 +319,7 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
                 payload = _run_task(
                     jobs.get(job_id), index, attempt, item_bytes, budget
                 )
-                blob = _dump_result(payload, scopes.get(job_id), task_id)
+                blob = _dump_result(payload)
                 if not send(("result", slot, job_id, task_id, blob)):
                     break
     finally:
@@ -401,7 +360,6 @@ class _Job:
         job_id: int,
         payload: bytes,
         items: list[bytes],
-        scope: "_shm.ShmScope | None",
         timeout: float | None,
         retries: int,
         deadline: float | None,
@@ -409,8 +367,6 @@ class _Job:
         self.id = job_id
         self.payload = payload
         self.items = items
-        #: The shm scope ``map`` holds open for this job (None: inline).
-        self.scope = scope
         self.timeout = timeout
         self.retries = retries
         self.deadline_at = None if deadline is None else monotonic() + deadline
@@ -573,55 +529,40 @@ class WorkerPool:
                 raise PoolUnusableError("pool is shut down")
             self._job_counter += 1
             job_id = self._job_counter
-        shared = _shm.available()
-        if not shared:
-            counter_add(SHM_INLINE_FALLBACKS)
-        # The job's segments (payload, items, adopted results) live
-        # exactly as long as this call: whichever way it ends, leaving
-        # the block unlinks them and sweeps what a killed worker left.
-        with (_shm.ARENA.scope("job") if shared else nullcontext()) as scope:
-            writer = None if scope is None else scope.share
-            try:
-                payload = _shm.dumps(
-                    (fn, fault_plan, tracer is not None, np.geterr()),
-                    writer=writer,
+        try:
+            payload = _dumps((fn, fault_plan, tracer is not None, np.geterr()))
+            item_blobs = [_dumps(item) for item in items]
+        except Exception as exc:  # noqa: BLE001 - anything unpicklable
+            raise PoolUnusableError(
+                f"job payload is not picklable: {type(exc).__name__}: {exc}"
+            ) from exc
+        counter_add(
+            TRANSPORT_PICKLED_BYTES,
+            len(payload) + sum(len(blob) for blob in item_blobs),
+        )
+        if not items:
+            return []
+        with self._lock:
+            if self._shutdown:
+                raise PoolUnusableError("pool is shut down")
+            job = _Job(job_id, payload, item_blobs, timeout, retries, deadline)
+            if jobs is not None:
+                self._target = max(
+                    self._target, max(1, min(int(jobs), len(items)))
                 )
-                item_blobs = [_shm.dumps(item, writer=writer) for item in items]
-            except Exception as exc:  # noqa: BLE001 - anything unpicklable
-                raise PoolUnusableError(
-                    f"job payload is not picklable: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            counter_add(
-                TRANSPORT_PICKLED_BYTES,
-                len(payload) + sum(len(blob) for blob in item_blobs),
-            )
-            if not items:
-                return []
-            with self._lock:
-                if self._shutdown:
-                    raise PoolUnusableError("pool is shut down")
-                job = _Job(
-                    job_id, payload, item_blobs, scope, timeout, retries,
-                    deadline,
-                )
-                if jobs is not None:
-                    self._target = max(
-                        self._target, max(1, min(int(jobs), len(items)))
-                    )
-                self._ensure_running_locked()
-                self._intake.append(job)
-            self._wake()
-            while not job.done.wait(0.2):
-                supervisor = self._supervisor
-                if supervisor is None or not supervisor.is_alive():
-                    raise PoolUnusableError("pool supervisor died")
-            if job.fatal is not None:
-                raise PoolUnusableError(job.fatal)
-            if tracer is not None:
-                for record in job.span_payloads + job.attempt_spans:
-                    tracer.attach(record)
-            return list(job.outcomes)
+            self._ensure_running_locked()
+            self._intake.append(job)
+        self._wake()
+        while not job.done.wait(0.2):
+            supervisor = self._supervisor
+            if supervisor is None or not supervisor.is_alive():
+                raise PoolUnusableError("pool supervisor died")
+        if job.fatal is not None:
+            raise PoolUnusableError(job.fatal)
+        if tracer is not None:
+            for record in job.span_payloads + job.attempt_spans:
+                tracer.attach(record)
+        return list(job.outcomes)
 
     def shutdown(self) -> None:
         """Stop the supervisor and every worker (idempotent)."""
@@ -848,18 +789,8 @@ class WorkerPool:
     def _on_result(self, job: _Job, task: _Task, blob: bytes) -> None:
         now = monotonic()
         counter_add(TRANSPORT_PICKLED_BYTES, len(blob))
-        scope = job.scope
-
-        def adopt(descriptor) -> None:
-            # Worker-created result segment: the job's scope takes
-            # ownership so crash/quarantine cleanup is central.
-            scope.adopt(descriptor)
-            counter_add(SHM_BYTES_ADOPTED, descriptor.nbytes)
-
         try:
-            payload = _shm.loads(
-                blob, on_descriptor=adopt if scope is not None else None
-            )
+            payload = pickle.loads(blob)
         except Exception as exc:  # noqa: BLE001 - corrupt payload
             payload = {
                 "error": f"PayloadError: {type(exc).__name__}: {exc}",
@@ -1051,14 +982,7 @@ class WorkerPool:
                 task.worker_slot = worker.slot
                 try:
                     if job.id not in worker.jobs_sent:
-                        worker.conn.send(
-                            (
-                                "job",
-                                job.id,
-                                job.payload,
-                                job.scope and job.scope.name,
-                            )
-                        )
+                        worker.conn.send(("job", job.id, job.payload))
                         worker.jobs_sent.add(job.id)
                     worker.conn.send(
                         (

@@ -231,14 +231,6 @@ class PowerGrid:
 
     # -- ECO mutation ------------------------------------------------------
 
-    def _own(self, column: str) -> np.ndarray:
-        """A column to write into; shared-memory transport hands back read-only views."""
-        array = getattr(self, column)
-        if not array.flags.writeable:
-            array = array.copy()
-            setattr(self, column, array)
-        return array
-
     def _index(self, node: int | str) -> int:
         if isinstance(node, str):
             return self.index_of(node)
@@ -254,18 +246,18 @@ class PowerGrid:
             )
         if voltage != voltage:
             raise ValueError("a pad voltage cannot be NaN")
-        self._own("pad_voltage")[index] = voltage
+        self.pad_voltage[index] = voltage
 
     def unpin_pad(self, node: int | str) -> None:
         """Remove a pad pin, returning the node to the unknown set."""
         index = self._index(node)
         if np.isnan(self.pad_voltage[index]):
             raise ValueError(f"node {self.node_names[index]!r} is not a pad")
-        self._own("pad_voltage")[index] = np.nan
+        self.pad_voltage[index] = np.nan
 
     def set_load(self, node: int | str, amps: float) -> None:
         """Set a node's attached load current (absolute, not additive)."""
-        self._own("load_current")[self._index(node)] = amps
+        self.load_current[self._index(node)] = amps
 
     def clone(self) -> "PowerGrid":
         """Independent copy: the two editable columns are copied, the rest shared."""

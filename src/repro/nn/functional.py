@@ -38,9 +38,8 @@ class Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def __getstate__(self) -> dict:
-        # Scratch is never shipped: the pool's shm transport carries
-        # every buffer of 64 KiB or more as a read-only view, and a
-        # worker must write into its buffers.
+        # Scratch is never shipped: a copy allocates its buffers on
+        # first use, so pickling them would only add bytes.
         return {"_buffers": {}}
 
     def request(

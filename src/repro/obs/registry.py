@@ -81,13 +81,6 @@ SERVE_MODEL_LOADS = Counter("serve.model_loads")
 SERVE_MODEL_RELOADS = Counter("serve.model_reloads")
 SERVE_REJECTED = Counter("serve.rejected")
 SERVE_REQUESTS = Counter("serve.requests")
-SHM_ATTACHES = Counter("shm.attaches")
-SHM_BYTES_ADOPTED = Counter("shm.bytes_adopted")
-SHM_BYTES_SHARED = Counter("shm.bytes_shared")
-SHM_INLINE_FALLBACKS = Counter("shm.inline_fallbacks")
-SHM_SEGMENTS_LEAKED = Counter("shm.segments_leaked")
-SHM_SEGMENTS_RELEASED = Counter("shm.segments_released")
-SHM_SEGMENTS_SWEPT = Counter("shm.segments_swept")
 SOLVER_ATTEMPTS = Counter("solver.attempts")
 SOLVER_DEADLINE_SKIPS = Counter("solver.deadline_skips")
 SOLVER_FALLBACKS = Counter("solver.fallbacks")
@@ -100,7 +93,6 @@ TRANSPORT_PICKLED_BYTES = Counter("transport.pickled_bytes")
 
 SERVE_ACTIVE_JOBS = Gauge("serve.active_jobs")
 SERVE_QUEUE_DEPTH = Gauge("serve.queue_depth")
-SHM_SEGMENTS_ACTIVE = Gauge("shm.segments_active")
 
 # -- spans ---------------------------------------------------------------------
 
@@ -127,8 +119,6 @@ PLAN_BUILD = SpanName("plan_build")
 RUN = SpanName("run")
 SERVE = SpanName("serve")
 SERVE_REQUEST = SpanName("serve.request")
-SHM_ATTACH = SpanName("shm_attach")
-SHM_EXTERNALIZE = SpanName("shm_externalize")
 SIMULATE = SpanName("simulate")
 SOLVE = SpanName("solve")
 SOLVE_ATTEMPT = SpanName("solve_attempt")

@@ -217,7 +217,7 @@ def span_record(name: SpanName, start: float, end: float, **attrs) -> dict:
     """A completed leaf span in the serialized form :meth:`Tracer.attach` takes.
 
     For intervals measured outside a ``with span(...)`` block: pool task
-    attempts, shared-memory externalize/attach.
+    attempts.
     """
     return {
         "name": _name_of(name),

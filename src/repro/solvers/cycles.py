@@ -1,4 +1,4 @@
-"""Multigrid cycling: V-, W- and K-cycle preconditioner application.
+"""Multigrid cycling: V- and K-cycle preconditioner application.
 
 Preconditioning phase of AMG-PCG (Fig. 3): the hierarchy plays the role of
 ``M^{-1}``; applying a cycle to a residual returns the multilevel
@@ -24,7 +24,7 @@ class CycleOptions:
     Attributes
     ----------
     cycle:
-        ``"v"``, ``"w"`` or ``"k"``.
+        ``"v"`` or ``"k"``.
     presmooth_sweeps, postsmooth_sweeps:
         Relaxation sweeps before restriction / after prolongation.
     smoother:
@@ -44,8 +44,8 @@ class CycleOptions:
     kcycle_tol: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.cycle not in ("v", "w", "k"):
-            raise ValueError(f"cycle must be 'v', 'w' or 'k', got {self.cycle!r}")
+        if self.cycle not in ("v", "k"):
+            raise ValueError(f"cycle must be 'v' or 'k', got {self.cycle!r}")
         if self.smoother not in ("gauss_seidel", "jacobi"):
             raise ValueError(f"unsupported smoother {self.smoother!r}")
         if self.kcycle_steps < 1:
@@ -105,11 +105,6 @@ class CyclePreconditioner:
             return self.hierarchy.coarse_solve(rhs)
         if level == 0 or self.options.cycle == "v":
             return self._cycle_once(level, rhs)
-        if self.options.cycle == "w":
-            matrix = levels[level].matrix
-            x = self._cycle_once(level, rhs)
-            x = x + self._cycle_once(level, rhs - matrix @ x)
-            return x
         return self._kcycle_correction(level, rhs)
 
     def _kcycle_correction(self, level: int, rhs: np.ndarray) -> np.ndarray:

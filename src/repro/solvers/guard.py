@@ -20,8 +20,6 @@ tripped, the solver raised, or the iterate contains non-finite entries.
 
 from __future__ import annotations
 
-import time
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -51,11 +49,6 @@ DIVERGENCE_FACTOR = 1e6
 #: consecutive iterations.
 STAGNATION_WINDOW = 25
 STAGNATION_IMPROVEMENT = 1e-4
-#: The cascade waits ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds,
-#: scaled by a deterministic jitter in ``[0.5, 1.5)``, before fallback stage
-#: ``k``.
-BACKOFF_BASE = 0.02
-BACKOFF_CAP = 0.25
 
 
 class IterationGuard:
@@ -112,13 +105,7 @@ class IterationGuard:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One solve attempt inside the cascade (success or failure).
-
-    ``backoff_seconds`` is the jittered wait the cascade inserted
-    *before* this attempt (0.0 for the primary attempt and whenever the
-    previous stage succeeded), so summing ``seconds + backoff_seconds``
-    across attempts accounts for the cascade's whole wall time.
-    """
+    """One solve attempt inside the cascade (success or failure)."""
 
     solver: str
     converged: bool
@@ -127,7 +114,6 @@ class AttemptRecord:
     seconds: float
     aborted: str | None = None
     error: str | None = None
-    backoff_seconds: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -142,7 +128,6 @@ class AttemptRecord:
             "seconds": self.seconds,
             "aborted": self.aborted,
             "error": self.error,
-            "backoff_seconds": self.backoff_seconds,
         }
 
 
@@ -167,8 +152,8 @@ class SolverDiagnostics:
 
     @property
     def budget_seconds(self) -> float:
-        """Total wall clock consumed across every attempt (incl. backoff)."""
-        return sum(a.seconds + a.backoff_seconds for a in self.attempts)
+        """Total wall clock consumed across every attempt."""
+        return sum(a.seconds for a in self.attempts)
 
     def to_dict(self) -> dict:
         return {
@@ -204,13 +189,6 @@ def _attempt_failed(result: SolveResult) -> str | None:
     return None
 
 
-def _backoff_delay(position: int, name: str) -> float:
-    """Deterministic jittered wait before fallback stage *position*."""
-    raw = BACKOFF_BASE * (2.0 ** max(position - 1, 0))
-    jitter = (zlib.crc32(f"{position}:{name}".encode()) % 1024) / 1024.0
-    return min(BACKOFF_CAP, raw) * (0.5 + jitter)
-
-
 class FallbackCascade:
     """AMG-PCG → AMG-PCG (adjusted) → Jacobi-PCG → direct, guarded.
 
@@ -225,13 +203,10 @@ class FallbackCascade:
         :class:`IterationGuard` (the fault-injection seam).
 
     The ``amg_pcg_retry`` stage runs the primary setup with stronger
-    smoothing and a 10x relaxed tolerance.  Before each fallback attempt
-    the cascade waits a jittered exponential backoff
-    (:data:`BACKOFF_BASE`, :data:`BACKOFF_CAP`), giving transient
-    conditions — a contended cache, a torn shared resource — time to
-    clear instead of retrying into the same failure.  The wait is
-    recorded in :attr:`AttemptRecord.backoff_seconds` and skipped
-    entirely under an expiring cooperative deadline.
+    smoothing and a 10x relaxed tolerance.  Each fallback stage starts
+    as soon as the one before it fails: every stage runs in this process
+    on the same matrix, and whether it fails depends only on its inputs,
+    so waiting between stages could not change the outcome.
     """
 
     def __init__(
@@ -306,7 +281,6 @@ class FallbackCascade:
         """
         diagnostics = SolverDiagnostics()
         stages = self._stages()
-        pending_backoff = 0.0
         for position, (name, factory) in enumerate(stages):
             final_stage = position + 1 >= len(stages)
             remaining = deadline_remaining()
@@ -328,18 +302,7 @@ class FallbackCascade:
                 )
                 counter_add(SOLVER_FALLBACKS)
                 diagnostics.fallbacks.append(stages[position + 1][0])
-                pending_backoff = 0.0
                 continue
-            backoff = 0.0
-            if pending_backoff > 0.0 and (
-                remaining is None or remaining > pending_backoff
-            ):
-                # Give a transient condition time to clear before the
-                # fallback attempt; skipped when the deadline cannot
-                # afford the wait.
-                backoff = pending_backoff
-                time.sleep(backoff)
-            pending_backoff = 0.0
             guard = IterationGuard(name, self.fault_hook)
             counter_add(SOLVER_ATTEMPTS)
             with span(SOLVE_ATTEMPT, solver=name) as attempt_span:
@@ -360,7 +323,6 @@ class FallbackCascade:
                             final_residual=float("nan"),
                             seconds=attempt_span.duration,
                             error=f"{type(exc).__name__}: {exc}",
-                            backoff_seconds=backoff,
                         )
                     )
                 else:
@@ -375,7 +337,6 @@ class FallbackCascade:
                             final_residual=result.final_residual,
                             seconds=attempt_span.duration,
                             aborted=reason,
-                            backoff_seconds=backoff,
                         )
                     )
                     if reason is None:
@@ -383,9 +344,6 @@ class FallbackCascade:
             if not final_stage:
                 counter_add(SOLVER_FALLBACKS)
                 diagnostics.fallbacks.append(stages[position + 1][0])
-                pending_backoff = _backoff_delay(
-                    position + 1, stages[position + 1][0]
-                )
         raise SolverFailure(
             "all solver stages failed: "
             + "; ".join(

@@ -2,8 +2,8 @@
 
 These tests instrument *local* lock/dict instances with a private
 :class:`_Recorder` rather than calling :func:`install` — the global
-install wraps process-wide singletons (metrics registry, shm arena) and
-would leak strict-mode instrumentation into unrelated tests.
+install wraps process-wide singletons (metrics registry, AMG setup
+cache) and would leak strict-mode instrumentation into unrelated tests.
 """
 
 import threading

@@ -168,11 +168,17 @@ class TestBatchAnalyzer:
         with pytest.raises(ValueError, match=f"{field} must be .*{message}"):
             BatchAnalyzer(trained_tiny_pipeline, **{field: value})
 
-    def test_parallel_matches_serial_bitwise(self, trained_tiny_pipeline):
+    def test_parallel_matches_serial_bitwise(self, trained_tiny_pipeline, tmp_path):
+        from repro.spice.writer import write_spice
+
         pipeline = trained_tiny_pipeline
         _, test_designs = pipeline.generate_designs()
-        serial = [pipeline.analyze_design(d) for d in test_designs]
-        report = BatchAnalyzer(pipeline, jobs=2).analyze_designs(test_designs)
+        paths = []
+        for design in test_designs:
+            paths.append(tmp_path / f"{design.name}.sp")
+            write_spice(design.netlist, paths[-1])
+        serial = [pipeline.analyze_file(path) for path in paths]
+        report = BatchAnalyzer(pipeline, jobs=2).analyze_files(paths)
         assert all(item.ok for item in report.items)
         for expected, item in zip(serial, report.items):
             np.testing.assert_array_equal(

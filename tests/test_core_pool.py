@@ -62,6 +62,24 @@ def _freeze_once(marker: str) -> str:
     return "thawed"
 
 
+def _double(array):
+    return array * 2.0
+
+
+class _DiesWhenPickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _result_that_kills_its_worker(item):
+    # The worker dies while pickling the result, after the task ran.
+    return item, _DiesWhenPickled()
+
+
+def _dev_shm() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 def _warm_pool(jobs: int = 2) -> None:
     """Make sure the shared pool's workers are up (cold spawn on this
     box imports numpy/scipy and can take seconds — tests that assert on
@@ -130,6 +148,28 @@ class TestPoolBasics:
         pool = get_pool(2)
         with pytest.raises(PoolUnusableError, match="not picklable"):
             pool.map(lambda x: x, [1, 2], jobs=2)
+
+    def test_pool_raises_unusable_for_an_unpicklable_item(self):
+        # The first item pickles; the second cannot ship, so nothing does.
+        with pytest.raises(PoolUnusableError, match="not picklable"):
+            get_pool(2).map(_double, [np.ones((128, 64)), lambda: None])
+
+    def test_large_results_come_back_bitwise_and_writable(self):
+        # 128 x 64 float64 is 64 KiB; each result is the caller's own
+        # writable array, and no batch leaves a /dev/shm entry behind.
+        items = [
+            np.random.default_rng(k).standard_normal((128, 64)) for k in range(4)
+        ]
+        serial, _ = parallel_map_ex(_double, items, 1)
+        before = _dev_shm()
+        pooled, degraded = parallel_map_ex(_double, items, 2)
+        assert not degraded
+        for got, want in zip(pooled, serial):
+            assert got.ok and got.result.nbytes == 64 * 1024
+            assert np.array_equal(got.result, want.result)
+            assert got.result.flags.writeable
+        pooled[0].result *= 2.0  # the caller owns the array
+        assert _dev_shm() - before == set()
 
 
 class TestChaosPaths:
@@ -207,6 +247,17 @@ class TestChaosPaths:
         assert "worker died" in record.error
         # The poison item never takes healthy neighbours down with it.
         assert outcomes[0].result == 1 and outcomes[2].result == 9
+
+    def test_worker_killed_while_pickling_its_result_is_quarantined(self):
+        _warm_pool()
+        before = _dev_shm()
+        outcomes = get_pool(2).map(
+            _result_that_kills_its_worker, [1, 2], jobs=2, retries=0
+        )
+        for outcome in outcomes:
+            assert outcome.quarantine is not None
+            assert outcome.quarantine.reason == "crash"
+        assert _dev_shm() - before == set()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batch_deadline_quarantines_unfinished(self, jobs):
@@ -419,9 +470,21 @@ def trained_tiny_pipeline():
     return pipeline
 
 
+def _write_decks(pipeline, directory) -> list:
+    """The pipeline's test designs as SPICE decks under *directory*."""
+    from repro.spice.writer import write_spice
+
+    _, test_designs = pipeline.generate_designs()
+    paths = []
+    for design in test_designs:
+        paths.append(directory / f"{design.name}.sp")
+        write_spice(design.netlist, paths[-1])
+    return paths
+
+
 class TestBatchAnalyzerChaos:
     def test_sixteen_item_batch_survives_kill_hang_flaky(
-        self, trained_tiny_pipeline, monkeypatch
+        self, trained_tiny_pipeline, monkeypatch, tmp_path
     ):
         # The ISSUE acceptance scenario: a 16-item BatchAnalyzer run
         # under worker SIGKILL, a hang past the task timeout, and a
@@ -430,12 +493,12 @@ class TestBatchAnalyzerChaos:
         # and retried-transient items must still succeed.
         _warm_pool()
         pipeline = trained_tiny_pipeline
-        _, test_designs = pipeline.generate_designs()
-        designs = (test_designs * 8)[:16]
-        assert len(designs) == 16
+        decks = _write_decks(pipeline, tmp_path)
+        paths = (decks * 8)[:16]
+        assert len(paths) == 16
         monkeypatch.setenv("REPRO_CHAOS", "kill@3x1,hang@7,flaky@11x1")
         analyzer = BatchAnalyzer(pipeline, jobs=2, task_timeout=8.0, retries=1)
-        report = analyzer.analyze_designs(designs)
+        report = analyzer.analyze_files(paths)
         assert len(report.items) == 16
         for position, item in enumerate(report.items):
             if position == 7:
@@ -492,23 +555,25 @@ class TestSerialFallbackVisibility:
         assert delta.get("batch.serial_fallbacks.nested_in_worker", 0) >= 1
 
     def test_batch_analyzer_notes_a_job_the_pool_cannot_ship(
-        self, trained_tiny_pipeline, monkeypatch
+        self, trained_tiny_pipeline, monkeypatch, tmp_path
     ):
+        from repro.core import batch as batch_module
+
         pipeline = trained_tiny_pipeline
-        _, test_designs = pipeline.generate_designs()
+        decks = _write_decks(pipeline, tmp_path)
         analyzer = BatchAnalyzer(pipeline, jobs=2)
 
-        def closure(design):  # unpicklable: runs in the parent instead
-            return pipeline.analyze_design(design)
+        def closure(path):  # unpicklable: runs in the parent instead
+            return pipeline.analyze_file(path)
 
-        monkeypatch.setattr(analyzer, "_task", lambda method: closure)
+        monkeypatch.setattr(batch_module, "_PipelineTask", lambda _: closure)
         before = metrics_snapshot()
-        report = analyzer.analyze_designs(test_designs)
+        report = analyzer.analyze_files(decks)
         assert report.degraded
         assert any("parallelism degraded" in note for note in report.notes)
         delta = counters_delta(before)["counters"]
         assert delta.get("batch.serial_fallbacks.pool_unusable", 0) == 1
-        for design, item in zip(test_designs, report.items):
+        for path, item in zip(decks, report.items):
             assert item.ok
             assert any(
                 "parallelism degraded" in warning
@@ -516,5 +581,5 @@ class TestSerialFallbackVisibility:
             )
             np.testing.assert_array_equal(
                 item.result.predicted_drop,
-                pipeline.analyze_design(design).predicted_drop,
+                pipeline.analyze_file(path).predicted_drop,
             )

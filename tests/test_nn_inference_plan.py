@@ -39,6 +39,7 @@ from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.serialize import save_state
 from repro.obs import counters_delta, metrics_snapshot, trace
 from repro.obs.registry import MODEL_LOAD, SpanName
+from repro.spice.writer import write_spice
 from repro.train.trainer import TrainConfig, Trainer
 from tests.helpers import widen
 
@@ -355,23 +356,24 @@ def test_two_threads_one_model_equal_serial(loaded):
 # -- processes -------------------------------------------------------------------
 
 
-def test_batch_payload_ships_no_plan_and_workers_agree_bitwise(loaded):
+def test_batch_payload_ships_no_plan_and_workers_agree_bitwise(loaded, tmp_path):
     pipeline, designs, _ = loaded
     pipeline.analyze_design(designs[0])  # plan buffers are warm
     assert pipeline.trainer.inference_plan().buffer_bytes > 0
     weights = sum(p.data.nbytes for p in pipeline.model.parameters())
-    payload = pickle.dumps(_PipelineTask(pipeline, "analyze_design"))
+    payload = pickle.dumps(_PipelineTask(pipeline))
     assert len(payload) < 2 * weights + 65536
     # A plan itself pickles without its buffers or its lock.
     clone = pickle.loads(pickle.dumps(pipeline.trainer.inference_plan()))
     assert clone.buffer_bytes == 0
-    small = [
-        generate_design(make_real_spec(f"plan_s{seed}", seed=seed, pixels=32))
-        for seed in (3, 4)
-    ]
+    decks = []
+    for seed in (3, 4):
+        spec = make_real_spec(f"plan_s{seed}", seed=seed, pixels=32)
+        decks.append(tmp_path / f"{spec.name}.sp")
+        write_spice(generate_design(spec).netlist, decks[-1])
     try:
-        parent = BatchAnalyzer(pipeline, jobs=1).analyze_designs(small)
-        pooled = BatchAnalyzer(pipeline, jobs=2).analyze_designs(small)
+        parent = BatchAnalyzer(pipeline, jobs=1).analyze_files(decks)
+        pooled = BatchAnalyzer(pipeline, jobs=2).analyze_files(decks)
     finally:
         shutdown_pool()
     for mine, theirs in zip(parent.items, pooled.items):

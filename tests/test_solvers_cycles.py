@@ -40,7 +40,7 @@ def error_after_cycles(hierarchy, problem, options, n_cycles=5):
 
 
 class TestCycles:
-    @pytest.mark.parametrize("cycle", ["v", "w", "k"])
+    @pytest.mark.parametrize("cycle", ["v", "k"])
     def test_stationary_iteration_converges(self, hierarchy, problem, cycle):
         err = error_after_cycles(hierarchy, problem, CycleOptions(cycle=cycle))
         assert err < 1e-3

@@ -194,10 +194,10 @@ class TestApplyPathIsSetupFree:
         "cycle_options",
         [
             CycleOptions(),
-            CycleOptions(cycle="w", presmooth_sweeps=2, postsmooth_sweeps=2),
+            CycleOptions(presmooth_sweeps=2, postsmooth_sweeps=2),
             CycleOptions(cycle="v", postsmooth_sweeps=0, smoother="jacobi"),
         ],
-        ids=["k-sgs", "w-sgs2", "v-jacobi"],
+        ids=["k-sgs", "k-sgs2", "v-jacobi"],
     )
     def test_apply_runs_with_the_builders_removed(
         self, design_matrix, rng, monkeypatch, cycle_options
@@ -259,7 +259,7 @@ class TestRelaxationBuildCount:
         assert _builds(before) == hierarchy.num_levels - 1
         assert set(hierarchy._relaxations) == {"jacobi"}  # nothing was factored
         CyclePreconditioner(hierarchy, CycleOptions())
-        CyclePreconditioner(hierarchy, CycleOptions(cycle="w"))
+        CyclePreconditioner(hierarchy, CycleOptions(cycle="v"))
         assert _builds(before) == 2 * (hierarchy.num_levels - 1)
 
 

@@ -221,20 +221,3 @@ def test_pickle_round_trip_is_column_for_column(design):
     grid = pickle.loads(pickle.dumps(design.grid))
     assert_columns_equal(grid_columns(grid), grid_columns(design.grid))
     assert grid.index_of(design.grid.node_names[-1]) == design.grid.num_nodes - 1
-
-
-def test_grid_over_read_only_buffers_still_mutates(design):
-    """The shm path hands a worker's arrays back as read-only views."""
-    grid = pickle.loads(pickle.dumps(design.grid))
-    for name, value in vars(grid).items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    before = grid.pad_voltage.copy()
-    free = int(np.flatnonzero(np.isnan(before))[0])
-    grid.pin_pad(free, 1.0)
-    grid.set_load(free, 0.25)
-    assert grid.node(free).is_pad and grid.node(free).load_current == 0.25
-    copy = grid.clone()
-    copy.unpin_pad(free)
-    assert grid.node(free).is_pad and not copy.node(free).is_pad
-    np.testing.assert_array_equal(design.grid.pad_voltage, before)
