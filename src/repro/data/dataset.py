@@ -150,17 +150,19 @@ class IRDropDataset:
         return IRDropDataset(fakes), IRDropDataset(reals)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack into ``X (N, C, H, W)`` and ``Y (N, 1, H, W)`` arrays.
+        """Stack into float32 ``X (N, C, H, W)`` and float64 ``Y (N, 1, H, W)``.
 
-        Fills preallocated fp64 blocks row by row — one allocation per
-        output instead of the stack-then-astype pattern whose cast
-        duplicated the whole dataset at peak.
+        Fills preallocated blocks row by row — one allocation per output
+        instead of a stack-then-astype whose cast duplicated the whole
+        dataset at peak.  X is the network's input, so it is filled
+        straight into float32 (assignment rounds exactly as ``astype``
+        does); Y stays float64 for the residual target arithmetic.
         """
         if not self.samples:
             raise ValueError("empty dataset")
         first = self.samples[0]
         x = np.empty(
-            (len(self.samples), *first.features.data.shape), dtype=np.float64
+            (len(self.samples), *first.features.data.shape), dtype=np.float32
         )
         y = np.empty(
             (len(self.samples), 1, *first.label.shape), dtype=np.float64

@@ -40,27 +40,26 @@ class DepthSharedConv(Module):
             name="weight",
         )
         self.bias = Parameter(np.zeros(1), name="bias")
-        self._cols: np.ndarray | None = None
+        self._saved: np.ndarray | None = None
         self._shape: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         folded = x.reshape(n * c, 1, h, w)
-        out, cols = conv2d_forward(
+        out, self._saved = conv2d_forward(
             folded, self.weight.data, self.bias.data, (1, 1), self.padding
         )
-        self._cols = cols
         self._shape = (n, c, h, w)
         return out.reshape(n, c, h, w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._shape is None:
+        if self._saved is None or self._shape is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._shape
         folded_grad = grad_output.reshape(n * c, 1, h, w)
         grad_input, grad_weight, grad_bias = conv2d_backward(
             folded_grad,
-            self._cols,
+            self._saved,
             (n * c, 1, h, w),
             self.weight.data,
             (1, 1),

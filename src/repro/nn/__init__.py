@@ -2,7 +2,7 @@
 
 The paper trains PyTorch models; this environment has no deep-learning
 runtime, so the framework is reimplemented here: explicit forward/backward
-modules (no autodiff tape), im2col convolutions, batch normalisation,
+modules (no autodiff tape), per-tap GEMM convolutions, batch normalisation,
 pooling/upsampling, the CBAM and attention-gate blocks, Inception blocks,
 standard losses and Adam/SGD optimisers.  Every layer's backward pass is
 verified against numerical gradients in the test suite.

@@ -1,16 +1,20 @@
-"""Vectorised conv/pool primitives (im2col family).
+"""Vectorised conv/pool primitives.
 
-All convolution layers reduce to three primitives: :func:`im2col`
+A stride-1 convolution (padding below the kernel) is :func:`tap_conv`:
+the input is copied once into zero-bordered rows (:func:`stage_rows`)
+and the output is ``kh*kw`` per-tap GEMMs over contiguous windows of
+them, with no patch matrix.  Training forward, backward-weight and
+backward-data (a full correlation with the 180°-rotated taps) and the
+inference plan all run it.  Strided convolutions, padding at or above
+the kernel, ``ConvTranspose2d`` and strided pooling use :func:`im2col`
 (patch extraction via stride tricks), a batched matmul, and
-:func:`col2im` (the scatter-add adjoint of im2col).  Kernels, strides and
-paddings are ``(height, width)`` pairs so the asymmetric 1x7 / 7x1 kernels
-of Inception-B/C come for free.
+:func:`col2im` (its scatter-add adjoint).  Kernels, strides and paddings
+are ``(height, width)`` pairs so the asymmetric 1x7 / 7x1 kernels of
+Inception-B/C come for free.
 
-The im2col/col2im scratch matrices dominate training-time allocation
-churn (a ``C*kh*kw x out_h*out_w`` matrix per conv per step), so the
-primitives optionally draw their scratch from a per-layer
-:class:`Workspace` arena.  Workspace buffers hold *scratch only* — patch
-matrices and padded staging areas — never tensors that escape as layer
+Staging buffers and patch matrices come from a per-layer
+:class:`Workspace` arena.  Workspace buffers hold scratch and the staged
+input a layer's backward reads — never tensors that escape as layer
 outputs, so reuse cannot alias activations held across steps (skip
 connections, collected predictions).
 """
@@ -29,9 +33,9 @@ class Workspace:
     requested shape or dtype changes (steady-state training reuses every
     buffer).  Freshly allocated buffers are zeroed; pass ``refill=0.0``
     when the caller accumulates into the buffer and needs it re-zeroed on
-    every reuse (the padded im2col staging area relies on zero-on-alloc
-    alone: its border pixels are written exactly once and the interior is
-    overwritten each call).
+    every reuse (the staged rows and the padded im2col area rely on
+    zero-on-alloc alone: their border pixels are zeroed exactly once and
+    the interior is overwritten each call).
     """
 
     def __init__(self) -> None:
@@ -106,7 +110,6 @@ def im2col(
     stride: Pair,
     padding: Pair,
     workspace: Workspace | None = None,
-    prefix: str = "",
 ) -> np.ndarray:
     """Extract sliding patches: ``(N, C*kh*kw, out_h*out_w)``.
 
@@ -115,19 +118,12 @@ def im2col(
     the next im2col call on the same workspace.  The copy into the
     preallocated buffer walks the strided windows in the same C order as
     ``ascontiguousarray``, so the contents are bitwise identical either
-    way.  *prefix* namespaces the arena buffers so two im2col calls with
-    different shapes (e.g. forward patches vs the backward-data sweep)
-    don't evict each other's buffers every step.
+    way.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if (kh, kw) == (1, 1) and (sh, sw) == (1, 1) and (ph, pw) == (0, 0):
-        # A pointwise convolution's patch matrix IS the input: return a
-        # reshaped view (bitwise identical, no copy, no arena buffer).
-        # Callers cache it only as long as they hold the input alive.
-        return x.reshape(n, c, h * w)
     out_h, out_w = conv_output_shape((h, w), kernel, stride, padding)
     if ph == 0 and pw == 0:
         padded = x
@@ -135,7 +131,7 @@ def im2col(
         # Border pixels are zeroed at allocation and never written again;
         # only the interior is refreshed per call.
         padded = workspace.request(
-            f"{prefix}im2col_padded", (n, c, h + 2 * ph, w + 2 * pw), x.dtype
+            "im2col_padded", (n, c, h + 2 * ph, w + 2 * pw), x.dtype
         )
         padded[:, :, ph : ph + h, pw : pw + w] = x
     else:
@@ -149,7 +145,7 @@ def im2col(
     )
     if workspace is not None:
         cols = workspace.request(
-            f"{prefix}im2col_cols", (n, c * kh * kw, out_h * out_w), x.dtype
+            "im2col_cols", (n, c * kh * kw, out_h * out_w), x.dtype
         )
         np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), windows)
         return cols
@@ -197,6 +193,76 @@ def col2im(
     return padded[:, :, ph : ph + h, pw : pw + w]
 
 
+def conv_taps(weight: np.ndarray) -> np.ndarray:
+    """``(F, C, kh, kw)`` weights as ``(kh*kw, F, C)`` per-tap matrices."""
+    filters, channels, kh, kw = weight.shape
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(
+        kh * kw, filters, channels
+    )
+
+
+def tap_conv(
+    x: np.ndarray,
+    taps: np.ndarray,
+    bias: np.ndarray | None,
+    kernel: Pair,
+    padding: Pair,
+    relu: bool,
+    staging: Workspace,
+    scratch: Workspace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 convolution by per-tap GEMMs; returns (output, staged input).
+
+    A 1x1 kernel without padding is one GEMM on the input reshaped to
+    ``(N, C, H*W)``, which is also what it returns as staged.  Any other
+    kernel stages *x* into *staging* (:func:`stage_rows`) and sums
+    ``taps[t] @ window_t`` into an accumulator from *scratch*; the staged
+    rows are returned flat, ``(N, C, (rows + 1) * pitch)``.  *bias*, if
+    given, broadcasts against ``(1, F, 1, 1)``; it and the optional ReLU
+    are applied on the fresh output.
+    """
+    n, c, h, w = x.shape
+    n_taps, filters, channels = taps.shape
+    if c != channels:
+        raise ValueError(f"input has {c} channels, weight expects {channels}")
+    kh, kw = kernel
+    if (kh, kw) == (1, 1) and padding == (0, 0):
+        staged = x.reshape(n, c, h * w)
+        out = np.matmul(taps[0], staged).reshape(n, filters, h, w)
+        if bias is not None:
+            out += bias
+    else:
+        staged, rows, pitch = stage_rows(x, padding, staging)
+        out_h, out_w = rows - kh + 1, pitch - kw + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ValueError(f"kernel {kernel} larger than padded input")
+        shape = (n, filters, out_h * pitch)
+        acc = scratch.request(f"acc{shape}", shape, x.dtype)
+        tap_out = scratch.request(f"tap{shape}", shape, x.dtype)
+        # A one-channel GEMM is an outer product; numpy's matmul takes a
+        # slow non-BLAS route for it, a broadcast multiply does not.
+        product = np.multiply if c == 1 else np.matmul
+        for t in range(n_taps):
+            start = (t // kw) * pitch + t % kw
+            tap_in = staged[:, :, start : start + shape[2]]
+            if t == 0:
+                product(taps[0], tap_in, out=acc)
+            else:
+                product(taps[t], tap_in, out=tap_out)
+                acc += tap_out
+        valid = acc.reshape(n, filters, out_h, pitch)[:, :, :, :out_w]
+        out = valid.copy() if bias is None else valid + bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out, staged
+
+
+def _adjoint_is_stride1(kernel: Pair, stride: Pair, padding: Pair) -> bool:
+    """Stride 1 with padding below the kernel: the adjoint of the sliding
+    window is the same window at padding ``kernel - 1 - padding``."""
+    return stride == (1, 1) and padding[0] < kernel[0] and padding[1] < kernel[1]
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -206,13 +272,24 @@ def conv2d_forward(
     workspace: Workspace | None = None,
     fuse_relu: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution forward; returns (output, cached patch matrix).
+    """Convolution forward; returns (output, what the backward reads).
 
-    The output is always freshly allocated (bias and the optional fused
-    ReLU are applied in place on it); only the patch matrix may live in
-    the workspace.
+    A stride-1 conv with padding below the kernel is :func:`tap_conv` and
+    keeps its staged input; any other keeps its im2col patch matrix.  The
+    output is always freshly allocated (bias and the optional fused ReLU
+    are applied in place on it); only what is kept may live in the
+    workspace.
     """
     filters, in_channels, kh, kw = weight.shape
+    if workspace is None:
+        workspace = Workspace()
+    bias4 = None if bias is None else bias.reshape(1, filters, 1, 1)
+    if _adjoint_is_stride1((kh, kw), stride, padding):
+        taps = conv_taps(weight)
+        scratch = Workspace()  # dropped on return: only the staging is kept
+        return tap_conv(
+            x, taps, bias4, (kh, kw), padding, fuse_relu, workspace, scratch
+        )
     if x.shape[1] != in_channels:
         raise ValueError(
             f"input has {x.shape[1]} channels, weight expects {in_channels}"
@@ -221,22 +298,49 @@ def conv2d_forward(
     out_h, out_w = conv_output_shape(x.shape[2:], (kh, kw), stride, padding)
     flat = np.matmul(weight.reshape(filters, -1), cols)  # (N, F, L)
     out = flat.reshape(x.shape[0], filters, out_h, out_w)
-    if bias is not None:
-        out += bias.reshape(1, filters, 1, 1)
+    if bias4 is not None:
+        out += bias4
     if fuse_relu:
         np.maximum(out, 0.0, out=out)
     return out, cols
 
 
-def _adjoint_is_stride1(kernel: Pair, stride: Pair, padding: Pair) -> bool:
-    """Stride 1 with padding below the kernel: the adjoint of the sliding
-    window is the same window at padding ``kernel - 1 - padding``."""
-    return stride == (1, 1) and padding[0] < kernel[0] and padding[1] < kernel[1]
+def _tap_grad_weight(
+    grad_output: np.ndarray,
+    staged: np.ndarray,
+    pitch: int,
+    kernel: Pair,
+    workspace: Workspace,
+) -> np.ndarray:
+    """Per-tap ``g @ window_t.T`` over the staged input: ``(F, C, kh, kw)``.
+
+    The gradient is laid out at the staged rows' pitch, its ``kw - 1``
+    wrapped columns per row zero (from allocation, never written), so
+    the windows' wrapped columns contribute nothing.
+    """
+    n, filters, out_h, out_w = grad_output.shape
+    kh, kw = kernel
+    span = out_h * pitch
+    if pitch == out_w:  # no wrapped columns
+        g = grad_output.reshape(n, filters, span)
+    else:
+        shape = (n, filters, span)
+        g = workspace.request(f"grad_rows{shape}", shape, grad_output.dtype)
+        g.reshape(n, filters, out_h, pitch)[:, :, :, :out_w] = grad_output
+    grad_taps = np.empty((kh * kw, filters, staged.shape[1]), grad_output.dtype)
+    for t in range(kh * kw):
+        start = (t // kw) * pitch + t % kw
+        tap_in = staged[:, :, start : start + span]
+        # One GEMM per sample; the per-sample partials reduce in index order.
+        grad_taps[t] = np.matmul(g, tap_in.transpose(0, 2, 1)).sum(axis=0)
+    return np.ascontiguousarray(
+        grad_taps.reshape(kh, kw, filters, -1).transpose(2, 3, 0, 1)
+    )
 
 
 def conv2d_backward(
     grad_output: np.ndarray,
-    cols: np.ndarray,
+    saved: np.ndarray,
     x_shape: tuple[int, int, int, int],
     weight: np.ndarray,
     stride: Pair,
@@ -246,52 +350,41 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (d_input, d_weight, d_bias) of a convolution.
 
-    With a *workspace*, ``grad_input`` may be a view of arena scratch —
-    valid until the layer's next backward, which is enough for a chain
-    backward pass that consumes each gradient immediately.
+    *saved* is what :func:`conv2d_forward` returned beside the output, on
+    the same *workspace*.  The backward may overwrite it (the staged
+    gradient shares the staged input's buffer when their shapes match),
+    so it runs once per forward.
     """
     n = grad_output.shape[0]
-    filters, in_channels, kh, kw = weight.shape
+    filters, _, kh, kw = weight.shape
     kernel = (kh, kw)
     ph, pw = padding
-    grad_flat = grad_output.reshape(n, filters, -1)  # (N, F, L)
-    # One GEMM per sample; the per-sample partials reduce in index order.
-    grad_weight = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-    grad_weight = grad_weight.reshape(weight.shape)
+    if workspace is None:
+        workspace = Workspace()
     grad_bias = grad_output.sum(axis=(0, 2, 3)) if with_bias else None
     if _adjoint_is_stride1(kernel, stride, padding):
-        # Backward-data as a full correlation: im2col over the output
-        # gradient + one GEMM with the 180°-rotated kernel.  This swaps
-        # the memory-bound col2im scatter (kh*kw strided adds) for a
-        # single patch copy.
-        w_rot = np.ascontiguousarray(
-            weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        ).reshape(in_channels, filters * kh * kw)
-        cols_g = im2col(
-            grad_output,
-            kernel,
-            (1, 1),
-            (kh - 1 - ph, kw - 1 - pw),
-            workspace=workspace,
-            prefix="bwd_",
+        # Grad-weight first: staging the gradient may reuse the staged
+        # input's buffer.  Backward-data is then the full correlation,
+        # the same kernel with the 180°-rotated, transposed taps.
+        grad_weight = _tap_grad_weight(
+            grad_output, saved, x_shape[3] + 2 * pw, kernel, workspace
         )
-        if workspace is not None:
-            grad_input = workspace.request(
-                "bwd_grad_input", (n, in_channels, cols_g.shape[2]), cols_g.dtype
-            )
-            np.matmul(w_rot, cols_g, out=grad_input)
-        else:
-            grad_input = np.matmul(w_rot, cols_g)
-        return grad_input.reshape(x_shape), grad_weight, grad_bias
+        rotated = conv_taps(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        full = (kh - 1 - ph, kw - 1 - pw)
+        grad_input, _ = tap_conv(
+            grad_output, rotated, None, kernel, full, False, workspace, Workspace()
+        )
+        return grad_input, grad_weight, grad_bias
     # Strided (or padding >= kernel): GEMM into patch space, then scatter.
+    grad_flat = grad_output.reshape(n, filters, -1)  # (N, F, L)
+    # One GEMM per sample; the per-sample partials reduce in index order.
+    grad_weight = np.matmul(grad_flat, saved.transpose(0, 2, 1)).sum(axis=0)
+    grad_weight = grad_weight.reshape(weight.shape)
     w_mat_t = weight.reshape(filters, -1).T
-    if workspace is not None:
-        grad_cols = workspace.request(
-            "grad_cols", (n, w_mat_t.shape[0], grad_flat.shape[2]), grad_flat.dtype
-        )
-        np.matmul(w_mat_t, grad_flat, out=grad_cols)  # (N, K, L)
-    else:
-        grad_cols = np.matmul(w_mat_t, grad_flat)
+    grad_cols = workspace.request(
+        "grad_cols", (n, w_mat_t.shape[0], grad_flat.shape[2]), grad_flat.dtype
+    )
+    np.matmul(w_mat_t, grad_flat, out=grad_cols)  # (N, K, L)
     grad_input = col2im(
         grad_cols, x_shape, kernel, stride, padding, workspace=workspace
     )

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.nn.containers import Sequential
-from repro.nn.functional import Workspace, box_filter, stage_rows
+from repro.nn.functional import Workspace, box_filter, conv_taps, tap_conv
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -83,9 +83,9 @@ class _Folded(_PlannedOp):
 
 
 class PlannedConv(_Folded):
-    """Stride-1 conv [+ BN] [+ ReLU] as ``kh*kw`` per-tap GEMMs on the
-    staged input (see :func:`~repro.nn.functional.stage_rows`); no patch
-    matrix, nothing cached."""
+    """Stride-1 conv [+ BN] [+ ReLU] on folded taps: the training layers'
+    :func:`~repro.nn.functional.tap_conv`, with staging and scratch in the
+    plan's arena; nothing cached."""
 
     def __init__(self, conv, bn, relu: bool, arena: Workspace) -> None:
         self.kernel, self.padding = conv.kernel, conv.padding
@@ -98,46 +98,12 @@ class PlannedConv(_Folded):
         if scale is not None:
             weight = weight * scale[:, None, None, None]
             bias = shift if bias is None else bias * scale + shift
-        filters, channels, kh, kw = weight.shape
-        self._taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(
-            kh * kw, filters, channels
-        )
+        self._taps = conv_taps(weight)
         self._bias = None if bias is None else bias.reshape(1, -1, 1, 1).copy()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        taps = self._taps
-        filters = taps.shape[1]
-        if c != taps.shape[2]:
-            raise ValueError(f"input has {c} channels, weight expects {taps.shape[2]}")
-        kh, kw = self.kernel
-        if (kh, kw) == (1, 1) and self.padding == (0, 0):
-            out = np.matmul(taps[0], x.reshape(n, c, h * w)).reshape(n, filters, h, w)
-            if self._bias is not None:
-                out += self._bias
-        else:
-            flat, rows, pitch = stage_rows(x, self.padding, self._arena)
-            out_h, out_w = rows - kh + 1, pitch - kw + 1
-            if out_h <= 0 or out_w <= 0:
-                raise ValueError(f"kernel {self.kernel} larger than padded input")
-            shape = (n, filters, out_h * pitch)
-            acc = self._arena.request(f"acc{shape}", shape, x.dtype)
-            tap_out = self._arena.request(f"tap{shape}", shape, x.dtype)
-            # A one-channel GEMM is an outer product; numpy's matmul takes a
-            # slow non-BLAS route for it, a broadcast multiply does not.
-            product = np.multiply if c == 1 else np.matmul
-            for t in range(kh * kw):
-                start = (t // kw) * pitch + t % kw
-                tap_in = flat[:, :, start : start + shape[2]]
-                if t == 0:
-                    product(taps[0], tap_in, out=acc)
-                else:
-                    product(taps[t], tap_in, out=tap_out)
-                    acc += tap_out
-            valid = acc.reshape(n, filters, out_h, pitch)[:, :, :, :out_w]
-            out = valid.copy() if self._bias is None else valid + self._bias
-        if self._relu:
-            np.maximum(out, 0.0, out=out)
+        conv = (self._taps, self._bias, self.kernel, self.padding, self._relu)
+        out, _ = tap_conv(x, *conv, self._arena, self._arena)
         return out
 
 

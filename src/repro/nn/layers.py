@@ -34,7 +34,13 @@ def _resolve_padding(padding: int | Pair | str, kernel: Pair) -> Pair:
 
 
 class Conv2d(Module):
-    """2D convolution (im2col-based) with optional bias."""
+    """2D convolution with optional bias.
+
+    Stride 1 with padding below the kernel runs the per-tap kernel
+    (:func:`~repro.nn.functional.tap_conv`) and keeps the staged input for
+    the backward; other geometries keep an im2col patch matrix.  The
+    workspace holds one batch size: a new input shape clears it first.
+    """
 
     def __init__(
         self,
@@ -59,11 +65,15 @@ class Conv2d(Module):
         )
         self.bias = Parameter(np.zeros(out_channels), name="bias") if bias else None
         self._workspace = Workspace()
-        self._cols: np.ndarray | None = None
+        self._saved: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, cols = conv2d_forward(
+        if x.shape != self._x_shape:
+            # Buffer names carry their shapes: a short batch replaces the
+            # full-size set instead of sitting beside it.
+            self._workspace.clear()
+        out, self._saved = conv2d_forward(
             x,
             self.weight.data,
             self.bias.data if self.bias is not None else None,
@@ -71,16 +81,15 @@ class Conv2d(Module):
             self.padding,
             workspace=self._workspace,
         )
-        self._cols = cols
         self._x_shape = x.shape
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
+        if self._saved is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         grad_input, grad_weight, grad_bias = conv2d_backward(
             grad_output,
-            self._cols,
+            self._saved,
             self._x_shape,
             self.weight.data,
             self.stride,
@@ -115,12 +124,14 @@ class FusedConvBiasReLU(Module):
         self.weight = conv.weight
         self.bias = conv.bias
         self._workspace = conv._workspace
-        self._cols: np.ndarray | None = None
+        self._saved: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, cols = conv2d_forward(
+        if x.shape != self._x_shape:
+            self._workspace.clear()  # one batch size, as in Conv2d
+        out, self._saved = conv2d_forward(
             x,
             self.weight.data,
             self.bias.data if self.bias is not None else None,
@@ -129,18 +140,17 @@ class FusedConvBiasReLU(Module):
             workspace=self._workspace,
             fuse_relu=True,
         )
-        self._cols = cols
         self._x_shape = x.shape
         self._mask = out > 0
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._mask is None:
+        if self._saved is None or self._x_shape is None or self._mask is None:
             raise RuntimeError("backward called before forward")
         grad_pre = np.where(self._mask, grad_output, 0.0)
         grad_input, grad_weight, grad_bias = conv2d_backward(
             grad_pre,
-            self._cols,
+            self._saved,
             self._x_shape,
             self.weight.data,
             self.stride,

@@ -421,8 +421,9 @@ class Trainer:
     def _release_workspaces(self) -> None:
         """Drop every conv scratch arena (reallocated lazily on demand).
 
-        Buffer contents never survive a call meaningfully — interiors are
-        overwritten every use and borders re-zeroed on allocation — so
+        Between epochs nothing in them is live — a staged input lives from
+        a forward to the backward of the same step, interiors are
+        overwritten every use and borders zeroed on allocation — so
         releasing between epochs is numerically invisible; it just stops
         long curriculum runs (and the trained model afterwards) from
         pinning peak-size scratch for their whole lifetime.
@@ -452,8 +453,9 @@ class Trainer:
             for k, sample in enumerate(dataset.samples):
                 y[k, 0] -= sample.rough_label
         y *= self.config.label_scale
-        # The network's one dtype; the target above was built in float64.
-        x, y = x.astype(np.float32), y.astype(np.float32)
+        # The network's one dtype (X already is); the target above was
+        # built in float64.
+        y = y.astype(np.float32)
         order = rng.permutation(len(dataset))
         batches = [
             order[start : start + self.config.batch_size]

@@ -132,11 +132,16 @@ class TestAsArraysAllocation:
         return IRDropDataset(samples)
 
     def test_values_and_dtype(self):
+        """X is filled straight into float32, bit for bit the old float64
+        stack cast with ``astype``; Y stays float64 and exact."""
         dataset = self._bulky_dataset(n=3, channels=2, pixels=8)
         x, y = dataset.as_arrays()
-        assert x.dtype == np.float64 and y.dtype == np.float64
+        assert x.dtype == np.float32 and y.dtype == np.float64
+        wide = np.stack([sample.features.data for sample in dataset])
+        assert np.array_equal(
+            x.view(np.uint32), wide.astype(np.float32).view(np.uint32)
+        )
         for k, sample in enumerate(dataset):
-            assert np.array_equal(x[k], sample.features.data)
             assert np.array_equal(y[k, 0], sample.label)
 
     def test_peak_allocation_near_output_size(self):

@@ -17,8 +17,14 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.functional import Workspace
-from repro.nn.inference import PlannedAvgPool
-from repro.nn.layers import AvgPool2d, BatchNorm2d, ConvTranspose2d
+from repro.nn.inference import PlannedAvgPool, PlannedConv
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
+    ConvTranspose2d,
+    FusedConvBiasReLU,
+)
 from tests import reference_conv as ref
 from tests.helpers import widen
 
@@ -101,7 +107,7 @@ def test_conv_backward_matches_reference(kernel, pad_kind, stride, dtype, monkey
     assert not (pad_kind == "over" and correlation)
     tol = TOLERANCE[dtype]
     rng = np.random.default_rng(sum(kernel) * 7 + stride[0])
-    scatters = spy(monkeypatch, "col2im")
+    gathers, scatters = spy(monkeypatch, "im2col"), spy(monkeypatch, "col2im")
     for n in (1, 3, 8):
         x, x_wide = draw(rng, (n, CHANNELS, *HW), dtype)
         weight, w_wide = draw(rng, (FILTERS, CHANNELS, *kernel), dtype)
@@ -109,18 +115,48 @@ def test_conv_backward_matches_reference(kernel, pad_kind, stride, dtype, monkey
         g, g_wide = draw(rng, (n, FILTERS, *out_hw), dtype)
         want = ref.conv2d_backward(g_wide, x_wide, w_wide, stride, padding)
         for workspace in (None, Workspace()):
-            del scatters[:]
-            _, cols = F.conv2d_forward(x, weight, None, stride, padding, workspace)
+            del gathers[:], scatters[:]
+            _, saved = F.conv2d_forward(x, weight, None, stride, padding, workspace)
+            assert bool(gathers) != correlation
+            del gathers[:]
             with monkeypatch.context() as patch:
                 no_einsum(patch)
                 got = F.conv2d_backward(
-                    g, cols, x.shape, weight, stride, padding, True, workspace
+                    g, saved, x.shape, weight, stride, padding, True, workspace
                 )
+            # A stride-1 conv runs the per-tap kernel both ways; the
+            # backward never gathers patches, whatever the geometry.
+            assert not gathers
             assert bool(scatters) != correlation
             for name, a, b in zip(("input", "weight", "bias"), got, want):
                 assert a.dtype == dtype, name
                 assert a.shape == b.shape, name
                 assert rel_err(a, b) <= tol, (name, n, workspace is not None)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+def test_conv_backward_with_as_many_filters_as_channels(dtype):
+    """F == C at 'same' padding: the staged gradient and the staged input
+    have one shape, so they share one workspace buffer; grad-weight must
+    read the input before the gradient is staged over it."""
+    rng = np.random.default_rng(37)
+    kernel, stride, padding = (3, 3), (1, 1), (1, 1)
+    workspace = Workspace()
+    for n in (1, 3, 8):
+        x, x_wide = draw(rng, (n, CHANNELS, *HW), dtype)
+        weight, w_wide = draw(rng, (CHANNELS, CHANNELS, *kernel), dtype)
+        g, g_wide = draw(rng, (n, CHANNELS, *HW), dtype)
+        want = ref.conv2d_backward(g_wide, x_wide, w_wide, stride, padding)
+        _, saved = F.conv2d_forward(x, weight, None, stride, padding, workspace)
+        got = F.conv2d_backward(
+            g, saved, x.shape, weight, stride, padding, True, workspace
+        )
+        staged = [key for key in workspace._buffers if key.startswith("stage")]
+        assert len(staged) == 1, staged
+        for name, a, b in zip(("input", "weight", "bias"), got, want):
+            assert a.dtype == dtype and a.shape == b.shape, name
+            assert rel_err(a, b) <= TOLERANCE[dtype], (name, n)
+        workspace.clear()  # one batch size per workspace, as in a layer
 
 
 def test_conv_backward_without_bias_returns_none():
@@ -291,6 +327,27 @@ def test_planned_avgpool_is_the_training_kernel():
     planned = PlannedAvgPool(layer, Workspace())
     np.testing.assert_array_equal(planned(x), layer(x))
     np.testing.assert_array_equal(planned(x), layer(x))  # warm arena
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["conv", "fused"])
+@pytest.mark.parametrize(
+    "kernel,channels",
+    [((3, 3), 3), ((1, 7), 3), ((7, 7), 1), ((1, 1), 3)],
+    ids=["3x3", "1x7", "7x7-one-channel", "1x1"],
+)
+def test_planned_conv_is_the_training_kernel(kernel, channels, fused):
+    """One stride-1 conv kernel: the training forward and the plan's op
+    (no BatchNorm to fold) agree bit for bit."""
+    rng = np.random.default_rng(41)
+    conv = Conv2d(channels, FILTERS, kernel, rng=rng)
+    conv.bias.data[...] = rng.standard_normal(FILTERS)
+    layer = FusedConvBiasReLU(conv) if fused else conv
+    planned = PlannedConv(conv, None, relu=fused, arena=Workspace())
+    x = rng.standard_normal((2, channels, 9, 10)).astype(np.float32)
+    for _ in range(2):  # cold, then warm workspace and arena
+        got, want = layer(x), planned(x)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3])
