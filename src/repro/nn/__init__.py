@@ -24,7 +24,6 @@ from repro.nn.layers import (
     BatchNorm2d,
     Concat,
     Conv2d,
-    ConvTranspose2d,
     GlobalAvgPool,
     GlobalMaxPool,
     Identity,
@@ -57,7 +56,6 @@ __all__ = [
     "ChannelAttention",
     "Concat",
     "Conv2d",
-    "ConvTranspose2d",
     "GlobalAvgPool",
     "GlobalMaxPool",
     "HuberLoss",

@@ -6,8 +6,8 @@ and the output is ``kh*kw`` per-tap GEMMs over contiguous windows of
 them, with no patch matrix.  Training forward, backward-weight and
 backward-data (a full correlation with the 180°-rotated taps) and the
 inference plan all run it.  Strided convolutions, padding at or above
-the kernel, ``ConvTranspose2d`` and strided pooling use :func:`im2col`
-(patch extraction via stride tricks), a batched matmul, and
+the kernel and strided pooling use :func:`im2col` (patch extraction
+via stride tricks), a batched matmul, and
 :func:`col2im` (its scatter-add adjoint).  Kernels, strides and paddings
 are ``(height, width)`` pairs so the asymmetric 1x7 / 7x1 kernels of
 Inception-B/C come for free.

@@ -10,10 +10,8 @@ from repro.nn.functional import (
     Workspace,
     avgpool2d_backward,
     avgpool2d_forward,
-    col2im,
     conv2d_backward,
     conv2d_forward,
-    im2col,
     maxpool2d_backward,
     maxpool2d_forward,
     to_pair,
@@ -161,76 +159,6 @@ class FusedConvBiasReLU(Module):
         self.weight.grad += grad_weight
         if self.bias is not None and grad_bias is not None:
             self.bias.grad += grad_bias
-        return grad_input
-
-
-class ConvTranspose2d(Module):
-    """Transposed convolution (the adjoint of :class:`Conv2d`).
-
-    Weight shape follows the torch convention ``(in, out, kh, kw)``;
-    output spatial size is ``(H-1)*stride - 2*padding + kernel``.
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel: int | Pair,
-        stride: int | Pair = 2,
-        padding: int | Pair = 0,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        rng = construction_rng(rng)
-        self.kernel = to_pair(kernel)
-        self.stride = to_pair(stride)
-        self.padding = to_pair(padding)
-        kh, kw = self.kernel
-        fan_in = in_channels * kh * kw
-        self.weight = Parameter(
-            kaiming_normal((in_channels, out_channels, kh, kw), fan_in, rng),
-            name="weight",
-        )
-        self.bias = Parameter(np.zeros(out_channels), name="bias") if bias else None
-        self.out_channels = out_channels
-        self._x: np.ndarray | None = None
-        self._out_shape: tuple[int, int, int, int] | None = None
-
-    def _output_hw(self, input_hw: Pair) -> Pair:
-        h, w = input_hw
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        return ((h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c_in, h, w = x.shape
-        out_h, out_w = self._output_hw((h, w))
-        out_shape = (n, self.out_channels, out_h, out_w)
-        # conv-transpose forward == conv backward-data with x as the gradient
-        w_mat = self.weight.data.reshape(c_in, -1)  # (Cin, Cout*kh*kw)
-        grad_cols = np.matmul(w_mat.T, x.reshape(n, c_in, -1))
-        out = col2im(grad_cols, out_shape, self.kernel, self.stride, self.padding)
-        if self.bias is not None:
-            out = out + self.bias.data.reshape(1, -1, 1, 1)
-        self._x = x
-        self._out_shape = out_shape
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None or self._out_shape is None:
-            raise RuntimeError("backward called before forward")
-        x = self._x
-        n, c_in = x.shape[:2]
-        cols = im2col(grad_output, self.kernel, self.stride, self.padding)
-        x_flat = x.reshape(n, c_in, -1)
-        grad_w = np.matmul(x_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += grad_w.reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        w_mat = self.weight.data.reshape(c_in, -1)
-        grad_input = np.matmul(w_mat, cols).reshape(x.shape)
         return grad_input
 
 

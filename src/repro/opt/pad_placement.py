@@ -12,9 +12,10 @@ is one :meth:`~repro.solvers.incremental.IncrementalEngine.preview_many`
 batch — each candidate the committed solution plus one multiple of a
 cached column ``G0⁻¹e_j``, certified by its residual — and the committed
 pad is one more rank-1 term.  One stamping and one sparse LU of ``G0``
-serve the entire sweep, and the columns are cached across rounds.  The
-LU is the one tier at every size; its measured memory envelope (0.74 GB
-peak RSS for a 384 px, 226k-unknown sweep) is in docs/performance.md.
+serve the entire sweep; a round's new columns are one block solve
+against it, and the columns are cached across rounds.  The LU is the
+one tier at every size; its measured envelope for a 384 px,
+226k-unknown sweep is in docs/performance.md.
 """
 
 from __future__ import annotations
@@ -88,9 +89,16 @@ def _with_extra_pads(
 def _top_layer_candidates(
     grid: PowerGrid, drops, max_candidates: int, exclude: set[str]
 ) -> list[PGNode]:
-    """The most starved non-pad top-layer nodes, worst drop first."""
+    """The most starved non-pad top-layer nodes, worst drop first.
+
+    A deck whose node names carry no layer (outside the ``n*_m*_x_y``
+    grammar) has no top layer and so no candidates.
+    """
     _, _, layer, structured = grid.node_arrays()
-    eligible = structured & (layer == max(grid.layers_present()))
+    layers = grid.layers_present()
+    if not layers:
+        return []
+    eligible = structured & (layer == layers[-1])
     eligible &= np.isnan(grid.pad_voltage)
     eligible[[grid.index_of(name) for name in exclude if name in grid]] = False
     pool = np.flatnonzero(eligible)
@@ -119,8 +127,10 @@ def greedy_pad_placement(
         Candidate pool size per round: the top-layer nodes with the
         largest current drop (the most starved regions).
 
-    A candidate costs one pair of triangular solves for its column, once
-    per sweep, plus elementwise algebra.  Previews and committed solves
+    A candidate costs its column ``G0⁻¹e_j``, solved once per sweep in a
+    multi-right-hand-side LU block with the rest of its round's new
+    columns, plus elementwise algebra and one sparse residual.  Previews
+    and committed solves
     are certified by their residuals at the same tolerance (``_TOL``),
     so the ranking and the reported drop history are solver-accurate.
     """

@@ -6,8 +6,10 @@ candidate, the engine keeps the stamped system, one sparse LU of its
 base matrix ``G0`` and the committed solution alive across edits.  A pad
 is one rank-1 term against ``G0``: the constraint ``x_j = V`` on
 ``G0``'s own unknown, its multiplier the current the pad injects.  Each
-term keeps the column ``G0⁻¹e_j`` (cached by row for the whole sweep)
-with the earlier terms projected out, so the state's solution is
+term keeps the column ``G0⁻¹e_j`` (cached by row for the whole sweep;
+a call's uncached columns are solved together as zero-padded
+multi-right-hand-side blocks) with the earlier terms projected out,
+so the state's solution is
 ``G0⁻¹b`` corrected one term at a time, and a candidate is the
 committed solution plus one multiple of its projected column.  Every
 answer is certified by its residual on the pinned system, which a
@@ -110,6 +112,22 @@ class IncrementalSolve:
 #: them into a fresh stamp at the next committed solve (every solve,
 #: preview and new column makes one pass per term).
 _MAX_RANK = 24
+
+#: Bytes one block of column right-hand sides may hold: the uncached
+#: rows of a call are solved ``_COLUMN_BLOCK_BYTES // (8 n)`` at a time
+#: (about 80 at 6k unknowns), rounded down to a multiple of
+#: ``_COLUMN_WIDTH_STEP`` and never below it (8 at 226k, 14.5 MB).
+_COLUMN_BLOCK_BYTES = 4 << 20
+
+#: Every column block is zero-padded to a multiple of this width.  The
+#: triangular solves run their right-hand sides through BLAS, whose
+#: kernels take unrolled paths by column count.  Against one 64-wide
+#: block, every width that is a multiple of 4 gave every column the same
+#: bits at any position, while widths 1-3, 6-7 and some others between
+#: 9 and 14 changed the last bits of 1-3 of 64 columns (OpenBLAS 0.3.30,
+#: Haswell kernels, at 48, 64 and 96 px).  Padding to 8 makes a column's
+#: bits independent of which columns shared its solve.
+_COLUMN_WIDTH_STEP = 8
 
 #: Bytes one block of :meth:`IncrementalEngine.preview_many` may hold:
 #: candidates are bordered ``_PREVIEW_SCRATCH_BYTES // (8 n)`` at a time
@@ -240,18 +258,30 @@ class IncrementalEngine:
         counter_add(INCREMENTAL_BASE_SOLVES)
         return self._lu.solve(rhs)
 
-    def _column_solve(self, row: int) -> np.ndarray:
-        """``G0⁻¹e_row``, cached by row for the lifetime of the stamp."""
-        cached = self._w_cache.get(row)
-        if cached is not None:
-            counter_add(INCREMENTAL_COLUMN_CACHE_HITS)
-            return cached
-        u = np.zeros(self._system.size, dtype=float)
-        u[row] = 1.0
-        column = self._base_solve(u)
-        counter_add(INCREMENTAL_COLUMN_SOLVES)
-        self._w_cache[row] = column
-        return column
+    def _columns(self, rows: Sequence[int]) -> list[np.ndarray]:
+        """``G0⁻¹e_row`` per row, cached by row for the lifetime of the stamp.
+
+        The uncached rows (each once, in request order) are solved as
+        ``n × width`` blocks of unit right-hand sides, zero-padded to a
+        multiple of ``_COLUMN_WIDTH_STEP``, so a column's bits do not
+        depend on what shared its block.
+        """
+        missing = list(dict.fromkeys(row for row in rows if row not in self._w_cache))
+        n = self._system.size
+        step = _COLUMN_WIDTH_STEP
+        width = max(step, _COLUMN_BLOCK_BYTES // (8 * max(n, 1)) // step * step)
+        for start in range(0, len(missing), width):
+            chunk = missing[start : start + width]
+            rhs = np.zeros((n, -(-len(chunk) // step) * step), order="F")
+            rhs[chunk, np.arange(len(chunk))] = 1.0
+            block = self._base_solve(rhs)
+            del rhs  # free it before the copies: at 226k unknowns it is 14.5 MB
+            for i, row in enumerate(chunk):
+                self._w_cache[row] = block[:, i].copy()
+            counter_add(INCREMENTAL_COLUMN_SOLVES, len(chunk))
+        if len(rows) > len(missing):
+            counter_add(INCREMENTAL_COLUMN_CACHE_HITS, len(rows) - len(missing))
+        return [self._w_cache[row] for row in rows]
 
     def _project(self, block: np.ndarray, targets: bool = False) -> np.ndarray:
         """Carry ``G0⁻¹`` images over to the current state, in place.
@@ -303,7 +333,7 @@ class IncrementalEngine:
         voltage = self.supply_voltage if delta.voltage is None else delta.voltage
         if not np.isfinite(voltage):
             raise ValueError(f"a pad voltage must be finite, got {voltage}")
-        column = self._project(self._column_solve(row).copy())
+        column = self._project(self._columns([row])[0].copy())
 
         patch = pin_row(self._system.matrix, self._system.rhs, row, voltage)
         self._grid.pin_pad(index, voltage)
@@ -374,21 +404,22 @@ class IncrementalEngine:
         """Fill in the certified one-multiplier previews; others stay ``None``."""
         if self._committed is None or self._committed[0] != self._state():
             return
-        lanes: list[tuple[int, int, float, np.ndarray]] = []
+        lanes: list[tuple[int, int, float]] = []
         for k, delta in enumerate(deltas):
             row = self._free_row(self._resolve_node(delta.node))
             if row is None:
                 continue  # apply() owns the error
             voltage = self.supply_voltage if delta.voltage is None else delta.voltage
-            lanes.append((k, row, voltage, self._column_solve(row)))
+            lanes.append((k, row, voltage))
+        columns = self._columns([row for _, row, _ in lanes])
 
         x, system = self._committed[1], self._system
         denom = float(np.linalg.norm(system.rhs)) or 1.0
         pads = list(system.pad_voltages)
         chunk = max(1, _PREVIEW_SCRATCH_BYTES // (8 * max(system.size, 1)))
         for start in range(0, len(lanes), chunk):
-            picks, rows, volts, columns = zip(*lanes[start : start + chunk])
-            block = self._project(np.array(columns))
+            picks, rows, volts = zip(*lanes[start : start + chunk])
+            block = self._project(np.array(columns[start : start + chunk]))
             scale = (np.array(volts) - x[list(rows)]) / block[range(len(rows)), rows]
             block *= scale[:, None]
             block += x

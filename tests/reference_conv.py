@@ -74,19 +74,6 @@ def conv2d_backward(grad_output, x, weight, stride, padding, with_bias=True):
     return grad_input, grad_weight, grad_bias
 
 
-def conv_transpose2d_backward(grad_output, x, weight, stride, padding):
-    """(d_input, d_weight, d_bias) of a transposed conv, weight ``(in, out, kh, kw)``."""
-    n, c_in = x.shape[:2]
-    kernel = (weight.shape[2], weight.shape[3])
-    cols = _im2col(grad_output, kernel, stride, padding)
-    x_flat = x.reshape(n, c_in, -1)
-    grad_w = np.einsum("nfl,nkl->fk", x_flat, cols).reshape(weight.shape)
-    grad_bias = grad_output.sum(axis=(0, 2, 3))
-    w_mat = weight.reshape(c_in, -1)
-    grad_input = np.matmul(w_mat, cols).reshape(x.shape)
-    return grad_input, grad_w, grad_bias
-
-
 def batchnorm_forward(x, gamma, beta, mean, var, eps):
     """Divide-form normalisation; returns (output, x_hat, std)."""
     std = np.sqrt(var + eps)

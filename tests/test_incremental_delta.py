@@ -517,3 +517,63 @@ class TestApplyIsAllOrNothing:
             engine.apply(delta)
         assert _engine_state(engine) == state
         assert engine._terms == []
+
+
+class TestColumnsSolveInPaddedBlocks:
+    """Columns ``G0⁻¹e_j`` are solved as zero-padded multi-RHS blocks."""
+
+    @pytest.mark.parametrize("pixels,seed", [(16, 5), (64, 3), (96, 1)])
+    def test_column_bits_do_not_depend_on_the_block(self, pixels, seed):
+        grid = generate_design(make_real_spec("blocks", seed=seed, pixels=pixels)).grid
+        free = [n.index for n in grid.nodes if not n.is_pad]
+        deltas = [AddPad(node) for node in free[3::7][:32]]
+        assert len(deltas) == 32
+
+        def fresh():
+            engine = IncrementalEngine(grid)
+            engine.solve()
+            return engine
+
+        # One block of 32 columns, against 32 blocks of one column each.
+        batch = fresh().preview_many(deltas)
+        alone = [fresh().preview(delta) for delta in deltas]
+        # apply() solves its column alone; the batch then solves the rest.
+        applied = fresh()
+        applied.revert(applied.apply(deltas[9]))
+        after_apply = applied.preview_many(deltas)
+        for member, single, mixed in zip(batch, alone, after_apply):
+            assert member.drops.tobytes() == single.drops.tobytes() == mixed.drops.tobytes()
+            assert member.residual == single.residual == mixed.residual
+
+    def test_blocks_are_padded_multiples_of_eight_within_the_budget(self, monkeypatch):
+        engine = IncrementalEngine(GRID, SUPPLY)
+        n = engine.system.size
+        monkeypatch.setattr(incremental_module, "_COLUMN_BLOCK_BYTES", 16 * 8 * n)
+        widths = []
+        real = engine._base_solve
+
+        def spy(rhs):
+            if rhs is not engine._free_rhs:
+                assert rhs.ndim == 2 and rhs.shape[0] == n
+                widths.append(rhs.shape[1])
+            return real(rhs)
+
+        monkeypatch.setattr(engine, "_base_solve", spy)
+        engine.solve()
+        free = _free_nodes(GRID)
+        before = metrics_snapshot()
+        engine.preview_many([AddPad(node) for node in free[:37] + free[:3]])
+        engine.apply(AddPad(free[40]))
+        engine.solve()
+        moved = counters_delta(before)["counters"]
+        # 37 distinct columns in blocks of 16, 16 and 5 padded to 8; the
+        # three repeats are cache hits; apply's column is a block of 8.
+        assert widths == [16, 16, 8, 8]
+        assert moved["incremental.column_solves"] == 38
+        assert moved["incremental.column_cache_hits"] == 3
+        assert moved["incremental.base_solves"] == 4
+        # A budget below one step still solves blocks of eight.
+        monkeypatch.setattr(incremental_module, "_COLUMN_BLOCK_BYTES", 8 * n)
+        widths.clear()
+        engine.preview_many([AddPad(node) for node in free[41:52]])
+        assert widths == [8, 8]

@@ -22,7 +22,6 @@ from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    ConvTranspose2d,
     FusedConvBiasReLU,
 )
 from tests import reference_conv as ref
@@ -195,35 +194,6 @@ def test_conv_backward_noncontiguous_grad_output(
         got = F.conv2d_backward(
             g, cols, x.shape, weight, stride, padding, True, workspace
         )
-        for a, b in zip(got, want):
-            assert rel_err(a, b) <= TOLERANCE[dtype]
-
-
-@pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
-@pytest.mark.parametrize(
-    "kernel,stride,padding",
-    [(2, 2, 0), (3, 1, 1), ((3, 2), (2, 1), (1, 0)), (4, 2, 1)],
-)
-def test_conv_transpose_backward(kernel, stride, padding, dtype, monkeypatch):
-    rng = np.random.default_rng(13)
-    layer = ConvTranspose2d(
-        CHANNELS, FILTERS, kernel, stride=stride, padding=padding, rng=rng
-    )
-    if dtype == np.float64:
-        widen(layer)
-    for n in (1, 3, 8):
-        x, x_wide = draw(rng, (n, CHANNELS, 5, 6), dtype)
-        out = layer(x)
-        g, g_wide = draw(rng, out.shape, dtype)
-        want = ref.conv_transpose2d_backward(
-            g_wide, x_wide, layer.weight.data, layer.stride, layer.padding
-        )
-        layer.zero_grad()
-        with monkeypatch.context() as patch:
-            no_einsum(patch)
-            grad_input = layer.backward(g)
-        got = (grad_input, layer.weight.grad, layer.bias.grad)
-        assert all(a.dtype == dtype for a in got)
         for a, b in zip(got, want):
             assert rel_err(a, b) <= TOLERANCE[dtype]
 

@@ -8,7 +8,6 @@ from repro.nn.layers import (
     BatchNorm2d,
     Concat,
     Conv2d,
-    ConvTranspose2d,
     GlobalAvgPool,
     GlobalMaxPool,
     Identity,
@@ -56,18 +55,6 @@ class TestConvLayers:
     def test_conv_channel_mismatch_rejected(self, x, rng):
         with pytest.raises(ValueError):
             Conv2d(5, 2, 3, rng=rng)(x)
-
-    def test_convtranspose_input_grad(self, x, rng):
-        check_input_gradient(ConvTranspose2d(3, 4, 2, stride=2, rng=rng), x, rng)
-
-    def test_convtranspose_param_grad(self, x, rng):
-        check_parameter_gradients(
-            ConvTranspose2d(3, 2, 2, stride=2, rng=rng), x, rng
-        )
-
-    def test_convtranspose_upsamples(self, x, rng):
-        out = ConvTranspose2d(3, 4, 2, stride=2, rng=rng)(x)
-        assert out.shape == (2, 4, 16, 16)
 
     def test_backward_before_forward_raises(self, rng):
         with pytest.raises(RuntimeError):

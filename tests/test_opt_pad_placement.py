@@ -160,6 +160,16 @@ class TestGreedyPadPlacement:
         assert list(out.capacitors.names) == ["C1"]
         assert list(out.voltage_sources.names) == ["V1", "Vopt1"]
 
+    def test_deck_outside_the_name_grammar_gets_no_pads(self):
+        # No node name carries a layer, so there is no top layer to add to.
+        deck = parse_spice("R1 a b 1\nI1 b 0 0.01\nV1 a 0 1\n")
+        for budget, met in [(1e-3, False), (0.1, True)]:
+            result = greedy_pad_placement(deck, budget_volts=budget)
+            assert result.added_pads == []
+            assert result.worst_drop_history == pytest.approx([0.01], abs=1e-12)
+            assert result.met_budget is met
+            assert list(result.final_netlist.voltage_sources.names) == ["V1"]
+
     def test_sweep_matches_brute_force(self, real_design):
         """The low-rank sweep must commit the same pads and report the
         same drops as from-scratch re-simulation of every candidate."""
