@@ -84,6 +84,11 @@ def assemble_feature_stack(
 ) -> FeatureStack:
     """Build the ML input stack for one design.
 
+    Only the numerical channels depend on the rough solve.  The structural
+    channels depend on the grid alone, so they come from its memo: built
+    once per ``(geometry, config)`` and grid state, then copied into each
+    stack.
+
     Parameters
     ----------
     voltages:
@@ -94,7 +99,7 @@ def assemble_feature_stack(
         ``voltages``.
     """
     config = config or FeatureConfig()
-    maps: dict[str, np.ndarray] = {}
+    numerical: dict[str, np.ndarray] = {}
     layers = grid.layers_present()
 
     if config.use_numerical:
@@ -107,11 +112,33 @@ def assemble_feature_stack(
         )
         if config.hierarchical:
             for layer in layers:
-                maps[f"numerical_m{layer}"] = layer_maps[layer]
+                numerical[f"numerical_m{layer}"] = layer_maps[layer]
         else:
             # Flat variant: bottom-layer rough drop only.
-            maps["numerical"] = layer_maps[min(layers)]
+            numerical["numerical"] = layer_maps[min(layers)]
 
+    names, structural = grid.memo(
+        ("structural_features", geometry, config),
+        lambda: _structural_channels(geometry, grid, config, layers),
+    )
+    channels = [*numerical, *names]
+    expected = channel_names(config, layers)
+    if channels != expected:
+        raise AssertionError(f"channel order drifted: {channels} != {expected}")
+    blocks = [structural]
+    if numerical:
+        block = np.stack([np.asarray(m, dtype=float) for m in numerical.values()])
+        if config.normalize:
+            block = block * config.numerical_scale
+        blocks.insert(0, block)
+    return FeatureStack(channels=channels, data=np.concatenate(blocks))
+
+
+def _structural_channels(
+    geometry: GridGeometry, grid: PowerGrid, config: FeatureConfig, layers: list[int]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The grid-only channels in stack order, as one read-only block."""
+    maps: dict[str, np.ndarray] = {}
     if config.hierarchical:
         current_maps = layer_current_maps(geometry, grid)
         for layer in layers:
@@ -130,18 +157,11 @@ def assemble_feature_stack(
         maps["pdn_density"] = pdn_density_map(geometry, grid)
 
     stack = FeatureStack.from_dict(maps)
-    expected = channel_names(config, layers)
-    if stack.channels != expected:
-        raise AssertionError(
-            f"channel order drifted: {stack.channels} != {expected}"
-        )
+    data = stack.data
     if config.normalize:
-        data = stack.data.copy()
-        for i, channel in enumerate(stack.channels):
-            if channel.startswith("numerical"):
-                data[i] = data[i] * config.numerical_scale
-            else:
-                lo, hi = data[i].min(), data[i].max()
-                data[i] = (data[i] - lo) / (hi - lo) if hi - lo > 1e-12 else 0.0
-        stack = FeatureStack(channels=list(stack.channels), data=data)
-    return stack
+        # Min-max per channel: the structural maps have no common unit.
+        for i in range(len(data)):
+            lo, hi = data[i].min(), data[i].max()
+            data[i] = (data[i] - lo) / (hi - lo) if hi - lo > 1e-12 else 0.0
+    data.flags.writeable = False
+    return tuple(stack.channels), data

@@ -150,6 +150,11 @@ class PowerGrid:
     ``pad_voltage`` (volts, NaN where the node is not a pad) per node.  Read
     them freely; write only through :meth:`pin_pad`, :meth:`unpin_pad` and
     :meth:`set_load`.
+
+    What depends on the grid alone (its validation, stamped system,
+    structural features, golden solution) is computed once per grid state
+    through :meth:`memo`.  Each mutator starts an empty memo; :meth:`clone`
+    and pickling carry none.
     """
 
     def __init__(
@@ -177,6 +182,7 @@ class PowerGrid:
         self._coords, self._structured = parse_node_names(node_names)
         self._coords[1, ~self._structured] = -1
         self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
+        self._memo: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -247,6 +253,7 @@ class PowerGrid:
         if voltage != voltage:
             raise ValueError("a pad voltage cannot be NaN")
         self.pad_voltage[index] = voltage
+        self._memo = {}
 
     def unpin_pad(self, node: int | str) -> None:
         """Remove a pad pin, returning the node to the unknown set."""
@@ -254,18 +261,47 @@ class PowerGrid:
         if np.isnan(self.pad_voltage[index]):
             raise ValueError(f"node {self.node_names[index]!r} is not a pad")
         self.pad_voltage[index] = np.nan
+        self._memo = {}
 
     def set_load(self, node: int | str, amps: float) -> None:
         """Set a node's attached load current (absolute, not additive)."""
         self.load_current[self._index(node)] = amps
+        self._memo = {}
 
     def clone(self) -> "PowerGrid":
-        """Independent copy: the two editable columns are copied, the rest shared."""
+        """Independent copy: the editable columns copied, the rest shared, no memo."""
         other = object.__new__(PowerGrid)
         other.__dict__.update(self.__dict__)
         other.load_current = self.load_current.copy()
         other.pad_voltage = self.pad_voltage.copy()
+        other._memo = {}
         return other
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+
+    # -- per-state memo ----------------------------------------------------
+
+    def memo(self, key, build: Callable[[], object]):
+        """``build()`` for the grid's current state, computed once per state.
+
+        *key* names a value that depends on the columns alone; the caller
+        hands out only what no reader can change (read-only arrays, or
+        copies).  A mutator replaces the memo rather than clearing it, so a
+        value built while one ran lands in the memo it discarded.  Two
+        threads that miss together both build; the values are equal, and
+        the later store wins.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- queries -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ given a branch-current unknown (full form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,6 +108,28 @@ def build_reduced_system(
         pad_voltages=dict(zip(pads.tolist(), pad_voltage[pads].tolist())),
         num_grid_nodes=n,
     )
+
+
+def stamped_system(grid: PowerGrid) -> ReducedSystem:
+    """:func:`build_reduced_system` of *grid*, stamped once per grid state.
+
+    The arrays are shared by every caller until the grid is next edited,
+    so they refuse writes; each call gets its own copy of the pad map.
+    Connectivity is the caller's to check first; a system to delta-stamp
+    in place is :meth:`ReducedSystem.mutable_copy`.
+    """
+    system = grid.memo("reduced_system", lambda: _frozen_stamp(grid))
+    return replace(system, pad_voltages=dict(system.pad_voltages))
+
+
+def _frozen_stamp(grid: PowerGrid) -> ReducedSystem:
+    system = build_reduced_system(grid, validate=False)
+    matrix = system.matrix
+    for array in (
+        matrix.data, matrix.indices, matrix.indptr, system.rhs, system.unknown_indices
+    ):
+        array.flags.writeable = False
+    return system
 
 
 # ---------------------------------------------------------------------------

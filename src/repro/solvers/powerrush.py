@@ -26,7 +26,7 @@ from repro.obs import span
 from repro.obs.registry import STAMP, VALIDATE
 from repro.grid.netlist import PowerGrid
 from repro.grid.raster import layer_values_image
-from repro.mna.stamper import build_reduced_system
+from repro.mna.stamper import stamped_system
 from repro.mna.system import ReducedSystem
 from repro.solvers.amg import AMGOptions
 from repro.solvers.base import SolveResult, SolverOptions
@@ -47,7 +47,8 @@ class SimulationReport:
     grid:
         The analysed power grid (post-repair when repairs were needed).
     system:
-        The reduced linear system that was solved.
+        The reduced linear system that was solved (read-only: it is the
+        grid's memoised stamp).
     voltages:
         Per-grid-node voltage vector (pads at their pinned value).
     ir_drop:
@@ -177,20 +178,24 @@ class PowerRushSimulator:
         """Simulate an already-built :class:`PowerGrid`.
 
         When *supply_voltage* is omitted it is taken from the pads (which
-        must then agree on a single level).
+        must then agree on a single level).  The validation report and the
+        stamped system come from the grid's memo: a repeat on an unedited
+        grid pays only for the solve.
         """
         if supply_voltage is None:
             supply_voltage = grid.supply_voltage()
 
         diagnostics = RunDiagnostics()
         with span(VALIDATE):
-            diagnostics.validation = validate_grid(grid)
+            diagnostics.validation = list(
+                grid.memo("validation", lambda: tuple(validate_grid(grid)))
+            )
             # A healthy grid needs no repair, and repairing relabels its
             # components; only a fatal issue (no pads, islands) is repaired.
             if any(issue.fatal for issue in diagnostics.validation):
                 grid, diagnostics.repairs = repair_grid(grid, supply_voltage)
         with span(STAMP):
-            system = build_reduced_system(grid, validate=False)
+            system = stamped_system(grid)
 
         flat_guess = np.full(system.size, supply_voltage, dtype=float)
         cache_before = setup_cache_stats()

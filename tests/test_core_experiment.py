@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import FusionConfig
+from repro.core.pipeline import IRFusionPipeline
 from repro.core.experiment import (
     ABLATION_VARIANTS,
     run_ablation_study,
@@ -48,6 +49,22 @@ class TestMainResults:
             results["IR-Fusion (Ours)"].runtime_seconds
             > results["IREDGe"].runtime_seconds
         )
+
+    def test_runtime_column_analyses_a_cold_grid(self, tiny_config, monkeypatch):
+        seen = []
+        analyze_grid = IRFusionPipeline.analyze_grid
+
+        def spy(pipeline, grid, geometry, supply_voltage):
+            _, test_designs = pipeline.generate_designs()
+            warm = [bool(design.grid._memo) for design in test_designs]
+            seen.append((dict(grid._memo), warm))
+            return analyze_grid(pipeline, grid, geometry, supply_voltage)
+
+        monkeypatch.setattr(IRFusionPipeline, "analyze_grid", spy)
+        run_main_results(tiny_config, model_names=["ir_fusion"])
+        # The dataset build memoised the test design; the timed run did not
+        # see that memo.
+        assert seen == [({}, [True])]
 
 
 class TestTradeoff:

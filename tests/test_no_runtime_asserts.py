@@ -7,6 +7,12 @@ instead.
 Time is read only through :mod:`repro.obs` (docs/observability.md,
 "Monotonic clocks only"): outside ``src/repro/obs/`` no module calls or
 imports a raw clock of :mod:`time` or :mod:`datetime`.
+
+A power grid's columns change only through its mutators
+(``pin_pad``/``unpin_pad``/``set_load``), which start its memo over: outside
+``src/repro/grid/netlist.py`` no module assigns into, augments or rebinds
+``.load_current``, ``.pad_voltage`` or a wire column.  A write anywhere else
+would leave a memoised analysis of the old state in place.
 """
 
 import ast
@@ -22,6 +28,7 @@ TIME_CLOCKS = {
     for suffix in ("", "_ns")
 }
 DATETIME_CLOCKS = {"now", "utcnow", "today"}
+GRID_COLUMNS = {"load_current", "pad_voltage", "_wire_a", "_wire_b", "_wire_r"}
 
 
 def library_modules():
@@ -83,5 +90,47 @@ def test_library_code_reads_no_clock_outside_obs():
         for path, nodes in library_modules()
         if path.parts[0] != "obs"
         for node in _clock_reads(nodes)
+    ]
+    assert found == []
+
+
+def _targets(node) -> list:
+    """The assignment targets of *node*, tuples and starred names unpacked."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        pending = [node.target]
+    else:
+        return []
+    targets = []
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending += target.elts
+        elif isinstance(target, ast.Starred):
+            pending.append(target.value)
+        else:
+            targets.append(target)
+    return targets
+
+
+def _column_writes(nodes) -> list:
+    """The nodes among one module's *nodes* that write a grid column."""
+    found = []
+    for node in nodes:
+        for target in _targets(node):
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in GRID_COLUMNS:
+                found.append(node)
+    return found
+
+
+def test_grid_columns_are_written_only_by_the_grid():
+    found = [
+        f"{path}:{node.lineno}"
+        for path, nodes in library_modules()
+        if path != Path("grid", "netlist.py")
+        for node in _column_writes(nodes)
     ]
     assert found == []

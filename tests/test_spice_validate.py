@@ -193,13 +193,19 @@ class TestEndToEndDegradation:
             calls.append(grid)
             return label(grid)
 
+        # A clone: the session-shared grid's validation is already memoised.
+        grid = fake_design.grid.clone()
         label = topology.component_labels
         monkeypatch.setattr(topology, "component_labels", spy)
-        report = PowerRushSimulator().simulate_grid(fake_design.grid)
-        assert calls == [fake_design.grid]
-        assert report.grid is fake_design.grid
+        report = PowerRushSimulator().simulate_grid(grid)
+        assert calls == [grid]
+        assert report.grid is grid
         assert report.diagnostics.repairs == []
         assert not report.diagnostics.degraded
+        # A repeat on the unedited grid reads the memoised report.
+        repeat = PowerRushSimulator().simulate_grid(grid)
+        assert calls == [grid]
+        assert repeat.diagnostics.validation == report.diagnostics.validation
 
     def test_padless_grid_raises_typed_error(self):
         from repro.solvers.powerrush import PowerRushSimulator
