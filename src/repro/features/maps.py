@@ -1,13 +1,12 @@
 """Named feature-map stacks.
 
 A :class:`FeatureStack` pairs a ``(C, H, W)`` float array with channel
-names, so models and ablations can select channels symbolically instead of
-by magic index.
+names, so callers read a channel by name (``stack["pdn_density"]``)
+instead of by magic index.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,55 +57,3 @@ class FeatureStack:
         channels = list(maps)
         data = np.stack([np.asarray(maps[c], dtype=float) for c in channels])
         return cls(channels=channels, data=data)
-
-    def select(self, channels: list[str]) -> "FeatureStack":
-        """A new stack with only the requested channels, in that order."""
-        indices = [self.channels.index(c) for c in channels]
-        return FeatureStack(channels=list(channels), data=self.data[indices].copy())
-
-    def concat(self, other: "FeatureStack") -> "FeatureStack":
-        """Channel-wise concatenation of two stacks with matching shapes."""
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FeatureStack(
-            channels=self.channels + other.channels,
-            data=np.concatenate([self.data, other.data], axis=0),
-        )
-
-    # -- normalisation ----------------------------------------------------------
-
-    def normalized(self, mode: str = "minmax", eps: float = 1e-12) -> "FeatureStack":
-        """Per-channel normalisation.
-
-        ``"minmax"`` maps each channel to [0, 1]; ``"zscore"`` standardises
-        to zero mean / unit variance.  Constant channels map to zero.
-        """
-        if mode not in ("minmax", "zscore"):
-            raise ValueError(f"unknown normalisation mode {mode!r}")
-        out = np.empty_like(self.data)
-        for i in range(self.num_channels):
-            channel = self.data[i]
-            if mode == "minmax":
-                lo, hi = channel.min(), channel.max()
-                out[i] = (channel - lo) / (hi - lo) if hi - lo > eps else 0.0
-            else:
-                mu, sigma = channel.mean(), channel.std()
-                out[i] = (channel - mu) / sigma if sigma > eps else 0.0
-        return FeatureStack(channels=list(self.channels), data=out)
-
-    # -- serialisation -----------------------------------------------------------
-
-    def save(self, path: str | os.PathLike[str]) -> None:
-        """Write the stack to a compressed ``.npz`` file."""
-        np.savez_compressed(
-            path, data=self.data, channels=np.array(self.channels, dtype=object)
-        )
-
-    @classmethod
-    def load(cls, path: str | os.PathLike[str]) -> "FeatureStack":
-        """Load a stack written by :meth:`save`."""
-        with np.load(path, allow_pickle=True) as archive:
-            return cls(
-                channels=[str(c) for c in archive["channels"]],
-                data=archive["data"],
-            )

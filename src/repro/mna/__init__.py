@@ -1,25 +1,18 @@
 """Modified nodal analysis: assembling ``Gx = I`` from a :class:`PowerGrid`.
 
-Two formulations are provided:
-
-- :func:`~repro.mna.stamper.build_reduced_system` — pad voltages eliminated,
-  leaving a symmetric positive-definite system over the unknown nodes.  This
-  is what every iterative solver in :mod:`repro.solvers` consumes.
-- :func:`~repro.mna.stamper.build_full_mna` — the textbook MNA form with
-  branch-current unknowns for voltage sources, used to cross-validate the
-  reduced form in tests.
+:func:`~repro.mna.stamper.build_reduced_system` eliminates the pad
+voltages, leaving a symmetric positive-definite system over the unknown
+nodes.  This is what every solver in :mod:`repro.solvers` consumes.
 """
 
 from repro.mna.post import branch_currents, kcl_residuals, pad_currents
-from repro.mna.stamper import build_full_mna, build_reduced_system
-from repro.mna.system import FullMNASystem, ReducedSystem
+from repro.mna.stamper import build_reduced_system
+from repro.mna.system import ReducedSystem
 
 __all__ = [
-    "FullMNASystem",
     "branch_currents",
     "kcl_residuals",
     "pad_currents",
     "ReducedSystem",
-    "build_full_mna",
     "build_reduced_system",
 ]

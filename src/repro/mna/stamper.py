@@ -5,8 +5,7 @@ topology graph, enabling the extraction of the conductance matrix G for
 simulation" (Section III-B).  Stamping follows the classic MNA rules: a
 resistor of conductance g between nodes *a* and *b* adds ``+g`` to the two
 diagonal entries and ``-g`` to the two off-diagonals; a current source adds
-to the RHS; ideal voltage sources are either eliminated (reduced form) or
-given a branch-current unknown (full form).
+to the RHS; ideal voltage sources are eliminated (reduced form).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import scipy.sparse as sp
 
 from repro.grid.netlist import PowerGrid
 from repro.grid.topology import validate_connectivity
-from repro.mna.system import FullMNASystem, ReducedSystem
+from repro.mna.system import ReducedSystem
 
 
 def build_reduced_system(
@@ -225,39 +224,3 @@ def pin_row(
     rhs[neighbours[off_diagonal]] -= couplings[off_diagonal] * voltage
     rhs[row] = diag * voltage
     return patch
-
-
-def build_full_mna(grid: PowerGrid) -> FullMNASystem:
-    """Assemble the full MNA system with branch currents for pads.
-
-    Unknowns are ``[v_0 .. v_{n-1}, i_pad_0 .. i_pad_{m-1}]``.  Each pad
-    contributes a row ``v_p = V`` and a symmetric coupling column that adds
-    the branch current into the pad node's KCL equation.
-    """
-    n = grid.num_nodes
-    pads = grid.pad_indices()
-    size = n + pads.size
-    node_a, node_b, resistance = grid.wire_arrays()
-    g = 1.0 / resistance
-    pair = np.stack([node_a, node_b], axis=1)
-    diag = np.bincount(pair.ravel(), weights=np.repeat(g, 2), minlength=n)
-    rhs = np.zeros(size, dtype=float)
-    rhs[:n] -= grid.load_current
-    rhs[n:] = grid.pad_voltage[pads]
-
-    # Pad k gets branch unknown n + k, coupled symmetrically to its node.
-    branch = np.stack([pads, n + np.arange(pads.size)], axis=1)
-    nodes = np.arange(n)
-    matrix = sp.csr_matrix(
-        (
-            np.concatenate([np.repeat(-g, 2), diag, np.ones(2 * pads.size)]),
-            (
-                np.concatenate([pair.ravel(), nodes, branch.ravel()]),
-                np.concatenate([pair[:, ::-1].ravel(), nodes, branch[:, ::-1].ravel()]),
-            ),
-        ),
-        shape=(size, size),
-        dtype=float,
-    )
-    matrix.sum_duplicates()
-    return FullMNASystem(matrix=matrix, rhs=rhs, num_nodes=n)

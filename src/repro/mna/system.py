@@ -91,33 +91,3 @@ class ReducedSystem:
         if denom == 0.0:
             return 0.0
         return self.residual_norm(x) / denom
-
-
-@dataclass(frozen=True)
-class FullMNASystem:
-    """Textbook MNA: node voltages plus branch currents for voltage sources.
-
-    The matrix is symmetric but indefinite; it is solved directly (sparse
-    LU) and only used to validate the reduced formulation.
-
-    Attributes
-    ----------
-    matrix:
-        CSR MNA matrix of size (n_nodes + n_vsrc).
-    rhs:
-        Stacked current injections and source voltages.
-    num_nodes:
-        Number of node-voltage unknowns (all grid nodes).
-    """
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    num_nodes: int
-
-    @property
-    def num_branch_currents(self) -> int:
-        return self.matrix.shape[0] - self.num_nodes
-
-    def split_solution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a solution vector into (node voltages, branch currents)."""
-        return x[: self.num_nodes].copy(), x[self.num_nodes :].copy()

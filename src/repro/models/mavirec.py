@@ -47,7 +47,7 @@ class DepthSharedConv(Module):
         n, c, h, w = x.shape
         folded = x.reshape(n * c, 1, h, w)
         out, self._saved = conv2d_forward(
-            folded, self.weight.data, self.bias.data, (1, 1), self.padding
+            folded, self.weight.data, self.bias.data, self.padding
         )
         self._shape = (n, c, h, w)
         return out.reshape(n, c, h, w)
@@ -62,7 +62,6 @@ class DepthSharedConv(Module):
             self._saved,
             (n * c, 1, h, w),
             self.weight.data,
-            (1, 1),
             self.padding,
             with_bias=True,
         )

@@ -45,7 +45,6 @@ from repro.nn.losses import (
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.serialize import load_state, save_state
-from repro.nn.summary import parameter_table, summarize
 
 __all__ = [
     "Adam",
@@ -83,7 +82,5 @@ __all__ = [
     "WeightedHotspotLoss",
     "clip_grad_norm",
     "load_state",
-    "parameter_table",
     "save_state",
-    "summarize",
 ]

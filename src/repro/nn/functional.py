@@ -1,28 +1,25 @@
 """Vectorised conv/pool primitives.
 
-A stride-1 convolution (padding below the kernel) is :func:`tap_conv`:
-the input is copied once into zero-bordered rows (:func:`stage_rows`)
-and the output is ``kh*kw`` per-tap GEMMs over contiguous windows of
-them, with no patch matrix.  Training forward, backward-weight and
-backward-data (a full correlation with the 180°-rotated taps) and the
-inference plan all run it.  Strided convolutions, padding at or above
-the kernel and strided pooling use :func:`im2col` (patch extraction
-via stride tricks), a batched matmul, and
-:func:`col2im` (its scatter-add adjoint).  Kernels, strides and paddings
-are ``(height, width)`` pairs so the asymmetric 1x7 / 7x1 kernels of
-Inception-B/C come for free.
+Every convolution is stride 1 with padding below the kernel, and is
+:func:`tap_conv`: the input is copied once into zero-bordered rows
+(:func:`stage_rows`) and the output is ``kh*kw`` per-tap GEMMs over
+contiguous windows of them, with no patch matrix.  Training forward,
+backward-weight and backward-data (a full correlation with the
+180°-rotated taps) and the inference plan all run it.  Average pooling is
+the same geometry, a separable :func:`box_filter`; downsampling is max
+pooling.  Kernels and paddings are ``(height, width)`` pairs so the
+asymmetric 1x7 / 7x1 kernels of Inception-B/C come for free.
 
-Staging buffers and patch matrices come from a per-layer
-:class:`Workspace` arena.  Workspace buffers hold scratch and the staged
-input a layer's backward reads — never tensors that escape as layer
-outputs, so reuse cannot alias activations held across steps (skip
-connections, collected predictions).
+Staged inputs and scratch come from a per-layer :class:`Workspace`
+arena.  Workspace buffers hold scratch and the staged input a layer's
+backward reads — never tensors that escape as layer outputs, so reuse
+cannot alias activations held across steps (skip connections, collected
+predictions).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 Pair = tuple[int, int]
 
@@ -31,11 +28,9 @@ class Workspace:
 
     ``request`` returns the named buffer, reallocating only when the
     requested shape or dtype changes (steady-state training reuses every
-    buffer).  Freshly allocated buffers are zeroed; pass ``refill=0.0``
-    when the caller accumulates into the buffer and needs it re-zeroed on
-    every reuse (the staged rows and the padded im2col area rely on
-    zero-on-alloc alone: their border pixels are zeroed exactly once and
-    the interior is overwritten each call).
+    buffer).  Freshly allocated buffers are zeroed and a reused one keeps
+    its contents: the staged rows' border pixels are zeroed exactly once,
+    and only the interior is overwritten each call.
     """
 
     def __init__(self) -> None:
@@ -51,7 +46,6 @@ class Workspace:
         name: str,
         shape: tuple[int, ...],
         dtype: np.dtype | type,
-        refill: float | None = None,
     ) -> np.ndarray:
         buffer = self._buffers.get(name)
         if (
@@ -61,8 +55,6 @@ class Workspace:
         ):
             buffer = np.zeros(shape, dtype=dtype)
             self._buffers[name] = buffer
-        elif refill is not None:
-            buffer.fill(refill)
         return buffer
 
     def clear(self) -> None:
@@ -84,113 +76,6 @@ def to_pair(value: int | Pair) -> Pair:
     if len(pair) != 2:
         raise ValueError(f"expected an int or pair, got {value!r}")
     return (int(pair[0]), int(pair[1]))
-
-
-def conv_output_shape(
-    input_hw: Pair, kernel: Pair, stride: Pair, padding: Pair
-) -> Pair:
-    """Spatial output shape of a convolution."""
-    h, w = input_hw
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"non-positive conv output {out_h}x{out_w} for input {h}x{w}, "
-            f"kernel {kernel}, stride {stride}, padding {padding}"
-        )
-    return (out_h, out_w)
-
-
-def im2col(
-    x: np.ndarray,
-    kernel: Pair,
-    stride: Pair,
-    padding: Pair,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """Extract sliding patches: ``(N, C*kh*kw, out_h*out_w)``.
-
-    With a *workspace*, the padded staging area and the returned patch
-    matrix are drawn from the arena; the result is then only valid until
-    the next im2col call on the same workspace.  The copy into the
-    preallocated buffer walks the strided windows in the same C order as
-    ``ascontiguousarray``, so the contents are bitwise identical either
-    way.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = conv_output_shape((h, w), kernel, stride, padding)
-    if ph == 0 and pw == 0:
-        padded = x
-    elif workspace is not None:
-        # Border pixels are zeroed at allocation and never written again;
-        # only the interior is refreshed per call.
-        padded = workspace.request(
-            "im2col_padded", (n, c, h + 2 * ph, w + 2 * pw), x.dtype
-        )
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-    else:
-        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    s0, s1, s2, s3 = padded.strides
-    windows = as_strided(
-        padded,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False,
-    )
-    if workspace is not None:
-        cols = workspace.request(
-            "im2col_cols", (n, c * kh * kw, out_h * out_w), x.dtype
-        )
-        np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), windows)
-        return cols
-    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, out_h * out_w)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel: Pair,
-    stride: Pair,
-    padding: Pair,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to image space.
-
-    With a *workspace* the accumulator is drawn from the arena (re-zeroed
-    per call) and the result may be a view of it — callers must consume
-    the result before the next col2im on the same workspace, so only pass
-    one for gradients that are consumed within the backward pass, never
-    for layer outputs.
-    """
-    n, c, h, w = x_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = conv_output_shape((h, w), kernel, stride, padding)
-    expected = (n, c * kh * kw, out_h * out_w)
-    if cols.shape != expected:
-        raise ValueError(f"cols shape {cols.shape} != expected {expected}")
-    blocks = cols.reshape(n, c, kh, kw, out_h, out_w)
-    if workspace is not None:
-        padded = workspace.request(
-            "col2im_padded", (n, c, h + 2 * ph, w + 2 * pw), cols.dtype, refill=0.0
-        )
-    else:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += (
-                blocks[:, :, i, j]
-            )
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph : ph + h, pw : pw + w]
 
 
 def conv_taps(weight: np.ndarray) -> np.ndarray:
@@ -257,52 +142,42 @@ def tap_conv(
     return out, staged
 
 
-def _adjoint_is_stride1(kernel: Pair, stride: Pair, padding: Pair) -> bool:
-    """Stride 1 with padding below the kernel: the adjoint of the sliding
-    window is the same window at padding ``kernel - 1 - padding``."""
-    return stride == (1, 1) and padding[0] < kernel[0] and padding[1] < kernel[1]
+def check_padding(kernel: Pair, padding: Pair) -> None:
+    """Refuse a padding that is negative or at or above the kernel.
+
+    Below the kernel, the adjoint of a stride-1 window is the same window
+    at padding ``kernel - 1 - padding``; at or above it, that padding
+    would be negative.
+    """
+    if not (0 <= padding[0] < kernel[0] and 0 <= padding[1] < kernel[1]):
+        raise ValueError(
+            f"padding {padding} must be in [0, kernel) for kernel {kernel}"
+        )
 
 
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None,
-    stride: Pair,
     padding: Pair,
     workspace: Workspace | None = None,
     fuse_relu: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution forward; returns (output, what the backward reads).
+    """Convolution forward by :func:`tap_conv`; returns (output, staged input).
 
-    A stride-1 conv with padding below the kernel is :func:`tap_conv` and
-    keeps its staged input; any other keeps its im2col patch matrix.  The
-    output is always freshly allocated (bias and the optional fused ReLU
-    are applied in place on it); only what is kept may live in the
-    workspace.
+    The output is always freshly allocated (bias and the optional fused
+    ReLU are applied in place on it); the staged input, which the backward
+    reads, lives in *workspace*.
     """
-    filters, in_channels, kh, kw = weight.shape
+    filters, _, kh, kw = weight.shape
+    check_padding((kh, kw), padding)
     if workspace is None:
         workspace = Workspace()
     bias4 = None if bias is None else bias.reshape(1, filters, 1, 1)
-    if _adjoint_is_stride1((kh, kw), stride, padding):
-        taps = conv_taps(weight)
-        scratch = Workspace()  # dropped on return: only the staging is kept
-        return tap_conv(
-            x, taps, bias4, (kh, kw), padding, fuse_relu, workspace, scratch
-        )
-    if x.shape[1] != in_channels:
-        raise ValueError(
-            f"input has {x.shape[1]} channels, weight expects {in_channels}"
-        )
-    cols = im2col(x, (kh, kw), stride, padding, workspace=workspace)
-    out_h, out_w = conv_output_shape(x.shape[2:], (kh, kw), stride, padding)
-    flat = np.matmul(weight.reshape(filters, -1), cols)  # (N, F, L)
-    out = flat.reshape(x.shape[0], filters, out_h, out_w)
-    if bias4 is not None:
-        out += bias4
-    if fuse_relu:
-        np.maximum(out, 0.0, out=out)
-    return out, cols
+    scratch = Workspace()  # dropped on return: only the staging is kept
+    return tap_conv(
+        x, conv_taps(weight), bias4, (kh, kw), padding, fuse_relu, workspace, scratch
+    )
 
 
 def _tap_grad_weight(
@@ -343,7 +218,6 @@ def conv2d_backward(
     saved: np.ndarray,
     x_shape: tuple[int, int, int, int],
     weight: np.ndarray,
-    stride: Pair,
     padding: Pair,
     with_bias: bool,
     workspace: Workspace | None = None,
@@ -355,38 +229,23 @@ def conv2d_backward(
     gradient shares the staged input's buffer when their shapes match),
     so it runs once per forward.
     """
-    n = grad_output.shape[0]
-    filters, _, kh, kw = weight.shape
+    _, _, kh, kw = weight.shape
     kernel = (kh, kw)
+    check_padding(kernel, padding)
     ph, pw = padding
     if workspace is None:
         workspace = Workspace()
     grad_bias = grad_output.sum(axis=(0, 2, 3)) if with_bias else None
-    if _adjoint_is_stride1(kernel, stride, padding):
-        # Grad-weight first: staging the gradient may reuse the staged
-        # input's buffer.  Backward-data is then the full correlation,
-        # the same kernel with the 180°-rotated, transposed taps.
-        grad_weight = _tap_grad_weight(
-            grad_output, saved, x_shape[3] + 2 * pw, kernel, workspace
-        )
-        rotated = conv_taps(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        full = (kh - 1 - ph, kw - 1 - pw)
-        grad_input, _ = tap_conv(
-            grad_output, rotated, None, kernel, full, False, workspace, Workspace()
-        )
-        return grad_input, grad_weight, grad_bias
-    # Strided (or padding >= kernel): GEMM into patch space, then scatter.
-    grad_flat = grad_output.reshape(n, filters, -1)  # (N, F, L)
-    # One GEMM per sample; the per-sample partials reduce in index order.
-    grad_weight = np.matmul(grad_flat, saved.transpose(0, 2, 1)).sum(axis=0)
-    grad_weight = grad_weight.reshape(weight.shape)
-    w_mat_t = weight.reshape(filters, -1).T
-    grad_cols = workspace.request(
-        "grad_cols", (n, w_mat_t.shape[0], grad_flat.shape[2]), grad_flat.dtype
+    # Grad-weight first: staging the gradient may reuse the staged
+    # input's buffer.  Backward-data is then the full correlation, the
+    # same kernel with the 180°-rotated, transposed taps.
+    grad_weight = _tap_grad_weight(
+        grad_output, saved, x_shape[3] + 2 * pw, kernel, workspace
     )
-    np.matmul(w_mat_t, grad_flat, out=grad_cols)  # (N, K, L)
-    grad_input = col2im(
-        grad_cols, x_shape, kernel, stride, padding, workspace=workspace
+    rotated = conv_taps(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    full = (kh - 1 - ph, kw - 1 - pw)
+    grad_input, _ = tap_conv(
+        grad_output, rotated, None, kernel, full, False, workspace, Workspace()
     )
     return grad_input, grad_weight, grad_bias
 
@@ -479,40 +338,22 @@ def box_filter(
     return valid * x.dtype.type(1.0 / (kh * kw))
 
 
-def avgpool2d_forward(x: np.ndarray, kernel: Pair, padding: Pair = (0, 0),
-                      stride: Pair | None = None) -> np.ndarray:
-    """Average pooling: a box filter at stride 1, an im2col mean otherwise."""
-    kh, kw = kernel
-    stride = stride or kernel
-    if _adjoint_is_stride1(kernel, stride, padding):
-        return box_filter(x, kernel, padding)
-    n, c = x.shape[:2]
-    cols = im2col(x, kernel, stride, padding)
-    out_h, out_w = conv_output_shape(x.shape[2:], kernel, stride, padding)
-    means = cols.reshape(n, c, kh * kw, -1).mean(axis=2)
-    return means.reshape(n, c, out_h, out_w)
+def avgpool2d_forward(
+    x: np.ndarray, kernel: Pair, padding: Pair = (0, 0)
+) -> np.ndarray:
+    """Stride-1 average pooling: the box filter."""
+    check_padding(kernel, padding)
+    return box_filter(x, kernel, padding)
 
 
 def avgpool2d_backward(
-    grad_output: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel: Pair,
-    padding: Pair = (0, 0),
-    stride: Pair | None = None,
+    grad_output: np.ndarray, kernel: Pair, padding: Pair = (0, 0)
 ) -> np.ndarray:
-    """Adjoint of average pooling: spread gradients uniformly."""
+    """Adjoint of average pooling: the box filter at padding
+    ``kernel - 1 - padding``, which restores the input's shape."""
+    check_padding(kernel, padding)
     kh, kw = kernel
-    stride = stride or kernel
-    if _adjoint_is_stride1(kernel, stride, padding):
-        return box_filter(
-            grad_output, kernel, (kh - 1 - padding[0], kw - 1 - padding[1])
-        )
-    n, c = x_shape[:2]
-    grad_flat = grad_output.reshape(n, c, 1, -1) / (kh * kw)
-    grad_cols = np.broadcast_to(
-        grad_flat, (n, c, kh * kw, grad_flat.shape[-1])
-    ).reshape(n, c * kh * kw, -1)
-    return col2im(np.ascontiguousarray(grad_cols), x_shape, kernel, stride, padding)
+    return box_filter(grad_output, kernel, (kh - 1 - padding[0], kw - 1 - padding[1]))
 
 
 def upsample_nearest_forward(x: np.ndarray, factor: int) -> np.ndarray:

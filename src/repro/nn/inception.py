@@ -89,7 +89,7 @@ class InceptionA(_MultiBranch):
                     _conv(w3, w3, 3, rng),
                 ),
                 Sequential(
-                    AvgPool2d(3, stride=1, padding=1),
+                    AvgPool2d(3, padding=1),
                     _conv(in_channels, w4, 1, rng),
                 ),
             ]
@@ -121,7 +121,7 @@ class InceptionB(_MultiBranch):
                     _conv(w3, w3, (1, 7), rng),
                 ),
                 Sequential(
-                    AvgPool2d(3, stride=1, padding=1),
+                    AvgPool2d(3, padding=1),
                     _conv(in_channels, w4, 1, rng),
                 ),
             ]
@@ -153,7 +153,7 @@ class InceptionC(_MultiBranch):
             [
                 _conv(in_channels, w1, 1, rng),
                 Sequential(
-                    AvgPool2d(3, stride=1, padding=1),
+                    AvgPool2d(3, padding=1),
                     _conv(in_channels, w2, 1, rng),
                 ),
                 Sequential(_conv(in_channels, w3, 1, rng), split_a),

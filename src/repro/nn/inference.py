@@ -5,9 +5,10 @@ every composite forward (``FlexUNet``, ``_MultiBranch``, ``CBAM`` ...)
 unchanged: in a ``Sequential``, ``Conv2d [+ BatchNorm2d] [+ ReLU]`` becomes
 one :class:`PlannedConv` (``Identity`` placeholders keep the source tree's
 op paths); a lone ``BatchNorm2d`` is ``x*s + t``; ``MaxPool2d`` is a max of
-strided views; a stride-1 ``AvgPool2d`` is separable shifted adds; any
-other leaf keeps its own forward on a shallow copy that shares the
-source's :class:`Parameter` objects.  Nothing is cached for a backward.
+strided views; ``AvgPool2d`` is separable shifted adds; any other leaf
+(``ChannelAttention``, ``Linear`` ...) keeps its own forward on a shallow
+copy that shares the source's :class:`Parameter` objects.  Nothing is
+cached for a backward.
 
 Folded tensors are a derived cache of the weights: an op remembers the
 ``Parameter.version`` sum and the BatchNorm buffer objects it folded from,
@@ -83,7 +84,7 @@ class _Folded(_PlannedOp):
 
 
 class PlannedConv(_Folded):
-    """Stride-1 conv [+ BN] [+ ReLU] on folded taps: the training layers'
+    """Conv [+ BN] [+ ReLU] on folded taps: the training layers'
     :func:`~repro.nn.functional.tap_conv`, with staging and scratch in the
     plan's arena; nothing cached."""
 
@@ -142,8 +143,8 @@ class PlannedMaxPool(_PlannedOp):
 
 
 class PlannedAvgPool(_PlannedOp):
-    """Stride-1 average pooling (zero padding counted): the training
-    layer's box filter, with its scratch in the plan's arena."""
+    """Average pooling (zero padding counted): the training layer's box
+    filter, with its scratch in the plan's arena."""
 
     def __init__(self, pool: AvgPool2d, arena: Workspace) -> None:
         self.kernel, self.padding, self._arena = pool.kernel, pool.padding, arena
@@ -211,14 +212,14 @@ class InferencePlan:
         if not isinstance(value, Module):
             return value
         kind = type(value)
-        if kind in (Conv2d, FusedConvBiasReLU) and value.stride == (1, 1):
+        if kind in (Conv2d, FusedConvBiasReLU):
             relu = kind is FusedConvBiasReLU
             return self._leaf(PlannedConv(value, None, relu, self._arena))
         if kind is BatchNorm2d:
             return self._leaf(PlannedNorm(value))
         if kind is MaxPool2d:
             return self._leaf(PlannedMaxPool(value))
-        if kind is AvgPool2d and value.stride == (1, 1):
+        if kind is AvgPool2d:
             return self._leaf(PlannedAvgPool(value, self._arena))
         twin = copy.copy(value)  # shares Parameters; forward caches diverge
         twin.training = False
@@ -237,7 +238,7 @@ class InferencePlan:
         i = 0
         while i < len(modules):
             conv = modules[i]
-            if type(conv) is not Conv2d or conv.stride != (1, 1):
+            if type(conv) is not Conv2d:
                 planned.append(self._plan(conv))
                 i += 1
                 continue

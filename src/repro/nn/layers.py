@@ -10,6 +10,7 @@ from repro.nn.functional import (
     Workspace,
     avgpool2d_backward,
     avgpool2d_forward,
+    check_padding,
     conv2d_backward,
     conv2d_forward,
     maxpool2d_backward,
@@ -34,10 +35,10 @@ def _resolve_padding(padding: int | Pair | str, kernel: Pair) -> Pair:
 class Conv2d(Module):
     """2D convolution with optional bias.
 
-    Stride 1 with padding below the kernel runs the per-tap kernel
-    (:func:`~repro.nn.functional.tap_conv`) and keeps the staged input for
-    the backward; other geometries keep an im2col patch matrix.  The
-    workspace holds one batch size: a new input shape clears it first.
+    Stride 1, padding below the kernel (construction refuses any other):
+    the per-tap kernel (:func:`~repro.nn.functional.tap_conv`), keeping
+    the staged input for the backward.  The workspace holds one batch
+    size: a new input shape clears it first.
     """
 
     def __init__(
@@ -45,7 +46,7 @@ class Conv2d(Module):
         in_channels: int,
         out_channels: int,
         kernel: int | Pair,
-        stride: int | Pair = 1,
+        *,
         padding: int | Pair | str = "same",
         bias: bool = True,
         rng: np.random.Generator | None = None,
@@ -53,8 +54,8 @@ class Conv2d(Module):
         super().__init__()
         rng = construction_rng(rng)
         self.kernel = to_pair(kernel)
-        self.stride = to_pair(stride)
         self.padding = _resolve_padding(padding, self.kernel)
+        check_padding(self.kernel, self.padding)
         kh, kw = self.kernel
         fan_in = in_channels * kh * kw
         self.weight = Parameter(
@@ -75,7 +76,6 @@ class Conv2d(Module):
             x,
             self.weight.data,
             self.bias.data if self.bias is not None else None,
-            self.stride,
             self.padding,
             workspace=self._workspace,
         )
@@ -90,7 +90,6 @@ class Conv2d(Module):
             self._saved,
             self._x_shape,
             self.weight.data,
-            self.stride,
             self.padding,
             with_bias=self.bias is not None,
             workspace=self._workspace,
@@ -117,7 +116,6 @@ class FusedConvBiasReLU(Module):
     def __init__(self, conv: Conv2d) -> None:
         super().__init__()
         self.kernel = conv.kernel
-        self.stride = conv.stride
         self.padding = conv.padding
         self.weight = conv.weight
         self.bias = conv.bias
@@ -133,7 +131,6 @@ class FusedConvBiasReLU(Module):
             x,
             self.weight.data,
             self.bias.data if self.bias is not None else None,
-            self.stride,
             self.padding,
             workspace=self._workspace,
             fuse_relu=True,
@@ -151,7 +148,6 @@ class FusedConvBiasReLU(Module):
             self._saved,
             self._x_shape,
             self.weight.data,
-            self.stride,
             self.padding,
             with_bias=self.bias is not None,
             workspace=self._workspace,
@@ -329,30 +325,28 @@ class MaxPool2d(Module):
 
 
 class AvgPool2d(Module):
-    """Average pooling; supports overlapping windows via explicit stride."""
+    """Stride-1 average pooling (zero padding counted): a box filter.
 
-    def __init__(
-        self,
-        kernel: int | Pair = 2,
-        stride: int | Pair | None = None,
-        padding: int | Pair = 0,
-    ) -> None:
+    Padding must be below the kernel.  It smooths without downsampling,
+    as the Inception pool branches need; downsampling is
+    :class:`MaxPool2d`.
+    """
+
+    def __init__(self, kernel: int | Pair = 2, *, padding: int | Pair = 0) -> None:
         super().__init__()
         self.kernel = to_pair(kernel)
-        self.stride = to_pair(stride) if stride is not None else self.kernel
         self.padding = to_pair(padding)
+        check_padding(self.kernel, self.padding)
         self._x_shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return avgpool2d_forward(x, self.kernel, self.padding, self.stride)
+        return avgpool2d_forward(x, self.kernel, self.padding)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        return avgpool2d_backward(
-            grad_output, self._x_shape, self.kernel, self.padding, self.stride
-        )
+        return avgpool2d_backward(grad_output, self.kernel, self.padding)
 
 
 class GlobalAvgPool(Module):

@@ -16,11 +16,7 @@ from repro.solvers.base import SolveResult, Timer, check_system
 
 
 class DirectSolver:
-    """Sparse-LU solver with factor caching for repeated right-hand sides."""
-
-    def __init__(self) -> None:
-        self._cached_factor = None
-        self._cached_matrix_id: int | None = None
+    """Sparse-LU solver: each solve factors the matrix it is given."""
 
     def solve(
         self,
@@ -28,17 +24,15 @@ class DirectSolver:
         rhs: np.ndarray,
         x0: np.ndarray | None = None,
     ) -> SolveResult:
-        """Factor (or reuse a cached factor) and solve exactly.
+        """Factor and solve exactly.
 
         ``x0`` is accepted for interface compatibility and ignored.
         """
         csr = check_system(matrix, rhs)
         timer = Timer()
-        if self._cached_matrix_id != id(matrix) or self._cached_factor is None:
-            self._cached_factor = splu(csr.tocsc())
-            self._cached_matrix_id = id(matrix)
+        factor = splu(csr.tocsc())
         setup = timer.lap()
-        x = self._cached_factor.solve(rhs)
+        x = factor.solve(rhs)
         solve = timer.lap()
         residual = float(np.linalg.norm(rhs - csr @ x))
         return SolveResult(

@@ -7,10 +7,12 @@ the fixed-order forms live here as the *reference* the tests compare
 against — an einsum grad-weight, a ``W.T @ g`` -> ``col2im`` scatter for
 backward-data, the divide-form BatchNorm forward and its three-reduction
 backward, average pooling as an im2col mean / broadcast + ``col2im``, and
-the 6-D reshape upsample adjoint.  ``_im2col`` / ``_col2im`` are the
-workspace-free branches of the ``src`` primitives, copied so that the
-oracle shares no code with what it checks.  Nothing in ``src/`` calls
-these.
+the 6-D reshape upsample adjoint.  ``_im2col`` / ``_col2im`` are copies
+of the patch-matrix primitives ``repro.nn.functional`` had before it kept
+only stride-1 kernels, so the oracle shares no code with what it checks.
+They take any stride and padding; :func:`subsample` and
+:func:`zero_stuff` turn a stride-1 kernel's output and gradient into the
+strided ones the reference computes.  Nothing in ``src/`` calls these.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-def _output_shape(input_hw, kernel, stride, padding):
+def output_shape(input_hw, kernel, stride, padding):
+    """Spatial output shape of a strided, padded sliding window."""
     (h, w), (kh, kw), (sh, sw), (ph, pw) = input_hw, kernel, stride, padding
     return ((h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
 
@@ -29,7 +32,7 @@ def _im2col(x, kernel, stride, padding):
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    out_h, out_w = _output_shape((h, w), kernel, stride, padding)
+    out_h, out_w = output_shape((h, w), kernel, stride, padding)
     padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     s0, s1, s2, s3 = padded.strides
     windows = as_strided(
@@ -46,7 +49,7 @@ def _col2im(cols, x_shape, kernel, stride, padding):
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    out_h, out_w = _output_shape((h, w), kernel, stride, padding)
+    out_h, out_w = output_shape((h, w), kernel, stride, padding)
     blocks = cols.reshape(n, c, kh, kw, out_h, out_w)
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for i in range(kh):
@@ -55,6 +58,19 @@ def _col2im(cols, x_shape, kernel, stride, padding):
                 blocks[:, :, i, j]
             )
     return padded[:, :, ph : ph + h, pw : pw + w]
+
+
+def subsample(out, stride):
+    """A strided output from a stride-1 one: every stride-th row and column."""
+    return out[:, :, :: stride[0], :: stride[1]]
+
+
+def zero_stuff(grad, stride, shape):
+    """The adjoint of :func:`subsample`: *grad* at every stride-th row and
+    column of a zero array of the stride-1 output's *shape*."""
+    full = np.zeros(shape, dtype=grad.dtype)
+    full[:, :, :: stride[0], :: stride[1]] = grad
+    return full
 
 
 def conv2d_backward(grad_output, x, weight, stride, padding, with_bias=True):
@@ -104,7 +120,7 @@ def avgpool2d_forward(x, kernel, padding=(0, 0), stride=None):
     stride = stride or kernel
     n, c = x.shape[:2]
     cols = _im2col(x, kernel, stride, padding)
-    out_h, out_w = _output_shape(x.shape[2:], kernel, stride, padding)
+    out_h, out_w = output_shape(x.shape[2:], kernel, stride, padding)
     means = cols.reshape(n, c, kh * kw, -1).mean(axis=2)
     return means.reshape(n, c, out_h, out_w)
 

@@ -50,51 +50,3 @@ class TestAccess:
     def test_contains(self, stack):
         assert "a" in stack
         assert "zzz" not in stack
-
-    def test_select_reorders(self, stack):
-        sub = stack.select(["c", "a"])
-        assert sub.channels == ["c", "a"]
-        assert np.array_equal(sub["c"], stack["c"])
-
-    def test_concat(self, stack, rng):
-        other = FeatureStack(["d"], rng.standard_normal((1, 4, 5)))
-        merged = stack.concat(other)
-        assert merged.channels == ["a", "b", "c", "d"]
-        assert merged.num_channels == 4
-
-    def test_concat_shape_mismatch(self, stack):
-        other = FeatureStack(["d"], np.zeros((1, 9, 9)))
-        with pytest.raises(ValueError):
-            stack.concat(other)
-
-
-class TestNormalization:
-    def test_minmax_range(self, stack):
-        normalized = stack.normalized("minmax")
-        for i in range(3):
-            assert normalized.data[i].min() == pytest.approx(0.0)
-            assert normalized.data[i].max() == pytest.approx(1.0)
-
-    def test_zscore_stats(self, stack):
-        normalized = stack.normalized("zscore")
-        for i in range(3):
-            assert normalized.data[i].mean() == pytest.approx(0.0, abs=1e-10)
-            assert normalized.data[i].std() == pytest.approx(1.0)
-
-    def test_constant_channel_maps_to_zero(self):
-        stack = FeatureStack(["flat"], np.full((1, 3, 3), 7.0))
-        assert np.all(stack.normalized("minmax").data == 0.0)
-        assert np.all(stack.normalized("zscore").data == 0.0)
-
-    def test_unknown_mode(self, stack):
-        with pytest.raises(ValueError):
-            stack.normalized("weird")
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, stack):
-        path = tmp_path / "stack.npz"
-        stack.save(path)
-        loaded = FeatureStack.load(path)
-        assert loaded.channels == stack.channels
-        assert np.allclose(loaded.data, stack.data)

@@ -23,10 +23,11 @@ from repro.features.resistance import (
     shortest_path_resistances,
 )
 from repro.grid.netlist import PowerGrid
-from repro.grid.raster import layer_values_image, rasterize
+from repro.grid.raster import layer_values_image
 from repro.grid.topology import connected_components, floating_nodes
 from repro.spice.parser import parse_spice
 from repro.spice.writer import netlist_to_string
+from tests.reference_raster import rasterize
 from tests import reference_features as ref
 
 TOL = 1e-10

@@ -5,8 +5,9 @@ import pytest
 
 from repro.grid.geometry import GridGeometry, default_layer_stack
 from repro.grid.netlist import PowerGrid
-from repro.grid.raster import layer_values_image, rasterize
+from repro.grid.raster import layer_values_image
 from repro.spice.parser import parse_spice
+from tests.reference_raster import rasterize
 
 
 @pytest.fixture()

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse.linalg as sla
 
 from repro.grid.netlist import PowerGrid
-from repro.mna.stamper import build_full_mna, build_reduced_system
+from repro.mna.stamper import build_reduced_system
 from repro.spice.parser import parse_spice
+from tests.reference_mna import build_full_mna
 
 
 class TestReducedSystem:

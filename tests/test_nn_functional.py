@@ -6,9 +6,7 @@ import pytest
 from repro.nn.functional import (
     avgpool2d_backward,
     avgpool2d_forward,
-    col2im,
-    conv_output_shape,
-    im2col,
+    conv2d_forward,
     maxpool2d_backward,
     maxpool2d_forward,
     to_pair,
@@ -30,47 +28,15 @@ class TestToPair:
 
 
 class TestConvOutputShape:
-    def test_same_padding(self):
-        assert conv_output_shape((8, 8), (3, 3), (1, 1), (1, 1)) == (8, 8)
+    def test_same_padding(self, rng):
+        x = rng.standard_normal((1, 2, 8, 8))
+        out, _ = conv2d_forward(x, rng.standard_normal((3, 2, 3, 3)), None, (1, 1))
+        assert out.shape == (1, 3, 8, 8)
 
-    def test_stride(self):
-        assert conv_output_shape((8, 8), (2, 2), (2, 2), (0, 0)) == (4, 4)
-
-    def test_nonpositive_rejected(self):
+    def test_nonpositive_rejected(self, rng):
+        x = rng.standard_normal((1, 1, 2, 2))
         with pytest.raises(ValueError):
-            conv_output_shape((2, 2), (5, 5), (1, 1), (0, 0))
-
-
-class TestIm2Col:
-    def test_shape(self, rng):
-        x = rng.standard_normal((2, 3, 8, 8))
-        cols = im2col(x, (3, 3), (1, 1), (1, 1))
-        assert cols.shape == (2, 27, 64)
-
-    def test_identity_kernel(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4))
-        cols = im2col(x, (1, 1), (1, 1), (0, 0))
-        assert np.allclose(cols.reshape(1, 2, 4, 4), x)
-
-    def test_adjoint_identity(self, rng):
-        """<im2col(x), c> == <x, col2im(c)> — col2im is the exact adjoint."""
-        x = rng.standard_normal((2, 3, 6, 6))
-        kernel, stride, padding = (3, 3), (2, 2), (1, 1)
-        cols = im2col(x, kernel, stride, padding)
-        c = rng.standard_normal(cols.shape)
-        lhs = float((cols * c).sum())
-        rhs = float((x * col2im(c, x.shape, kernel, stride, padding)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_col2im_shape_validation(self, rng):
-        with pytest.raises(ValueError):
-            col2im(
-                rng.standard_normal((1, 9, 9)),
-                (1, 1, 4, 4),
-                (3, 3),
-                (1, 1),
-                (1, 1),
-            )
+            conv2d_forward(x, rng.standard_normal((1, 1, 5, 5)), None, (0, 0))
 
 
 class TestMaxPool:
@@ -100,13 +66,11 @@ class TestAvgPool:
 
     def test_adjoint_identity(self, rng):
         x = rng.standard_normal((2, 2, 6, 6))
-        out = avgpool2d_forward(x, (3, 3), (1, 1), (1, 1))
+        out = avgpool2d_forward(x, (3, 3), (1, 1))
         g = rng.standard_normal(out.shape)
         lhs = float((out * g).sum())
         # forward is linear, so <Ax, g> == <x, A^T g>
-        rhs = float(
-            (x * avgpool2d_backward(g, x.shape, (3, 3), (1, 1), (1, 1))).sum()
-        )
+        rhs = float((x * avgpool2d_backward(g, (3, 3), (1, 1))).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

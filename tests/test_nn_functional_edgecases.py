@@ -1,21 +1,18 @@
-"""Edge-case coverage for the conv hot path: im2col/col2im vs naive loops.
+"""Edge-case coverage for the conv hot path: the per-tap kernel vs naive loops.
 
 The vectorised (and workspace-backed) conv2d_forward/backward must agree
 with a direct sliding-window reference for the awkward geometries the
-happy-path tests never exercise: stride > 1 with uneven padding, even
-kernels, and 1xN / Nx1 kernels.
+happy-path tests never exercise: uneven padding, even kernels, and 1xN /
+Nx1 kernels.  A strided geometry is the stride-1 kernel subsampled, and
+its backward takes the zero-stuffed gradient (``ref.subsample``,
+``ref.zero_stuff``), against the naive strided loops.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.functional import (
-    Workspace,
-    col2im,
-    conv2d_backward,
-    conv2d_forward,
-    im2col,
-)
+from repro.nn.functional import Workspace, conv2d_backward, conv2d_forward
+from tests import reference_conv as ref
 
 #: (kernel, stride, padding) geometries under test.
 GEOMETRIES = [
@@ -103,18 +100,18 @@ class TestConvAgainstNaive:
 
     def test_forward_matches(self, kernel, stride, padding, workspace):
         x, weight, bias = self._setup(kernel, stride, padding)
-        out, _ = conv2d_forward(x, weight, bias, stride, padding, workspace)
+        out, _ = conv2d_forward(x, weight, bias, padding, workspace)
         expected = naive_conv_forward(x, weight, bias, stride, padding)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(ref.subsample(out, stride), expected, atol=1e-12)
 
     def test_backward_matches(self, kernel, stride, padding, workspace):
         x, weight, bias = self._setup(kernel, stride, padding)
-        out, cols = conv2d_forward(x, weight, bias, stride, padding, workspace)
+        out, saved = conv2d_forward(x, weight, bias, padding, workspace)
         rng = np.random.default_rng(7)
-        grad_out = rng.standard_normal(out.shape)
+        grad_out = rng.standard_normal(ref.subsample(out, stride).shape)
         grad_input, grad_weight, grad_bias = conv2d_backward(
-            grad_out, cols, x.shape, weight, stride, padding,
-            with_bias=True, workspace=workspace,
+            ref.zero_stuff(grad_out, stride, out.shape), saved, x.shape, weight,
+            padding, with_bias=True, workspace=workspace,
         )
         exp_input, exp_weight, exp_bias = naive_conv_backward(
             grad_out, x, weight, stride, padding
@@ -124,14 +121,19 @@ class TestConvAgainstNaive:
         np.testing.assert_allclose(grad_bias, exp_bias, atol=1e-12)
 
     def test_im2col_col2im_adjoint(self, kernel, stride, padding, workspace):
-        """<im2col(x), y> == <x, col2im(y)> for random x, y."""
-        x, _, _ = self._setup(kernel, stride, padding)
-        cols = im2col(x, kernel, stride, padding, workspace)
+        """<conv(x), y> == <x, conv^T(y)> for random x, y: the identity
+        im2col/col2im held, now for the input gradient of conv2d_backward
+        against conv2d_forward, at this geometry's stride."""
+        x, weight, _ = self._setup(kernel, stride, padding)
+        out, saved = conv2d_forward(x, weight, None, padding, workspace)
         rng = np.random.default_rng(3)
-        y = rng.standard_normal(cols.shape)
-        lhs = float(np.sum(cols * y))
-        back = col2im(y, x.shape, kernel, stride, padding, workspace)
-        rhs = float(np.sum(x * np.asarray(back)))
+        y = rng.standard_normal(ref.subsample(out, stride).shape)
+        lhs = float(np.sum(ref.subsample(out, stride) * y))
+        back, _, _ = conv2d_backward(
+            ref.zero_stuff(y, stride, out.shape), saved, x.shape, weight,
+            padding, with_bias=False, workspace=workspace,
+        )
+        rhs = float(np.sum(x * back))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -143,11 +145,11 @@ class TestWorkspaceReuse:
         x1 = rng.standard_normal((2, 3, 9, 9))
         x2 = rng.standard_normal((2, 3, 9, 9))
         w = rng.standard_normal((4, 3, 3, 3))
-        fresh1, _ = conv2d_forward(x1, w, None, (2, 2), (1, 0))
-        fresh2, _ = conv2d_forward(x2, w, None, (2, 2), (1, 0))
+        fresh1, _ = conv2d_forward(x1, w, None, (1, 0))
+        fresh2, _ = conv2d_forward(x2, w, None, (1, 0))
         for _ in range(3):
-            out1, _ = conv2d_forward(x1, w, None, (2, 2), (1, 0), ws)
-            out2, _ = conv2d_forward(x2, w, None, (2, 2), (1, 0), ws)
+            out1, _ = conv2d_forward(x1, w, None, (1, 0), ws)
+            out2, _ = conv2d_forward(x2, w, None, (1, 0), ws)
             np.testing.assert_array_equal(out1, fresh1)
             np.testing.assert_array_equal(out2, fresh2)
 
@@ -166,11 +168,3 @@ class TestWorkspaceReuse:
         narrow = ws.request("buf", (4, 4), np.float32)
         wide = ws.request("buf", (4, 4), np.float64)
         assert narrow.dtype == np.float32 and wide.dtype == np.float64
-
-    def test_refill_resets_values(self):
-        ws = Workspace()
-        buf = ws.request("buf", (3,), np.float32, refill=0.0)
-        buf[:] = 7.0
-        again = ws.request("buf", (3,), np.float32, refill=0.0)
-        assert again is buf
-        np.testing.assert_array_equal(again, np.zeros(3))

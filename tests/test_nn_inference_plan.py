@@ -2,7 +2,7 @@
 
 ``_graph_predict`` is what ``Trainer.predict`` did before the plan:
 ``model.eval(); model(x); model.train()`` through the training modules
-(im2col convolutions, per-call BatchNorm affine, argmax pooling).  It is
+(unfolded convolutions, per-call BatchNorm affine, argmax pooling).  It is
 the oracle for every planned kernel; agreement is to rounding, not
 bitwise — folding BatchNorm and accumulating per tap reorder the sums.
 The plan runs in float32, the network's dtype; the graph runs in float32
@@ -32,10 +32,10 @@ from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.features.fusion import channel_names
 from repro.features.maps import FeatureStack
 from repro.models.registry import MODEL_REGISTRY, create_model
-from repro.nn import functional
+from repro.nn.attention import ChannelAttention
 from repro.nn.containers import Sequential
 from repro.nn.inference import InferencePlan, PlannedConv
-from repro.nn.layers import BatchNorm2d, Conv2d
+from repro.nn.layers import BatchNorm2d
 from repro.nn.serialize import save_state
 from repro.obs import counters_delta, metrics_snapshot, trace
 from repro.obs.registry import MODEL_LOAD, SpanName
@@ -143,16 +143,18 @@ def test_fold_patterns_with_and_without_conv_relu_fusion():
 
 
 def test_unplanned_leaves_keep_their_own_forward():
-    """A strided conv has no planned kernel; it runs as itself on the live weights."""
-    model = Sequential(Conv2d(CHANNELS, 4, 3, stride=2, padding=1), BatchNorm2d(4))
+    """Channel attention has no planned kernel; it runs as itself on the
+    live weights."""
+    model = Sequential(BatchNorm2d(CHANNELS), ChannelAttention(CHANNELS, reduction=2))
     _randomise(model, 5)
     plan = InferencePlan(model)
     x = np.random.default_rng(0).normal(size=(2, CHANNELS, 16, 16)).astype(np.float32)
     model.eval()
     assert _relative(plan(x), model(x)) <= TOLERANCE
-    assert type(plan.root.modules[0]) is Conv2d
-    model.modules[0].weight.data *= 2.0
-    model.modules[0].weight.bump_version()
+    leaf = plan.root.modules[1]
+    assert type(leaf) is ChannelAttention and leaf is not model.modules[1]
+    model.modules[1].w1.data *= 2.0
+    model.modules[1].w1.bump_version()
     assert _relative(plan(x), model(x)) <= TOLERANCE
 
 
@@ -252,18 +254,17 @@ def test_predict_leaves_the_training_flag_alone():
 # -- no patch matrix -------------------------------------------------------------
 
 
-def test_ir_fusion_predict_never_builds_a_patch_matrix(monkeypatch):
+def test_ir_fusion_predict_never_builds_a_patch_matrix():
+    """The plan's arena holds only the per-tap kernel's staged rows and
+    accumulators and the box filter's sums: no patch matrix."""
     trainer = _trainer("ir_fusion")
     sample = [_sample((32, 32), 0)]
     want = _graph_predict(trainer, sample)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("im2col on the inference path")
-
-    monkeypatch.setattr(functional, "im2col", forbidden)
     assert _relative(trainer.predict(sample), want) <= TOLERANCE
-    leaves = _leaves(trainer.inference_plan().root)
-    assert any(isinstance(module, PlannedConv) for module in leaves)
+    plan = trainer.inference_plan()
+    names = list(plan._arena._buffers)
+    assert names and all(n.startswith(("stage", "acc", "tap", "sums")) for n in names)
+    assert any(isinstance(module, PlannedConv) for module in _leaves(plan.root))
 
 
 # -- two threads, one model ------------------------------------------------------

@@ -3,13 +3,14 @@
 ``tests/reference_conv.py`` holds the fixed-order kernels float64 training
 ran until PR 22 (einsum grad-weight, ``col2im`` scatter backward-data,
 divide-form BatchNorm, im2col-mean pooling, 6-D reshape upsample
-adjoint).  ``src/`` now has one GEMM form per op for every dtype; this
-file is the referee: float64 agrees to 1e-12 and float32 to 1e-5 of the
-reference's largest magnitude, on every kernel / padding / stride shape
-the models use and the ones that pick the other branch.  Layers hold
-float32 parameters, the network's dtype; a float64 layer-level case widens
-its layer first (``tests.helpers.widen``), since kernels follow their
-inputs' dtype.
+adjoint).  ``src/`` now has one stride-1 kernel per op for every dtype;
+this file is the referee: float64 agrees to 1e-12 and float32 to 1e-5 of
+the reference's largest magnitude, on every kernel / padding shape the
+models use.  A strided reference case checks the stride-1 kernel through
+``ref.subsample`` (forward) and ``ref.zero_stuff`` (backward); padding at
+or above the kernel is refused.  Layers hold float32 parameters, the
+network's dtype; a float64 layer-level case widens its layer first
+(``tests.helpers.widen``), since kernels follow their inputs' dtype.
 """
 
 import numpy as np
@@ -41,6 +42,7 @@ def rel_err(got, want) -> float:
     return float(np.abs(np.asarray(got, dtype=np.float64) - want).max()) / scale
 
 
+#: 1x1's (1, 0) is at the kernel on one axis, so it is refused like 'over'.
 ASYMMETRIC = {
     (1, 1): (1, 0), (3, 3): (1, 0), (5, 5): (2, 1), (7, 7): (3, 1),
     (1, 7): (0, 2), (7, 1): (2, 0), (2, 2): (1, 0),
@@ -53,8 +55,25 @@ def padding_for(kind: str, kernel):
         "zero": (0, 0),
         "same": ((kh - 1) // 2, (kw - 1) // 2),
         "asymmetric": ASYMMETRIC[kernel],
-        "over": kernel,  # padding >= kernel on both axes
+        "over": kernel,  # padding >= kernel on both axes: refused
     }[kind]
+
+
+def refused(kernel, padding) -> bool:
+    """Padding at or above the kernel on either axis."""
+    return padding[0] >= kernel[0] or padding[1] >= kernel[1]
+
+
+def assert_conv_refused(kernel, padding):
+    """Conv2d, conv2d_forward and conv2d_backward reject the padding."""
+    x = np.zeros((1, CHANNELS, *HW))
+    weight = np.zeros((FILTERS, CHANNELS, *kernel))
+    with pytest.raises(ValueError, match="padding"):
+        Conv2d(CHANNELS, FILTERS, kernel, padding=padding)
+    with pytest.raises(ValueError, match="padding"):
+        F.conv2d_forward(x, weight, None, padding)
+    with pytest.raises(ValueError, match="padding"):
+        F.conv2d_backward(x[:, :FILTERS], x, x.shape, weight, padding, True)
 
 
 #: Every kernel with every padding kind; 'same' needs odd kernels.
@@ -64,11 +83,6 @@ CONV_CASES = [
     for kind in ("zero", "same", "asymmetric", "over")
     if kind != "same" or (kernel[0] % 2 and kernel[1] % 2)
 ]
-
-
-def is_correlation(kernel, stride, padding) -> bool:
-    """Stride 1 and padding below the kernel: backward-data is a correlation."""
-    return stride == (1, 1) and padding[0] < kernel[0] and padding[1] < kernel[1]
 
 
 def draw(rng, shape, dtype):
@@ -101,32 +115,29 @@ def no_einsum(monkeypatch):
 @pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["s1", "s2"])
 @pytest.mark.parametrize("kernel,pad_kind", CONV_CASES)
 def test_conv_backward_matches_reference(kernel, pad_kind, stride, dtype, monkeypatch):
+    """The stride-1 kernel, subsampled, against the reference at *stride*;
+    its backward takes the zero-stuffed gradient."""
     padding = padding_for(pad_kind, kernel)
-    correlation = is_correlation(kernel, stride, padding)
-    assert not (pad_kind == "over" and correlation)
+    if refused(kernel, padding):
+        assert_conv_refused(kernel, padding)
+        return
     tol = TOLERANCE[dtype]
     rng = np.random.default_rng(sum(kernel) * 7 + stride[0])
-    gathers, scatters = spy(monkeypatch, "im2col"), spy(monkeypatch, "col2im")
     for n in (1, 3, 8):
         x, x_wide = draw(rng, (n, CHANNELS, *HW), dtype)
         weight, w_wide = draw(rng, (FILTERS, CHANNELS, *kernel), dtype)
-        out_hw = F.conv_output_shape(HW, kernel, stride, padding)
+        full = (n, FILTERS, *ref.output_shape(HW, kernel, (1, 1), padding))
+        out_hw = ref.output_shape(HW, kernel, stride, padding)
         g, g_wide = draw(rng, (n, FILTERS, *out_hw), dtype)
         want = ref.conv2d_backward(g_wide, x_wide, w_wide, stride, padding)
         for workspace in (None, Workspace()):
-            del gathers[:], scatters[:]
-            _, saved = F.conv2d_forward(x, weight, None, stride, padding, workspace)
-            assert bool(gathers) != correlation
-            del gathers[:]
+            _, saved = F.conv2d_forward(x, weight, None, padding, workspace)
             with monkeypatch.context() as patch:
                 no_einsum(patch)
                 got = F.conv2d_backward(
-                    g, saved, x.shape, weight, stride, padding, True, workspace
+                    ref.zero_stuff(g, stride, full), saved, x.shape, weight,
+                    padding, True, workspace,
                 )
-            # A stride-1 conv runs the per-tap kernel both ways; the
-            # backward never gathers patches, whatever the geometry.
-            assert not gathers
-            assert bool(scatters) != correlation
             for name, a, b in zip(("input", "weight", "bias"), got, want):
                 assert a.dtype == dtype, name
                 assert a.shape == b.shape, name
@@ -139,17 +150,15 @@ def test_conv_backward_with_as_many_filters_as_channels(dtype):
     have one shape, so they share one workspace buffer; grad-weight must
     read the input before the gradient is staged over it."""
     rng = np.random.default_rng(37)
-    kernel, stride, padding = (3, 3), (1, 1), (1, 1)
+    kernel, padding = (3, 3), (1, 1)
     workspace = Workspace()
     for n in (1, 3, 8):
         x, x_wide = draw(rng, (n, CHANNELS, *HW), dtype)
         weight, w_wide = draw(rng, (CHANNELS, CHANNELS, *kernel), dtype)
         g, g_wide = draw(rng, (n, CHANNELS, *HW), dtype)
-        want = ref.conv2d_backward(g_wide, x_wide, w_wide, stride, padding)
-        _, saved = F.conv2d_forward(x, weight, None, stride, padding, workspace)
-        got = F.conv2d_backward(
-            g, saved, x.shape, weight, stride, padding, True, workspace
-        )
+        want = ref.conv2d_backward(g_wide, x_wide, w_wide, (1, 1), padding)
+        _, saved = F.conv2d_forward(x, weight, None, padding, workspace)
+        got = F.conv2d_backward(g, saved, x.shape, weight, padding, True, workspace)
         staged = [key for key in workspace._buffers if key.startswith("stage")]
         assert len(staged) == 1, staged
         for name, a, b in zip(("input", "weight", "bias"), got, want):
@@ -162,8 +171,8 @@ def test_conv_backward_without_bias_returns_none():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, CHANNELS, *HW))
     weight = rng.standard_normal((FILTERS, CHANNELS, 3, 3))
-    out, cols = F.conv2d_forward(x, weight, None, (1, 1), (1, 1))
-    grads = F.conv2d_backward(out, cols, x.shape, weight, (1, 1), (1, 1), False)
+    out, saved = F.conv2d_forward(x, weight, None, (1, 1))
+    grads = F.conv2d_backward(out, saved, x.shape, weight, (1, 1), False)
     assert grads[2] is None
 
 
@@ -177,23 +186,28 @@ def test_conv_backward_without_bias_returns_none():
 def test_conv_backward_noncontiguous_grad_output(
     kernel, stride, padding, dtype, use_workspace
 ):
-    """A gradient arriving as a channel slice or a transposed view."""
+    """A gradient arriving as a channel slice or a transposed view (a
+    strided case zero-stuffs it into a Fortran-ordered array)."""
+    if refused(kernel, padding):
+        assert_conv_refused(kernel, padding)
+        return
     rng = np.random.default_rng(11)
     workspace = Workspace() if use_workspace else None
     x, x_wide = draw(rng, (3, CHANNELS, *HW), dtype)
     weight, w_wide = draw(rng, (FILTERS, CHANNELS, *kernel), dtype)
-    out_h, out_w = F.conv_output_shape(HW, kernel, stride, padding)
+    full = (3, FILTERS, *ref.output_shape(HW, kernel, (1, 1), padding))
+    out_h, out_w = ref.output_shape(HW, kernel, stride, padding)
     wide, _ = draw(rng, (3, 2 * FILTERS, out_h, out_w), dtype)
     swapped, _ = draw(rng, (3, FILTERS, out_w, out_h), dtype)
     for g in (wide[:, ::2], swapped.transpose(0, 1, 3, 2)):
-        assert not g.flags.c_contiguous
         want = ref.conv2d_backward(
             np.ascontiguousarray(g, dtype=np.float64), x_wide, w_wide, stride, padding
         )
-        _, cols = F.conv2d_forward(x, weight, None, stride, padding, workspace)
-        got = F.conv2d_backward(
-            g, cols, x.shape, weight, stride, padding, True, workspace
-        )
+        if stride != (1, 1):
+            g = np.asfortranarray(ref.zero_stuff(g, stride, full))
+        assert not g.flags.c_contiguous
+        _, saved = F.conv2d_forward(x, weight, None, padding, workspace)
+        got = F.conv2d_backward(g, saved, x.shape, weight, padding, True, workspace)
         for a, b in zip(got, want):
             assert rel_err(a, b) <= TOLERANCE[dtype]
 
@@ -262,38 +276,52 @@ class TestBatchNorm:
         ((1, 7), (0, 3), (1, 1), True),
         ((5, 3), (2, 0), (1, 1), True),
         ((3, 3), (2, 1), (1, 1), True),
-        ((2, 2), (2, 2), (1, 1), False),  # padding >= kernel: no box adjoint
+        ((2, 2), (2, 2), (1, 1), False),  # padding >= kernel: refused
         ((2, 2), (0, 0), (2, 2), False),
         ((3, 3), (1, 1), (2, 2), False),
         ((2, 2), (0, 0), None, False),  # stride defaults to the kernel
     ],
 )
 def test_avgpool_matches_reference(kernel, padding, stride, boxed, dtype, monkeypatch):
+    """Every pool is the box filter.  A strided reference pool is it
+    subsampled (*boxed* is false) and its adjoint takes the zero-stuffed
+    gradient; padding at or above the kernel is refused."""
+    if refused(kernel, padding):
+        x = np.zeros((1, 3, 10, 12))
+        for call in (
+            lambda: AvgPool2d(kernel, padding=padding),
+            lambda: F.avgpool2d_forward(x, kernel, padding),
+            lambda: F.avgpool2d_backward(x, kernel, padding),
+        ):
+            with pytest.raises(ValueError, match="padding"):
+                call()
+        return
+    step = stride or kernel  # the reference's stride defaults to the kernel
+    assert boxed == (step == (1, 1))
     rng = np.random.default_rng(23)
-    gathers, scatters = spy(monkeypatch, "im2col"), spy(monkeypatch, "col2im")
     boxes = spy(monkeypatch, "box_filter")
     for n in (1, 3, 8):
         x, x_wide = draw(rng, (n, 3, 10, 12), dtype)
-        out = F.avgpool2d_forward(x, kernel, padding, stride)
+        full = F.avgpool2d_forward(x, kernel, padding)
+        out = ref.subsample(full, step)
         want = ref.avgpool2d_forward(x_wide, kernel, padding, stride)
         assert out.dtype == dtype and out.shape == want.shape
         assert rel_err(out, want) <= TOLERANCE[dtype]
         g, g_wide = draw(rng, out.shape, dtype)
-        back = F.avgpool2d_backward(g, x.shape, kernel, padding, stride)
+        back = F.avgpool2d_backward(
+            ref.zero_stuff(g, step, full.shape), kernel, padding
+        )
         want = ref.avgpool2d_backward(g_wide, x.shape, kernel, padding, stride)
         assert back.dtype == dtype and back.shape == x.shape
         assert rel_err(back, want) <= TOLERANCE[dtype]
-    if boxed:
-        assert len(boxes) == 6 and not gathers and not scatters
-    else:
-        assert len(gathers) == 3 and len(scatters) == 3 and not boxes
+    assert len(boxes) == 6
 
 
 def test_planned_avgpool_is_the_training_kernel():
     """One box filter: the plan's op and the layer agree bit for bit."""
     rng = np.random.default_rng(29)
     x = rng.standard_normal((2, 3, 8, 8))
-    layer = AvgPool2d(3, stride=1, padding=1)
+    layer = AvgPool2d(3, padding=1)
     planned = PlannedAvgPool(layer, Workspace())
     np.testing.assert_array_equal(planned(x), layer(x))
     np.testing.assert_array_equal(planned(x), layer(x))  # warm arena

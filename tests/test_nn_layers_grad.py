@@ -38,10 +38,13 @@ class TestConvLayers:
     def test_conv_asymmetric_kernel(self, x, rng):
         check_input_gradient(Conv2d(3, 2, (1, 7), rng=rng), x, rng)
 
-    def test_conv_stride2(self, x, rng):
-        check_input_gradient(
-            Conv2d(3, 2, 2, stride=2, padding=0, rng=rng), x, rng
-        )
+    def test_conv_stride2(self, rng):
+        """No layer takes a stride: every conv and average pool is stride
+        1, and downsampling is MaxPool2d."""
+        with pytest.raises(TypeError):
+            Conv2d(3, 2, 2, stride=2, padding=0, rng=rng)
+        with pytest.raises(TypeError):
+            AvgPool2d(2, stride=2)
 
     def test_conv_no_bias(self, x, rng):
         layer = Conv2d(3, 2, 3, bias=False, rng=rng)
@@ -98,7 +101,7 @@ class TestPoolingLayers:
         check_input_gradient(MaxPool2d(2), x, rng)
 
     def test_avgpool_grad(self, x, rng):
-        check_input_gradient(AvgPool2d(3, stride=1, padding=1), x, rng)
+        check_input_gradient(AvgPool2d(3, padding=1), x, rng)
 
     def test_global_avg_grad(self, x, rng):
         check_input_gradient(GlobalAvgPool(), x, rng)
