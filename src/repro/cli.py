@@ -408,12 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args = build_parser().parse_args(argv)
     # Imported here so `repro --help` stays instant.
-    from repro.analysis.racecheck import install_from_env as _install_racecheck
     from repro.solvers.guard import SolverFailure
     from repro.spice.parser import SpiceParseError
     from repro.spice.validate import NetlistValidationError
 
-    _install_racecheck()
     try:
         return _dispatch(args)
     except SolverFailure as exc:

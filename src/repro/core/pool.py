@@ -268,11 +268,6 @@ def _dump_result(payload: dict) -> bytes:
 def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
     """Worker loop: receive job payloads and tasks, send acks and results."""
     os.environ[WORKER_ENV] = "1"
-    # Race sanitizer coverage extends into workers: spawn children do
-    # not run the CLI entry point, so re-arm from the env var here.
-    from repro.analysis.racecheck import install_from_env
-
-    install_from_env()
     send_lock = threading.Lock()
 
     def send(message) -> bool:

@@ -40,11 +40,6 @@ from repro.nn.module import Module, _collect
 from repro.obs import counter_add
 from repro.obs.registry import NN_PLAN_BUILDS, NN_PLAN_REFOLDS
 
-#: Makes each plan's run lock; ``racecheck.install`` swaps in a factory of
-#: tracked locks so plan runs take part in lock-order checking.
-_new_run_lock = threading.Lock
-
-
 class _PlannedOp(Module):
     """A leaf of the planned tree: forward only, always in eval mode."""
 
@@ -165,7 +160,7 @@ class InferencePlan:
         self._folded: list[_Folded] = []
         self.num_ops = 0
         self._shape: tuple | None = None
-        self._lock = _new_run_lock()
+        self._lock = threading.Lock()
         #: The planned tree; its leaf paths equal the source model's.
         self.root = self._plan(model)
         counter_add(NN_PLAN_BUILDS)
@@ -174,7 +169,7 @@ class InferencePlan:
         return {**self.__dict__, "_lock": None}  # and the arena ships empty
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _lock=_new_run_lock())
+        self.__dict__.update(state, _lock=threading.Lock())
 
     @property
     def buffer_bytes(self) -> int:

@@ -4,7 +4,7 @@ Batch analysis (:mod:`repro.core.batch`) amortises model-load and AMG
 setup cost *within* one invocation; this package amortises it *across*
 invocations.  ``python -m repro.serve --model-dir runs/models`` starts a
 long-lived HTTP/JSON daemon that runs every request in-process, on its
-executor threads, behind two warm layers that each remove a cold start
+one executor thread, behind two warm layers that each remove a cold start
 from the request path:
 
 - the **model registry** (:mod:`repro.serve.registry`) loads every

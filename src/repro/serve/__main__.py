@@ -35,12 +35,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="executor threads (1 keeps AMG-cache accounting deterministic)",
-    )
-    parser.add_argument(
         "--queue-limit",
         type=int,
         default=8,
@@ -75,7 +69,6 @@ def run(args: argparse.Namespace) -> int:
     # Options first: a bad flag is reported before any model loads.
     try:
         options = ServeOptions(
-            workers=args.workers,
             queue_limit=args.queue_limit,
             default_deadline=args.default_deadline,
             trace_dir=args.trace_dir,

@@ -6,7 +6,7 @@ layer is a thin JSON adapter over :class:`~repro.serve.service.AnalysisService`
 rather than a web-framework dependency.  ``ThreadingHTTPServer`` gives
 one thread per connection, which is exactly right here — handlers only
 parse JSON and block on job events; all heavy work happens on the
-service's executor threads behind admission control.
+service's one executor thread behind admission control.
 
 Endpoints
 ---------
@@ -148,6 +148,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would wait for the client to hang up, and with
+            # no usable length the body's end is unknown: close after replying.
+            self.close_connection = True
             self._send_json(
                 400, {"error": "bad_request", "message": "bad Content-Length"}
             )
@@ -190,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(503, {"error": "draining", "message": str(exc)})
             return
 
-        if isinstance(payload, dict) and payload.get("async"):
+        if request.asynchronous:
             self._send_json(
                 202,
                 {

@@ -89,10 +89,6 @@ class ModelRegistry:
         self._lock = threading.Lock()
         self._entries: dict[str, ModelEntry] = {}
 
-    @property
-    def model_dir(self) -> str:
-        return self._dir
-
     # -- discovery -------------------------------------------------------------
 
     def discover(self) -> list[str]:

@@ -3,8 +3,8 @@
 The service is the HTTP-free core of ``repro.serve``: it validates
 request payloads (:class:`AnalyzeRequest`), admits them into a bounded
 queue (:meth:`AnalysisService.submit` — full queue and draining are
-typed rejections, never silent drops), and runs them on a small fixed
-set of executor threads against the warm
+typed rejections, never silent drops), and runs them one at a time on
+one executor thread against the warm
 :class:`~repro.serve.registry.ModelRegistry`.
 
 Each request runs in-process, on the executor thread itself, so every
@@ -93,9 +93,11 @@ class ServeOptions:
     """Daemon-level knobs (one instance for the service's lifetime).
 
     workers:
-        Executor threads.  The default of 1 serialises execution, which
-        keeps the shared AMG setup cache's hit accounting deterministic:
-        N identical queued decks report exactly 1 miss + N-1 hits.
+        Executor threads; only ``1`` is accepted.  Requests run one at a
+        time, so N identical queued decks report exactly 1 AMG setup
+        miss + N-1 hits.  A second executor measured slower, not faster:
+        the inference plan runs one forward at a time and the GIL
+        serialises the rest (docs/serving.md).
     queue_limit:
         Maximum *queued* (not yet running) jobs before admission control
         returns ``queue_full``.
@@ -114,8 +116,8 @@ class ServeOptions:
     trace_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: the daemon runs one executor")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.default_deadline is not None and not (
@@ -134,6 +136,8 @@ class AnalyzeRequest:
     mode: str = "static"
     deadline_seconds: float | None = None
     trace: str = "none"
+    #: Reply ``202`` with a job id instead of waiting for the result.
+    asynchronous: bool = False
 
     @classmethod
     def from_payload(cls, payload) -> "AnalyzeRequest":
@@ -169,6 +173,9 @@ class AnalyzeRequest:
 
         deadline = payload.get("deadline_seconds")
         if deadline is not None:
+            # float(True) is 1.0, but `true` is not a one-second budget.
+            if isinstance(deadline, bool):
+                raise RequestError("'deadline_seconds' must be a number")
             try:
                 deadline = float(deadline)
             except (TypeError, ValueError):
@@ -186,6 +193,10 @@ class AnalyzeRequest:
                 f"unknown trace mode {trace_mode!r}; expected one of "
                 f"{_TRACE_MODES}"
             )
+
+        asynchronous = payload.get("async", False)
+        if not isinstance(asynchronous, bool):
+            raise RequestError("'async' must be true or false")
         return cls(
             netlist=netlist,
             netlist_path=netlist_path,
@@ -193,6 +204,7 @@ class AnalyzeRequest:
             mode=mode,
             deadline_seconds=deadline,
             trace=trace_mode,
+            asynchronous=asynchronous,
         )
 
 
@@ -275,7 +287,7 @@ class AnalysisService:
         self._queue: deque[Job] = deque()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._active = 0
         self._started = False
         self._draining = False
@@ -284,7 +296,7 @@ class AnalysisService:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Warm the registry and spin up executor threads (idempotent).
+        """Warm the registry and start the executor thread (idempotent).
 
         Every discovered model loads *before* the service accepts work:
         a daemon that cannot serve its advertised models should fail at
@@ -298,22 +310,13 @@ class AnalysisService:
             if self._started:
                 return
             self._started = True
-        for index in range(self.options.workers):
-            thread = threading.Thread(
-                target=self._work,
-                name=f"serve-exec-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    @property
-    def draining(self) -> bool:
-        with self._cond:
-            return self._draining or self._stopped
+        self._thread = threading.Thread(
+            target=self._work, name="serve-exec", daemon=True
+        )
+        self._thread.start()
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Stop admitting, finish queued + running work, stop executors.
+        """Stop admitting, finish queued + running work, stop the executor.
 
         Returns True when every admitted job completed within *timeout*;
         jobs still queued when the budget expires are failed with a
@@ -337,8 +340,8 @@ class AnalysisService:
                 job.done.set()
             gauge_set(SERVE_QUEUE_DEPTH, 0)
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
         return drained
 
     # -- admission -------------------------------------------------------------
@@ -396,7 +399,6 @@ class AnalysisService:
                 "queue_depth": len(self._queue),
                 "queue_limit": self.options.queue_limit,
                 "active": self._active,
-                "workers": len(self._threads),
                 "draining": self._draining or self._stopped,
                 "jobs": states,
             }
@@ -450,9 +452,7 @@ class AnalysisService:
             return
 
         metrics = counters_delta(before)
-        # This request's own cache lookups, read off its trace: a
-        # process-wide counter delta would also count requests running
-        # on other executors.
+        # This request's own cache lookups, read off its trace.
         setups = [
             span.attrs for span in root.iter_spans() if span.name == AMG_SETUP.name
         ]

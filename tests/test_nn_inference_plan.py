@@ -8,9 +8,6 @@ bitwise — folding BatchNorm and accumulating per tap reorder the sums.
 The plan runs in float32, the network's dtype; the graph runs in float32
 too, or in float64 on a widened copy of the model (``fp64`` ids), and
 both agree with the plan to 1e-5 of the largest magnitude.
-
-Run with ``REPRO_RACE_CHECK=strict`` the module installs the race checker
-first, so every plan built here runs under a tracked lock.
 """
 
 import copy
@@ -22,7 +19,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.racecheck import install_from_env
 from repro.core.batch import BatchAnalyzer, _PipelineTask
 from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
@@ -47,11 +43,6 @@ CHANNELS = 5
 TOLERANCE = 1e-5
 DTYPES = [np.float64, np.float32]
 IDS = ["fp64", "fp32"]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _race_checker():
-    install_from_env()
 
 
 def _randomise(model, seed):

@@ -6,13 +6,8 @@ the reference for which neighbour every node is matched with.  The
 reference for the level relaxations is ``reference_smoothers.gauss_seidel``
 / ``jacobi`` (beside this file), which still derive everything from the
 matrix on every call.
-
-Run with ``REPRO_RACE_CHECK=strict`` the module installs the race checker
-first, so the threaded first-use test runs over tracked locks.
 """
 
-import os
-import subprocess
 import sys
 import threading
 
@@ -21,7 +16,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis.racecheck import ENV_VAR, install_from_env
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.mna.stamper import build_reduced_system
 from repro.obs import counters_delta, metrics_snapshot
@@ -33,11 +27,6 @@ from repro.solvers.cache import clear_setup_cache, global_setup_cache
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
 from repro.solvers.smoothers import RELAXATIONS
 from tests.reference_smoothers import gauss_seidel, jacobi
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _race_checker():
-    install_from_env()
 
 
 def _loop_aggregate(matrix, strength_threshold):
@@ -298,17 +287,3 @@ class TestConcurrentFirstUse:
         # Racing get_or_build calls may build spare hierarchies; only the
         # winner's relaxations are ever requested.
         assert _builds(before) == len(relaxations)
-
-    @pytest.mark.skipif(
-        os.environ.get(ENV_VAR, "") not in ("", "0"),
-        reason="already running under the race checker",
-    )
-    def test_first_use_is_clean_under_the_strict_race_checker(self):
-        env = dict(os.environ, **{ENV_VAR: "strict"})
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             f"{__file__}::TestConcurrentFirstUse::"
-             "test_eight_threads_share_one_relaxation_and_agree_bitwise"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )  # fmt: skip
-        assert done.returncode == 0, done.stdout + done.stderr
