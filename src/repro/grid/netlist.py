@@ -151,8 +151,9 @@ class PowerGrid:
     them freely; write only through :meth:`pin_pad`, :meth:`unpin_pad` and
     :meth:`set_load`.
 
-    What depends on the grid alone (its validation, stamped system,
-    structural features, golden solution) is computed once per grid state
+    What depends on the grid alone (its validation, stamped system, layer
+    list and per-layer pixel index, structural features, golden solution)
+    is computed once per grid state
     through :meth:`memo`.  Each mutator starts an empty memo; :meth:`clone`
     and pickling carry none.
     """
@@ -399,7 +400,12 @@ class PowerGrid:
 
     def layers_present(self) -> list[int]:
         """Sorted metal-layer indices that have at least one structured node."""
-        return np.unique(self._coords[1, self._structured]).tolist()
+        return list(
+            self.memo(
+                "layers_present",
+                lambda: tuple(np.unique(self._coords[1, self._structured]).tolist()),
+            )
+        )
 
     def nodes_on_layer(self, layer: int) -> list[PGNode]:
         """Structured nodes on a given metal layer."""

@@ -41,23 +41,61 @@ def scatter_to_image(
     fill: float = 0.0,
 ) -> np.ndarray:
     """Scatter ``values[k]`` to pixel ``(rows[k], cols[k])`` with a reduction."""
+    n_rows, n_cols = shape
+    flat = rows * n_cols + cols
+    counts = np.bincount(flat, minlength=n_rows * n_cols)
+    return _scatter(shape, flat, counts == 0, values, reduce, fill, counts)
+
+
+def _scatter(
+    shape: tuple[int, int],
+    flat: np.ndarray,
+    empty: np.ndarray,
+    values: np.ndarray,
+    reduce: str,
+    fill: float,
+    counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reduce ``values`` into the row-major pixels ``flat``; *empty* get *fill*."""
     if reduce not in _REDUCTIONS:
         raise ValueError(f"unknown reduction {reduce!r}")
-    n_rows, n_cols = shape
-    size = n_rows * n_cols
-    flat = rows * n_cols + cols
-    counts = np.bincount(flat, minlength=size)
+    size = empty.size
     if reduce == "max":
         image = np.full(size, -np.inf, dtype=float)
         np.fmax.at(image, flat, values)
     else:
         image = np.bincount(flat, weights=values, minlength=size).astype(float)
-    empty = counts == 0
     if reduce == "mean":
+        if counts is None:
+            counts = np.bincount(flat, minlength=size)
         occupied = ~empty
         image[occupied] /= counts[occupied]
     image[empty] = fill
     return image.reshape(shape)
+
+
+def _layer_pixels(
+    geometry: GridGeometry, grid: PowerGrid, layer: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(selected, flat, empty)`` for one layer, once per grid state.
+
+    *selected* masks the layer's structured nodes, *flat* is each selected
+    node's row-major pixel and *empty* masks the pixels no node lands on.
+    The arrays live in the grid's memo, so they refuse writes.
+    """
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x, y, layers, structured = grid.node_arrays()
+        selected = structured & (layers == layer)
+        rows, cols = pixel_coords(geometry, x[selected], y[selected])
+        n_rows, n_cols = geometry.shape
+        flat = rows * n_cols + cols
+        empty = np.bincount(flat, minlength=n_rows * n_cols) == 0
+        for array in (selected, flat, empty):
+            array.flags.writeable = False
+        return selected, flat, empty
+
+    return grid.memo(("layer_pixels", geometry, layer), build)
 
 
 def layer_values_image(
@@ -68,20 +106,17 @@ def layer_values_image(
     reduce: str = "max",
     fill: float = 0.0,
 ) -> np.ndarray:
-    """Image of a per-grid-node vector restricted to one metal layer."""
+    """Image of a per-grid-node vector restricted to one metal layer.
+
+    The same scatter as :func:`scatter_to_image`, with the node selection
+    and pixel index taken from the grid's memo: a repeat on an unedited
+    grid pays only for gathering the values and reducing them.
+    """
     if full_values.shape != (grid.num_nodes,):
         raise ValueError(
             f"expected one value per grid node ({grid.num_nodes}), "
             f"got shape {full_values.shape}"
         )
-    x, y, layers, structured = grid.node_arrays()
-    selected = structured & (layers == layer)
-    rows, cols = pixel_coords(geometry, x[selected], y[selected])
-    return scatter_to_image(
-        geometry.shape,
-        rows,
-        cols,
-        np.asarray(full_values, dtype=float)[selected],
-        reduce=reduce,
-        fill=fill,
-    )
+    selected, flat, empty = _layer_pixels(geometry, grid, layer)
+    values = np.asarray(full_values, dtype=float)[selected]
+    return _scatter(geometry.shape, flat, empty, values, reduce, fill)

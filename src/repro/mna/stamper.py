@@ -113,22 +113,27 @@ def stamped_system(grid: PowerGrid) -> ReducedSystem:
     """:func:`build_reduced_system` of *grid*, stamped once per grid state.
 
     The arrays are shared by every caller until the grid is next edited,
-    so they refuse writes; each call gets its own copy of the pad map.
-    Connectivity is the caller's to check first; a system to delta-stamp
-    in place is :meth:`ReducedSystem.mutable_copy`.
+    so they refuse writes, and the system carries its matrix fingerprint,
+    hashed once here instead of on every AMG setup-cache lookup; each call
+    gets its own copy of the pad map.  Connectivity is the caller's to
+    check first; a system to delta-stamp in place is
+    :meth:`ReducedSystem.mutable_copy`.
     """
     system = grid.memo("reduced_system", lambda: _frozen_stamp(grid))
     return replace(system, pad_voltages=dict(system.pad_voltages))
 
 
 def _frozen_stamp(grid: PowerGrid) -> ReducedSystem:
+    # Deferred: repro.solvers imports this module.
+    from repro.solvers.cache import matrix_fingerprint
+
     system = build_reduced_system(grid, validate=False)
     matrix = system.matrix
     for array in (
         matrix.data, matrix.indices, matrix.indptr, system.rhs, system.unknown_indices
     ):
         array.flags.writeable = False
-    return system
+    return replace(system, fingerprint=matrix_fingerprint(matrix))
 
 
 # ---------------------------------------------------------------------------

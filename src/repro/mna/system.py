@@ -29,6 +29,11 @@ class ReducedSystem:
         ``{grid_node_index: volts}`` for eliminated pad nodes.
     num_grid_nodes:
         Total node count of the originating grid (for scattering back).
+    fingerprint:
+        :func:`~repro.solvers.cache.matrix_fingerprint` of ``matrix``,
+        the AMG setup cache's key.  Only a grid's memoised stamp, whose
+        matrix refuses writes, carries one; it is ``None`` on a system
+        whose matrix may change, which is hashed on each lookup.
     """
 
     matrix: sp.csr_matrix
@@ -36,6 +41,7 @@ class ReducedSystem:
     unknown_indices: np.ndarray
     pad_voltages: dict[int, float]
     num_grid_nodes: int
+    fingerprint: str | None = None
 
     @property
     def size(self) -> int:
@@ -67,7 +73,7 @@ class ReducedSystem:
         The CSR matrix and RHS are copied (the arrays delta stamping
         mutates); index arrays and pad voltages are shared — the
         incremental engine never changes the unknown set without a full
-        rebuild.
+        rebuild.  The copy carries no fingerprint: its matrix may change.
         """
         return ReducedSystem(
             matrix=self.matrix.copy(),

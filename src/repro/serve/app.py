@@ -67,6 +67,10 @@ class _Handler(BaseHTTPRequestHandler):
     # re-takes the GIL, which a busy executor thread holds for up to the
     # switch interval.
     wbufsize = 1 << 16
+    # Seconds one socket read or write may stall before the connection is
+    # dropped: a client that announces more body than it sends, or idles
+    # on a keep-alive connection, frees its thread after this long.
+    timeout = 10.0
 
     def handle_expect_100(self) -> bool:
         # The interim "100 Continue" must leave before the body is read.

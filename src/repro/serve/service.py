@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -173,19 +174,16 @@ class AnalyzeRequest:
 
         deadline = payload.get("deadline_seconds")
         if deadline is not None:
-            # float(True) is 1.0, but `true` is not a one-second budget.
-            if isinstance(deadline, bool):
+            # A JSON number only: float() would take `true` as 1 s and
+            # the string "30" as 30 s.
+            if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
                 raise RequestError("'deadline_seconds' must be a number")
-            try:
-                deadline = float(deadline)
-            except (TypeError, ValueError):
-                raise RequestError(
-                    "'deadline_seconds' must be a number"
-                ) from None
-            if not 0 < deadline < math.inf:
+            # The upper bound also refuses an integer too large for a float.
+            if not 0 < deadline <= sys.float_info.max:
                 raise RequestError(
                     "'deadline_seconds' must be a finite number > 0"
                 )
+            deadline = float(deadline)
 
         trace_mode = payload.get("trace", "none")
         if trace_mode not in _TRACE_MODES:

@@ -69,13 +69,19 @@ class AMGPCGSolver:
         """Whether the most recent :meth:`setup` reused a cached hierarchy."""
         return self._last_setup_was_hit
 
-    def setup(self, matrix: sp.spmatrix) -> CyclePreconditioner:
+    def setup(
+        self, matrix: sp.spmatrix, fingerprint: str | None = None
+    ) -> CyclePreconditioner:
         """Run (or reuse) the AMG setup stage for *matrix*.
+
+        *fingerprint* is the matrix's setup-cache key when the caller
+        already holds it (see :meth:`AMGSetupCache.get_or_build`).
 
         ``SolveResult.setup_seconds`` accounting contract: only the cost
         of *this* call is recorded.  A same-object reuse costs (and
         therefore reports) zero; a fingerprint-cache hit reports just
-        the hash-and-lookup time, never the original build cost.
+        the hash-and-lookup time (the lookup alone when *fingerprint* is
+        given), never the original build cost.
         """
         if (
             self._cached_matrix is matrix
@@ -86,7 +92,8 @@ class AMGPCGSolver:
             return self._cached_preconditioner
         with span(AMG_SETUP) as setup_span:
             hierarchy, hit = global_setup_cache().get_or_build(
-                matrix, self.amg_options, setup_span=setup_span
+                matrix, self.amg_options, setup_span=setup_span,
+                fingerprint=fingerprint,
             )
             setup_span.attrs["cache_hit"] = hit
             if not hit:
@@ -109,9 +116,10 @@ class AMGPCGSolver:
         rhs: np.ndarray,
         x0: np.ndarray | None = None,
         guard: IterationGuard | None = None,
+        fingerprint: str | None = None,
     ) -> SolveResult:
         csr = check_system(matrix, rhs)
-        preconditioner = self.setup(matrix)
+        preconditioner = self.setup(matrix, fingerprint)
         with span(PCG, solver="amg_pcg"):
             result = _pcg(
                 csr,

@@ -11,7 +11,9 @@ function of ``(matrix, AMGOptions)``.
 
 This module keys hierarchies by a *content fingerprint* of the matrix
 (shape + CSR structure + values, hashed with BLAKE2b) plus the frozen
-:class:`~repro.solvers.amg.AMGOptions`.  A cache hit returns the exact
+:class:`~repro.solvers.amg.AMGOptions`.  A grid's memoised stamp carries
+its fingerprint, hashed once per grid state; any other matrix is hashed
+on each lookup.  A cache hit returns the exact
 hierarchy object built before, so the preconditioner — and therefore the
 PCG iterate stream — is **bitwise identical** to an uncached run.
 
@@ -104,6 +106,7 @@ class AMGSetupCache:
         matrix: sp.spmatrix,
         options: AMGOptions,
         setup_span: Span | None = None,
+        fingerprint: str | None = None,
     ) -> tuple[AMGHierarchy, bool]:
         """The hierarchy for *matrix* under *options*; builds on first use.
 
@@ -111,11 +114,17 @@ class AMGSetupCache:
         lock so concurrent threads are not serialised on setup; a racing
         duplicate build is resolved first-writer-wins.
 
+        *fingerprint* is ``matrix_fingerprint(matrix)`` when the caller
+        already holds it (a memoised, read-only stamp); without one the
+        matrix is hashed here.
+
         A lookup that evicts entries records how many as the
         ``cache_evictions`` attr of *setup_span* (the caller's
         ``amg_setup`` span), so a trace carries its own cache movement.
         """
-        key = (matrix_fingerprint(matrix), options)
+        if fingerprint is None:
+            fingerprint = matrix_fingerprint(matrix)
+        key = (fingerprint, options)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:

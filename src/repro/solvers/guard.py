@@ -271,13 +271,15 @@ class FallbackCascade:
         matrix: sp.spmatrix,
         rhs: np.ndarray,
         x0: np.ndarray | None = None,
+        fingerprint: str | None = None,
     ) -> tuple[SolveResult, SolverDiagnostics]:
         """Solve with automatic degradation; never returns a broken iterate.
 
         Returns the first healthy :class:`SolveResult` plus the diagnostics
         of every attempt made.  Raises :class:`SolverFailure` only when the
         final direct stage also fails (e.g. an exactly singular matrix that
-        upstream repair did not catch).
+        upstream repair did not catch).  *fingerprint*, the matrix's AMG
+        setup-cache key when the caller holds it, goes to the AMG stages.
         """
         diagnostics = SolverDiagnostics()
         stages = self._stages()
@@ -310,8 +312,12 @@ class FallbackCascade:
                     solver = factory()
                     if name == "direct":
                         result = solver.solve(matrix, rhs, x0=x0)
-                    else:
+                    elif name == "jacobi_pcg":
                         result = solver.solve(matrix, rhs, x0=x0, guard=guard)
+                    else:
+                        result = solver.solve(
+                            matrix, rhs, x0=x0, guard=guard, fingerprint=fingerprint
+                        )
                 except Exception as exc:  # noqa: BLE001 — any stage error degrades
                     attempt_span.close()
                     attempt_span.attrs["outcome"] = "error"

@@ -179,8 +179,8 @@ class PowerRushSimulator:
 
         When *supply_voltage* is omitted it is taken from the pads (which
         must then agree on a single level).  The validation report and the
-        stamped system come from the grid's memo: a repeat on an unedited
-        grid pays only for the solve.
+        stamped system, with its setup-cache fingerprint, come from the
+        grid's memo: a repeat on an unedited grid pays only for the solve.
         """
         if supply_voltage is None:
             supply_voltage = grid.supply_voltage()
@@ -206,7 +206,7 @@ class PowerRushSimulator:
             fault_hook=self.fault_hook,
         )
         result, diagnostics.solver = cascade.solve(
-            system.matrix, system.rhs, x0=flat_guess
+            system.matrix, system.rhs, x0=flat_guess, fingerprint=system.fingerprint
         )
         diagnostics.solver_cache = setup_cache_stats().delta(cache_before)
 

@@ -30,6 +30,7 @@ from repro.core.config import FusionConfig
 from repro.core.pipeline import IRFusionPipeline
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.obs.export import validate_trace_lines
+from repro.serve import app as serve_app
 from repro.serve import service as service_module
 from repro.serve import (
     AnalyzeRequest,
@@ -387,6 +388,7 @@ class TestAdmission:
             {"netlist": deck, "frobnicate": True},  # unknown field
             {"netlist": deck, "async": "false"},  # a string, not a boolean
             {"netlist": deck, "deadline_seconds": True},  # not a 1 s budget
+            {"netlist": deck, "deadline_seconds": "30"},  # a string, not a number
         ]
         for payload in cases:
             status, body = _post(daemon, payload)
@@ -412,6 +414,31 @@ class TestAdmission:
                 headers[name.lower()] = value.strip()
             body = json.loads(reply.read(int(headers["content-length"])))
         assert body["error"] == "bad_request"
+
+    def test_stalled_body_is_dropped_after_the_read_timeout(
+        self, daemon, deck, monkeypatch
+    ):
+        assert 0 < serve_app._Handler.timeout <= 10
+        monkeypatch.setattr(serve_app._Handler, "timeout", 0.5)
+        _, port = daemon.address
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        with sock:
+            # Announce 100 bytes, send 2, keep the connection open.
+            sock.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n{}"
+            )
+            start = time.monotonic()
+            try:
+                reply = sock.recv(1)
+            except ConnectionResetError:
+                reply = b""
+            elapsed = time.monotonic() - start
+        assert reply == b"", "the server answered a request it never received"
+        assert elapsed < 0.5 + 2.0
+        status, body = _post(daemon, {"netlist": deck})
+        assert status == 200 and body["state"] == "done"
 
     def test_unknown_model_is_404_and_unknown_job_is_404(self, daemon, deck):
         status, body = _post(daemon, {"netlist": deck, "model": "missing"})
@@ -500,9 +527,19 @@ class TestRequestSchema:
         with pytest.raises(RequestError):
             AnalyzeRequest.from_payload(["not", "an", "object"])
 
-    @pytest.mark.parametrize("deadline", [float("nan"), "nan", float("inf")])
+    @pytest.mark.parametrize(
+        "deadline",
+        [float("nan"), float("inf"), pytest.param(10**400, id="huge_int")],
+    )
     def test_from_payload_rejects_non_finite_deadline(self, deadline):
         with pytest.raises(RequestError, match="finite"):
+            AnalyzeRequest.from_payload(
+                {"netlist": "* deck", "deadline_seconds": deadline}
+            )
+
+    @pytest.mark.parametrize("deadline", ["nan", "30", [30], {"s": 30}, True])
+    def test_from_payload_rejects_non_number_deadline(self, deadline):
+        with pytest.raises(RequestError, match="'deadline_seconds' must be a number"):
             AnalyzeRequest.from_payload(
                 {"netlist": "* deck", "deadline_seconds": deadline}
             )
