@@ -194,8 +194,11 @@ def _batch_error_code(error: str) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     with _span(IMPORTS):
+        from repro.core.batch import check_controls
         from repro.core.pipeline import IRFusionPipeline
 
+    # Refused before any deck runs, with one deck or many.
+    check_controls(args.task_timeout, args.retries, args.deadline)
     pipeline = IRFusionPipeline.from_model_file(
         args.model, jobs=args.jobs
     )

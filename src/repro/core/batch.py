@@ -5,9 +5,11 @@ feature extraction) across the persistent spawn-safe worker pool in
 :mod:`repro.core.pool`:
 
 - **spawn-safe**: the pool parallelizes correctly from non-main threads;
-- **supervised**: crashed workers are respawned and their items retried
-  with backoff, hung items are killed at ``task_timeout``, and repeat
-  offenders are quarantined with a structured record (see
+  concurrent callers share it one batch at a time;
+- **supervised in the caller**: the calling thread runs its batch's
+  supervision loop, so crashed workers are respawned and their items
+  retried with backoff, hung items are killed at ``task_timeout``, and
+  repeat offenders are quarantined with a structured record (see
   :mod:`repro.core.pool`);
 - **deadline-bound**: a whole-batch ``deadline`` quarantines every item
   unfinished when it expires, on either engine;
@@ -133,6 +135,18 @@ def _serial_map(
             )
         outcomes.append(outcome)
     return outcomes
+
+
+def check_controls(
+    task_timeout: float | None, retries: int, deadline: float | None
+) -> None:
+    """Refuse a budget that is not a number > 0, or a negative retry count."""
+    for name, value in (("task_timeout", task_timeout), ("deadline", deadline)):
+        # ``not value > 0`` also refuses NaN.
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be a number > 0, got {value}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
 
 
 def _chaos_plan():
@@ -414,12 +428,7 @@ class BatchAnalyzer:
         self.jobs = int(jobs if jobs is not None else pipeline.config.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        for name, value in (("task_timeout", task_timeout), ("deadline", deadline)):
-            # ``not value > 0`` also refuses NaN.
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be a number > 0, got {value}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        check_controls(task_timeout, retries, deadline)
         self.task_timeout = task_timeout
         self.retries = retries
         self.deadline = deadline

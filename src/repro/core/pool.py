@@ -1,25 +1,32 @@
-"""Persistent, spawn-safe, supervised worker pool.
+"""Persistent, spawn-safe worker pool that supervises each batch in its caller.
 
 This is the execution substrate under
 :func:`repro.core.batch.parallel_map_ex` and
-:class:`~repro.core.batch.BatchAnalyzer`, built for long-lived processes
-(servers, schedulers):
+:class:`~repro.core.batch.BatchAnalyzer`:
 
 - **spawn context** — workers are started with the ``spawn`` method, so
-  the pool is safe off the main thread, under nested/threaded callers,
-  and on platforms without ``fork``.  Job payloads (the callable, a
-  chaos plan and the caller's ``np.geterr()`` float-error mode) are
-  pickled once per worker per job; items once per job.  Items run under
-  that mode, so float traps the caller set hold inside the workers too.
-- **persistent** — workers are long-lived and lazily started; the module
-  pool survives across ``map`` calls, amortising interpreter start-up,
-  and shuts itself down after :data:`IDLE_TIMEOUT` seconds without work.
-- **supervised** — the parent watches per-worker heartbeats, process
-  liveness and per-task budgets.  A crashed worker is respawned and its
-  in-flight item retried with exponential backoff plus deterministic
-  jitter; a hung task is killed at its timeout; an item that keeps
-  killing or hanging workers is *quarantined* with a structured
-  :class:`QuarantineRecord` instead of poisoning the batch.
+  the pool is safe off the main thread, under threaded callers, and on
+  platforms without ``fork``.  A batch's job payload (the callable, a
+  chaos plan and the caller's ``np.geterr()`` float-error mode) is
+  pickled once and sent once to each worker the batch hands a task;
+  items are pickled once per batch.  Items run under that mode, so
+  float traps the caller set hold inside the workers too.
+- **persistent** — workers start on first use and stay up across
+  ``map`` calls, amortising interpreter start-up, until :meth:`shutdown`
+  (the module pool's runs at interpreter exit).
+- **supervised in the caller** — ``map`` runs its batch's supervision
+  loop in the calling thread: reap and respawn dead workers, expire the
+  batch deadline, kill tasks past their timeout or silent past the
+  heartbeat budget, promote due retries, dispatch, then poll the worker
+  pipes for at most 0.25 s.  A crashed worker is respawned and its item
+  retried with exponential backoff plus deterministic jitter; an item
+  that keeps killing or hanging workers is *quarantined* with a
+  structured :class:`QuarantineRecord` instead of poisoning the batch.
+- **one batch at a time** — ``map`` holds the pool's lock for its whole
+  batch, so concurrent callers run one after another.  A worker holds
+  one job payload and at most one task, and answers ``("start",)`` and
+  ``("result", blob)`` for that task; it sends heartbeats only while it
+  holds one, and the parent judges its silence only then.
 - **deadline-aware** — a whole-batch deadline caps every per-task budget,
   and the effective budget rides into the worker as a
   :func:`repro.obs.deadline_scope`, so the solver cascade inside can
@@ -28,15 +35,18 @@ This is the execution substrate under
   :mod:`repro.obs` trace, workers run each item under an ``item`` span
   and ship it back; ``map`` grafts those and one ``task_attempt`` span
   per attempt into the caller's trace.  Counter deltas always ride
-  back, and the supervisor emits ``pool.workers_respawned``,
+  back, and the loop emits ``pool.workers_respawned``,
   ``task.retries``, ``task.timeouts`` and ``task.quarantined``.
 
 The parent **never deadlocks on a sick pool**: every worker has its own
-pipe (a SIGKILL'd worker can only corrupt its own channel), the
-supervisor is a daemon thread whose crash fails pending jobs with
-:class:`PoolUnusableError` (callers fall back to serial), and every item
-of every job resolves to a result, a captured error, or a quarantine
-record.
+pipe (a SIGKILL'd worker can only corrupt its own channel), every wait
+is bounded, and every item resolves to a result, a captured error, or a
+quarantine record.  An exception escaping the loop discards every worker
+still holding a task, so no later batch can read a stale result, and
+surfaces as :class:`PoolUnusableError` (callers fall back to serial); a
+``KeyboardInterrupt`` propagates unchanged.  :meth:`WorkerPool.shutdown`
+from another thread makes a running ``map`` raise
+:class:`PoolUnusableError` at its next poll.
 
 Chaos testing: a :class:`repro.testing.faults.WorkerFaultPlan` handed to
 ``map(fault_plan=...)`` (or via the ``REPRO_CHAOS`` environment variable,
@@ -98,14 +108,12 @@ WORKER_ENV = "REPRO_POOL_WORKER"
 #: deterministic jitter in ``[0.5, 1.5)``.
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 2.0
-#: Workers send a heartbeat every HEARTBEAT_INTERVAL seconds from a
-#: daemon thread; one silent for HEARTBEAT_TIMEOUT seconds is presumed
-#: frozen, killed and respawned.
+#: A worker holding a task sends a heartbeat every HEARTBEAT_INTERVAL
+#: seconds from a daemon thread; one silent for HEARTBEAT_TIMEOUT seconds
+#: since its task was dispatched or it last spoke is presumed frozen,
+#: killed and respawned.
 HEARTBEAT_INTERVAL = 1.0
 HEARTBEAT_TIMEOUT = 30.0
-#: The supervisor stops every worker and exits after this many seconds
-#: without jobs; the next ``map`` restarts it lazily.
-IDLE_TIMEOUT = 300.0
 
 
 class PoolUnusableError(RuntimeError):
@@ -211,10 +219,6 @@ def _run_task(job, index: int, attempt: int, item_bytes: bytes, budget):
         "span_tree": None,
         "metrics": None,
     }
-    if job is None:
-        payload["error"] = "RuntimeError: worker has no payload for this job"
-        payload["retryable"] = True
-        return payload
     if isinstance(job, str):  # the job payload failed to unpickle
         payload["error"] = f"JobSetupError: {job}"
         return payload
@@ -265,31 +269,33 @@ def _dump_result(payload: dict) -> bytes:
         return _dumps(payload)
 
 
-def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
-    """Worker loop: receive job payloads and tasks, send acks and results."""
+def _worker_main(conn, heartbeat_interval: float) -> None:
+    """Worker loop: hold the latest job payload, run one task at a time."""
     os.environ[WORKER_ENV] = "1"
     send_lock = threading.Lock()
+    stop = threading.Event()
+    busy = threading.Event()  # holds a task
 
     def send(message) -> bool:
         try:
             with send_lock:
-                conn.send(message)
+                # Checked under the lock: no heartbeat trails a result.
+                if message[0] != "heartbeat" or busy.is_set():
+                    conn.send(message)
             return True
         except (OSError, ValueError, EOFError, BrokenPipeError):
             return False
 
-    stop = threading.Event()
-
     def heartbeat() -> None:
         while not stop.wait(heartbeat_interval):
-            if not send(("heartbeat", slot)):
+            if not send(("heartbeat",)):
                 return
 
     threading.Thread(
-        target=heartbeat, name=f"repro-pool-{slot}-heartbeat", daemon=True
+        target=heartbeat, name="repro-pool-heartbeat", daemon=True
     ).start()
 
-    jobs: dict[int, tuple | str] = {}
+    job: tuple | str | None = None
     try:
         while True:
             try:
@@ -300,22 +306,20 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
             if kind == "exit":
                 break
             if kind == "job":
-                _, job_id, blob = message
                 try:
-                    jobs[job_id] = pickle.loads(blob)
+                    job = pickle.loads(message[1])
                 except Exception as exc:  # noqa: BLE001 - reported per task
-                    jobs[job_id] = f"{type(exc).__name__}: {exc}"
-            elif kind == "forget":
-                jobs.pop(message[1], None)
+                    job = f"{type(exc).__name__}: {exc}"
             elif kind == "task":
-                _, job_id, task_id, index, attempt, item_bytes, budget = message
-                if not send(("start", slot, job_id, task_id)):
+                _, index, attempt, item_bytes, budget = message
+                busy.set()
+                if not send(("start",)):
                     break
-                payload = _run_task(
-                    jobs.get(job_id), index, attempt, item_bytes, budget
+                blob = _dump_result(
+                    _run_task(job, index, attempt, item_bytes, budget)
                 )
-                blob = _dump_result(payload)
-                if not send(("result", slot, job_id, task_id, blob)):
+                busy.clear()
+                if not send(("result", blob)):
                     break
     finally:
         stop.set()
@@ -325,26 +329,14 @@ def _worker_main(slot: int, conn, heartbeat_interval: float) -> None:
 
 
 class _Task:
-    __slots__ = (
-        "job",
-        "task_id",
-        "index",
-        "attempt",
-        "budget",
-        "dispatched_at",
-        "acked_at",
-        "worker_slot",
-    )
+    __slots__ = ("index", "attempt", "budget", "dispatched_at", "acked_at")
 
-    def __init__(self, job: "_Job", task_id: int, index: int, attempt: int):
-        self.job = job
-        self.task_id = task_id
+    def __init__(self, index: int, attempt: int):
         self.index = index
         self.attempt = attempt
         self.budget: float | None = None
         self.dispatched_at: float | None = None
         self.acked_at: float | None = None
-        self.worker_slot: int | None = None
 
 
 class _Job:
@@ -352,14 +344,12 @@ class _Job:
 
     def __init__(
         self,
-        job_id: int,
         payload: bytes,
         items: list[bytes],
         timeout: float | None,
         retries: int,
         deadline: float | None,
     ) -> None:
-        self.id = job_id
         self.payload = payload
         self.items = items
         self.timeout = timeout
@@ -368,54 +358,33 @@ class _Job:
         self.outcomes: list[TaskOutcome | None] = [None] * len(items)
         self.remaining = len(items)
         self.pending: deque[_Task] = deque(
-            _Task(self, task_id, index, attempt=1)
-            for task_id, index in enumerate(range(len(items)))
+            _Task(index, attempt=1) for index in range(len(items))
         )
         self.waiting: list[tuple[float, _Task]] = []  # (due, task) retries
-        self.active: dict[int, _Task] = {}
         self.first_dispatch: dict[int, float] = {}
         self.injected: dict[int, list[str]] = {}
-        self.task_counter = len(items)
         self.span_payloads: list[dict] = []
         self.attempt_spans: list[dict] = []
-        self.done = threading.Event()
-        self.fatal: str | None = None
 
-    def next_task_id(self) -> int:
-        self.task_counter += 1
-        return self.task_counter
-
-    def record_attempt_span(
-        self, task: _Task, end: float, outcome: str
-    ) -> None:
+    def record_attempt_span(self, task: _Task, end: float, outcome: str) -> None:
         start = task.acked_at or task.dispatched_at or end
-        self.attempt_spans.append(
-            span_record(
-                TASK_ATTEMPT,
-                start,
-                end,
-                index=task.index,
-                attempt=task.attempt,
-                outcome=outcome,
-            )
-        )
+        attrs = dict(index=task.index, attempt=task.attempt, outcome=outcome)
+        self.attempt_spans.append(span_record(TASK_ATTEMPT, start, end, **attrs))
 
-    def resolve(self, index: int, outcome: TaskOutcome) -> None:
+    def resolve(self, task: _Task, **fields) -> None:
+        """Give *task*'s item its terminal outcome from this attempt."""
+        index = task.index
         if self.outcomes[index] is None:
-            outcome.injected_faults = self.injected.get(index, [])
-            self.outcomes[index] = outcome
+            self.outcomes[index] = TaskOutcome(
+                index=index,
+                attempts=task.attempt,
+                injected_faults=self.injected.get(index, []),
+                **fields,
+            )
             self.remaining -= 1
 
-    def elapsed(self, index: int, now: float) -> float:
-        return now - self.first_dispatch.get(index, now)
-
     def quarantine(
-        self,
-        task: _Task,
-        reason: str,
-        error: str | None,
-        traceback: str | None,
-        now: float,
+        self, task: _Task, reason: str, error: str, traceback: str | None, now: float
     ) -> None:
         counter_add(TASK_QUARANTINED)
         record = QuarantineRecord(
@@ -424,67 +393,45 @@ class _Job:
             error=error,
             traceback=traceback,
             attempts=task.attempt,
-            elapsed_seconds=self.elapsed(task.index, now),
+            elapsed_seconds=now - self.first_dispatch.get(task.index, now),
         )
-        self.resolve(
-            task.index,
-            TaskOutcome(
-                index=task.index,
-                error=error,
-                traceback=traceback,
-                attempts=task.attempt,
-                quarantine=record,
-            ),
-        )
+        self.resolve(task, error=error, traceback=traceback, quarantine=record)
 
     def retry_or_quarantine(
-        self,
-        task: _Task,
-        reason: str,
-        error: str,
-        traceback: str | None,
-        now: float,
+        self, task: _Task, reason: str, error: str, traceback: str | None, now: float
     ) -> None:
         """Schedule a backoff retry, or quarantine past the budget."""
         if task.attempt <= self.retries:
             counter_add(TASK_RETRIES)
-            retry = _Task(
-                self, self.next_task_id(), task.index, task.attempt + 1
-            )
             due = now + backoff_delay(task.attempt, task.index)
-            self.waiting.append((due, retry))
+            self.waiting.append((due, _Task(task.index, task.attempt + 1)))
         else:
             self.quarantine(task, reason, error, traceback, now)
 
 
 class _WorkerHandle:
-    __slots__ = ("slot", "process", "conn", "jobs_sent", "task", "last_seen")
+    __slots__ = ("process", "conn", "has_job", "task", "last_seen")
 
-    def __init__(self, slot: int, process, conn, now: float) -> None:
-        self.slot = slot
+    def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.jobs_sent: set[int] = set()
+        self.has_job = False  # holds the running batch's job payload
         self.task: _Task | None = None
-        self.last_seen = now
+        self.last_seen = 0.0  # set at dispatch, then by every message
 
 
 class WorkerPool:
-    """Supervised spawn pool; see the module docstring for semantics."""
+    """Spawn pool whose ``map`` supervises its own batch; see the module
+    docstring for semantics."""
 
     def __init__(self, max_workers: int = 1) -> None:
         self._context = get_context("spawn")
-        self._lock = threading.Lock()
-        self._intake: deque[_Job] = deque()
+        #: Held by ``map`` for its whole batch and by ``shutdown``: one
+        #: batch runs at a time, and only the holder touches the workers.
+        self._map_lock = threading.Lock()
         self._target = max(1, int(max_workers))
-        self._running = False
         self._shutdown = False
-        self._supervisor: threading.Thread | None = None
         self._workers: list[_WorkerHandle] = []
-        self._wake_r: int | None = None
-        self._wake_w: int | None = None
-        self._job_counter = 0
-        self._slot_counter = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -511,19 +458,17 @@ class WorkerPool:
         *deadline* bounds the whole batch; ``None`` means unlimited.
         When the calling thread has an active :mod:`repro.obs` trace,
         the workers' ``item`` spans and the per-attempt ``task_attempt``
-        spans are grafted into it before returning.
+        spans are grafted into it before returning.  A second caller
+        waits until this batch has finished.
 
         Raises :class:`PoolUnusableError` when the job cannot run on the
-        pool at all (unpicklable payload, pool shut down, supervisor
-        dead) — per-item failures never raise.
+        pool at all (unpicklable payload, pool shut down, a fault in the
+        supervision loop) — per-item failures never raise.
         """
         items = list(items)
         tracer = current_tracer()
-        with self._lock:
-            if self._shutdown:
-                raise PoolUnusableError("pool is shut down")
-            self._job_counter += 1
-            job_id = self._job_counter
+        if self._shutdown:
+            raise PoolUnusableError("pool is shut down")
         try:
             payload = _dumps((fn, fault_plan, tracer is not None, np.geterr()))
             item_blobs = [_dumps(item) for item in items]
@@ -537,38 +482,42 @@ class WorkerPool:
         )
         if not items:
             return []
-        with self._lock:
+        # Built first: time spent waiting for another batch counts
+        # against this one's deadline.
+        job = _Job(payload, item_blobs, timeout, retries, deadline)
+        with self._map_lock:
             if self._shutdown:
                 raise PoolUnusableError("pool is shut down")
-            job = _Job(job_id, payload, item_blobs, timeout, retries, deadline)
             if jobs is not None:
                 self._target = max(
                     self._target, max(1, min(int(jobs), len(items)))
                 )
-            self._ensure_running_locked()
-            self._intake.append(job)
-        self._wake()
-        while not job.done.wait(0.2):
-            supervisor = self._supervisor
-            if supervisor is None or not supervisor.is_alive():
-                raise PoolUnusableError("pool supervisor died")
-        if job.fatal is not None:
-            raise PoolUnusableError(job.fatal)
+            for worker in self._workers:
+                worker.has_job = False
+            try:
+                self._run_batch(job)
+            except Exception as exc:
+                self._abandon()
+                if isinstance(exc, PoolUnusableError):
+                    raise
+                raise PoolUnusableError(
+                    f"pool supervision failed: {type(exc).__name__}: {exc}"
+                ) from exc
+            except BaseException:  # KeyboardInterrupt: re-raised unchanged
+                self._abandon()
+                raise
         if tracer is not None:
             for record in job.span_payloads + job.attempt_spans:
                 tracer.attach(record)
         return list(job.outcomes)
 
     def shutdown(self) -> None:
-        """Stop the supervisor and every worker (idempotent)."""
-        with self._lock:
-            self._shutdown = True
-            running = self._running
-            supervisor = self._supervisor
-        if running:
-            self._wake()
-        if supervisor is not None:
-            supervisor.join(timeout=10.0)
+        """Stop every worker (idempotent); a running ``map`` raises
+        :class:`PoolUnusableError` at its next poll, then this returns."""
+        self._shutdown = True
+        with self._map_lock:
+            self._stop_workers(self._workers)
+            self._workers = []
 
     @property
     def worker_pids(self) -> list[int]:
@@ -579,39 +528,19 @@ class WorkerPool:
             if w.process.is_alive() and w.process.pid is not None
         ]
 
-    # -- lifecycle -------------------------------------------------------------
+    # -- worker lifecycle ------------------------------------------------------
 
-    def _ensure_running_locked(self) -> None:
-        if self._running:
-            return
-        self._wake_r, self._wake_w = os.pipe()
-        self._running = True
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-pool-supervisor", daemon=True
-        )
-        self._supervisor.start()
-
-    def _wake(self) -> None:
-        wake_w = self._wake_w
-        if wake_w is not None:
-            try:
-                os.write(wake_w, b"x")
-            except OSError:
-                pass
-
-    def _spawn_worker(self, now: float) -> _WorkerHandle:
-        self._slot_counter += 1
-        slot = self._slot_counter
+    def _spawn_worker(self) -> _WorkerHandle:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
-            args=(slot, child_conn, HEARTBEAT_INTERVAL),
-            name=f"repro-pool-worker-{slot}",
+            args=(child_conn, HEARTBEAT_INTERVAL),
+            name="repro-pool-worker",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(slot, process, parent_conn, now)
+        return _WorkerHandle(process, parent_conn)
 
     def _discard_worker(self, worker: _WorkerHandle, kill: bool) -> None:
         if kill and worker.process.is_alive():
@@ -632,125 +561,55 @@ class WorkerPool:
             worker.process.join(timeout=1.0)
             self._discard_worker(worker, kill=True)
 
-    def _retire_locked(self) -> tuple[tuple, list[_WorkerHandle]]:
-        """Atomically claim this supervisor's runtime for teardown.
+    def _kill(self, worker: _WorkerHandle) -> None:
+        """Kill a wedged or silent worker; the next reap replaces it."""
+        self._workers.remove(worker)
+        self._discard_worker(worker, kill=True)
+        counter_add(POOL_WORKERS_RESPAWNED)
 
-        Must run under ``self._lock``.  Marks the pool not-running and
-        *moves* the wake pipe and worker list into the caller: a
-        ``map`` arriving after this point starts a fresh supervisor with
-        fresh resources, and the retiring thread can only ever tear down
-        what it claimed here.  (The old code reset ``_running`` and
-        closed ``self._wake_*`` unconditionally in the supervisor's
-        ``finally`` — a successor supervisor started in the gap had its
-        wake pipe closed and its workers stopped out from under it,
-        stranding freshly queued work.)
-        """
-        self._running = False
-        wake = (self._wake_r, self._wake_w)
-        self._wake_r = self._wake_w = None
-        workers = self._workers
-        self._workers = []
-        return wake, workers
+    def _abandon(self) -> None:
+        """After a fault in the loop, kill every worker still holding a
+        task, so no later batch can read its result."""
+        for worker in self._workers:
+            if worker.task is not None:
+                self._discard_worker(worker, kill=True)
+        self._workers = [w for w in self._workers if w.task is None]
 
     # -- supervision -----------------------------------------------------------
 
-    def _supervise(self) -> None:
-        jobs: list[_Job] = []
-        last_activity = monotonic()
-        retired: tuple[tuple, list[_WorkerHandle]] | None = None
-        try:
-            while True:
-                with self._lock:
-                    while self._intake:
-                        jobs.append(self._intake.popleft())
-                    shutdown = self._shutdown
-                    target = self._target
-                if shutdown:
-                    for job in jobs:
-                        job.fatal = "pool shut down"
-                        job.done.set()
-                    break
-                now = monotonic()
-                if jobs:
-                    last_activity = now
-                self._reap_and_respawn(jobs, target if jobs else 0, now)
-                self._check_deadlines(jobs, now)
-                self._check_timeouts(jobs, now)
-                self._check_heartbeats(jobs, now)
-                self._promote_retries(jobs, now)
-                self._dispatch(jobs, now)
-                finished = [job for job in jobs if job.remaining == 0]
-                for job in finished:
-                    self._finish(job)
-                jobs = [job for job in jobs if job.remaining > 0]
-                if not jobs and monotonic() - last_activity > IDLE_TIMEOUT:
-                    with self._lock:
-                        if not self._intake and not self._shutdown:
-                            retired = self._retire_locked()
-                            break
-                self._poll(jobs, now)
-        except Exception:  # noqa: BLE001 - a sick supervisor must not hang callers
-            error = _tb.format_exc()
-            with self._lock:
-                pending = list(self._intake)
-                self._intake.clear()
-                retired = self._retire_locked()
-            for job in jobs + pending:
-                job.fatal = f"pool supervisor crashed:\n{error}"
-                job.done.set()
-        finally:
-            if retired is None:
-                # Shutdown path (or an exit without an explicit retire):
-                # claim whatever still belongs to this supervisor run,
-                # unless a successor already took over the runtime.
-                with self._lock:
-                    if self._supervisor is threading.current_thread():
-                        retired = self._retire_locked()
-            if retired is not None:
-                wake, workers = retired
-                self._stop_workers(workers)
-                for fd in wake:
-                    if fd is not None:
-                        try:
-                            os.close(fd)
-                        except OSError:
-                            pass
+    def _run_batch(self, job: _Job) -> None:
+        """The supervision loop; returns once every item has an outcome."""
+        while True:
+            if self._shutdown:
+                raise PoolUnusableError("pool is shut down")
+            now = monotonic()
+            self._reap_and_respawn(job, now)
+            self._check_deadline(job, now)
+            self._check_timeouts(job, now)
+            self._check_heartbeats(job, now)
+            self._promote_retries(job, now)
+            self._dispatch(job, now)
+            if job.remaining == 0:
+                return
+            self._poll(job, now)
 
-    def _poll(self, jobs: list[_Job], now: float) -> None:
-        """Wait for worker messages / wake-ups, bounded by the next event."""
-        timeout = 0.25 if jobs else 0.5
-        for job in jobs:
-            if job.deadline_at is not None:
-                timeout = min(timeout, job.deadline_at - now)
-            for due, _ in job.waiting:
-                timeout = min(timeout, due - now)
-            for task in job.active.values():
-                if task.budget is not None and task.acked_at is not None:
-                    timeout = min(
-                        timeout, task.acked_at + task.budget - now
-                    )
-        timeout = max(0.01, timeout)
-        sources: list = [
-            w.conn for w in self._workers if w.process.is_alive()
-        ]
-        if self._wake_r is not None:
-            sources.append(self._wake_r)
-        if not sources:
-            return
-        for ready in connection.wait(sources, timeout):
-            if ready == self._wake_r:
-                try:
-                    os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
-                continue
-            worker = next(
-                (w for w in self._workers if w.conn is ready), None
-            )
-            if worker is not None:
-                self._drain(worker, jobs)
+    def _poll(self, job: _Job, now: float) -> None:
+        """Wait for worker messages, bounded by the next event."""
+        timeout = 0.25
+        if job.deadline_at is not None:
+            timeout = min(timeout, job.deadline_at - now)
+        for due, _ in job.waiting:
+            timeout = min(timeout, due - now)
+        for worker in self._workers:
+            task = worker.task
+            if task is not None and task.budget is not None:
+                if task.acked_at is not None:
+                    timeout = min(timeout, task.acked_at + task.budget - now)
+        live = {w.conn: w for w in self._workers if w.process.is_alive()}
+        for ready in connection.wait(list(live), max(0.01, timeout)):
+            self._drain(live[ready], job)
 
-    def _drain(self, worker: _WorkerHandle, jobs: list[_Job]) -> None:
+    def _drain(self, worker: _WorkerHandle, job: _Job) -> None:
         while True:
             try:
                 if not worker.conn.poll():
@@ -761,25 +620,14 @@ class WorkerPool:
                 # the in-flight item; nothing more to read here.
                 return
             worker.last_seen = monotonic()
-            kind = message[0]
-            if kind == "heartbeat":
-                continue
-            if kind == "start":
-                _, _, job_id, task_id = message
-                job = next((j for j in jobs if j.id == job_id), None)
-                task = job.active.get(task_id) if job is not None else None
-                if task is not None:
-                    task.acked_at = monotonic()
-            elif kind == "result":
-                _, _, job_id, task_id, blob = message
+            task = worker.task
+            if task is None:
+                continue  # nothing is in flight on this worker
+            if message[0] == "start":
+                task.acked_at = worker.last_seen
+            elif message[0] == "result":
                 worker.task = None
-                job = next((j for j in jobs if j.id == job_id), None)
-                if job is None:
-                    continue  # late result for a finished/cancelled job
-                task = job.active.pop(task_id, None)
-                if task is None:
-                    continue
-                self._on_result(job, task, blob)
+                self._on_result(job, task, message[1])
 
     def _on_result(self, job: _Job, task: _Task, blob: bytes) -> None:
         now = monotonic()
@@ -804,14 +652,7 @@ class WorkerPool:
         error = payload.get("error")
         if error is None:
             job.record_attempt_span(task, now, "ok")
-            job.resolve(
-                task.index,
-                TaskOutcome(
-                    index=task.index,
-                    result=payload.get("result"),
-                    attempts=task.attempt,
-                ),
-            )
+            job.resolve(task, result=payload.get("result"))
         elif payload.get("retryable"):
             job.record_attempt_span(task, now, "transient_error")
             job.retry_or_quarantine(
@@ -819,26 +660,12 @@ class WorkerPool:
             )
         else:
             job.record_attempt_span(task, now, "error")
-            job.resolve(
-                task.index,
-                TaskOutcome(
-                    index=task.index,
-                    error=error,
-                    traceback=payload.get("traceback"),
-                    attempts=task.attempt,
-                ),
-            )
+            job.resolve(task, error=error, traceback=payload.get("traceback"))
 
-    def _on_worker_death(self, worker: _WorkerHandle, jobs: list[_Job]) -> None:
-        task = worker.task
-        worker.task = None
+    def _on_worker_death(self, worker: _WorkerHandle, job: _Job, now: float) -> None:
+        task, worker.task = worker.task, None
         if task is None:
             return
-        job = task.job
-        if job.remaining == 0 or job not in jobs:
-            return
-        job.active.pop(task.task_id, None)
-        now = monotonic()
         job.record_attempt_span(task, now, "crash")
         error = (
             f"WorkerCrashError: worker died while running item "
@@ -846,168 +673,100 @@ class WorkerPool:
         )
         job.retry_or_quarantine(task, "crash", error, None, now)
 
-    def _reap_and_respawn(
-        self, jobs: list[_Job], target: int, now: float
-    ) -> None:
-        alive: list[_WorkerHandle] = []
+    def _reap_and_respawn(self, job: _Job, now: float) -> None:
         respawns = 0
-        for worker in self._workers:
+        for worker in list(self._workers):
             if worker.process.is_alive():
-                alive.append(worker)
                 continue
-            self._drain(worker, jobs)  # salvage results sent before death
-            if worker.process.is_alive():  # raced: it spoke, keep it
-                alive.append(worker)
-                continue
-            self._on_worker_death(worker, jobs)
+            self._drain(worker, job)  # salvage results sent before death
+            self._workers.remove(worker)
             self._discard_worker(worker, kill=False)
+            self._on_worker_death(worker, job, now)
             respawns += 1
-        self._workers = alive
         if respawns:
             counter_add(POOL_WORKERS_RESPAWNED, respawns)
-        while len(self._workers) < target:
-            self._workers.append(self._spawn_worker(now))
+        while len(self._workers) < self._target:
+            self._workers.append(self._spawn_worker())
 
-    def _kill_worker_of(self, task: _Task) -> None:
-        worker = next(
-            (w for w in self._workers if w.slot == task.worker_slot), None
-        )
-        if worker is not None:
-            worker.task = None
-            self._discard_worker(worker, kill=True)
-            self._workers.remove(worker)
-            counter_add(POOL_WORKERS_RESPAWNED)
-            self._workers.append(self._spawn_worker(monotonic()))
-
-    def _check_timeouts(self, jobs: list[_Job], now: float) -> None:
-        for job in jobs:
-            for task in list(job.active.values()):
-                if task.budget is None or task.acked_at is None:
-                    continue
-                if now - task.acked_at <= task.budget:
-                    continue
-                counter_add(TASK_TIMEOUTS)
-                job.active.pop(task.task_id, None)
-                # The worker is wedged inside the task: kill + respawn.
-                self._kill_worker_of(task)
-                job.record_attempt_span(task, now, "timeout")
-                error = (
-                    f"TimeoutError: item {task.index} exceeded the task "
-                    f"timeout of {task.budget:.3g}s (attempt {task.attempt})"
-                )
-                job.retry_or_quarantine(task, "timeout", error, None, now)
-
-    def _check_heartbeats(self, jobs: list[_Job], now: float) -> None:
+    def _check_timeouts(self, job: _Job, now: float) -> None:
         for worker in list(self._workers):
-            if not worker.process.is_alive():
+            task = worker.task
+            if task is None or task.budget is None or task.acked_at is None:
                 continue
-            if now - worker.last_seen <= HEARTBEAT_TIMEOUT:
+            if now - task.acked_at <= task.budget:
                 continue
-            # Alive but silent past the heartbeat budget: presumed frozen.
-            self._discard_worker(worker, kill=True)
-            self._workers.remove(worker)
-            counter_add(POOL_WORKERS_RESPAWNED)
-            self._on_worker_death(worker, jobs)
-            self._workers.append(self._spawn_worker(now))
-
-    def _check_deadlines(self, jobs: list[_Job], now: float) -> None:
-        for job in jobs:
-            if job.deadline_at is None or now <= job.deadline_at:
-                continue
-            message = (
-                "DeadlineExceededError: batch deadline expired "
-                f"{now - job.deadline_at:.3g}s ago"
+            counter_add(TASK_TIMEOUTS)
+            # The worker is wedged inside the task: kill it.
+            worker.task = None
+            self._kill(worker)
+            job.record_attempt_span(task, now, "timeout")
+            error = (
+                f"TimeoutError: item {task.index} exceeded the task "
+                f"timeout of {task.budget:.3g}s (attempt {task.attempt})"
             )
-            for task in list(job.active.values()):
-                job.active.pop(task.task_id, None)
-                self._kill_worker_of(task)
+            job.retry_or_quarantine(task, "timeout", error, None, now)
+
+    def _check_heartbeats(self, job: _Job, now: float) -> None:
+        for worker in list(self._workers):
+            if worker.task is None or now - worker.last_seen <= HEARTBEAT_TIMEOUT:
+                continue
+            # Holding a task but silent past the heartbeat budget:
+            # presumed frozen.
+            self._kill(worker)
+            self._on_worker_death(worker, job, now)
+
+    def _check_deadline(self, job: _Job, now: float) -> None:
+        if job.deadline_at is None or now <= job.deadline_at:
+            return
+        message = (
+            "DeadlineExceededError: batch deadline expired "
+            f"{now - job.deadline_at:.3g}s ago"
+        )
+        stranded = []
+        for worker in list(self._workers):
+            task, worker.task = worker.task, None
+            if task is not None:
+                self._kill(worker)
                 job.record_attempt_span(task, now, "deadline")
-                job.quarantine(
-                    task,
-                    "deadline",
-                    f"{message} while item {task.index} was running",
-                    None,
-                    now,
-                )
-            for _, task in job.waiting:
-                job.quarantine(
-                    task,
-                    "deadline",
-                    f"{message} before item {task.index} could retry",
-                    None,
-                    now,
-                )
-            job.waiting = []
-            while job.pending:
-                task = job.pending.popleft()
-                job.quarantine(
-                    task,
-                    "deadline",
-                    f"{message} before item {task.index} started",
-                    None,
-                    now,
-                )
+                stranded.append((task, "while item {} was running"))
+        stranded += [(task, "before item {} could retry") for _, task in job.waiting]
+        stranded += [(task, "before item {} started") for task in job.pending]
+        job.waiting, job.pending = [], deque()
+        for task, when in stranded:
+            error = f"{message} {when.format(task.index)}"
+            job.quarantine(task, "deadline", error, None, now)
 
-    def _promote_retries(self, jobs: list[_Job], now: float) -> None:
-        for job in jobs:
-            due_now = [t for due, t in job.waiting if due <= now]
-            job.waiting = [(due, t) for due, t in job.waiting if due > now]
-            job.pending.extend(due_now)
+    def _promote_retries(self, job: _Job, now: float) -> None:
+        job.pending.extend(task for due, task in job.waiting if due <= now)
+        job.waiting = [(due, task) for due, task in job.waiting if due > now]
 
-    def _dispatch(self, jobs: list[_Job], now: float) -> None:
-        idle = [
-            w
-            for w in self._workers
-            if w.task is None and w.process.is_alive()
-        ]
-        for job in jobs:
-            while idle and job.pending:
-                worker = idle.pop()
-                task = job.pending.popleft()
-                budget = job.timeout
-                if job.deadline_at is not None:
-                    remaining = max(job.deadline_at - now, 0.01)
-                    budget = (
-                        remaining
-                        if budget is None
-                        else min(budget, remaining)
-                    )
-                task.budget = budget
-                task.dispatched_at = now
-                task.worker_slot = worker.slot
-                try:
-                    if job.id not in worker.jobs_sent:
-                        worker.conn.send(("job", job.id, job.payload))
-                        worker.jobs_sent.add(job.id)
-                    worker.conn.send(
-                        (
-                            "task",
-                            job.id,
-                            task.task_id,
-                            task.index,
-                            task.attempt,
-                            job.items[task.index],
-                            budget,
-                        )
-                    )
-                except (OSError, ValueError, BrokenPipeError):
-                    # Send failed ⇒ the worker is dead; the attempt never
-                    # started, so requeue without burning a retry.
-                    job.pending.appendleft(task)
-                    continue
-                worker.task = task
-                job.active[task.task_id] = task
-                job.first_dispatch.setdefault(task.index, now)
-
-    def _finish(self, job: _Job) -> None:
-        for worker in self._workers:
-            if job.id in worker.jobs_sent:
-                try:
-                    worker.conn.send(("forget", job.id))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-                worker.jobs_sent.discard(job.id)
-        job.done.set()
+    def _dispatch(self, job: _Job, now: float) -> None:
+        idle = [w for w in self._workers if w.task is None and w.process.is_alive()]
+        while idle and job.pending:
+            worker = idle.pop()
+            task = job.pending.popleft()
+            budget = job.timeout
+            if job.deadline_at is not None:
+                remaining = max(job.deadline_at - now, 0.01)
+                budget = remaining if budget is None else min(budget, remaining)
+            task.budget = budget
+            task.dispatched_at = now
+            # Held before the send: an interrupt after it discards this
+            # worker rather than leaving its result for the next batch.
+            worker.task, worker.last_seen = task, now
+            try:
+                if not worker.has_job:
+                    worker.conn.send(("job", job.payload))
+                    worker.has_job = True
+                item = job.items[task.index]
+                worker.conn.send(("task", task.index, task.attempt, item, budget))
+            except (OSError, ValueError, BrokenPipeError):
+                # Send failed ⇒ the worker is dead; the attempt never
+                # started, so requeue without burning a retry.
+                worker.task = None
+                job.pending.appendleft(task)
+                continue
+            job.first_dispatch.setdefault(task.index, now)
 
 
 # -- module-level pool ---------------------------------------------------------

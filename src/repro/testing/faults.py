@@ -123,8 +123,8 @@ class WorkerFaultPlan:
         ``{index: attempts}`` — raise a retryable
         :class:`~repro.core.pool.TransientTaskError` on those attempts.
     hang_seconds:
-        Sleep used by ``hang`` entries (default 3600 — the supervisor
-        must kill the worker long before it wakes).
+        Sleep used by ``hang`` entries (default 3600 — the pool must
+        kill the worker long before it wakes).
     """
 
     kill: dict[int, frozenset[int] | None] = field(default_factory=dict)

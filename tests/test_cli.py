@@ -248,6 +248,26 @@ class TestErrorHandling:
         assert "worst_predicted_drop_mV" not in captured.out
         assert "batch:" not in captured.out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--task-timeout", "nan"], "task_timeout must be"),
+            (["--task-timeout", "-5"], "task_timeout must be"),
+            (["--retries", "-1"], "retries must be >= 0"),
+            (["--deadline", "0"], "deadline must be"),
+            (["--deadline", "-5"], "deadline must be"),
+        ],
+    )
+    def test_out_of_range_run_control_exits_2_with_one_deck(
+        self, tiny_model, deck4_path, capsys, flags, message
+    ):
+        # The same refusals as batch mode, before the deck runs.
+        code = main(["analyze", str(tiny_model), str(deck4_path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "worst_predicted_drop_mV" not in captured.out
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_expired_deadline_quarantines_every_deck_at_any_jobs(
         self, tiny_model, deck4_path, capsys, jobs

@@ -26,8 +26,8 @@ def _reciprocal(x):
 
 
 def _slow_square(x):
-    # Busy-wait a few ms so concurrent parallel_map_ex calls overlap inside
-    # the pool supervisor.
+    # Busy-wait a few ms so concurrent parallel_map_ex calls overlap: the
+    # later callers wait on the pool's lock while a batch runs.
     deadline = monotonic() + 0.02
     while monotonic() < deadline:
         pass
@@ -90,8 +90,8 @@ class TestParallelMap:
         assert delta.get("task.retries", 0) >= 1
 
     def test_concurrent_calls_never_mix_results(self):
-        # The spawn pool serialises job intake in one supervisor, so
-        # concurrent threaded callers parallelize safely — no
+        # The spawn pool runs one batch at a time under its map lock,
+        # so concurrent threaded callers take turns on the workers — no
         # degradation, and every call gets its own results.
         items_by_key = {key: list(range(key, key + 4)) for key in (1, 10, 100)}
         results: dict[int, tuple] = {}

@@ -347,59 +347,57 @@ class TestHeartbeat:
 
 
 class TestPoolLifecycle:
-    def test_idle_shutdown_and_lazy_restart(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.4)
+    def test_shutdown_from_another_thread_stops_a_running_map(self):
+        # The running map notices the shutdown at its next poll (at most
+        # 0.25 s away); the slack covers killing its two busy workers.
         pool = WorkerPool(max_workers=2)
+        box = {}
+
+        def run():
+            try:
+                pool.map(_overrun, [3600.0, 3600.0], jobs=2)
+            except PoolUnusableError as exc:
+                box["error"] = exc
+            box["ended"] = time.monotonic()
+
         try:
-            result = pool.map(_square, [1, 2, 3], jobs=2)
-            assert [o.result for o in result] == [1, 4, 9]
-            deadline = time.monotonic() + 30.0
-            while pool.worker_pids and time.monotonic() < deadline:
-                time.sleep(0.1)
-            assert pool.worker_pids == []  # idle supervisor stopped them
-            # The next map lazily restarts the runtime.
-            result = pool.map(_square, [4, 5], jobs=2)
-            assert [o.result for o in result] == [16, 25]
+            assert [o.result for o in pool.map(_square, [1, 2], jobs=2)] == [1, 4]
+            thread = threading.Thread(target=run)
+            thread.start()
+            time.sleep(1.0)  # both items are running
+            stopped = time.monotonic()
+            pool.shutdown()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert "shut down" in str(box["error"])
+            assert box["ended"] - stopped < 1.0
+            assert pool.worker_pids == []
         finally:
             pool.shutdown()
 
-    def test_idle_retirement_never_drops_racing_work(self, monkeypatch):
-        """Regression: a map() landing exactly as the supervisor
-        idle-retires must run on the successor runtime, not lose its
-        queued work to the retiring thread's teardown.
+    def test_interrupt_in_the_poll_leaves_no_stale_result(self, monkeypatch):
+        # Only the first wait is interrupted: Process.join waits too.
+        pool = WorkerPool(max_workers=2)
+        wait = pool_module.connection.wait
+        interrupted = []
 
-        Pre-fix, the old supervisor's ``finally`` reset ``_running`` and
-        closed the wake pipe unconditionally — clobbering a successor
-        supervisor started in the gap, whose freshly queued job then
-        stalled (PoolUnusableError) or hung.  A tiny idle timeout makes
-        the window hit constantly.
-        """
-        monkeypatch.setattr(pool_module, "IDLE_TIMEOUT", 0.01)
-        pool = WorkerPool(max_workers=1)
-        errors: list[str] = []
-
-        def hammer(offset: int) -> None:
-            for k in range(30):
-                time.sleep(0.005 * ((offset + k) % 4))
-                try:
-                    result = pool.map(_square, [offset + k], jobs=1)
-                except PoolUnusableError as exc:
-                    errors.append(f"unusable at {offset + k}: {exc}")
-                    return
-                values = [o.result for o in result]
-                if values != [(offset + k) ** 2]:
-                    errors.append(f"bad result at {offset + k}: {values}")
+        def interrupt_once(*args, **kwargs):
+            if not interrupted:
+                interrupted.append(True)
+                raise KeyboardInterrupt
+            return wait(*args, **kwargs)
 
         try:
-            threads = [
-                threading.Thread(target=hammer, args=(100 * t,))
-                for t in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert errors == []
+            assert [o.result for o in pool.map(_square, [1, 2], jobs=2)] == [1, 4]
+            monkeypatch.setattr(pool_module.connection, "wait", interrupt_once)
+            with pytest.raises(KeyboardInterrupt):
+                pool.map(_square, [3, 4], jobs=2)
+            # Both workers held a task when the interrupt hit: both are
+            # gone, so 9 and 16 can never answer the next batch.
+            assert pool.worker_pids == []
+            outcomes = pool.map(_square, [5, 6, 7], jobs=2)
+            assert [o.result for o in outcomes] == [25, 36, 49]
+            assert all(o.attempts == 1 for o in outcomes)
         finally:
             pool.shutdown()
 

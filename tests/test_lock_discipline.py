@@ -1,8 +1,9 @@
 """Lock discipline of the shared tables, checked on the syntax tree.
 
-The daemon runs one executor thread next to its HTTP handler threads, and a
-pool worker runs its heartbeat thread next to task execution.  What those
-threads share is a handful of tables, each guarded by one lock:
+The daemon runs one executor thread next to its HTTP handler threads, a
+pool worker runs its heartbeat thread next to task execution, and a
+``WorkerPool`` may be mapped on and shut down from several threads.  What
+those threads share is a handful of tables, each guarded by one lock:
 
 - (a) every write to a shared table sits lexically inside a ``with`` on
   that table's lock.  A write is a subscript store or delete, a rebinding,
@@ -48,6 +49,7 @@ TABLES = [
     ("obs/metrics.py", "MetricsRegistry", "_gauges", "_lock"),
     ("solvers/cache.py", "AMGSetupCache", "_entries", "_lock"),
     ("core/batch.py", None, "_PIPELINE_CACHE", "_PIPELINE_CACHE_LOCK"),
+    ("core/pool.py", "WorkerPool", "_workers", "_map_lock"),
     ("serve/registry.py", "ModelRegistry", "_entries", "_lock"),
     ("serve/service.py", "AnalysisService", "_jobs", "_cond"),
     ("serve/service.py", "AnalysisService", "_queue", "_cond"),
