@@ -66,18 +66,13 @@ def _pixels_on_span(
 def resistance_map(geometry: GridGeometry, grid: PowerGrid) -> np.ndarray:
     """Total wire resistance per pixel, each wire spread over its span.
 
-    Wires with non-finite or negative resistance are skipped with an
-    explicit warning rather than letting NaN/garbage leak into the feature
-    channel (a repaired netlist should never contain any, but the map must
-    stay finite even on raw inputs).
+    Wires with an unstructured endpoint have no position and are left out.
     """
     shape = geometry.shape
     node_a, node_b, res = grid.wire_arrays()
     x, y, _, structured = grid.node_arrays()
 
-    usable = np.isfinite(res) & (res >= 0)
-    skipped = int(np.count_nonzero(~usable))
-    usable &= structured[node_a] & structured[node_b]
+    usable = structured[node_a] & structured[node_b]
 
     r0, c0 = pixel_coords(geometry, x[node_a[usable]], y[node_a[usable]])
     r1, c1 = pixel_coords(geometry, x[node_b[usable]], y[node_b[usable]])
@@ -113,51 +108,16 @@ def resistance_map(geometry: GridGeometry, grid: PowerGrid) -> np.ndarray:
                 (int(x_b[k]), int(y_b[k])),
             )
             np.add.at(image, (rows, cols), resistance / max(len(rows), 1))
-    if skipped:
-        warnings.warn(
-            f"resistance_map: skipped {skipped} wire(s) with non-finite or "
-            "negative resistance",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return image
-
-
-def _shortest_path_resistances_python(grid: PowerGrid) -> np.ndarray:
-    """Heap Dijkstra over the PowerGrid adjacency (reference / fallback).
-
-    Retained for wire sets scipy's Dijkstra rejects (negative weights):
-    matches the historical semantics exactly — negative or NaN edges
-    simply relax like any other candidate.
-    """
-    import heapq
-
-    distances = np.full(grid.num_nodes, np.inf, dtype=float)
-    heap: list[tuple[float, int]] = []
-    for pad in grid.pad_indices().tolist():
-        distances[pad] = 0.0
-        heapq.heappush(heap, (0.0, pad))
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if dist > distances[node]:
-            continue
-        for wire in grid.wires_at(node):
-            other = wire.other(node)
-            candidate = dist + wire.resistance
-            if candidate < distances[other]:
-                distances[other] = candidate
-                heapq.heappush(heap, (candidate, other))
-    return distances
 
 
 def shortest_path_resistances(grid: PowerGrid) -> np.ndarray:
     """Per-node shortest-path resistance to the nearest pad.
 
     Multi-source Dijkstra with wire resistance as edge weight; floating
-    nodes get ``inf``.  The fast path builds a min-deduplicated CSR
-    adjacency and runs scipy's compiled Dijkstra from all pads at once;
-    grids with negative-resistance wires (unrepaired garbage) fall back
-    to the Python heap implementation, which tolerates them.
+    nodes get ``inf``.  Builds a min-deduplicated CSR adjacency and runs
+    scipy's compiled Dijkstra from all pads at once; every wire weight is
+    finite and > 0, as :meth:`PowerGrid.from_netlist` guarantees.
     """
     n = grid.num_nodes
     pads = grid.pad_indices()
@@ -166,8 +126,6 @@ def shortest_path_resistances(grid: PowerGrid) -> np.ndarray:
         distances[pads] = 0.0
         return distances
     node_a, node_b, res = grid.wire_arrays()
-    if res.size and (res < 0).any():
-        return _shortest_path_resistances_python(grid)
     if res.size:
         # Parallel wires between the same node pair must keep the MINIMUM
         # resistance: coo->csr construction would sum duplicates, which is

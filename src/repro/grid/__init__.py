@@ -7,24 +7,18 @@ analysis needs (Section III-B of the paper):
   from nanometre coordinates to a fixed pixel grid.
 - :mod:`repro.grid.netlist` — the node hash table + wires map
   (:class:`PowerGrid`) the paper's spice parser/circuit generator builds.
-- :mod:`repro.grid.topology` — connectivity diagnostics over the wires map.
+- :mod:`repro.grid.topology` — connectivity checks over the wires map, all
+  read from one component labelling.
 """
 
 from repro.grid.geometry import GridGeometry, LayerInfo
-from repro.grid.netlist import PGNode, PGWire, PowerGrid
-from repro.grid.topology import (
-    connected_components,
-    floating_nodes,
-    validate_connectivity,
-)
+from repro.grid.netlist import PGNode, PowerGrid
+from repro.grid.topology import validate_connectivity
 
 __all__ = [
     "GridGeometry",
     "LayerInfo",
     "PGNode",
-    "PGWire",
     "PowerGrid",
-    "connected_components",
-    "floating_nodes",
     "validate_connectivity",
 ]

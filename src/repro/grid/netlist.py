@@ -8,16 +8,19 @@ topologies."
 :class:`PowerGrid` is that structure, stored as columns: a node table
 (names, parsed coordinates, load current and pad voltage per node, plus
 the name → dense-id hash table, built on the first lookup by name) and a
-wires map (names, two endpoint-id columns and resistances, plus a lazily
-built CSR adjacency).  It is the single
-input to MNA stamping, feature extraction and the synthetic generators,
-all of which read the columns; :class:`PGNode` / :class:`PGWire` records
-are made on demand for callers that want one node or wire at a time.
+wires map (names, two endpoint-id columns and resistances).  It is the
+single input to MNA stamping, feature extraction and the synthetic
+generators, all of which read the columns; a :class:`PGNode` record is
+made on demand for a caller that wants one node at a time.
+
+Every wire of a grid built by :meth:`PowerGrid.from_netlist` joins two
+distinct PG nodes through a finite resistance > 0, so nothing downstream
+tolerates, repairs or re-derives a bad wire.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,44 +63,6 @@ class PGNode:
         return self.structured.layer if self.structured is not None else None
 
 
-@dataclass(frozen=True, slots=True)
-class PGWire:
-    """A resistive connection between two PG nodes (wire segment or via)."""
-
-    name: str
-    node_a: int
-    node_b: int
-    resistance: float
-
-    @property
-    def conductance(self) -> float:
-        return 1.0 / self.resistance
-
-    def other(self, node: int) -> int:
-        """The endpoint opposite to *node*."""
-        if node == self.node_a:
-            return self.node_b
-        if node == self.node_b:
-            return self.node_a
-        raise ValueError(f"node {node} is not an endpoint of wire {self.name!r}")
-
-
-class _Records(Sequence):
-    """A list-like view that makes one record per access."""
-
-    def __init__(self, size: int, make: Callable[[int], object]) -> None:
-        self._size = size
-        self._make = make
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._make(i) for i in range(*index.indices(self._size))]
-        return self._make(range(self._size)[index])
-
-
 def _reject_first(netlist: Netlist) -> None:
     """Raise for the first element, in file order, a PG cannot hold."""
     res, src, pad = (
@@ -107,6 +72,11 @@ def _reject_first(netlist: Netlist) -> None:
         if ohms == 0.0:
             raise ValueError(
                 f"resistor {name!r} is a 0-ohm short; merge its nodes first"
+            )
+        if not 0.0 < ohms < np.inf:
+            raise ValueError(
+                f"resistor {name!r} has resistance {ohms}; a PG wire needs "
+                "a finite value > 0"
             )
         if a == GROUND or b == GROUND:
             raise ValueError(
@@ -182,7 +152,6 @@ class PowerGrid:
         # name is not in the contest grammar (layer -1 there).
         self._coords, self._structured = parse_node_names(node_names)
         self._coords[1, ~self._structured] = -1
-        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
         self._memo: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -191,9 +160,11 @@ class PowerGrid:
     def from_netlist(cls, netlist: Netlist) -> "PowerGrid":
         """Build the node table and wires map from a parsed deck.
 
-        Ground-referenced resistors are rejected (a static PG is floating
-        from ground except through ideal sources); 0-ohm resistors are
-        rejected as well — collapse shorts upstream.
+        Raises ``ValueError`` naming the first element, in file order, that
+        a PG cannot hold: a resistor that is not a finite value > 0, touches
+        ground (a static PG is floating from ground except through ideal
+        sources) or loops on one node; a source not referenced to ground;
+        a node pinned to two voltages.
         """
         res, src, pad = (
             netlist.resistors, netlist.current_sources, netlist.voltage_sources
@@ -221,7 +192,7 @@ class PowerGrid:
         pad_voltage[pad_ids] = volts
         if (
             GROUND in first_seen
-            or (ohms == 0.0).any()
+            or not ((ohms > 0.0) & (ohms < np.inf)).all()
             or (wire_a == wire_b).any()
             or src.node_b.count(GROUND) != len(src)
             or pad.node_b.count(GROUND) != len(pad)
@@ -328,22 +299,6 @@ class PowerGrid:
             None if volts != volts else float(volts),
         )
 
-    def _wire(self, index: int) -> PGWire:
-        return PGWire(
-            self.wire_names[index],
-            int(self._wire_a[index]),
-            int(self._wire_b[index]),
-            float(self._wire_r[index]),
-        )
-
-    @property
-    def nodes(self) -> Sequence[PGNode]:
-        return _Records(self.num_nodes, self.node)
-
-    @property
-    def wires(self) -> Sequence[PGWire]:
-        return _Records(self.num_wires, self._wire)
-
     def _name_table(self) -> dict[str, int]:
         if self._index_of is None:
             self._index_of = dict(zip(self.node_names, range(self.num_nodes)))
@@ -355,28 +310,6 @@ class PowerGrid:
     def index_of(self, name: str) -> int:
         return self._name_table()[name]
 
-    def _incident(self, node: int) -> np.ndarray:
-        """Indices of the wires at a node, ascending."""
-        if self._adjacency is None:
-            ends = np.stack([self._wire_a, self._wire_b], axis=1).ravel()
-            order = np.argsort(ends, kind="stable")
-            starts = np.searchsorted(ends[order], np.arange(self.num_nodes + 1))
-            self._adjacency = (starts, order >> 1)
-        starts, wire_of = self._adjacency
-        node = self._index(node)
-        return wire_of[starts[node] : starts[node + 1]]
-
-    def wires_at(self, node: int) -> list[PGWire]:
-        """All wires incident on a node index."""
-        return [self._wire(k) for k in self._incident(node).tolist()]
-
-    def neighbors(self, node: int) -> list[int]:
-        """Indices of nodes directly connected to *node*."""
-        return [wire.other(node) for wire in self.wires_at(node)]
-
-    def degree(self, node: int) -> int:
-        return self._incident(node).size
-
     def pad_indices(self) -> np.ndarray:
         """Indices of all voltage-pinned nodes, ascending."""
         return np.flatnonzero(~np.isnan(self.pad_voltage))
@@ -384,10 +317,6 @@ class PowerGrid:
     def pads(self) -> list[PGNode]:
         """All voltage-pinned nodes."""
         return [self.node(i) for i in self.pad_indices().tolist()]
-
-    def loads(self) -> list[PGNode]:
-        """All nodes with a nonzero attached current drain."""
-        return [self.node(i) for i in np.flatnonzero(self.load_current).tolist()]
 
     def supply_voltage(self) -> float:
         """The one level every pad is pinned to (``ValueError`` if there is none)."""
@@ -411,9 +340,6 @@ class PowerGrid:
         """Structured nodes on a given metal layer."""
         on_layer = self._structured & (self._coords[1] == layer)
         return [self.node(i) for i in np.flatnonzero(on_layer).tolist()]
-
-    def total_load_current(self) -> float:
-        return sum(self.load_current.tolist())
 
     # -- columnar views ----------------------------------------------------
 

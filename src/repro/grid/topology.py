@@ -34,39 +34,21 @@ def component_labels(grid: PowerGrid) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def connected_components(grid: PowerGrid) -> list[set[int]]:
-    """Connected components of the resistive network (node-index sets)."""
-    labels = component_labels(grid)
-    if labels.size == 0:
-        return []
-    components: list[set[int]] = [set() for _ in range(int(labels.max()) + 1)]
-    for index, label in enumerate(labels.tolist()):
-        components[label].add(index)
-    return components
-
-
-def floating_nodes(grid: PowerGrid) -> set[int]:
-    """Nodes with no resistive path to any pad.
-
-    A component without a pad has no DC operating point: its reduced
-    conductance block is exactly singular.
-    """
-    labels = component_labels(grid)
-    floating = ~np.isin(labels, labels[grid.pad_indices()])
-    return set(np.flatnonzero(floating).tolist())
-
-
 def validate_connectivity(grid: PowerGrid) -> None:
     """Raise ``ValueError`` when the grid cannot be solved.
 
     Checks: at least one pad exists and every node reaches a pad.
     """
-    if not grid.pad_indices().size:
+    pads = grid.pad_indices()
+    if not pads.size:
         raise ValueError("power grid has no voltage pads; Gx=I is singular")
-    floating = floating_nodes(grid)
-    if floating:
-        names = [grid.node_names[i] for i in sorted(floating)[:5]]
+    labels = component_labels(grid)
+    # A component without a pad has no DC operating point: its reduced
+    # conductance block is exactly singular.
+    floating = np.flatnonzero(~np.isin(labels, labels[pads]))
+    if floating.size:
+        names = [grid.node_names[i] for i in floating[:5].tolist()]
         raise ValueError(
-            f"{len(floating)} node(s) have no resistive path to a pad "
+            f"{floating.size} node(s) have no resistive path to a pad "
             f"(e.g. {names}); the reduced system is singular"
         )

@@ -13,20 +13,24 @@ Public API
 - :class:`~repro.spice.nodes.NodeName` and :func:`~repro.spice.nodes.parse_node_name`
 - :func:`~repro.spice.parser.parse_spice` / :func:`~repro.spice.parser.parse_spice_file`
 - :func:`~repro.spice.writer.write_spice` / :func:`~repro.spice.writer.netlist_to_string`
+- :func:`~repro.spice.validate.validate_grid` / :func:`~repro.spice.validate.repair_grid`,
+  the topology checks and ground-tie repair run on every built grid
+
+The parser refuses negative and non-finite values with a line number;
+:meth:`~repro.grid.netlist.PowerGrid.from_netlist` refuses the rest of what
+a PG cannot hold (0-ohm shorts, ground-touching resistors, self-loops),
+naming the element.  No layer rewrites a deck.
 """
 
 from repro.spice.ast import CurrentSource, Netlist, Resistor, VoltageSource
 from repro.spice.nodes import GROUND, NodeName, format_node_name, parse_node_name
 from repro.spice.parser import SpiceParseError, parse_spice, parse_spice_file
-from repro.spice.preprocess import collapse_shorts, count_shorts
 from repro.spice.validate import (
     NetlistValidationError,
     RepairRecord,
     ValidationIssue,
     repair_grid,
-    repair_netlist,
     validate_grid,
-    validate_netlist,
 )
 from repro.spice.writer import netlist_to_string, write_spice
 
@@ -41,12 +45,8 @@ __all__ = [
     "SpiceParseError",
     "ValidationIssue",
     "VoltageSource",
-    "collapse_shorts",
-    "count_shorts",
     "repair_grid",
-    "repair_netlist",
     "validate_grid",
-    "validate_netlist",
     "format_node_name",
     "netlist_to_string",
     "parse_node_name",

@@ -33,21 +33,6 @@ class Resistor:
                 f"resistor {self.name!r} has negative resistance {self.resistance}"
             )
 
-    @property
-    def conductance(self) -> float:
-        """Conductance in siemens; infinite resistance maps to zero."""
-        if self.resistance == 0.0:
-            raise ZeroDivisionError(
-                f"resistor {self.name!r} is a short (0 ohm); shorts must be "
-                "collapsed before conductance extraction"
-            )
-        return 1.0 / self.resistance
-
-    @property
-    def is_short(self) -> bool:
-        """True for 0-ohm resistors (via shorts that need node merging)."""
-        return self.resistance == 0.0
-
 
 @dataclass(frozen=True, slots=True)
 class Capacitor:
@@ -158,10 +143,6 @@ class ElementList:
         for element in elements:
             self.append(element)
 
-    def pop(self) -> Element:
-        """Remove and return the last element."""
-        return self.record(*(column.pop() for column in self._columns()))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -220,24 +201,6 @@ class Netlist:
 
     def __len__(self) -> int:
         return sum(len(kind) for kind in self.kinds())
-
-    def elements(self) -> Iterator[Element]:
-        """Iterate over all elements, resistors first (file-order within kind)."""
-        for kind in self.kinds():
-            yield from kind
-
-    def node_names(self) -> set[str]:
-        """All node names referenced by any element, excluding ground."""
-        names: set[str] = set()
-        for kind in self.kinds():
-            names.update(kind.node_a)
-            names.update(kind.node_b)
-        names.discard("0")
-        return names
-
-    def total_load_current(self) -> float:
-        """Sum of all current-source magnitudes (the total chip load)."""
-        return sum(self.current_sources.values.tolist())
 
     def supply_voltage(self) -> float:
         """The pad voltage, assuming a single supply level.

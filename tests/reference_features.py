@@ -7,7 +7,10 @@ and ``repro.grid.topology`` replaced with vectorised scatters.  They are
 the *reference* ``tests/test_features_oracle.py`` compares the shipped
 functions against.  ``to_networkx`` (moved from ``repro.grid.topology``)
 is the networkx view they build on; networkx is a test-only dependency.
-Nothing in ``src/`` calls these.
+Each walks the grid one record at a time (``node(i)``, and the rows of
+``wire_arrays()`` in a Python loop) so it stays an independent oracle
+rather than a call into the code it checks.  Nothing in ``src/`` calls
+these.
 """
 
 from __future__ import annotations
@@ -82,36 +85,38 @@ def _legacy_pixels_on_span(geometry, start, end):
     return sorted(pixels)
 
 
+def _wires(grid):
+    """``(node_a, node_b, resistance)`` per wire, as Python scalars."""
+    return zip(*(column.tolist() for column in grid.wire_arrays()))
+
+
+def _all_nodes(grid):
+    return [grid.node(i) for i in range(grid.num_nodes)]
+
+
 def _legacy_resistance_map(geometry, grid):
     image = np.zeros(geometry.shape, dtype=float)
-    skipped = 0
-    for wire in grid.wires:
-        if not np.isfinite(wire.resistance) or wire.resistance < 0:
-            skipped += 1
-            continue
-        node_a = grid.node(wire.node_a)
-        node_b = grid.node(wire.node_b)
+    for a, b, resistance in _wires(grid):
+        node_a = grid.node(a)
+        node_b = grid.node(b)
         if node_a.structured is None or node_b.structured is None:
             continue
         pixels = _legacy_pixels_on_span(
             geometry, node_a.structured.position, node_b.structured.position
         )
-        share = wire.resistance / len(pixels)
+        share = resistance / len(pixels)
         for row, col in pixels:
             image[row, col] += share
-    if skipped:
-        warnings.warn(
-            f"resistance_map: skipped {skipped} wire(s) with non-finite or "
-            "negative resistance",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return image
 
 
 def _legacy_shortest_path_resistances(grid):
     import heapq
 
+    incident = [[] for _ in range(grid.num_nodes)]
+    for a, b, resistance in _wires(grid):
+        incident[a].append((b, resistance))
+        incident[b].append((a, resistance))
     distances = np.full(grid.num_nodes, np.inf, dtype=float)
     heap = []
     for pad in grid.pads():
@@ -121,9 +126,8 @@ def _legacy_shortest_path_resistances(grid):
         dist, node = heapq.heappop(heap)
         if dist > distances[node]:
             continue
-        for wire in grid.wires_at(node):
-            other = wire.other(node)
-            candidate = dist + wire.resistance
+        for other, resistance in incident[node]:
+            candidate = dist + resistance
             if candidate < distances[other]:
                 distances[other] = candidate
                 heapq.heappush(heap, (candidate, other))
@@ -133,7 +137,7 @@ def _legacy_shortest_path_resistances(grid):
 def _legacy_shortest_path_resistance_map(geometry, grid, layer=1):
     distances = _legacy_shortest_path_resistances(grid)
     if layer is None:
-        nodes = [n for n in grid.nodes if n.structured is not None]
+        nodes = [n for n in _all_nodes(grid) if n.structured is not None]
     else:
         nodes = grid.nodes_on_layer(layer)
     finite_nodes = [n for n in nodes if np.isfinite(distances[n.index])]
@@ -159,7 +163,7 @@ def _legacy_shortest_path_resistance_map(geometry, grid, layer=1):
 
 def _legacy_pdn_density_map(geometry, grid, layer=None):
     if layer is None:
-        nodes = [n for n in grid.nodes if n.structured is not None]
+        nodes = [n for n in _all_nodes(grid) if n.structured is not None]
     else:
         nodes = grid.nodes_on_layer(layer)
     ones = np.ones(len(nodes), dtype=float)
@@ -176,16 +180,11 @@ def to_networkx(grid):
 
     graph = nx.Graph()
     graph.add_nodes_from(range(grid.num_nodes))
-    for wire in grid.wires:
-        if graph.has_edge(wire.node_a, wire.node_b):
-            graph[wire.node_a][wire.node_b]["conductance"] += wire.conductance
+    for a, b, resistance in _wires(grid):
+        if graph.has_edge(a, b):
+            graph[a][b]["conductance"] += 1.0 / resistance
         else:
-            graph.add_edge(
-                wire.node_a,
-                wire.node_b,
-                conductance=wire.conductance,
-                resistance=wire.resistance,
-            )
+            graph.add_edge(a, b, conductance=1.0 / resistance, resistance=resistance)
     for a, b, data in graph.edges(data=True):
         data["resistance"] = 1.0 / data["conductance"]
     return graph

@@ -90,8 +90,9 @@ class TestGenerateDesign:
         validate_connectivity(real_design.grid)
 
     def test_loads_on_bottom_layer_only(self, fake_design):
-        for node in fake_design.grid.loads():
-            assert node.layer == 1
+        grid = fake_design.grid
+        for index in np.flatnonzero(grid.load_current).tolist():
+            assert grid.node(index).layer == 1
 
     def test_pads_on_top_layer_only(self, fake_design):
         top = max(fake_design.grid.layers_present())
@@ -100,7 +101,7 @@ class TestGenerateDesign:
 
     def test_total_load_close_to_spec(self, fake_design):
         # every pixel has a bottom-layer tap in the regular fake layout
-        assert fake_design.grid.total_load_current() == pytest.approx(
+        assert fake_design.grid.load_current.sum() == pytest.approx(
             fake_design.spec.total_current, rel=1e-9
         )
 
@@ -138,7 +139,7 @@ class TestGenerateDesign:
 
     def test_real_has_resistance_jitter(self, real_design):
         """Parallel segments of equal length should have unequal resistance."""
-        resistances = [w.resistance for w in real_design.grid.wires]
+        resistances = real_design.grid.wire_arrays()[2]
         assert len(set(np.round(resistances, 9))) > len(resistances) // 2
 
     def test_layer_count_respected(self):

@@ -9,6 +9,7 @@ component partitions and floating sets exactly.
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -24,8 +25,9 @@ from repro.features.resistance import (
 )
 from repro.grid.netlist import PowerGrid
 from repro.grid.raster import layer_values_image
-from repro.grid.topology import connected_components, floating_nodes
+from repro.grid.topology import component_labels, validate_connectivity
 from repro.spice.parser import parse_spice
+from repro.spice.validate import validate_grid
 from repro.spice.writer import netlist_to_string
 from tests.reference_raster import rasterize
 from tests import reference_features as ref
@@ -71,6 +73,10 @@ def assert_maps_close(shipped: np.ndarray, reference: np.ndarray) -> None:
 
 def partition(components) -> set[frozenset[int]]:
     return {frozenset(c) for c in components}
+
+
+def label_partition(labels: np.ndarray) -> set[frozenset[int]]:
+    return partition(np.flatnonzero(labels == k).tolist() for k in np.unique(labels))
 
 
 class TestRaster:
@@ -161,24 +167,25 @@ class TestDensity:
 
 class TestTopology:
     def test_connected_components(self, design):
-        shipped = connected_components(design.grid)
-        assert partition(shipped) == partition(
+        labels = component_labels(design.grid)
+        assert labels.shape == (design.grid.num_nodes,)
+        assert label_partition(labels) == partition(
             ref._legacy_connected_components(design.grid)
         )
-        assert sum(len(c) for c in shipped) == design.grid.num_nodes
 
     def test_floating_nodes_empty_on_generated_designs(self, design):
-        assert floating_nodes(design.grid) == set()
+        validate_connectivity(design.grid)
         assert ref._legacy_floating_nodes(design.grid) == set()
 
     def test_island(self, island):
         _, grid = island
-        floating = floating_nodes(grid)
-        assert floating == ref._legacy_floating_nodes(grid)
-        assert {grid.node(i).name for i in floating} == {
-            "n1_m1_1_1",
-            "n1_m1_501_1",
-        }
-        assert partition(connected_components(grid)) == partition(
+        floating = ref._legacy_floating_nodes(grid)
+        names = sorted(grid.node(i).name for i in floating)
+        assert names == ["n1_m1_1_1", "n1_m1_501_1"]
+        with pytest.raises(ValueError, match=r"2 node.*" + re.escape(str(names))):
+            validate_connectivity(grid)
+        issue = next(i for i in validate_grid(grid) if i.kind == "floating_nodes")
+        assert issue.count == len(floating)
+        assert label_partition(component_labels(grid)) == partition(
             ref._legacy_connected_components(grid)
         )

@@ -320,7 +320,7 @@ def test_layer_image_on_a_memo_hit_matches_a_fresh_grid(make, reduce):
             geometry, cold, values, layer, reduce=reduce, fill=-1.0
         )
         assert bits(images[layer]) == bits(want)
-        on_layer = [node for node in cold.nodes if node.layer == layer]
+        on_layer = cold.nodes_on_layer(layer)
         reference = rasterize(
             geometry, on_layer, values[[node.index for node in on_layer]],
             reduce=reduce, fill=-1.0,

@@ -1,8 +1,10 @@
 """Unit tests for the PowerGrid node table / wires map."""
 
+import numpy as np
 import pytest
 
 from repro.grid.netlist import PowerGrid
+from repro.spice.ast import ElementList, Netlist, Resistor, VoltageSource
 from repro.spice.parser import parse_spice
 
 
@@ -12,8 +14,7 @@ class TestConstruction:
         assert tiny_grid.num_wires == 4
 
     def test_dense_indices_in_file_order(self, tiny_grid):
-        names = [n.name for n in tiny_grid.nodes]
-        assert names[0] == "n1_m1_0_0"
+        assert tiny_grid.node(0).name == "n1_m1_0_0"
         assert tiny_grid.index_of("n1_m1_0_0") == 0
 
     def test_structured_names_parsed(self, tiny_grid):
@@ -54,6 +55,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="short"):
             PowerGrid.from_netlist(parse_spice("R1 a b 0\n"))
 
+    @pytest.mark.parametrize(
+        "ohms", [0.0, -1.0, np.nan, np.inf, -np.inf], ids=str
+    )
+    def test_wire_resistance_must_be_finite_and_positive(self, ohms):
+        # Columns adopted as they are: the parser's own value checks are
+        # bypassed, so the grid is the last line.  The bad wire sits in
+        # parallel with a good one and is named, not the good one.
+        netlist = Netlist(
+            resistors=ElementList.from_columns(
+                Resistor,
+                ["R1", "R2", "R3"],
+                ["a", "a", "b"],
+                ["b", "b", "c"],
+                np.array([0.5, ohms, 1.0]),
+            ),
+            voltage_sources=[VoltageSource("V1", "a", "0", 1.0)],
+        )
+        with pytest.raises(ValueError, match="resistor 'R2'"):
+            PowerGrid.from_netlist(netlist)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             PowerGrid.from_netlist(parse_spice("R1 a a 1\n"))
@@ -72,27 +93,10 @@ class TestQueries:
         assert "n1_m1_0_0" in tiny_grid
         assert "nope" not in tiny_grid
 
-    def test_wires_at_and_neighbors(self, tiny_grid):
-        origin = tiny_grid.index_of("n1_m1_0_0")
-        assert tiny_grid.degree(origin) == 2
-        neighbor_names = {
-            tiny_grid.node(i).name for i in tiny_grid.neighbors(origin)
-        }
-        assert neighbor_names == {"n1_m1_1000_0", "n1_m1_0_1000"}
-
-    def test_wire_other_endpoint(self, tiny_grid):
-        wire = tiny_grid.wires[0]
-        assert wire.other(wire.node_a) == wire.node_b
-        assert wire.other(wire.node_b) == wire.node_a
-        with pytest.raises(ValueError):
-            wire.other(9999)
-
-    def test_wire_conductance(self, tiny_grid):
-        wire = next(w for w in tiny_grid.wires if w.name == "R2")
-        assert wire.conductance == pytest.approx(0.5)
-
     def test_loads(self, tiny_grid):
-        load_names = {n.name for n in tiny_grid.loads()}
+        load_names = {
+            tiny_grid.node_names[i] for i in np.flatnonzero(tiny_grid.load_current)
+        }
         assert load_names == {"n1_m1_1000_1000", "n1_m1_1000_0"}
 
     def test_layers_present(self, tiny_grid):
@@ -103,9 +107,11 @@ class TestQueries:
         assert tiny_grid.nodes_on_layer(2) == []
 
     def test_total_load_current(self, tiny_grid):
-        assert tiny_grid.total_load_current() == pytest.approx(0.015)
+        assert tiny_grid.load_current.sum() == pytest.approx(0.015)
 
     def test_multilayer_design(self, fake_design):
         grid = fake_design.grid
         assert grid.layers_present() == [1, 2, 3]
-        assert all(grid.degree(i) > 0 for i in range(grid.num_nodes))
+        node_a, node_b, _ = grid.wire_arrays()
+        degree = np.bincount(np.r_[node_a, node_b], minlength=grid.num_nodes)
+        assert (degree > 0).all()

@@ -10,6 +10,10 @@ from repro.spice.parser import parse_spice
 from tests.reference_raster import rasterize
 
 
+def all_nodes(grid):
+    return [grid.node(i) for i in range(grid.num_nodes)]
+
+
 @pytest.fixture()
 def geometry():
     return GridGeometry(
@@ -35,35 +39,35 @@ def grid():
 class TestRasterize:
     def test_max_reduction(self, geometry, grid):
         values = np.array([1.0, 5.0, 3.0])
-        image = rasterize(geometry, grid.nodes, values, reduce="max")
+        image = rasterize(geometry, all_nodes(grid), values, reduce="max")
         assert image[0, 0] == 1.0
         assert image[0, 1] == 5.0  # max of 5 and 3 sharing pixel (0,1)
 
     def test_sum_reduction(self, geometry, grid):
         values = np.array([1.0, 5.0, 3.0])
-        image = rasterize(geometry, grid.nodes, values, reduce="sum")
+        image = rasterize(geometry, all_nodes(grid), values, reduce="sum")
         assert image[0, 1] == 8.0
 
     def test_mean_reduction(self, geometry, grid):
         values = np.array([1.0, 5.0, 3.0])
-        image = rasterize(geometry, grid.nodes, values, reduce="mean")
+        image = rasterize(geometry, all_nodes(grid), values, reduce="mean")
         assert image[0, 1] == 4.0
 
     def test_fill_for_empty_pixels(self, geometry, grid):
         values = np.ones(3)
-        image = rasterize(geometry, grid.nodes, values, reduce="max", fill=-1.0)
+        image = rasterize(geometry, all_nodes(grid), values, reduce="max", fill=-1.0)
         assert image[3, 3] == -1.0
 
     def test_mismatched_lengths_raise(self, geometry, grid):
         with pytest.raises(ValueError):
-            rasterize(geometry, grid.nodes, np.ones(2))
+            rasterize(geometry, all_nodes(grid), np.ones(2))
 
     def test_unknown_reduction_raises(self, geometry, grid):
         with pytest.raises(ValueError):
-            rasterize(geometry, grid.nodes, np.ones(3), reduce="median")
+            rasterize(geometry, all_nodes(grid), np.ones(3), reduce="median")
 
     def test_output_shape(self, geometry, grid):
-        image = rasterize(geometry, grid.nodes, np.ones(3))
+        image = rasterize(geometry, all_nodes(grid), np.ones(3))
         assert image.shape == geometry.shape
 
 

@@ -8,12 +8,9 @@ import pytest
 
 from repro.features.resistance import shortest_path_resistances
 from repro.grid.netlist import PowerGrid
-from repro.grid.topology import (
-    connected_components,
-    floating_nodes,
-    validate_connectivity,
-)
+from repro.grid.topology import component_labels, validate_connectivity
 from repro.spice.parser import parse_spice
+from repro.spice.validate import validate_grid
 
 from tests.reference_features import to_networkx
 
@@ -38,13 +35,16 @@ class TestGraphView:
 
 class TestConnectivity:
     def test_single_component(self, tiny_grid):
-        assert len(connected_components(tiny_grid)) == 1
+        assert component_labels(tiny_grid).tolist() == [0] * tiny_grid.num_nodes
 
     def test_floating_island_detected(self):
         grid = grid_from("R1 a b 1\nV1 a 0 1\nR2 c d 1\n")
-        floating = floating_nodes(grid)
-        names = {grid.node(i).name for i in floating}
-        assert names == {"c", "d"}
+        a, b, c, d = map(grid.index_of, "abcd")
+        labels = component_labels(grid)
+        assert labels[a] == labels[b] != labels[c] == labels[d]
+        issue = next(i for i in validate_grid(grid) if i.kind == "floating_nodes")
+        assert issue.count == 2
+        assert "['c']" in issue.message
 
     def test_validate_raises_on_island(self):
         grid = grid_from("R1 a b 1\nV1 a 0 1\nR2 c d 1\n")

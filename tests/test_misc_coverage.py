@@ -55,43 +55,12 @@ class TestPixelsOnSpan:
 
 class TestVectorizedFeatureEquivalence:
     def test_shortest_path_matches_python_dijkstra(self, fake_design):
-        from repro.features.resistance import (
-            _shortest_path_resistances_python,
-            shortest_path_resistances,
-        )
+        from repro.features.resistance import shortest_path_resistances
+        from tests.reference_features import _legacy_shortest_path_resistances
 
         fast = shortest_path_resistances(fake_design.grid)
-        reference = _shortest_path_resistances_python(fake_design.grid)
+        reference = _legacy_shortest_path_resistances(fake_design.grid)
         np.testing.assert_array_equal(fast, reference)
-
-    def test_negative_resistance_falls_back_to_python(self):
-        from repro.features.resistance import shortest_path_resistances
-        from repro.grid.netlist import PowerGrid
-        from repro.spice.parser import parse_spice
-
-        grid = PowerGrid.from_netlist(
-            parse_spice(
-                "V1 n1_1_0_0 0 1\n"
-                "R1 n1_1_0_0 n1_1_1000_0 2\n"
-                "R2 n1_1_5000_5000 n1_1_6000_5000 3\n"  # pad-free island
-            )
-        )
-        # Parser/AST refuse negative resistance, so corrupt the grid the
-        # way unguarded downstream mutation would.  The corrupted wire
-        # lives in a component no pad reaches: relaxation never touches
-        # it, so both implementations must agree it stays infinite.
-        island_wire = next(
-            w for w in grid.wires if grid.node(w.node_a).name == "n1_1_5000_5000"
-        )
-        try:
-            island_wire.resistance = -3.0
-        except (AttributeError, TypeError):
-            object.__setattr__(island_wire, "resistance", -3.0)
-        grid._wire_arrays_cache = None
-        distances = shortest_path_resistances(grid)
-        assert distances[grid.node("n1_1_0_0").index] == 0.0
-        assert distances[grid.node("n1_1_1000_0").index] == 2.0
-        assert np.isinf(distances[grid.node("n1_1_5000_5000").index])
 
     def test_resistance_map_matches_per_wire_scatter(self, fake_design):
         from repro.features.resistance import (
@@ -101,18 +70,17 @@ class TestVectorizedFeatureEquivalence:
 
         geometry, grid = fake_design.geometry, fake_design.grid
         expected = np.zeros(geometry.shape)
-        for wire in grid.wires:
-            node_a = grid.node(wire.node_a)
-            node_b = grid.node(wire.node_b)
+        wire_a, wire_b, wire_r = grid.wire_arrays()
+        for a, b, resistance in zip(wire_a.tolist(), wire_b.tolist(), wire_r.tolist()):
+            node_a = grid.node(a)
+            node_b = grid.node(b)
             if node_a.structured is None or node_b.structured is None:
                 continue
             rows, cols = _pixels_on_span(
                 geometry, node_a.structured.position,
                 node_b.structured.position,
             )
-            np.add.at(
-                expected, (rows, cols), wire.resistance / len(rows)
-            )
+            np.add.at(expected, (rows, cols), resistance / len(rows))
         np.testing.assert_allclose(
             resistance_map(geometry, grid), expected, atol=1e-10
         )
@@ -127,7 +95,7 @@ class TestNetlistAST:
 
     def test_elements_iterates_in_kind_order(self):
         netlist = parse_spice("I1 b 0 0.1\nR1 a b 1\nC1 b 0 1e-12\n")
-        kinds = [type(e).__name__ for e in netlist.elements()]
+        kinds = [type(e).__name__ for kind in netlist.kinds() for e in kind]
         assert kinds == ["Resistor", "CurrentSource", "Capacitor"]
 
     def test_capacitor_roundtrip(self):
@@ -138,19 +106,9 @@ class TestNetlistAST:
         reparsed = parse_spice(netlist_to_string(netlist))
         assert reparsed.capacitors == netlist.capacitors
 
-    def test_node_names_include_cap_terminals(self):
-        netlist = parse_spice("R1 a b 1\nC1 b c 1e-12\n")
-        assert netlist.node_names() == {"a", "b", "c"}
-
     def test_negative_capacitance_ast_rejected(self):
         with pytest.raises(ValueError):
             Capacitor("C1", "a", "0", -1e-12)
-
-    def test_resistor_conductance_of_short_raises(self):
-        short = Resistor("R1", "a", "b", 0.0)
-        assert short.is_short
-        with pytest.raises(ZeroDivisionError):
-            short.conductance
 
 
 class TestSolveResultHelpers:

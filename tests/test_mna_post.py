@@ -43,7 +43,7 @@ class TestBranchCurrents:
         grid, voltages = solved
         supplied = pad_currents(grid, voltages)
         assert sum(supplied.values()) == pytest.approx(
-            grid.total_load_current(), rel=1e-8
+            grid.load_current.sum(), rel=1e-8
         )
 
     def test_all_pads_supply_current(self, solved):

@@ -1,8 +1,8 @@
 """``build_reduced_system`` against the per-wire loop it replaced, bitwise.
 
 ``_loop_stamp`` is that loop, moved here from ``repro.mna.stamper``: it
-walks node and wire records one at a time and is the reference for the
-order every sum is taken in.
+walks node records (``node(i)``) and the rows of ``wire_arrays()`` one at
+a time and is the reference for the order every sum is taken in.
 """
 
 import numpy as np
@@ -16,9 +16,10 @@ from repro.spice.ast import CurrentSource, Resistor, VoltageSource
 
 
 def _loop_stamp(grid):
+    nodes = [grid.node(i) for i in range(grid.num_nodes)]
     pad_voltages = {n.index: n.pad_voltage for n in grid.pads()}
     unknown_indices = np.array(
-        [n.index for n in grid.nodes if not n.is_pad], dtype=np.int64
+        [n.index for n in nodes if not n.is_pad], dtype=np.int64
     )
     row_of = {int(g): r for r, g in enumerate(unknown_indices)}
     n_unknown = len(unknown_indices)
@@ -29,10 +30,11 @@ def _loop_stamp(grid):
     rhs = np.zeros(n_unknown, dtype=float)
 
     diag = np.zeros(n_unknown, dtype=float)
-    for wire in grid.wires:
-        g = wire.conductance
-        a_row = row_of.get(wire.node_a)
-        b_row = row_of.get(wire.node_b)
+    node_a, node_b, resistance = (column.tolist() for column in grid.wire_arrays())
+    for a, b, ohms in zip(node_a, node_b, resistance):
+        g = 1.0 / ohms
+        a_row = row_of.get(a)
+        b_row = row_of.get(b)
         if a_row is not None:
             diag[a_row] += g
         if b_row is not None:
@@ -42,12 +44,12 @@ def _loop_stamp(grid):
             cols.extend((b_row, a_row))
             vals.extend((-g, -g))
         elif a_row is not None:
-            rhs[a_row] += g * pad_voltages[wire.node_b]
+            rhs[a_row] += g * pad_voltages[b]
         elif b_row is not None:
-            rhs[b_row] += g * pad_voltages[wire.node_a]
+            rhs[b_row] += g * pad_voltages[a]
         # pad-to-pad wires contribute nothing to the reduced system
 
-    for node in grid.nodes:
+    for node in nodes:
         row = row_of.get(node.index)
         if row is not None and node.load_current:
             rhs[row] -= node.load_current

@@ -42,7 +42,7 @@ class TestGeneratedDesignProperties:
         )
         drop = design.spec.supply_voltage - voltages
         worst_path = shortest_path_resistances(design.grid).max()
-        bound = design.grid.total_load_current() * worst_path
+        bound = design.grid.load_current.sum() * worst_path
         assert drop.max() <= bound + 1e-9
 
     @given(seed=design_seeds)

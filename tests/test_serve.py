@@ -395,6 +395,21 @@ class TestAdmission:
             assert status == 400, payload
             assert body["error"] == "bad_request", payload
 
+    def test_bad_deck_content_maps_to_400(self, daemon, deck):
+        # A well-formed request whose deck the front end refuses: the grid
+        # builder names a 0-ohm resistor, the parser a negative value's line.
+        head = "* bad deck\nV1 n1_m1_0_0 0 1.05\nI1 n1_m1_1000_0 0 0.01\n"
+        for resistor, named in (
+            ("R1 n1_m1_0_0 n1_m1_1000_0 0", "resistor 'R1' is a 0-ohm short"),
+            ("R1 n1_m1_0_0 n1_m1_1000_0 -1", "line 4: negative resistance"),
+        ):
+            status, body = _post(daemon, {"netlist": head + resistor + "\n.end\n"})
+            assert status == 400, resistor
+            assert body["error"] == "bad_input", resistor
+            assert named in body["message"], body
+        status, body = _post(daemon, {"netlist": deck})
+        assert status == 200 and body["state"] == "done"
+
     @pytest.mark.parametrize("length", [b"-1", b"-5"])
     def test_negative_content_length_is_400(self, daemon, length):
         # The socket timeout turns a handler that waits for the client to

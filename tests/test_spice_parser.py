@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.grid.netlist import PowerGrid
 from repro.spice.ast import CurrentSource, Resistor, VoltageSource
 from repro.spice.parser import SpiceParseError, parse_spice, parse_value
 
@@ -107,12 +108,12 @@ class TestParseSpice:
             parse_spice("R1 a b 1\nL1 a b 1\n")
 
     def test_node_names_excludes_ground(self):
-        netlist = parse_spice("R1 a b 1\nI1 b 0 0.1\n")
-        assert netlist.node_names() == {"a", "b"}
+        grid = PowerGrid.from_netlist(parse_spice("R1 a b 1\nI1 b 0 0.1\n"))
+        assert grid.node_names == ["a", "b"]
 
     def test_total_load_current(self):
         netlist = parse_spice("I1 a 0 0.1\nI2 b 0 0.3\n")
-        assert netlist.total_load_current() == pytest.approx(0.4)
+        assert netlist.current_sources.values.sum() == pytest.approx(0.4)
 
     def test_supply_voltage_single(self):
         netlist = parse_spice("V1 a 0 1.05\nV2 b 0 1.05\n")

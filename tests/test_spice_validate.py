@@ -1,22 +1,14 @@
-"""Tests for netlist/grid validation, repair and singular-G detection."""
+"""Tests for grid validation, repair and singular-G detection."""
 
 import numpy as np
 import pytest
 
 from repro.grid.netlist import PowerGrid
+from repro.grid.topology import validate_connectivity
 from repro.mna.stamper import build_reduced_system
-from repro.spice.ast import CurrentSource, Netlist, Resistor, VoltageSource
+from repro.spice.ast import Netlist, Resistor
 from repro.spice.parser import parse_spice
-from repro.spice.validate import (
-    MIN_RESISTANCE,
-    NetlistValidationError,
-    floating_components,
-    repair_grid,
-    repair_netlist,
-    singular_rows,
-    validate_grid,
-    validate_netlist,
-)
+from repro.spice.validate import NetlistValidationError, repair_grid, validate_grid
 
 ISLAND_DECK = """* main grid plus a floating island
 R1 n1_m1_0_0 n1_m1_1000_0 1.0
@@ -32,64 +24,6 @@ I9 n1_m1_6000_5000 0 0.002
 
 def island_grid() -> PowerGrid:
     return PowerGrid.from_netlist(parse_spice(ISLAND_DECK))
-
-
-class TestValidateNetlist:
-    def test_clean_deck_no_issues(self, tiny_netlist):
-        assert validate_netlist(tiny_netlist) == []
-
-    def test_nonfinite_resistance_detected(self):
-        # Negative values are rejected at Resistor construction, but NaN
-        # slips through ``< 0`` — validation must still catch it.
-        netlist = Netlist(
-            resistors=[Resistor("R1", "a", "b", float("nan"))],
-            voltage_sources=[VoltageSource("V1", "a", "0", 1.0)],
-        )
-        issues = validate_netlist(netlist)
-        kinds = {i.kind for i in issues}
-        assert "nonpositive_resistance" in kinds
-        assert all(i.fatal for i in issues if i.kind == "nonpositive_resistance")
-
-    def test_shorts_and_missing_pads_detected(self):
-        netlist = Netlist(resistors=[Resistor("R1", "a", "b", 0.0)])
-        kinds = {i.kind for i in validate_netlist(netlist)}
-        assert kinds == {"short_resistor", "no_pads"}
-
-
-class TestRepairNetlist:
-    def test_clean_deck_untouched(self, tiny_netlist):
-        repaired, records = repair_netlist(tiny_netlist)
-        assert repaired is tiny_netlist
-        assert records == []
-
-    def test_nonfinite_resistance_clamped(self):
-        netlist = Netlist(
-            resistors=[
-                Resistor("R1", "a", "b", float("nan")),
-                Resistor("R2", "b", "c", float("inf")),
-                Resistor("R3", "c", "d", 2.0),
-            ],
-            voltage_sources=[VoltageSource("V1", "a", "0", 1.0)],
-        )
-        repaired, records = repair_netlist(netlist)
-        values = {r.name: r.resistance for r in repaired.resistors}
-        assert values["R1"] == MIN_RESISTANCE
-        assert values["R2"] == MIN_RESISTANCE
-        assert values["R3"] == 2.0
-        assert [r.action for r in records] == ["clamp_resistance"]
-        assert records[0].count == 2
-
-    def test_shorts_collapsed(self):
-        netlist = Netlist(
-            resistors=[
-                Resistor("R1", "a", "b", 0.0),
-                Resistor("R2", "b", "c", 1.0),
-            ],
-            voltage_sources=[VoltageSource("V1", "a", "0", 1.0)],
-        )
-        repaired, records = repair_netlist(netlist)
-        assert [r.action for r in records] == ["collapse_shorts"]
-        assert all(not r.is_short for r in repaired.resistors)
 
 
 class TestValidateGrid:
@@ -117,20 +51,35 @@ class TestRepairGrid:
         grid = island_grid()
         repaired, records = repair_grid(grid, supply_voltage=1.05)
         assert [r.action for r in records] == ["ground_tie"]
-        assert floating_components(repaired) == []
+        assert records[0].count == 2
+        assert "'n1_m1_5000_5000'" in records[0].detail
+        validate_connectivity(repaired)
         # the original grid is untouched
-        assert floating_components(grid) != []
+        with pytest.raises(ValueError, match="no resistive path"):
+            validate_connectivity(grid)
         system = build_reduced_system(repaired)
         assert np.all(system.matrix.diagonal() > 0)
 
-    def test_isolate_strategy_zeroes_island_loads(self):
-        repaired, records = repair_grid(
-            island_grid(), supply_voltage=1.05, strategy="isolate"
+    def test_each_island_tied_at_its_first_node(self):
+        # Three islands of 1, 3 and 2 nodes, met in file order; the
+        # validation sample and the ties both follow first appearance.
+        grid = PowerGrid.from_netlist(
+            parse_spice(
+                ISLAND_DECK.replace(
+                    ".end", "RA p q 1\nRB q r 1\nRC s t 1\nIS u 0 0.1\n.end"
+                )
+            )
         )
-        island_nodes = [repaired.node("n1_m1_5000_5000"),
-                        repaired.node("n1_m1_6000_5000")]
-        assert all(n.load_current == 0.0 for n in island_nodes)
-        assert "zeroed" in records[0].detail
+        issue = validate_grid(grid)[0]
+        assert issue.count == 2 + 3 + 2 + 1
+        assert "4 component(s)" in issue.message
+        assert "['n1_m1_5000_5000', 'p', 's']" in issue.message
+        repaired, records = repair_grid(grid, supply_voltage=1.05)
+        assert [r.count for r in records] == [2, 3, 2, 1]
+        assert [r.detail.split("'")[1] for r in records] == [
+            "n1_m1_5000_5000", "p", "s", "u",
+        ]
+        validate_connectivity(repaired)
 
     def test_clean_grid_returned_as_is(self, tiny_grid):
         repaired, records = repair_grid(tiny_grid, supply_voltage=1.05)
@@ -143,28 +92,21 @@ class TestRepairGrid:
         with pytest.raises(NetlistValidationError):
             repair_grid(grid, supply_voltage=1.0)
 
-    def test_unknown_strategy_rejected(self, tiny_grid):
-        with pytest.raises(ValueError, match="strategy"):
-            repair_grid(tiny_grid, supply_voltage=1.0, strategy="pray")
-
 
 class TestSingularDetection:
-    def test_singular_rows_found(self, tiny_grid):
-        system = build_reduced_system(tiny_grid)
-        assert singular_rows(system.matrix).size == 0
-        from repro.testing.faults import make_singular
-
-        assert list(singular_rows(make_singular(system.matrix, row=1))) == [1]
-
     def test_stamper_rejects_corrupt_diagonal(self):
-        # A NaN resistance slips past Resistor construction but must be
-        # caught at stamping time, before any solver sees the system.
-        netlist = Netlist(
-            resistors=[Resistor("R1", "n1_m1_0_0", "n1_m1_1000_0", float("nan"))],
-            current_sources=[CurrentSource("I1", "n1_m1_1000_0", "0", 0.01)],
-            voltage_sources=[VoltageSource("V1", "n1_m1_0_0", "0", 1.0)],
+        # from_netlist refuses a NaN wire, but a grid built from raw columns
+        # is not checked: stamping must still catch it before any solver
+        # sees the system.
+        grid = PowerGrid(
+            ["n1_m1_0_0", "n1_m1_1000_0"],
+            np.array([0.0, 0.01]),
+            np.array([1.0, np.nan]),
+            ["R1"],
+            np.array([0]),
+            np.array([1]),
+            np.array([np.nan]),
         )
-        grid = PowerGrid.from_netlist(netlist)
         with pytest.raises(ValueError, match="singular or indefinite"):
             build_reduced_system(grid)
 
