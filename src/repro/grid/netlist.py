@@ -71,7 +71,8 @@ def _reject_first(netlist: Netlist) -> None:
     for name, a, b, ohms in zip(res.names, res.node_a, res.node_b, res.values.tolist()):
         if ohms == 0.0:
             raise ValueError(
-                f"resistor {name!r} is a 0-ohm short; merge its nodes first"
+                f"resistor {name!r} is a 0-ohm short; give it a finite value "
+                "> 0 or join its two nodes in the deck"
             )
         if not 0.0 < ohms < np.inf:
             raise ValueError(

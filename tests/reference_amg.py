@@ -1,66 +1,77 @@
-"""Reference AMG coarsening (moved from ``repro.solvers.amg``).
+"""Reference AMG coarsening and the invariants of one aggregation pass.
 
-``pairwise_aggregate`` orders each row's candidates with one stable
-``np.lexsort``; ``coarsen_once`` forms every pass's coarse operator as the
-sparse triple product ``P^T A P`` and composes the passes' prolongations
-with a sparse product.  The array-form setup in ``repro.solvers.amg``
-must produce the same aggregates and, up to summation order, the same
-coarse operators; ``tests/test_solvers_amg_oracle.py`` holds it to these.
-The smoothed-aggregation branch ``coarsen_once`` used to carry is gone
-with its option.  Nothing in ``src/`` calls these.
+``coarsen_once`` forms every pass's coarse operator as the sparse triple
+product ``P^T A P`` and composes the passes' prolongations with a sparse
+product, over the aggregates ``repro.solvers.amg.pairwise_aggregate``
+produces.  The array-form setup must give the same coarse operators up to
+summation order; ``tests/test_solvers_amg_oracle.py`` holds it to these.
+``assert_valid_aggregation`` states what any pass must produce, read from
+its output and the matrix alone.  Nothing in ``src/`` calls these.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from repro.solvers.amg import AMGOptions
-
-_UNAGGREGATED = -1
+from repro.solvers.amg import AMGOptions, pairwise_aggregate
 
 
-def pairwise_aggregate(matrix: sp.csr_matrix, strength_threshold: float) -> np.ndarray:
-    """One pass of pairwise aggregation.
+def candidate_edges(
+    matrix: sp.csr_matrix, strength_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` for every candidate ``j`` of row ``i``.
 
-    Returns an array ``agg`` with ``agg[i]`` = aggregate id of node *i*;
-    ids are dense in ``[0, n_aggregates)``.  Nodes are visited in order of
-    ascending degree (fewer connections first), which is the usual
-    heuristic to avoid stranding weakly connected nodes as singletons.
+    A candidate is a negative off-diagonal with ``|a_ij|`` at least
+    *strength_threshold* times the row's largest such coupling.
+    """
+    coo = sp.coo_matrix(matrix)
+    negative = (coo.data < 0.0) & (coo.row != coo.col)
+    rows, cols, strength = coo.row[negative], coo.col[negative], -coo.data[negative]
+    strongest = np.zeros(matrix.shape[0])
+    np.maximum.at(strongest, rows, strength)
+    keep = strength >= strength_threshold * strongest[rows]
+    return rows[keep], cols[keep]
+
+
+def assert_valid_aggregation(
+    matrix: sp.csr_matrix, strength_threshold: float, agg: np.ndarray
+) -> None:
+    """Every invariant of one pass, checked against *matrix*.
+
+    * every node is assigned, ids are dense, and no aggregate has more
+      than three nodes (a pair and one joiner);
+    * an aggregate of two or more nodes is connected by candidate edges;
+    * a singleton has no candidate at all, or none in a pair, or was
+      turned away: a candidate of it in a bare (two-node) pair means the
+      pair it asked took another joiner, so one of its candidates is in a
+      three-node aggregate;
+    * the same input gives the same output.
     """
     n = matrix.shape[0]
-    indptr, data = matrix.indptr, matrix.data
-    degrees = np.diff(indptr)
-    rows = np.repeat(np.arange(n), degrees)
-    # Coupling strength per stored entry: -a_ij for negative off-diagonals.
-    strength = np.where((data < 0.0) & (matrix.indices != rows), -data, 0.0)
-    strongest = np.zeros(n)
-    nonempty = degrees > 0
-    strongest[nonempty] = np.maximum.reduceat(strength, indptr[:-1][nonempty])
-    candidate = (strength > 0.0) & (strength >= strength_threshold * strongest[rows])
-    # Each row's candidates by descending strength; the stable sort keeps
-    # storage order among equals, so "first unaggregated candidate" below
-    # is the row's strongest still-free neighbour, earliest stored on ties.
-    cand_rows = rows[candidate]
-    by_strength = np.lexsort((-strength[candidate], cand_rows))
-    cand_cols = matrix.indices[candidate][by_strength].tolist()
-    cand_ptr = np.concatenate(([0], np.cumsum(np.bincount(cand_rows, minlength=n))))
-    cand_ptr = cand_ptr.tolist()
+    assert agg.shape == (n,) and agg.dtype == np.int64
+    assert (agg >= 0).all(), "a node is left unassigned"
+    sizes = np.bincount(agg)
+    assert (sizes > 0).all(), "aggregate ids are not dense"
+    assert (sizes <= 3).all(), "an aggregate has more than one joiner"
 
-    # The matching itself is sequential (a pick removes a neighbour from
-    # later rows' choices); it runs over plain lists.
-    agg = [_UNAGGREGATED] * n
-    next_id = 0
-    for i in np.argsort(degrees, kind="stable").tolist():
-        if agg[i] != _UNAGGREGATED:
-            continue
-        agg[i] = next_id
-        for j in cand_cols[cand_ptr[i] : cand_ptr[i + 1]]:
-            if agg[j] == _UNAGGREGATED:
-                agg[j] = next_id
-                break
-        next_id += 1
-    return np.array(agg, dtype=np.int64)
+    rows, cols = candidate_edges(matrix, strength_threshold)
+    inside = agg[rows] == agg[cols]
+    graph = sp.coo_matrix(
+        (np.ones(int(inside.sum())), (rows[inside], cols[inside])), shape=(n, n)
+    )
+    # Edges inside aggregates only: every aggregate is at least one piece.
+    pieces, _ = connected_components(graph, directed=False)
+    assert pieces == sizes.size, "an aggregate is not connected by candidates"
+
+    # next_to[s, i]: singleton i has a candidate in an aggregate of s nodes.
+    alone = sizes[agg[rows]] == 1
+    next_to = np.zeros((4, n), dtype=bool)
+    next_to[sizes[agg[cols[alone]]], rows[alone]] = True
+    assert not (next_to[2] & ~next_to[3]).any(), "a singleton skipped a pair"
+    again = pairwise_aggregate(matrix.copy(), strength_threshold)
+    assert np.array_equal(again, agg), "two calls on one input disagree"
 
 
 def aggregation_to_prolongation(agg: np.ndarray) -> sp.csr_matrix:
@@ -70,6 +81,14 @@ def aggregation_to_prolongation(agg: np.ndarray) -> sp.csr_matrix:
     data = np.ones(n, dtype=float)
     rows = np.arange(n, dtype=np.int64)
     return sp.csr_matrix((data, (rows, agg)), shape=(n, n_coarse))
+
+
+def galerkin_product(matrix: sp.csr_matrix, agg: np.ndarray) -> sp.csr_matrix:
+    """``P^T A P`` as a sparse triple product, for *agg*'s ``P``."""
+    p = aggregation_to_prolongation(agg)
+    coarse = sp.csr_matrix(p.T @ matrix @ p)
+    coarse.sum_duplicates()
+    return coarse
 
 
 def coarsen_once(
@@ -84,8 +103,7 @@ def coarsen_once(
     for _ in range(options.passes_per_level):
         agg = pairwise_aggregate(current, options.strength_threshold)
         p_step = aggregation_to_prolongation(agg)
-        current = sp.csr_matrix(p_step.T @ current @ p_step)
-        current.sum_duplicates()
+        current = galerkin_product(current, agg)
         tentative = p_step if tentative is None else sp.csr_matrix(
             tentative @ p_step
         )

@@ -75,7 +75,9 @@ class TestSimulate:
         assert "iterations=2 converged=False" in capsys.readouterr().out
 
     def test_prints_the_hierarchy_it_built(self, real48_deck, capsys):
+        from repro.solvers.amg import build_hierarchy
         from repro.solvers.cache import clear_setup_cache
+        from repro.solvers.powerrush import PRESETS, PowerRushSimulator
 
         clear_setup_cache()
         assert main(["simulate", str(real48_deck), "--preset", "quality"]) == 0
@@ -83,7 +85,10 @@ class TestSimulate:
         assert "converged=True" in out
         amg = [line for line in out.splitlines() if line.strip().startswith("amg:")]
         assert len(amg) == 1
-        assert "levels=3 coarsest=" in amg[0]
+        report = PowerRushSimulator(preset="quality").simulate_file(real48_deck)
+        built = build_hierarchy(report.system.matrix, PRESETS["quality"][0])
+        assert built.num_levels >= 2
+        assert f"levels={built.num_levels} coarsest={built.levels[-1].size} " in amg[0]
         assert "operator_complexity=" in amg[0]
 
     def test_fast_preset(self, deck_path, capsys):

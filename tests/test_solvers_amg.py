@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.data.synthetic import generate_design, make_fake_spec
 from repro.mna.stamper import build_reduced_system
 from repro.solvers.amg import (
     AMGOptions,
@@ -12,6 +13,9 @@ from repro.solvers.amg import (
     coarsen_once,
     pairwise_aggregate,
 )
+from repro.solvers.amg_pcg import AMGPCGSolver
+from repro.solvers.base import SolverOptions
+from repro.solvers.powerrush import PRESETS, PowerRushSimulator
 
 
 def laplacian_2d(n: int) -> sp.csr_matrix:
@@ -35,11 +39,13 @@ class TestPairwiseAggregate:
         agg = pairwise_aggregate(matrix, 0.25)
         assert set(agg) == set(range(agg.max() + 1))
 
-    def test_aggregates_at_most_pairs(self):
+    def test_tied_mesh_is_perfectly_paired(self):
+        # Every coupling ties; the binary-buddy tie key pairs each node
+        # with a neighbour, so no node is left to join a pair.
         matrix = laplacian_2d(8)
         agg = pairwise_aggregate(matrix, 0.25)
         counts = np.bincount(agg)
-        assert counts.max() <= 2
+        assert (counts == 2).all()
 
     def test_coarsens_roughly_by_half(self):
         matrix = laplacian_2d(12)
@@ -120,6 +126,37 @@ class TestHierarchy:
             laplacian_2d(24), AMGOptions(max_levels=2, max_coarse_size=4)
         )
         assert hierarchy.num_levels <= 2
+
+
+class TestTieHeavyMeshes:
+    """Meshes whose couplings tie converge as fast as under greedy matching.
+
+    A uniform Laplacian and fake designs (no resistance jitter) have few
+    distinct strengths, so the tie key shapes most aggregates.  Quality
+    PCG to 1e-10 must take no more iterations than the sequential greedy
+    matching it replaced did (recorded below).
+    """
+
+    #: Quality-preset PCG iterations to 1e-10 under the greedy matching.
+    GREEDY_ITERATIONS = {"laplacian-128": 16, "fake-64": 24, "fake-96": 27}
+
+    def test_uniform_laplacian(self):
+        matrix = laplacian_2d(128)
+        amg_options, cycle_options = PRESETS["quality"]
+        result = AMGPCGSolver(
+            SolverOptions(tol=1e-10, max_iterations=200), amg_options, cycle_options
+        ).solve(matrix, np.ones(matrix.shape[0]))
+        assert result.converged
+        assert result.iterations <= self.GREEDY_ITERATIONS["laplacian-128"]
+
+    @pytest.mark.parametrize("pixels", [64, 96])
+    def test_fake_design(self, pixels):
+        design = generate_design(make_fake_spec(f"tie{pixels}", seed=0, pixels=pixels))
+        report = PowerRushSimulator(tol=1e-10, preset="quality").simulate_grid(
+            design.grid
+        )
+        assert report.solve.converged
+        assert report.solve.iterations <= self.GREEDY_ITERATIONS[f"fake-{pixels}"]
 
 
 class TestAMGOptions:

@@ -1,9 +1,11 @@
 """Array-form AMG setup against the sparse-product code it replaced.
 
-``tests/reference_amg.py`` keeps the ``lexsort`` aggregation and the
-``P^T A P`` coarsening verbatim.  The setup in ``repro.solvers.amg`` must
-match it: the same aggregates at every level, and coarse operators with
-the same sparsity structure whose values differ only by summation order.
+``tests/reference_amg.py`` keeps the ``P^T A P`` coarsening verbatim.  The
+setup in ``repro.solvers.amg`` must match it over the aggregates it
+produces: the same level sizes, coarse operators with the same sparsity
+structure whose values differ only by summation order, and the same
+prolongations.  Every pass's aggregates must also satisfy the invariants
+of ``reference_amg.assert_valid_aggregation``.
 """
 
 import time
@@ -14,7 +16,12 @@ import scipy.sparse as sp
 
 from repro.data.synthetic import generate_design, make_fake_spec, make_real_spec
 from repro.mna.stamper import build_reduced_system
-from repro.solvers.amg import AMGOptions, build_hierarchy, pairwise_aggregate
+from repro.solvers.amg import (
+    AMGOptions,
+    build_hierarchy,
+    galerkin_coarse,
+    pairwise_aggregate,
+)
 from repro.solvers.powerrush import PRESETS
 from tests import reference_amg
 
@@ -49,11 +56,15 @@ def assert_matches_reference(matrix: sp.csr_matrix, options: AMGOptions) -> None
     ]
     for level, (want, want_p) in zip(hierarchy.levels, reference):
         got = level.matrix
-        # Every pass of this level's matching, on the level's own operator.
-        assert np.array_equal(
-            pairwise_aggregate(got, options.strength_threshold),
-            reference_amg.pairwise_aggregate(want, options.strength_threshold),
-        )
+        # A pass of this level's matching, on the level's own operator.
+        threshold = options.strength_threshold
+        agg = pairwise_aggregate(got, threshold)
+        reference_amg.assert_valid_aggregation(got, threshold, agg)
+        triple = reference_amg.galerkin_product(got, agg)
+        coarse = galerkin_coarse(got, agg)
+        assert np.array_equal(coarse.indptr, triple.indptr)
+        assert np.array_equal(coarse.indices, triple.indices)
+        np.testing.assert_allclose(coarse.data, triple.data, rtol=1e-14, atol=0.0)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)

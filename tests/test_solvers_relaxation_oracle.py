@@ -1,11 +1,9 @@
 """Setup-once AMG against the per-call code it replaced.
 
-``_loop_aggregate`` is the ``pairwise_aggregate`` loop that lived in
-``repro.solvers.amg``: it walks the CSR arrays one scalar at a time and is
-the reference for which neighbour every node is matched with.  The
-reference for the level relaxations is ``reference_smoothers.gauss_seidel``
-/ ``jacobi`` (beside this file), which still derive everything from the
-matrix on every call.
+The reference for the level relaxations is
+``reference_smoothers.gauss_seidel`` / ``jacobi`` (beside this file), which
+still derive everything from the matrix on every call.  Every level's
+aggregation is held to ``reference_amg.assert_valid_aggregation``.
 """
 
 import sys
@@ -26,46 +24,8 @@ from repro.solvers.base import SolverOptions
 from repro.solvers.cache import clear_setup_cache, global_setup_cache
 from repro.solvers.cycles import CycleOptions, CyclePreconditioner
 from repro.solvers.smoothers import RELAXATIONS
+from tests.reference_amg import assert_valid_aggregation
 from tests.reference_smoothers import gauss_seidel, jacobi
-
-
-def _loop_aggregate(matrix, strength_threshold):
-    n = matrix.shape[0]
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    agg = np.full(n, -1, dtype=np.int64)
-    degrees = np.diff(indptr)
-    order = np.argsort(degrees, kind="stable")
-
-    next_id = 0
-    for i in order:
-        if agg[i] != -1:
-            continue
-        start, end = indptr[i], indptr[i + 1]
-        best_j = -1
-        best_val = 0.0
-        strongest = 0.0
-        for k in range(start, end):
-            j = indices[k]
-            if j == i:
-                continue
-            val = data[k]
-            if val < 0.0 and -val > strongest:
-                strongest = -val
-        if strongest > 0.0:
-            cutoff = strength_threshold * strongest
-            for k in range(start, end):
-                j = indices[k]
-                if j == i or agg[j] != -1:
-                    continue
-                val = data[k]
-                if val < 0.0 and -val >= cutoff and -val > best_val:
-                    best_val = -val
-                    best_j = j
-        agg[i] = next_id
-        if best_j >= 0:
-            agg[best_j] = next_id
-        next_id += 1
-    return agg
 
 
 _SPECS = {"fake": make_fake_spec, "real": make_real_spec}
@@ -89,33 +49,35 @@ class TestAggregationOracle:
     @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("pixels", [16, 32, 48])
     @pytest.mark.parametrize("kind", ["fake", "real"])
-    def test_every_level_matches_the_loop(self, design_matrix, kind, pixels, threshold):
+    def test_every_level_keeps_invariants(self, design_matrix, kind, pixels, threshold):
         options = AMGOptions(strength_threshold=threshold)
         # Level 0 is the stamped design; the coarser ones are Galerkin
         # products with wider, less regular stencils.
         for level in build_hierarchy(design_matrix(kind, pixels), options).levels:
-            got = pairwise_aggregate(level.matrix, threshold)
-            want = _loop_aggregate(level.matrix, threshold)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            agg = pairwise_aggregate(level.matrix, threshold)
+            assert_valid_aggregation(level.matrix, threshold, agg)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
     def test_diagonal_matrix_is_all_singletons(self, threshold):
         matrix = sp.csr_matrix(sp.diags([1.0, 2.0, 3.0, 4.0]))
         got = pairwise_aggregate(matrix, threshold)
-        assert np.array_equal(got, _loop_aggregate(matrix, threshold))
+        assert_valid_aggregation(matrix, threshold, got)
         assert np.array_equal(got, np.arange(4))
 
     @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
     def test_two_node_matrix_is_one_pair(self, threshold):
         matrix = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         got = pairwise_aggregate(matrix, threshold)
-        assert np.array_equal(got, _loop_aggregate(matrix, threshold))
+        assert_valid_aggregation(matrix, threshold, got)
         assert np.array_equal(got, [0, 0])
 
     def test_ties_positive_couplings_and_empty_rows(self):
-        # Equal strengths (first stored wins), a positive off-diagonal
-        # (never a candidate) and a row with no entries at all.
+        # Equal strengths, a positive off-diagonal (never a candidate) and
+        # a row with no entries at all.  Nodes 0 and 1 are binary buddies
+        # (0 ^ 1 = 1), so they win the tie.  At threshold 0 the -0.2
+        # coupling pairs 2 with 3; above it, 2 and 3 both ask to join the
+        # pair, which takes one (the edge hash breaks the tie) and leaves
+        # 2 alone.
         dense = np.array(
             [
                 [4.0, -1.0, -1.0, 0.5, 0.0],
@@ -126,11 +88,11 @@ class TestAggregationOracle:
             ]
         )
         matrix = sp.csr_matrix(dense)
-        for threshold in (0.0, 0.25, 1.0):
-            assert np.array_equal(
-                pairwise_aggregate(matrix, threshold),
-                _loop_aggregate(matrix, threshold),
-            )
+        expected = {0.0: [0, 0, 1, 1, 2], 0.25: [0, 0, 1, 0, 2], 1.0: [0, 0, 1, 0, 2]}
+        for threshold, want in expected.items():
+            got = pairwise_aggregate(matrix, threshold)
+            assert_valid_aggregation(matrix, threshold, got)
+            assert np.array_equal(got, want)
 
 
 def _relative_gap(got, want):

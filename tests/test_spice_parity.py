@@ -73,7 +73,8 @@ def test_accepted_deck(deck, title, count):
 
 
 GRID_REJECTIONS = [
-    ("R1 a b 0\nV1 a 0 1\n", "resistor 'R1' is a 0-ohm short; merge its nodes first"),
+    ("R1 a b 0\nV1 a 0 1\n", "resistor 'R1' is a 0-ohm short; give it a finite value "
+     "> 0 or join its two nodes in the deck"),
     ("R1 a 0 1\nV1 a 0 1\n",
      "resistor 'R1' touches ground; PG resistor networks connect to ground "
      "only through sources"),
@@ -84,7 +85,8 @@ GRID_REJECTIONS = [
     ("R1 a b 1\nI1 0 0 1\n", "ground cannot be interned as a PG node"),
     # file order within a kind, resistors before sources
     ("R1 a b 1\nR2 c c 1\nR3 d e 0\nI1 a b 1\n", "resistor 'R2' is a self-loop on 'c'"),
-    ("R1 0 0 0\n", "resistor 'R1' is a 0-ohm short; merge its nodes first"),
+    ("R1 0 0 0\n", "resistor 'R1' is a 0-ohm short; give it a finite value > 0 or "
+     "join its two nodes in the deck"),
     ("V1 a b 1\nI1 a b 1\n", "current source 'I1' must sink to ground, got 'b'"),
 ]
 
