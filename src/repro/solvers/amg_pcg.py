@@ -28,7 +28,7 @@ class AMGPCGSolver:
     repeated solves with the *same array object* (the Fig. 7 iteration
     sweep), and the process-wide :mod:`repro.solvers.cache` fingerprint
     cache for repeated solves of *equal* matrices across solver instances
-    (curriculum epochs, the fallback cascade's retry, the batch engine).
+    (curriculum epochs, the batch engine).
     Either way the hierarchy object is shared, so iterate streams stay
     bitwise identical to an uncached run.
 

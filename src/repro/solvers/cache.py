@@ -5,8 +5,8 @@ dominates the cost of a *rough* solve: the fusion framework runs only 1-10
 PCG iterations, so rebuilding the hierarchy for every call to
 ``analyze_design`` throws away most of the paper's claimed speedup.  Many
 workloads solve the **same conductance matrix** repeatedly — curriculum
-epochs over a fixed design suite, the fallback cascade's adjusted retry,
-Fig. 7 iteration sweeps — and for all of them the hierarchy is a pure
+epochs over a fixed design suite, Fig. 7 iteration sweeps, the batch
+engine — and for all of them the hierarchy is a pure
 function of ``(matrix, AMGOptions)``.
 
 This module keys hierarchies by a *content fingerprint* of the matrix

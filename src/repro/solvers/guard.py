@@ -8,9 +8,8 @@ of protection:
 - :class:`IterationGuard` — per-iteration watchdog hooked into the shared
   PCG loop: NaN/Inf residual detection, divergence and stagnation
   detectors, and the cooperative deadline.
-- :class:`FallbackCascade` — tries AMG-PCG first, retries with adjusted
-  parameters (stronger smoothing, relaxed tolerance), then degrades to
-  Jacobi-PCG and finally a dense/direct solve.  Every attempt and every
+- :class:`FallbackCascade` — tries AMG-PCG first and, if it fails, the
+  sparse-LU direct solve (the golden reference).  Every attempt and every
   fallback is recorded in a :class:`SolverDiagnostics`, never silent.
 
 A cap-limited non-converged solve is *not* a failure — the paper's rough
@@ -20,7 +19,7 @@ tripped, the solver raised, or the iterate contains non-finite entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.obs.registry import (
     SOLVER_FALLBACKS,
 )
 from repro.solvers.base import SolveResult, SolverOptions
+from repro.solvers.direct import DirectSolver
 
 #: Signature of a fault hook: ``(solver_name, iteration, residual) -> residual``.
 #: Used by the deterministic fault-injection harness to corrupt the residual
@@ -136,7 +136,11 @@ class SolverDiagnostics:
     """Everything the cascade did for one linear system."""
 
     attempts: list[AttemptRecord] = field(default_factory=list)
-    fallbacks: list[str] = field(default_factory=list)
+
+    @property
+    def fallbacks(self) -> list[str]:
+        """The stage handed over to after each failed attempt, in order."""
+        return [a.solver for a in self.attempts[1:]]
 
     @property
     def final_solver(self) -> str | None:
@@ -158,7 +162,7 @@ class SolverDiagnostics:
     def to_dict(self) -> dict:
         return {
             "attempts": [a.to_dict() for a in self.attempts],
-            "fallbacks": list(self.fallbacks),
+            "fallbacks": self.fallbacks,
             "final_solver": self.final_solver,
             "budget_seconds": self.budget_seconds,
         }
@@ -173,7 +177,7 @@ class SolverDiagnostics:
 
 
 class SolverFailure(RuntimeError):
-    """Raised when every stage of the fallback cascade failed."""
+    """Raised when both stages of the fallback cascade failed."""
 
     def __init__(self, message: str, diagnostics: SolverDiagnostics) -> None:
         super().__init__(message)
@@ -190,23 +194,21 @@ def _attempt_failed(result: SolveResult) -> str | None:
 
 
 class FallbackCascade:
-    """AMG-PCG → AMG-PCG (adjusted) → Jacobi-PCG → direct, guarded.
+    """AMG-PCG, then sparse LU, guarded.
 
     Parameters
     ----------
     options:
-        Iteration controls for the Krylov stages.
+        Iteration controls for the AMG-PCG attempt.
     amg_options, cycle_options:
-        Primary AMG-PCG configuration (defaults used when omitted).
+        AMG-PCG configuration (defaults used when omitted).
     fault_hook:
-        Residual corrupter handed to every guarded stage's
+        Residual corrupter handed to the AMG-PCG attempt's
         :class:`IterationGuard` (the fault-injection seam).
 
-    The ``amg_pcg_retry`` stage runs the primary setup with stronger
-    smoothing and a 10x relaxed tolerance.  Each fallback stage starts
-    as soon as the one before it fails: every stage runs in this process
-    on the same matrix, and whether it fails depends only on its inputs,
-    so waiting between stages could not change the outcome.
+    The direct stage starts as soon as AMG-PCG fails: both run in this
+    process on the same matrix, and whether one fails depends only on its
+    inputs, so waiting in between could not change the outcome.
     """
 
     def __init__(
@@ -221,51 +223,6 @@ class FallbackCascade:
         self.cycle_options = cycle_options
         self.fault_hook = fault_hook
 
-    # -- stages -------------------------------------------------------------
-
-    def _stages(self) -> list[tuple[str, Callable]]:
-        from repro.solvers.amg import AMGOptions
-        from repro.solvers.amg_pcg import AMGPCGSolver
-        from repro.solvers.cg import JacobiPCGSolver
-        from repro.solvers.cycles import CycleOptions
-        from repro.solvers.direct import DirectSolver
-
-        amg_opts = self.amg_options or AMGOptions()
-        cycle_opts = self.cycle_options or CycleOptions()
-
-        def primary() -> AMGPCGSolver:
-            return AMGPCGSolver(
-                options=self.options,
-                amg_options=amg_opts,
-                cycle_options=cycle_opts,
-            )
-
-        def adjusted() -> AMGPCGSolver:
-            # Stronger smoothing + relaxed tolerance: trades per-iteration
-            # cost for robustness on systems that defeated the primary setup.
-            stronger = replace(
-                cycle_opts,
-                presmooth_sweeps=cycle_opts.presmooth_sweeps + 1,
-                postsmooth_sweeps=cycle_opts.postsmooth_sweeps + 1,
-                smoother="gauss_seidel",
-            )
-            relaxed = replace(self.options, tol=self.options.tol * 10.0)
-            return AMGPCGSolver(
-                options=relaxed, amg_options=amg_opts, cycle_options=stronger
-            )
-
-        def jacobi() -> JacobiPCGSolver:
-            return JacobiPCGSolver(options=self.options)
-
-        return [
-            ("amg_pcg", primary),
-            ("amg_pcg_retry", adjusted),
-            ("jacobi_pcg", jacobi),
-            ("direct", DirectSolver),
-        ]
-
-    # -- solving ------------------------------------------------------------
-
     def solve(
         self,
         matrix: sp.spmatrix,
@@ -277,79 +234,51 @@ class FallbackCascade:
 
         Returns the first healthy :class:`SolveResult` plus the diagnostics
         of every attempt made.  Raises :class:`SolverFailure` only when the
-        final direct stage also fails (e.g. an exactly singular matrix that
+        direct stage also fails (e.g. an exactly singular matrix that
         upstream repair did not catch).  *fingerprint*, the matrix's AMG
-        setup-cache key when the caller holds it, goes to the AMG stages.
+        setup-cache key when the caller holds it, goes to AMG-PCG.
         """
+        from repro.solvers.amg_pcg import AMGPCGSolver  # lazy: it imports us
+
         diagnostics = SolverDiagnostics()
-        stages = self._stages()
-        for position, (name, factory) in enumerate(stages):
-            final_stage = position + 1 >= len(stages)
-            remaining = deadline_remaining()
-            if remaining is not None and remaining <= 0.0 and not final_stage:
-                # The cooperative deadline is already gone: an iterative
-                # attempt cannot finish in the remaining budget, so
-                # short-circuit straight toward the direct stage (which
-                # always runs — returning *something* beats nothing).
-                counter_add(SOLVER_DEADLINE_SKIPS)
-                diagnostics.attempts.append(
-                    AttemptRecord(
-                        solver=name,
-                        converged=False,
-                        iterations=0,
-                        final_residual=float("nan"),
-                        seconds=0.0,
-                        aborted="deadline_skipped",
-                    )
+        remaining = deadline_remaining()
+        if remaining is not None and remaining <= 0.0:
+            # The cooperative deadline is already gone: an iterative
+            # attempt cannot finish in the remaining budget, so go straight
+            # to the direct stage (returning *something* beats nothing).
+            counter_add(SOLVER_DEADLINE_SKIPS)
+            diagnostics.attempts.append(
+                AttemptRecord(
+                    solver="amg_pcg",
+                    converged=False,
+                    iterations=0,
+                    final_residual=float("nan"),
+                    seconds=0.0,
+                    aborted="deadline_skipped",
                 )
-                counter_add(SOLVER_FALLBACKS)
-                diagnostics.fallbacks.append(stages[position + 1][0])
-                continue
-            guard = IterationGuard(name, self.fault_hook)
-            counter_add(SOLVER_ATTEMPTS)
-            with span(SOLVE_ATTEMPT, solver=name) as attempt_span:
-                try:
-                    solver = factory()
-                    if name == "direct":
-                        result = solver.solve(matrix, rhs, x0=x0)
-                    elif name == "jacobi_pcg":
-                        result = solver.solve(matrix, rhs, x0=x0, guard=guard)
-                    else:
-                        result = solver.solve(
-                            matrix, rhs, x0=x0, guard=guard, fingerprint=fingerprint
-                        )
-                except Exception as exc:  # noqa: BLE001 — any stage error degrades
-                    attempt_span.close()
-                    attempt_span.attrs["outcome"] = "error"
-                    diagnostics.attempts.append(
-                        AttemptRecord(
-                            solver=name,
-                            converged=False,
-                            iterations=0,
-                            final_residual=float("nan"),
-                            seconds=attempt_span.duration,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                else:
-                    reason = _attempt_failed(result)
-                    attempt_span.close()
-                    attempt_span.attrs["outcome"] = reason or "ok"
-                    diagnostics.attempts.append(
-                        AttemptRecord(
-                            solver=name,
-                            converged=result.converged,
-                            iterations=result.iterations,
-                            final_residual=result.final_residual,
-                            seconds=attempt_span.duration,
-                            aborted=reason,
-                        )
-                    )
-                    if reason is None:
-                        return result, diagnostics
-            if not final_stage:
-                counter_add(SOLVER_FALLBACKS)
-                diagnostics.fallbacks.append(stages[position + 1][0])
+            )
+        else:
+            primary = AMGPCGSolver(
+                options=self.options,
+                amg_options=self.amg_options,
+                cycle_options=self.cycle_options,
+            )
+            guard = IterationGuard("amg_pcg", self.fault_hook)
+            result = _attempt(
+                diagnostics,
+                "amg_pcg",
+                lambda: primary.solve(
+                    matrix, rhs, x0=x0, guard=guard, fingerprint=fingerprint
+                ),
+            )
+            if result is not None:
+                return result, diagnostics
+        counter_add(SOLVER_FALLBACKS)
+        result = _attempt(
+            diagnostics, "direct", lambda: DirectSolver().solve(matrix, rhs, x0=x0)
+        )
+        if result is not None:
+            return result, diagnostics
         raise SolverFailure(
             "all solver stages failed: "
             + "; ".join(
@@ -357,3 +286,41 @@ class FallbackCascade:
             ),
             diagnostics,
         )
+
+
+def _attempt(
+    diagnostics: SolverDiagnostics, name: str, run: Callable[[], SolveResult]
+) -> SolveResult | None:
+    """Run one stage under its span; record it; return it if healthy."""
+    counter_add(SOLVER_ATTEMPTS)
+    with span(SOLVE_ATTEMPT, solver=name) as attempt_span:
+        try:
+            result = run()
+        except Exception as exc:  # noqa: BLE001 — any stage error degrades
+            attempt_span.close()
+            attempt_span.attrs["outcome"] = "error"
+            diagnostics.attempts.append(
+                AttemptRecord(
+                    solver=name,
+                    converged=False,
+                    iterations=0,
+                    final_residual=float("nan"),
+                    seconds=attempt_span.duration,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            return None
+        reason = _attempt_failed(result)
+        attempt_span.close()
+        attempt_span.attrs["outcome"] = reason or "ok"
+        diagnostics.attempts.append(
+            AttemptRecord(
+                solver=name,
+                converged=result.converged,
+                iterations=result.iterations,
+                final_residual=result.final_residual,
+                seconds=attempt_span.duration,
+                aborted=reason,
+            )
+        )
+    return None if reason is not None else result

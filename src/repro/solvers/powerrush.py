@@ -5,10 +5,10 @@ IR-drop maps out, with AMG-PCG doing the solving.  Capping
 ``max_iterations`` reproduces the rough-solution regime the fusion
 framework feeds into the ML model (and the Fig. 7 sweep).
 
-The simulator is fault-tolerant: the input grid is validated (and
-repaired — floating islands ground-tied) before stamping, and the solve
-runs through the :class:`~repro.solvers.guard.FallbackCascade`
-(AMG-PCG → adjusted retry → Jacobi-PCG → direct).  Everything non-nominal
+The simulator is fault-tolerant: the input grid is validated (and, on a
+fatal issue, repaired — floating islands ground-tied) before stamping,
+and the solve runs through the :class:`~repro.solvers.guard.FallbackCascade`
+(AMG-PCG → direct).  Everything non-nominal
 is recorded on ``SimulationReport.diagnostics``.
 """
 

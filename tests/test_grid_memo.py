@@ -208,12 +208,13 @@ def test_fallback_cascade_leaves_memoised_system_unchanged():
     system = PowerRushSimulator().simulate_grid(design.grid).system
     want = system_bits(system)
 
-    plan = FaultPlan(nan_residual={"amg_pcg": 1, "amg_pcg_retry": 1, "jacobi_pcg": 1})
+    plan = FaultPlan(nan_residual={"amg_pcg": 1})
     report = PowerRushSimulator(fault_hook=plan.residual_hook).simulate_grid(
         design.grid
     )
+    assert {stage for stage, _, _ in plan.injections} == {"amg_pcg"}
     assert [a.solver for a in report.diagnostics.solver.attempts] == [
-        "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
+        "amg_pcg", "direct",
     ]
     assert np.shares_memory(report.system.rhs, system.rhs)
     assert system_bits(report.system) == want

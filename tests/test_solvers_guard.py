@@ -112,6 +112,12 @@ class TestGuardedPCG:
         assert plan.fired("nan_residual") == 1
 
 
+def assert_every_named_stage_fired(plan: FaultPlan) -> None:
+    """A plan naming a stage the cascade never runs must fail, not pass."""
+    named = set(plan.nan_residual) | set(plan.divergence) | set(plan.fail_stage)
+    assert {stage for stage, _, _ in plan.injections} == named
+
+
 class TestFallbackCascade:
     def test_healthy_system_single_attempt(self):
         matrix, rhs = small_spd()
@@ -121,46 +127,41 @@ class TestFallbackCascade:
         assert diagnostics.fallbacks == []
         assert diagnostics.final_solver == "amg_pcg"
 
-    def test_forced_amg_divergence_falls_back_to_pcg_then_direct(
-        self, monkeypatch
-    ):
+    def test_forced_amg_divergence_falls_back_to_direct(self, monkeypatch):
         matrix, rhs = small_spd()
-        plan = FaultPlan(
-            divergence={
-                "amg_pcg": 1,
-                "amg_pcg_retry": 1,
-                "jacobi_pcg": 1,
-            }
-        )
+        plan = FaultPlan(divergence={"amg_pcg": 1})
         monkeypatch.setattr(guard_module, "DIVERGENCE_FACTOR", 10.0)
         cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
+        assert_every_named_stage_fired(plan)
         assert result.converged
         assert np.all(np.isfinite(result.x))
-        # The full degradation chain is observable, in order.
-        assert [a.solver for a in diagnostics.attempts] == [
-            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
-        ]
+        # The degradation chain is observable, in order.
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
+        assert diagnostics.fallbacks == ["direct"]
         assert diagnostics.final_solver == "direct"
-        assert diagnostics.num_fallbacks == 3
-        for attempt in diagnostics.attempts[:3]:
-            assert attempt.aborted == "diverged"
+        assert diagnostics.num_fallbacks == 1
+        assert diagnostics.attempts[0].aborted == "diverged"
 
     def test_nan_residual_fault_degrades(self):
         matrix, rhs = small_spd()
         plan = FaultPlan(nan_residual={"amg_pcg": 1})
         cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
+        assert_every_named_stage_fired(plan)
         assert result.converged
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
         assert diagnostics.attempts[0].aborted == "nan_residual"
-        assert diagnostics.final_solver == "amg_pcg_retry"
+        assert diagnostics.final_solver == "direct"
 
     def test_injected_stage_error_recorded(self):
         matrix, rhs = small_spd()
         plan = FaultPlan(fail_stage={"amg_pcg"})
         cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
+        assert_every_named_stage_fired(plan)
         assert result.converged
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
         assert diagnostics.attempts[0].error is not None
         assert "injected" in diagnostics.attempts[0].error
 
@@ -175,13 +176,11 @@ class TestFallbackCascade:
         matrix = matrix.tocsr()
         rhs = np.linspace(0.1, 1.0, n)
         result, diagnostics = FallbackCascade().solve(matrix, rhs)
-        assert [a.solver for a in diagnostics.attempts] == [
-            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
-        ]
-        for attempt in diagnostics.attempts[:2]:  # primary and its GS retry alike
-            assert attempt.error.startswith("ValueError: relaxation on AMG level 0")
-            assert attempt.error.endswith("row 7")
-        assert diagnostics.fallbacks[0] == "amg_pcg_retry"
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
+        error = diagnostics.attempts[0].error
+        assert error.startswith("ValueError: relaxation on AMG level 0")
+        assert error.endswith("row 7")
+        assert diagnostics.fallbacks == ["direct"]
         assert diagnostics.final_solver == "direct"
         assert np.allclose(matrix @ result.x, rhs)
 
@@ -193,9 +192,7 @@ class TestFallbackCascade:
         with pytest.raises(SolverFailure) as excinfo:
             FallbackCascade().solve(singular, rhs)
         diagnostics = excinfo.value.diagnostics
-        assert [a.solver for a in diagnostics.attempts] == [
-            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
-        ]
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
         assert all(a.failed for a in diagnostics.attempts)
 
     def test_diagnostics_serialise(self):
@@ -203,12 +200,13 @@ class TestFallbackCascade:
         _, diagnostics = FallbackCascade().solve(matrix, rhs)
         payload = diagnostics.to_dict()
         assert payload["final_solver"] == "amg_pcg"
+        assert payload["fallbacks"] == []
         assert "solver_chain=" in diagnostics.summary()
 
     def test_fallback_stages_start_without_waiting(self, monkeypatch):
-        # Every stage runs in this process on the same matrix and fails
-        # only on its inputs, so a wait between stages cannot change the
-        # chain; it would only spend the caller's deadline.
+        # Both stages run in this process on the same matrix and fail only
+        # on their inputs, so a wait between them cannot change the chain;
+        # it would only spend the caller's deadline.
         caller = threading.get_ident()
         sleeps = []
         real_sleep = time.sleep
@@ -220,14 +218,11 @@ class TestFallbackCascade:
 
         monkeypatch.setattr(time, "sleep", recording_sleep)
         matrix, rhs = small_spd()
-        plan = FaultPlan(
-            nan_residual={"amg_pcg": 1, "amg_pcg_retry": 1, "jacobi_pcg": 1}
-        )
+        plan = FaultPlan(nan_residual={"amg_pcg": 1})
         cascade = FallbackCascade(fault_hook=plan.residual_hook)
         result, diagnostics = cascade.solve(matrix, rhs)
-        assert [a.solver for a in diagnostics.attempts] == [
-            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
-        ]
+        assert_every_named_stage_fired(plan)
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
         assert diagnostics.final_solver == "direct"
         assert np.allclose(matrix @ result.x, rhs)
         assert sleeps == []
@@ -242,14 +237,12 @@ class TestFallbackCascade:
         with deadline_scope(0.0):
             result, diagnostics = FallbackCascade().solve(matrix, rhs)
         assert np.all(np.isfinite(result.x))
-        # Every iterative stage is skipped without running; the direct
-        # stage always runs so the caller still gets a solution.
-        assert [a.solver for a in diagnostics.attempts] == [
-            "amg_pcg", "amg_pcg_retry", "jacobi_pcg", "direct",
-        ]
-        for attempt in diagnostics.attempts[:3]:
-            assert attempt.aborted == "deadline_skipped"
-            assert attempt.seconds == 0.0
+        # AMG-PCG is skipped without running; the direct stage always runs
+        # so the caller still gets a solution.
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
+        skipped = diagnostics.attempts[0]
+        assert skipped.aborted == "deadline_skipped"
+        assert skipped.seconds == 0.0
         assert diagnostics.final_solver == "direct"
 
     def test_live_deadline_runs_normally(self):
@@ -266,15 +259,55 @@ class TestSimulatorIntegration:
     def test_robust_simulation_with_all_krylov_stages_failing(self, tiny_netlist):
         from repro.solvers.powerrush import PowerRushSimulator
 
-        plan = FaultPlan(
-            nan_residual={"amg_pcg": 1, "amg_pcg_retry": 1, "jacobi_pcg": 1}
-        )
+        plan = FaultPlan(nan_residual={"amg_pcg": 1})
         simulator = PowerRushSimulator(fault_hook=plan.residual_hook)
         report = simulator.simulate_netlist(tiny_netlist)
+        assert_every_named_stage_fired(plan)
         assert np.all(np.isfinite(report.ir_drop))
         solver_diag = report.diagnostics.solver
         assert solver_diag.final_solver == "direct"
-        assert solver_diag.num_fallbacks == 3
+        assert solver_diag.num_fallbacks == 1
+        assert report.diagnostics.degraded
+
+    def test_faulted_rough_solve_gets_the_direct_answer(self, tiny_netlist):
+        # A k-capped rough solve whose AMG-PCG attempt faults is answered
+        # by sparse LU: exact, not k iterations.
+        from repro.solvers.powerrush import PowerRushSimulator
+
+        plan = FaultPlan(nan_residual={"amg_pcg": 1})
+        simulator = PowerRushSimulator(
+            max_iterations=3, fault_hook=plan.residual_hook
+        )
+        report = simulator.simulate_netlist(tiny_netlist)
+        assert_every_named_stage_fired(plan)
+        system = report.system
+        exact = DirectSolver().solve(system.matrix, system.rhs)
+        assert report.diagnostics.solver.final_solver == "direct"
+        assert report.solve.converged
+        assert np.array_equal(report.solve.x, exact.x)
+
+    def test_limit_grid_the_primary_cannot_solve_gets_the_lu_answer(self):
+        # Near-shorted vias (1e-4 ohm) beside 400 ohm/um wires jittered by
+        # up to 99%: AMG-PCG stagnates at tol 1e-10.  The answer must be
+        # sparse LU's, bit for bit, not a loosened iterative one.
+        from repro.data.synthetic import generate_design, make_real_spec
+        from repro.solvers.powerrush import PowerRushSimulator
+
+        design = generate_design(make_real_spec(
+            "limit", 1, pixels=48, resistance_jitter=0.99,
+            via_resistance=1e-4, resistance_per_um=400.0, stripe_dropout=0.0,
+        ))
+        report = PowerRushSimulator(preset="quality", tol=1e-10).simulate_grid(
+            design.grid
+        )
+        diagnostics = report.diagnostics.solver
+        assert [a.solver for a in diagnostics.attempts] == ["amg_pcg", "direct"]
+        assert diagnostics.attempts[0].aborted == "stagnated"
+        assert report.solve.converged
+        system = report.system
+        exact = DirectSolver().solve(system.matrix, system.rhs)
+        assert np.array_equal(report.solve.x, exact.x)
+        assert np.array_equal(report.voltages, system.scatter(exact.x))
 
     def test_reduced_system_solution_matches_strict(self, tiny_netlist):
         from repro.grid.netlist import PowerGrid
