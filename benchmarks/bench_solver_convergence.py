@@ -1,8 +1,8 @@
 """Supporting study (Fig. 3 context) — solver convergence comparison.
 
-Residual-vs-iteration for CG, Jacobi-PCG and AMG-PCG on one PG system.
-Expected shape: AMG-PCG converges in an order of magnitude fewer
-iterations than plain CG — the property that makes rough-but-useful
+The residual norm by iteration for CG, Jacobi-PCG and AMG-PCG on one PG
+system.  Expected shape: AMG-PCG converges in an order of magnitude
+fewer iterations than plain CG — the property that makes rough-but-useful
 solutions available after 1-2 iterations.
 """
 

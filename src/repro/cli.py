@@ -82,10 +82,12 @@ def _print_diagnostics(diagnostics) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.eval.signoff import check_ir_drop
+    from repro.eval.signoff import check_ir_drop, check_limit
     from repro.grid.geometry import infer_geometry
     from repro.solvers.powerrush import PowerRushSimulator
 
+    if args.limit_mv is not None:  # refused before the deck is read
+        check_limit(args.limit_mv / 1e3)
     simulator = PowerRushSimulator(
         max_iterations=args.iterations, tol=args.tol, preset=args.preset
     )
@@ -196,9 +198,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with _span(IMPORTS):
         from repro.core.batch import check_controls
         from repro.core.pipeline import IRFusionPipeline
+        from repro.eval.signoff import check_limit
 
     # Refused before any deck runs, with one deck or many.
     check_controls(args.task_timeout, args.retries, args.deadline)
+    if args.limit_mv is not None:
+        check_limit(args.limit_mv / 1e3)
     pipeline = IRFusionPipeline.from_model_file(
         args.model, jobs=args.jobs
     )

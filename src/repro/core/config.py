@@ -99,8 +99,13 @@ class FusionConfig:
                 f"pixels={self.pixels} must be divisible by 2**depth="
                 f"{2 ** self.depth}"
             )
+        for name in ("num_fake", "num_real_train", "num_real_test"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.num_fake + self.num_real_train < 1:
             raise ValueError("training suite is empty")
+        if self.oversample_fake < 1 or self.oversample_real < 1:
+            raise ValueError("oversampling factors must be >= 1")
         if self.solver_iterations < 0:
             raise ValueError("solver_iterations must be >= 0")
         if self.jobs < 1:

@@ -12,7 +12,7 @@ fake-x2 / real-x5 oversampling, and predefined curriculum learning.
 from repro.data.augment import augment_dataset, oversample, rotate_sample
 from repro.data.curriculum import CurriculumScheduler, difficulty_of
 from repro.data.dataset import DesignSample, IRDropDataset, build_sample
-from repro.data.iccad import load_iccad_design, save_iccad_design
+from repro.data.iccad import save_iccad_design
 from repro.data.synthetic import (
     Design,
     DesignSpec,
@@ -33,7 +33,6 @@ __all__ = [
     "difficulty_of",
     "generate_benchmark_suite",
     "generate_design",
-    "load_iccad_design",
     "make_fake_spec",
     "make_real_spec",
     "oversample",

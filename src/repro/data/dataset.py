@@ -159,12 +159,6 @@ class IRDropDataset:
                 )
         return first
 
-    def split_by_kind(self) -> tuple["IRDropDataset", "IRDropDataset"]:
-        """(fake subset, real subset)."""
-        fakes = [s for s in self.samples if s.is_fake]
-        reals = [s for s in self.samples if not s.is_fake]
-        return IRDropDataset(fakes), IRDropDataset(reals)
-
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack into float32 ``X (N, C, H, W)`` and float64 ``Y (N, 1, H, W)``.
 

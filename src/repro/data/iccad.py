@@ -3,9 +3,9 @@
 The contest distributes each design as a directory holding the SPICE deck
 plus CSV images (one value per 1um x 1um pixel): ``current_map.csv``,
 ``eff_dist_map.csv``, ``pdn_density.csv`` and the golden
-``ir_drop_map.csv``.  These helpers write/read that layout so externally
-produced contest data can be dropped in, and our synthetic data can be
-exported for other tools.
+``ir_drop_map.csv``.  :func:`save_iccad_design` writes that layout, so
+``repro generate`` exports synthetic designs in the form other contest
+tools read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.spice.ast import Netlist
-from repro.spice.parser import parse_spice_file
 from repro.spice.writer import write_spice
 
 _IMAGE_FILES = MappingProxyType({
@@ -50,23 +49,3 @@ def save_iccad_design(
                 f"unknown image key {key!r}; expected one of {sorted(_IMAGE_FILES)}"
             )
         np.savetxt(path / _IMAGE_FILES[key], np.asarray(image), delimiter=",")
-
-
-def load_iccad_design(
-    directory: str | os.PathLike[str],
-) -> tuple[Netlist, dict[str, np.ndarray]]:
-    """Read a contest-layout design directory.
-
-    Returns the parsed netlist and whichever images are present.
-    """
-    path = Path(directory)
-    deck = path / "netlist.sp"
-    if not deck.exists():
-        raise FileNotFoundError(f"no netlist.sp under {path}")
-    netlist = parse_spice_file(deck)
-    images: dict[str, np.ndarray] = {}
-    for key, filename in _IMAGE_FILES.items():
-        file_path = path / filename
-        if file_path.exists():
-            images[key] = np.loadtxt(file_path, delimiter=",", ndmin=2)
-    return netlist, images

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from repro.data.dataset import IRDropDataset
-from repro.nn.losses import _Loss
-from repro.nn.module import Module
 from repro.obs import span
-from repro.obs.registry import FIT, INFERENCE
+from repro.obs.registry import INFERENCE
 from repro.train.metrics import Metrics, evaluate_prediction
-from repro.train.trainer import TrainConfig, Trainer, TrainHistory
+from repro.train.trainer import Trainer
 
 
 def evaluate_trainer(
@@ -46,21 +44,3 @@ def evaluate_rough_solutions(dataset: IRDropDataset) -> Metrics:
             )
         per_design.append(evaluate_prediction(sample.rough_label, sample.label))
     return Metrics.average(per_design)
-
-
-def train_and_evaluate(
-    model: Module,
-    train_set: IRDropDataset,
-    test_set: IRDropDataset,
-    loss: _Loss | None = None,
-    config: TrainConfig | None = None,
-) -> tuple[TrainHistory, Metrics, float]:
-    """Convenience: fit on *train_set*, score on *test_set*.
-
-    Returns (history, averaged test metrics, training wall-clock seconds).
-    """
-    trainer = Trainer(model, loss=loss, config=config)
-    with span(FIT) as fit_span:
-        history = trainer.fit(train_set)
-    _, averaged = evaluate_trainer(trainer, test_set)
-    return history, averaged, fit_span.duration

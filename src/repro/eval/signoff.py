@@ -79,6 +79,12 @@ class SignoffReport:
         )
 
 
+def check_limit(limit: float) -> None:
+    """Raise ``ValueError`` unless *limit* (volts) is positive and finite."""
+    if not 0 < limit < np.inf:
+        raise ValueError(f"limit must be positive and finite, got {limit}")
+
+
 def check_ir_drop(drop_map: np.ndarray, limit: float) -> SignoffReport:
     """Run the signoff check on a 2D drop image.
 
@@ -96,8 +102,7 @@ def check_ir_drop(drop_map: np.ndarray, limit: float) -> SignoffReport:
     drop_map = np.asarray(drop_map, dtype=float)
     if drop_map.ndim != 2:
         raise ValueError(f"expected a 2D drop map, got shape {drop_map.shape}")
-    if not 0 < limit < np.inf:
-        raise ValueError(f"limit must be positive and finite, got {limit}")
+    check_limit(limit)
     non_finite = int(np.count_nonzero(~np.isfinite(drop_map)))
     if non_finite:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Machine-readable export of experiment results (CSV / JSON).
+"""Machine-readable export of experiment results (CSV).
 
 The text tables in :mod:`repro.eval.report` are for humans; CI pipelines
 and notebooks want structured records.  These helpers serialise the same
@@ -8,9 +8,7 @@ result objects losslessly.
 from __future__ import annotations
 
 import csv
-import json
 import os
-from pathlib import Path
 
 from repro.train.metrics import Metrics
 
@@ -40,44 +38,3 @@ def save_metrics_csv(
         writer = csv.DictWriter(handle, fieldnames=_FIELDS)
         writer.writeheader()
         writer.writerows(records)
-
-
-def save_metrics_json(
-    rows: dict[str, Metrics], path: str | os.PathLike[str]
-) -> None:
-    """Write a result set as a JSON list of records."""
-    Path(path).write_text(
-        json.dumps(metrics_to_records(rows), indent=2), encoding="utf-8"
-    )
-
-
-def load_metrics_csv(path: str | os.PathLike[str]) -> dict[str, Metrics]:
-    """Read a CSV written by :func:`save_metrics_csv`."""
-    rows: dict[str, Metrics] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows[record["method"]] = Metrics(
-                mae=float(record["mae"]),
-                f1=float(record["f1"]),
-                mirde=float(record["mirde"]),
-                runtime_seconds=float(record["runtime_seconds"]),
-            )
-    return rows
-
-
-def sweep_to_records(
-    iterations: list[int], series: dict[str, list[float]]
-) -> list[dict]:
-    """Flatten a Fig.-7-style sweep into per-iteration records."""
-    records = []
-    for i, iteration in enumerate(iterations):
-        record: dict = {"iterations": iteration}
-        for name, values in series.items():
-            if len(values) != len(iterations):
-                raise ValueError(
-                    f"series {name!r} has {len(values)} values for "
-                    f"{len(iterations)} iterations"
-                )
-            record[name] = values[i]
-        records.append(record)
-    return records

@@ -1,4 +1,4 @@
-"""Linear-system containers produced by MNA stamping."""
+"""The linear-system containers produced by MNA stamping."""
 
 from __future__ import annotations
 

@@ -35,7 +35,7 @@ class Sequential(Module):
         return grad_output
 
 
-def fuse_conv_relu(module: Module) -> int:
+def fuse_conv_relu(module: Module) -> None:
     """Fuse adjacent ``(Conv2d, ReLU)`` pairs inside Sequential chains.
 
     Walks the module tree and replaces each eligible pair with a
@@ -43,39 +43,17 @@ def fuse_conv_relu(module: Module) -> int:
     Parameter objects) followed by an :class:`~repro.nn.layers.Identity`
     placeholder, so state-dict paths, parameter ordering and optimizer
     slots are all unchanged.  Only exact ``Conv2d``/``ReLU`` instances
-    are fused (subclasses may override forward/backward).  Returns the
-    number of pairs fused.  Numerically the fused kernel computes the
-    same conv + bias + ReLU, so outputs and gradients are unchanged.
+    are fused (subclasses may override forward/backward).  Numerically
+    the fused kernel computes the same conv + bias + ReLU, so outputs and
+    gradients are unchanged.
     """
     from repro.nn.layers import Conv2d, FusedConvBiasReLU, Identity, ReLU
 
-    fused = 0
     if isinstance(module, Sequential):
         mods = module.modules
         for i in range(len(mods) - 1):
             if type(mods[i]) is Conv2d and type(mods[i + 1]) is ReLU:
                 mods[i] = FusedConvBiasReLU(mods[i])
                 mods[i + 1] = Identity()
-                fused += 1
     for child in module.children():
-        fused += fuse_conv_relu(child)
-    return fused
-
-
-class Residual(Module):
-    """``y = x + body(x)``; channel counts of x and body(x) must match."""
-
-    def __init__(self, body: Module) -> None:
-        super().__init__()
-        self.body = body
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.body(x)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"residual shape mismatch: body {out.shape} vs input {x.shape}"
-            )
-        return x + out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output + self.body.backward(grad_output)
+        fuse_conv_relu(child)

@@ -31,7 +31,7 @@ def _conv(in_ch: int, out_ch: int, kernel, rng) -> Sequential:
 
 
 class _MultiBranch(Module):
-    """Concat of parallel branches applied to the same input."""
+    """Channel concatenation of parallel branches applied to the same input."""
 
     def __init__(self, branches: list[Module]) -> None:
         super().__init__()

@@ -6,7 +6,7 @@ unchanged: in a ``Sequential``, ``Conv2d [+ BatchNorm2d] [+ ReLU]`` becomes
 one :class:`PlannedConv` (``Identity`` placeholders keep the source tree's
 op paths); a lone ``BatchNorm2d`` is ``x*s + t``; ``MaxPool2d`` is a max of
 strided views; ``AvgPool2d`` is separable shifted adds; any other leaf
-(``ChannelAttention``, ``Linear`` ...) keeps its own forward on a shallow
+(``ChannelAttention``, ``Sigmoid`` ...) keeps its own forward on a shallow
 copy that shares the source's :class:`Parameter` objects.  Nothing is
 cached for a backward.
 

@@ -241,24 +241,6 @@ class ReLU(Module):
         return np.where(self._mask, grad_output, 0.0)
 
 
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, slope: float = 0.01) -> None:
-        super().__init__()
-        self.slope = slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_output, self.slope * grad_output)
-
-
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
@@ -274,23 +256,6 @@ class Sigmoid(Module):
         if self._out is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._out * (1.0 - self._out)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._out**2)
 
 
 class Identity(Module):
@@ -349,46 +314,6 @@ class AvgPool2d(Module):
         return avgpool2d_backward(grad_output, self.kernel, self.padding)
 
 
-class GlobalAvgPool(Module):
-    """Mean over spatial dims, keeping (N, C, 1, 1)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return x.mean(axis=(2, 3), keepdims=True)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        return np.broadcast_to(grad_output / (h * w), self._x_shape).copy()
-
-
-class GlobalMaxPool(Module):
-    """Max over spatial dims, keeping (N, C, 1, 1)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x: np.ndarray | None = None
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        self._out = x.max(axis=(2, 3), keepdims=True)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None or self._out is None:
-            raise RuntimeError("backward called before forward")
-        mask = self._x == self._out
-        # split gradient across ties to keep the adjoint exact
-        counts = mask.sum(axis=(2, 3), keepdims=True)
-        return mask * (grad_output / counts)
-
-
 class UpsampleNearest(Module):
     """Nearest-neighbour upsampling by an integer factor."""
 
@@ -403,64 +328,3 @@ class UpsampleNearest(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return upsample_nearest_backward(grad_output, self.factor)
-
-
-class Linear(Module):
-    """Fully connected layer over (N, F) inputs (CBAM channel MLP)."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        rng = construction_rng(rng)
-        self.weight = Parameter(
-            kaiming_normal((out_features, in_features), in_features, rng),
-            name="weight",
-        )
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2:
-            raise ValueError(f"Linear expects (N, F) input, got shape {x.shape}")
-        self._x = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += grad_output.T @ self._x
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data
-
-
-class Concat(Module):
-    """Channel-axis concatenation of a list of tensors."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._splits: list[int] | None = None
-
-    def forward(self, xs: list[np.ndarray]) -> np.ndarray:
-        if not xs:
-            raise ValueError("cannot concatenate an empty list")
-        self._splits = [x.shape[1] for x in xs]
-        return np.concatenate(xs, axis=1)
-
-    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._splits is None:
-            raise RuntimeError("backward called before forward")
-        grads = []
-        start = 0
-        for width in self._splits:
-            grads.append(grad_output[:, start : start + width])
-            start += width
-        return grads

@@ -35,22 +35,6 @@ class _Loss:
         raise NotImplementedError
 
 
-class MSELoss(_Loss):
-    """Mean squared error."""
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        self._check(prediction, target)
-        diff = prediction - target
-        self._cache = {"diff": diff}
-        return float(np.mean(diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        diff = self._cache["diff"]
-        return 2.0 * diff / diff.size
-
-
 class MAELoss(_Loss):
     """Mean absolute error (the contest's headline metric as a loss)."""
 
@@ -65,38 +49,6 @@ class MAELoss(_Loss):
             raise RuntimeError("backward called before forward")
         diff = self._cache["diff"]
         return np.sign(diff) / diff.size
-
-
-class HuberLoss(_Loss):
-    """Huber loss: quadratic near zero, linear in the tails."""
-
-    def __init__(self, delta: float = 1.0) -> None:
-        super().__init__()
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        self._check(prediction, target)
-        diff = prediction - target
-        abs_diff = np.abs(diff)
-        quadratic = abs_diff <= self.delta
-        loss = np.where(
-            quadratic,
-            0.5 * diff**2,
-            self.delta * (abs_diff - 0.5 * self.delta),
-        )
-        self._cache = {"diff": diff, "quadratic": quadratic}
-        return float(loss.mean())
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        diff = self._cache["diff"]
-        grad = np.where(
-            self._cache["quadratic"], diff, self.delta * np.sign(diff)
-        )
-        return grad / diff.size
 
 
 class WeightedHotspotLoss(_Loss):

@@ -100,7 +100,6 @@ AMG_SETUP = SpanName("amg_setup")
 ANALYZE = SpanName("analyze")
 BATCH = SpanName("batch")
 FEATURES = SpanName("features")
-FIT = SpanName("fit")
 GENERATE = SpanName("generate")
 GRID_BUILD = SpanName("grid_build")
 IMPORTS = SpanName("imports")

@@ -203,7 +203,7 @@ class FallbackCascade:
     amg_options, cycle_options:
         AMG-PCG configuration (defaults used when omitted).
     fault_hook:
-        Residual corrupter handed to the AMG-PCG attempt's
+        The residual corrupter handed to the AMG-PCG attempt's
         :class:`IterationGuard` (the fault-injection seam).
 
     The direct stage starts as soon as AMG-PCG fails: both run in this

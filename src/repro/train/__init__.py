@@ -1,4 +1,4 @@
-"""Training loop, learning-rate schedules and contest metrics."""
+"""Training loop and contest metrics."""
 
 from repro.train.metrics import (
     Metrics,
@@ -7,14 +7,10 @@ from repro.train.metrics import (
     max_ir_drop_error,
     evaluate_prediction,
 )
-from repro.train.schedule import ConstantLR, CosineLR, StepLR
 from repro.train.trainer import TrainConfig, Trainer, TrainHistory
 
 __all__ = [
-    "ConstantLR",
-    "CosineLR",
     "Metrics",
-    "StepLR",
     "TrainConfig",
     "TrainHistory",
     "Trainer",

@@ -37,7 +37,6 @@ from repro.obs.registry import (
     TRAIN_FORWARD,
     TRAIN_STEP,
 )
-from repro.train.schedule import ConstantLR
 
 #: Fields that must be integers, and their smallest allowed value.
 _INTEGER_FLOORS = {
@@ -205,18 +204,18 @@ class TrainHistory:
 class Trainer:
     """Fits a model to an :class:`IRDropDataset`.
 
+    Construction applies the conv+bias+ReLU fusion pass to *model*.
+    Fusion shares the original Parameter objects and preserves
+    state-dict paths, so checkpoints and optimizer slots are unaffected;
+    outputs are numerically unchanged.  Each epoch steps Adam at
+    ``config.lr``, scaled down by every NaN recovery so far.
+
     Parameters
     ----------
     fault_hook:
         Test-only hook ``(epoch, loss) -> loss`` applied to each epoch's
         mean loss before health checks — the fault-injection harness uses
         it to exercise NaN-loss recovery deterministically.
-    fuse:
-        Apply the conv+bias+ReLU fusion pass to the model before
-        training (default).  Fusion shares the original Parameter
-        objects and preserves state-dict paths, so checkpoints and
-        optimizer slots are unaffected; outputs are numerically
-        unchanged.
     """
 
     def __init__(
@@ -224,15 +223,12 @@ class Trainer:
         model: Module,
         loss: _Loss | None = None,
         config: TrainConfig | None = None,
-        lr_schedule=None,
         fault_hook: Callable[[int, float], float] | None = None,
-        fuse: bool = True,
     ) -> None:
         self.model = model
-        self.fused_pairs = fuse_conv_relu(model) if fuse else 0
+        fuse_conv_relu(model)
         self.loss = loss or MAELoss()
         self.config = config or TrainConfig()
-        self.lr_schedule = lr_schedule or ConstantLR(self.config.lr)
         self.optimizer = Adam(model.parameters(), lr=self.config.lr)
         self.fault_hook = fault_hook
         # Parameter list cached once (model structure is frozen after the
@@ -360,7 +356,7 @@ class Trainer:
             subset = (
                 scheduler.subset(dataset, epoch) if scheduler else dataset
             )
-            lr = float(self.lr_schedule(epoch)) * lr_scale
+            lr = cfg.lr * lr_scale
             self.optimizer.lr = lr
             with span(TRAIN, epoch=epoch, samples=len(subset)):
                 epoch_loss = self._run_epoch(subset, rng)

@@ -220,6 +220,26 @@ class TestErrorHandling:
         assert "PASS" not in captured.out
         assert "limit must be positive and finite" in captured.err
 
+    @pytest.mark.parametrize("limit", ["nan", "-5", "0", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "/nonexistent/deck.sp"],
+            ["analyze", "/nonexistent/model.npz", "/nonexistent/deck.sp"],
+            ["analyze", "/nonexistent/model.npz", "/nonexistent/a.sp",
+             "/nonexistent/b.sp"],
+        ],
+        ids=["simulate", "analyze", "analyze_batch"],
+    )
+    def test_bad_limit_is_refused_before_any_deck_is_read(
+        self, command, limit, capsys
+    ):
+        code = main([*command, f"--limit-mv={limit}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit must be positive and finite" in captured.err
+
     def test_nan_batch_deadline_exits_2(self, tiny_model, deck4_path, capsys):
         code = main(
             ["analyze", str(tiny_model), str(deck4_path), str(deck4_path),

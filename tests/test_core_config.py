@@ -23,6 +23,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             FusionConfig(solver_iterations=-1)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"num_fake": -3, "num_real_train": 4, "num_real_test": -1},
+            {"num_fake": -1},
+            {"num_real_train": -1},
+            {"num_real_test": -1},
+        ],
+    )
+    def test_negative_design_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            FusionConfig(pixels=16, **counts)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {"oversample_fake": -2, "oversample_real": 0},
+            {"oversample_fake": 0},
+            {"oversample_real": 0},
+        ],
+    )
+    def test_oversampling_factor_below_one_rejected(self, factors):
+        with pytest.raises(ValueError, match="oversampling factors"):
+            FusionConfig(**factors)
+
 
 class TestWith:
     def test_with_overrides_field(self):

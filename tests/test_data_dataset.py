@@ -81,11 +81,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             IRDropDataset([]).channels
 
-    def test_split_by_kind(self, tiny_dataset):
-        fakes, reals = tiny_dataset.split_by_kind()
-        assert len(fakes) == 1 and len(reals) == 1
-        assert fakes[0].is_fake and not reals[0].is_fake
-
     def test_as_arrays_shapes(self, tiny_dataset):
         x, y = tiny_dataset.as_arrays()
         n_channels = len(tiny_dataset.channels)

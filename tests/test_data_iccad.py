@@ -1,31 +1,39 @@
-"""Unit tests for the ICCAD-2023-style design directory format."""
+"""Unit tests for the ICCAD-2023-style design directory writer.
+
+The layout is read back inline (``parse_spice_file`` and ``np.loadtxt``),
+as a contest tool would read it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.data.iccad import load_iccad_design, save_iccad_design
+from repro.data.iccad import save_iccad_design
+from repro.spice.parser import parse_spice_file
+
+FILES = {
+    "current": "current_map.csv",
+    "eff_dist": "eff_dist_map.csv",
+    "pdn_density": "pdn_density.csv",
+    "ir_drop": "ir_drop_map.csv",
+}
 
 
 def test_roundtrip(tmp_path, fake_design, rng):
-    images = {
-        "current": rng.random((16, 16)),
-        "eff_dist": rng.random((16, 16)),
-        "pdn_density": rng.random((16, 16)),
-        "ir_drop": rng.random((16, 16)),
-    }
+    images = {key: rng.random((16, 16)) for key in FILES}
     save_iccad_design(tmp_path / "d1", fake_design.netlist, images)
-    netlist, loaded = load_iccad_design(tmp_path / "d1")
+    netlist = parse_spice_file(tmp_path / "d1" / "netlist.sp")
     assert len(netlist.resistors) == len(fake_design.netlist.resistors)
     for key, image in images.items():
-        assert np.allclose(loaded[key], image)
+        loaded = np.loadtxt(tmp_path / "d1" / FILES[key], delimiter=",", ndmin=2)
+        assert np.allclose(loaded, image)
 
 
 def test_partial_images(tmp_path, fake_design, rng):
     save_iccad_design(
         tmp_path / "d2", fake_design.netlist, {"current": rng.random((8, 8))}
     )
-    _, loaded = load_iccad_design(tmp_path / "d2")
-    assert set(loaded) == {"current"}
+    written = {path.name for path in (tmp_path / "d2").iterdir()}
+    assert written == {"netlist.sp", FILES["current"]}
 
 
 def test_unknown_image_key_rejected(tmp_path, fake_design):
@@ -33,8 +41,3 @@ def test_unknown_image_key_rejected(tmp_path, fake_design):
         save_iccad_design(
             tmp_path / "d3", fake_design.netlist, {"bogus": np.zeros((2, 2))}
         )
-
-
-def test_missing_netlist_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_iccad_design(tmp_path / "nowhere")

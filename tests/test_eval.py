@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluate import (
-    evaluate_rough_solutions,
-    evaluate_trainer,
-    train_and_evaluate,
-)
+from repro.eval.evaluate import evaluate_rough_solutions, evaluate_trainer
 from repro.eval.report import (
     ascii_map,
     format_metrics_table,
@@ -48,20 +44,6 @@ class TestEvaluate:
         sample = build_sample(fake_design, FeatureConfig(use_numerical=False))
         with pytest.raises(ValueError):
             evaluate_rough_solutions(IRDropDataset([sample]))
-
-    def test_train_and_evaluate(self, tiny_dataset):
-        model = IRFusionNet(
-            in_channels=len(tiny_dataset.channels), base_channels=4, depth=2
-        )
-        history, metrics, seconds = train_and_evaluate(
-            model,
-            tiny_dataset,
-            tiny_dataset,
-            config=TrainConfig(epochs=2, batch_size=2),
-        )
-        assert len(history.epoch_losses) == 2
-        assert seconds > 0
-        assert metrics.mae >= 0
 
 
 class TestReport:

@@ -1,16 +1,10 @@
 """Tests for machine-readable result export."""
 
-import json
+import csv
 
 import pytest
 
-from repro.eval.tables import (
-    load_metrics_csv,
-    metrics_to_records,
-    save_metrics_csv,
-    save_metrics_json,
-    sweep_to_records,
-)
+from repro.eval.tables import metrics_to_records, save_metrics_csv
 from repro.train.metrics import Metrics
 
 
@@ -32,32 +26,11 @@ class TestMetricsExport:
     def test_csv_roundtrip(self, tmp_path, rows):
         path = tmp_path / "t1.csv"
         save_metrics_csv(rows, path)
-        loaded = load_metrics_csv(path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            loaded = {record["method"]: record for record in csv.DictReader(handle)}
         assert set(loaded) == set(rows)
-        for name in rows:
-            assert loaded[name].mae == pytest.approx(rows[name].mae)
-            assert loaded[name].runtime_seconds == pytest.approx(
-                rows[name].runtime_seconds
-            )
-
-    def test_json_export(self, tmp_path, rows):
-        path = tmp_path / "t1.json"
-        save_metrics_json(rows, path)
-        records = json.loads(path.read_text())
-        assert len(records) == 2
-        assert {r["method"] for r in records} == set(rows)
-
-
-class TestSweepExport:
-    def test_records(self):
-        records = sweep_to_records(
-            [1, 2], {"powerrush": [1.0, 0.5], "fusion": [0.4, 0.3]}
-        )
-        assert records == [
-            {"iterations": 1, "powerrush": 1.0, "fusion": 0.4},
-            {"iterations": 2, "powerrush": 0.5, "fusion": 0.3},
-        ]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sweep_to_records([1, 2], {"a": [1.0]})
+        for name, metrics in rows.items():
+            assert float(loaded[name]["mae"]) == metrics.mae
+            assert float(loaded[name]["f1"]) == metrics.f1
+            assert float(loaded[name]["mirde"]) == metrics.mirde
+            assert float(loaded[name]["runtime_seconds"]) == metrics.runtime_seconds

@@ -8,6 +8,7 @@ from repro.core.pipeline import IRFusionPipeline
 from repro.data.dataset import IRDropDataset, build_sample
 from repro.data.synthetic import generate_design, make_fake_spec
 from repro.solvers.powerrush import PowerRushSimulator
+from repro.spice.parser import parse_spice_file
 from repro.spice.writer import netlist_to_string
 from repro.train.trainer import TrainConfig
 
@@ -95,7 +96,7 @@ class TestEndToEndLearning:
 
 class TestDataFormatsInterop:
     def test_export_then_simulate_iccad_design(self, tmp_path, fake_design):
-        from repro.data.iccad import load_iccad_design, save_iccad_design
+        from repro.data.iccad import save_iccad_design
         from repro.data.dataset import golden_ir_drop
         from repro.features.current import load_current_map
         from repro.features.distance import effective_distance_map
@@ -113,10 +114,11 @@ class TestDataFormatsInterop:
                 "ir_drop": golden_ir_drop(fake_design),
             },
         )
-        netlist, images = load_iccad_design(tmp_path / "design")
+        netlist = parse_spice_file(tmp_path / "design" / "netlist.sp")
+        golden = np.loadtxt(tmp_path / "design" / "ir_drop_map.csv", delimiter=",")
         report = PowerRushSimulator(tol=1e-12).simulate_netlist(netlist)
         image = report.drop_image(fake_design.geometry)
-        assert np.allclose(image, images["ir_drop"], atol=1e-7)
+        assert np.allclose(image, golden, atol=1e-7)
 
 
 class TestSolverCrossValidation:

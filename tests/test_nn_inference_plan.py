@@ -119,13 +119,18 @@ def test_plan_matches_eval_graph(name, dtype):
 
 
 def test_fold_patterns_with_and_without_conv_relu_fusion():
-    for fuse in (True, False):
+    x = _sample((16, 32), 0).features.data[None].astype(np.float32)
+    for fused in (True, False):
         model = create_model("ir_fusion", in_channels=CHANNELS, base_channels=4, depth=2)
         _randomise(model, 3)
-        trainer = Trainer(model, fuse=fuse)
-        samples = [_sample((16, 32), 0)]
-        assert _relative(trainer.predict(samples), _graph_predict(trainer, samples)) <= TOLERANCE
-        plan = trainer.inference_plan()
+        # A Trainer fuses conv+ReLU pairs; a model no Trainer touched is unfused.
+        plan = Trainer(model).inference_plan() if fused else InferencePlan(model)
+        types = {type(m).__name__ for _, m in model.named_modules()}
+        assert ("FusedConvBiasReLU" in types) is fused
+        model.eval()
+        want = model(x)
+        model.train()
+        assert _relative(plan(x), want) <= TOLERANCE
         # conv+BN+ReLU is one op: the double-conv bottleneck plans to two
         # kernels and four placeholders, at the source tree's positions.
         kinds = [type(m).__name__ for m in plan.root.bottleneck.modules]

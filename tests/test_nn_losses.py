@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import (
-    HuberLoss,
     KirchhoffLoss,
     MAELoss,
-    MSELoss,
     WeightedHotspotLoss,
     _laplacian,
     _laplacian_adjoint,
@@ -37,19 +35,13 @@ def pair(rng):
 
 
 class TestBasicLosses:
-    def test_mse_value(self):
-        loss = MSELoss()
-        assert loss.forward(np.ones((1, 1, 2, 2)), np.zeros((1, 1, 2, 2))) == 1.0
-
     def test_mae_value(self):
         loss = MAELoss()
         assert loss.forward(
             np.full((1, 1, 2, 2), -2.0), np.zeros((1, 1, 2, 2))
         ) == 2.0
 
-    @pytest.mark.parametrize(
-        "loss", [MSELoss(), MAELoss(), HuberLoss(delta=0.7)]
-    )
+    @pytest.mark.parametrize("loss", [MAELoss(), WeightedHotspotLoss()])
     def test_gradients_match_numeric(self, loss, pair):
         prediction, target = pair
         loss.forward(prediction, target)
@@ -57,23 +49,13 @@ class TestBasicLosses:
         numeric = numeric_loss_grad(loss, prediction, target)
         assert np.abs(analytic - numeric).max() < 1e-6
 
-    def test_huber_quadratic_near_zero(self):
-        loss = HuberLoss(delta=1.0)
-        small = np.full((1, 1, 1, 1), 0.1)
-        assert loss.forward(small, np.zeros_like(small)) == pytest.approx(0.005)
-
-    def test_huber_linear_in_tail(self):
-        loss = HuberLoss(delta=1.0)
-        big = np.full((1, 1, 1, 1), 10.0)
-        assert loss.forward(big, np.zeros_like(big)) == pytest.approx(9.5)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
+            MAELoss().forward(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
 
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
-            MSELoss().backward()
+            MAELoss().backward()
 
 
 class TestWeightedHotspotLoss:

@@ -1,10 +1,10 @@
-"""Unit tests for optimisers and gradient clipping."""
+"""Unit tests for the Adam optimiser and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 
 
 def quadratic_step(optimizer, parameter, target):
@@ -12,44 +12,6 @@ def quadratic_step(optimizer, parameter, target):
     parameter.zero_grad()
     parameter.grad += parameter.data - target
     optimizer.step()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([10.0, -10.0]))
-        optimizer = SGD([p], lr=0.1)
-        target = np.array([1.0, 2.0])
-        for _ in range(200):
-            quadratic_step(optimizer, p, target)
-        assert np.allclose(p.data, target, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def loss_after(momentum, steps=25):
-            p = Parameter(np.array([10.0]))
-            optimizer = SGD([p], lr=0.02, momentum=momentum)
-            for _ in range(steps):
-                quadratic_step(optimizer, p, np.array([0.0]))
-            return abs(float(p.data[0]))
-
-        assert loss_after(0.9) < loss_after(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0]))
-        optimizer = SGD([p], lr=0.1, weight_decay=1.0)
-        p.zero_grad()  # zero data-gradient; only decay acts
-        optimizer.step()
-        assert p.data[0] == pytest.approx(0.9)
-
-    def test_invalid_hyperparams(self):
-        p = Parameter(np.zeros(1))
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.0)
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -88,6 +50,10 @@ class TestAdam:
             Adam([p], lr=-1.0)
         with pytest.raises(ValueError):
             Adam([p], betas=(1.0, 0.9))
+
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
 
 class TestClipGradNorm:

@@ -46,16 +46,15 @@ class TestFit:
         history = trainer.fit(tiny_dataset)
         assert history.epoch_sizes[0] < history.epoch_sizes[-1]
 
-    def test_lr_schedule_applied(self, tiny_dataset):
-        from repro.train.schedule import StepLR
-
+    def test_healthy_fit_steps_at_config_lr(self, tiny_dataset):
         trainer = Trainer(
             make_model(tiny_dataset),
-            config=TrainConfig(epochs=4, batch_size=2),
-            lr_schedule=StepLR(lr=1e-2, step_size=2, gamma=0.1),
+            config=TrainConfig(epochs=4, batch_size=2, lr=1e-2),
         )
         history = trainer.fit(tiny_dataset)
-        assert history.learning_rates == [1e-2, 1e-2, 1e-3, 1e-3]
+        assert history.recoveries == []
+        assert history.learning_rates == [1e-2] * 4
+        assert trainer.optimizer.lr == 1e-2
 
     def test_workspaces_released_after_fit(self, tiny_dataset):
         trainer = Trainer(
