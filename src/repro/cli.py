@@ -54,7 +54,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -144,6 +143,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     with _span(IMPORTS):
         from repro.core.config import FusionConfig
         from repro.core.pipeline import IRFusionPipeline
+        from repro.nn.serialize import install_file
         from repro.train.trainer import TrainConfig
 
     config = FusionConfig(
@@ -158,6 +158,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     pipeline = IRFusionPipeline(config)
     history = pipeline.train()
+    if history.aborted is not None:
+        print(f"error: training aborted ({history.aborted}) after "
+              f"{len(history.recoveries)} non-finite epoch losses; "
+              f"nothing written to {args.out}", file=sys.stderr)
+        return EXIT_FAILURE
     pipeline.save_model(args.out)
     train_raw, _ = pipeline.build_datasets()
     meta = {
@@ -170,7 +175,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         },
         "final_loss": history.final_loss,
     }
-    Path(str(args.out) + ".json").write_text(json.dumps(meta, indent=2))
+    install_file(str(args.out) + ".json", json.dumps(meta, indent=2).encode())
     print(f"trained {config.train.epochs} epochs "
           f"(final loss {history.final_loss:.4f}); saved to {args.out}")
     return 0
@@ -204,6 +209,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     check_controls(args.task_timeout, args.retries, args.deadline)
     if args.limit_mv is not None:
         check_limit(args.limit_mv / 1e3)
+    if args.save_map and len(args.deck) > 1:
+        raise ValueError("--save-map needs a single deck")
     pipeline = IRFusionPipeline.from_model_file(
         args.model, jobs=args.jobs
     )
@@ -238,8 +245,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # Batch mode: fan the decks across worker processes, keep going past
     # per-deck failures, and exit with the most severe per-deck code.
-    if args.save_map:
-        raise ValueError("--save-map needs a single deck")
     from repro.core.batch import BatchAnalyzer
 
     analyzer = BatchAnalyzer(

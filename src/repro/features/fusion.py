@@ -43,7 +43,7 @@ class FeatureConfig:
         ``numerical_scale`` instead.
     numerical_scale:
         Fixed multiplier for numerical (volt-valued) channels; keeping it
-        equal to the trainer's ``label_scale`` puts rough solutions and
+        equal to the trainer's ``LABEL_SCALE`` puts rough solutions and
         labels in the same units, so the residual correction is well
         conditioned.
     """

@@ -107,7 +107,7 @@ class FusedConvBiasReLU(Module):
     :func:`~repro.nn.containers.fuse_conv_relu` graph pass.  The
     ``weight``/``bias`` attributes are the *same* :class:`Parameter`
     objects as the source conv (same state-dict paths, same optimizer
-    slots), so fusion is transparent to checkpoints and training state.
+    slots), so fusion is transparent to saved weights and training state.
     The ReLU mask is recovered from the fused output (``out > 0`` iff the
     pre-activation was ``> 0``), saving the separate pre-activation
     tensor the unfused pair keeps alive.

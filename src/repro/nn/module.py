@@ -18,7 +18,7 @@ class Parameter:
 
     float32 is the network's one dtype: whatever *data* arrives as, it is
     stored as float32.  ``data`` is what kernels read, optimisers update,
-    ``state_dict`` saves and checkpoints restore.  Whoever changes
+    ``state_dict`` saves and ``load_state_dict`` restores.  Whoever changes
     ``data`` calls :meth:`bump_version`, which stamps caches derived from
     it (the inference plan's folded weights).
     """
@@ -166,8 +166,8 @@ class Module:
         """Load parameters and buffers; keys and shapes must match exactly.
 
         Every entry must be a real floating array; it loads through one
-        cast to float32, so float64 archives (checkpoints and model files
-        written before the network was float32) load as their rounding.
+        cast to float32, so float64 model files (written before the network
+        was float32) load as their rounding.
         Any other kind raises ``ValueError`` naming the key.  Everything
         is checked before the first weight is touched.
         """

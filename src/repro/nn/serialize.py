@@ -1,35 +1,51 @@
-"""Model checkpointing: state dicts to/from ``.npz`` archives.
+"""Model weights: state dicts to/from ``.npz`` archives.
 
-Two formats live here:
-
-- **Weights-only** (:func:`save_state` / :func:`load_state`) — just the
-  module's parameters/buffers; used for deployment checkpoints.
-- **Training checkpoints** (:func:`save_checkpoint` /
-  :func:`load_checkpoint`) — arbitrary named arrays (model + optimiser
-  state) plus a JSON metadata blob (epoch counter, RNG state, history),
-  enabling bit-exact resume after an interruption.
+:func:`save_state` installs its archive atomically, so a process that
+reloads a model while a retrain replaces it (the serving registry) sees
+either the old file or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import io
 import os
 
 import numpy as np
 
 from repro.nn.module import Module
 
-#: Reserved array name holding the JSON metadata inside checkpoint archives.
-_META_KEY = "__checkpoint_meta__"
+
+def install_file(path: str | os.PathLike[str], payload: bytes) -> None:
+    """Write *payload* to *path* atomically.
+
+    The bytes go to the temporary sibling ``<path>.tmp``, which is then
+    renamed over *path*: until the rename a reader still gets the
+    previous file.  A write that fails removes the temporary and leaves
+    *path* as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def save_state(module: Module, path: str | os.PathLike[str]) -> None:
-    """Write a module's state dict to a compressed npz archive."""
+    """Install a module's state dict at *path* as a compressed npz archive."""
     state = module.state_dict()
     if not state:
         raise ValueError("module has no parameters to save")
-    np.savez_compressed(path, **state)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **state)
+    install_file(path, buffer.getvalue())
 
 
 def _name_list(names: set[str], limit: int = 8) -> str:
@@ -43,25 +59,13 @@ def _name_list(names: set[str], limit: int = 8) -> str:
 def load_state(module: Module, path: str | os.PathLike[str]) -> None:
     """Load an archive written by :func:`save_state` into *module*.
 
-    Failure modes are diagnosed before any weight is touched, so the
-    error names the actual problem instead of surfacing as a raw
-    ``load_state_dict`` KeyError three layers down:
-
-    - a *training checkpoint* archive (one written by
-      :func:`save_checkpoint`) raises a :class:`ValueError` pointing at
-      :func:`load_checkpoint`;
-    - an archive whose keys do not match the module raises a
-      :class:`ValueError` naming the missing and unexpected keys.
+    An archive whose keys do not match the module raises a
+    :class:`ValueError` naming the missing and unexpected keys before any
+    weight is touched, instead of a raw ``load_state_dict`` KeyError
+    three layers down.
     """
     path = os.fspath(path)
     with np.load(path) as archive:
-        if _META_KEY in archive.files:
-            raise ValueError(
-                f"{path!r} is a training checkpoint (it contains the "
-                f"{_META_KEY!r} metadata entry), not a weights-only "
-                "archive; restore it with load_checkpoint(), or re-export "
-                "the model with save_state()"
-            )
         state = {key: archive[key] for key in archive.files}
     expected = {name for name, _ in module.named_parameters()}
     expected.update(name for name, _, _ in module.named_buffers())
@@ -102,53 +106,3 @@ def state_fingerprint(state: dict[str, np.ndarray]) -> str:
         digest.update(repr(value.shape).encode("ascii"))
         digest.update(np.ascontiguousarray(value).tobytes())
     return digest.hexdigest()
-
-
-def save_checkpoint(
-    path: str | os.PathLike[str],
-    arrays: dict[str, np.ndarray],
-    meta: dict,
-) -> None:
-    """Write named arrays plus JSON-serialisable metadata atomically.
-
-    The archive is written to a temporary sibling first and renamed into
-    place, so a crash mid-write never corrupts the previous checkpoint.
-
-    The temporary name ends in ``.npz`` so numpy writes exactly the file
-    we rename — probing for a name numpy *might* have produced resolved
-    to stale temporaries left by an earlier crash and installed the
-    corrupt file (the bug this replaces).  Stale temporaries from either
-    naming scheme are removed up front.
-    """
-    if _META_KEY in arrays:
-        raise ValueError(f"array name {_META_KEY!r} is reserved")
-    payload = dict(arrays)
-    payload[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.npz"
-    for stale in (f"{path}.tmp", tmp):
-        try:
-            os.remove(stale)
-        except FileNotFoundError:
-            pass
-    np.savez_compressed(tmp, **payload)
-    os.replace(tmp, path)
-
-
-def load_checkpoint(
-    path: str | os.PathLike[str],
-) -> tuple[dict[str, np.ndarray], dict]:
-    """Read ``(arrays, meta)`` written by :func:`save_checkpoint`."""
-    with np.load(path) as archive:
-        if _META_KEY not in archive.files:
-            raise ValueError(
-                f"{os.fspath(path)!r} is not a training checkpoint "
-                "(missing metadata; was it written by save_state?)"
-            )
-        meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
-        arrays = {
-            key: archive[key] for key in archive.files if key != _META_KEY
-        }
-    return arrays, meta

@@ -12,8 +12,9 @@ load path the CLI uses) and kept warm, keyed by name.
 Hot reload is stat-based: each lookup compares the stored
 ``(mtime_ns, size)`` stamp of both files against the filesystem and
 reloads only when a retrain actually replaced the checkpoint.  Because
-:func:`~repro.nn.serialize.save_checkpoint` installs atomically via
-``os.replace``, a lookup never observes a half-written archive — it sees
+``repro train`` installs both files with
+:func:`~repro.nn.serialize.install_file` (a temporary sibling renamed
+over the target), a lookup never observes a half-written file — it sees
 either the old stamp (old entry stays valid) or the new one (reload).
 The entry's weight fingerprint (:func:`~repro.nn.serialize.state_fingerprint`)
 rides into every response — a reloaded model changes the fingerprint, so

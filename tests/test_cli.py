@@ -168,6 +168,27 @@ class TestTrainAnalyze:
         for key, value in serial.items():
             np.testing.assert_array_equal(pooled[key], value, err_msg=key)
 
+    def test_aborted_training_exits_1_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.train.trainer import Trainer
+
+        # Every epoch's loss is non-finite: the run aborts after its
+        # recovery budget, and no model may be installed.
+        monkeypatch.setattr(
+            Trainer, "_run_epoch", lambda self, dataset, rng: float("nan")
+        )
+        model = tmp_path / "model.npz"
+        code = main(
+            ["train", str(model), "--pixels", "16", "--fake", "2",
+             "--real", "1", "--epochs", "6", "--channels", "4"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "training aborted (nan_loss)" in captured.err
+        assert "saved to" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDiagnosticsOutput:
     def test_simulate_prints_diagnostics_block(self, deck_path, capsys):
@@ -305,6 +326,19 @@ class TestErrorHandling:
         assert code == 1
         assert out.count("reason=deadline") == 2
         assert "worst_predicted_drop_mV" not in out
+
+    def test_save_map_with_many_decks_is_refused_before_the_model_loads(
+        self, tmp_path, capsys
+    ):
+        code = main(
+            ["analyze", str(tmp_path / "missing.npz"), "a.sp", "b.sp",
+             "--save-map", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--save-map needs a single deck" in captured.err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_model_meta_exits_2(self, tmp_path, deck_path, capsys):
         code = main(["analyze", str(tmp_path / "no_model.npz"), str(deck_path)])

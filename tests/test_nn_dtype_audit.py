@@ -1,10 +1,10 @@
 """Every array the network owns is float32, for every registered model.
 
-One ``Trainer.fit`` epoch (with a checkpoint) and one prediction per
-model, then an audit of parameters and gradients, Adam moments,
-BatchNorm running statistics, the layers' scratch workspaces (captured
-just before the trainer releases them), the inference plan's arena, the
-training and inference outputs and the checkpoint's arrays.  A single
+One ``Trainer.fit`` epoch and one prediction per model, then an audit of
+parameters and gradients, Adam moments and their state dict, BatchNorm
+running statistics, the layers' scratch workspaces (captured just before
+the trainer releases them), the inference plan's arena, the training and
+inference outputs and the arrays of a saved model file.  A single
 float64 allocation anywhere in the network widens what flows past it, so
 one stray default shows up here.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.data.dataset import DesignSample, IRDropDataset
 from repro.features.maps import FeatureStack
 from repro.models.registry import MODEL_REGISTRY, create_model
-from repro.nn.serialize import load_checkpoint
+from repro.nn.serialize import save_state
 from repro.train.trainer import TrainConfig, Trainer
 
 CHANNELS = 3
@@ -48,11 +48,7 @@ def _not_float32(named):
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_every_network_array_is_float32(name, tmp_path, monkeypatch):
     model = create_model(name, in_channels=CHANNELS, base_channels=4, depth=2)
-    ckpt = tmp_path / "ckpt.npz"
-    config = TrainConfig(
-        epochs=1, batch_size=2, checkpoint_every=1, checkpoint_path=str(ckpt)
-    )
-    trainer = Trainer(model, config=config)
+    trainer = Trainer(model, config=TrainConfig(epochs=1, batch_size=2))
     dataset = _dataset()
 
     scratch, outputs = [], []
@@ -95,10 +91,17 @@ def test_every_network_array_is_float32(name, tmp_path, monkeypatch):
         for path, owner, attr in model.named_buffers()
     ) == []
 
-    arrays, _ = load_checkpoint(ckpt)
     assert _not_float32(
-        (key, value.dtype) for key, value in arrays.items() if key != "optim/t"
+        (f"adam/{key}", value.dtype)
+        for key, value in optimizer.state_dict().items()
+        if key != "t"
     ) == []
+    path = tmp_path / "model.npz"
+    save_state(model, path)
+    with np.load(path) as archive:
+        assert _not_float32(
+            (key, archive[key].dtype) for key in archive.files
+        ) == []
 
     plan = trainer.inference_plan()
     out = plan(np.stack([s.features.data for s in dataset]))

